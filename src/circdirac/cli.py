@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Subcommands: kn-sample, measure, spectrum, palm, aleksandrov, sine-beta,
-bias, verify.  Every command accepts --seed and --out; file formats are
+bias, verify.  Every command accepts --seed and --out, and the two that
+run worker pools (bias, verify) accept --jobs; file formats are
 the JSON schemas of the library modules.  verify demands an explicit seed
 (reports must be reproducible); other commands draw an entropy seed when
 none is given and echo it on stdout.
@@ -226,12 +227,14 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p, out_default=None):
         p.add_argument("--seed", type=int, default=None, help="master seed")
         p.add_argument("--stream", type=int, default=0, help="stream id")
-        p.add_argument("--jobs", type=int, default=None,
-                       help="worker pool size (default: machine parallelism)")
         if out_default is None:
             p.add_argument("--out", required=True, help="output path")
         else:
             p.add_argument("--out", default=out_default, help="output path")
+
+    def jobs(p):
+        p.add_argument("--jobs", type=int, default=os.cpu_count() or 1,
+                       help="worker pool size (default: machine parallelism)")
 
     p = sub.add_parser("kn-sample", help="draw ensemble coefficients")
     p.add_argument("--n", type=int, required=True)
@@ -290,11 +293,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--replicas", type=int, default=None)
     p.add_argument("--config", help="experiment config JSON")
     common(p)
+    jobs(p)
     p.set_defaults(func=_cmd_bias)
 
     p = sub.add_parser("verify", help="run a named acceptance suite")
     p.add_argument("--suite", choices=sorted(verify.SUITES), default="all")
     common(p, out_default="")
+    jobs(p)
     p.set_defaults(func=_cmd_verify)
 
     return parser
@@ -305,8 +310,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.command in ("bias", "sine-beta"):
         _apply_config(args)
-    if args.jobs is None:
-        args.jobs = os.cpu_count() or 1
     try:
         return args.func(args)
     except Exception as exc:  # runtime errors: machine-readable record

@@ -20,8 +20,13 @@ is strictly increasing in lambda; within one cell W = A - iB equals
 a e^{i p} + b e^{-i p} with |a| > |b|, so the per-cell winding has the
 closed form  p + Arg((a + b e^{-2ip}) conj(a + b)), which is exact.
 Eigenvalues are recovered by inverting the monotone phase at the targets
-2 pi k + u, u determined by the direction of u1; the bracketed search uses
-derivative (Newton) steps with bisection fallback down to 1e-12 in lambda.
+2 pi k + u, u determined by the direction of u1.  The search is safeguarded
+Newton on all targets at once: a Newton step from the analytic phase
+derivative when it stays strictly inside the root's bracket, bisection
+otherwise, down to 1e-12 in lambda.  Each root leaves the batch as soon
+as it converges, so later sweeps carry only the roots still unresolved,
+and a root left unresolved at the iteration cap raises a conditioning
+error instead of returning an unconverged value.
 
 Grids normally span [0, 1]; truncated continuum paths may start at
 t0 > 0, and time reversal of such an operator ends before 1.
@@ -57,8 +62,11 @@ TWO_PI = 2.0 * math.pi
 #: Refuse windows holding more than this many eigenvalues.
 WINDOW_BUDGET = 1_000_000
 
-#: Bracket width at which the eigenvalue search stops.
+#: Bracket width (and Newton correction) at which the eigenvalue search stops.
 LAMBDA_TOL = 1e-12
+
+#: Sweeps the eigenvalue search may take before it raises a conditioning error.
+MAX_SOLVER_ITERATIONS = 120
 
 
 # ---------------------------------------------------------------------------
@@ -255,9 +263,10 @@ def _sweep(x, y, dt, lam, u0, row=None, upto=None,
     m = np.shape(x)[-1] if upto is None else upto
     for k in range(m):
         if twod:
-            xk, yk = x[:, k], y[:, k]
-            if row is not None:
-                xk, yk = xk[row], yk[row]
+            if row is None:
+                xk, yk = x[:, k], y[:, k]
+            else:
+                xk, yk = x[row, k], y[row, k]
         else:
             xk, yk = x[k], y[k]
         phi = 0.5 * lam * dt[k]
@@ -345,33 +354,70 @@ def _phase_target(u1) -> float:
 def _solve_targets(x, y, dt, u0, targets, lo, hi, alo, ahi, row=None):
     """Invert the monotone phase at each target; returns lambdas.
 
-    Bracketed Newton: the bracket [a, b] always contains the root, Newton
-    steps use the analytic phase derivative and fall back to bisection
-    whenever they leave the bracket.
+    Safeguarded Newton (``rtsafe``, Numerical Recipes 9.4): every lane
+    keeps a bracket [a, b] around its root, shrunk at each evaluation by
+    the sign of alpha - target.  The next point is the Newton step from
+    the analytic phase derivative when that lands strictly inside the
+    bracket and is at most half the step before last; otherwise it is the
+    bracket midpoint.  The second condition breaks Newton cycles between
+    the flat stretches either side of a steep phase rise, which land
+    inside the bracket yet shrink it by a little each time.  A lane
+    retires once |alpha - target| <= alpha' * LAMBDA_TOL (its Newton
+    correction is below LAMBDA_TOL) or its bracket is narrower than
+    LAMBDA_TOL, returning the midpoint in the latter case; later sweeps
+    advance only the lanes still active.  For a 2-d ``x`` the active lanes
+    reach their operator rows through ``row``.  A lane still active after
+    MAX_SOLVER_ITERATIONS sweeps raises a conditioning error.
     """
     t = np.asarray(targets, dtype=float)
     a = np.broadcast_to(np.asarray(lo, dtype=float), t.shape).copy()
     b = np.broadcast_to(np.asarray(hi, dtype=float), t.shape).copy()
     span = np.maximum(ahi - alo, 1e-300)
-    lam = a + (b - a) * (t - alo) / span
-    lam = np.clip(lam, a, b)
-    for it in range(120):
-        alpha, deriv = _phase_and_deriv(x, y, dt, lam, u0, row=row)
-        f = alpha - t
+    lam = np.clip(a + (b - a) * (t - alo) / span, a, b)
+    if np.ndim(x) == 2 and row is None:
+        row = np.arange(t.size)
+    out = np.empty(t.shape)
+    live = np.arange(t.size)
+    dx = dxold = b - a  # last step and the step before it
+    for _ in range(MAX_SOLVER_ITERATIONS):
+        alpha, deriv = _phase_and_deriv(x, y, dt, lam, u0,
+                                        row=None if row is None else row[live])
+        f = alpha - t[live]
         neg = f < 0.0
         a = np.where(neg, lam, a)
         b = np.where(neg, b, lam)
         at_root = np.abs(f) <= deriv * LAMBDA_TOL
-        if np.all(at_root | ((b - a) < LAMBDA_TOL)):
-            return np.where(at_root, lam, 0.5 * (a + b))
-        if it % 3 == 2:
-            lam = 0.5 * (a + b)  # guaranteed bracket shrink
-            continue
-        step = np.where(deriv > 0.0, f / np.where(deriv > 0.0, deriv, 1.0), 0.0)
+        done = at_root | ((b - a) < LAMBDA_TOL)
+        out[live[done]] = np.where(at_root, lam, 0.5 * (a + b))[done]
+        if done.all():
+            return out
+        keep = ~done
+        live, lam, a, b, f, deriv, dx, dxold = (
+            v[keep] for v in (live, lam, a, b, f, deriv, dx, dxold))
+        step = np.where(deriv > 0.0, f / np.where(deriv > 0.0, deriv, 1.0), np.inf)
         nxt = lam - step
-        inside = (nxt > a) & (nxt < b)
-        lam = np.where(inside, nxt, 0.5 * (a + b))
-    return 0.5 * (a + b)
+        newton = (nxt > a) & (nxt < b) & (np.abs(step) <= 0.5 * dxold)
+        dx, dxold = np.where(newton, np.abs(step), 0.5 * (b - a)), dx
+        lam = np.where(newton, nxt, 0.5 * (a + b))
+    raise ValueError(
+        f"conditioning: eigenvalue search left {live.size} of {t.size} roots "
+        f"unresolved after {MAX_SOLVER_ITERATIONS} iterations (widest bracket "
+        f"{float(np.max(b - a)):.3g}); the phase is too flat or too steep "
+        "for double precision"
+    )
+
+
+def _target_range(alo, ahi, u):
+    """Range [kmin, kend) of the k with alo <= 2 pi k + u < ahi.
+
+    ``alo``/``ahi`` are the phases at the ends of a window [a, b) and ``u``
+    the target offset; all may be arrays, giving one range per entry, and
+    the bounds are returned as floats.  The 1e-13 guard counts a target
+    that the endpoint phase reaches up to rounding as reached.
+    """
+    kmin = np.ceil((alo - u) / TWO_PI - 1e-13)
+    kend = np.ceil((ahi - u) / TWO_PI - 1e-13)
+    return kmin, kend
 
 
 def eigenvalues_in(op: DiracOperator, window) -> np.ndarray:
@@ -379,7 +425,7 @@ def eigenvalues_in(op: DiracOperator, window) -> np.ndarray:
 
     The phase increases strictly, so the spectrum in the window is exactly
     the preimage of {2 pi k + u} between the endpoint phases; each root is
-    found once by bracketed bisection/Newton to 1e-12 in lambda.
+    found once by safeguarded Newton to 1e-12 in lambda.
     """
     lo, hi = float(window[0]), float(window[1])
     if not lo < hi:
@@ -389,11 +435,10 @@ def eigenvalues_in(op: DiracOperator, window) -> np.ndarray:
     u = _phase_target(op.u1)
     if (ahi - alo) / TWO_PI > WINDOW_BUDGET:
         raise ValueError("window budget: more than 1e6 eigenvalues requested")
-    kmin = math.ceil((alo - u) / TWO_PI - 1e-13)
-    kmax = math.ceil((ahi - u) / TWO_PI - 1e-13) - 1
-    if kmax < kmin:
+    kmin, kend = _target_range(alo, ahi, u)
+    if kend <= kmin:
         return np.empty(0)
-    targets = u + TWO_PI * np.arange(kmin, kmax + 1)
+    targets = u + TWO_PI * np.arange(int(kmin), int(kend))
     lams = _solve_targets(x, y, dt, op.u0, targets, lo, hi, alo, ahi)
     return np.sort(lams)
 
@@ -405,10 +450,8 @@ def eigenvalue_count(op: DiracOperator, window) -> int:
         raise ValueError("window must satisfy a < b")
     x, y, dt = _cells(op)
     alo, ahi = _phase_and_deriv(x, y, dt, np.array([lo, hi]), op.u0)[0]
-    u = _phase_target(op.u1)
-    kmin = math.ceil((alo - u) / TWO_PI - 1e-13)
-    kmax = math.ceil((ahi - u) / TWO_PI - 1e-13) - 1
-    return max(0, kmax - kmin + 1)
+    kmin, kend = _target_range(alo, ahi, _phase_target(op.u1))
+    return max(0, int(kend - kmin))
 
 
 def spectral_measure(op: DiracOperator, window, side: str) -> SpectralMeasure:

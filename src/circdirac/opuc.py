@@ -389,12 +389,14 @@ def alpha_to_measure(alphas: CoefficientSequence) -> UnitCircleMeasure:
 
     Atoms are the unit-modulus roots of Phi_n (companion eigenvalues
     projected radially); the weight at each atom inverts the
-    normalized-polynomial sum, so the weights sum to 1 up to rounding.
+    normalized-polynomial sum.  That sum drifts from 1 by rounding that
+    grows with n (1e-12 at n = 400), so the weights are divided by their
+    sum to return a normalized measure.
     """
     alphas.require_kind("verblunsky")
     g = _gammas_from_alphas(alphas.values)
     ang, w = _measures_from_gammas_batch(g[None, :])
-    return UnitCircleMeasure(angles=ang[0], weights=w[0])
+    return UnitCircleMeasure(angles=ang[0], weights=w[0] / w[0].sum())
 
 
 # ---------------------------------------------------------------------------

@@ -34,6 +34,7 @@ from .dirac import (
     transform_operator,
     _solve_targets,
     _sweep,
+    _target_range,
 )
 from .ensembles import (
     KNMeasureSampler,
@@ -374,8 +375,8 @@ def criterion_sine_intensity(seed: int):
     _, _, _, _, whi = _sweep(xs, ys, dt, np.full(replicas, hi), u0, want_phase=True)
     alo, ahi = 2.0 * wlo, 2.0 * whi
     u = np.mod(-2.0 * np.arctan2(-1.0, -qs), TWO_PI)
-    counts = (np.ceil((ahi - u) / TWO_PI - 1e-13)
-              - np.ceil((alo - u) / TWO_PI - 1e-13))
+    kmin, kend = _target_range(alo, ahi, u)
+    counts = kend - kmin
     mean = counts.mean()
     se = counts.std(ddof=1) / math.sqrt(replicas)
     rep = TestReport(statistic=abs(mean - 10.0), threshold=3.0 * se,

@@ -152,6 +152,14 @@ class TestErrorHandling:
                   "--out", "x.json", "--bogus"])
         assert exc.value.code == 2
 
+    def test_jobs_only_on_pool_commands(self, tmp_path):
+        mfile = tmp_path / "lattice.json"
+        write_lattice_measure(mfile)
+        with pytest.raises(SystemExit) as exc:
+            main(["spectrum", "--measure", str(mfile), "--window", "-1", "1",
+                  "--jobs", "2", "--seed", "1", "--out", str(tmp_path / "s.json")])
+        assert exc.value.code == 2
+
     def test_unknown_command_is_usage_error(self):
         with pytest.raises(SystemExit) as exc:
             main(["frobnicate"])

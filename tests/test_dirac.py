@@ -216,6 +216,92 @@ class TestEigenvalues:
             np.testing.assert_allclose(grid[flips], eigs, atol=2e-3)
 
 
+class TestSolver:
+    @staticmethod
+    def count_phase_sweeps(monkeypatch):
+        lanes = []
+        original = dirac._phase_and_deriv
+
+        def counting(x, y, dt, lam, u0, row=None):
+            lanes.append(np.size(lam))
+            return original(x, y, dt, lam, u0, row=row)
+
+        monkeypatch.setattr(dirac, "_phase_and_deriv", counting)
+        return lanes
+
+    def test_iteration_cap_raises_conditioning_error(self, monkeypatch):
+        op = random_operator(np.random.default_rng(31))
+        monkeypatch.setattr(dirac, "MAX_SOLVER_ITERATIONS", 1)
+        with pytest.raises(ValueError, match="conditioning"):
+            dirac.eigenvalues_in(op, (-9.0, 9.0))
+
+    def test_newton_cycle_is_broken_by_bisection(self):
+        # a steep phase rise between two flat stretches: from either side
+        # the Newton step lands inside the bracket near the other flat
+        # stretch, so Newton steps alone shrink the bracket by a little per
+        # sweep and hit the iteration cap
+        z = [-0.2750513809899353 + 0.579876738945817j,
+             -0.6412468112666696 + 1.2490037605957283j,
+             -0.8364804105291319 + 1.7560992408317149j,
+             -0.5868908963556989 + 1.5904256042096492j,
+             0.8164806427077096 + 1.4497456628428527j]
+        op = dirac.build_operator((np.linspace(0.0, 1.0, 6), np.array(z)),
+                                  u1_spec=-1.3028547243692161)
+        eigs = dirac.eigenvalues_in(op, (-8.0, 8.0))
+        assert eigs.size == 3
+        u = dirac._phase_target(op.u1)
+        turns = (dirac.phase_at(op, eigs) - u) / TWO_PI
+        np.testing.assert_allclose(turns, np.round(turns), atol=1e-11)
+
+    def test_batched_solve_matches_per_lane_solves(self, monkeypatch):
+        # rows repeat and targets sit at different depths of each operator's
+        # phase range, so lanes retire at different sweeps
+        rng = np.random.default_rng(32)
+        ops = [random_operator(rng, cells=7) for _ in range(4)]
+        x = np.stack([op.path.real for op in ops])
+        y = np.stack([op.path.imag for op in ops])
+        dt = np.diff(ops[0].grid)
+        u0 = np.array([1.0, 0.0])
+        lo, hi = -9.0, 9.0
+        ends = np.array([dirac._phase_and_deriv(x[i], y[i], dt,
+                                                np.array([lo, hi]), u0)[0]
+                         for i in range(len(ops))])
+        row, targets = [], []
+        for i, (alo, ahi) in enumerate(ends):
+            kmin, kend = dirac._target_range(alo, ahi, 0.0)
+            for k in range(int(kmin), int(kend)):
+                row.append(i)
+                targets.append(TWO_PI * k)
+        row, targets = np.array(row), np.array(targets)
+        lanes = self.count_phase_sweeps(monkeypatch)
+        batched = dirac._solve_targets(x, y, dt, u0, targets, lo, hi,
+                                       ends[row, 0], ends[row, 1], row=row)
+        assert len(set(lanes)) > 2
+        for j, (i, t) in enumerate(zip(row, targets)):
+            single = dirac._solve_targets(x[i], y[i], dt, u0, np.array([t]),
+                                          lo, hi, ends[i, 0], ends[i, 1])
+            assert abs(batched[j] - single[0]) <= 1e-12
+
+    def test_sine_batch_retires_converged_lanes(self, monkeypatch):
+        from circdirac.ensembles import SeedSpec, SinePathSpec, sample_sine_operator
+
+        spec = SinePathSpec(beta=2.0, cells=256, q_mode="infinity")
+        ops = [sample_sine_operator(spec, SeedSpec(5, i)) for i in range(40)]
+        x = np.stack([op.path.real for op in ops])
+        y = np.stack([op.path.imag for op in ops])
+        dt = np.diff(ops[0].grid)
+        u0 = np.array([1.0, 0.0])
+        wlo = dirac._sweep(x, y, dt, np.full(40, -0.5), u0, want_phase=True)[4]
+        whi = dirac._sweep(x, y, dt, np.full(40, 0.5), u0, want_phase=True)[4]
+        lanes = self.count_phase_sweeps(monkeypatch)
+        roots = dirac._solve_targets(x, y, dt, u0, np.zeros(40), -0.5, 0.5,
+                                     2.0 * wlo, 2.0 * whi)
+        assert np.max(np.abs(roots)) < 1e-10
+        assert len(lanes) <= 12
+        assert lanes[0] == 40
+        assert all(b <= a for a, b in zip(lanes, lanes[1:]))
+
+
 class TestSpectralMeasure:
     def test_lattice_weights_are_two(self):
         op = lattice_operator(8, 1.0)

@@ -224,6 +224,15 @@ class TestAlphaToMeasure:
         _, w = opuc._measures_from_gammas_batch(gam)
         assert np.max(np.abs(w.sum(axis=1) - 1.0)) < 1e-12
 
+    def test_large_kn_draw_is_normalized(self):
+        # the raw weights of this n = 400 draw sum to 1 + 1.0e-12, outside
+        # the 1e-12 band that measure_to_alpha accepts
+        from circdirac.ensembles import SeedSpec, sample_kn
+
+        seq = sample_kn(400, 2.0, SeedSpec(207, 0))
+        mu = opuc.alpha_to_measure(opuc.convert_coefficients(seq, "verblunsky"))
+        assert mu.normalized
+
     def test_roundtrip(self):
         rng = np.random.default_rng(8)
         for n in (2, 5, 9, 12):
