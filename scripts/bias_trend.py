@@ -38,14 +38,14 @@ def main() -> int:
     args = ap.parse_args()
 
     base = SeedSpec(args.seed, 0)
-    sampler = KNMeasureSampler(args.n, args.beta)
-    gammas = sampler.gammas_for(base, args.replicas)
+    gammas, angles, atom_weights = KNMeasureSampler(args.n, args.beta).sample_batch(
+        base, args.replicas)
     direct = _biased_gammas(SeedSpec(args.seed, 1_000_000).rng(),
                             args.n, args.beta, args.direct_draws)
 
     rows = []
     for eps in args.eps:
-        w = bias_by_window(sampler, eps, args.replicas, base).weights
+        w = bias_by_window(angles, atom_weights, eps)
         ks = 0.0
         for k in range(args.n - 1):
             for part in (np.real, np.imag):

@@ -1,8 +1,8 @@
 """Command-line front end.
 
 Subcommands: kn-sample, measure, spectrum, palm, aleksandrov, sine-beta,
-bias, verify.  Every command accepts --seed and --out, and the two that
-run worker pools (bias, verify) accept --jobs; file formats are
+bias, verify.  Every command accepts --seed and --out, and verify, which
+can run its criteria in a worker pool, accepts --jobs; file formats are
 the JSON schemas of the library modules.  verify demands an explicit seed
 (reports must be reproducible); other commands draw an entropy seed when
 none is given and echo it on stdout.
@@ -140,27 +140,25 @@ def _cmd_bias(args) -> int:
     if args.beta is None:
         args.beta = 2.0
     seed = _resolve_seed(args)
-    sampler = KNMeasureSampler(args.n, args.beta)
-    base = SeedSpec(seed, 0)
-    sample = ensembles.bias_by_window(sampler, args.epsilon, args.replicas,
-                                      base, jobs=args.jobs or 1)
-    gammas = sampler.gammas_for(base, args.replicas)
+    gammas, angles, atom_weights = KNMeasureSampler(args.n, args.beta).sample_batch(
+        SeedSpec(seed, 0), args.replicas)
+    weights = ensembles.bias_by_window(angles, atom_weights, args.epsilon)
     direct = ensembles._biased_gammas(SeedSpec(seed, 1_000_000).rng(),
                                       args.n, args.beta, 10_000)
     ks = {}
     for k in range(args.n - 1):
         ks[f"gamma_{k}"] = {
             "re": ks_statistic_two_sample(gammas[:, k].real, direct[:, k].real,
-                                          weights_a=sample.weights),
+                                          weights_a=weights),
             "im": ks_statistic_two_sample(gammas[:, k].imag, direct[:, k].imag,
-                                          weights_a=sample.weights),
+                                          weights_a=weights),
         }
     csv_path = f"{args.out}.csv"
     with open(csv_path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["replica", "importance_weight", "gamma0_re", "gamma0_im"])
         for i in range(args.replicas):
-            writer.writerow([i, repr(float(sample.weights[i])),
+            writer.writerow([i, repr(float(weights[i])),
                              repr(float(gammas[i, 0].real)),
                              repr(float(gammas[i, 0].imag))])
     summary = {
@@ -170,7 +168,7 @@ def _cmd_bias(args) -> int:
         "replicas": args.replicas,
         "seed": seed,
         "epsilon": args.epsilon,
-        "nonzero_weight_fraction": float(np.mean(sample.weights > 0.0)),
+        "nonzero_weight_fraction": float(np.mean(weights > 0.0)),
         "ks_to_direct_law": ks,
     }
     json_path = f"{args.out}.json"
@@ -232,10 +230,6 @@ def build_parser() -> argparse.ArgumentParser:
         else:
             p.add_argument("--out", default=out_default, help="output path")
 
-    def jobs(p):
-        p.add_argument("--jobs", type=int, default=os.cpu_count() or 1,
-                       help="worker pool size (default: machine parallelism)")
-
     p = sub.add_parser("kn-sample", help="draw ensemble coefficients")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--beta", type=float, required=True)
@@ -293,13 +287,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--replicas", type=int, default=None)
     p.add_argument("--config", help="experiment config JSON")
     common(p)
-    jobs(p)
     p.set_defaults(func=_cmd_bias)
 
     p = sub.add_parser("verify", help="run a named acceptance suite")
     p.add_argument("--suite", choices=sorted(verify.SUITES), default="all")
     common(p, out_default="")
-    jobs(p)
+    p.add_argument("--jobs", type=int, default=os.cpu_count() or 1,
+                   help="worker pool size (default: machine parallelism)")
     p.set_defaults(func=_cmd_verify)
 
     return parser

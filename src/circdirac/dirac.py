@@ -430,8 +430,7 @@ def eigenvalues_in(op: DiracOperator, window) -> np.ndarray:
     lo, hi = float(window[0]), float(window[1])
     if not lo < hi:
         raise ValueError("window must satisfy a < b")
-    x, y, dt = _cells(op)
-    alo, ahi = _phase_and_deriv(x, y, dt, np.array([lo, hi]), op.u0)[0]
+    alo, ahi = phase_at(op, np.array([lo, hi]))
     u = _phase_target(op.u1)
     if (ahi - alo) / TWO_PI > WINDOW_BUDGET:
         raise ValueError("window budget: more than 1e6 eigenvalues requested")
@@ -439,7 +438,7 @@ def eigenvalues_in(op: DiracOperator, window) -> np.ndarray:
     if kend <= kmin:
         return np.empty(0)
     targets = u + TWO_PI * np.arange(int(kmin), int(kend))
-    lams = _solve_targets(x, y, dt, op.u0, targets, lo, hi, alo, ahi)
+    lams = _solve_targets(*_cells(op), op.u0, targets, lo, hi, alo, ahi)
     return np.sort(lams)
 
 
@@ -448,8 +447,7 @@ def eigenvalue_count(op: DiracOperator, window) -> int:
     lo, hi = float(window[0]), float(window[1])
     if not lo < hi:
         raise ValueError("window must satisfy a < b")
-    x, y, dt = _cells(op)
-    alo, ahi = _phase_and_deriv(x, y, dt, np.array([lo, hi]), op.u0)[0]
+    alo, ahi = phase_at(op, np.array([lo, hi]))
     kmin, kend = _target_range(alo, ahi, _phase_target(op.u1))
     return max(0, int(kend - kmin))
 

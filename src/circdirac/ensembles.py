@@ -4,7 +4,8 @@ Sampling conventions.  All randomness flows through :class:`SeedSpec`;
 identical (master_seed, stream_id) reproduce identical draws bit for bit
 on one platform, and distinct stream ids give independent streams.  Monte
 Carlo experiments assign stream_id = replica index under a fixed master
-seed, so replica-level parallelism cannot change results.
+seed, so the batch size and the order of the draws cannot change a
+replica.
 
 The coefficient ensemble with parameters (n, beta) draws the modified
 coefficients independently: gamma_k = r_k e^{i Theta_k} with
@@ -51,7 +52,6 @@ __all__ = [
     "sample_sine_operator",
     "remove_atom",
     "bias_by_window",
-    "WeightedMeasureSample",
 ]
 
 TWO_PI = 2.0 * math.pi
@@ -113,30 +113,34 @@ def kn_measure(n: int, beta: float, seed) -> UnitCircleMeasure:
 
 
 class KNMeasureSampler:
-    """Measure sampler for :func:`bias_by_window` with a fast batch path.
+    """Batched replicas of the (n, beta) ensemble: coefficients and measures.
 
-    Calling with a SeedSpec yields one measure; ``sample_batch`` draws one
-    replica per stream id (identical to repeated calls) but converts all
-    coefficient draws to measures with batched linear algebra.
+    Replica i is drawn from stream id i under the master seed of ``base``,
+    bit for bit the draw of ``sample_kn(n, beta, base.stream(i))``;
+    ``sample_batch`` converts all replicas to measures with batched linear
+    algebra.
     """
 
     def __init__(self, n: int, beta: float):
+        if n < 1 or beta <= 0.0:
+            raise ValueError("need n >= 1 and beta > 0")
         self.n = int(n)
         self.beta = float(beta)
 
-    def __call__(self, seed: SeedSpec) -> UnitCircleMeasure:
-        return kn_measure(self.n, self.beta, seed)
-
     def gammas_for(self, base: SeedSpec, replicas: int) -> np.ndarray:
+        """(replicas, n) modified coefficients, row i from stream id i."""
+        if replicas < 1:
+            raise ValueError("need at least one replica")
         g = np.empty((replicas, self.n), dtype=complex)
         for i in range(replicas):
             g[i] = _kn_gammas(base.stream(i).rng(), self.n, self.beta, 1)[0]
         return g
 
     def sample_batch(self, base: SeedSpec, replicas: int):
+        """(gammas, angles, weights): one draw and one measure conversion."""
         g = self.gammas_for(base, replicas)
         angles, weights = _measures_from_gammas_batch(g)
-        return angles, weights
+        return g, angles, weights
 
 
 # ---------------------------------------------------------------------------
@@ -267,77 +271,20 @@ def remove_atom(mu: UnitCircleMeasure, angle: float) -> UnitCircleMeasure:
     return UnitCircleMeasure(angles=ang, weights=w / w.sum())
 
 
-@dataclass(frozen=True)
-class WeightedMeasureSample:
-    """Replica measures with self-normalized importance weights.
+def bias_by_window(angles, atom_weights, epsilon: float) -> np.ndarray:
+    """Importance weights of drawn replica measures for the window (-eps, eps).
 
-    ``weights`` holds mu_i(arc)/mean(mu(arc)); weighted statistics should
-    use ``normalized_weights`` which sums to one.
-    """
-
-    angles: np.ndarray
-    atom_weights: np.ndarray
-    weights: np.ndarray
-    epsilon: float
-
-    @property
-    def normalized_weights(self) -> np.ndarray:
-        return self.weights / self.weights.sum()
-
-    def measure(self, i: int) -> UnitCircleMeasure:
-        return UnitCircleMeasure(angles=self.angles[i], weights=self.atom_weights[i])
-
-
-def bias_by_window(sampler, epsilon: float, replicas: int, seed: SeedSpec,
-                   jobs: int = 1) -> WeightedMeasureSample:
-    """Draw replica measures and weight each by its mass in (-eps, eps).
-
-    Replica i is drawn from stream id i of the sampler under the given
-    master seed, so aggregation order cannot change results.  Importance
-    weights are mu(arc)/mean(mu(arc)); an all-zero weight vector (no
-    replica charges the arc) is an error.  Acceptance-rejection on the arc
-    event would waste nearly all replicas at small epsilon, hence the
-    self-normalized importance weighting.
+    ``angles``/``atom_weights`` hold one replica measure per row, as
+    returned by :meth:`KNMeasureSampler.sample_batch`; draw once and call
+    this for each epsilon.  Weight i is mu_i(arc)/mean(mu(arc)); an
+    all-zero weight vector (no replica charges the arc) is an error.
+    Acceptance-rejection on the arc event would waste nearly all replicas
+    at small epsilon, hence the self-normalized importance weighting.
     """
     if epsilon <= 0.0:
         raise ValueError("epsilon must be positive")
-    if replicas < 1:
-        raise ValueError("need at least one replica")
-    if hasattr(sampler, "sample_batch"):
-        angles, atom_weights = sampler.sample_batch(seed, replicas)
-    else:
-        measures = _draw_measures(sampler, seed, replicas, jobs)
-        angles = np.stack([m.angles for m in measures])
-        atom_weights = np.stack([m.weights for m in measures])
     inside = _circ_dist(angles, 0.0) < epsilon
     w = np.sum(atom_weights * inside, axis=1)
     if not np.any(w > 0.0):
         raise ValueError("empty biasing event: no replica charges the arc")
-    return WeightedMeasureSample(angles=angles, atom_weights=atom_weights,
-                                 weights=w / w.mean(), epsilon=float(epsilon))
-
-
-def _draw_chunk(args):
-    sampler, master_seed, lo, hi = args
-    out = []
-    for i in range(lo, hi):
-        mu = sampler(SeedSpec(master_seed=master_seed, stream_id=i))
-        out.append((mu.angles, mu.weights))
-    return out
-
-
-def _draw_measures(sampler, seed: SeedSpec, replicas: int, jobs: int):
-    if jobs <= 1:
-        chunks = [_draw_chunk((sampler, seed.master_seed, 0, replicas))]
-    else:
-        from concurrent.futures import ProcessPoolExecutor
-
-        bounds = np.linspace(0, replicas, jobs + 1).astype(int)
-        work = [(sampler, seed.master_seed, int(a), int(b))
-                for a, b in zip(bounds[:-1], bounds[1:]) if b > a]
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            chunks = list(pool.map(_draw_chunk, work))
-    out = []
-    for chunk in chunks:
-        out.extend(UnitCircleMeasure(angles=a, weights=w) for a, w in chunk)
-    return out
+    return w / w.mean()

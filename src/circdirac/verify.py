@@ -365,15 +365,21 @@ def _sine_path_batch(spec: SinePathSpec, seed: SeedSpec, replicas: int):
     return xs, ys, np.diff(grid), qs
 
 
+def _endpoint_phases(xs, ys, dt, lo: float, hi: float):
+    """Phases at lo and at hi of every row for u0 = [1, 0], in one sweep."""
+    replicas = xs.shape[0]
+    lam = np.repeat([lo, hi], replicas)
+    row = np.tile(np.arange(replicas), 2)
+    _, _, _, _, wind = _sweep(xs, ys, dt, lam, np.array([1.0, 0.0]), row=row,
+                              want_phase=True)
+    return 2.0 * wind[:replicas], 2.0 * wind[replicas:]
+
+
 def criterion_sine_intensity(seed: int):
     spec = SinePathSpec(beta=2.0)
     replicas = 500
     xs, ys, dt, qs = _sine_path_batch(spec, SeedSpec(seed, 160), replicas)
-    u0 = np.array([1.0, 0.0])
-    lo, hi = 0.0, 20.0 * math.pi
-    _, _, _, _, wlo = _sweep(xs, ys, dt, np.full(replicas, lo), u0, want_phase=True)
-    _, _, _, _, whi = _sweep(xs, ys, dt, np.full(replicas, hi), u0, want_phase=True)
-    alo, ahi = 2.0 * wlo, 2.0 * whi
+    alo, ahi = _endpoint_phases(xs, ys, dt, 0.0, 20.0 * math.pi)
     u = np.mod(-2.0 * np.arctan2(-1.0, -qs), TWO_PI)
     kmin, kend = _target_range(alo, ahi, u)
     counts = kend - kmin
@@ -389,12 +395,9 @@ def criterion_palm_pins_zero(seed: int):
     spec = SinePathSpec(beta=2.0, q_mode="infinity")
     replicas = 500
     xs, ys, dt, _ = _sine_path_batch(spec, SeedSpec(seed, 161), replicas)
-    u0 = np.array([1.0, 0.0])
-    lams = np.full(replicas, -0.5), np.full(replicas, 0.5)
-    _, _, _, _, wlo = _sweep(xs, ys, dt, lams[0], u0, want_phase=True)
-    _, _, _, _, whi = _sweep(xs, ys, dt, lams[1], u0, want_phase=True)
-    roots = _solve_targets(xs, ys, dt, u0, np.zeros(replicas), -0.5, 0.5,
-                           2.0 * wlo, 2.0 * whi)
+    alo, ahi = _endpoint_phases(xs, ys, dt, -0.5, 0.5)
+    roots = _solve_targets(xs, ys, dt, np.array([1.0, 0.0]), np.zeros(replicas),
+                           -0.5, 0.5, alo, ahi)
     worst = float(np.max(np.abs(roots)))
     return [("0 is an eigenvalue under the infinity boundary slope",
              _exact(worst, 1e-10, replicas, "root of the phase at target 0"))]
@@ -411,12 +414,12 @@ def criterion_biasing_trend(seed: int):
     n, beta = 6, 2.0
     replicas = 30_000
     base = SeedSpec(seed, 170)
-    sampler = KNMeasureSampler(n, beta)
-    gammas = sampler.gammas_for(base, replicas)
+    gammas, angles, atom_weights = KNMeasureSampler(n, beta).sample_batch(
+        base, replicas)
     direct = _biased_gammas(SeedSpec(seed, 171).rng(), n, beta, 10_000)
     stats = []
     for eps in (0.3, 0.1, 0.03):
-        w = bias_by_window(sampler, eps, replicas, base).weights
+        w = bias_by_window(angles, atom_weights, eps)
         ks = 0.0
         for k in range(n - 1):
             for part in (np.real, np.imag):

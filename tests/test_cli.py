@@ -97,7 +97,7 @@ class TestPipelines:
 
     def test_bias_outputs(self, tmp_path):
         rc = main(["bias", "--n", "4", "--beta", "2", "--epsilon", "0.4",
-                   "--replicas", "200", "--seed", "5", "--jobs", "1",
+                   "--replicas", "200", "--seed", "5",
                    "--out", str(tmp_path / "bias")])
         assert rc == 0
         rows = (tmp_path / "bias.csv").read_text().splitlines()
@@ -113,13 +113,22 @@ class TestPipelines:
         cfg.write_text(json.dumps({"experiment": "bias", "n": 3, "beta": 2.0,
                                    "replicas": 100, "seed": 9,
                                    "epsilon": 0.5}))
-        rc = main(["bias", "--config", str(cfg), "--jobs", "1",
-                   "--out", str(tmp_path / "b")])
+        rc = main(["bias", "--config", str(cfg), "--out", str(tmp_path / "b")])
         assert rc == 0
         summary = json.loads((tmp_path / "b.json").read_text())
         assert summary["n"] == 3
         assert summary["replicas"] == 100
         assert summary["seed"] == 9
+
+    @pytest.mark.parametrize("flag, value", [("--n", "0"), ("--beta", "-1"),
+                                             ("--replicas", "0")])
+    def test_bias_rejects_bad_input(self, tmp_path, capsys, flag, value):
+        argv = ["bias", "--n", "4", "--beta", "2", "--epsilon", "0.4",
+                "--replicas", "50", "--seed", "5", "--out", str(tmp_path / "b")]
+        argv[argv.index(flag) + 1] = value
+        assert main(argv) == 1
+        record = json.loads(capsys.readouterr().err.strip())
+        assert record["error"] == "ValueError"
 
 
 class TestVerifyCommand:
@@ -158,6 +167,10 @@ class TestErrorHandling:
         with pytest.raises(SystemExit) as exc:
             main(["spectrum", "--measure", str(mfile), "--window", "-1", "1",
                   "--jobs", "2", "--seed", "1", "--out", str(tmp_path / "s.json")])
+        assert exc.value.code == 2
+        with pytest.raises(SystemExit) as exc:
+            main(["bias", "--n", "3", "--replicas", "10", "--jobs", "2",
+                  "--seed", "1", "--out", str(tmp_path / "b")])
         assert exc.value.code == 2
 
     def test_unknown_command_is_usage_error(self):

@@ -72,7 +72,7 @@ class TestKNMeasure:
     def test_weight_marginal_is_beta(self):
         n, beta, draws = 5, 2.0, 10_000
         sampler = ens.KNMeasureSampler(n, beta)
-        _, weights = sampler.sample_batch(ens.SeedSpec(7, 0), draws)
+        _, _, weights = sampler.sample_batch(ens.SeedSpec(7, 0), draws)
         # a Dirichlet(b/2,...) coordinate is Beta(b/2, b(n-1)/2)
         rep = cstats.ks_test(weights[:, 0],
                              lambda x: sps.beta.cdf(x, beta / 2,
@@ -81,18 +81,26 @@ class TestKNMeasure:
 
     def test_batch_matches_serial(self):
         sampler = ens.KNMeasureSampler(4, 2.0)
-        angles, weights = sampler.sample_batch(ens.SeedSpec(8, 0), 3)
+        _, angles, weights = sampler.sample_batch(ens.SeedSpec(8, 0), 3)
         for i in range(3):
-            mu = sampler(ens.SeedSpec(8, i))
+            mu = ens.kn_measure(4, 2.0, ens.SeedSpec(8, i))
             np.testing.assert_allclose(angles[i], mu.angles, atol=1e-14)
             np.testing.assert_allclose(weights[i], mu.weights, atol=1e-14)
+
+    def test_gammas_follow_per_replica_streams(self):
+        n, beta = 5, 1.5
+        base = ens.SeedSpec(11, 3)
+        g = ens.KNMeasureSampler(n, beta).gammas_for(base, 4)
+        for i in range(4):
+            np.testing.assert_array_equal(
+                g[i], ens.sample_kn(n, beta, base.stream(i)).values)
 
     def test_weights_independent_of_support(self):
         # distance correlation between the weight vector and the sorted
         # support, against a permutation null
         n, draws = 5, 300
         sampler = ens.KNMeasureSampler(n, 2.0)
-        angles, weights = sampler.sample_batch(ens.SeedSpec(9, 0), draws)
+        _, angles, weights = sampler.sample_batch(ens.SeedSpec(9, 0), draws)
 
         def dcor(xm, ym):
             def centered(dm):
@@ -259,40 +267,25 @@ class TestRemoveAtom:
 
 class TestBiasByWindow:
     def test_deterministic_sampler_gives_equal_weights(self):
-        mu = opuc.UnitCircleMeasure(angles=np.array([0.0, 2.0]),
-                                    weights=np.array([0.3, 0.7]))
-        sampler = lambda seed: mu
-        out = ens.bias_by_window(sampler, 0.1, 50, ens.SeedSpec(25, 0))
-        np.testing.assert_allclose(out.weights, 1.0)
+        angles = np.tile([0.0, 2.0], (50, 1))
+        atom_weights = np.tile([0.3, 0.7], (50, 1))
+        w = ens.bias_by_window(angles, atom_weights, 0.1)
+        np.testing.assert_allclose(w, 1.0)
 
     def test_empty_event(self):
-        mu = opuc.UnitCircleMeasure(angles=np.array([2.0, 3.0]),
-                                    weights=np.array([0.5, 0.5]))
+        angles = np.tile([2.0, 3.0], (20, 1))
+        atom_weights = np.full((20, 2), 0.5)
         with pytest.raises(ValueError, match="empty biasing event"):
-            ens.bias_by_window(lambda seed: mu, 0.1, 20, ens.SeedSpec(26, 0))
+            ens.bias_by_window(angles, atom_weights, 0.1)
 
     def test_weights_concentrate_as_window_shrinks(self):
         sampler = ens.KNMeasureSampler(6, 2.0)
-        base = ens.SeedSpec(27, 0)
+        _, angles, atom_weights = sampler.sample_batch(ens.SeedSpec(27, 0), 400)
         fracs = []
         for eps in (0.5, 0.1, 0.02):
-            out = ens.bias_by_window(sampler, eps, 400, base)
-            fracs.append(np.mean(out.weights > 0.0))
+            w = ens.bias_by_window(angles, atom_weights, eps)
+            fracs.append(np.mean(w > 0.0))
         assert fracs[0] > fracs[1] > fracs[2]
-
-    def test_jobs_do_not_change_results(self):
-        sampler = ens.KNMeasureSampler(4, 2.0)
-        base = ens.SeedSpec(28, 0)
-        a = ens.bias_by_window(sampler.__call__, 0.4, 30, base, jobs=1)
-        b = ens.bias_by_window(sampler.__call__, 0.4, 30, base, jobs=2)
-        np.testing.assert_array_equal(a.weights, b.weights)
-        np.testing.assert_array_equal(a.angles, b.angles)
-
-    def test_measure_accessor(self):
-        sampler = ens.KNMeasureSampler(3, 2.0)
-        out = ens.bias_by_window(sampler, 0.8, 5, ens.SeedSpec(29, 0))
-        mu = out.measure(2)
-        assert len(mu) == 3
 
 
 def _metropolis_cj(n_points, beta, draws, seed, burn=600, thin=15):

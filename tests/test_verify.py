@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from circdirac import dirac, verify
+from circdirac import dirac, ensembles, verify
 from circdirac.dirac import _sweep
 from circdirac.ensembles import SeedSpec, SinePathSpec, sample_sine_operator
 
@@ -43,16 +43,49 @@ def test_batched_count_matches_per_operator():
     xs = np.stack([op.path.real for op in ops])
     ys = np.stack([op.path.imag for op in ops])
     dt = np.diff(ops[0].grid)
-    u0 = np.array([1.0, 0.0])
     lo, hi = 0.0, 20.0 * math.pi
-    wlo = _sweep(xs, ys, dt, np.full(6, lo), u0, want_phase=True)[4]
-    whi = _sweep(xs, ys, dt, np.full(6, hi), u0, want_phase=True)[4]
+    alo, ahi = verify._endpoint_phases(xs, ys, dt, lo, hi)
     qs = np.array([-op.u1[0] for op in ops])
     u = np.mod(-2.0 * np.arctan2(-1.0, -qs), TWO_PI)
-    counts = (np.ceil((2 * whi - u) / TWO_PI - 1e-13)
-              - np.ceil((2 * wlo - u) / TWO_PI - 1e-13)).astype(int)
+    counts = (np.ceil((ahi - u) / TWO_PI - 1e-13)
+              - np.ceil((alo - u) / TWO_PI - 1e-13)).astype(int)
     expected = [dirac.eigenvalue_count(op, (lo, hi)) for op in ops]
     np.testing.assert_array_equal(counts, expected)
+
+
+def test_endpoint_phases_match_separate_sweeps():
+    spec = SinePathSpec(beta=2.0, cells=128)
+    ops = [sample_sine_operator(spec, SeedSpec(98, i)) for i in range(5)]
+    xs = np.stack([op.path.real for op in ops])
+    ys = np.stack([op.path.imag for op in ops])
+    dt = np.diff(ops[0].grid)
+    u0 = np.array([1.0, 0.0])
+    alo, ahi = verify._endpoint_phases(xs, ys, dt, -0.5, 7.0)
+    wlo = _sweep(xs, ys, dt, np.full(5, -0.5), u0, want_phase=True)[4]
+    whi = _sweep(xs, ys, dt, np.full(5, 7.0), u0, want_phase=True)[4]
+    np.testing.assert_array_equal(alo, 2.0 * wlo)
+    np.testing.assert_array_equal(ahi, 2.0 * whi)
+
+
+def test_biasing_trend_draws_and_converts_once(monkeypatch):
+    calls = {"gammas_for": 0, "convert": 0}
+    gammas_for = ensembles.KNMeasureSampler.gammas_for
+    convert = ensembles._measures_from_gammas_batch
+
+    def spy_gammas_for(self, base, replicas):
+        calls["gammas_for"] += 1
+        return gammas_for(self, base, replicas)
+
+    def spy_convert(g):
+        calls["convert"] += 1
+        return convert(g)
+
+    monkeypatch.setattr(ensembles.KNMeasureSampler, "gammas_for", spy_gammas_for)
+    for module in (ensembles, verify):
+        monkeypatch.setattr(module, "_measures_from_gammas_batch", spy_convert)
+    [(_, report)] = verify.criterion_biasing_trend(7)
+    assert calls == {"gammas_for": 1, "convert": 1}
+    assert report.passed
 
 
 def test_random_measure_generator_is_well_conditioned():
