@@ -1,11 +1,12 @@
 """Command-line front end.
 
 Subcommands: kn-sample, measure, spectrum, palm, aleksandrov, sine-beta,
-bias, verify.  Every command accepts --seed and --out, and verify, which
-can run its criteria in a worker pool, accepts --jobs; file formats are
-the JSON schemas of the library modules.  verify demands an explicit seed
-(reports must be reproducible); other commands draw an entropy seed when
-none is given and echo it on stdout.
+bias, verify.  Every command accepts --out; file formats are the JSON
+schemas of the library modules.  The commands that draw accept --seed:
+verify demands it (reports must be reproducible), and kn-sample,
+sine-beta and bias draw an entropy seed when none is given and echo it on
+stdout.  kn-sample and sine-beta also accept --stream, and verify, which
+can run its criteria in a worker pool, accepts --jobs.
 
 Exit codes: 0 on success (for verify: all criteria passed), 1 on a runtime
 error (a machine-readable record goes to stderr), 2 on a usage error.
@@ -25,7 +26,7 @@ import numpy as np
 
 from . import dirac, ensembles, opuc, verify
 from .ensembles import KNMeasureSampler, SeedSpec, SinePathSpec
-from .stats import ks_statistic_two_sample
+from .stats import ks_by_coordinate
 
 
 def _write_json(path: str, payload: dict) -> None:
@@ -139,20 +140,16 @@ def _cmd_sine_beta(args) -> int:
 def _cmd_bias(args) -> int:
     if args.beta is None:
         args.beta = 2.0
+    if args.epsilon <= 0.0:
+        raise ValueError("epsilon must be positive")
     seed = _resolve_seed(args)
     gammas, angles, atom_weights = KNMeasureSampler(args.n, args.beta).sample_batch(
         SeedSpec(seed, 0), args.replicas)
     weights = ensembles.bias_by_window(angles, atom_weights, args.epsilon)
     direct = ensembles._biased_gammas(SeedSpec(seed, 1_000_000).rng(),
                                       args.n, args.beta, 10_000)
-    ks = {}
-    for k in range(args.n - 1):
-        ks[f"gamma_{k}"] = {
-            "re": ks_statistic_two_sample(gammas[:, k].real, direct[:, k].real,
-                                          weights_a=weights),
-            "im": ks_statistic_two_sample(gammas[:, k].imag, direct[:, k].imag,
-                                          weights_a=weights),
-        }
+    ks = {f"gamma_{k}": {"re": re, "im": im} for k, (re, im)
+          in enumerate(ks_by_coordinate(gammas, direct, weights).tolist())}
     csv_path = f"{args.out}.csv"
     with open(csv_path, "w", newline="") as fh:
         writer = csv.writer(fh)
@@ -222,18 +219,22 @@ def build_parser() -> argparse.ArgumentParser:
         description="Circle measures, Dirac operators, and beta ensembles")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, out_default=None):
-        p.add_argument("--seed", type=int, default=None, help="master seed")
-        p.add_argument("--stream", type=int, default=0, help="stream id")
+    def add_out(p, out_default=None):
         if out_default is None:
             p.add_argument("--out", required=True, help="output path")
         else:
             p.add_argument("--out", default=out_default, help="output path")
 
+    def add_seed(p, stream: bool):
+        p.add_argument("--seed", type=int, default=None, help="master seed")
+        if stream:
+            p.add_argument("--stream", type=int, default=0, help="stream id")
+
     p = sub.add_parser("kn-sample", help="draw ensemble coefficients")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--beta", type=float, required=True)
-    common(p)
+    add_seed(p, stream=True)
+    add_out(p)
     p.set_defaults(func=_cmd_kn_sample)
 
     p = sub.add_parser("measure", help="convert coefficients <-> measure")
@@ -241,7 +242,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--measure", help="measure JSON to turn into coefficients")
     p.add_argument("--kind", choices=["verblunsky", "modified"],
                    default="verblunsky")
-    common(p)
+    add_out(p)
     p.set_defaults(func=_cmd_measure)
 
     p = sub.add_parser("spectrum", help="spectral measure in a window")
@@ -250,19 +251,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--window", type=float, nargs=2, required=True,
                    metavar=("A", "B"))
     p.add_argument("--side", choices=["left", "right"], default="right")
-    common(p)
+    add_out(p)
     p.set_defaults(func=_cmd_spectrum)
 
     p = sub.add_parser("palm", help="atom-at-1 coefficient transform")
     p.add_argument("--coeffs", required=True)
-    common(p)
+    add_out(p)
     p.set_defaults(func=_cmd_palm)
 
     p = sub.add_parser("aleksandrov", help="rotate all alpha by e^{i eta}")
     p.add_argument("--coeffs", required=True)
     p.add_argument("--eta", type=float, required=True,
                    help="angle of the unimodular parameter")
-    common(p)
+    add_out(p)
     p.set_defaults(func=_cmd_aleksandrov)
 
     p = sub.add_parser("sine-beta", help="sample a continuum operator")
@@ -277,7 +278,8 @@ def build_parser() -> argparse.ArgumentParser:
                    metavar=("A", "B"))
     p.add_argument("--side", choices=["left", "right"], default="right")
     p.add_argument("--config", help="experiment config JSON")
-    common(p)
+    add_seed(p, stream=True)
+    add_out(p)
     p.set_defaults(func=_cmd_sine_beta)
 
     p = sub.add_parser("bias", help="window-biased ensemble experiment")
@@ -286,12 +288,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--epsilon", type=float, default=None)
     p.add_argument("--replicas", type=int, default=None)
     p.add_argument("--config", help="experiment config JSON")
-    common(p)
+    add_seed(p, stream=False)
+    add_out(p)
     p.set_defaults(func=_cmd_bias)
 
     p = sub.add_parser("verify", help="run a named acceptance suite")
     p.add_argument("--suite", choices=sorted(verify.SUITES), default="all")
-    common(p, out_default="")
+    add_seed(p, stream=False)
+    add_out(p, out_default="")
     p.add_argument("--jobs", type=int, default=os.cpu_count() or 1,
                    help="worker pool size (default: machine parallelism)")
     p.set_defaults(func=_cmd_verify)

@@ -2,10 +2,14 @@
 
 Sampling conventions.  All randomness flows through :class:`SeedSpec`;
 identical (master_seed, stream_id) reproduce identical draws bit for bit
-on one platform, and distinct stream ids give independent streams.  Monte
-Carlo experiments assign stream_id = replica index under a fixed master
-seed, so the batch size and the order of the draws cannot change a
-replica.
+on one platform, and distinct stream ids give independent streams.  Two
+stream contracts are in use.  :class:`KNMeasureSampler` and the Sine_beta
+operator batches give replica i stream id i under a fixed master seed, so
+the batch size and the order of the draws cannot change a replica.  Bulk
+draws of coefficients (``_kn_gammas``/``_biased_gammas`` with m rows, as
+in the kn-marginals, palm-coefficient-law and circular-jacobi criteria)
+take the whole block from one stream, so a replica there depends on the
+block size.
 
 The coefficient ensemble with parameters (n, beta) draws the modified
 coefficients independently: gamma_k = r_k e^{i Theta_k} with
@@ -32,23 +36,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .hyperbolic import INF, iota_array
-from .opuc import (
-    CoefficientSequence,
-    UnitCircleMeasure,
-    _measures_from_gammas_batch,
-    alpha_to_measure,
-    convert_coefficients,
-)
+from .opuc import CoefficientSequence, _measures_from_gammas_batch
 from .dirac import DiracOperator, build_operator
 
 __all__ = [
     "SeedSpec",
     "SinePathSpec",
     "sample_kn",
-    "kn_measure",
     "KNMeasureSampler",
+    "palm_gammas",
     "palm_transform",
-    "sample_biased_direct",
     "sample_sine_operator",
     "remove_atom",
     "bias_by_window",
@@ -106,12 +103,6 @@ def sample_kn(n: int, beta: float, seed) -> CoefficientSequence:
     return CoefficientSequence(kind="modified", values=g)
 
 
-def kn_measure(n: int, beta: float, seed) -> UnitCircleMeasure:
-    """Random measure with beta-ensemble support and Dirichlet weights."""
-    gammas = sample_kn(n, beta, seed)
-    return alpha_to_measure(convert_coefficients(gammas, "verblunsky"))
-
-
 class KNMeasureSampler:
     """Batched replicas of the (n, beta) ensemble: coefficients and measures.
 
@@ -147,22 +138,35 @@ class KNMeasureSampler:
 # Palm transform and the directly sampled biased law
 
 
-def palm_transform(gammas: CoefficientSequence) -> CoefficientSequence:
-    """Modified coefficients of the measure reweighted to charge the point 1.
+def palm_gammas(g) -> np.ndarray:
+    """Palm (atom-at-1) map on modified coefficients, one sequence per row.
 
-    gamma'_k = iota(gamma_k) for k <= n-2 and gamma'_{n-1} = 1; the moduli
-    are untouched and the output measure has an atom at angle 0.
+    gamma'_k = iota(gamma_k) for k <= n-2 and gamma'_{n-1} = 1 along the
+    last axis; the moduli are untouched and each output measure has an
+    atom at angle 0.
     """
+    out = np.array(g, dtype=complex)
+    out[..., :-1] = iota_array(out[..., :-1])
+    out[..., -1] = 1.0
+    return out
+
+
+def palm_transform(gammas: CoefficientSequence) -> CoefficientSequence:
+    """:func:`palm_gammas` of one modified coefficient sequence."""
     gammas.require_kind("modified")
-    vals = gammas.values.copy()
-    if vals.size > 1:
-        vals[:-1] = iota_array(vals[:-1])
-    vals[-1] = 1.0
-    return CoefficientSequence(kind="modified", values=vals)
+    return CoefficientSequence(kind="modified", values=palm_gammas(gammas.values))
 
 
 def _biased_gammas(rng: np.random.Generator, n: int, beta: float, m: int) -> np.ndarray:
-    """(m, n) draws of the biased coefficient law; draw order: radii, angles."""
+    """(m, n) draws of the biased coefficient law; draw order: radii, angles.
+
+    The law has density ~ (1-|z|^2)^s |1-z|^{-2} in coordinate k <= n-2,
+    with s = (beta/2)(n-k-1); the last coefficient is pinned to 1.
+    Sampling is exact: the radial marginal is unchanged by the |1-z|^{-2}
+    tilt (the Poisson kernel integrates to (1-r^2)^{-1} along circles), and
+    the angle given r follows the harmonic measure from the point r, drawn
+    as arg((e^{i Theta} + r)/(1 + r e^{i Theta})).
+    """
     out = np.empty((m, n), dtype=complex)
     s = 0.5 * beta * (n - 1 - np.arange(n - 1))
     u_r = rng.random((m, n - 1))
@@ -172,23 +176,6 @@ def _biased_gammas(rng: np.random.Generator, n: int, beta: float, m: int) -> np.
     out[:, :-1] = r * np.exp(1j * phi)
     out[:, -1] = 1.0
     return out
-
-
-def sample_biased_direct(n: int, beta: float, seed) -> CoefficientSequence:
-    """Direct draw of the coefficient law with density ~ (1-|z|^2)^s |1-z|^{-2}.
-
-    For k <= n-2 the exponent is s = (beta/2)(n-k-1); the last coefficient
-    is pinned to 1.  Sampling is exact: the radial marginal is unchanged by
-    the |1-z|^{-2} tilt (the Poisson kernel integrates to (1-r^2)^{-1}
-    along circles), and the angle given r follows the harmonic measure
-    from the point r, drawn as arg((e^{i Theta} + r)/(1 + r e^{i Theta})).
-    """
-    if n < 2:
-        raise ValueError("biased coefficient law needs n >= 2")
-    if beta <= 0.0:
-        raise ValueError("need beta > 0")
-    g = _biased_gammas(_as_rng(seed), n, beta, 1)[0]
-    return CoefficientSequence(kind="modified", values=g)
 
 
 # ---------------------------------------------------------------------------
@@ -260,15 +247,24 @@ def _circ_dist(a, b):
     return np.abs(np.mod(np.asarray(a) - b + math.pi, TWO_PI) - math.pi)
 
 
-def remove_atom(mu: UnitCircleMeasure, angle: float) -> UnitCircleMeasure:
-    """Drop the atom at ``angle`` (within 1e-8) and renormalize the rest."""
-    d = _circ_dist(mu.angles, angle)
-    j = int(np.argmin(d))
-    if d[j] > 1e-8:
+def remove_atom(angles, weights, angle: float):
+    """Drop each row's atom at ``angle`` (within 1e-9) and renormalize.
+
+    ``angles``/``weights`` hold one measure per row; returns the
+    (angles, weights) of the reduced measures, one column fewer.
+    """
+    angles = np.asarray(angles)
+    m, n = angles.shape
+    if n < 2:
+        raise ValueError("cannot remove the only atom of a measure")
+    d = _circ_dist(angles, angle)
+    j = np.argmin(d, axis=1)
+    if np.max(d[np.arange(m), j]) > 1e-9:
         raise ValueError(f"no atom at angle {angle}")
-    ang = np.delete(mu.angles, j)
-    w = np.delete(mu.weights, j)
-    return UnitCircleMeasure(angles=ang, weights=w / w.sum())
+    keep = np.ones_like(angles, dtype=bool)
+    keep[np.arange(m), j] = False
+    red_w = np.asarray(weights)[keep].reshape(m, n - 1)
+    return angles[keep].reshape(m, n - 1), red_w / red_w.sum(axis=1, keepdims=True)
 
 
 def bias_by_window(angles, atom_weights, epsilon: float) -> np.ndarray:

@@ -2,9 +2,10 @@
 
 Small, self-contained goodness-of-fit machinery used by the acceptance
 suites: one- and two-sample Kolmogorov-Smirnov tests (with optional sample
-weights for self-normalized importance weighting), a Pearson chi-square
-test of complex samples on the unit disk against a numerically normalized
-density, and a generic rejection sampler with an explicit envelope bound.
+weights for self-normalized importance weighting), per-coordinate KS
+distances between two samples of complex sequences, and a Pearson
+chi-square test of complex samples on the unit disk against a numerically
+normalized density.
 
 All automated suites run at significance level 0.001: many tests run per
 invocation and the family-wise false-failure rate has to stay small.
@@ -22,9 +23,8 @@ from scipy import stats as sps
 __all__ = [
     "TestReport",
     "ks_test",
+    "ks_by_coordinate",
     "chi2_hist2d",
-    "rejection_sample",
-    "RejectionResult",
 ]
 
 TWO_PI = 2.0 * math.pi
@@ -94,6 +94,25 @@ def ks_statistic_two_sample(a, b, weights_a=None, weights_b=None) -> float:
     return float(np.max(np.abs(fa - fb)))
 
 
+def ks_by_coordinate(a, b, weights_a=None) -> np.ndarray:
+    """(n-1, 2) two-sample KS statistics of Re and Im of each column but the last.
+
+    ``a`` and ``b`` hold complex sequences of length n, one per row;
+    ``weights_a`` optionally weights the rows of ``a``.
+    """
+    out = np.empty((a.shape[1] - 1, 2))
+    for k in range(a.shape[1] - 1):
+        for j, part in enumerate((np.real, np.imag)):
+            out[k, j] = ks_statistic_two_sample(part(a[:, k]), part(b[:, k]),
+                                                weights_a=weights_a)
+    return out
+
+
+def ks_threshold(n_eff: float, level: float = DEFAULT_LEVEL) -> float:
+    """Asymptotic Kolmogorov critical value at ``level`` for effective size n_eff."""
+    return float(sps.kstwobign.isf(level)) / math.sqrt(n_eff)
+
+
 def ks_test(samples, reference, level: float = DEFAULT_LEVEL,
             weights=None, reference_weights=None) -> TestReport:
     """KS test against an analytic CDF (callable) or a second sample.
@@ -105,7 +124,6 @@ def ks_test(samples, reference, level: float = DEFAULT_LEVEL,
     samples = np.asarray(samples, dtype=float)
     if samples.size == 0:
         raise ValueError("ks_test requires a nonempty sample")
-    kq = float(sps.kstwobign.isf(level))
     if callable(reference):
         stat = ks_statistic_cdf(samples, reference, weights=weights)
         n_eff = samples.size
@@ -118,8 +136,7 @@ def ks_test(samples, reference, level: float = DEFAULT_LEVEL,
                                        weights_b=reference_weights)
         n_eff = samples.size * other.size / (samples.size + other.size)
         notes = "two-sample"
-    threshold = kq / math.sqrt(n_eff)
-    return _report(stat, threshold, samples.size, notes)
+    return _report(stat, ks_threshold(n_eff, level), samples.size, notes)
 
 
 # ---------------------------------------------------------------------------
@@ -236,53 +253,3 @@ def chi2_hist2d(samples, density, bins: int = 12, level: float = DEFAULT_LEVEL,
     dof = o.size - 1
     threshold = float(sps.chi2.ppf(1.0 - level, dof))
     return _report(stat, threshold, n, f"chi2 dof={dof}")
-
-
-# ---------------------------------------------------------------------------
-# rejection sampling
-
-
-@dataclass(frozen=True)
-class RejectionResult:
-    samples: np.ndarray
-    acceptance_rate: float
-
-
-def rejection_sample(density, bound: float, seed, size: int = 1,
-                     radius: float = 1.0) -> RejectionResult:
-    """Exact draws from an unnormalized density on the disk |z| <= radius.
-
-    Proposal is uniform on the disk; ``bound`` must dominate
-    density / proposal_density there, i.e. density(z) <= bound / (pi r^2).
-    An observed violation raises with the witness point.  Deterministic
-    for a fixed seed.
-    """
-    from .ensembles import SeedSpec  # local import to avoid a cycle
-
-    if isinstance(seed, SeedSpec):
-        rng = seed.rng()
-    else:
-        rng = np.random.default_rng(seed)
-    prop_pdf = 1.0 / (math.pi * radius * radius)
-    out = np.empty(size, dtype=complex)
-    got = 0
-    proposed = 0
-    accepted = 0
-    chunk = max(1024, 2 * size)
-    while got < size:
-        r = radius * np.sqrt(rng.random(chunk))
-        phi = rng.uniform(0.0, TWO_PI, chunk)
-        z = r * np.exp(1j * phi)
-        dens = np.asarray(density(z), dtype=float)
-        ratio = dens / (bound * prop_pdf)
-        bad = ratio > 1.0 + 1e-12
-        if np.any(bad):
-            witness = z[np.argmax(ratio)]
-            raise ValueError(f"envelope violation at z = {witness}")
-        acc = rng.random(chunk) < ratio
-        take = min(size - got, int(acc.sum()))
-        out[got:got + take] = z[acc][:take]
-        got += take
-        accepted += int(acc.sum())
-        proposed += chunk
-    return RejectionResult(samples=out, acceptance_rate=accepted / proposed)

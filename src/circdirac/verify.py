@@ -43,9 +43,10 @@ from .ensembles import (
     _biased_gammas,
     _kn_gammas,
     bias_by_window,
+    palm_gammas,
+    remove_atom,
     sample_sine_operator,
 )
-from .hyperbolic import iota_array
 from .opuc import (
     CoefficientSequence,
     UnitCircleMeasure,
@@ -56,7 +57,7 @@ from .opuc import (
     gamma_to_path,
     measure_to_alpha,
 )
-from .stats import TestReport, chi2_hist2d, ks_statistic_two_sample, ks_test
+from .stats import TestReport, chi2_hist2d, ks_by_coordinate, ks_test, ks_threshold
 
 TWO_PI = 2.0 * math.pi
 
@@ -247,18 +248,11 @@ def criterion_kn_marginals(seed: int):
 def criterion_palm_law(seed: int):
     n, beta = 6, 2.0
     draws = 10_000
-    g = _kn_gammas(SeedSpec(seed, 130).rng(), n, beta, draws)
-    palm = g.copy()
-    palm[:, :-1] = iota_array(palm[:, :-1])
-    palm[:, -1] = 1.0
+    palm = palm_gammas(_kn_gammas(SeedSpec(seed, 130).rng(), n, beta, draws))
     direct = _biased_gammas(SeedSpec(seed, 131).rng(), n, beta, draws)
-    worst = 0.0
-    threshold = None
-    for k in range(n - 1):
-        for part in (np.real, np.imag):
-            rep = ks_test(part(palm[:, k]), part(direct[:, k]), level=KS_LEVEL)
-            worst = max(worst, rep.statistic)
-            threshold = rep.threshold
+    worst = float(ks_by_coordinate(palm, direct).max())
+    # two samples of equal size: effective size draws / 2
+    threshold = ks_threshold(draws / 2, KS_LEVEL)
     reports = [("palm route vs direct density route",
                 TestReport(statistic=worst, threshold=threshold,
                            sample_size=draws, passed=worst < threshold,
@@ -325,21 +319,9 @@ def criterion_spectral_averaging(seed: int):
 def criterion_circular_jacobi(seed: int):
     n, beta = 5, 2.0
     draws = 10_000
-    g = _kn_gammas(SeedSpec(seed, 150).rng(), n, beta, draws)
-    g[:, :-1] = iota_array(g[:, :-1])
-    g[:, -1] = 1.0
+    g = palm_gammas(_kn_gammas(SeedSpec(seed, 150).rng(), n, beta, draws))
     angles, weights = _measures_from_gammas_batch(g)
-    # remove the atom pinned at angle 0 and renormalize
-    d = np.abs(np.mod(angles + math.pi, TWO_PI) - math.pi)
-    j = np.argmin(d, axis=1)
-    if np.max(d[np.arange(draws), j]) > 1e-9:
-        raise AssertionError("palm measure failed to charge angle 0")
-    keep = np.ones_like(angles, dtype=bool)
-    keep[np.arange(draws), j] = False
-    red_ang = angles[keep].reshape(draws, n - 1)
-    red_w = weights[keep].reshape(draws, n - 1)
-    red_w /= red_w.sum(axis=1, keepdims=True)
-    alphas = _measures_to_alphas_batch(red_ang, red_w)
+    alphas = _measures_to_alphas_batch(*remove_atom(angles, weights, 0.0))
     gamma0 = np.conj(alphas[:, 0])
     expo = 0.5 * beta * (n - 2) - 1.0
     dens = lambda z: (1.0 - np.abs(z) ** 2) ** expo * np.abs(1.0 - z) ** beta
@@ -420,12 +402,7 @@ def criterion_biasing_trend(seed: int):
     stats = []
     for eps in (0.3, 0.1, 0.03):
         w = bias_by_window(angles, atom_weights, eps)
-        ks = 0.0
-        for k in range(n - 1):
-            for part in (np.real, np.imag):
-                ks = max(ks, ks_statistic_two_sample(
-                    part(gammas[:, k]), part(direct[:, k]), weights_a=w))
-        stats.append(ks)
+        stats.append(float(ks_by_coordinate(gammas, direct, w).max()))
     inc = max(stats[1] - stats[0], stats[2] - stats[1])
     rep = TestReport(statistic=inc, threshold=0.0, sample_size=replicas,
                      passed=inc < 0.0,

@@ -4,7 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from circdirac.cli import main
+from circdirac.cli import build_parser, main
+from circdirac.ensembles import KNMeasureSampler
 
 TWO_PI = 2.0 * math.pi
 
@@ -21,7 +22,7 @@ class TestSpectrum:
         theta = write_lattice_measure(mfile)
         out = tmp_path / "spec.json"
         rc = main(["spectrum", "--measure", str(mfile), "--window", "-10", "10",
-                   "--side", "right", "--seed", "1", "--out", str(out)])
+                   "--side", "right", "--out", str(out)])
         assert rc == 0
         d = json.loads(out.read_text())
         assert d["side"] == "right"
@@ -38,7 +39,7 @@ class TestSpectrum:
         opfile.write_text(json.dumps(op))
         out = tmp_path / "spec.json"
         rc = main(["spectrum", "--operator", str(opfile), "--window", "-1", "1",
-                   "--side", "right", "--seed", "1", "--out", str(out)])
+                   "--side", "right", "--out", str(out)])
         assert rc == 0
         d = json.loads(out.read_text())
         assert any(abs(a[0]) < 1e-10 for a in d["atoms"])
@@ -51,10 +52,8 @@ class TestPipelines:
         mu = tmp_path / "mu.json"
         assert main(["kn-sample", "--n", "5", "--beta", "2", "--seed", "11",
                      "--out", str(kn)]) == 0
-        assert main(["palm", "--coeffs", str(kn), "--seed", "1",
-                     "--out", str(palm)]) == 0
-        assert main(["measure", "--coeffs", str(palm), "--seed", "1",
-                     "--out", str(mu)]) == 0
+        assert main(["palm", "--coeffs", str(kn), "--out", str(palm)]) == 0
+        assert main(["measure", "--coeffs", str(palm), "--out", str(mu)]) == 0
         d = json.loads(mu.read_text())
         dist = [abs((a + math.pi) % TWO_PI - math.pi) for a in d["angles"]]
         assert min(dist) < 1e-9
@@ -65,9 +64,8 @@ class TestPipelines:
         back = tmp_path / "back.json"
         main(["kn-sample", "--n", "4", "--beta", "2", "--seed", "3",
               "--out", str(kn)])
-        main(["measure", "--coeffs", str(kn), "--seed", "1", "--out", str(mu)])
-        main(["measure", "--measure", str(mu), "--kind", "modified",
-              "--seed", "1", "--out", str(back)])
+        main(["measure", "--coeffs", str(kn), "--out", str(mu)])
+        main(["measure", "--measure", str(mu), "--kind", "modified", "--out", str(back)])
         a = json.loads(kn.read_text())["values"]
         b = json.loads(back.read_text())["values"]
         err = max(abs(complex(*x) - complex(*y)) for x, y in zip(a, b))
@@ -78,8 +76,7 @@ class TestPipelines:
         out = tmp_path / "rot.json"
         main(["kn-sample", "--n", "4", "--beta", "2", "--seed", "5",
               "--out", str(kn)])
-        main(["aleksandrov", "--coeffs", str(kn), "--eta", "0.0",
-              "--seed", "1", "--out", str(out)])
+        main(["aleksandrov", "--coeffs", str(kn), "--eta", "0.0", "--out", str(out)])
         a = json.loads(kn.read_text())["values"]
         b = json.loads(out.read_text())["values"]
         err = max(abs(complex(*x) - complex(*y)) for x, y in zip(a, b))
@@ -130,6 +127,27 @@ class TestPipelines:
         record = json.loads(capsys.readouterr().err.strip())
         assert record["error"] == "ValueError"
 
+    def test_bias_checks_epsilon_before_drawing(self, tmp_path, capsys,
+                                                monkeypatch):
+        calls = []
+        draw = KNMeasureSampler.gammas_for
+        monkeypatch.setattr(KNMeasureSampler, "gammas_for",
+                            lambda self, *a: calls.append(a) or draw(self, *a))
+        rc = main(["bias", "--n", "6", "--epsilon", "0", "--replicas", "50",
+                   "--seed", "5", "--out", str(tmp_path / "b")])
+        assert rc == 1
+        record = json.loads(capsys.readouterr().err.strip())
+        assert record == {"error": "ValueError",
+                          "message": "epsilon must be positive"}
+        assert calls == []
+
+    def test_bias_single_coefficient(self, tmp_path):
+        rc = main(["bias", "--n", "1", "--epsilon", "0.1", "--replicas", "100",
+                   "--seed", "5", "--out", str(tmp_path / "b")])
+        assert rc == 0
+        summary = json.loads((tmp_path / "b.json").read_text())
+        assert summary["ks_to_direct_law"] == {}
+
 
 class TestVerifyCommand:
     def test_core_suite_is_deterministic(self, tmp_path):
@@ -166,11 +184,30 @@ class TestErrorHandling:
         write_lattice_measure(mfile)
         with pytest.raises(SystemExit) as exc:
             main(["spectrum", "--measure", str(mfile), "--window", "-1", "1",
-                  "--jobs", "2", "--seed", "1", "--out", str(tmp_path / "s.json")])
+                  "--jobs", "2", "--out", str(tmp_path / "s.json")])
         assert exc.value.code == 2
         with pytest.raises(SystemExit) as exc:
             main(["bias", "--n", "3", "--replicas", "10", "--jobs", "2",
                   "--seed", "1", "--out", str(tmp_path / "b")])
+        assert exc.value.code == 2
+
+    @pytest.mark.parametrize("command, flag", [
+        (command, flag) for command in ("measure", "spectrum", "palm", "aleksandrov")
+        for flag in ("--seed", "--stream")
+    ] + [("bias", "--stream"), ("verify", "--stream")])
+    def test_ignored_seed_flags_are_usage_errors(self, command, flag, tmp_path,
+                                                 monkeypatch):
+        monkeypatch.chdir(tmp_path)  # a command that does run writes here
+        argv = {"measure": ["--out", "o.json"],
+                "spectrum": ["--window", "-1", "1", "--out", "o.json"],
+                "palm": ["--coeffs", "c.json", "--out", "o.json"],
+                "aleksandrov": ["--coeffs", "c.json", "--eta", "0",
+                                "--out", "o.json"],
+                "bias": ["--out", "b"],
+                "verify": []}[command]
+        build_parser().parse_args([command, *argv])
+        with pytest.raises(SystemExit) as exc:
+            main([command, *argv, flag, "1"])
         assert exc.value.code == 2
 
     def test_unknown_command_is_usage_error(self):
@@ -180,13 +217,13 @@ class TestErrorHandling:
 
     def test_runtime_error_record(self, tmp_path, capsys):
         rc = main(["measure", "--coeffs", str(tmp_path / "missing.json"),
-                   "--seed", "1", "--out", str(tmp_path / "o.json")])
+                   "--out", str(tmp_path / "o.json")])
         assert rc == 1
         record = json.loads(capsys.readouterr().err.strip())
         assert record["error"] == "FileNotFoundError"
 
     def test_measure_requires_exactly_one_input(self, tmp_path, capsys):
-        rc = main(["measure", "--seed", "1", "--out", str(tmp_path / "o.json")])
+        rc = main(["measure", "--out", str(tmp_path / "o.json")])
         assert rc == 1
         record = json.loads(capsys.readouterr().err.strip())
         assert "exactly one" in record["message"]
@@ -205,10 +242,9 @@ class TestSingleAtomPipeline:
         sp = tmp_path / "sp1.json"
         assert main(["kn-sample", "--n", "1", "--beta", "2", "--seed", "3",
                      "--out", str(kn)]) == 0
-        assert main(["measure", "--coeffs", str(kn), "--seed", "1",
-                     "--out", str(mu)]) == 0
+        assert main(["measure", "--coeffs", str(kn), "--out", str(mu)]) == 0
         assert main(["spectrum", "--measure", str(mu), "--window", "-7", "7",
-                     "--side", "left", "--seed", "1", "--out", str(sp)]) == 0
+                     "--side", "left", "--out", str(sp)]) == 0
         lam = json.loads(mu.read_text())["angles"][0]
         atoms = json.loads(sp.read_text())["atoms"]
         expected = [v for k in (-2, -1, 0, 1, 2)

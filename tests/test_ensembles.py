@@ -6,7 +6,6 @@ from scipy import stats as sps
 
 from circdirac import dirac, ensembles as ens, opuc
 from circdirac import stats as cstats
-from circdirac.hyperbolic import iota_array
 from circdirac.opuc import _measures_from_gammas_batch
 
 TWO_PI = 2.0 * math.pi
@@ -65,9 +64,10 @@ class TestSampleKN:
 
 class TestKNMeasure:
     def test_single_atom(self):
-        mu = ens.kn_measure(1, 2.0, ens.SeedSpec(6, 0))
-        assert len(mu) == 1
-        assert mu.weights[0] == pytest.approx(1.0)
+        _, angles, weights = ens.KNMeasureSampler(1, 2.0).sample_batch(
+            ens.SeedSpec(6, 0), 3)
+        assert angles.shape == weights.shape == (3, 1)
+        np.testing.assert_allclose(weights, 1.0, rtol=1e-15)
 
     def test_weight_marginal_is_beta(self):
         n, beta, draws = 5, 2.0, 10_000
@@ -83,7 +83,8 @@ class TestKNMeasure:
         sampler = ens.KNMeasureSampler(4, 2.0)
         _, angles, weights = sampler.sample_batch(ens.SeedSpec(8, 0), 3)
         for i in range(3):
-            mu = ens.kn_measure(4, 2.0, ens.SeedSpec(8, i))
+            seq = ens.sample_kn(4, 2.0, ens.SeedSpec(8, i))
+            mu = opuc.alpha_to_measure(opuc.convert_coefficients(seq, "verblunsky"))
             np.testing.assert_allclose(angles[i], mu.angles, atol=1e-14)
             np.testing.assert_allclose(weights[i], mu.weights, atol=1e-14)
 
@@ -148,22 +149,33 @@ class TestPalmTransform:
         with pytest.raises(ValueError, match="modified"):
             ens.palm_transform(seq)
 
+    def test_batch_matches_rows(self):
+        g = ens.KNMeasureSampler(5, 2.0).gammas_for(ens.SeedSpec(12, 0), 6)
+        palm = ens.palm_gammas(g)
+        for i in range(g.shape[0]):
+            row = ens.palm_transform(opuc.CoefficientSequence("modified", g[i]))
+            np.testing.assert_array_equal(palm[i], row.values)
+
+    def test_single_column_maps_to_one(self):
+        g = np.exp(1j * np.array([[0.3], [2.0], [-1.1]]))
+        np.testing.assert_array_equal(ens.palm_gammas(g), np.ones((3, 1)))
+
 
 class TestBiasedDirect:
-    def test_needs_two_coefficients(self):
-        with pytest.raises(ValueError):
-            ens.sample_biased_direct(1, 2.0, ens.SeedSpec(13, 0))
+    def test_single_coefficient_is_one(self):
+        g = ens._biased_gammas(ens.SeedSpec(13, 0).rng(), 1, 2.0, 1)
+        np.testing.assert_array_equal(g, [[1.0]])
 
     def test_last_is_one(self):
-        seq = ens.sample_biased_direct(4, 2.0, ens.SeedSpec(14, 0))
-        assert seq.values[-1] == 1.0
+        g = ens._biased_gammas(ens.SeedSpec(14, 0).rng(), 4, 2.0, 5)
+        np.testing.assert_array_equal(g[:, -1], 1.0)
+        assert np.all(np.abs(g[:, :-1]) < 1.0)
 
     def test_matches_palm_route_in_law(self):
         n, beta, draws = 6, 2.0, 10_000
         direct = ens._biased_gammas(ens.SeedSpec(15, 0).rng(), n, beta, draws)
-        g = ens._kn_gammas(ens.SeedSpec(16, 0).rng(), n, beta, draws)
-        palm = g.copy()
-        palm[:, :-1] = iota_array(palm[:, :-1])
+        palm = ens.palm_gammas(
+            ens._kn_gammas(ens.SeedSpec(16, 0).rng(), n, beta, draws))
         for k in range(n - 1):
             for part in (np.real, np.imag):
                 rep = cstats.ks_test(part(palm[:, k]), part(direct[:, k]))
@@ -244,25 +256,28 @@ class TestSineOperator:
 
 class TestRemoveAtom:
     def test_two_equal_atoms(self):
-        mu = opuc.UnitCircleMeasure(angles=np.array([0.0, 1.0]),
-                                    weights=np.array([0.5, 0.5]))
-        out = ens.remove_atom(mu, 0.0)
-        assert len(out) == 1
-        assert out.weights[0] == pytest.approx(1.0)
+        angles, weights = ens.remove_atom([[0.0, 1.0], [2.0, TWO_PI - 1e-12]],
+                                          [[0.5, 0.5], [0.25, 0.75]], 0.0)
+        np.testing.assert_array_equal(angles, [[1.0], [2.0]])
+        np.testing.assert_allclose(weights, 1.0, rtol=1e-15)
 
     def test_palm_measure_removal(self):
-        g = ens.sample_kn(5, 2.0, ens.SeedSpec(24, 0))
-        mu = opuc.alpha_to_measure(opuc.convert_coefficients(
-            ens.palm_transform(g), "verblunsky"))
-        out = ens.remove_atom(mu, 0.0)
-        assert len(out) == 4
-        assert out.weights.sum() == pytest.approx(1.0)
+        g = ens.KNMeasureSampler(5, 2.0).gammas_for(ens.SeedSpec(24, 0), 4)
+        angles, weights = _measures_from_gammas_batch(ens.palm_gammas(g))
+        red_ang, red_w = ens.remove_atom(angles, weights, 0.0)
+        assert red_ang.shape == red_w.shape == (4, 4)
+        assert np.all(np.abs(np.mod(red_ang + math.pi, TWO_PI) - math.pi) > 1e-9)
+        np.testing.assert_allclose(red_w.sum(axis=1), 1.0, rtol=1e-14)
 
     def test_missing_atom(self):
-        mu = opuc.UnitCircleMeasure(angles=np.array([1.0, 2.0]),
-                                    weights=np.array([0.5, 0.5]))
+        # the tolerance is 1e-9: an atom 5e-9 away does not count
         with pytest.raises(ValueError, match="no atom"):
-            ens.remove_atom(mu, 0.5)
+            ens.remove_atom([[0.5, 1.0], [0.5 + 5e-9, 2.0]],
+                            [[0.5, 0.5], [0.5, 0.5]], 0.5)
+
+    def test_single_atom_rows(self):
+        with pytest.raises(ValueError, match="only atom"):
+            ens.remove_atom([[0.0], [0.0]], [[1.0], [1.0]], 0.0)
 
 
 class TestBiasByWindow:
@@ -320,15 +335,9 @@ class TestCircularJacobiSupport:
     def test_palm_support_minus_one_matches_metropolis(self):
         # per-replica scalar statistics are iid, so two-sample KS applies
         n, beta, draws = 5, 2.0, 1500
-        g = ens._kn_gammas(ens.SeedSpec(30, 0).rng(), n, beta, draws)
-        g[:, :-1] = iota_array(g[:, :-1])
-        g[:, -1] = 1.0
-        angles, _ = _measures_from_gammas_batch(g)
-        d = np.abs(np.mod(angles + math.pi, TWO_PI) - math.pi)
-        j = np.argmin(d, axis=1)
-        keep = np.ones_like(angles, dtype=bool)
-        keep[np.arange(draws), j] = False
-        support = np.sort(angles[keep].reshape(draws, n - 1), axis=1)
+        g = ens.palm_gammas(ens._kn_gammas(ens.SeedSpec(30, 0).rng(), n, beta, draws))
+        angles, weights = _measures_from_gammas_batch(g)
+        support = np.sort(ens.remove_atom(angles, weights, 0.0)[0], axis=1)
 
         ref = _metropolis_cj(n - 1, beta, draws, seed=31)
 

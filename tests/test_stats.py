@@ -5,7 +5,6 @@ import pytest
 from scipy import stats as sps
 
 from circdirac import stats as cstats
-from circdirac.ensembles import SeedSpec
 
 
 class TestKS:
@@ -57,6 +56,21 @@ class TestKS:
             np.concatenate([a[:100], a]), b)
         assert weighted == pytest.approx(replicated, abs=1e-12)
 
+    def test_by_coordinate(self):
+        # Re and Im of every column but the last, weights on the first sample
+        rng = np.random.default_rng(5)
+        a = rng.normal(size=(300, 4)) + 1j * rng.normal(size=(300, 4))
+        b = rng.normal(size=(200, 4)) + 1j * rng.normal(size=(200, 4))
+        w = rng.random(300)
+        ks = cstats.ks_by_coordinate(a, b, w)
+        assert ks.shape == (3, 2)
+        for k in range(3):
+            assert ks[k, 0] == cstats.ks_statistic_two_sample(
+                a[:, k].real, b[:, k].real, weights_a=w)
+            assert ks[k, 1] == cstats.ks_statistic_two_sample(
+                a[:, k].imag, b[:, k].imag, weights_a=w)
+        assert cstats.ks_by_coordinate(a[:, :1], b[:, :1]).shape == (0, 2)
+
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             cstats.ks_test(np.array([]), lambda t: t)
@@ -94,51 +108,6 @@ class TestChi2:
         _, _, prob = cstats.disk_cell_probabilities(dens, 8, 8)
         assert prob.sum() == pytest.approx(1.0, abs=1e-12)
         assert np.all(prob >= 0.0)
-
-
-class TestRejection:
-    def test_constant_density(self):
-        res = cstats.rejection_sample(
-            lambda z: np.full(np.shape(z), 1.0 / math.pi),
-            bound=1.0, seed=SeedSpec(1, 0), size=2000)
-        assert res.acceptance_rate > 0.95
-        assert np.all(np.abs(res.samples) <= 1.0)
-
-    def test_envelope_violation(self):
-        with pytest.raises(ValueError, match="envelope violation"):
-            cstats.rejection_sample(
-                lambda z: np.full(np.shape(z), 10.0),
-                bound=1.0, seed=SeedSpec(2, 0), size=100)
-
-    def test_radial_law(self):
-        # density ~ (1-|z|^2)^(s-1) puts Beta(1, s) on |z|^2; here s = 5
-        s = 5.0
-        dens = lambda z: (1.0 - np.abs(z) ** 2) ** (s - 1.0)
-        res = cstats.rejection_sample(dens, bound=1.2 * math.pi,
-                                      seed=SeedSpec(3, 0), size=10_000)
-        rep = cstats.ks_test(np.abs(res.samples) ** 2,
-                             lambda x: sps.beta.cdf(x, 1.0, s))
-        assert rep.statistic < 0.02
-
-    def test_reproducible(self):
-        dens = lambda z: (1.0 - np.abs(z) ** 2) ** 2
-        r1 = cstats.rejection_sample(dens, bound=10.0, seed=SeedSpec(4, 1),
-                                     size=500)
-        r2 = cstats.rejection_sample(dens, bound=10.0, seed=SeedSpec(4, 1),
-                                     size=500)
-        np.testing.assert_array_equal(r1.samples, r2.samples)
-        assert r1.acceptance_rate == r2.acceptance_rate
-
-    def test_acceptance_rate_matches_mass_ratio(self):
-        # uniform proposal, density (1-r^2)^2: acceptance = Z / bound
-        dens = lambda z: (1.0 - np.abs(z) ** 2) ** 2
-        bound = math.pi * 3.0
-        res = cstats.rejection_sample(dens, bound=bound, seed=SeedSpec(5, 0),
-                                      size=20_000)
-        expected = (math.pi / 3.0) / bound
-        n_prop = 20_000 / res.acceptance_rate
-        se = math.sqrt(expected * (1 - expected) / n_prop)
-        assert abs(res.acceptance_rate - expected) < 3.0 * se
 
 
 class TestReport:

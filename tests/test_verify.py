@@ -34,6 +34,10 @@ def test_run_suite_shape():
                                 "sample_size", "pass", "notes"}
 
 
+def test_worker_pool_gives_the_serial_report():
+    assert verify.run_suite("core", 7, jobs=2) == verify.run_suite("core", 7, jobs=1)
+
+
 def test_batched_count_matches_per_operator():
     # the intensity criterion counts eigenvalues from endpoint phases over a
     # stacked path array; it must agree with dirac.eigenvalue_count per op
