@@ -10,7 +10,7 @@ Subpackage map:
   eigenvalues, spectral measures, secular function.
 - :mod:`circdirac.ensembles` -- Killip-Nenciu sampling, Palm transform,
   Sine_beta operator paths, window biasing.
-- :mod:`circdirac.stats` -- goodness-of-fit tests and rejection sampling.
+- :mod:`circdirac.stats` -- goodness-of-fit tests.
 - :mod:`circdirac.verify` -- the named acceptance suites behind
   ``circdirac verify``.
 """

@@ -24,9 +24,8 @@ import sys
 
 import numpy as np
 
-from . import dirac, ensembles, opuc, verify
+from . import dirac, ensembles, opuc
 from .ensembles import KNMeasureSampler, SeedSpec, SinePathSpec
-from .stats import ks_by_coordinate
 
 
 def _write_json(path: str, payload: dict) -> None:
@@ -138,6 +137,7 @@ def _cmd_sine_beta(args) -> int:
 
 
 def _cmd_bias(args) -> int:
+    from .stats import ks_by_coordinate  # loads scipy.stats, like verify
     if args.beta is None:
         args.beta = 2.0
     if args.epsilon <= 0.0:
@@ -175,6 +175,7 @@ def _cmd_bias(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from . import verify
     if args.seed is None:
         raise ValueError("verify requires --seed for reproducible reports")
     report = verify.run_suite(args.suite, args.seed, jobs=args.jobs or 1)
@@ -194,6 +195,13 @@ def _cmd_verify(args) -> int:
 
 # ---------------------------------------------------------------------------
 # parser
+
+
+def _suite_name(name: str) -> str:
+    from . import verify  # loads scipy.stats, the package's slowest import
+    if name not in verify.SUITES:
+        raise argparse.ArgumentTypeError(f"choose from {sorted(verify.SUITES)}")
+    return name
 
 
 _CONFIG_KEYS = ("n", "beta", "replicas", "seed", "epsilon", "t_min", "cells")
@@ -293,7 +301,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_bias)
 
     p = sub.add_parser("verify", help="run a named acceptance suite")
-    p.add_argument("--suite", choices=sorted(verify.SUITES), default="all")
+    p.add_argument("--suite", type=_suite_name, default="all")
     add_seed(p, stream=False)
     add_out(p, out_default="")
     p.add_argument("--jobs", type=int, default=os.cpu_count() or 1,

@@ -32,6 +32,11 @@ TWO_PI = 2.0 * math.pi
 #: Default significance level for all automated suites.
 DEFAULT_LEVEL = 1e-3
 
+#: Extra dyadic refinements of the disk cells that touch the corner z = 1.
+CORNER_LEVELS = 8
+#: Chi-square cells expecting fewer counts than this are pooled.
+MIN_EXPECTED = 5.0
+
 
 @dataclass(frozen=True)
 class TestReport:
@@ -82,12 +87,12 @@ def ks_statistic_cdf(samples, cdf, weights=None) -> float:
     return float(np.max(np.maximum(np.abs(cum - f), np.abs(lower - f))))
 
 
-def ks_statistic_two_sample(a, b, weights_a=None, weights_b=None) -> float:
-    """sup |F_a - F_b| between two (possibly weighted) empirical CDFs."""
+def ks_statistic_two_sample(a, b, weights_a=None) -> float:
+    """sup |F_a - F_b| between two empirical CDFs, the first possibly weighted."""
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     sa, ca = _weighted_ecdf(a, weights_a)
-    sb, cb = _weighted_ecdf(b, weights_b)
+    sb, cb = _weighted_ecdf(b, None)
     grid = np.concatenate([sa, sb])
     fa = np.concatenate([[0.0], ca])[np.searchsorted(sa, grid, side="right")]
     fb = np.concatenate([[0.0], cb])[np.searchsorted(sb, grid, side="right")]
@@ -114,7 +119,7 @@ def ks_threshold(n_eff: float, level: float = DEFAULT_LEVEL) -> float:
 
 
 def ks_test(samples, reference, level: float = DEFAULT_LEVEL,
-            weights=None, reference_weights=None) -> TestReport:
+            weights=None) -> TestReport:
     """KS test against an analytic CDF (callable) or a second sample.
 
     The threshold is the asymptotic Kolmogorov quantile at ``level``
@@ -132,8 +137,7 @@ def ks_test(samples, reference, level: float = DEFAULT_LEVEL,
         other = np.asarray(reference, dtype=float)
         if other.size == 0:
             raise ValueError("ks_test requires a nonempty reference sample")
-        stat = ks_statistic_two_sample(samples, other, weights_a=weights,
-                                       weights_b=reference_weights)
+        stat = ks_statistic_two_sample(samples, other, weights_a=weights)
         n_eff = samples.size * other.size / (samples.size + other.size)
         notes = "two-sample"
     return _report(stat, ks_threshold(n_eff, level), samples.size, notes)
@@ -181,7 +185,7 @@ def _cell_mass(density, r0, r1, p0, p1, nodes, corner_levels):
 
 
 def disk_cell_probabilities(density, bins_r: int, bins_phi: int,
-                            quad_points: int = 512, corner_levels: int = 8):
+                            quad_points: int = 512):
     """Masses of a polar grid of cells under an unnormalized disk density.
 
     The density is integrated cell by cell on a tensor polar rule with
@@ -200,7 +204,7 @@ def disk_cell_probabilities(density, bins_r: int, bins_phi: int,
             for j in range(bins_phi):
                 out[i, j] = _cell_mass(density, r_edges[i], r_edges[i + 1],
                                        p_edges[j], p_edges[j + 1],
-                                       nodes, corner_levels)
+                                       nodes, CORNER_LEVELS)
         return out
 
     cell = masses(per_cell)
@@ -215,12 +219,12 @@ def disk_cell_probabilities(density, bins_r: int, bins_phi: int,
 
 
 def chi2_hist2d(samples, density, bins: int = 12, level: float = DEFAULT_LEVEL,
-                quad_points: int = 512, min_expected: float = 5.0) -> TestReport:
+                quad_points: int = 512) -> TestReport:
     """Pearson chi-square of complex disk samples against a density.
 
     Cells are a polar ``bins x bins`` grid; their probabilities come from
     2-d quadrature of the (unnormalized) density.  Cells with expected
-    count below ``min_expected`` are pooled into one.  Passes when the
+    count below ``MIN_EXPECTED`` are pooled into one.  Passes when the
     statistic is below the chi-square quantile at 1 - level.
     """
     z = np.asarray(samples, dtype=complex)
@@ -236,14 +240,14 @@ def chi2_hist2d(samples, density, bins: int = 12, level: float = DEFAULT_LEVEL,
     probs = prob.ravel()
     obs = counts.ravel()
     expected = n * probs
-    big = expected >= min_expected
+    big = expected >= MIN_EXPECTED
     if big.sum() < 2:
         raise ValueError("chi2_hist2d: too few cells with adequate expected count")
     o = np.concatenate([obs[big], [obs[~big].sum()]])
     e = np.concatenate([expected[big], [expected[~big].sum()]])
     if e[-1] <= 0.0:
         o, e = o[:-1], e[:-1]
-    elif e[-1] < min_expected:
+    elif e[-1] < MIN_EXPECTED:
         # fold the under-filled pool into the smallest retained cell
         j = np.argmin(e[:-1])
         o[j] += o[-1]

@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -209,6 +213,24 @@ class TestErrorHandling:
         with pytest.raises(SystemExit) as exc:
             main([command, *argv, flag, "1"])
         assert exc.value.code == 2
+
+    def test_unknown_suite_is_usage_error(self):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--suite", "bogus", "--seed", "1"])
+        assert exc.value.code == 2
+
+    def test_import_does_not_load_scipy_stats(self):
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (str(src), env.get("PYTHONPATH")) if p)
+        code = ("import sys, circdirac.cli; "
+                "print(sorted(m for m in ('scipy.stats', 'circdirac.verify', "
+                "'circdirac.stats') if m in sys.modules))")
+        proc = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
 
     def test_unknown_command_is_usage_error(self):
         with pytest.raises(SystemExit) as exc:

@@ -46,6 +46,16 @@ class TestTypes:
             opuc.UnitCircleMeasure(angles=np.array([1.0, 1.0 + 1e-12]),
                                    weights=np.array([0.5, 0.5]))
 
+    @pytest.mark.parametrize("angles, weights", [
+        ([1.0, 2.0], [0.5, math.nan]),
+        ([1.0, math.inf], [0.5, 0.5]),
+        ([math.nan, 2.0], [0.5, 0.5]),
+    ])
+    def test_nonfinite_rejected(self, angles, weights):
+        with pytest.raises(ValueError, match="finite"):
+            opuc.UnitCircleMeasure(angles=np.array(angles),
+                                   weights=np.array(weights))
+
     def test_positive_weights(self):
         with pytest.raises(ValueError, match="positive"):
             opuc.UnitCircleMeasure(angles=np.array([1.0, 2.0]),
@@ -168,6 +178,20 @@ class TestMeasureToAlpha:
         with pytest.raises(ValueError, match="normalized"):
             opuc.measure_to_alpha(mu)
 
+    @pytest.mark.parametrize("gap", [1e-6, 1e-8, 1e-9])
+    def test_merging_atoms_raise(self, gap):
+        # 1 - |alpha_k|^2 shrinks like gap^2; at 1e-8 it is at rounding level
+        mu = opuc.UnitCircleMeasure(angles=np.array([0.3, 0.3 + gap, 2.0, 4.0]),
+                                    weights=np.full(4, 0.25))
+        with pytest.raises(ValueError, match="conditioning"):
+            opuc.measure_to_alpha(mu)
+
+    def test_close_atoms_above_the_floor_convert(self):
+        mu = opuc.UnitCircleMeasure(angles=np.array([0.3, 0.3 + 1e-4, 2.0, 4.0]),
+                                    weights=np.full(4, 0.25))
+        back = opuc.alpha_to_measure(opuc.measure_to_alpha(mu))
+        np.testing.assert_allclose(back.weights, mu.weights, atol=1e-9)
+
     def test_gamma0_is_first_moment(self):
         rng = np.random.default_rng(4)
         for n in (2, 4, 7):
@@ -232,6 +256,16 @@ class TestAlphaToMeasure:
         seq = sample_kn(400, 2.0, SeedSpec(207, 0))
         mu = opuc.alpha_to_measure(opuc.convert_coefficients(seq, "verblunsky"))
         assert mu.normalized
+
+    @pytest.mark.parametrize("n", [200, 400])
+    def test_large_kn_coefficient_roundtrip(self, n):
+        from circdirac.ensembles import SeedSpec, sample_kn
+
+        for stream in range(3):
+            g = sample_kn(n, 2.0, SeedSpec(301, stream))
+            mu = opuc.alpha_to_measure(opuc.convert_coefficients(g, "verblunsky"))
+            back = opuc.convert_coefficients(opuc.measure_to_alpha(mu), "modified")
+            assert np.max(np.abs(back.values - g.values)) < 1e-10
 
     def test_roundtrip(self):
         rng = np.random.default_rng(8)
