@@ -17,8 +17,8 @@ import math
 
 import numpy as np
 
-from circdirac.dirac import eigenvalue_count
-from circdirac.ensembles import SeedSpec, SinePathSpec, sample_sine_operator
+from circdirac.dirac import _window_targets
+from circdirac.ensembles import SeedSpec, SinePathSpec, sample_sine_paths
 
 
 def main() -> int:
@@ -35,10 +35,11 @@ def main() -> int:
 
     spec = SinePathSpec(beta=args.beta, t_min=args.t_min, cells=args.cells)
     base = SeedSpec(args.seed, 0)
-    counts = np.empty(args.replicas, dtype=int)
-    for i in range(args.replicas):
-        op = sample_sine_operator(spec, base.stream(i))
-        counts[i] = eigenvalue_count(op, (0.0, args.length))
+    grid, x, y, u1 = sample_sine_paths(
+        spec, [base.stream(i) for i in range(args.replicas)])
+    *_, kmin, kend = _window_targets(x, y, np.diff(grid), np.array([1.0, 0.0]),
+                                     u1, 0.0, args.length)
+    counts = (kend - kmin).astype(int)
 
     with open(f"{args.out}.csv", "w", newline="") as fh:
         w = csv.writer(fh)

@@ -9,18 +9,26 @@ plane, and boundary directions u0 at the left endpoint and u1 at the right.
 Eigenvalues are the zeros of the entire function zeta(z) = H(T, z)^t J u1,
 where H solves J H' = z R H with H(t0) = u0.
 
-Everything reduces to exact 2x2 cell algebra.  On a cell of length dt the
-solution advances by the conjugated rotation
+Everything reduces to exact 2x2 cell algebra, carried in the moving frame
+G = X_k H of the current cell.  On a cell of length dt, H advances by the
+conjugated rotation X^{-1} Rot(lam dt / 2) X, so G advances by the plain
+rotation
 
-    H -> X^{-1} Rot(lam dt / 2) X H,     Rot(p) = [[cos p, sin p], [-sin p, cos p]],
+    G -> Rot(lam dt / 2) G,     Rot(p) = [[cos p, sin p], [-sin p, cos p]],
 
-so no ODE stepper is involved, and the lambda-derivative of H propagates
-alongside by the product rule.  The phase 2 arg(A - iB) (with H = [A, B])
-is strictly increasing in lambda; within one cell W = A - iB equals
-a e^{i p} + b e^{-i p} with |a| > |b|, so the per-cell winding has the
-closed form  p + Arg((a + b e^{-2ip}) conj(a + b)), which is exact.
+and between cells k and k+1 the frame changes by the triangular step
+X_{k+1} X_k^{-1} = [[1, -v_k], [0, r_k]], v_k = (x_{k+1} - x_k) / y_k,
+r_k = y_{k+1} / y_k.  No ODE stepper is involved, no matrix entry grows
+like (x^2 + y^2) / y, and the lambda-derivative of G propagates alongside
+by the product rule.  The phase 2 arg(G0 - i G1) is strictly increasing in
+lambda; a rotation adds exactly lam dt / 2 to arg(G0 - i G1), and a frame
+step, which keeps the sign of G1 because r_k > 0, adds the principal angle
+of the change, so the winding is exact.  Counts and roots are taken in the
+last cell's frame, against the phase of X_{m-1} u1; H = X_{m-1}^{-1} G is
+formed only where a fixed-frame value is returned.
+
 Eigenvalues are recovered by inverting the monotone phase at the targets
-2 pi k + u, u determined by the direction of u1.  The search is safeguarded
+2 pi k + u, u determined by the direction of X_{m-1} u1.  The search is safeguarded
 Newton on all targets at once: a Newton step from the analytic phase
 derivative when it stays strictly inside the root's bracket, bisection
 otherwise, down to 1e-12 in lambda.  Each root leaves the batch as soon
@@ -241,64 +249,64 @@ def build_operator(path, u1_spec=None, origin=None) -> DiracOperator:
 
 def _sweep(x, y, dt, lam, u0, row=None, upto=None,
            want_deriv=False, want_phase=False):
-    """Advance H (and optionally dH and the phase winding) across cells.
+    """Advance G = X_k H (and optionally dG and the phase winding) across cells.
 
     ``x``/``y`` have shape (m,) or (nops, m); ``dt`` shape (m,); ``lam`` is
-    scalar or (B,).  ``row`` maps each batch entry to an operator row when
-    x is 2-d and B != nops.  Returns (H0, H1, dH0, dH1, winding); the
-    winding is the accumulated increase of arg(H0 - i H1) from the left
-    endpoint, valid for real lam only.
+    scalar or (B,); ``u0`` is one 2-vector.  ``row`` maps each batch entry
+    to an operator row when x is 2-d and B != nops.  G starts at X_0 u0;
+    cell k rotates it by Rot(lam dt_k / 2), and the step into cell k+1
+    applies [[1, -v_k], [0, r_k]] with v_k = (x_{k+1} - x_k) / y_k and
+    r_k = y_{k+1} / y_k.  Returns (G0, G1, dG0, dG1, winding) in the frame
+    of the last cell swept (``upto`` - 1, or m - 1); the winding is
+    arg(G0 - i G1), continuous from its principal value at X_0 u0, valid
+    for real lam only.
     """
     lam = np.asarray(lam)
-    complex_lam = np.iscomplexobj(lam)
-    dtype = complex if complex_lam else float
-    shape = lam.shape
-    u0 = np.asarray(u0, dtype=float)
-    H0 = np.full(shape, u0[..., 0], dtype=dtype)
-    H1 = np.full(shape, u0[..., 1], dtype=dtype)
-    dH0 = np.zeros(shape, dtype=dtype) if want_deriv else None
-    dH1 = np.zeros(shape, dtype=dtype) if want_deriv else None
-    wind = np.zeros(shape) if want_phase else None
-    twod = np.ndim(x) == 2
+    dtype = complex if np.iscomplexobj(lam) else float
+    if np.ndim(x) == 2:
+        lanes = slice(None) if row is None else row
+        col = lambda a, k: a[lanes, k]
+    else:
+        col = lambda a, k: a[k]
+    xk, yk = col(x, 0), col(y, 0)
+    G0 = np.broadcast_to(u0[0] - xk * u0[1], lam.shape).astype(dtype)
+    G1 = np.broadcast_to(yk * u0[1], lam.shape).astype(dtype)
+    dG0 = np.zeros(lam.shape, dtype=dtype) if want_deriv else None
+    dG1 = np.zeros(lam.shape, dtype=dtype) if want_deriv else None
+    wind = np.arctan2(-G1, G0) if want_phase else None
     m = np.shape(x)[-1] if upto is None else upto
     for k in range(m):
-        if twod:
-            if row is None:
-                xk, yk = x[:, k], y[:, k]
-            else:
-                xk, yk = x[row, k], y[row, k]
-        else:
-            xk, yk = x[k], y[k]
+        if k:
+            xp, yp = xk, yk
+            xk, yk = col(x, k), col(y, k)
+            v, r = (xk - xp) / yp, yk / yp
+            A, B = G0 - v * G1, r * G1
+            if want_phase:
+                # r > 0 keeps the sign of G1, so the principal angle is exact
+                wind += np.arctan2(G1 * ((1.0 - r) * G0 - v * G1), A * G0 + B * G1)
+            G0, G1 = A, B
+            if want_deriv:
+                dG0, dG1 = dG0 - v * dG1, r * dG1
         phi = 0.5 * lam * dt[k]
         c, s = np.cos(phi), np.sin(phi)
         if want_phase:
-            p = H0 - xk * H1
-            q = yk * H1
-            u = (xk - 1j) / yk
-            a = 0.5 * ((p - 1j * q) + u * (1j * p + q))
-            b = 0.5 * ((p + 1j * q) + u * (q - 1j * p))
-            wind += phi + np.angle((a + b * np.exp(-2j * phi)) * np.conj(a + b))
-        g0 = (-xk * H0 + (xk * xk + yk * yk) * H1) / yk
-        g1 = (-H0 + xk * H1) / yk
+            wind += phi
         if want_deriv:
-            gd0 = (-xk * dH0 + (xk * xk + yk * yk) * dH1) / yk
-            gd1 = (-dH0 + xk * dH1) / yk
             half = 0.5 * dt[k]
-            dH0, dH1 = (c * dH0 + s * gd0 + half * (c * g0 - s * H0),
-                        c * dH1 + s * gd1 + half * (c * g1 - s * H1))
-        H0, H1 = c * H0 + s * g0, c * H1 + s * g1
-    return H0, H1, dH0, dH1, wind
+            t0, t1 = dG0 + half * G1, dG1 - half * G0
+            dG0, dG1 = c * t0 + s * t1, c * t1 - s * t0
+        G0, G1 = c * G0 + s * G1, c * G1 - s * G0
+    return G0, G1, dG0, dG1, wind
 
 
 def _cells(op: DiracOperator):
     return op.path.real, op.path.imag, np.diff(op.grid)
 
 
-def _phase_anchor(u0) -> float:
-    """Principal argument of [1, -i] u0; zero for the standard u0 = [1, 0]."""
-    u0 = np.asarray(u0, dtype=float)
-    return math.atan2(-u0[..., 1], u0[..., 0]) if u0.ndim == 1 else np.arctan2(
-        -u0[..., 1], u0[..., 0])
+def _unframe(x, y, G0, G1):
+    """H = X^{-1} G for the cell value x + i y: the fixed-frame solution."""
+    H1 = G1 / y
+    return G0 + x * H1, H1
 
 
 # ---------------------------------------------------------------------------
@@ -311,13 +319,16 @@ def eval_H(op: DiracOperator, lam: float, upto: int | None = None) -> EigenData:
     The squared R-norm of H over the traversed cells equals
     H^t J dH there, which is returned as ``normsq``.
     """
+    last = (op.cells if upto is None else upto) - 1
+    if not 0 <= last < op.cells:
+        raise ValueError("upto must lie in 1..cells")
     x, y, dt = _cells(op)
-    H0, H1, dH0, dH1, _ = _sweep(x, y, dt, float(lam), op.u0, upto=upto,
+    G0, G1, dG0, dG1, _ = _sweep(x, y, dt, float(lam), op.u0, upto=upto,
                                  want_deriv=True)
-    normsq = float(H1 * dH0 - H0 * dH1)
-    return EigenData(H1=np.array([float(H0), float(H1)]),
-                     dH1=np.array([float(dH0), float(dH1)]),
-                     normsq=normsq)
+    H = _unframe(x[last], y[last], G0, G1)
+    dH = _unframe(x[last], y[last], dG0, dG1)
+    return EigenData(H1=np.array(H, dtype=float), dH1=np.array(dH, dtype=float),
+                     normsq=float((G1 * dG0 - G0 * dG1) / y[last]))
 
 
 def phase_at(op: DiracOperator, lam) -> float | np.ndarray:
@@ -327,28 +338,20 @@ def phase_at(op: DiracOperator, lam) -> float | np.ndarray:
     alpha(T, 0) = 0.  ``lam`` may be an array.
     """
     x, y, dt = _cells(op)
-    lam_arr = np.asarray(lam, dtype=float)
-    _, _, _, _, wind = _sweep(x, y, dt, lam_arr, op.u0, want_phase=True)
-    out = 2.0 * (_phase_anchor(op.u0) + wind)
+    G0, G1, _, _, wind = _sweep(x, y, dt, np.asarray(lam, dtype=float), op.u0,
+                                want_phase=True)
+    H0, H1 = _unframe(x[-1], y[-1], G0, G1)
+    # X^{-1} keeps the sign of the second component: the principal angle
+    # from G0 - i G1 to A - iB is the exact change of winding
+    out = 2.0 * (wind + np.arctan2(H0 * G1 - H1 * G0, H0 * G0 + H1 * G1))
     return float(out) if np.ndim(lam) == 0 else out
 
 
 def _phase_and_deriv(x, y, dt, lam, u0, row=None):
-    H0, H1, dH0, dH1, wind = _sweep(x, y, dt, lam, u0, row=row,
+    """Last-frame phase 2 arg(G0 - i G1) and its lambda-derivative."""
+    G0, G1, dG0, dG1, wind = _sweep(x, y, dt, lam, u0, row=row,
                                     want_deriv=True, want_phase=True)
-    alpha = 2.0 * (_phase_anchor(u0) + wind)
-    normsq = H1 * dH0 - H0 * dH1
-    deriv = 2.0 * normsq / (H0 * H0 + H1 * H1)
-    return alpha, deriv
-
-
-def _phase_target(u1) -> float:
-    """Target offset u in [0, 2 pi): eigenvalues solve alpha = 2 pi k + u.
-
-    For u1 = [-q, -1] this is u = 2 arccot(-q); for u1 = [1, 0] it is 0.
-    """
-    u = -2.0 * math.atan2(u1[1], u1[0])
-    return u % TWO_PI
+    return 2.0 * wind, 2.0 * (G1 * dG0 - G0 * dG1) / (G0 * G0 + G1 * G1)
 
 
 def _solve_targets(x, y, dt, u0, targets, lo, hi, alo, ahi, row=None):
@@ -407,17 +410,32 @@ def _solve_targets(x, y, dt, u0, targets, lo, hi, alo, ahi, row=None):
     )
 
 
-def _target_range(alo, ahi, u):
-    """Range [kmin, kend) of the k with alo <= 2 pi k + u < ahi.
+def _window_targets(x, y, dt, u0, u1, lo: float, hi: float):
+    """Endpoint phases and eigenvalue targets of the window [lo, hi), per row.
 
-    ``alo``/``ahi`` are the phases at the ends of a window [a, b) and ``u``
-    the target offset; all may be arrays, giving one range per entry, and
-    the bounds are returned as floats.  The 1e-13 guard counts a target
-    that the endpoint phase reaches up to rounding as reached.
+    ``x``/``y`` hold one operator (m,) or a stack (rows, m), swept at both
+    ends in one call; ``u1`` is one 2-vector or a stack (..., 2) that
+    broadcasts against the rows.  Phases are those of :func:`_phase_and_deriv`, in
+    the last cell's frame, where the eigenvalues solve alpha = 2 pi k + u
+    with u in [0, 2 pi) the phase of X_{m-1} u1.  Returns
+    (alo, ahi, u, kmin, kend), the targets of the window being the k in
+    [kmin, kend) (as floats); the 1e-13 guard counts a target that the
+    endpoint phase reaches up to rounding as reached.
     """
+    if not lo < hi:
+        raise ValueError("window must satisfy a < b")
+    rows = np.shape(x)[:-1]
+    n = rows[0] if rows else 1
+    row = np.tile(np.arange(n), 2) if rows else None
+    wind = _sweep(x, y, dt, np.repeat([lo, hi], n), u0, row=row, want_phase=True)[4]
+    alo, ahi = 2.0 * wind.reshape((2,) + rows)
+    u1 = np.asarray(u1, dtype=float)
+    w0 = u1[..., 0] - x[..., -1] * u1[..., 1]
+    w1 = y[..., -1] * u1[..., 1]
+    u = np.mod(-2.0 * np.arctan2(w1, w0), TWO_PI)
     kmin = np.ceil((alo - u) / TWO_PI - 1e-13)
     kend = np.ceil((ahi - u) / TWO_PI - 1e-13)
-    return kmin, kend
+    return alo, ahi, u, kmin, kend
 
 
 def eigenvalues_in(op: DiracOperator, window) -> np.ndarray:
@@ -428,13 +446,9 @@ def eigenvalues_in(op: DiracOperator, window) -> np.ndarray:
     found once by safeguarded Newton to 1e-12 in lambda.
     """
     lo, hi = float(window[0]), float(window[1])
-    if not lo < hi:
-        raise ValueError("window must satisfy a < b")
-    alo, ahi = phase_at(op, np.array([lo, hi]))
-    u = _phase_target(op.u1)
+    alo, ahi, u, kmin, kend = _window_targets(*_cells(op), op.u0, op.u1, lo, hi)
     if (ahi - alo) / TWO_PI > WINDOW_BUDGET:
         raise ValueError("window budget: more than 1e6 eigenvalues requested")
-    kmin, kend = _target_range(alo, ahi, u)
     if kend <= kmin:
         return np.empty(0)
     targets = u + TWO_PI * np.arange(int(kmin), int(kend))
@@ -444,11 +458,8 @@ def eigenvalues_in(op: DiracOperator, window) -> np.ndarray:
 
 def eigenvalue_count(op: DiracOperator, window) -> int:
     """Number of eigenvalues in [a, b), from the endpoint phases alone."""
-    lo, hi = float(window[0]), float(window[1])
-    if not lo < hi:
-        raise ValueError("window must satisfy a < b")
-    alo, ahi = phase_at(op, np.array([lo, hi]))
-    kmin, kend = _target_range(alo, ahi, _phase_target(op.u1))
+    *_, kmin, kend = _window_targets(*_cells(op), op.u0, op.u1,
+                                     float(window[0]), float(window[1]))
     return max(0, int(kend - kmin))
 
 
@@ -464,14 +475,15 @@ def spectral_measure(op: DiracOperator, window, side: str) -> SpectralMeasure:
         return SpectralMeasure(lambdas=lams, weights=lams.copy(),
                                window=window, side=side)
     x, y, dt = _cells(op)
-    H0, H1, dH0, dH1, _ = _sweep(x, y, dt, lams, op.u0, want_deriv=True)
-    normsq = H1 * dH0 - H0 * dH1
+    G0, G1, dG0, dG1, _ = _sweep(x, y, dt, lams, op.u0, want_deriv=True)
+    normsq = (G1 * dG0 - G0 * dG1) / y[-1]
     if np.any(normsq <= 0.0):
         raise ValueError(
             "conditioning: eigenfunction norm lost positivity; the path's "
             "Im z is too small for double precision"
         )
     if side == "right":
+        H0, H1 = _unframe(x[-1], y[-1], G0, G1)
         w = (H0 * H0 + H1 * H1) / normsq
     elif side == "left":
         w = float(np.dot(op.u0, op.u0)) / normsq
@@ -490,7 +502,8 @@ def secular_at(op: DiracOperator, z) -> complex:
     s = op.boundary_pairing()
     u1 = op.u1 if abs(s) < 1e-14 else op.u1 / s
     x, y, dt = _cells(op)
-    H0, H1, _, _, _ = _sweep(x, y, dt, complex(z), op.u0)
+    G0, G1, _, _, _ = _sweep(x, y, dt, complex(z), op.u0)
+    H0, H1 = _unframe(x[-1], y[-1], G0, G1)
     return complex(H1 * u1[0] - H0 * u1[1])
 
 

@@ -35,9 +35,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hyperbolic import INF, iota_array
+from .hyperbolic import iota_array
 from .opuc import CoefficientSequence, _measures_from_gammas_batch
-from .dirac import DiracOperator, build_operator
+from .dirac import DiracOperator
 
 __all__ = [
     "SeedSpec",
@@ -46,6 +46,7 @@ __all__ = [
     "KNMeasureSampler",
     "palm_gammas",
     "palm_transform",
+    "sample_sine_paths",
     "sample_sine_operator",
     "remove_atom",
     "bias_by_window",
@@ -205,38 +206,50 @@ class SinePathSpec:
             raise ValueError("fixed q_mode requires q")
 
 
-def sample_sine_operator(spec: SinePathSpec, seed) -> DiracOperator:
-    """Sample the Brownian-driven operator truncated at t_min.
+def sample_sine_paths(spec: SinePathSpec, seeds):
+    """Brownian-driven operator paths truncated at t_min, row i from ``seeds[i]``.
 
-    Draw order: b2 increments, b1 increments, then the Cauchy variable
-    (when q_mode = "cauchy").  The u-grid is uniform on
-    [(4/beta) log t_min, 0] and anchored so b2(0) = 0, giving z = i at
-    t = 1; the path value on a t-cell is taken at its left edge.
+    Returns (grid, x, y, u1): the time grid shared by all rows, the cell
+    values z = x + i y as two (rows, cells) arrays, and the boundary
+    directions u1 as (rows, 2).  Draw order per row: b2 increments, b1
+    increments, then the Cauchy variable (when q_mode = "cauchy").  The
+    u-grid is uniform on [(4/beta) log t_min, 0] and anchored so b2(0) = 0,
+    giving z = i at t = 1; the path value on a t-cell is taken at its left
+    edge.
     """
-    rng = _as_rng(seed)
     K = spec.cells
     u_min = (4.0 / spec.beta) * math.log(spec.t_min)
     u = np.linspace(u_min, 0.0, K + 1)
-    h = -u_min / K
-    d2 = math.sqrt(h) * rng.standard_normal(K)
-    d1 = math.sqrt(h) * rng.standard_normal(K)
-    # b(u_j) for j = 0..K with b(0) = 0: minus the suffix sums of increments
-    b2 = np.concatenate([-np.cumsum(d2[::-1])[::-1], [0.0]])
-    y = np.exp(b2 - 0.5 * u)
-    integrand = y[:-1] * d1
-    x = np.concatenate([-np.cumsum(integrand[::-1])[::-1], [0.0]])
-    if not (np.all(np.isfinite(y)) and np.all(np.isfinite(x))):
-        raise ValueError("path overflow: resample or increase t_min")
+    sqrt_h = math.sqrt(-u_min / K)
     t = np.exp(0.25 * spec.beta * u)
     t[0], t[-1] = spec.t_min, 1.0
-    z = x[:-1] + 1j * y[:-1]
-    if spec.q_mode == "infinity":
-        u1_spec = INF
-    elif spec.q_mode == "fixed":
-        u1_spec = float(spec.q)
-    else:
-        u1_spec = math.tan(math.pi * (rng.random() - 0.5))
-    return build_operator((t, z), u1_spec=u1_spec, origin="sine-beta")
+    xs = np.empty((len(seeds), K))
+    ys = np.empty((len(seeds), K))
+    u1 = np.empty((len(seeds), 2))
+    for i, seed in enumerate(seeds):
+        rng = _as_rng(seed)
+        d2 = sqrt_h * rng.standard_normal(K)
+        d1 = sqrt_h * rng.standard_normal(K)
+        # b(u_j) for j < K with b(0) = 0: minus the suffix sums of increments
+        ys[i] = np.exp(-np.cumsum(d2[::-1])[::-1] - 0.5 * u[:-1])
+        xs[i] = -np.cumsum((ys[i] * d1)[::-1])[::-1]
+        if not (np.all(np.isfinite(ys[i])) and np.all(np.isfinite(xs[i]))):
+            raise ValueError("path overflow: resample or increase t_min")
+        if spec.q_mode == "infinity":
+            q = math.inf
+        elif spec.q_mode == "fixed":
+            q = float(spec.q)
+        else:
+            q = math.tan(math.pi * (rng.random() - 0.5))
+        u1[i] = (1.0, 0.0) if math.isinf(q) else (-q, -1.0)
+    return t, xs, ys, u1
+
+
+def sample_sine_operator(spec: SinePathSpec, seed) -> DiracOperator:
+    """One row of :func:`sample_sine_paths` as an operator."""
+    t, x, y, u1 = sample_sine_paths(spec, [seed])
+    return DiracOperator(grid=t, path=x[0] + 1j * y[0], u0=np.array([1.0, 0.0]),
+                         u1=u1[0], origin="sine-beta")
 
 
 # ---------------------------------------------------------------------------

@@ -35,6 +35,57 @@ def random_operator(rng, cells=5):
     return dirac.build_operator((grid, z), u1_spec=rng.uniform(-2.0, 2.0))
 
 
+def fixed_frame_sweep(x, y, dt, lam, u0, upto=None, want_deriv=False,
+                      want_phase=False):
+    """Oracle: the cell sweep in the fixed frame, for one operator, real lam.
+
+    H advances through X^{-1} Rot(lam dt / 2) X, whose entries reach
+    (1 + x^2 + y^2) / y, and each cell's winding of H0 - i H1 comes from
+    the closed form p + Arg((a + b e^{-2ip}) conj(a + b)) of
+    W = a e^{ip} + b e^{-ip}.  Returns (H0, H1, dH0, dH1, winding) with the
+    winding counted from u0.
+    """
+    lam = np.asarray(lam, dtype=float)
+    H0 = np.full(lam.shape, float(u0[0]))
+    H1 = np.full(lam.shape, float(u0[1]))
+    dH0 = np.zeros(lam.shape)
+    dH1 = np.zeros(lam.shape)
+    wind = np.zeros(lam.shape)
+    for k in range(np.size(x) if upto is None else upto):
+        xk, yk = x[k], y[k]
+        phi = 0.5 * lam * dt[k]
+        c, s = np.cos(phi), np.sin(phi)
+        if want_phase:
+            p = H0 - xk * H1
+            q = yk * H1
+            u = (xk - 1j) / yk
+            a = 0.5 * ((p - 1j * q) + u * (1j * p + q))
+            b = 0.5 * ((p + 1j * q) + u * (q - 1j * p))
+            wind += phi + np.angle((a + b * np.exp(-2j * phi)) * np.conj(a + b))
+        g0 = (-xk * H0 + (xk * xk + yk * yk) * H1) / yk
+        g1 = (-H0 + xk * H1) / yk
+        if want_deriv:
+            gd0 = (-xk * dH0 + (xk * xk + yk * yk) * dH1) / yk
+            gd1 = (-dH0 + xk * dH1) / yk
+            half = 0.5 * dt[k]
+            dH0, dH1 = (c * dH0 + s * gd0 + half * (c * g0 - s * H0),
+                        c * dH1 + s * gd1 + half * (c * g1 - s * H1))
+        H0, H1 = c * H0 + s * g0, c * H1 + s * g1
+    return H0, H1, dH0, dH1, wind
+
+
+def fixed_frame_phase(op, lam):
+    wind = fixed_frame_sweep(*dirac._cells(op), lam, op.u0, want_phase=True)[4]
+    return 2.0 * (math.atan2(-op.u0[1], op.u0[0]) + wind)
+
+
+def fixed_frame_count(op, window):
+    alo, ahi = fixed_frame_phase(op, np.asarray(window, dtype=float))
+    u = (-2.0 * math.atan2(op.u1[1], op.u1[0])) % TWO_PI
+    return int(math.ceil((ahi - u) / TWO_PI - 1e-13)
+               - math.ceil((alo - u) / TWO_PI - 1e-13))
+
+
 class TestBuild:
     def test_lattice_path_is_constant(self):
         theta = math.pi / 3
@@ -154,7 +205,8 @@ class TestPhase:
             assert np.all(np.diff(vals) > 0.0)
 
     def test_large_argument_winding(self):
-        # the per-cell closed form keeps the phase exact at large lambda
+        # each cell adds exactly lambda dt / 2, so the phase stays exact at
+        # large lambda
         op = lattice_operator(2, 1.0)
         assert dirac.phase_at(op, 1e6) == pytest.approx(1e6, rel=1e-12)
 
@@ -209,7 +261,8 @@ class TestEigenvalues:
             grid = np.linspace(-20.0, 20.0, 40_001)
             u1 = op.normalized_u1()
             x, y, dt = dirac._cells(op)
-            H0, H1, _, _, _ = dirac._sweep(x, y, dt, grid, op.u0)
+            G0, G1, _, _, _ = dirac._sweep(x, y, dt, grid, op.u0)
+            H0, H1 = dirac._unframe(x[-1], y[-1], G0, G1)
             vals = H1 * u1[0] - H0 * u1[1]
             flips = np.nonzero(np.diff(np.sign(vals)) != 0)[0]
             assert flips.size == eigs.size
@@ -249,7 +302,8 @@ class TestSolver:
                                   u1_spec=-1.3028547243692161)
         eigs = dirac.eigenvalues_in(op, (-8.0, 8.0))
         assert eigs.size == 3
-        u = dirac._phase_target(op.u1)
+        # roots solved in the last cell's frame hit the fixed-frame targets
+        u = (-2.0 * math.atan2(op.u1[1], op.u1[0])) % TWO_PI
         turns = (dirac.phase_at(op, eigs) - u) / TWO_PI
         np.testing.assert_allclose(turns, np.round(turns), atol=1e-11)
 
@@ -263,12 +317,12 @@ class TestSolver:
         dt = np.diff(ops[0].grid)
         u0 = np.array([1.0, 0.0])
         lo, hi = -9.0, 9.0
-        ends = np.array([dirac._phase_and_deriv(x[i], y[i], dt,
-                                                np.array([lo, hi]), u0)[0]
-                         for i in range(len(ops))])
+        alo, ahi, u, kmins, kends = dirac._window_targets(
+            x, y, dt, u0, np.array([1.0, 0.0]), lo, hi)
+        assert np.all(u == 0.0)
+        ends = np.stack([alo, ahi], axis=1)
         row, targets = [], []
-        for i, (alo, ahi) in enumerate(ends):
-            kmin, kend = dirac._target_range(alo, ahi, 0.0)
+        for i, (kmin, kend) in enumerate(zip(kmins, kends)):
             for k in range(int(kmin), int(kend)):
                 row.append(i)
                 targets.append(TWO_PI * k)
@@ -291,15 +345,130 @@ class TestSolver:
         y = np.stack([op.path.imag for op in ops])
         dt = np.diff(ops[0].grid)
         u0 = np.array([1.0, 0.0])
-        wlo = dirac._sweep(x, y, dt, np.full(40, -0.5), u0, want_phase=True)[4]
-        whi = dirac._sweep(x, y, dt, np.full(40, 0.5), u0, want_phase=True)[4]
+        u1 = np.stack([op.u1 for op in ops])
+        alo, ahi, u, _, _ = dirac._window_targets(x, y, dt, u0, u1, -0.5, 0.5)
         lanes = self.count_phase_sweeps(monkeypatch)
-        roots = dirac._solve_targets(x, y, dt, u0, np.zeros(40), -0.5, 0.5,
-                                     2.0 * wlo, 2.0 * whi)
+        roots = dirac._solve_targets(x, y, dt, u0, u, -0.5, 0.5, alo, ahi)
         assert np.max(np.abs(roots)) < 1e-10
         assert len(lanes) <= 12
         assert lanes[0] == 40
         assert all(b <= a for a, b in zip(lanes, lanes[1:]))
+
+
+class TestMovingFrame:
+    """The moving-frame sweep against the fixed-frame oracle."""
+
+    @staticmethod
+    def assert_matches_oracle(op, lams, rel=1e-12):
+        x, y, dt = dirac._cells(op)
+        for lam in lams:
+            H0, H1, dH0, dH1, _ = fixed_frame_sweep(x, y, dt, lam, op.u0,
+                                                    want_deriv=True)
+            ed = dirac.eval_H(op, lam)
+            np.testing.assert_allclose(ed.H1, [H0, H1], rtol=0,
+                                       atol=rel * np.hypot(H0, H1))
+            np.testing.assert_allclose(ed.dH1, [dH0, dH1], rtol=0,
+                                       atol=rel * np.hypot(dH0, dH1))
+            assert ed.normsq == pytest.approx(H1 * dH0 - H0 * dH1, rel=rel)
+        phases = fixed_frame_phase(op, lams)
+        np.testing.assert_allclose(dirac.phase_at(op, lams), phases, rtol=0,
+                                   atol=rel * max(1.0, np.max(np.abs(phases))))
+
+    @pytest.mark.parametrize("cells", [1, 5])
+    def test_matches_fixed_frame_oracle(self, cells):
+        # a single cell takes no frame step; the conjugated operators start
+        # from u0 != [1, 0]
+        rng = np.random.default_rng(40 + cells)
+        lams = np.array([-17.3, -2.1, 0.0, 0.9, 6.4, 31.0])
+        for _ in range(4):
+            op = random_operator(rng, cells=cells)
+            Q = rng.normal(size=(2, 2))
+            Q[:, 0] /= np.linalg.det(Q)
+            for o in (op, dirac.transform_operator(op, "conjugate", Q=Q)):
+                self.assert_matches_oracle(o, lams)
+                x, y, dt = dirac._cells(o)
+                for side in ("left", "right"):
+                    sm = dirac.spectral_measure(o, (-12.0, 12.0), side)
+                    assert len(sm) == fixed_frame_count(o, (-12.0, 12.0))
+                    H0, H1, dH0, dH1, _ = fixed_frame_sweep(
+                        x, y, dt, sm.lambdas, o.u0, want_deriv=True)
+                    top = H0 * H0 + H1 * H1 if side == "right" else o.u0 @ o.u0
+                    np.testing.assert_allclose(
+                        sm.weights, top / (H1 * dH0 - H0 * dH1), rtol=1e-11)
+
+    def test_partial_sweeps_match_oracle(self):
+        rng = np.random.default_rng(46)
+        op = random_operator(rng, cells=6)
+        x, y, dt = dirac._cells(op)
+        for upto in (1, 3, op.cells):
+            H0, H1, dH0, dH1, _ = fixed_frame_sweep(x, y, dt, 2.7, op.u0, upto=upto,
+                                                    want_deriv=True)
+            ed = dirac.eval_H(op, 2.7, upto=upto)
+            np.testing.assert_allclose(ed.H1, [H0, H1], rtol=1e-12)
+            np.testing.assert_allclose(ed.dH1, [dH0, dH1], rtol=1e-12)
+        for upto in (0, op.cells + 1):
+            with pytest.raises(ValueError, match="upto"):
+                dirac.eval_H(op, 2.7, upto=upto)
+
+    def test_infinity_slope_target_is_zero(self):
+        rng = np.random.default_rng(47)
+        z = random_operator(rng).path
+        op = dirac.build_operator((np.linspace(0.0, 1.0, 6), z), u1_spec=INF)
+        _, _, u, kmin, kend = dirac._window_targets(*dirac._cells(op), op.u0,
+                                                    op.u1, -0.5, 0.5)
+        assert u == 0.0
+        assert (kmin, kend) == (0.0, 1.0)
+        eigs = dirac.eigenvalues_in(op, (-0.5, 0.5))
+        assert eigs.size == 1 and abs(eigs[0]) < 1e-12
+        assert fixed_frame_count(op, (-0.5, 0.5)) == 1
+
+    def test_counts_match_oracle_on_sine_batch(self):
+        from circdirac.ensembles import SeedSpec, SinePathSpec, sample_sine_paths
+
+        spec = SinePathSpec(beta=2.0, cells=256)
+        seeds = [SeedSpec(5, i) for i in range(40)]
+        grid, x, y, u1 = sample_sine_paths(spec, seeds)
+        window = (0.0, 20.0 * math.pi)
+        *_, kmin, kend = dirac._window_targets(x, y, np.diff(grid),
+                                               np.array([1.0, 0.0]), u1, *window)
+        expected = []
+        for i in range(40):
+            op = dirac.DiracOperator(grid=grid, path=x[i] + 1j * y[i],
+                                     u0=np.array([1.0, 0.0]), u1=u1[i])
+            expected.append(fixed_frame_count(op, window))
+        np.testing.assert_array_equal(kend - kmin, expected)
+
+    def test_small_beta_counts_match_oracle(self):
+        # at beta = 0.25 the path's Im z reaches 1e28 to 2e35; the root
+        # search is checked on the most extreme path only, as it takes
+        # about 30 sweeps of 4096 cells
+        from circdirac.ensembles import SeedSpec, SinePathSpec, sample_sine_operator
+
+        spec = SinePathSpec(beta=0.25)
+        window = (0.0, 20.0 * math.pi)
+        ops = [sample_sine_operator(spec, SeedSpec(5, i)) for i in range(3)]
+        counts = [dirac.eigenvalue_count(op, window) for op in ops]
+        assert counts == [10, 9, 10]
+        assert counts == [fixed_frame_count(op, window) for op in ops]
+        assert ops[1].path.imag.max() > 1e35
+        assert len(dirac.eigenvalues_in(ops[1], window)) == counts[1]
+
+
+class TestLift:
+    @pytest.mark.parametrize("n, seed, stream", [(200, 206, 1), (400, 305, 0)])
+    def test_large_kn_lift(self, n, seed, stream):
+        # coefficients -> measure -> coefficients -> operator; in the fixed
+        # frame these draws missed the 1e-8 gate by 4e-6 in the weights
+        from circdirac.ensembles import SeedSpec, sample_kn
+
+        seq = sample_kn(n, 2.0, SeedSpec(seed, stream))
+        mu = opuc.alpha_to_measure(opuc.convert_coefficients(seq, "verblunsky"))
+        sm = dirac.spectral_measure(measure_operator(mu), (0.0, TWO_PI * n), "left")
+        order = np.argsort(mu.angles)
+        assert len(sm) == n
+        assert np.max(np.abs(sm.lambdas / n - mu.angles[order])) < 1e-8
+        w = 2 * n * mu.weights[order]
+        assert np.max(np.abs(sm.weights - w) / w) < 1e-8
 
 
 class TestSpectralMeasure:
@@ -505,8 +674,8 @@ class TestBoundaryBiasing:
         # spectral mass in (-eps, eps); as eps shrinks the biased law of the
         # in-window eigenvalue and its weight approaches the infinity-slope
         # operator's atom at 0.
-        from circdirac.dirac import (_cells, _phase_and_deriv, _solve_targets,
-                                     _sweep)
+        from circdirac.dirac import (_cells, _solve_targets, _sweep, _unframe,
+                                     _window_targets)
         from circdirac.ensembles import SeedSpec
 
         rng = SeedSpec(42, 0).rng()
@@ -525,14 +694,15 @@ class TestBoundaryBiasing:
 
         m = 40_000
         q = np.tan(math.pi * (rng.random(m) - 0.5))
-        u = np.mod(-2.0 * np.arctan2(-1.0, -q), TWO_PI)
-        alo, ahi = _phase_and_deriv(x, y, dt, np.array([-9.0, 9.0]), u0)[0]
+        u1 = np.stack([-q, -np.ones(m)], axis=1)
+        alo, ahi, u, _, _ = _window_targets(x, y, dt, u0, u1, -9.0, 9.0)
         r_neg = _solve_targets(x, y, dt, u0, u - TWO_PI, -9.0, 9.0, alo, ahi)
         r_pos = _solve_targets(x, y, dt, u0, u, -9.0, 9.0, alo, ahi)
 
         def right_weights(lams):
-            H0, H1, dH0, dH1, _ = _sweep(x, y, dt, lams, u0, want_deriv=True)
-            return (H0 * H0 + H1 * H1) / (H1 * dH0 - H0 * dH1)
+            G0, G1, dG0, dG1, _ = _sweep(x, y, dt, lams, u0, want_deriv=True)
+            H0, H1 = _unframe(x[-1], y[-1], G0, G1)
+            return (H0 * H0 + H1 * H1) * y[-1] / (G1 * dG0 - G0 * dG1)
 
         w_neg, w_pos = right_weights(r_neg), right_weights(r_pos)
         lam_star = np.where(np.abs(r_neg) < np.abs(r_pos), r_neg, r_pos)

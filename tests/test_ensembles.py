@@ -230,6 +230,20 @@ class TestSineOperator:
             eigs = dirac.eigenvalues_in(op, (-0.5, 0.5))
             assert np.min(np.abs(eigs)) < 1e-10
 
+    def test_batch_rows_do_not_depend_on_the_batch(self):
+        spec = ens.SinePathSpec(beta=2.0, cells=64)
+        seeds = [ens.SeedSpec(24, i) for i in range(5)]
+        grid, x, y, u1 = ens.sample_sine_paths(spec, seeds)
+        assert x.shape == y.shape == (5, 64) and u1.shape == (5, 2)
+        _, x3, y3, u13 = ens.sample_sine_paths(spec, seeds[3:])
+        np.testing.assert_array_equal(x3, x[3:])
+        np.testing.assert_array_equal(y3, y[3:])
+        np.testing.assert_array_equal(u13, u1[3:])
+        op = ens.sample_sine_operator(spec, seeds[2])
+        np.testing.assert_array_equal(op.grid, grid)
+        np.testing.assert_array_equal(op.path, x[2] + 1j * y[2])
+        np.testing.assert_array_equal(op.u1, u1[2])
+
     def test_fixed_q(self):
         spec = ens.SinePathSpec(beta=2.0, cells=64, q_mode="fixed", q=1.5)
         op = ens.sample_sine_operator(spec, ens.SeedSpec(22, 0))

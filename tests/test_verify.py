@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 
 from circdirac import dirac, ensembles, verify
-from circdirac.dirac import _sweep
-from circdirac.ensembles import SeedSpec, SinePathSpec, sample_sine_operator
+from circdirac.dirac import _sweep, _window_targets
+from circdirac.ensembles import (SeedSpec, SinePathSpec, sample_sine_operator,
+                                 sample_sine_paths)
 
-TWO_PI = 2.0 * math.pi
+U0 = np.array([1.0, 0.0])
 
 
 def test_suites_cover_all_criteria():
@@ -42,33 +43,32 @@ def test_batched_count_matches_per_operator():
     # the intensity criterion counts eigenvalues from endpoint phases over a
     # stacked path array; it must agree with dirac.eigenvalue_count per op
     spec = SinePathSpec(beta=2.0, cells=128)
-    base = SeedSpec(99, 0)
-    ops = [sample_sine_operator(spec, base.stream(i)) for i in range(6)]
-    xs = np.stack([op.path.real for op in ops])
-    ys = np.stack([op.path.imag for op in ops])
-    dt = np.diff(ops[0].grid)
+    seeds = [SeedSpec(99, 0).stream(i) for i in range(6)]
+    grid, xs, ys, u1 = sample_sine_paths(spec, seeds)
     lo, hi = 0.0, 20.0 * math.pi
-    alo, ahi = verify._endpoint_phases(xs, ys, dt, lo, hi)
-    qs = np.array([-op.u1[0] for op in ops])
-    u = np.mod(-2.0 * np.arctan2(-1.0, -qs), TWO_PI)
-    counts = (np.ceil((ahi - u) / TWO_PI - 1e-13)
-              - np.ceil((alo - u) / TWO_PI - 1e-13)).astype(int)
-    expected = [dirac.eigenvalue_count(op, (lo, hi)) for op in ops]
+    *_, kmin, kend = _window_targets(xs, ys, np.diff(grid), U0, u1, lo, hi)
+    counts = (kend - kmin).astype(int)
+    expected = [dirac.eigenvalue_count(sample_sine_operator(spec, s), (lo, hi))
+                for s in seeds]
     np.testing.assert_array_equal(counts, expected)
 
 
 def test_endpoint_phases_match_separate_sweeps():
     spec = SinePathSpec(beta=2.0, cells=128)
-    ops = [sample_sine_operator(spec, SeedSpec(98, i)) for i in range(5)]
-    xs = np.stack([op.path.real for op in ops])
-    ys = np.stack([op.path.imag for op in ops])
-    dt = np.diff(ops[0].grid)
-    u0 = np.array([1.0, 0.0])
-    alo, ahi = verify._endpoint_phases(xs, ys, dt, -0.5, 7.0)
-    wlo = _sweep(xs, ys, dt, np.full(5, -0.5), u0, want_phase=True)[4]
-    whi = _sweep(xs, ys, dt, np.full(5, 7.0), u0, want_phase=True)[4]
+    grid, xs, ys, u1 = sample_sine_paths(spec, [SeedSpec(98, i) for i in range(5)])
+    dt = np.diff(grid)
+    alo, ahi, *_ = _window_targets(xs, ys, dt, U0, u1, -0.5, 7.0)
+    wlo = _sweep(xs, ys, dt, np.full(5, -0.5), U0, want_phase=True)[4]
+    whi = _sweep(xs, ys, dt, np.full(5, 7.0), U0, want_phase=True)[4]
     np.testing.assert_array_equal(alo, 2.0 * wlo)
     np.testing.assert_array_equal(ahi, 2.0 * whi)
+
+
+def test_palm_pins_zero_solves_for_the_root_at_zero():
+    # at seed 201 one row holds a second eigenvalue in (-0.5, 0), so the
+    # first target of the window is not the root at 0
+    [(_, report)] = verify.criterion_palm_pins_zero(201)
+    assert report.passed
 
 
 def test_biasing_trend_draws_and_converts_once(monkeypatch):
