@@ -178,7 +178,7 @@ def _cmd_verify(args) -> int:
     from . import verify
     if args.seed is None:
         raise ValueError("verify requires --seed for reproducible reports")
-    report = verify.run_suite(args.suite, args.seed, jobs=args.jobs or 1)
+    report = verify.run_suite(args.suite, args.seed, jobs=args.jobs)
     for crit in report["criteria"]:
         tag = "PASS" if crit["pass"] else "FAIL"
         print(f"{tag} {crit['name']} ({len(crit['reports'])} checks)")
@@ -195,6 +195,13 @@ def _cmd_verify(args) -> int:
 
 # ---------------------------------------------------------------------------
 # parser
+
+
+def _jobs(text: str) -> int:
+    jobs = int(text)
+    if jobs < 1:
+        raise argparse.ArgumentTypeError("must be at least 1")
+    return jobs
 
 
 def _suite_name(name: str) -> str:
@@ -304,7 +311,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--suite", type=_suite_name, default="all")
     add_seed(p, stream=False)
     add_out(p, out_default="")
-    p.add_argument("--jobs", type=int, default=os.cpu_count() or 1,
+    p.add_argument("--jobs", type=_jobs, default=os.cpu_count() or 1,
                    help="worker pool size (default: machine parallelism)")
     p.set_defaults(func=_cmd_verify)
 

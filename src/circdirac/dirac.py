@@ -23,9 +23,23 @@ like (x^2 + y^2) / y, and the lambda-derivative of G propagates alongside
 by the product rule.  The phase 2 arg(G0 - i G1) is strictly increasing in
 lambda; a rotation adds exactly lam dt / 2 to arg(G0 - i G1), and a frame
 step, which keeps the sign of G1 because r_k > 0, adds the principal angle
-of the change, so the winding is exact.  Counts and roots are taken in the
-last cell's frame, against the phase of X_{m-1} u1; H = X_{m-1}^{-1} G is
-formed only where a fixed-frame value is returned.
+of the change, so the winding is exact.  The sum of those angles only
+counts whole turns: the winding returned is the principal arg of the last
+G plus 2 pi times the turns, so its rounding does not grow with the number
+of cells.  Counts and roots are taken in the last cell's frame, against
+the phase of X_{m-1} u1; H = X_{m-1}^{-1} G is formed only where a
+fixed-frame value is returned.
+
+A sweep of few lanes would pay the interpreter once per cell for a few
+lanes of arithmetic.  Below _CHUNK_LANES lanes the m cells therefore run
+as about sqrt(m) contiguous chunks side by side, a blocked scan with a
+sequential carry (Blelloch, CMU-CS-90-190): one pass builds every chunk's
+2x2 transfer matrix and its lambda-derivative from the identity, a carry
+over the chunks applies them to G and dG in order, and the lifted args of
+the transfer matrices' columns fix each chunk's whole turns.  That is
+about twice the arithmetic in about 2 sqrt(m) interpreter steps instead
+of m.  Below _CHUNK_LANES lanes the number of chunks depends on m alone, so
+there a lane's result does not depend on the size of its batch.
 
 Eigenvalues are recovered by inverting the monotone phase at the targets
 2 pi k + u, u determined by the direction of X_{m-1} u1.  The search is safeguarded
@@ -75,6 +89,9 @@ LAMBDA_TOL = 1e-12
 
 #: Sweeps the eigenvalue search may take before it raises a conditioning error.
 MAX_SOLVER_ITERATIONS = 120
+
+#: Lanes from which a sweep runs as one chunk (see :func:`_sweep`).
+_CHUNK_LANES = 256
 
 
 # ---------------------------------------------------------------------------
@@ -247,6 +264,17 @@ def build_operator(path, u1_spec=None, origin=None) -> DiracOperator:
 # ---------------------------------------------------------------------------
 # the cell sweep
 
+def _chunk_count(lanes: int, m: int) -> int:
+    """Chunks P of a sweep of ``lanes`` lanes over m cells (1: the plain loop).
+
+    sqrt(m) chunks balance the m / P steps over a chunk's cells against the
+    P steps of the carry; below 16 cells the chunks' setup costs more than
+    the steps they save.
+    """
+    P = math.isqrt(m)
+    return 1 if lanes >= _CHUNK_LANES or P < 4 else P
+
+
 def _sweep(x, y, dt, lam, u0, row=None, upto=None,
            want_deriv=False, want_phase=False):
     """Advance G = X_k H (and optionally dG and the phase winding) across cells.
@@ -259,44 +287,134 @@ def _sweep(x, y, dt, lam, u0, row=None, upto=None,
     r_k = y_{k+1} / y_k.  Returns (G0, G1, dG0, dG1, winding) in the frame
     of the last cell swept (``upto`` - 1, or m - 1); the winding is
     arg(G0 - i G1), continuous from its principal value at X_0 u0, valid
-    for real lam only.
+    for real lam only.  It is returned as the principal arg of the last G
+    plus whole turns, so its rounding does not grow with m.
+
+    Few lanes would pay the interpreter once per cell for little
+    arithmetic, so they sweep the cells in P = :func:`_chunk_count`
+    contiguous chunks side by side: one pass over the cells of a chunk
+    builds every chunk's 2x2 transfer matrix T (and dT) from the identity,
+    a P-step carry applies them to G (and dG) in order, and the lifted
+    args of T's columns give each chunk's whole turns
+    (:func:`_chunk_turns`).  From _CHUNK_LANES lanes on, the plain loop
+    (P = 1) runs: there the chunks' doubled arithmetic costs nearly what
+    the saved interpreter steps gain, and their (2, P, lanes) arrays grow
+    with the batch.
     """
     lam = np.asarray(lam)
     dtype = complex if np.iscomplexobj(lam) else float
+    m = np.shape(x)[-1] if upto is None else upto
+    P = _chunk_count(lam.size, m)
     if np.ndim(x) == 2:
-        lanes = slice(None) if row is None else row
-        col = lambda a, k: a[lanes, k]
+        if row is None:
+            row = slice(None) if P == 1 else np.arange(np.shape(x)[0])
+        col = lambda a, k: a[row, k]
     else:
         col = lambda a, k: a[k]
-    xk, yk = col(x, 0), col(y, 0)
-    G0 = np.broadcast_to(u0[0] - xk * u0[1], lam.shape).astype(dtype)
-    G1 = np.broadcast_to(yk * u0[1], lam.shape).astype(dtype)
+    G0 = np.broadcast_to(u0[0] - col(x, 0) * u0[1], lam.shape).astype(dtype)
+    G1 = np.broadcast_to(col(y, 0) * u0[1], lam.shape).astype(dtype)
     dG0 = np.zeros(lam.shape, dtype=dtype) if want_deriv else None
     dG1 = np.zeros(lam.shape, dtype=dtype) if want_deriv else None
-    wind = np.arctan2(-G1, G0) if want_phase else None
-    m = np.shape(x)[-1] if upto is None else upto
-    for k in range(m):
-        if k:
-            xp, yp = xk, yk
-            xk, yk = col(x, k), col(y, k)
-            v, r = (xk - xp) / yp, yk / yp
+    if P == 1:
+        wind = np.arctan2(-G1, G0) if want_phase else None
+        steps = _cell_steps(x, y, col, range(m), dt[:m])
+        G0, G1, dG0, dG1, wind = _advance(G0, G1, dG0, dG1, wind, lam, steps)
+        if want_phase:
+            turns = np.round((wind - np.arctan2(-G1, G0)) / TWO_PI)
+    else:
+        # chunk c holds cells c L .. c L + L - 1; the cells past m - 1
+        # that pad the last chunk are identities (v = 0, r = 1, dt = 0), and
+        # so is the frame step into cell 0
+        L = -(-m // P)
+        P = -(-m // L)
+        cell = np.arange(P * L).reshape(P, L)
+        k = np.minimum(cell, m - 1)
+        steps = _cell_steps(x, y, col, k.T[:, :, None],
+                            np.where(cell < m, dt[k], 0.0).T[:, :, None],
+                            first=np.clip(cell[:, :1] - 1, 0, m - 1))
+        # T's columns start at [1, 0] and [0, 1], of principal args 0, -pi / 2
+        shape = (2, P, lam.size)
+        T0, T1 = np.zeros((2,) + shape, dtype=dtype)
+        T0[0] = T1[1] = 1.0
+        dT0, dT1 = np.zeros((2,) + shape, dtype=dtype) if want_deriv else (None, None)
+        W = np.zeros(shape) + [[[0.0]], [[-0.5 * math.pi]]] if want_phase else None
+        T0, T1, dT0, dT1, W = _advance(T0, T1, dT0, dT1, W, lam.reshape(-1), steps)
+        G = [(G0.reshape(-1), G1.reshape(-1))]
+        dG = (dG0.reshape(-1), dG1.reshape(-1)) if want_deriv else None
+        for c in range(P):
+            (a, b), (e, f) = T0[:, c], T1[:, c]
+            g0, g1 = G[-1]
+            if want_deriv:
+                dG = (a * dG[0] + b * dG[1] + dT0[0, c] * g0 + dT0[1, c] * g1,
+                      e * dG[0] + f * dG[1] + dT1[0, c] * g0 + dT1[1, c] * g1)
+            G.append((a * g0 + b * g1, e * g0 + f * g1))
+        G0, G1 = (g.reshape(lam.shape) for g in G[-1])
+        if want_deriv:
+            dG0, dG1 = (g.reshape(lam.shape) for g in dG)
+        if want_phase:
+            turns = _chunk_turns(np.array(G), W).reshape(lam.shape)
+    wind = np.arctan2(-G1, G0) + TWO_PI * turns if want_phase else None
+    return G0, G1, dG0, dG1, wind
+
+
+def _cell_steps(x, y, col, cells, dts, first=None):
+    """(v, r, dt) per swept cell, the frame step into the first cell taken
+    from cell ``first``, or skipped (v = r = None) when ``first`` is None."""
+    xk = yk = None
+    if first is not None:
+        xk, yk = col(x, first), col(y, first)
+    for k, d in zip(cells, dts):
+        xp, yp = xk, yk
+        xk, yk = col(x, k), col(y, k)
+        yield (None, None, d) if xp is None else ((xk - xp) / yp, yk / yp, d)
+
+
+def _advance(G0, G1, dG0, dG1, wind, lam, steps):
+    """Carry G, and dG and the winding unless None, through ``steps``.
+
+    Each step is the frame step [[1, -v], [0, r]] and then Rot(lam dt / 2).
+    """
+    for v, r, dt in steps:
+        if v is not None:
             A, B = G0 - v * G1, r * G1
-            if want_phase:
+            if wind is not None:
                 # r > 0 keeps the sign of G1, so the principal angle is exact
                 wind += np.arctan2(G1 * ((1.0 - r) * G0 - v * G1), A * G0 + B * G1)
             G0, G1 = A, B
-            if want_deriv:
+            if dG0 is not None:
                 dG0, dG1 = dG0 - v * dG1, r * dG1
-        phi = 0.5 * lam * dt[k]
+        phi = 0.5 * lam * dt
         c, s = np.cos(phi), np.sin(phi)
-        if want_phase:
+        if wind is not None:
             wind += phi
-        if want_deriv:
-            half = 0.5 * dt[k]
+        if dG0 is not None:
+            half = 0.5 * dt
             t0, t1 = dG0 + half * G1, dG1 - half * G0
             dG0, dG1 = c * t0 + s * t1, c * t1 - s * t0
         G0, G1 = c * G0 + s * G1, c * G1 - s * G0
     return G0, G1, dG0, dG1, wind
+
+
+def _chunk_turns(G, W):
+    """Whole turns of G's arg across the chunks, from the columns' lifted args.
+
+    ``G`` (P + 1, 2, lanes) holds G at each chunk start and at the end;
+    ``W`` (2, P, lanes) the lifted arg of T [1, 0] and T [0, 1] per chunk,
+    started at 0 and -pi / 2.  A chunk's map on args is increasing and
+    moves arg + pi to its image + pi, so its lift Phi is known at every
+    quarter turn j pi / 2.  From the quarter j just below a start's
+    principal arg theta (theta - j pi / 2 in [pi / 4, 3 pi / 4]), the
+    lifted image Phi(theta) lies in (Phi(j pi / 2), Phi(j pi / 2) + pi):
+    that fixes the whole turns between it and the next start's principal
+    arg with a margin of pi / 2 for rounding in W.  Summed over the
+    chunks, they are the turns from the first start to the end.
+    """
+    theta = np.arctan2(-G[:, 1], G[:, 0])
+    j = np.round(theta[:-1] / (0.5 * math.pi)) - 1.0
+    odd = np.mod(j, 2.0)
+    below = np.where(odd == 1.0, W[1], W[0]) + 0.5 * math.pi * (j + odd)
+    turns = np.round((below + 0.5 * math.pi - theta[1:]) / TWO_PI)
+    return turns.sum(axis=0)
 
 
 def _cells(op: DiracOperator):

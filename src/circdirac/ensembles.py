@@ -81,14 +81,24 @@ def _as_rng(seed) -> np.random.Generator:
 
 def _kn_gammas(rng: np.random.Generator, n: int, beta: float, m: int) -> np.ndarray:
     """(m, n) modified coefficients; draw order: radii, angles, last angle."""
-    out = np.empty((m, n), dtype=complex)
-    if n > 1:
-        s = 0.5 * beta * (n - 1 - np.arange(n - 1))
-        u_r = rng.random((m, n - 1))
-        r = np.sqrt(1.0 - u_r ** (1.0 / s))
-        theta = rng.uniform(0.0, TWO_PI, (m, n - 1))
-        out[:, :-1] = r * np.exp(1j * theta)
-    out[:, -1] = np.exp(1j * rng.uniform(0.0, TWO_PI, m))
+    return _kn_from_uniforms(np.concatenate(
+        [rng.random((m, n - 1)), rng.random((m, n - 1)), rng.random((m, 1))], axis=1),
+        beta)
+
+
+def _kn_from_uniforms(u: np.ndarray, beta: float) -> np.ndarray:
+    """Modified coefficients from rows of 2n - 1 uniforms on [0, 1).
+
+    Each row holds n - 1 radius uniforms, n - 1 angle uniforms and the
+    last angle's uniform; an angle is 2 pi U, bit for bit the value of
+    ``rng.uniform(0, 2 pi)`` on the same draw.
+    """
+    n = (u.shape[1] + 1) // 2
+    s = 0.5 * beta * (n - 1 - np.arange(n - 1))
+    out = np.empty((len(u), n), dtype=complex)
+    r = np.sqrt(1.0 - u[:, :n - 1] ** (1.0 / s))
+    out[:, :-1] = r * np.exp(1j * (TWO_PI * u[:, n - 1:-1]))
+    out[:, -1] = np.exp(1j * (TWO_PI * u[:, -1]))
     return out
 
 
@@ -123,10 +133,10 @@ class KNMeasureSampler:
         """(replicas, n) modified coefficients, row i from stream id i."""
         if replicas < 1:
             raise ValueError("need at least one replica")
-        g = np.empty((replicas, self.n), dtype=complex)
+        u = np.empty((replicas, 2 * self.n - 1))
         for i in range(replicas):
-            g[i] = _kn_gammas(base.stream(i).rng(), self.n, self.beta, 1)[0]
-        return g
+            u[i] = base.stream(i).rng().random(2 * self.n - 1)
+        return _kn_from_uniforms(u, self.beta)
 
     def sample_batch(self, base: SeedSpec, replicas: int):
         """(gammas, angles, weights): one draw and one measure conversion."""

@@ -480,11 +480,16 @@ def _run_one(args):
 
 
 def run_suite(suite: str, seed: int, jobs: int = 1) -> dict:
-    """Run a named suite; the returned dict serializes deterministically."""
+    """Run a named suite; the returned dict serializes deterministically.
+
+    ``jobs`` > 1 runs the criteria in a pool of at most one worker per
+    criterion (the pool forks all its workers at the first submit).
+    """
     if suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r}; choose from {sorted(SUITES)}")
     names = SUITES[suite]
     work = [(name, seed) for name in names]
+    jobs = min(jobs, len(names))
     if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
 

@@ -183,6 +183,13 @@ class TestErrorHandling:
                   "--out", "x.json", "--bogus"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("jobs", ["0", "-3", "two"])
+    def test_jobs_below_one_is_usage_error(self, tmp_path, jobs):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--suite", "core", "--seed", "7", "--jobs", jobs,
+                  "--out", str(tmp_path / "r.json")])
+        assert exc.value.code == 2
+
     def test_jobs_only_on_pool_commands(self, tmp_path):
         mfile = tmp_path / "lattice.json"
         write_lattice_measure(mfile)

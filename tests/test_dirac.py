@@ -37,19 +37,20 @@ def random_operator(rng, cells=5):
 
 def fixed_frame_sweep(x, y, dt, lam, u0, upto=None, want_deriv=False,
                       want_phase=False):
-    """Oracle: the cell sweep in the fixed frame, for one operator, real lam.
+    """Oracle: the cell sweep in the fixed frame, for one operator.
 
     H advances through X^{-1} Rot(lam dt / 2) X, whose entries reach
     (1 + x^2 + y^2) / y, and each cell's winding of H0 - i H1 comes from
     the closed form p + Arg((a + b e^{-2ip}) conj(a + b)) of
     W = a e^{ip} + b e^{-ip}.  Returns (H0, H1, dH0, dH1, winding) with the
-    winding counted from u0.
+    winding counted from u0; lam may be complex when no winding is wanted.
     """
-    lam = np.asarray(lam, dtype=float)
-    H0 = np.full(lam.shape, float(u0[0]))
-    H1 = np.full(lam.shape, float(u0[1]))
-    dH0 = np.zeros(lam.shape)
-    dH1 = np.zeros(lam.shape)
+    lam = np.asarray(lam)
+    lam = lam.astype(complex if np.iscomplexobj(lam) else float)
+    H0 = np.full(lam.shape, u0[0], dtype=lam.dtype)
+    H1 = np.full(lam.shape, u0[1], dtype=lam.dtype)
+    dH0 = np.zeros(lam.shape, dtype=lam.dtype)
+    dH1 = np.zeros(lam.shape, dtype=lam.dtype)
     wind = np.zeros(lam.shape)
     for k in range(np.size(x) if upto is None else upto):
         xk, yk = x[k], y[k]
@@ -452,6 +453,164 @@ class TestMovingFrame:
         assert counts == [fixed_frame_count(op, window) for op in ops]
         assert ops[1].path.imag.max() > 1e35
         assert len(dirac.eigenvalues_in(ops[1], window)) == counts[1]
+
+
+class TestChunkedSweep:
+    """Sweeps of few lanes run in chunks with a sequential carry.
+
+    Each case is checked against the plain loop (P = 1, forced) to 1e-12
+    and against the fixed-frame oracle.
+    """
+
+    @staticmethod
+    def plain_sweep(monkeypatch, *args, **kwargs):
+        with monkeypatch.context() as mp:
+            mp.setattr(dirac, "_chunk_count", lambda lanes, m: 1)
+            return dirac._sweep(*args, **kwargs)
+
+    @staticmethod
+    def assert_same_sweep(got, want, tol=1e-12):
+        G0, G1, dG0, dG1, wind = want
+        norm = lambda a, b: np.hypot(np.abs(a), np.abs(b))
+        assert np.all(norm(got[0] - G0, got[1] - G1) <= tol * norm(G0, G1))
+        if dG0 is not None:
+            assert np.all(norm(got[2] - dG0, got[3] - dG1) <= tol * norm(dG0, dG1))
+        if wind is not None:
+            assert np.max(np.abs(2.0 * (got[4] - wind))) <= tol
+
+    def test_chunk_counts(self):
+        assert dirac._chunk_count(1, 4096) == 64
+        assert dirac._chunk_count(dirac._CHUNK_LANES - 1, 4096) == 64
+        assert dirac._chunk_count(dirac._CHUNK_LANES, 4096) == 1
+        assert dirac._chunk_count(7, 103) == 10  # 103 cells: 10 chunks of 11
+        assert dirac._chunk_count(1, 15) == 1
+
+    @pytest.mark.parametrize("cells", [16, 103])
+    def test_matches_plain_loop_and_oracle(self, monkeypatch, cells):
+        # at lambda 3e3 and 3e4 the summed cell angles of the plain loop
+        # carry 1e-12 to 1e-10 of rounding; both paths return an arg plus
+        # whole turns
+        rng = np.random.default_rng(50 + cells)
+        lams = np.array([-17.3, -2.1, 0.0, 0.9, 6.4, 31.0, 3e3, 3e4])
+        many = np.linspace(-20.0, 40.0, dirac._CHUNK_LANES)
+        assert dirac._chunk_count(lams.size, cells) > 1
+        assert dirac._chunk_count(many.size, cells) == 1
+        op = random_operator(rng, cells=cells)
+        Q = rng.normal(size=(2, 2))
+        Q[:, 0] /= np.linalg.det(Q)
+        for o in (op, dirac.transform_operator(op, "conjugate", Q=Q)):
+            x, y, dt = dirac._cells(o)
+            for flags in ((True, True), (True, False), (False, True), (False, False)):
+                kw = dict(want_deriv=flags[0], want_phase=flags[1])
+                self.assert_same_sweep(
+                    dirac._sweep(x, y, dt, lams, o.u0, **kw),
+                    self.plain_sweep(monkeypatch, x, y, dt, lams, o.u0, **kw))
+            # eval_H and phase_at sweep one lane or six: chunked
+            TestMovingFrame.assert_matches_oracle(o, lams)
+            np.testing.assert_allclose(dirac.phase_at(o, many),
+                                       fixed_frame_phase(o, many), rtol=0, atol=1e-10)
+            window = (-12.0, 12.0)
+            assert dirac.eigenvalue_count(o, window) == fixed_frame_count(o, window)
+
+    def test_partial_sweeps_match_oracle(self, monkeypatch):
+        # the full sweep of 100 cells runs 10 chunks of 10; upto = 55 ends
+        # inside one of them and 60 on a boundary (a partial sweep chunks
+        # its own upto cells: 7 chunks of 8 and of 9, the last padded)
+        rng = np.random.default_rng(48)
+        op = random_operator(rng, cells=100)
+        x, y, dt = dirac._cells(op)
+        assert dirac._chunk_count(1, 100) == 10
+        for upto in (55, 60, 61, 100):
+            H0, H1, dH0, dH1, _ = fixed_frame_sweep(x, y, dt, 2.7, op.u0, upto=upto,
+                                                    want_deriv=True)
+            ed = dirac.eval_H(op, 2.7, upto=upto)
+            np.testing.assert_allclose(ed.H1, [H0, H1], rtol=1e-12)
+            np.testing.assert_allclose(ed.dH1, [dH0, dH1], rtol=1e-12)
+            lams = np.array([-3.0, 2.7, 11.0])
+            kw = dict(upto=upto, want_deriv=True, want_phase=True)
+            self.assert_same_sweep(dirac._sweep(x, y, dt, lams, op.u0, **kw),
+                                   self.plain_sweep(monkeypatch, x, y, dt, lams,
+                                                    op.u0, **kw))
+
+    def test_batch_rows_repeat(self, monkeypatch):
+        rng = np.random.default_rng(49)
+        ops = [random_operator(rng, cells=103) for _ in range(4)]
+        x = np.stack([op.path.real for op in ops])
+        y = np.stack([op.path.imag for op in ops])
+        dt = np.diff(ops[0].grid)
+        u0 = np.array([1.0, 0.0])
+        row = np.array([0, 0, 2, 3, 2, 1, 3])
+        lams = np.array([-4.0, 9.5, 0.3, 0.3, 22.0, -1.0, 5.0])
+        kw = dict(row=row, want_deriv=True, want_phase=True)
+        batch = dirac._sweep(x, y, dt, lams, u0, **kw)
+        self.assert_same_sweep(batch, self.plain_sweep(monkeypatch, x, y, dt, lams,
+                                                       u0, **kw))
+        for j, (i, lam) in enumerate(zip(row, lams)):
+            self.assert_same_sweep([v[j] for v in batch],
+                                   dirac._sweep(x[i], y[i], dt, lam, u0,
+                                                want_deriv=True, want_phase=True),
+                                   tol=1e-13)
+            oracle = fixed_frame_phase(ops[i], np.array([lam]))
+            assert dirac.phase_at(ops[i], lam) == pytest.approx(oracle[0], abs=1e-11)
+
+    def test_complex_lambda_secular(self, monkeypatch):
+        rng = np.random.default_rng(51)
+        op = random_operator(rng, cells=103)
+        x, y, dt = dirac._cells(op)
+        u1 = op.normalized_u1()
+        for z in (1.2 + 0.7j, -3.0 + 2.0j, 10.0 + 0.1j, 4.0 - 1.5j):
+            H0, H1, *_ = fixed_frame_sweep(x, y, dt, z, op.u0)
+            zeta = dirac.secular_at(op, z)
+            assert abs(zeta - (H1 * u1[0] - H0 * u1[1])) <= (
+                1e-12 * np.hypot(abs(H0), abs(H1)) * np.hypot(*u1))
+            self.assert_same_sweep(dirac._sweep(x, y, dt, z, op.u0),
+                                   self.plain_sweep(monkeypatch, x, y, dt, z, op.u0))
+
+    def test_turns_tolerate_column_winding_errors(self):
+        # a chunk's column windings only pick whole turns, with a margin of
+        # pi / 2; one chunk of 8 random, strongly hyperbolic cells (r up to
+        # e^16 per step) per lane
+        rng = np.random.default_rng(52)
+        lanes = 2000
+        steps = list(zip(rng.normal(0.0, 3.0, (8, lanes)),
+                         np.exp(rng.normal(0.0, 4.0, (8, lanes))),
+                         rng.uniform(0.0, 0.5, (8, 1))))
+        lam = rng.uniform(-10.0, 10.0, lanes)
+        g0, g1 = rng.normal(size=(2, lanes))
+        *_, wind = dirac._advance(g0, g1, None, None, np.arctan2(-g1, g0), lam, steps)
+        T0, T1 = np.zeros((2, 2, lanes))
+        T0[0] = T1[1] = 1.0
+        W = np.zeros((2, lanes)) + [[0.0], [-0.5 * math.pi]]
+        T0, T1, _, _, W = dirac._advance(T0, T1, None, None, W, lam, steps)
+        G = np.array([[g0, g1], [T0[0] * g0 + T0[1] * g1, T1[0] * g0 + T1[1] * g1]])
+        last = np.arctan2(-G[1, 1], G[1, 0])
+        for noise in (0.0, 1.2):
+            W_off = W + rng.uniform(-noise, noise, W.shape)
+            turns = dirac._chunk_turns(G, W_off[:, None])
+            np.testing.assert_allclose(last + TWO_PI * turns, wind, rtol=0, atol=1e-9)
+
+    def test_small_beta_paths(self, monkeypatch):
+        # Im z reaches 1e28 to 2e35 on these paths, so the chunks' transfer
+        # matrices scale G by up to 1e35
+        from circdirac.ensembles import SeedSpec, SinePathSpec, sample_sine_paths
+
+        grid, x, y, u1 = sample_sine_paths(SinePathSpec(beta=0.25),
+                                           [SeedSpec(5, i) for i in range(3)])
+        dt = np.diff(grid)
+        u0 = np.array([1.0, 0.0])
+        assert y.max() > 1e35
+        row = np.repeat(np.arange(3), 5)
+        lams = np.tile(np.linspace(0.0, 20.0 * math.pi, 5), 3)
+        kw = dict(row=row, want_deriv=True, want_phase=True)
+        self.assert_same_sweep(dirac._sweep(x, y, dt, lams, u0, **kw),
+                               self.plain_sweep(monkeypatch, x, y, dt, lams, u0, **kw))
+        window = (0.0, 20.0 * math.pi)
+        *_, kmin, kend = dirac._window_targets(x, y, dt, u0, u1, *window)
+        with monkeypatch.context() as mp:
+            mp.setattr(dirac, "_chunk_count", lambda lanes, m: 1)
+            *_, kmin1, kend1 = dirac._window_targets(x, y, dt, u0, u1, *window)
+        np.testing.assert_array_equal(kend - kmin, [10, 9, 10])
+        np.testing.assert_array_equal(kend1 - kmin1, kend - kmin)
 
 
 class TestLift:

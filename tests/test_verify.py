@@ -39,6 +39,37 @@ def test_worker_pool_gives_the_serial_report():
     assert verify.run_suite("core", 7, jobs=2) == verify.run_suite("core", 7, jobs=1)
 
 
+def test_worker_pool_is_capped_at_the_suite_size(monkeypatch):
+    # a forking pool starts all its workers at the first submit; the fake
+    # records the size asked for and runs the work in this process
+    import concurrent.futures
+
+    sizes = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        map = staticmethod(map)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setitem(verify.SUITES, "three", ["a", "b", "c"])
+    for name in ("a", "b", "c"):
+        monkeypatch.setitem(verify.CRITERIA, name, lambda seed: [])
+    report = verify.run_suite("three", 7, jobs=10_000)
+    assert sizes == [3]
+    assert [c["name"] for c in report["criteria"]] == ["a", "b", "c"]
+    verify.run_suite("three", 7, jobs=2)
+    verify.run_suite("three", 7, jobs=1)
+    assert sizes == [3, 2]
+
+
 def test_batched_count_matches_per_operator():
     # the intensity criterion counts eigenvalues from endpoint phases over a
     # stacked path array; it must agree with dirac.eigenvalue_count per op
