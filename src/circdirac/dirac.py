@@ -48,7 +48,8 @@ derivative when it stays strictly inside the root's bracket, bisection
 otherwise, down to 1e-12 in lambda.  Each root leaves the batch as soon
 as it converges, so later sweeps carry only the roots still unresolved,
 and a root left unresolved at the iteration cap raises a conditioning
-error instead of returning an unconverged value.
+error instead of returning an unconverged value.  So does a phase that
+overflowed to inf/nan, where G outgrows double range at large lambda.
 
 Grids normally span [0, 1]; truncated continuum paths may start at
 t0 > 0, and time reversal of such an operator ends before 1.
@@ -417,6 +418,20 @@ def _chunk_turns(G, W):
     return turns.sum(axis=0)
 
 
+def _require_finite(what: str, values) -> None:
+    """Raise a conditioning error unless every entry of ``values`` is finite.
+
+    Checked once on a sweep's results: G grows with lambda on a rough path
+    and overflows to inf/nan, which would otherwise reach the caller as a
+    nan phase or a garbled count.
+    """
+    if not np.all(np.isfinite(values)):
+        raise ValueError(
+            f"conditioning: {what} overflowed to inf/nan; the sweep's solution "
+            "grows past double range at this lambda"
+        )
+
+
 def _cells(op: DiracOperator):
     return op.path.real, op.path.imag, np.diff(op.grid)
 
@@ -462,6 +477,7 @@ def phase_at(op: DiracOperator, lam) -> float | np.ndarray:
     # X^{-1} keeps the sign of the second component: the principal angle
     # from G0 - i G1 to A - iB is the exact change of winding
     out = 2.0 * (wind + np.arctan2(H0 * G1 - H1 * G0, H0 * G0 + H1 * G1))
+    _require_finite("the phase", out)
     return float(out) if np.ndim(lam) == 0 else out
 
 
@@ -503,6 +519,8 @@ def _solve_targets(x, y, dt, u0, targets, lo, hi, alo, ahi, row=None):
     for _ in range(MAX_SOLVER_ITERATIONS):
         alpha, deriv = _phase_and_deriv(x, y, dt, lam, u0,
                                         row=None if row is None else row[live])
+        # a derivative lost to overflow in G0^2 + G1^2 only forces bisection
+        _require_finite("the phase", alpha)
         f = alpha - t[live]
         neg = f < 0.0
         a = np.where(neg, lam, a)
@@ -546,6 +564,7 @@ def _window_targets(x, y, dt, u0, u1, lo: float, hi: float):
     n = rows[0] if rows else 1
     row = np.tile(np.arange(n), 2) if rows else None
     wind = _sweep(x, y, dt, np.repeat([lo, hi], n), u0, row=row, want_phase=True)[4]
+    _require_finite("the endpoint phase", wind)
     alo, ahi = 2.0 * wind.reshape((2,) + rows)
     u1 = np.asarray(u1, dtype=float)
     w0 = u1[..., 0] - x[..., -1] * u1[..., 1]

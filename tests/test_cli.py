@@ -145,6 +145,14 @@ class TestPipelines:
                           "message": "epsilon must be positive"}
         assert calls == []
 
+    def test_bias_refuses_negative_seed_like_seedsequence(self, tmp_path, capsys):
+        rc = main(["bias", "--n", "6", "--epsilon", "0.1", "--replicas", "50",
+                   "--seed", "-1", "--out", str(tmp_path / "b")])
+        assert rc == 1
+        record = json.loads(capsys.readouterr().err.strip())
+        assert record == {"error": "ValueError",
+                          "message": "expected non-negative integer"}
+
     def test_bias_single_coefficient(self, tmp_path):
         rc = main(["bias", "--n", "1", "--epsilon", "0.1", "--replicas", "100",
                    "--seed", "5", "--out", str(tmp_path / "b")])

@@ -205,6 +205,29 @@ class TestPhase:
             vals = dirac.phase_at(op, lams)
             assert np.all(np.diff(vals) > 0.0)
 
+    def test_overflow_is_a_conditioning_error(self):
+        # i.i.d. cells over 4096 cells: |G| reaches 6e11 at lambda = 1e3
+        # and overflows to nan by 1e4
+        op = random_operator(np.random.default_rng(4146), 4096)
+        assert math.isfinite(dirac.phase_at(op, 1e3))
+        x, y, dt = dirac._cells(op)
+        calls = [
+            lambda: dirac.phase_at(op, 1e4),
+            lambda: dirac.eigenvalue_count(op, (0.0, 1e4)),
+            lambda: dirac.eigenvalues_in(op, (0.0, 1e4)),
+            lambda: dirac._solve_targets(x, y, dt, op.u0, np.array([1.0]),
+                                         9e3, 1e4, 0.0, 2.0),
+        ]
+        with np.errstate(over="ignore", invalid="ignore"):
+            for call in calls:
+                with pytest.raises(ValueError, match="conditioning: .*overflowed"):
+                    call()
+            # at 7e3 |G| is 3e266: G0^2 + G1^2 overflows and the phase
+            # derivative is lost, but the phase is not, so the search bisects
+            window = (6990.0, 7000.0)
+            assert len(dirac.eigenvalues_in(op, window)) == \
+                dirac.eigenvalue_count(op, window) == 2
+
     def test_large_argument_winding(self):
         # each cell adds exactly lambda dt / 2, so the phase stays exact at
         # large lambda
@@ -453,6 +476,37 @@ class TestMovingFrame:
         assert counts == [fixed_frame_count(op, window) for op in ops]
         assert ops[1].path.imag.max() > 1e35
         assert len(dirac.eigenvalues_in(ops[1], window)) == counts[1]
+
+    def test_sine_paths_are_cell_major(self):
+        from circdirac.ensembles import SeedSpec, SinePathSpec, sample_sine_paths
+
+        _, x, y, _ = sample_sine_paths(SinePathSpec(beta=2.0, cells=64),
+                                       [SeedSpec(5, i) for i in range(3)])
+        assert x.shape == y.shape == (3, 64)
+        assert x.flags.f_contiguous and y.flags.f_contiguous
+
+    @pytest.mark.parametrize("lanes, q_mode, window, deriv", [
+        (1000, "cauchy", (0.0, 20.0 * math.pi), False),
+        (500, "infinity", (-0.5, 0.5), True),
+    ])
+    def test_sweeps_do_not_depend_on_layout(self, lanes, q_mode, window, deriv):
+        # cell-major and row-major copies of one batch give the same bits
+        from circdirac.ensembles import SeedSpec, SinePathSpec, sample_sine_paths
+
+        spec = SinePathSpec(beta=2.0, cells=1024, q_mode=q_mode)
+        grid, x, y, u1 = sample_sine_paths(spec, [SeedSpec(6, i) for i in range(lanes)])
+        dt, u0 = np.diff(grid), np.array([1.0, 0.0])
+        lam = np.linspace(*window, lanes)
+        xc, yc = np.ascontiguousarray(x), np.ascontiguousarray(y)
+        assert xc.flags.c_contiguous and not xc.flags.f_contiguous
+        got = dirac._sweep(x, y, dt, lam, u0, want_deriv=deriv, want_phase=True)
+        want = dirac._sweep(xc, yc, dt, lam, u0, want_deriv=deriv, want_phase=True)
+        for a, b in zip(got, want):
+            if b is not None:
+                np.testing.assert_array_equal(a, b)
+        for a, b in zip(dirac._window_targets(x, y, dt, u0, u1, *window),
+                        dirac._window_targets(xc, yc, dt, u0, u1, *window)):
+            np.testing.assert_array_equal(a, b)
 
 
 class TestChunkedSweep:

@@ -23,6 +23,47 @@ class TestSeedSpec:
         assert not np.array_equal(a, b)
 
 
+class TestStreamUniforms:
+    # master seeds of one word, two words and five words: the entropy is
+    # padded to the pool size below four words and mixed on beyond it
+    SEEDS = [0, 7, 2**40 + 3, 2**130 + 99]
+    IDS = np.array([0, 1, 2**31, 2**32 - 1])
+
+    @staticmethod
+    def oracle(master_seed, ids, k):
+        return np.array([np.random.default_rng(np.random.SeedSequence(
+            master_seed, spawn_key=(int(i),))).random(k) for i in ids])
+
+    @pytest.mark.parametrize("master_seed", SEEDS)
+    @pytest.mark.parametrize("k", [1, 2 * 400 - 1])
+    def test_matches_one_generator_per_stream(self, master_seed, k):
+        got = ens._stream_uniforms(master_seed, self.IDS, k)
+        assert got.shape == (self.IDS.size, k) and got.flags.c_contiguous
+        np.testing.assert_array_equal(got, self.oracle(master_seed, self.IDS, k))
+
+    def test_rows_are_seedspec_streams(self):
+        got = ens._stream_uniforms(201, np.arange(3), 11)
+        for i in range(3):
+            np.testing.assert_array_equal(got[i], ens.SeedSpec(201, i).rng().random(11))
+
+    def test_refuses_negative_seed_like_seedsequence(self):
+        with pytest.raises(ValueError, match="expected non-negative integer"):
+            np.random.SeedSequence(-1, spawn_key=(0,))
+        with pytest.raises(ValueError, match="expected non-negative integer"):
+            ens._stream_uniforms(-1, self.IDS, 3)
+        with pytest.raises(ValueError, match="expected non-negative integer"):
+            ens._stream_uniforms(7, np.array([0, -1]), 3)
+        with pytest.raises(ValueError, match="expected non-negative integer"):
+            ens.KNMeasureSampler(6, 2.0).gammas_for(ens.SeedSpec(-1, 0), 3)
+
+    def test_refuses_ids_of_two_spawn_key_words(self):
+        with pytest.raises(ValueError, match="below 2\\*\\*32"):
+            ens._stream_uniforms(7, np.array([0, 2**32]), 3)
+        # refused from the replica count alone, before any id array exists
+        with pytest.raises(ValueError, match="below 2\\*\\*32"):
+            ens.KNMeasureSampler(6, 2.0).gammas_for(ens.SeedSpec(7, 0), 2**32 + 1)
+
+
 class TestSampleKN:
     def test_single_coefficient_is_boundary(self):
         seq = ens.sample_kn(1, 2.0, ens.SeedSpec(0, 0))
