@@ -51,12 +51,6 @@ def _load_coeffs(path: str) -> opuc.CoefficientSequence:
     return opuc.CoefficientSequence.from_dict(_read_json(path))
 
 
-def _measure_to_operator(mu: opuc.UnitCircleMeasure) -> dirac.DiracOperator:
-    alphas = opuc.measure_to_alpha(mu)
-    gammas = opuc.convert_coefficients(alphas, "modified")
-    return dirac.build_operator(opuc.gamma_to_path(gammas))
-
-
 # ---------------------------------------------------------------------------
 # subcommand handlers
 
@@ -92,7 +86,7 @@ def _cmd_spectrum(args) -> int:
         raise ValueError("pass exactly one of --measure or --operator")
     if args.measure:
         mu = opuc.UnitCircleMeasure.from_dict(_read_json(args.measure))
-        op = _measure_to_operator(mu)
+        op = dirac.measure_operator(mu)
     else:
         op = dirac.DiracOperator.from_dict(_read_json(args.operator))
     sm = dirac.spectral_measure(op, tuple(args.window), args.side)

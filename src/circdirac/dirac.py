@@ -63,13 +63,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .hyperbolic import INF, is_inf
-from .opuc import HyperbolicPath
+from .opuc import (HyperbolicPath, UnitCircleMeasure, convert_coefficients,
+                   gamma_to_path, measure_to_alpha)
 
 __all__ = [
     "DiracOperator",
     "SpectralMeasure",
     "EigenData",
     "build_operator",
+    "measure_operator",
     "eval_H",
     "phase_at",
     "eigenvalues_in",
@@ -260,6 +262,12 @@ def build_operator(path, u1_spec=None, origin=None) -> DiracOperator:
         u1 = np.array([-float(u1_spec), -1.0])
     return DiracOperator(grid=grid, path=cells, u0=np.array([1.0, 0.0]),
                          u1=u1, origin=origin)
+
+
+def measure_operator(mu: UnitCircleMeasure) -> DiracOperator:
+    """Operator of a normalized measure: measure -> alpha -> gamma -> path."""
+    gammas = convert_coefficients(measure_to_alpha(mu), "modified")
+    return build_operator(gamma_to_path(gammas))
 
 
 # ---------------------------------------------------------------------------

@@ -24,9 +24,10 @@ path point is on the boundary; gamma_{n-1} = 1 gives b_n = 1, z_n = INF
 (stored symbolically).
 
 Measure -> coefficients runs the Szego recursion on the atoms; coefficients
--> measure takes the atoms from the companion matrix of Phi_n and the weights
-from the Christoffel sum 1/weight_j = sum_k |Phi_k(atom_j)|^2 / ||Phi_k||^2.
-On Killip-Nenciu draws the round trip is good to 3e-11 at n = 400.  Measures
+-> measure takes the atoms from the CMV matrix (Cantero, Moral & Velazquez
+2003), whose characteristic polynomial is Phi_n, and the weights from the
+Christoffel sum 1/weight_j = sum_k |Phi_k(atom_j)|^2 / ||Phi_k||^2.  On
+Killip-Nenciu draws the round trip is good to 7e-12 at n = 400.  Measures
 with an interior 1 - |alpha_k|^2 below MIN_INTERIOR_DEFECT (merging atoms,
 vanishing weights) are refused.
 """
@@ -219,37 +220,20 @@ def szego_eval(alphas: CoefficientSequence, z, return_all: bool = False):
     return phi, phis
 
 
-def _phi_n_coeffs(alphas: np.ndarray) -> np.ndarray:
-    """Monomial coefficients of Phi_n, batched; alphas shape (..., n).
-
-    Returns shape (..., n+1) with coefficient of z^p at index p.
-    """
-    a = np.asarray(alphas, dtype=complex)
-    n = a.shape[-1]
-    shp = a.shape[:-1]
-    phi = np.zeros(shp + (n + 1,), dtype=complex)
-    phis = np.zeros_like(phi)
-    phi[..., 0] = 1.0
-    phis[..., 0] = 1.0
-    for k in range(n):
-        ak = a[..., k, None]
-        zphi = np.roll(phi, 1, axis=-1)
-        zphi[..., 0] = 0.0
-        phi, phis = zphi - np.conj(ak) * phis, phis - ak * zphi
-    return phi
-
-
 # ---------------------------------------------------------------------------
 # coefficient conversions
 
 
 def _prefix_phase_products(gammas: np.ndarray) -> np.ndarray:
-    """P_k = prod_{j<k} (1-conj g_j)/(1-g_j), shape like input, P_0 = 1."""
+    """P_k = prod_{j<k} (1-conj g_j)/(1-g_j), shape like input, P_0 = 1.
+
+    Formed as exp(-2i sum_{j<k} arg(1-g_j)), unimodular at every k.
+    """
     g = np.asarray(gammas, dtype=complex)
-    gi = g[..., :-1]  # the last entry may sit at 1; it never enters a product
-    out = np.ones_like(g)
-    out[..., 1:] = np.cumprod((1.0 - np.conj(gi)) / (1.0 - gi), axis=-1)
-    return out
+    turn = np.zeros(g.shape)
+    # the last entry may sit at 1; it never enters a product
+    turn[..., 1:] = np.cumsum(np.angle(1.0 - g[..., :-1]), axis=-1)
+    return np.exp(-2j * turn)
 
 
 def _alphas_from_gammas(g: np.ndarray) -> np.ndarray:
@@ -258,14 +242,11 @@ def _alphas_from_gammas(g: np.ndarray) -> np.ndarray:
 
 def _gammas_from_alphas(a: np.ndarray) -> np.ndarray:
     a = np.asarray(a, dtype=complex)
-    n = a.shape[-1]
     g = np.empty_like(a)
-    prod = np.ones(a.shape[:-1], dtype=complex)
-    for k in range(n):
-        gk = np.conj(a[..., k]) * prod
-        g[..., k] = gk
-        if k < n - 1:
-            prod = prod * (1.0 - np.conj(gk)) / (1.0 - gk)
+    turn = np.zeros(a.shape[:-1])
+    for k in range(a.shape[-1]):
+        g[..., k] = np.conj(a[..., k]) * np.exp(-2j * turn)
+        turn = turn + np.angle(1.0 - g[..., k])
     return g
 
 
@@ -333,36 +314,49 @@ def measure_to_alpha(mu: UnitCircleMeasure) -> CoefficientSequence:
 
 
 # ---------------------------------------------------------------------------
-# coefficients -> measure (companion roots + Christoffel weights)
+# coefficients -> measure (CMV eigenvalues + Christoffel weights)
+
+
+def _cmv_matrices(alphas: np.ndarray, rho: np.ndarray) -> np.ndarray:
+    """CMV matrices L M, shape (m, n, n); ``rho`` holds rho_0..rho_{n-2}.
+
+    L = Theta_0 + Theta_2 + ..., M = 1 + Theta_1 + Theta_3 + ... (direct
+    sums, Theta_k = [[conj a_k, rho_k], [rho_k, -a_k]], cut to conj a_{n-1}
+    at index n-1), so det(z - L M) = Phi_n.  Row pair (k, k+1), k even, is
+    Theta_k times rows k, k+1 of M: rho_{k-1}, -a_{k-1} in columns k-1, k
+    and conj a_{k+1}, rho_{k+1} in columns k+1, k+2.  With a_{-1} = -1 and
+    rho_{-1} = rho_{n-1} = 0, entries outside the matrix are all zero.
+    """
+    m, n = alphas.shape
+    a = np.pad(alphas, ((0, 0), (1, 1)), constant_values=((0, 0), (-1, 0)))
+    r = np.pad(rho, ((0, 0), (1, 2)))   # a[:, j+1] = a_j, r[:, j+1] = rho_j
+    k = np.arange(0, n, 2)
+    ak, rk = a[:, k + 1], r[:, k + 1]
+    out = np.zeros((m, n, n), dtype=complex)
+    for row, t0, t1 in ((k, np.conj(ak), rk), (k + 1, rk, -ak)):
+        for col, val in ((k - 1, t0 * r[:, k]), (k, -t0 * a[:, k]),
+                         (k + 1, t1 * np.conj(a[:, k + 2])), (k + 2, t1 * r[:, k + 2])):
+            inside = (row < n) & (col >= 0) & (col < n)
+            out[:, row[inside], col[inside]] = val[:, inside]
+    return out
 
 
 def _measures_from_gammas_batch(gammas: np.ndarray):
     """Atoms and weights for a batch of modified sequences, shape (m, n).
 
-    Returns (angles, weights) of shape (m, n), each row sorted by angle.
+    Atoms are eigenvalues of the (unitary) CMV matrices, and weights invert
+    the Christoffel sum.  Returns (angles, weights), rows sorted by angle.
     """
     g = np.atleast_2d(np.asarray(gammas, dtype=complex))
     m, n = g.shape
     alphas = _alphas_from_gammas(g)
-
-    coeffs = _phi_n_coeffs(alphas)            # (m, n+1), monic
-    comp = np.zeros((m, n, n), dtype=complex)
-    idx = np.arange(n - 1)
-    comp[:, idx + 1, idx] = 1.0
-    comp[:, :, -1] = -coeffs[:, :-1]
-    roots = np.linalg.eigvals(comp)
-    resid = np.abs(roots) - 1.0
-    if np.max(np.abs(resid)) > 1e-6:
-        raise ValueError(
-            "root finder failed to converge: max radial residual "
-            f"{np.max(np.abs(resid)):.3e}"
-        )
-    roots = roots / np.abs(roots)
-    angles = np.sort(np.mod(np.angle(roots), TWO_PI), axis=1)
+    # rho_k^2 = 1 - |alpha_k|^2, read from |gamma_k| = |alpha_k|
+    rho2 = 1.0 - np.abs(g[:, : n - 1]) ** 2
+    eig = np.linalg.eigvals(_cmv_matrices(alphas, np.sqrt(rho2)))
+    angles = np.sort(np.mod(np.angle(eig), TWO_PI), axis=1)
     atoms = np.exp(1j * angles)
 
-    # ||Phi_k||^2 = prod_{l<k} (1 - |alpha_l|^2), read from |gamma_l| = |alpha_l|
-    norm2 = np.cumprod(1.0 - np.abs(g[:, : n - 1]) ** 2, axis=1)
+    norm2 = np.cumprod(rho2, axis=1)              # ||Phi_k||^2 = prod_{l<k} rho_l^2
     inv_w = np.ones((m, n))
     phi = phis = np.ones((m, n), dtype=complex)   # rebound below, never mutated
     for k in range(n - 1):
@@ -376,11 +370,10 @@ def _measures_from_gammas_batch(gammas: np.ndarray):
 def alpha_to_measure(alphas: CoefficientSequence) -> UnitCircleMeasure:
     """Measure with the given Verblunsky coefficients.
 
-    Atoms are the unit-modulus roots of Phi_n (companion eigenvalues
-    projected radially); the weight at each atom inverts the
-    Christoffel sum.  That sum drifts from 1 by rounding that
-    grows with n (1e-12 at n = 400), so the weights are divided by their
-    sum to return a normalized measure.
+    Atoms are the roots of Phi_n, taken as the eigenvalues of the CMV
+    matrix; the weight at each atom inverts the Christoffel sum.  That
+    sum drifts from 1 by rounding that grows with n (1e-12 at n = 400), so
+    the weights are divided by their sum to return a normalized measure.
     """
     alphas.require_kind("verblunsky")
     g = _gammas_from_alphas(alphas.values)

@@ -28,6 +28,7 @@ from . import dirac, opuc
 from .dirac import (
     build_operator,
     eigenvalues_in,
+    measure_operator,
     phase_at,
     spectral_measure,
     trace_and_hsnorm,
@@ -53,7 +54,6 @@ from .opuc import (
     _measures_to_alphas_batch,
     alpha_to_measure,
     convert_coefficients,
-    gamma_to_path,
     measure_to_alpha,
 )
 from .stats import TestReport, chi2_hist2d, ks_by_coordinate, ks_test, ks_threshold
@@ -71,12 +71,6 @@ def _exact(err: float, tol: float, n: int, notes: str) -> TestReport:
 def _lattice_measure(n: int, theta: float) -> UnitCircleMeasure:
     angles = (theta + TWO_PI * np.arange(n)) / n
     return UnitCircleMeasure(angles=angles, weights=np.full(n, 1.0 / n))
-
-
-def _measure_operator(mu: UnitCircleMeasure) -> dirac.DiracOperator:
-    alphas = measure_to_alpha(mu)
-    gammas = convert_coefficients(alphas, "modified")
-    return build_operator(gamma_to_path(gammas))
 
 
 def _random_measure(rng: np.random.Generator, n: int) -> UnitCircleMeasure:
@@ -105,7 +99,7 @@ def criterion_lattice_closed_form(seed: int):
     out = []
     for n in (2, 4, 8):
         for theta in (math.pi / 3, 1.0):
-            op = _measure_operator(_lattice_measure(n, theta))
+            op = measure_operator(_lattice_measure(n, theta))
             window = (theta - TWO_PI - 0.5, theta + TWO_PI + 0.5)
             eigs = eigenvalues_in(op, window)
             expected = theta + TWO_PI * np.array([-1.0, 0.0, 1.0])
@@ -134,7 +128,7 @@ def criterion_spectral_lift(seed: int):
     for trial in range(100):
         n = 2 + trial % 7
         mu = _random_measure(rng, n)
-        op = _measure_operator(mu)
+        op = measure_operator(mu)
         sm = spectral_measure(op, (0.0, TWO_PI * n), "left")
         if sm.lambdas.size != n:
             worst = math.inf
@@ -402,7 +396,7 @@ def criterion_transform_invariance(seed: int):
     worst_double = 0.0
     for trial in range(5):
         mu = _random_measure(rng, 3 + trial % 4)
-        op = _measure_operator(mu)
+        op = measure_operator(mu)
         for r in (-1.3, 0.4, 2.0):
             c, s = r / math.sqrt(1 + r * r), 1.0 / math.sqrt(1 + r * r)
             Q = np.array([[c, s], [-s, c]])

@@ -17,12 +17,6 @@ def lattice_operator(n, theta):
     return dirac.build_operator(opuc.gamma_to_path(gammas))
 
 
-def measure_operator(mu):
-    seq = opuc.measure_to_alpha(mu)
-    gammas = opuc.convert_coefficients(seq, "modified")
-    return dirac.build_operator(opuc.gamma_to_path(gammas))
-
-
 def random_measure(rng, n):
     ang = TWO_PI * (np.arange(n) + 0.5 + rng.uniform(-0.3, 0.3, n)) / n
     w = rng.dirichlet(np.ones(n)) + 0.2 / n
@@ -258,7 +252,7 @@ class TestEigenvalues:
         rng = np.random.default_rng(6)
         for n in (3, 5, 8):
             mu = random_measure(rng, n)
-            op = measure_operator(mu)
+            op = dirac.measure_operator(mu)
             eigs = dirac.eigenvalues_in(op, (0.0, TWO_PI * n))
             np.testing.assert_allclose(eigs, n * mu.angles, atol=1e-10)
             shifted = dirac.eigenvalues_in(
@@ -676,7 +670,7 @@ class TestLift:
 
         seq = sample_kn(n, 2.0, SeedSpec(seed, stream))
         mu = opuc.alpha_to_measure(opuc.convert_coefficients(seq, "verblunsky"))
-        sm = dirac.spectral_measure(measure_operator(mu), (0.0, TWO_PI * n), "left")
+        sm = dirac.spectral_measure(dirac.measure_operator(mu), (0.0, TWO_PI * n), "left")
         order = np.argsort(mu.angles)
         assert len(sm) == n
         assert np.max(np.abs(sm.lambdas / n - mu.angles[order])) < 1e-8
@@ -695,7 +689,7 @@ class TestSpectralMeasure:
         rng = np.random.default_rng(7)
         n = 6
         mu = random_measure(rng, n)
-        op = measure_operator(mu)
+        op = dirac.measure_operator(mu)
         sm = dirac.spectral_measure(op, (0.0, TWO_PI * n), "left")
         np.testing.assert_allclose(sm.weights, 2 * n * mu.weights, rtol=1e-9)
 
@@ -830,7 +824,7 @@ class TestTransforms:
 
     def test_rotation_preserves_spectral_measures(self):
         rng = np.random.default_rng(15)
-        op = measure_operator(random_measure(rng, 5))
+        op = dirac.measure_operator(random_measure(rng, 5))
         Q = rotation_about_i(0.8).real
         out = dirac.transform_operator(op, "conjugate", Q=Q)
         for side in ("left", "right"):
@@ -841,7 +835,7 @@ class TestTransforms:
 
     def test_reversal_swaps_sides(self):
         rng = np.random.default_rng(16)
-        op = measure_operator(random_measure(rng, 4))
+        op = dirac.measure_operator(random_measure(rng, 4))
         rev = dirac.transform_operator(op, "reverse")
         a = dirac.spectral_measure(op, (-9.0, 9.0), "left")
         b = dirac.spectral_measure(rev, (-9.0, 9.0), "right")
@@ -895,7 +889,7 @@ class TestBoundaryBiasing:
         ang = TWO_PI * (np.arange(4) + 0.5 + rng.uniform(-0.3, 0.3, 4)) / 4
         w = rng.dirichlet(np.ones(4)) + 0.05
         mu = opuc.UnitCircleMeasure(angles=ang, weights=w / w.sum())
-        op = measure_operator(mu)
+        op = dirac.measure_operator(mu)
         x, y, dt = _cells(op)
         u0 = np.array([1.0, 0.0])
 

@@ -155,6 +155,22 @@ class TestConvert:
         np.testing.assert_allclose(np.abs(g.values), np.abs(seq.values),
                                    atol=1e-14)
 
+    def test_phase_twist_is_unimodular_at_large_n(self):
+        # a running product of the twist factors let |alpha_k| drift from
+        # |gamma_k| by 6.9e-15 here, and the round trip erred by 1.4e-13
+        from circdirac.ensembles import SeedSpec, sample_kn
+
+        drift = roundtrip = 0.0
+        for seed in range(301, 313):
+            for stream in (0, 1):
+                g = sample_kn(400, 2.0, SeedSpec(seed, stream)).values
+                a = opuc._alphas_from_gammas(g)
+                drift = max(drift, np.max(np.abs(np.abs(a) - np.abs(g))))
+                back = opuc._gammas_from_alphas(a)
+                roundtrip = max(roundtrip, np.max(np.abs(back - g)))
+        assert drift < 1e-15
+        assert roundtrip < 1e-13
+
 
 class TestMeasureToAlpha:
     def test_single_atom(self):
@@ -297,6 +313,108 @@ class TestAlphaToMeasure:
             total = sum(abs(phi[k][j] / phi_one(k)) ** 2 / psi_norm(k)
                         for k in range(6))
             assert total == pytest.approx(1.0 / mu.weights[j], rel=1e-10)
+
+
+def kn_draw(n, seed, stream):
+    from circdirac.ensembles import SeedSpec, sample_kn
+
+    return sample_kn(n, 2.0, SeedSpec(seed, stream)).values
+
+
+def cmv(alphas):
+    a = np.atleast_2d(alphas)
+    return opuc._cmv_matrices(a, np.sqrt(1.0 - np.abs(a[:, :-1]) ** 2))
+
+
+def angle_error(a, b):
+    return np.abs(np.mod(np.asarray(a) - b + math.pi, TWO_PI) - math.pi)
+
+
+class TestCMV:
+    @pytest.mark.parametrize("n", [1, 2, 3, 6, 400])
+    def test_unitary(self, n):
+        rng = np.random.default_rng(n)
+        for a in (random_alphas(rng, n).values,
+                  opuc._alphas_from_gammas(kn_draw(n, 5, 0))):
+            c = cmv(a)[0]
+            assert np.max(np.abs(c @ c.conj().T - np.eye(n))) < 1e-13
+
+    def test_matches_dense_factors(self):
+        rng = np.random.default_rng(3)
+        for n in (1, 2, 3, 4, 5, 6, 7, 50):
+            a = random_alphas(rng, n).values
+            rho = np.sqrt(1.0 - np.abs(a[:-1]) ** 2)
+            factors = [np.zeros((n, n), dtype=complex) for _ in range(2)]
+            factors[1][0, 0] = 1.0
+            for k in range(n):
+                f = factors[k % 2]
+                if k == n - 1:
+                    f[k, k] = np.conj(a[k])
+                else:
+                    f[k:k + 2, k:k + 2] = [[np.conj(a[k]), rho[k]], [rho[k], -a[k]]]
+            dense = factors[0] @ factors[1]
+            assert np.max(np.abs(cmv(a)[0] - dense)) < 1e-15
+
+    def test_characteristic_polynomial_is_phi_n(self):
+        rng = np.random.default_rng(4)
+        for n in (2, 3, 4, 7):
+            seq = random_alphas(rng, n)
+            eig = np.linalg.eigvals(cmv(seq.values)[0])
+            phi, _ = opuc.szego_eval(seq, eig)
+            assert np.max(np.abs(phi)) < 1e-12
+
+    def test_single_coefficient_gives_its_conjugate(self):
+        a = np.exp(0.9j)
+        ang, w = opuc._measures_from_gammas_batch(np.array([[np.conj(a)]]))
+        assert ang[0, 0] == np.mod(np.angle(np.conj(a)), TWO_PI)
+        assert w[0, 0] == 1.0
+
+    def test_batch_rows_match_single_rows(self):
+        rng = np.random.default_rng(11)
+        g = rng.uniform(-0.6, 0.6, (40, 6)) + 1j * rng.uniform(-0.6, 0.6, (40, 6))
+        g[:, -1] = np.exp(1j * rng.uniform(0, TWO_PI, 40))
+        ang, w = opuc._measures_from_gammas_batch(g)
+        for i in range(40):
+            a1, w1 = opuc._measures_from_gammas_batch(g[i])
+            np.testing.assert_array_equal(a1[0], ang[i])
+            np.testing.assert_array_equal(w1[0], w[i])
+
+    def test_palm_atom_sits_at_zero(self):
+        from circdirac.ensembles import SeedSpec, _kn_gammas, palm_gammas
+
+        g = palm_gammas(_kn_gammas(SeedSpec(7, 150).rng(), 5, 2.0, 10_000))
+        ang, _ = opuc._measures_from_gammas_batch(g)
+        assert np.max(np.min(angle_error(ang, 0.0), axis=1)) < 4e-15
+
+    def test_atoms_against_polished_roots(self):
+        # Newton-polished 40-digit roots of Phi_n for the same double
+        # alphas.  Atoms 45 and 46 are where companion-matrix roots of
+        # Phi_n erred most (1.4e-14); the rest are spread over the circle.
+        mpmath = pytest.importorskip("mpmath")
+        g = kn_draw(400, 203, 1)
+        ang, _ = opuc._measures_from_gammas_batch(g)
+        alphas = opuc._alphas_from_gammas(g)
+        picks = sorted({45, 46, *np.linspace(0, 399, 8).astype(int)})
+        with mpmath.workdps(40):
+            a = [mpmath.mpc(complex(x)) for x in alphas]
+            ca = [mpmath.conj(x) for x in a]
+
+            def newton_step(z):
+                phi = phis = mpmath.mpc(1)
+                dphi = dphis = mpmath.mpc(0)
+                for ak, cak in zip(a, ca):
+                    zphi, dzphi = z * phi, phi + z * dphi
+                    phi, phis = zphi - cak * phis, phis - ak * zphi
+                    dphi, dphis = dzphi - cak * dphis, dphis - ak * dzphi
+                return z - phi / dphi
+
+            worst = 0.0
+            for j in picks:
+                z = mpmath.expj(ang[0, j])
+                for _ in range(2):
+                    z = newton_step(z)
+                worst = max(worst, abs(float(mpmath.arg(z * mpmath.expj(-ang[0, j])))))
+        assert worst < 1e-14
 
 
 class TestPath:

@@ -129,5 +129,5 @@ def test_random_measure_generator_is_well_conditioned():
         for _ in range(20):
             mu = verify._random_measure(rng, n)
             assert mu.normalized
-            op = verify._measure_operator(mu)
+            op = dirac.measure_operator(mu)
             assert op.path.imag.min() > 1e-4
