@@ -43,10 +43,10 @@ def main() -> int:
     direct = _biased_gammas(SeedSpec(args.seed, 1_000_000).rng(),
                             args.n, args.beta, args.direct_draws)
 
+    weights = np.stack([bias_by_window(angles, atom_weights, eps) for eps in args.eps])
+    max_ks = ks_by_coordinate(gammas, direct, weights).max(axis=(1, 2), initial=0.0)
     rows = []
-    for eps in args.eps:
-        w = bias_by_window(angles, atom_weights, eps)
-        ks = float(ks_by_coordinate(gammas, direct, w).max(initial=0.0))
+    for eps, ks, w in zip(args.eps, max_ks.tolist(), weights):
         rows.append((eps, ks, float(np.mean(w > 0.0))))
         print(f"eps {eps:6.3f}: max per-coordinate KS {ks:.4f}")
 

@@ -131,7 +131,7 @@ def _cmd_sine_beta(args) -> int:
 
 
 def _cmd_bias(args) -> int:
-    from .stats import ks_by_coordinate  # loads scipy.stats, like verify
+    from .stats import ks_by_coordinate  # loads scipy.special, like verify
     if args.beta is None:
         args.beta = 2.0
     if args.epsilon <= 0.0:
@@ -199,7 +199,7 @@ def _jobs(text: str) -> int:
 
 
 def _suite_name(name: str) -> str:
-    from . import verify  # loads scipy.stats, the package's slowest import
+    from . import verify  # loads scipy.special, the package's slowest import
     if name not in verify.SUITES:
         raise argparse.ArgumentTypeError(f"choose from {sorted(verify.SUITES)}")
     return name

@@ -348,6 +348,10 @@ class SinePathSpec:
             raise ValueError("fixed q_mode requires q")
 
 
+#: Rows of the row-major block that sample_sine_paths copies out at once.
+_PATH_BLOCK = 64
+
+
 def sample_sine_paths(spec: SinePathSpec, seeds):
     """Brownian-driven operator paths truncated at t_min, row i from ``seeds[i]``.
 
@@ -362,8 +366,10 @@ def sample_sine_paths(spec: SinePathSpec, seeds):
     ``x`` and ``y`` are allocated cell-major (Fortran order): a row is
     written once here, but the cell sweep of :mod:`dirac` reads one cell of
     every row at each step, which is then contiguous memory instead of a
-    gather at a stride of one row.  Values and shape do not depend on the
-    layout.
+    gather at a stride of one row.  Rows are built in a row-major block of
+    ``_PATH_BLOCK`` rows and copied into the batch a block at a time, so
+    the writes stay local without a second full-size copy.  Values and
+    shape do not depend on the layout.
     """
     K = spec.cells
     u_min = (4.0 / spec.beta) * math.log(spec.t_min)
@@ -371,9 +377,11 @@ def sample_sine_paths(spec: SinePathSpec, seeds):
     sqrt_h = math.sqrt(-u_min / K)
     t = np.exp(0.25 * spec.beta * u)
     t[0], t[-1] = spec.t_min, 1.0
-    xs = np.empty((len(seeds), K), order="F")
-    ys = np.empty((len(seeds), K), order="F")
-    u1 = np.empty((len(seeds), 2))
+    rows = len(seeds)
+    xs = np.empty((rows, K), order="F")
+    ys = np.empty((rows, K), order="F")
+    u1 = np.empty((rows, 2))
+    block = np.empty((2, min(rows, _PATH_BLOCK), K))
     for i, seed in enumerate(seeds):
         rng = _as_rng(seed)
         d2 = sqrt_h * rng.standard_normal(K)
@@ -383,7 +391,10 @@ def sample_sine_paths(spec: SinePathSpec, seeds):
         x = -np.cumsum((y * d1)[::-1])[::-1]
         if not (np.all(np.isfinite(y)) and np.all(np.isfinite(x))):
             raise ValueError("path overflow: resample or increase t_min")
-        xs[i], ys[i] = x, y
+        r = i % _PATH_BLOCK
+        block[0, r], block[1, r] = x, y
+        if r == _PATH_BLOCK - 1 or i == rows - 1:
+            xs[i - r:i + 1], ys[i - r:i + 1] = block[0, :r + 1], block[1, :r + 1]
         if spec.q_mode == "infinity":
             q = math.inf
         elif spec.q_mode == "fixed":

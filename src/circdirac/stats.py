@@ -9,6 +9,16 @@ normalized density.
 
 All automated suites run at significance level 0.001: many tests run per
 invocation and the family-wise false-failure rate has to stay small.
+
+Quantiles and CDFs come straight from :mod:`scipy.special`: ``kolmogi``
+for the Kolmogorov quantile, ``2 * gammaincinv(dof / 2, p)`` for the
+chi-square quantile, and ``betainc`` and ``gammainc`` for the Beta and
+Gamma CDFs of :mod:`circdirac.verify`.  These are the ufuncs that
+scipy.stats' ``kstwobign.isf``, ``chi2.ppf``, ``beta.cdf`` and
+``gamma.cdf`` call; their loc 0 and scale 1 change no bit, so every value
+is the scipy.stats one bit for bit (``tests/test_stats.py`` checks it).
+Importing :mod:`scipy.stats` for them would add about a second to every
+cold start.
 """
 
 from __future__ import annotations
@@ -18,13 +28,15 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy import stats as sps
+from scipy import special
 
 __all__ = [
     "TestReport",
     "ks_test",
     "ks_by_coordinate",
+    "ks_threshold",
     "chi2_hist2d",
+    "chi2_threshold",
 ]
 
 TWO_PI = 2.0 * math.pi
@@ -68,15 +80,17 @@ def _report(stat: float, threshold: float, n: int, notes: str) -> TestReport:
 # Kolmogorov-Smirnov
 
 
+def _ecdf_heights(order, weights):
+    """F_hat at the sorted samples; self-normalized when weighted."""
+    if weights is None:
+        return np.arange(1, order.size + 1) / order.size
+    w = np.asarray(weights, dtype=float)[order]
+    return np.cumsum(w) / w.sum()
+
+
 def _weighted_ecdf(samples, weights):
     order = np.argsort(samples, kind="stable")
-    s = samples[order]
-    if weights is None:
-        cum = np.arange(1, s.size + 1) / s.size
-    else:
-        w = np.asarray(weights, dtype=float)[order]
-        cum = np.cumsum(w) / w.sum()
-    return s, cum
+    return samples[order], _ecdf_heights(order, weights)
 
 
 def ks_statistic_cdf(samples, cdf, weights=None) -> float:
@@ -87,35 +101,52 @@ def ks_statistic_cdf(samples, cdf, weights=None) -> float:
     return float(np.max(np.maximum(np.abs(cum - f), np.abs(lower - f))))
 
 
+def _ks_two_sample_each(a, b, weightings) -> list:
+    """sup |F_a - F_b| for each weighting of ``a`` (None: unweighted).
+
+    The sort of ``a`` and both searches on the merged grid do not depend on
+    the weights, so they are done once for all weightings.
+    """
+    a = np.asarray(a, dtype=float)
+    order = np.argsort(a, kind="stable")
+    sa = a[order]
+    sb, cb = _weighted_ecdf(np.asarray(b, dtype=float), None)
+    grid = np.concatenate([sa, sb])
+    at_a = np.searchsorted(sa, grid, side="right")
+    fb = np.concatenate([[0.0], cb])[np.searchsorted(sb, grid, side="right")]
+    out = []
+    for w in weightings:
+        fa = np.concatenate([[0.0], _ecdf_heights(order, w)])[at_a]
+        out.append(float(np.max(np.abs(fa - fb))))
+    return out
+
+
 def ks_statistic_two_sample(a, b, weights_a=None) -> float:
     """sup |F_a - F_b| between two empirical CDFs, the first possibly weighted."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    sa, ca = _weighted_ecdf(a, weights_a)
-    sb, cb = _weighted_ecdf(b, None)
-    grid = np.concatenate([sa, sb])
-    fa = np.concatenate([[0.0], ca])[np.searchsorted(sa, grid, side="right")]
-    fb = np.concatenate([[0.0], cb])[np.searchsorted(sb, grid, side="right")]
-    return float(np.max(np.abs(fa - fb)))
+    return _ks_two_sample_each(a, b, [weights_a])[0]
 
 
 def ks_by_coordinate(a, b, weights_a=None) -> np.ndarray:
     """(n-1, 2) two-sample KS statistics of Re and Im of each column but the last.
 
     ``a`` and ``b`` hold complex sequences of length n, one per row;
-    ``weights_a`` optionally weights the rows of ``a``.
+    ``weights_a`` optionally weights the rows of ``a``.  A stack of E weight
+    vectors, shape (E, rows), gives (E, n-1, 2), one slice per weighting,
+    each equal to the call with that vector alone.
     """
-    out = np.empty((a.shape[1] - 1, 2))
+    stacked = np.ndim(weights_a) == 2
+    weightings = weights_a if stacked else [weights_a]
+    out = np.empty((len(weightings), a.shape[1] - 1, 2))
     for k in range(a.shape[1] - 1):
         for j, part in enumerate((np.real, np.imag)):
-            out[k, j] = ks_statistic_two_sample(part(a[:, k]), part(b[:, k]),
-                                                weights_a=weights_a)
-    return out
+            out[:, k, j] = _ks_two_sample_each(part(a[:, k]), part(b[:, k]),
+                                               weightings)
+    return out if stacked else out[0]
 
 
 def ks_threshold(n_eff: float, level: float = DEFAULT_LEVEL) -> float:
     """Asymptotic Kolmogorov critical value at ``level`` for effective size n_eff."""
-    return float(sps.kstwobign.isf(level)) / math.sqrt(n_eff)
+    return float(special.kolmogi(level)) / math.sqrt(n_eff)
 
 
 def ks_test(samples, reference, level: float = DEFAULT_LEVEL,
@@ -255,5 +286,9 @@ def chi2_hist2d(samples, density, bins: int = 12, level: float = DEFAULT_LEVEL,
         o, e = o[:-1], e[:-1]
     stat = float(np.sum((o - e) ** 2 / e))
     dof = o.size - 1
-    threshold = float(sps.chi2.ppf(1.0 - level, dof))
-    return _report(stat, threshold, n, f"chi2 dof={dof}")
+    return _report(stat, chi2_threshold(dof, level), n, f"chi2 dof={dof}")
+
+
+def chi2_threshold(dof: int, level: float = DEFAULT_LEVEL) -> float:
+    """Chi-square quantile at 1 - ``level`` with ``dof`` degrees of freedom."""
+    return float(2 * special.gammaincinv(dof / 2, 1.0 - level))

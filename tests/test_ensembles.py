@@ -285,6 +285,19 @@ class TestSineOperator:
         np.testing.assert_array_equal(op.path, x[2] + 1j * y[2])
         np.testing.assert_array_equal(op.u1, u1[2])
 
+    def test_rows_across_copy_blocks(self):
+        # rows are copied out a block at a time; a batch of two full blocks
+        # and a partial one holds every row as drawn alone
+        spec = ens.SinePathSpec(beta=2.0, cells=16, q_mode="cauchy")
+        rows = 2 * ens._PATH_BLOCK + 3
+        seeds = [ens.SeedSpec(25, i) for i in range(rows)]
+        _, x, y, u1 = ens.sample_sine_paths(spec, seeds)
+        assert x.flags.f_contiguous and y.flags.f_contiguous
+        for i in (0, ens._PATH_BLOCK - 1, ens._PATH_BLOCK, rows - 1):
+            op = ens.sample_sine_operator(spec, seeds[i])
+            np.testing.assert_array_equal(op.path, x[i] + 1j * y[i])
+            np.testing.assert_array_equal(op.u1, u1[i])
+
     def test_fixed_q(self):
         spec = ens.SinePathSpec(beta=2.0, cells=64, q_mode="fixed", q=1.5)
         op = ens.sample_sine_operator(spec, ens.SeedSpec(22, 0))

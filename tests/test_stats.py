@@ -5,6 +5,7 @@ import pytest
 from scipy import stats as sps
 
 from circdirac import stats as cstats
+from circdirac import verify
 
 
 class TestKS:
@@ -71,9 +72,84 @@ class TestKS:
                 a[:, k].imag, b[:, k].imag, weights_a=w)
         assert cstats.ks_by_coordinate(a[:, :1], b[:, :1]).shape == (0, 2)
 
+    def test_by_coordinate_stacked_weights(self):
+        # one call for a stack of weightings equals one call per weighting,
+        # bit for bit; ties in the sample exercise the stable sort
+        rng = np.random.default_rng(6)
+        a = rng.normal(size=(400, 4)) + 1j * rng.normal(size=(400, 4))
+        a[200:] = np.round(a[200:], 1)
+        b = rng.normal(size=(150, 4)) + 1j * rng.normal(size=(150, 4))
+        w = rng.random((3, 400))
+        w[1, ::3] = 0.0
+        ks = cstats.ks_by_coordinate(a, b, w)
+        assert ks.shape == (3, 3, 2)
+        for e in range(3):
+            assert np.array_equal(ks[e], cstats.ks_by_coordinate(a, b, w[e]))
+        assert cstats.ks_by_coordinate(a[:, :1], b[:, :1], w).shape == (3, 0, 2)
+
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             cstats.ks_test(np.array([]), lambda t: t)
+
+
+class TestScipyStatsOracle:
+    """The scipy.special calls give the scipy.stats numbers bit for bit."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 7.5, 5000, 10_000, 123_456])
+    def test_ks_threshold(self, n):
+        assert cstats.ks_threshold(n, 1e-3) == (
+            float(sps.kstwobign.isf(1e-3)) / math.sqrt(n))
+
+    def test_chi2_threshold(self):
+        for dof in range(1, 121):
+            assert cstats.chi2_threshold(dof, 1e-3) == float(
+                sps.chi2.ppf(1.0 - 1e-3, dof))
+
+    def test_chi2_hist2d_threshold(self):
+        rng = np.random.default_rng(5)
+        z = np.sqrt(rng.random(8000)) * np.exp(2j * math.pi * rng.random(8000))
+        rep = cstats.chi2_hist2d(z, lambda w: np.ones_like(w, dtype=float),
+                                 bins=8)
+        dof = int(rep.notes.split("=")[1])
+        assert rep.threshold == float(sps.chi2.ppf(1.0 - 1e-3, dof))
+
+    def test_criteria_cdfs(self, monkeypatch):
+        # every Beta and Gamma CDF that kn-marginals and gamma-weight-limit
+        # evaluate, on their own grids, against the scipy.stats call
+        special = verify.special
+        calls = []
+
+        class Recorder:
+            @staticmethod
+            def betainc(a, b, x):
+                out = special.betainc(a, b, x)
+                calls.append((sps.beta.cdf(x, a, b), out))
+                return out
+
+            @staticmethod
+            def gammainc(a, x):
+                out = special.gammainc(a, x)
+                calls.append((sps.gamma.cdf(x, a), out))
+                return out
+
+        monkeypatch.setattr(verify, "special", Recorder)
+        verify.criterion_kn_marginals(7)
+        verify.criterion_gamma_weight_limit(7)
+        assert len(calls) == (5 + 5 + 9) + 3 + 1
+        for expected, out in calls:
+            assert np.array_equal(out, expected)
+
+    def test_weight_limit_report(self):
+        # the gamma-weight-limit statistics as scipy.stats computed them
+        x = np.linspace(0.0, 80.0, 400_001)
+        limit = sps.gamma.cdf(x, 1.0, scale=2.0)
+        ks = {n: float(np.max(np.abs(sps.beta.cdf(x / (2.0 * n), 1.0, n - 1.0)
+                                      - limit)))
+              for n in (100, 1000, 10000)}
+        (_, rep1), (_, rep2) = verify.criterion_gamma_weight_limit(7)
+        assert rep1.statistic == ks[10000]
+        assert rep1.notes == f"analytic-CDF KS at n=1e4; values {ks}"
+        assert rep2.statistic == max(ks[1000] - ks[100], ks[10000] - ks[1000])
 
 
 class TestChi2:

@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,6 +19,23 @@ def test_suites_cover_all_criteria():
     assert set(verify.SUITES["all"]) == set(verify.CRITERIA)
     for name in ("core", "distributional", "sine"):
         assert set(verify.SUITES[name]) <= set(verify.CRITERIA)
+
+
+def test_thresholds_and_cdfs_do_not_load_scipy_stats():
+    # palm-coefficient-law takes a KS and a chi-square threshold and
+    # kn-marginals a Beta CDF; none of them may pull in scipy.stats, whose
+    # import would only move the cold-start cost into the run
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(src), env.get("PYTHONPATH")) if p)
+    code = ("import sys, circdirac.verify as v, circdirac.stats; "
+            "[v.CRITERIA[c](7) for c in ('palm-coefficient-law', 'kn-marginals')]; "
+            "print('scipy.stats' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 def test_unknown_suite_rejected():
