@@ -15,9 +15,6 @@ import csv
 import json
 import math
 
-import numpy as np
-
-from circdirac.dirac import _window_targets
 from circdirac.ensembles import SeedSpec, SinePathSpec, sample_sine_paths
 
 
@@ -35,11 +32,8 @@ def main() -> int:
 
     spec = SinePathSpec(beta=args.beta, t_min=args.t_min, cells=args.cells)
     base = SeedSpec(args.seed, 0)
-    grid, x, y, u1 = sample_sine_paths(
-        spec, [base.stream(i) for i in range(args.replicas)])
-    *_, kmin, kend = _window_targets(x, y, np.diff(grid), np.array([1.0, 0.0]),
-                                     u1, 0.0, args.length)
-    counts = (kend - kmin).astype(int)
+    batch = sample_sine_paths(spec, [base.stream(i) for i in range(args.replicas)])
+    counts = batch.count((0.0, args.length))
 
     with open(f"{args.out}.csv", "w", newline="") as fh:
         w = csv.writer(fh)

@@ -16,9 +16,9 @@ rotation
 
     G -> Rot(lam dt / 2) G,     Rot(p) = [[cos p, sin p], [-sin p, cos p]],
 
-and between cells k and k+1 the frame changes by the triangular step
-X_{k+1} X_k^{-1} = [[1, -v_k], [0, r_k]], v_k = (x_{k+1} - x_k) / y_k,
-r_k = y_{k+1} / y_k.  No ODE stepper is involved, no matrix entry grows
+and between cells k-1 and k the frame changes by the triangular step
+X_k X_{k-1}^{-1} = [[1, -v_k], [0, r_k]], v_k = (x_k - x_{k-1}) / y_{k-1},
+r_k = y_k / y_{k-1}.  No ODE stepper is involved, no matrix entry grows
 like (x^2 + y^2) / y, and the lambda-derivative of G propagates alongside
 by the product rule.  The phase 2 arg(G0 - i G1) is strictly increasing in
 lambda; a rotation adds exactly lam dt / 2 to arg(G0 - i G1), and a frame
@@ -29,6 +29,14 @@ G plus 2 pi times the turns, so its rounding does not grow with the number
 of cells.  Counts and roots are taken in the last cell's frame, against
 the phase of X_{m-1} u1; H = X_{m-1}^{-1} G is formed only where a
 fixed-frame value is returned.
+
+The one batched core is :class:`OperatorBatch`: operators on one shared
+grid, validated once and stored as what the sweep reads, the frame steps
+(v_k, r_k) and the cell lengths, cell-major, with per-row start X_0 u0,
+last cell and target offset.  Its methods count, solve for, weigh and
+phase every row at once; :class:`DiracOperator` is a one-row view, and
+the module functions on it (``eigenvalues_in``, ``eigenvalue_count``,
+``spectral_measure``, ``phase_at``) call the batch.
 
 A sweep of few lanes would pay the interpreter once per cell for a few
 lanes of arithmetic.  Below _CHUNK_LANES lanes the m cells therefore run
@@ -58,7 +66,7 @@ t0 > 0, and time reversal of such an operator ends before 1.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -68,6 +76,7 @@ from .opuc import (HyperbolicPath, UnitCircleMeasure, convert_coefficients,
 
 __all__ = [
     "DiracOperator",
+    "OperatorBatch",
     "SpectralMeasure",
     "EigenData",
     "build_operator",
@@ -108,7 +117,9 @@ class DiracOperator:
     ``grid`` has m+1 strictly increasing points in [0, 1]; ``path`` holds
     the m per-cell values z_k = x_k + i y_k with y_k > 0.  ``u0``/``u1``
     are direction classes; u1 parallel to [1, 0] encodes the infinity
-    boundary slope (q = inf).
+    boundary slope (q = inf).  Validated, and swept, through ``batch``:
+    the operator as a one-row :class:`OperatorBatch`.  The fields are
+    read-only copies, so they cannot drift from the steps ``batch`` holds.
     """
 
     grid: np.ndarray
@@ -116,29 +127,14 @@ class DiracOperator:
     u0: np.ndarray
     u1: np.ndarray
     origin: str = "custom"
+    batch: "OperatorBatch" = field(init=False, repr=False)
 
     def __post_init__(self):
-        grid = np.asarray(self.grid, dtype=float)
-        path = np.asarray(self.path, dtype=complex)
-        u0 = np.asarray(self.u0, dtype=float)
-        u1 = np.asarray(self.u1, dtype=float)
-        if grid.ndim != 1 or grid.size < 2:
-            raise ValueError("grid must hold at least two time points")
-        if np.any(np.diff(grid) <= 0.0):
-            raise ValueError("grid must be strictly increasing")
-        if grid[0] < 0.0 or grid[-1] > 1.0 + 1e-12:
-            raise ValueError("grid must lie inside [0, 1]")
-        if path.shape != (grid.size - 1,):
-            raise ValueError("path must hold one value per grid cell")
-        if np.any(path.imag <= 0.0):
-            raise ValueError("path imaginary parts y_k must be positive")
-        for u in (u0, u1):
-            if u.shape != (2,) or not np.any(u != 0.0):
-                raise ValueError("boundary vectors must be nonzero real 2-vectors")
-        object.__setattr__(self, "grid", grid)
-        object.__setattr__(self, "path", path)
-        object.__setattr__(self, "u0", u0)
-        object.__setattr__(self, "u1", u1)
+        for name, dtype in (("grid", float), ("path", complex), ("u0", float), ("u1", float)):
+            value = np.array(getattr(self, name), dtype=dtype)
+            value.flags.writeable = False
+            object.__setattr__(self, name, value)
+        object.__setattr__(self, "batch", OperatorBatch.stack([self]))
 
     @property
     def cells(self) -> int:
@@ -171,11 +167,9 @@ class DiracOperator:
 
     @classmethod
     def from_dict(cls, d: dict) -> "DiracOperator":
-        u1 = d["u1"]
-        u1 = np.array([1.0, 0.0]) if u1 == "infinity" else np.asarray(u1, dtype=float)
-        path = np.array([complex(x, y) for x, y in d["path"]])
-        return cls(grid=np.asarray(d["grid"], dtype=float), path=path,
-                   u0=np.asarray(d["u0"], dtype=float), u1=u1,
+        u1 = [1.0, 0.0] if d["u1"] == "infinity" else d["u1"]
+        path = [complex(x, y) for x, y in d["path"]]
+        return cls(grid=d["grid"], path=path, u0=d["u0"], u1=u1,
                    origin=d.get("origin", "custom"))
 
 
@@ -251,8 +245,6 @@ def build_operator(path, u1_spec=None, origin=None) -> DiracOperator:
         origin = origin or "discrete-measure"
     else:
         grid, cells = path
-        grid = np.asarray(grid, dtype=float)
-        cells = np.asarray(cells, dtype=complex)
         if u1_spec is None:
             raise ValueError("u1_spec is required for sampled paths")
         origin = origin or "custom"
@@ -270,6 +262,201 @@ def measure_operator(mu: UnitCircleMeasure) -> DiracOperator:
     return build_operator(gamma_to_path(gammas))
 
 
+def _require_finite_input(name: str, *values) -> None:
+    """Refuse nan/inf in an input (an operator field, a window) before any sweep."""
+    if not all(np.all(np.isfinite(v)) for v in values):
+        raise ValueError(f"{name} must be finite")
+
+
+def _boundary_rows(name: str, vec, rows: int) -> np.ndarray:
+    """Boundary directions ``name`` as (rows, 2): one per row, or one shared."""
+    vec = np.asarray(vec, dtype=float)
+    _require_finite_input(name, vec)
+    if vec.shape not in ((2,), (rows, 2)) or not np.all(np.any(vec != 0.0, axis=-1)):
+        raise ValueError("boundary vectors must be nonzero real 2-vectors")
+    return np.broadcast_to(vec, (rows, 2))
+
+
+# ---------------------------------------------------------------------------
+# the batched core
+
+
+@dataclass(frozen=True, eq=False)
+class OperatorBatch:
+    """Operators on one shared grid, stored as the cell sweep reads them.
+
+    Built from rows (x, y, u0, u1) by :meth:`from_blocks` or
+    :meth:`stack`, which validate them once.  The cells themselves are
+    not kept: ``v``/``r`` (rows, m) hold the frame steps into each cell,
+    v_k = (x_k - x_{k-1}) / y_{k-1} and r_k = y_k / y_{k-1} with step 0
+    the identity (v = 0, r = 1), allocated cell-major (Fortran order) so
+    that the sweep reads one cell of every row from contiguous memory.
+    ``dt`` (m,) holds the cell lengths, and per row ``start`` (2, rows)
+    is X_0 u0, ``last`` (2, rows) the last cell (x_{m-1}, y_{m-1}), ``u``
+    (rows,) the target offset in [0, 2 pi), the phase of X_{m-1} u1, and
+    ``u0sq`` (rows,) |u0|^2, the numerator of the left weights.
+
+    A window (a, b) is half-open; a and b are scalars or one value per
+    row.  Ragged results come back flat, sorted by row and then lambda,
+    with the row index of each entry.
+    """
+
+    dt: np.ndarray
+    v: np.ndarray
+    r: np.ndarray
+    start: np.ndarray
+    last: np.ndarray
+    u: np.ndarray
+    u0sq: np.ndarray
+
+    @classmethod
+    def from_blocks(cls, grid, rows: int, blocks) -> "OperatorBatch":
+        """``rows`` operators on ``grid`` from consecutive row blocks.
+
+        Each block is (x, y, u0, u1): the cells as two (b, m) arrays and
+        the boundary directions as (b, 2) arrays or one shared 2-vector.
+        The steps are taken a block at a time, so a caller that builds
+        rows in blocks never holds the cells and the steps of the whole
+        batch at once.
+        """
+        grid = np.asarray(grid, dtype=float)
+        if grid.ndim != 1 or grid.size < 2:
+            raise ValueError("grid must hold at least two time points")
+        _require_finite_input("grid", grid)
+        dt = np.diff(grid)
+        if np.any(dt <= 0.0):
+            raise ValueError("grid must be strictly increasing")
+        if grid[0] < 0.0 or grid[-1] > 1.0 + 1e-12:
+            raise ValueError("grid must lie inside [0, 1]")
+        v = np.empty((rows, dt.size), order="F")
+        r = np.empty((rows, dt.size), order="F")
+        start, last = np.empty((2, 2, rows))
+        u, u0sq = np.empty((2, rows))
+        i = 0
+        for x, y, u0, u1 in blocks:
+            x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+            if x.ndim != 2 or x.shape[1:] != dt.shape or y.shape != x.shape:
+                raise ValueError("path must hold one value per grid cell")
+            _require_finite_input("path", x, y)
+            if np.any(y <= 0.0):
+                raise ValueError("path imaginary parts y_k must be positive")
+            rs = slice(i, i + len(x))
+            u0, u1 = _boundary_rows("u0", u0, len(x)), _boundary_rows("u1", u1, len(x))
+            v[rs, 0], r[rs, 0] = 0.0, 1.0
+            v[rs, 1:] = (x[:, 1:] - x[:, :-1]) / y[:, :-1]
+            r[rs, 1:] = y[:, 1:] / y[:, :-1]
+            start[:, rs] = u0[:, 0] - x[:, 0] * u0[:, 1], y[:, 0] * u0[:, 1]
+            last[:, rs] = x[:, -1], y[:, -1]
+            w0 = u1[:, 0] - x[:, -1] * u1[:, 1]
+            u[rs] = np.mod(-2.0 * np.arctan2(y[:, -1] * u1[:, 1], w0), TWO_PI)
+            # row-wise np.dot(u0, u0); matmul rounds as dot does, sums and
+            # einsum can differ in the last bit
+            u0sq[rs] = np.matmul(u0[:, None], u0[:, :, None])[:, 0, 0]
+            i = rs.stop
+        if i != rows:
+            raise ValueError(f"blocks hold {i} rows, not {rows}")
+        return cls(dt=dt, v=v, r=r, start=start, last=last, u=u, u0sq=u0sq)
+
+    @classmethod
+    def stack(cls, ops) -> "OperatorBatch":
+        """The operators ``ops``, which must share one grid, as one batch."""
+        grid = ops[0].grid
+        if not all(np.array_equal(op.grid, grid) for op in ops[1:]):
+            raise ValueError("stacked operators must share one grid")
+        z, u0, u1 = (np.array([getattr(op, f) for op in ops]) for f in ("path", "u0", "u1"))
+        return cls.from_blocks(grid, len(ops), [(z.real, z.imag, u0, u1)])
+
+    @property
+    def rows(self) -> int:
+        return self.v.shape[0]
+
+    def _lanes(self, lam, row, **kw):
+        """:func:`_sweep` of each lambda on its row ``row`` of this batch."""
+        return _sweep(self.v, self.r, self.dt, lam, self.start, row, **kw)
+
+    def _window(self, window):
+        """Endpoint phases and targets of the window [a, b), per row.
+
+        Phases are those of the solver, in the last cell's frame, where the
+        eigenvalues solve alpha = 2 pi k + u.  Returns (a, b, alo, ahi,
+        kmin, count) per row, the targets of a row being the count values
+        of k from kmin (a float); the 1e-13 guard counts a target that the
+        endpoint phase reaches up to rounding as reached.
+        """
+        lo, hi = (np.broadcast_to(np.asarray(w, dtype=float), (self.rows,))
+                  for w in window)
+        _require_finite_input("window endpoints", lo, hi)
+        if not np.all(lo < hi):
+            raise ValueError("window must satisfy a < b")
+        row = np.tile(np.arange(self.rows), 2)
+        wind = self._lanes(np.concatenate([lo, hi]), row, want_phase=True)[4]
+        _require_finite("the endpoint phase", wind)
+        alo, ahi = 2.0 * wind.reshape(2, self.rows)
+        kmin = np.ceil((alo - self.u) / TWO_PI - 1e-13)
+        kend = np.ceil((ahi - self.u) / TWO_PI - 1e-13)
+        return lo, hi, alo, ahi, kmin, np.maximum(kend - kmin, 0.0).astype(int)
+
+    def count(self, window) -> np.ndarray:
+        """Eigenvalues of each row in [a, b), from the endpoint phases alone."""
+        return self._window(window)[-1]
+
+    def eigenvalues(self, window):
+        """(lambdas, row): every row's eigenvalues in [a, b).
+
+        The phase increases strictly, so the spectrum in the window is
+        exactly the preimage of {2 pi k + u} between the endpoint phases;
+        each root is found once by safeguarded Newton to 1e-12 in lambda,
+        all rows in one solve.
+        """
+        lo, hi, alo, ahi, kmin, counts = self._window(window)
+        if np.any((ahi - alo) / TWO_PI > WINDOW_BUDGET):
+            raise ValueError("window budget: more than 1e6 eigenvalues requested")
+        row = np.repeat(np.arange(self.rows), counts)
+        k = kmin[row] + (np.arange(row.size) - (np.cumsum(counts) - counts)[row])
+        lams = _solve_targets(self, self.u[row] + TWO_PI * k, row,
+                              lo[row], hi[row], alo[row], ahi[row])
+        order = np.lexsort((lams, row))
+        return lams[order], row[order]
+
+    def weights(self, window, side: str):
+        """(lambdas, weights, row): left or right spectral weights in [a, b).
+
+        The weight at an eigenvalue is |H(endpoint)|^2 / ||H||_R^2 with the
+        norm taken from H^t J dH; on the right this equals
+        (A^2 + B^2)/(A'B - AB') = 2 / d(alpha)/d(lambda).
+        """
+        if side not in ("left", "right"):
+            raise ValueError("side must be 'left' or 'right'")
+        lams, row = self.eigenvalues(window)
+        G0, G1, dG0, dG1, _ = self._lanes(lams, row, want_deriv=True)
+        x, y = self.last[:, row]
+        normsq = (G1 * dG0 - G0 * dG1) / y
+        if np.any(normsq <= 0.0):
+            raise ValueError(
+                "conditioning: eigenfunction norm lost positivity; the path's "
+                "Im z is too small for double precision"
+            )
+        if side == "left":
+            return lams, self.u0sq[row] / normsq, row
+        H0, H1 = _unframe(x, y, G0, G1)
+        return lams, (H0 * H0 + H1 * H1) / normsq, row
+
+    def phase(self, lam, row=0) -> np.ndarray:
+        """Phase alpha(T, lambda) at each ``lam`` (see :func:`phase_at`).
+
+        ``row`` is the operator row of every lambda, or an index array of
+        lam's shape.
+        """
+        G0, G1, _, _, wind = self._lanes(np.asarray(lam, dtype=float), row,
+                                         want_phase=True)
+        H0, H1 = _unframe(*self.last[:, row], G0, G1)
+        # X^{-1} keeps the sign of the second component: the principal angle
+        # from G0 - i G1 to A - iB is the exact change of winding
+        out = 2.0 * (wind + np.arctan2(H0 * G1 - H1 * G0, H0 * G0 + H1 * G1))
+        _require_finite("the phase", out)
+        return out
+
+
 # ---------------------------------------------------------------------------
 # the cell sweep
 
@@ -284,16 +471,16 @@ def _chunk_count(lanes: int, m: int) -> int:
     return 1 if lanes >= _CHUNK_LANES or P < 4 else P
 
 
-def _sweep(x, y, dt, lam, u0, row=None, upto=None,
+def _sweep(v, r, dt, lam, start, row, upto=None,
            want_deriv=False, want_phase=False):
     """Advance G = X_k H (and optionally dG and the phase winding) across cells.
 
-    ``x``/``y`` have shape (m,) or (nops, m); ``dt`` shape (m,); ``lam`` is
-    scalar or (B,); ``u0`` is one 2-vector.  ``row`` maps each batch entry
-    to an operator row when x is 2-d and B != nops.  G starts at X_0 u0;
-    cell k rotates it by Rot(lam dt_k / 2), and the step into cell k+1
-    applies [[1, -v_k], [0, r_k]] with v_k = (x_{k+1} - x_k) / y_k and
-    r_k = y_{k+1} / y_k.  Returns (G0, G1, dG0, dG1, winding) in the frame
+    ``v``, ``r``, ``dt`` and ``start`` are the frame steps, cell lengths
+    and X_0 u0 of an :class:`OperatorBatch`; ``lam`` is scalar or (B,),
+    and ``row`` the batch row of every lane, or an index array of lam's
+    shape.  G starts at X_0 u0, and cell k applies the frame step
+    [[1, -v_k], [0, r_k]] (the identity for k = 0) and then
+    Rot(lam dt_k / 2).  Returns (G0, G1, dG0, dG1, winding) in the frame
     of the last cell swept (``upto`` - 1, or m - 1); the winding is
     arg(G0 - i G1), continuous from its principal value at X_0 u0, valid
     for real lam only.  It is returned as the principal arg of the last G
@@ -311,36 +498,29 @@ def _sweep(x, y, dt, lam, u0, row=None, upto=None,
     with the batch.
     """
     lam = np.asarray(lam)
+    # the lanes of a one-row batch read its steps as scalars, not gathers
+    row = 0 if len(v) == 1 else row
     dtype = complex if np.iscomplexobj(lam) else float
-    m = np.shape(x)[-1] if upto is None else upto
+    m = np.shape(v)[-1] if upto is None else upto
     P = _chunk_count(lam.size, m)
-    if np.ndim(x) == 2:
-        if row is None:
-            row = slice(None) if P == 1 else np.arange(np.shape(x)[0])
-        col = lambda a, k: a[row, k]
-    else:
-        col = lambda a, k: a[k]
-    G0 = np.broadcast_to(u0[0] - col(x, 0) * u0[1], lam.shape).astype(dtype)
-    G1 = np.broadcast_to(col(y, 0) * u0[1], lam.shape).astype(dtype)
-    dG0 = np.zeros(lam.shape, dtype=dtype) if want_deriv else None
-    dG1 = np.zeros(lam.shape, dtype=dtype) if want_deriv else None
+    G0, G1 = (np.broadcast_to(g, lam.shape).astype(dtype) for g in start[:, row])
+    dG0, dG1 = np.zeros((2,) + lam.shape, dtype=dtype) if want_deriv else (None, None)
     if P == 1:
         wind = np.arctan2(-G1, G0) if want_phase else None
-        steps = _cell_steps(x, y, col, range(m), dt[:m])
+        steps = ((v[row, k], r[row, k], dt[k]) for k in range(m))
         G0, G1, dG0, dG1, wind = _advance(G0, G1, dG0, dG1, wind, lam, steps)
         if want_phase:
             turns = np.round((wind - np.arctan2(-G1, G0)) / TWO_PI)
     else:
         # chunk c holds cells c L .. c L + L - 1; the cells past m - 1
-        # that pad the last chunk are identities (v = 0, r = 1, dt = 0), and
-        # so is the frame step into cell 0
+        # that pad the last chunk take the identity step 0 and dt = 0
         L = -(-m // P)
         P = -(-m // L)
         cell = np.arange(P * L).reshape(P, L)
-        k = np.minimum(cell, m - 1)
-        steps = _cell_steps(x, y, col, k.T[:, :, None],
-                            np.where(cell < m, dt[k], 0.0).T[:, :, None],
-                            first=np.clip(cell[:, :1] - 1, 0, m - 1))
+        k = np.where(cell < m, cell, 0)
+        dts = np.where(cell < m, dt[k], 0.0)
+        steps = ((v[row, kc], r[row, kc], d)
+                 for kc, d in zip(k.T[:, :, None], dts.T[:, :, None]))
         # T's columns start at [1, 0] and [0, 1], of principal args 0, -pi / 2
         shape = (2, P, lam.size)
         T0, T1 = np.zeros((2,) + shape, dtype=dtype)
@@ -366,32 +546,19 @@ def _sweep(x, y, dt, lam, u0, row=None, upto=None,
     return G0, G1, dG0, dG1, wind
 
 
-def _cell_steps(x, y, col, cells, dts, first=None):
-    """(v, r, dt) per swept cell, the frame step into the first cell taken
-    from cell ``first``, or skipped (v = r = None) when ``first`` is None."""
-    xk = yk = None
-    if first is not None:
-        xk, yk = col(x, first), col(y, first)
-    for k, d in zip(cells, dts):
-        xp, yp = xk, yk
-        xk, yk = col(x, k), col(y, k)
-        yield (None, None, d) if xp is None else ((xk - xp) / yp, yk / yp, d)
-
-
 def _advance(G0, G1, dG0, dG1, wind, lam, steps):
     """Carry G, and dG and the winding unless None, through ``steps``.
 
     Each step is the frame step [[1, -v], [0, r]] and then Rot(lam dt / 2).
     """
     for v, r, dt in steps:
-        if v is not None:
-            A, B = G0 - v * G1, r * G1
-            if wind is not None:
-                # r > 0 keeps the sign of G1, so the principal angle is exact
-                wind += np.arctan2(G1 * ((1.0 - r) * G0 - v * G1), A * G0 + B * G1)
-            G0, G1 = A, B
-            if dG0 is not None:
-                dG0, dG1 = dG0 - v * dG1, r * dG1
+        A, B = G0 - v * G1, r * G1
+        if wind is not None:
+            # r > 0 keeps the sign of G1, so the principal angle is exact
+            wind += np.arctan2(G1 * ((1.0 - r) * G0 - v * G1), A * G0 + B * G1)
+        G0, G1 = A, B
+        if dG0 is not None:
+            dG0, dG1 = dG0 - v * dG1, r * dG1
         phi = 0.5 * lam * dt
         c, s = np.cos(phi), np.sin(phi)
         if wind is not None:
@@ -440,96 +607,44 @@ def _require_finite(what: str, values) -> None:
         )
 
 
-def _cells(op: DiracOperator):
-    return op.path.real, op.path.imag, np.diff(op.grid)
-
-
 def _unframe(x, y, G0, G1):
     """H = X^{-1} G for the cell value x + i y: the fixed-frame solution."""
     H1 = G1 / y
     return G0 + x * H1, H1
 
 
-# ---------------------------------------------------------------------------
-# solution data, phase, eigenvalues
+def _solve_targets(batch: OperatorBatch, targets, row, lo, hi, alo, ahi):
+    """Invert the monotone phase of ``batch`` at each target; returns lambdas.
 
-
-def eval_H(op: DiracOperator, lam: float, upto: int | None = None) -> EigenData:
-    """Solve for H and its lambda-derivative up to grid index ``upto``.
-
-    The squared R-norm of H over the traversed cells equals
-    H^t J dH there, which is returned as ``normsq``.
-    """
-    last = (op.cells if upto is None else upto) - 1
-    if not 0 <= last < op.cells:
-        raise ValueError("upto must lie in 1..cells")
-    x, y, dt = _cells(op)
-    G0, G1, dG0, dG1, _ = _sweep(x, y, dt, float(lam), op.u0, upto=upto,
-                                 want_deriv=True)
-    H = _unframe(x[last], y[last], G0, G1)
-    dH = _unframe(x[last], y[last], dG0, dG1)
-    return EigenData(H1=np.array(H, dtype=float), dH1=np.array(dH, dtype=float),
-                     normsq=float((G1 * dG0 - G0 * dG1) / y[last]))
-
-
-def phase_at(op: DiracOperator, lam) -> float | np.ndarray:
-    """Phase alpha(T, lambda) = 2 Im log(A - iB), continuous from lambda = 0.
-
-    Strictly increasing in lambda; for u0 = [1, 0] the branch satisfies
-    alpha(T, 0) = 0.  ``lam`` may be an array.
-    """
-    x, y, dt = _cells(op)
-    G0, G1, _, _, wind = _sweep(x, y, dt, np.asarray(lam, dtype=float), op.u0,
-                                want_phase=True)
-    H0, H1 = _unframe(x[-1], y[-1], G0, G1)
-    # X^{-1} keeps the sign of the second component: the principal angle
-    # from G0 - i G1 to A - iB is the exact change of winding
-    out = 2.0 * (wind + np.arctan2(H0 * G1 - H1 * G0, H0 * G0 + H1 * G1))
-    _require_finite("the phase", out)
-    return float(out) if np.ndim(lam) == 0 else out
-
-
-def _phase_and_deriv(x, y, dt, lam, u0, row=None):
-    """Last-frame phase 2 arg(G0 - i G1) and its lambda-derivative."""
-    G0, G1, dG0, dG1, wind = _sweep(x, y, dt, lam, u0, row=row,
-                                    want_deriv=True, want_phase=True)
-    return 2.0 * wind, 2.0 * (G1 * dG0 - G0 * dG1) / (G0 * G0 + G1 * G1)
-
-
-def _solve_targets(x, y, dt, u0, targets, lo, hi, alo, ahi, row=None):
-    """Invert the monotone phase at each target; returns lambdas.
-
-    Safeguarded Newton (``rtsafe``, Numerical Recipes 9.4): every lane
-    keeps a bracket [a, b] around its root, shrunk at each evaluation by
-    the sign of alpha - target.  The next point is the Newton step from
-    the analytic phase derivative when that lands strictly inside the
-    bracket and is at most half the step before last; otherwise it is the
-    bracket midpoint.  The second condition breaks Newton cycles between
-    the flat stretches either side of a steep phase rise, which land
-    inside the bracket yet shrink it by a little each time.  A lane
-    retires once |alpha - target| <= alpha' * LAMBDA_TOL (its Newton
-    correction is below LAMBDA_TOL) or its bracket is narrower than
-    LAMBDA_TOL, returning the midpoint in the latter case; later sweeps
-    advance only the lanes still active.  For a 2-d ``x`` the active lanes
-    reach their operator rows through ``row``.  A lane still active after
+    Target j belongs to batch row ``row[j]``, whose window [lo, hi) has
+    endpoint phases alo, ahi.  Safeguarded Newton (``rtsafe``, Numerical
+    Recipes 9.4): every lane keeps a bracket [a, b] around its root, shrunk
+    at each evaluation by the sign of alpha - target.  The next point is
+    the Newton step from the analytic phase derivative when that lands
+    strictly inside the bracket and is at most half the step before last;
+    otherwise it is the bracket midpoint.  The second condition breaks
+    Newton cycles between the flat stretches either side of a steep phase
+    rise, which land inside the bracket yet shrink it by a little each
+    time.  A lane retires once |alpha - target| <= alpha' * LAMBDA_TOL
+    (its Newton correction is below LAMBDA_TOL) or its bracket is narrower
+    than LAMBDA_TOL, returning the midpoint in the latter case; later
+    sweeps advance only the lanes still active.  A lane still active after
     MAX_SOLVER_ITERATIONS sweeps raises a conditioning error.
     """
     t = np.asarray(targets, dtype=float)
-    a = np.broadcast_to(np.asarray(lo, dtype=float), t.shape).copy()
-    b = np.broadcast_to(np.asarray(hi, dtype=float), t.shape).copy()
+    a, b = (np.broadcast_to(np.asarray(w, dtype=float), t.shape).copy() for w in (lo, hi))
     span = np.maximum(ahi - alo, 1e-300)
     lam = np.clip(a + (b - a) * (t - alo) / span, a, b)
-    if np.ndim(x) == 2 and row is None:
-        row = np.arange(t.size)
     out = np.empty(t.shape)
     live = np.arange(t.size)
     dx = dxold = b - a  # last step and the step before it
     for _ in range(MAX_SOLVER_ITERATIONS):
-        alpha, deriv = _phase_and_deriv(x, y, dt, lam, u0,
-                                        row=None if row is None else row[live])
+        G0, G1, dG0, dG1, wind = batch._lanes(lam, row[live], want_deriv=True,
+                                              want_phase=True)
         # a derivative lost to overflow in G0^2 + G1^2 only forces bisection
-        _require_finite("the phase", alpha)
-        f = alpha - t[live]
+        _require_finite("the phase", wind)
+        deriv = 2.0 * (G1 * dG0 - G0 * dG1) / (G0 * G0 + G1 * G1)
+        f = 2.0 * wind - t[live]
         neg = f < 0.0
         a = np.where(neg, lam, a)
         b = np.where(neg, b, lam)
@@ -554,86 +669,50 @@ def _solve_targets(x, y, dt, u0, targets, lo, hi, alo, ahi, row=None):
     )
 
 
-def _window_targets(x, y, dt, u0, u1, lo: float, hi: float):
-    """Endpoint phases and eigenvalue targets of the window [lo, hi), per row.
+# ---------------------------------------------------------------------------
+# one operator: views of its one-row batch
 
-    ``x``/``y`` hold one operator (m,) or a stack (rows, m), swept at both
-    ends in one call; ``u1`` is one 2-vector or a stack (..., 2) that
-    broadcasts against the rows.  Phases are those of :func:`_phase_and_deriv`, in
-    the last cell's frame, where the eigenvalues solve alpha = 2 pi k + u
-    with u in [0, 2 pi) the phase of X_{m-1} u1.  Returns
-    (alo, ahi, u, kmin, kend), the targets of the window being the k in
-    [kmin, kend) (as floats); the 1e-13 guard counts a target that the
-    endpoint phase reaches up to rounding as reached.
+
+def eval_H(op: DiracOperator, lam: float, upto: int | None = None) -> EigenData:
+    """Solve for H and its lambda-derivative up to grid index ``upto``.
+
+    The squared R-norm of H over the traversed cells equals
+    H^t J dH there, which is returned as ``normsq``.
     """
-    if not lo < hi:
-        raise ValueError("window must satisfy a < b")
-    rows = np.shape(x)[:-1]
-    n = rows[0] if rows else 1
-    row = np.tile(np.arange(n), 2) if rows else None
-    wind = _sweep(x, y, dt, np.repeat([lo, hi], n), u0, row=row, want_phase=True)[4]
-    _require_finite("the endpoint phase", wind)
-    alo, ahi = 2.0 * wind.reshape((2,) + rows)
-    u1 = np.asarray(u1, dtype=float)
-    w0 = u1[..., 0] - x[..., -1] * u1[..., 1]
-    w1 = y[..., -1] * u1[..., 1]
-    u = np.mod(-2.0 * np.arctan2(w1, w0), TWO_PI)
-    kmin = np.ceil((alo - u) / TWO_PI - 1e-13)
-    kend = np.ceil((ahi - u) / TWO_PI - 1e-13)
-    return alo, ahi, u, kmin, kend
+    last = (op.cells if upto is None else upto) - 1
+    if not 0 <= last < op.cells:
+        raise ValueError("upto must lie in 1..cells")
+    G0, G1, dG0, dG1, _ = op.batch._lanes(float(lam), 0, upto=upto, want_deriv=True)
+    x, y = op.path[last].real, op.path[last].imag
+    H = _unframe(x, y, G0, G1)
+    dH = _unframe(x, y, dG0, dG1)
+    return EigenData(H1=np.array(H, dtype=float), dH1=np.array(dH, dtype=float),
+                     normsq=float((G1 * dG0 - G0 * dG1) / y))
+
+
+def phase_at(op: DiracOperator, lam) -> float | np.ndarray:
+    """Phase alpha(T, lambda) = 2 Im log(A - iB), continuous from lambda = 0.
+
+    Strictly increasing in lambda; for u0 = [1, 0] the branch satisfies
+    alpha(T, 0) = 0.  ``lam`` may be an array.
+    """
+    out = op.batch.phase(lam)
+    return float(out) if np.ndim(lam) == 0 else out
 
 
 def eigenvalues_in(op: DiracOperator, window) -> np.ndarray:
-    """Sorted eigenvalues in the half-open window [a, b).
-
-    The phase increases strictly, so the spectrum in the window is exactly
-    the preimage of {2 pi k + u} between the endpoint phases; each root is
-    found once by safeguarded Newton to 1e-12 in lambda.
-    """
-    lo, hi = float(window[0]), float(window[1])
-    alo, ahi, u, kmin, kend = _window_targets(*_cells(op), op.u0, op.u1, lo, hi)
-    if (ahi - alo) / TWO_PI > WINDOW_BUDGET:
-        raise ValueError("window budget: more than 1e6 eigenvalues requested")
-    if kend <= kmin:
-        return np.empty(0)
-    targets = u + TWO_PI * np.arange(int(kmin), int(kend))
-    lams = _solve_targets(*_cells(op), op.u0, targets, lo, hi, alo, ahi)
-    return np.sort(lams)
+    """Sorted eigenvalues in the half-open window [a, b)."""
+    return op.batch.eigenvalues(window)[0]
 
 
 def eigenvalue_count(op: DiracOperator, window) -> int:
     """Number of eigenvalues in [a, b), from the endpoint phases alone."""
-    *_, kmin, kend = _window_targets(*_cells(op), op.u0, op.u1,
-                                     float(window[0]), float(window[1]))
-    return max(0, int(kend - kmin))
+    return int(op.batch.count(window)[0])
 
 
 def spectral_measure(op: DiracOperator, window, side: str) -> SpectralMeasure:
-    """Left or right spectral measure restricted to the window.
-
-    The weight at an eigenvalue is |H(endpoint)|^2 / ||H||_R^2 with the
-    norm taken from H^t J dH; on the right this equals
-    (A^2 + B^2)/(A'B - AB') = 2 / d(alpha)/d(lambda).
-    """
-    lams = eigenvalues_in(op, window)
-    if lams.size == 0:
-        return SpectralMeasure(lambdas=lams, weights=lams.copy(),
-                               window=window, side=side)
-    x, y, dt = _cells(op)
-    G0, G1, dG0, dG1, _ = _sweep(x, y, dt, lams, op.u0, want_deriv=True)
-    normsq = (G1 * dG0 - G0 * dG1) / y[-1]
-    if np.any(normsq <= 0.0):
-        raise ValueError(
-            "conditioning: eigenfunction norm lost positivity; the path's "
-            "Im z is too small for double precision"
-        )
-    if side == "right":
-        H0, H1 = _unframe(x[-1], y[-1], G0, G1)
-        w = (H0 * H0 + H1 * H1) / normsq
-    elif side == "left":
-        w = float(np.dot(op.u0, op.u0)) / normsq
-    else:
-        raise ValueError("side must be 'left' or 'right'")
+    """Left or right spectral measure restricted to the window."""
+    lams, w, _ = op.batch.weights(window, side)
     return SpectralMeasure(lambdas=lams, weights=w, window=window, side=side)
 
 
@@ -646,9 +725,8 @@ def secular_at(op: DiracOperator, z) -> complex:
     """
     s = op.boundary_pairing()
     u1 = op.u1 if abs(s) < 1e-14 else op.u1 / s
-    x, y, dt = _cells(op)
-    G0, G1, _, _, _ = _sweep(x, y, dt, complex(z), op.u0)
-    H0, H1 = _unframe(x[-1], y[-1], G0, G1)
+    G0, G1, _, _, _ = op.batch._lanes(complex(z), 0)
+    H0, H1 = _unframe(*op.batch.last[:, 0], G0, G1)
     return complex(H1 * u1[0] - H0 * u1[1])
 
 
@@ -661,7 +739,7 @@ def trace_and_hsnorm(op: DiracOperator):
     """
     u1 = op.normalized_u1()
     u0 = op.u0
-    x, y, dt = _cells(op)
+    x, y, dt = op.path.real, op.path.imag, op.batch.dt
 
     def quad(a, b):
         # a^t R b with R = [[1, -x], [-x, x^2 + y^2]] / (2y), vectorized in cells

@@ -42,7 +42,7 @@ import numpy as np
 
 from .hyperbolic import iota_array
 from .opuc import CoefficientSequence, _measures_from_gammas_batch
-from .dirac import DiracOperator
+from .dirac import DiracOperator, OperatorBatch
 
 __all__ = [
     "SeedSpec",
@@ -348,68 +348,77 @@ class SinePathSpec:
             raise ValueError("fixed q_mode requires q")
 
 
-#: Rows of the row-major block that sample_sine_paths copies out at once.
+#: Rows of the block that sample_sine_paths builds, and takes the steps of, at once.
 _PATH_BLOCK = 64
 
 
-def sample_sine_paths(spec: SinePathSpec, seeds):
-    """Brownian-driven operator paths truncated at t_min, row i from ``seeds[i]``.
+def _sine_grid(spec: SinePathSpec):
+    """(t, u, sqrt_h): the time grid, the left u of each cell, and sqrt(du).
 
-    Returns (grid, x, y, u1): the time grid shared by all rows, the cell
-    values z = x + i y as two (rows, cells) arrays, and the boundary
-    directions u1 as (rows, 2).  Draw order per row: b2 increments, b1
-    increments, then the Cauchy variable (when q_mode = "cauchy").  The
-    u-grid is uniform on [(4/beta) log t_min, 0] and anchored so b2(0) = 0,
-    giving z = i at t = 1; the path value on a t-cell is taken at its left
-    edge.
-
-    ``x`` and ``y`` are allocated cell-major (Fortran order): a row is
-    written once here, but the cell sweep of :mod:`dirac` reads one cell of
-    every row at each step, which is then contiguous memory instead of a
-    gather at a stride of one row.  Rows are built in a row-major block of
-    ``_PATH_BLOCK`` rows and copied into the batch a block at a time, so
-    the writes stay local without a second full-size copy.  Values and
-    shape do not depend on the layout.
+    The u-grid is uniform on [(4/beta) log t_min, 0]; t = e^{beta u / 4}.
     """
     K = spec.cells
     u_min = (4.0 / spec.beta) * math.log(spec.t_min)
     u = np.linspace(u_min, 0.0, K + 1)
-    sqrt_h = math.sqrt(-u_min / K)
     t = np.exp(0.25 * spec.beta * u)
     t[0], t[-1] = spec.t_min, 1.0
-    rows = len(seeds)
-    xs = np.empty((rows, K), order="F")
-    ys = np.empty((rows, K), order="F")
-    u1 = np.empty((rows, 2))
-    block = np.empty((2, min(rows, _PATH_BLOCK), K))
-    for i, seed in enumerate(seeds):
-        rng = _as_rng(seed)
-        d2 = sqrt_h * rng.standard_normal(K)
-        d1 = sqrt_h * rng.standard_normal(K)
-        # b(u_j) for j < K with b(0) = 0: minus the suffix sums of increments
-        y = np.exp(-np.cumsum(d2[::-1])[::-1] - 0.5 * u[:-1])
-        x = -np.cumsum((y * d1)[::-1])[::-1]
-        if not (np.all(np.isfinite(y)) and np.all(np.isfinite(x))):
-            raise ValueError("path overflow: resample or increase t_min")
-        r = i % _PATH_BLOCK
-        block[0, r], block[1, r] = x, y
-        if r == _PATH_BLOCK - 1 or i == rows - 1:
-            xs[i - r:i + 1], ys[i - r:i + 1] = block[0, :r + 1], block[1, :r + 1]
-        if spec.q_mode == "infinity":
-            q = math.inf
-        elif spec.q_mode == "fixed":
-            q = float(spec.q)
-        else:
-            q = math.tan(math.pi * (rng.random() - 0.5))
-        u1[i] = (1.0, 0.0) if math.isinf(q) else (-q, -1.0)
-    return t, xs, ys, u1
+    return t, u[:-1], math.sqrt(-u_min / K)
+
+
+def _sine_row(spec: SinePathSpec, u, sqrt_h: float, rng: np.random.Generator):
+    """One path: its cells (x, y) and its u1.
+
+    Draw order: b2 increments, b1 increments, then the Cauchy variable
+    (when q_mode = "cauchy").  The path is anchored so b2(0) = 0, giving
+    z = i at t = 1, and its value on a cell is taken at the left edge.
+    """
+    K = u.size
+    d2 = sqrt_h * rng.standard_normal(K)
+    d1 = sqrt_h * rng.standard_normal(K)
+    # b(u_j) for j < K with b(0) = 0: minus the suffix sums of increments
+    y = np.exp(-np.cumsum(d2[::-1])[::-1] - 0.5 * u)
+    x = -np.cumsum((y * d1)[::-1])[::-1]
+    if not (np.all(np.isfinite(y)) and np.all(np.isfinite(x))):
+        raise ValueError("path overflow: resample or increase t_min")
+    if spec.q_mode == "infinity":
+        q = math.inf
+    elif spec.q_mode == "fixed":
+        q = float(spec.q)
+    else:
+        q = math.tan(math.pi * (rng.random() - 0.5))
+    return x, y, ((1.0, 0.0) if math.isinf(q) else (-q, -1.0))
+
+
+def sample_sine_paths(spec: SinePathSpec, seeds) -> OperatorBatch:
+    """Brownian-driven operators truncated at t_min, row i from ``seeds[i]``.
+
+    Returns the rows as one :class:`OperatorBatch` on the shared time grid,
+    with u0 = [1, 0]; row i is the operator of
+    ``sample_sine_operator(spec, seeds[i])``.  Rows are drawn
+    ``_PATH_BLOCK`` at a time and the batch takes the frame steps of each
+    block as it comes, so the cells of all rows are never held at once:
+    the steps of 500 rows of 4096 cells take 33 MB, and the cells would
+    take as much again.
+    """
+    t, u, sqrt_h = _sine_grid(spec)
+
+    def blocks():
+        # one block buffer, refilled: the rows go straight into it
+        x, y = np.empty((2, min(len(seeds), _PATH_BLOCK), spec.cells))
+        u1 = np.empty((len(x), 2))
+        for i in range(0, len(seeds), _PATH_BLOCK):
+            for j, seed in enumerate(seeds[i:i + _PATH_BLOCK]):
+                x[j], y[j], u1[j] = _sine_row(spec, u, sqrt_h, _as_rng(seed))
+            yield x[:j + 1], y[:j + 1], (1.0, 0.0), u1[:j + 1]
+
+    return OperatorBatch.from_blocks(t, len(seeds), blocks())
 
 
 def sample_sine_operator(spec: SinePathSpec, seed) -> DiracOperator:
-    """One row of :func:`sample_sine_paths` as an operator."""
-    t, x, y, u1 = sample_sine_paths(spec, [seed])
-    return DiracOperator(grid=t, path=x[0] + 1j * y[0], u0=np.array([1.0, 0.0]),
-                         u1=u1[0], origin="sine-beta")
+    """One Sine_beta operator, bit for bit its row in :func:`sample_sine_paths`."""
+    t, u, sqrt_h = _sine_grid(spec)
+    x, y, u1 = _sine_row(spec, u, sqrt_h, _as_rng(seed))
+    return DiracOperator(grid=t, path=x + 1j * y, u0=(1.0, 0.0), u1=u1, origin="sine-beta")
 
 
 # ---------------------------------------------------------------------------

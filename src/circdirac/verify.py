@@ -24,17 +24,13 @@ import math
 import numpy as np
 from scipy import special
 
-from . import dirac, opuc
+from . import opuc
 from .dirac import (
+    OperatorBatch,
     build_operator,
-    eigenvalues_in,
     measure_operator,
-    phase_at,
-    spectral_measure,
     trace_and_hsnorm,
     transform_operator,
-    _solve_targets,
-    _window_targets,
 )
 from .ensembles import (
     KNMeasureSampler,
@@ -68,6 +64,11 @@ def _exact(err: float, tol: float, n: int, notes: str) -> TestReport:
                       sample_size=int(n), passed=bool(err < tol), notes=notes)
 
 
+def _gap(pairs) -> float:
+    """Largest entrywise |a - b| over the array pairs (a, b)."""
+    return max(float(np.max(np.abs(a - b))) for a, b in pairs)
+
+
 def _lattice_measure(n: int, theta: float) -> UnitCircleMeasure:
     angles = (theta + TWO_PI * np.arange(n)) / n
     return UnitCircleMeasure(angles=angles, weights=np.full(n, 1.0 / n))
@@ -91,30 +92,44 @@ def _random_measure(rng: np.random.Generator, n: int) -> UnitCircleMeasure:
     return UnitCircleMeasure(angles=ang, weights=w)
 
 
+def _spectra(ops, window, side: str) -> list:
+    """(lambdas, weights) of each operator's spectral measure on one side.
+
+    Operators that share a grid are solved as one :class:`OperatorBatch`;
+    ``window`` is (a, b), each a scalar or one value per operator.
+    """
+    lo, hi = (np.broadcast_to(np.asarray(w, dtype=float), (len(ops),)) for w in window)
+    groups = {}
+    for i, op in enumerate(ops):
+        groups.setdefault(op.grid.tobytes(), []).append(i)
+    out = [None] * len(ops)
+    for idx in groups.values():
+        batch = OperatorBatch.stack([ops[i] for i in idx])
+        lams, w, row = batch.weights((lo[idx], hi[idx]), side)
+        for j, i in enumerate(idx):
+            out[i] = (lams[row == j], w[row == j])
+    return out
+
+
 # ---------------------------------------------------------------------------
 # 1. worked-example reproduction
 
 
 def criterion_lattice_closed_form(seed: int):
+    cases = [(n, theta) for n in (2, 4, 8) for theta in (math.pi / 3, 1.0)]
+    ops = [measure_operator(_lattice_measure(n, theta)) for n, theta in cases]
+    thetas = np.array([theta for _, theta in cases])
+    window = (thetas - TWO_PI - 0.5, thetas + TWO_PI + 0.5)
+    left, right = (_spectra(ops, window, side) for side in ("left", "right"))
     out = []
-    for n in (2, 4, 8):
-        for theta in (math.pi / 3, 1.0):
-            op = measure_operator(_lattice_measure(n, theta))
-            window = (theta - TWO_PI - 0.5, theta + TWO_PI + 0.5)
-            eigs = eigenvalues_in(op, window)
-            expected = theta + TWO_PI * np.array([-1.0, 0.0, 1.0])
-            if eigs.size != 3:
-                eig_err = math.inf
-            else:
-                eig_err = float(np.max(np.abs(eigs - expected)))
-            out.append((f"eigenvalues n={n} theta={theta:.4f}",
-                        _exact(eig_err, 1e-10, 3, "eigenvalues 2 pi k + theta")))
-            w_err = 0.0
-            for side in ("left", "right"):
-                sm = spectral_measure(op, window, side)
-                w_err = max(w_err, float(np.max(np.abs(sm.weights - 2.0))))
-            out.append((f"weights n={n} theta={theta:.4f}",
-                        _exact(w_err, 1e-9, 6, "all spectral weights equal 2")))
+    for (n, theta), (eigs, w_left), (_, w_right) in zip(cases, left, right):
+        expected = theta + TWO_PI * np.array([-1.0, 0.0, 1.0])
+        eig_err = _gap([(eigs, expected)]) if eigs.size == 3 else math.inf
+        out.append((f"eigenvalues n={n} theta={theta:.4f}",
+                    _exact(eig_err, 1e-10, 3, "eigenvalues 2 pi k + theta")))
+        w_err = _gap([(w_left, 2.0), (w_right, 2.0)])
+        out.append((f"weights n={n} theta={theta:.4f}",
+                    _exact(w_err, 1e-9, 6, "all spectral weights equal 2")))
     return out
 
 
@@ -124,18 +139,16 @@ def criterion_lattice_closed_form(seed: int):
 
 def criterion_spectral_lift(seed: int):
     rng = SeedSpec(seed, 102).rng()
+    ns = 2 + np.arange(100) % 7
+    mus = [_random_measure(rng, n) for n in ns]
+    spectra = _spectra([measure_operator(mu) for mu in mus], (0.0, TWO_PI * ns), "left")
     worst = 0.0
-    for trial in range(100):
-        n = 2 + trial % 7
-        mu = _random_measure(rng, n)
-        op = measure_operator(mu)
-        sm = spectral_measure(op, (0.0, TWO_PI * n), "left")
-        if sm.lambdas.size != n:
+    for n, mu, (lams, w) in zip(ns, mus, spectra):
+        if lams.size != n:
             worst = math.inf
             break
-        lam_err = np.max(np.abs(sm.lambdas / n - mu.angles))
-        w_err = np.max(np.abs(sm.weights - 2 * n * mu.weights) / (2 * n * mu.weights))
-        worst = max(worst, float(lam_err), float(w_err))
+        w_err = np.max(np.abs(w - 2 * n * mu.weights) / (2 * n * mu.weights))
+        worst = max(worst, _gap([(lams / n, mu.angles)]), float(w_err))
     return [("left weights are 2n nu", _exact(worst, 1e-8, 100, "relative error"))]
 
 
@@ -184,17 +197,12 @@ def _random_operator(rng: np.random.Generator, cells: int = 5):
 def criterion_weight_duality(seed: int):
     rng = SeedSpec(seed, 104).rng()
     h = 1e-5
-    worst = 0.0
-    count = 0
-    for _ in range(30):
-        op = _random_operator(rng)
-        sm = spectral_measure(op, (-8.0, 8.0), "right")
-        for lam, w in zip(sm.lambdas, sm.weights):
-            da = (phase_at(op, lam + h) - phase_at(op, lam - h)) / (2.0 * h)
-            worst = max(worst, abs(w - 2.0 / da))
-            count += 1
+    batch = OperatorBatch.stack([_random_operator(rng) for _ in range(30)])
+    lams, w, row = batch.weights((-8.0, 8.0), "right")
+    da = (batch.phase(lams + h, row) - batch.phase(lams - h, row)) / (2.0 * h)
+    worst = float(np.max(np.abs(w - 2.0 / da), initial=0.0))
     return [("(A^2+B^2)/(A'B-AB') vs 2/alpha'",
-             _exact(worst, 1e-8, count, "finite-difference phase oracle"))]
+             _exact(worst, 1e-8, lams.size, "finite-difference phase oracle"))]
 
 
 # ---------------------------------------------------------------------------
@@ -332,11 +340,9 @@ def criterion_circular_jacobi(seed: int):
 def criterion_sine_intensity(seed: int):
     replicas = 500
     base = SeedSpec(seed, 160)
-    grid, xs, ys, u1 = sample_sine_paths(
-        SinePathSpec(beta=2.0), [base.stream(i) for i in range(replicas)])
-    *_, kmin, kend = _window_targets(xs, ys, np.diff(grid), np.array([1.0, 0.0]),
-                                     u1, 0.0, 20.0 * math.pi)
-    counts = kend - kmin
+    batch = sample_sine_paths(SinePathSpec(beta=2.0),
+                              [base.stream(i) for i in range(replicas)])
+    counts = batch.count((0.0, 20.0 * math.pi))
     mean = counts.mean()
     se = counts.std(ddof=1) / math.sqrt(replicas)
     rep = TestReport(statistic=abs(mean - 10.0), threshold=3.0 * se,
@@ -348,14 +354,14 @@ def criterion_sine_intensity(seed: int):
 def criterion_palm_pins_zero(seed: int):
     replicas = 500
     base = SeedSpec(seed, 161)
-    grid, xs, ys, u1 = sample_sine_paths(SinePathSpec(beta=2.0, q_mode="infinity"),
-                                         [base.stream(i) for i in range(replicas)])
-    paths = (xs, ys, np.diff(grid), np.array([1.0, 0.0]))
-    # the phase is 0 at lambda = 0, so target u (k = 0) is the root there;
-    # some rows hold a second eigenvalue in the window
-    alo, ahi, u, _, _ = _window_targets(*paths, u1, -0.5, 0.5)
-    roots = _solve_targets(*paths, u, -0.5, 0.5, alo, ahi)
-    worst = float(np.max(np.abs(roots)))
+    batch = sample_sine_paths(SinePathSpec(beta=2.0, q_mode="infinity"),
+                              [base.stream(i) for i in range(replicas)])
+    # the phase is 0 at lambda = 0, so each row's root nearest 0 is the one
+    # there; some rows hold a second eigenvalue in the window
+    lams, row = batch.eigenvalues((-0.5, 0.5))
+    nearest = np.full(replicas, np.inf)
+    np.minimum.at(nearest, row, np.abs(lams))
+    worst = float(nearest.max())
     return [("0 is an eigenvalue under the infinity boundary slope",
              _exact(worst, 1e-10, replicas, "root of the phase at target 0"))]
 
@@ -391,36 +397,24 @@ def criterion_biasing_trend(seed: int):
 
 def criterion_transform_invariance(seed: int):
     rng = SeedSpec(seed, 180).rng()
-    window = (-9.0, 9.0)
-    worst_conj = 0.0
-    worst_swap = 0.0
-    worst_double = 0.0
+    rotations = []
+    for r in (-1.3, 0.4, 2.0):
+        c, s = r / math.sqrt(1 + r * r), 1.0 / math.sqrt(1 + r * r)
+        rotations.append(np.array([[c, s], [-s, c]]))
+    # per measure: the operator, its three conjugates and its reversal
+    ops = []
     for trial in range(5):
-        mu = _random_measure(rng, 3 + trial % 4)
-        op = measure_operator(mu)
-        for r in (-1.3, 0.4, 2.0):
-            c, s = r / math.sqrt(1 + r * r), 1.0 / math.sqrt(1 + r * r)
-            Q = np.array([[c, s], [-s, c]])
-            top = transform_operator(op, "conjugate", Q=Q)
-            for side in ("left", "right"):
-                a = spectral_measure(op, window, side)
-                b = spectral_measure(top, window, side)
-                worst_conj = max(worst_conj,
-                                 float(np.max(np.abs(a.lambdas - b.lambdas))),
-                                 float(np.max(np.abs(a.weights - b.weights))))
-        rev = transform_operator(op, "reverse")
-        for sa, sb in (("left", "right"), ("right", "left")):
-            a = spectral_measure(op, window, sa)
-            b = spectral_measure(rev, window, sb)
-            worst_swap = max(worst_swap,
-                             float(np.max(np.abs(a.lambdas - b.lambdas))),
-                             float(np.max(np.abs(a.weights - b.weights))))
-        back = transform_operator(rev, "reverse")
-        worst_double = max(worst_double,
-                           float(np.max(np.abs(back.grid - op.grid))),
-                           float(np.max(np.abs(back.path - op.path))),
-                           float(np.max(np.abs(back.u0 - op.u0))),
-                           float(np.max(np.abs(back.u1 - op.u1))))
+        op = measure_operator(_random_measure(rng, 3 + trial % 4))
+        ops += [op, *(transform_operator(op, "conjugate", Q=Q) for Q in rotations),
+                transform_operator(op, "reverse")]
+    left, right = (_spectra(ops, (-9.0, 9.0), side) for side in ("left", "right"))
+    conj, swap, double = [], [], []
+    for i in range(0, len(ops), 5):
+        op, rev, back = ops[i], ops[i + 4], transform_operator(ops[i + 4], "reverse")
+        conj += [ab for sp in (left, right) for j in (1, 2, 3) for ab in zip(sp[i], sp[i + j])]
+        swap += [*zip(left[i], right[i + 4]), *zip(right[i], left[i + 4])]
+        double += [(getattr(back, f), getattr(op, f)) for f in ("grid", "path", "u0", "u1")]
+    worst_conj, worst_swap, worst_double = _gap(conj), _gap(swap), _gap(double)
     return [
         ("rotation conjugation leaves both spectral measures fixed",
          _exact(worst_conj, 1e-8, 15, "atomwise, three rotations")),

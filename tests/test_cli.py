@@ -259,6 +259,33 @@ class TestErrorHandling:
         record = json.loads(capsys.readouterr().err.strip())
         assert record["error"] == "FileNotFoundError"
 
+    @pytest.mark.parametrize("field, value", [
+        ("grid", [0.0, math.nan, 1.0]),
+        ("path", [[0.0, 1.0], [math.inf, 1.0]]),
+        ("u1", [math.nan, -1.0]),
+    ])
+    def test_spectrum_refuses_non_finite_operator(self, tmp_path, capsys, field, value):
+        # Python's json reads NaN and Infinity
+        op = {"grid": [0.0, 0.5, 1.0], "path": [[0.0, 1.0], [0.0, 1.0]],
+              "u0": [1.0, 0.0], "u1": "infinity", field: value}
+        opfile = tmp_path / "op.json"
+        opfile.write_text(json.dumps(op))
+        rc = main(["spectrum", "--operator", str(opfile), "--window", "-1", "1",
+                   "--side", "right", "--out", str(tmp_path / "s.json")])
+        assert rc == 1
+        record = json.loads(capsys.readouterr().err.strip())
+        assert record == {"error": "ValueError", "message": f"{field} must be finite"}
+
+    def test_spectrum_refuses_infinite_window(self, tmp_path, capsys):
+        mfile = tmp_path / "lattice.json"
+        write_lattice_measure(mfile)
+        rc = main(["spectrum", "--measure", str(mfile), "--window", "0", "inf",
+                   "--side", "left", "--out", str(tmp_path / "s.json")])
+        assert rc == 1
+        record = json.loads(capsys.readouterr().err.strip())
+        assert record == {"error": "ValueError",
+                          "message": "window endpoints must be finite"}
+
     def test_measure_requires_exactly_one_input(self, tmp_path, capsys):
         rc = main(["measure", "--out", str(tmp_path / "o.json")])
         assert rc == 1

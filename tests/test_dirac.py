@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -27,6 +28,16 @@ def random_operator(rng, cells=5):
     grid = np.linspace(0.0, 1.0, cells + 1)
     z = rng.uniform(-1.2, 1.2, cells) + 1j * rng.uniform(0.4, 2.2, cells)
     return dirac.build_operator((grid, z), u1_spec=rng.uniform(-2.0, 2.0))
+
+
+def cell_values(op):
+    """The operator's cells and cell lengths: (x, y, dt)."""
+    return op.path.real, op.path.imag, np.diff(op.grid)
+
+
+def sweep(batch, lam, row=0, **kw):
+    """dirac._sweep on the stored steps of an OperatorBatch."""
+    return batch._lanes(lam, row, **kw)
 
 
 def fixed_frame_sweep(x, y, dt, lam, u0, upto=None, want_deriv=False,
@@ -70,7 +81,7 @@ def fixed_frame_sweep(x, y, dt, lam, u0, upto=None, want_deriv=False,
 
 
 def fixed_frame_phase(op, lam):
-    wind = fixed_frame_sweep(*dirac._cells(op), lam, op.u0, want_phase=True)[4]
+    wind = fixed_frame_sweep(*cell_values(op), lam, op.u0, want_phase=True)[4]
     return 2.0 * (math.atan2(-op.u0[1], op.u0[0]) + wind)
 
 
@@ -107,6 +118,18 @@ class TestBuild:
         with pytest.raises(ValueError, match="positive"):
             dirac.build_operator((np.array([0.0, 1.0]), np.array([1.0 + 0j])),
                                  u1_spec=0.0)
+
+    def test_fields_are_read_only_copies(self):
+        # the one-row batch holds steps taken from the fields; an edit of
+        # the fields, or of the arrays they came from, would not reach it
+        grid, z = np.linspace(0.0, 1.0, 6), np.array([1j, 1 + 1j, 2j, -1 + 1j, 1j])
+        op = dirac.build_operator((grid, z), u1_spec=0.3)
+        before = dirac.phase_at(op, 3.0)
+        z[2] = 5.0 + 0.1j
+        assert dirac.phase_at(op, 3.0) == before
+        for name in ("grid", "path", "u0", "u1"):
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(op, name)[0] = 0.5
 
     def test_json_roundtrip(self):
         rng = np.random.default_rng(0)
@@ -204,12 +227,11 @@ class TestPhase:
         # and overflows to nan by 1e4
         op = random_operator(np.random.default_rng(4146), 4096)
         assert math.isfinite(dirac.phase_at(op, 1e3))
-        x, y, dt = dirac._cells(op)
         calls = [
             lambda: dirac.phase_at(op, 1e4),
             lambda: dirac.eigenvalue_count(op, (0.0, 1e4)),
             lambda: dirac.eigenvalues_in(op, (0.0, 1e4)),
-            lambda: dirac._solve_targets(x, y, dt, op.u0, np.array([1.0]),
+            lambda: dirac._solve_targets(op.batch, np.array([1.0]), np.array([0]),
                                          9e3, 1e4, 0.0, 2.0),
         ]
         with np.errstate(over="ignore", invalid="ignore"):
@@ -278,8 +300,8 @@ class TestEigenvalues:
             eigs = dirac.eigenvalues_in(op, (-20.0, 20.0))
             grid = np.linspace(-20.0, 20.0, 40_001)
             u1 = op.normalized_u1()
-            x, y, dt = dirac._cells(op)
-            G0, G1, _, _, _ = dirac._sweep(x, y, dt, grid, op.u0)
+            x, y, _ = cell_values(op)
+            G0, G1, _, _, _ = sweep(op.batch, grid)
             H0, H1 = dirac._unframe(x[-1], y[-1], G0, G1)
             vals = H1 * u1[0] - H0 * u1[1]
             flips = np.nonzero(np.diff(np.sign(vals)) != 0)[0]
@@ -290,14 +312,16 @@ class TestEigenvalues:
 class TestSolver:
     @staticmethod
     def count_phase_sweeps(monkeypatch):
+        # the solver's sweeps are the ones that take phase and derivative
         lanes = []
-        original = dirac._phase_and_deriv
+        original = dirac._sweep
 
-        def counting(x, y, dt, lam, u0, row=None):
-            lanes.append(np.size(lam))
-            return original(x, y, dt, lam, u0, row=row)
+        def counting(*args, **kw):
+            if kw.get("want_deriv") and kw.get("want_phase"):
+                lanes.append(np.size(args[3]))
+            return original(*args, **kw)
 
-        monkeypatch.setattr(dirac, "_phase_and_deriv", counting)
+        monkeypatch.setattr(dirac, "_sweep", counting)
         return lanes
 
     def test_iteration_cap_raises_conditioning_error(self, monkeypatch):
@@ -332,25 +356,29 @@ class TestSolver:
         ops = [random_operator(rng, cells=7) for _ in range(4)]
         x = np.stack([op.path.real for op in ops])
         y = np.stack([op.path.imag for op in ops])
-        dt = np.diff(ops[0].grid)
-        u0 = np.array([1.0, 0.0])
+        grid, u0 = ops[0].grid, (1.0, 0.0)
+
+        def batch(rows):
+            return dirac.OperatorBatch.from_blocks(grid, len(rows),
+                                                   [(x[rows], y[rows], u0, u0)])
+
         lo, hi = -9.0, 9.0
-        alo, ahi, u, kmins, kends = dirac._window_targets(
-            x, y, dt, u0, np.array([1.0, 0.0]), lo, hi)
-        assert np.all(u == 0.0)
+        b = batch(np.arange(4))
+        _, _, alo, ahi, kmins, counts = b._window((lo, hi))
+        assert np.all(b.u == 0.0)
         ends = np.stack([alo, ahi], axis=1)
         row, targets = [], []
-        for i, (kmin, kend) in enumerate(zip(kmins, kends)):
-            for k in range(int(kmin), int(kend)):
+        for i, (kmin, count) in enumerate(zip(kmins, counts)):
+            for k in range(int(kmin), int(kmin) + count):
                 row.append(i)
                 targets.append(TWO_PI * k)
         row, targets = np.array(row), np.array(targets)
         lanes = self.count_phase_sweeps(monkeypatch)
-        batched = dirac._solve_targets(x, y, dt, u0, targets, lo, hi,
-                                       ends[row, 0], ends[row, 1], row=row)
+        batched = dirac._solve_targets(b, targets, row, lo, hi,
+                                       ends[row, 0], ends[row, 1])
         assert len(set(lanes)) > 2
         for j, (i, t) in enumerate(zip(row, targets)):
-            single = dirac._solve_targets(x[i], y[i], dt, u0, np.array([t]),
+            single = dirac._solve_targets(batch([i]), np.array([t]), np.array([0]),
                                           lo, hi, ends[i, 0], ends[i, 1])
             assert abs(batched[j] - single[0]) <= 1e-12
 
@@ -358,15 +386,11 @@ class TestSolver:
         from circdirac.ensembles import SeedSpec, SinePathSpec, sample_sine_operator
 
         spec = SinePathSpec(beta=2.0, cells=256, q_mode="infinity")
-        ops = [sample_sine_operator(spec, SeedSpec(5, i)) for i in range(40)]
-        x = np.stack([op.path.real for op in ops])
-        y = np.stack([op.path.imag for op in ops])
-        dt = np.diff(ops[0].grid)
-        u0 = np.array([1.0, 0.0])
-        u1 = np.stack([op.u1 for op in ops])
-        alo, ahi, u, _, _ = dirac._window_targets(x, y, dt, u0, u1, -0.5, 0.5)
+        b = dirac.OperatorBatch.stack(
+            [sample_sine_operator(spec, SeedSpec(5, i)) for i in range(40)])
+        _, _, alo, ahi, _, _ = b._window((-0.5, 0.5))
         lanes = self.count_phase_sweeps(monkeypatch)
-        roots = dirac._solve_targets(x, y, dt, u0, u, -0.5, 0.5, alo, ahi)
+        roots = dirac._solve_targets(b, b.u, np.arange(40), -0.5, 0.5, alo, ahi)
         assert np.max(np.abs(roots)) < 1e-10
         assert len(lanes) <= 12
         assert lanes[0] == 40
@@ -378,7 +402,7 @@ class TestMovingFrame:
 
     @staticmethod
     def assert_matches_oracle(op, lams, rel=1e-12):
-        x, y, dt = dirac._cells(op)
+        x, y, dt = cell_values(op)
         for lam in lams:
             H0, H1, dH0, dH1, _ = fixed_frame_sweep(x, y, dt, lam, op.u0,
                                                     want_deriv=True)
@@ -404,7 +428,7 @@ class TestMovingFrame:
             Q[:, 0] /= np.linalg.det(Q)
             for o in (op, dirac.transform_operator(op, "conjugate", Q=Q)):
                 self.assert_matches_oracle(o, lams)
-                x, y, dt = dirac._cells(o)
+                x, y, dt = cell_values(o)
                 for side in ("left", "right"):
                     sm = dirac.spectral_measure(o, (-12.0, 12.0), side)
                     assert len(sm) == fixed_frame_count(o, (-12.0, 12.0))
@@ -417,7 +441,7 @@ class TestMovingFrame:
     def test_partial_sweeps_match_oracle(self):
         rng = np.random.default_rng(46)
         op = random_operator(rng, cells=6)
-        x, y, dt = dirac._cells(op)
+        x, y, dt = cell_values(op)
         for upto in (1, 3, op.cells):
             H0, H1, dH0, dH1, _ = fixed_frame_sweep(x, y, dt, 2.7, op.u0, upto=upto,
                                                     want_deriv=True)
@@ -432,29 +456,24 @@ class TestMovingFrame:
         rng = np.random.default_rng(47)
         z = random_operator(rng).path
         op = dirac.build_operator((np.linspace(0.0, 1.0, 6), z), u1_spec=INF)
-        _, _, u, kmin, kend = dirac._window_targets(*dirac._cells(op), op.u0,
-                                                    op.u1, -0.5, 0.5)
-        assert u == 0.0
-        assert (kmin, kend) == (0.0, 1.0)
+        *_, kmin, count = op.batch._window((-0.5, 0.5))
+        assert op.batch.u[0] == 0.0
+        assert (kmin[0], count[0]) == (0.0, 1)
         eigs = dirac.eigenvalues_in(op, (-0.5, 0.5))
         assert eigs.size == 1 and abs(eigs[0]) < 1e-12
         assert fixed_frame_count(op, (-0.5, 0.5)) == 1
 
     def test_counts_match_oracle_on_sine_batch(self):
-        from circdirac.ensembles import SeedSpec, SinePathSpec, sample_sine_paths
+        from circdirac.ensembles import (SeedSpec, SinePathSpec, sample_sine_operator,
+                                         sample_sine_paths)
 
         spec = SinePathSpec(beta=2.0, cells=256)
         seeds = [SeedSpec(5, i) for i in range(40)]
-        grid, x, y, u1 = sample_sine_paths(spec, seeds)
         window = (0.0, 20.0 * math.pi)
-        *_, kmin, kend = dirac._window_targets(x, y, np.diff(grid),
-                                               np.array([1.0, 0.0]), u1, *window)
-        expected = []
-        for i in range(40):
-            op = dirac.DiracOperator(grid=grid, path=x[i] + 1j * y[i],
-                                     u0=np.array([1.0, 0.0]), u1=u1[i])
-            expected.append(fixed_frame_count(op, window))
-        np.testing.assert_array_equal(kend - kmin, expected)
+        expected = [fixed_frame_count(sample_sine_operator(spec, s), window)
+                    for s in seeds]
+        np.testing.assert_array_equal(sample_sine_paths(spec, seeds).count(window),
+                                      expected)
 
     def test_small_beta_counts_match_oracle(self):
         # at beta = 0.25 the path's Im z reaches 1e28 to 2e35; the root
@@ -474,32 +493,31 @@ class TestMovingFrame:
     def test_sine_paths_are_cell_major(self):
         from circdirac.ensembles import SeedSpec, SinePathSpec, sample_sine_paths
 
-        _, x, y, _ = sample_sine_paths(SinePathSpec(beta=2.0, cells=64),
-                                       [SeedSpec(5, i) for i in range(3)])
-        assert x.shape == y.shape == (3, 64)
-        assert x.flags.f_contiguous and y.flags.f_contiguous
+        b = sample_sine_paths(SinePathSpec(beta=2.0, cells=64),
+                              [SeedSpec(5, i) for i in range(3)])
+        assert b.v.shape == b.r.shape == (3, 64)
+        assert b.v.flags.f_contiguous and b.r.flags.f_contiguous
 
     @pytest.mark.parametrize("lanes, q_mode, window, deriv", [
         (1000, "cauchy", (0.0, 20.0 * math.pi), False),
         (500, "infinity", (-0.5, 0.5), True),
     ])
     def test_sweeps_do_not_depend_on_layout(self, lanes, q_mode, window, deriv):
-        # cell-major and row-major copies of one batch give the same bits
+        # cell-major and row-major copies of one batch's steps give the same bits
         from circdirac.ensembles import SeedSpec, SinePathSpec, sample_sine_paths
 
         spec = SinePathSpec(beta=2.0, cells=1024, q_mode=q_mode)
-        grid, x, y, u1 = sample_sine_paths(spec, [SeedSpec(6, i) for i in range(lanes)])
-        dt, u0 = np.diff(grid), np.array([1.0, 0.0])
-        lam = np.linspace(*window, lanes)
-        xc, yc = np.ascontiguousarray(x), np.ascontiguousarray(y)
-        assert xc.flags.c_contiguous and not xc.flags.f_contiguous
-        got = dirac._sweep(x, y, dt, lam, u0, want_deriv=deriv, want_phase=True)
-        want = dirac._sweep(xc, yc, dt, lam, u0, want_deriv=deriv, want_phase=True)
+        batch = sample_sine_paths(spec, [SeedSpec(6, i) for i in range(lanes)])
+        rowmajor = dataclasses.replace(batch, v=np.ascontiguousarray(batch.v),
+                                       r=np.ascontiguousarray(batch.r))
+        assert rowmajor.v.flags.c_contiguous and not rowmajor.v.flags.f_contiguous
+        lam, row = np.linspace(*window, lanes), np.arange(lanes)
+        got = sweep(batch, lam, row, want_deriv=deriv, want_phase=True)
+        want = sweep(rowmajor, lam, row, want_deriv=deriv, want_phase=True)
         for a, b in zip(got, want):
             if b is not None:
                 np.testing.assert_array_equal(a, b)
-        for a, b in zip(dirac._window_targets(x, y, dt, u0, u1, *window),
-                        dirac._window_targets(xc, yc, dt, u0, u1, *window)):
+        for a, b in zip(batch._window(window), rowmajor._window(window)):
             np.testing.assert_array_equal(a, b)
 
 
@@ -514,7 +532,7 @@ class TestChunkedSweep:
     def plain_sweep(monkeypatch, *args, **kwargs):
         with monkeypatch.context() as mp:
             mp.setattr(dirac, "_chunk_count", lambda lanes, m: 1)
-            return dirac._sweep(*args, **kwargs)
+            return sweep(*args, **kwargs)
 
     @staticmethod
     def assert_same_sweep(got, want, tol=1e-12):
@@ -547,12 +565,10 @@ class TestChunkedSweep:
         Q = rng.normal(size=(2, 2))
         Q[:, 0] /= np.linalg.det(Q)
         for o in (op, dirac.transform_operator(op, "conjugate", Q=Q)):
-            x, y, dt = dirac._cells(o)
             for flags in ((True, True), (True, False), (False, True), (False, False)):
                 kw = dict(want_deriv=flags[0], want_phase=flags[1])
-                self.assert_same_sweep(
-                    dirac._sweep(x, y, dt, lams, o.u0, **kw),
-                    self.plain_sweep(monkeypatch, x, y, dt, lams, o.u0, **kw))
+                self.assert_same_sweep(sweep(o.batch, lams, **kw),
+                                       self.plain_sweep(monkeypatch, o.batch, lams, **kw))
             # eval_H and phase_at sweep one lane or six: chunked
             TestMovingFrame.assert_matches_oracle(o, lams)
             np.testing.assert_allclose(dirac.phase_at(o, many),
@@ -566,7 +582,7 @@ class TestChunkedSweep:
         # its own upto cells: 7 chunks of 8 and of 9, the last padded)
         rng = np.random.default_rng(48)
         op = random_operator(rng, cells=100)
-        x, y, dt = dirac._cells(op)
+        x, y, dt = cell_values(op)
         assert dirac._chunk_count(1, 100) == 10
         for upto in (55, 60, 61, 100):
             H0, H1, dH0, dH1, _ = fixed_frame_sweep(x, y, dt, 2.7, op.u0, upto=upto,
@@ -576,27 +592,22 @@ class TestChunkedSweep:
             np.testing.assert_allclose(ed.dH1, [dH0, dH1], rtol=1e-12)
             lams = np.array([-3.0, 2.7, 11.0])
             kw = dict(upto=upto, want_deriv=True, want_phase=True)
-            self.assert_same_sweep(dirac._sweep(x, y, dt, lams, op.u0, **kw),
-                                   self.plain_sweep(monkeypatch, x, y, dt, lams,
-                                                    op.u0, **kw))
+            self.assert_same_sweep(sweep(op.batch, lams, **kw),
+                                   self.plain_sweep(monkeypatch, op.batch, lams, **kw))
 
     def test_batch_rows_repeat(self, monkeypatch):
         rng = np.random.default_rng(49)
         ops = [random_operator(rng, cells=103) for _ in range(4)]
-        x = np.stack([op.path.real for op in ops])
-        y = np.stack([op.path.imag for op in ops])
-        dt = np.diff(ops[0].grid)
-        u0 = np.array([1.0, 0.0])
+        b = dirac.OperatorBatch.stack(ops)
         row = np.array([0, 0, 2, 3, 2, 1, 3])
         lams = np.array([-4.0, 9.5, 0.3, 0.3, 22.0, -1.0, 5.0])
         kw = dict(row=row, want_deriv=True, want_phase=True)
-        batch = dirac._sweep(x, y, dt, lams, u0, **kw)
-        self.assert_same_sweep(batch, self.plain_sweep(monkeypatch, x, y, dt, lams,
-                                                       u0, **kw))
+        batch = sweep(b, lams, **kw)
+        self.assert_same_sweep(batch, self.plain_sweep(monkeypatch, b, lams, **kw))
         for j, (i, lam) in enumerate(zip(row, lams)):
             self.assert_same_sweep([v[j] for v in batch],
-                                   dirac._sweep(x[i], y[i], dt, lam, u0,
-                                                want_deriv=True, want_phase=True),
+                                   sweep(ops[i].batch, lam, want_deriv=True,
+                                         want_phase=True),
                                    tol=1e-13)
             oracle = fixed_frame_phase(ops[i], np.array([lam]))
             assert dirac.phase_at(ops[i], lam) == pytest.approx(oracle[0], abs=1e-11)
@@ -604,15 +615,15 @@ class TestChunkedSweep:
     def test_complex_lambda_secular(self, monkeypatch):
         rng = np.random.default_rng(51)
         op = random_operator(rng, cells=103)
-        x, y, dt = dirac._cells(op)
+        x, y, dt = cell_values(op)
         u1 = op.normalized_u1()
         for z in (1.2 + 0.7j, -3.0 + 2.0j, 10.0 + 0.1j, 4.0 - 1.5j):
             H0, H1, *_ = fixed_frame_sweep(x, y, dt, z, op.u0)
             zeta = dirac.secular_at(op, z)
             assert abs(zeta - (H1 * u1[0] - H0 * u1[1])) <= (
                 1e-12 * np.hypot(abs(H0), abs(H1)) * np.hypot(*u1))
-            self.assert_same_sweep(dirac._sweep(x, y, dt, z, op.u0),
-                                   self.plain_sweep(monkeypatch, x, y, dt, z, op.u0))
+            self.assert_same_sweep(sweep(op.batch, z),
+                                   self.plain_sweep(monkeypatch, op.batch, z))
 
     def test_turns_tolerate_column_winding_errors(self):
         # a chunk's column windings only pick whole turns, with a margin of
@@ -640,25 +651,25 @@ class TestChunkedSweep:
     def test_small_beta_paths(self, monkeypatch):
         # Im z reaches 1e28 to 2e35 on these paths, so the chunks' transfer
         # matrices scale G by up to 1e35
-        from circdirac.ensembles import SeedSpec, SinePathSpec, sample_sine_paths
+        from circdirac.ensembles import (SeedSpec, SinePathSpec, sample_sine_operator,
+                                         sample_sine_paths)
 
-        grid, x, y, u1 = sample_sine_paths(SinePathSpec(beta=0.25),
-                                           [SeedSpec(5, i) for i in range(3)])
-        dt = np.diff(grid)
-        u0 = np.array([1.0, 0.0])
-        assert y.max() > 1e35
+        spec = SinePathSpec(beta=0.25)
+        seeds = [SeedSpec(5, i) for i in range(3)]
+        b = sample_sine_paths(spec, seeds)
+        assert max(sample_sine_operator(spec, s).path.imag.max() for s in seeds) > 1e35
         row = np.repeat(np.arange(3), 5)
         lams = np.tile(np.linspace(0.0, 20.0 * math.pi, 5), 3)
         kw = dict(row=row, want_deriv=True, want_phase=True)
-        self.assert_same_sweep(dirac._sweep(x, y, dt, lams, u0, **kw),
-                               self.plain_sweep(monkeypatch, x, y, dt, lams, u0, **kw))
+        self.assert_same_sweep(sweep(b, lams, **kw),
+                               self.plain_sweep(monkeypatch, b, lams, **kw))
         window = (0.0, 20.0 * math.pi)
-        *_, kmin, kend = dirac._window_targets(x, y, dt, u0, u1, *window)
+        counts = b.count(window)
         with monkeypatch.context() as mp:
             mp.setattr(dirac, "_chunk_count", lambda lanes, m: 1)
-            *_, kmin1, kend1 = dirac._window_targets(x, y, dt, u0, u1, *window)
-        np.testing.assert_array_equal(kend - kmin, [10, 9, 10])
-        np.testing.assert_array_equal(kend1 - kmin1, kend - kmin)
+            counts1 = b.count(window)
+        np.testing.assert_array_equal(counts, [10, 9, 10])
+        np.testing.assert_array_equal(counts1, counts)
 
 
 class TestLift:
@@ -881,8 +892,6 @@ class TestBoundaryBiasing:
         # spectral mass in (-eps, eps); as eps shrinks the biased law of the
         # in-window eigenvalue and its weight approaches the infinity-slope
         # operator's atom at 0.
-        from circdirac.dirac import (_cells, _solve_targets, _sweep, _unframe,
-                                     _window_targets)
         from circdirac.ensembles import SeedSpec
 
         rng = SeedSpec(42, 0).rng()
@@ -890,8 +899,7 @@ class TestBoundaryBiasing:
         w = rng.dirichlet(np.ones(4)) + 0.05
         mu = opuc.UnitCircleMeasure(angles=ang, weights=w / w.sum())
         op = dirac.measure_operator(mu)
-        x, y, dt = _cells(op)
-        u0 = np.array([1.0, 0.0])
+        x, y, _ = cell_values(op)
 
         op_inf = dirac.build_operator((op.grid, op.path), u1_spec=INF)
         sm_inf = dirac.spectral_measure(op_inf, (-0.3, 0.3), "right")
@@ -902,13 +910,17 @@ class TestBoundaryBiasing:
         m = 40_000
         q = np.tan(math.pi * (rng.random(m) - 0.5))
         u1 = np.stack([-q, -np.ones(m)], axis=1)
-        alo, ahi, u, _, _ = _window_targets(x, y, dt, u0, u1, -9.0, 9.0)
-        r_neg = _solve_targets(x, y, dt, u0, u - TWO_PI, -9.0, 9.0, alo, ahi)
-        r_pos = _solve_targets(x, y, dt, u0, u, -9.0, 9.0, alo, ahi)
+        # one operator under m boundary slopes
+        batch = dirac.OperatorBatch.from_blocks(
+            op.grid, m, [(np.tile(x, (m, 1)), np.tile(y, (m, 1)), op.u0, u1)])
+        _, _, alo, ahi, _, _ = batch._window((-9.0, 9.0))
+        u, rows = batch.u, np.arange(m)
+        r_neg = dirac._solve_targets(batch, u - TWO_PI, rows, -9.0, 9.0, alo, ahi)
+        r_pos = dirac._solve_targets(batch, u, rows, -9.0, 9.0, alo, ahi)
 
         def right_weights(lams):
-            G0, G1, dG0, dG1, _ = _sweep(x, y, dt, lams, u0, want_deriv=True)
-            H0, H1 = _unframe(x[-1], y[-1], G0, G1)
+            G0, G1, dG0, dG1, _ = sweep(op.batch, lams, want_deriv=True)
+            H0, H1 = dirac._unframe(x[-1], y[-1], G0, G1)
             return (H0 * H0 + H1 * H1) * y[-1] / (G1 * dG0 - G0 * dG1)
 
         w_neg, w_pos = right_weights(r_neg), right_weights(r_pos)
@@ -927,3 +939,104 @@ class TestBoundaryBiasing:
         assert weight_gap[0] > weight_gap[1] > weight_gap[2]
         assert slope_angle[0] > slope_angle[1] > slope_angle[2]
         assert weight_gap[2] < 0.02
+
+
+class TestOperatorBatch:
+    """Batch rows against the same operators swept one at a time."""
+
+    @staticmethod
+    def assert_rows_match(ops, batch, window, lams):
+        # bit for bit: every lane's arithmetic is its own, and below
+        # _CHUNK_LANES lanes the chunking depends on the cell count alone
+        counts = batch.count(window)
+        eigs, row = batch.eigenvalues(window)
+        weights = {side: batch.weights(window, side) for side in ("left", "right")}
+        rows = np.repeat(np.arange(len(ops)), lams.size)
+        phases = batch.phase(np.tile(lams, len(ops)), rows).reshape(len(ops), -1)
+        for i, op in enumerate(ops):
+            w_i = (window[0][i], window[1][i]) if np.ndim(window[0]) else window
+            assert counts[i] == dirac.eigenvalue_count(op, w_i)
+            assert np.array_equal(eigs[row == i], dirac.eigenvalues_in(op, w_i))
+            for side, (lam, w, wrow) in weights.items():
+                sm = dirac.spectral_measure(op, w_i, side)
+                assert np.array_equal(lam[wrow == i], sm.lambdas)
+                assert np.array_equal(w[wrow == i], sm.weights)
+            assert np.array_equal(phases[i], dirac.phase_at(op, lams))
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_measure_stack_rows_are_one_row_operators(self, n):
+        rng = np.random.default_rng(70 + n)
+        ops = [dirac.measure_operator(random_measure(rng, n)) for _ in range(4)]
+        ops.append(dirac.transform_operator(ops[0], "conjugate",
+                                            Q=rotation_about_i(0.8).real))
+        batch = dirac.OperatorBatch.stack(ops)
+        assert batch.rows == 5 and batch.v.shape == (5, n)
+        lams = np.array([-3.1, 0.0, 2.5, 17.0])
+        self.assert_rows_match(ops, batch, (0.0, TWO_PI * n), lams)
+        # one window per row
+        lo = rng.uniform(-10.0, 0.0, len(ops))
+        self.assert_rows_match(ops, batch, (lo, lo + TWO_PI * n), lams)
+
+    @pytest.mark.parametrize("rows", [5, 10])
+    def test_sine_batch_rows_are_one_row_operators(self, rows):
+        from circdirac.ensembles import (SeedSpec, SinePathSpec, sample_sine_operator,
+                                         sample_sine_paths)
+
+        spec = SinePathSpec(beta=2.0, cells=128)
+        seeds = [SeedSpec(71, i) for i in range(rows)]
+        batch = sample_sine_paths(spec, seeds)
+        ops = [sample_sine_operator(spec, s) for s in seeds]
+        window = (-2.0, 10.0 * math.pi)
+        assert batch.count(window).sum() < dirac._CHUNK_LANES
+        assert dirac._chunk_count(1, spec.cells) > 1
+        self.assert_rows_match(ops, batch, window, np.array([-1.0, 0.5, 9.0]))
+
+    def test_stack_refuses_mismatched_grids(self):
+        rng = np.random.default_rng(72)
+        a, b = random_operator(rng), random_operator(rng)
+        dirac.OperatorBatch.stack([a, b])
+        shifted = dirac.DiracOperator(grid=a.grid * 0.5, path=a.path, u0=a.u0, u1=a.u1)
+        with pytest.raises(ValueError, match="share one grid"):
+            dirac.OperatorBatch.stack([a, shifted])
+        with pytest.raises(ValueError, match="share one grid"):
+            dirac.OperatorBatch.stack([a, random_operator(rng, cells=6)])
+
+    def test_side_is_checked_before_solving(self, monkeypatch):
+        solves = []
+        original = dirac._solve_targets
+
+        def counting(*args):
+            solves.append(args[1].size)
+            return original(*args)
+
+        monkeypatch.setattr(dirac, "_solve_targets", counting)
+        op = lattice_operator(3, 1.0)
+        for call in (lambda: dirac.spectral_measure(op, (-5.0, 5.0), "middle"),
+                     lambda: op.batch.weights((-5.0, 5.0), "middle")):
+            with pytest.raises(ValueError, match="side must be"):
+                call()
+        assert solves == []
+        dirac.spectral_measure(op, (-5.0, 5.0), "left")
+        assert solves == [1]
+
+
+class TestInputValidation:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("field, index", [
+        ("grid", 2), ("path", 1), ("path", -1), ("u0", 0), ("u1", 1)])
+    def test_non_finite_field_is_refused(self, field, index, bad):
+        op = random_operator(np.random.default_rng(73))
+        fields = dict(grid=op.grid.copy(), path=op.path.copy(), u0=op.u0.copy(),
+                      u1=op.u1.copy())
+        fields[field][index] = complex(0.5, bad) if field == "path" and index < 0 else bad
+        with pytest.raises(ValueError, match=f"^{field} must be finite$"):
+            dirac.DiracOperator(**fields)
+
+    @pytest.mark.parametrize("window", [(0.0, math.inf), (-math.inf, 0.0),
+                                        (math.nan, 1.0)])
+    def test_non_finite_window_is_refused(self, window):
+        op = random_operator(np.random.default_rng(74))
+        for call in (dirac.eigenvalue_count, dirac.eigenvalues_in,
+                     lambda op, w: dirac.spectral_measure(op, w, "left")):
+            with pytest.raises(ValueError, match="window endpoints must be finite"):
+                call(op, window)

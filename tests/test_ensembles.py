@@ -11,6 +11,13 @@ from circdirac.opuc import _measures_from_gammas_batch
 TWO_PI = 2.0 * math.pi
 
 
+def assert_same_row(a, i, b, j):
+    """Row i of the OperatorBatch a holds the bits of row j of b."""
+    for got, want in zip(*((c.v[k], c.r[k], c.start[:, k], c.last[:, k], c.u[k],
+                            c.u0sq[k]) for c, k in ((a, i), (b, j)))):
+        np.testing.assert_array_equal(got, want)
+
+
 class TestSeedSpec:
     def test_reproducible(self):
         a = ens.SeedSpec(5, 3).rng().random(10)
@@ -274,16 +281,14 @@ class TestSineOperator:
     def test_batch_rows_do_not_depend_on_the_batch(self):
         spec = ens.SinePathSpec(beta=2.0, cells=64)
         seeds = [ens.SeedSpec(24, i) for i in range(5)]
-        grid, x, y, u1 = ens.sample_sine_paths(spec, seeds)
-        assert x.shape == y.shape == (5, 64) and u1.shape == (5, 2)
-        _, x3, y3, u13 = ens.sample_sine_paths(spec, seeds[3:])
-        np.testing.assert_array_equal(x3, x[3:])
-        np.testing.assert_array_equal(y3, y[3:])
-        np.testing.assert_array_equal(u13, u1[3:])
+        batch = ens.sample_sine_paths(spec, seeds)
+        assert batch.v.shape == batch.r.shape == (5, 64) and batch.u.shape == (5,)
+        tail = ens.sample_sine_paths(spec, seeds[3:])
+        for i in (3, 4):
+            assert_same_row(tail, i - 3, batch, i)
         op = ens.sample_sine_operator(spec, seeds[2])
-        np.testing.assert_array_equal(op.grid, grid)
-        np.testing.assert_array_equal(op.path, x[2] + 1j * y[2])
-        np.testing.assert_array_equal(op.u1, u1[2])
+        np.testing.assert_array_equal(op.batch.dt, batch.dt)
+        assert_same_row(op.batch, 0, batch, 2)
 
     def test_rows_across_copy_blocks(self):
         # rows are copied out a block at a time; a batch of two full blocks
@@ -291,12 +296,10 @@ class TestSineOperator:
         spec = ens.SinePathSpec(beta=2.0, cells=16, q_mode="cauchy")
         rows = 2 * ens._PATH_BLOCK + 3
         seeds = [ens.SeedSpec(25, i) for i in range(rows)]
-        _, x, y, u1 = ens.sample_sine_paths(spec, seeds)
-        assert x.flags.f_contiguous and y.flags.f_contiguous
+        batch = ens.sample_sine_paths(spec, seeds)
+        assert batch.v.flags.f_contiguous and batch.r.flags.f_contiguous
         for i in (0, ens._PATH_BLOCK - 1, ens._PATH_BLOCK, rows - 1):
-            op = ens.sample_sine_operator(spec, seeds[i])
-            np.testing.assert_array_equal(op.path, x[i] + 1j * y[i])
-            np.testing.assert_array_equal(op.u1, u1[i])
+            assert_same_row(ens.sample_sine_operator(spec, seeds[i]).batch, 0, batch, i)
 
     def test_fixed_q(self):
         spec = ens.SinePathSpec(beta=2.0, cells=64, q_mode="fixed", q=1.5)

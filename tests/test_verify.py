@@ -1,3 +1,4 @@
+import ast
 import math
 import os
 import subprocess
@@ -8,11 +9,25 @@ import numpy as np
 import pytest
 
 from circdirac import dirac, ensembles, verify
-from circdirac.dirac import _sweep, _window_targets
 from circdirac.ensembles import (SeedSpec, SinePathSpec, sample_sine_operator,
                                  sample_sine_paths)
 
-U0 = np.array([1.0, 0.0])
+
+def test_no_private_dirac_name_is_used_outside_dirac():
+    # the operator core is reached through OperatorBatch and the public
+    # functions; its private helpers may change with it
+    root = Path(__file__).resolve().parents[1]
+    files = [f for f in (root / "src" / "circdirac").glob("*.py") if f.name != "dirac.py"]
+    for path in files + sorted((root / "scripts").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").endswith("dirac"):
+                names = [a.name for a in node.names]
+            elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                  and node.value.id == "dirac"):
+                names = [node.attr]
+            else:
+                continue
+            assert not [n for n in names if n.startswith("_")], (path.name, names)
 
 
 def test_suites_cover_all_criteria():
@@ -96,10 +111,8 @@ def test_batched_count_matches_per_operator():
     # stacked path array; it must agree with dirac.eigenvalue_count per op
     spec = SinePathSpec(beta=2.0, cells=128)
     seeds = [SeedSpec(99, 0).stream(i) for i in range(6)]
-    grid, xs, ys, u1 = sample_sine_paths(spec, seeds)
     lo, hi = 0.0, 20.0 * math.pi
-    *_, kmin, kend = _window_targets(xs, ys, np.diff(grid), U0, u1, lo, hi)
-    counts = (kend - kmin).astype(int)
+    counts = sample_sine_paths(spec, seeds).count((lo, hi))
     expected = [dirac.eigenvalue_count(sample_sine_operator(spec, s), (lo, hi))
                 for s in seeds]
     np.testing.assert_array_equal(counts, expected)
@@ -107,11 +120,10 @@ def test_batched_count_matches_per_operator():
 
 def test_endpoint_phases_match_separate_sweeps():
     spec = SinePathSpec(beta=2.0, cells=128)
-    grid, xs, ys, u1 = sample_sine_paths(spec, [SeedSpec(98, i) for i in range(5)])
-    dt = np.diff(grid)
-    alo, ahi, *_ = _window_targets(xs, ys, dt, U0, u1, -0.5, 7.0)
-    wlo = _sweep(xs, ys, dt, np.full(5, -0.5), U0, want_phase=True)[4]
-    whi = _sweep(xs, ys, dt, np.full(5, 7.0), U0, want_phase=True)[4]
+    b = sample_sine_paths(spec, [SeedSpec(98, i) for i in range(5)])
+    _, _, alo, ahi, _, _ = b._window((-0.5, 7.0))
+    wlo, whi = (dirac._sweep(b.v, b.r, b.dt, np.full(5, lam), b.start, np.arange(5),
+                             want_phase=True)[4] for lam in (-0.5, 7.0))
     np.testing.assert_array_equal(alo, 2.0 * wlo)
     np.testing.assert_array_equal(ahi, 2.0 * whi)
 
