@@ -2,11 +2,12 @@
 
 Subpackage map:
 
-- :mod:`circdirac.hyperbolic` -- 2x2 isometry matrices, Cayley transform,
-  Poisson kernel, hyperbolic distance.
+- :mod:`circdirac.hyperbolic` -- the boundary point at infinity and the
+  involution iota of the Palm transform.
 - :mod:`circdirac.opuc` -- orthogonal polynomials on the unit circle,
-  coefficient sequences, paths, Aleksandrov transforms.
+  coefficient sequences and conversions, Aleksandrov transforms.
 - :mod:`circdirac.dirac` -- piecewise-constant canonical-system operators,
+  built from modified coefficients along the measure's hyperbolic path;
   eigenvalues, spectral measures, secular function.
 - :mod:`circdirac.ensembles` -- Killip-Nenciu sampling, Palm transform,
   Sine_beta operator paths, window biasing.

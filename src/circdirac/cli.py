@@ -67,17 +67,17 @@ def _cmd_measure(args) -> int:
     if (args.coeffs is None) == (args.measure is None):
         raise ValueError("pass exactly one of --coeffs or --measure")
     if args.coeffs:
+        if args.kind is not None:
+            raise ValueError("--kind applies only with --measure")
         seq = _load_coeffs(args.coeffs)
         mu = opuc.alpha_to_measure(opuc.convert_coefficients(seq, "verblunsky"))
         _write_json(args.out, mu.to_dict())
         print(f"wrote {args.out} ({len(mu)} atoms)")
     else:
         mu = opuc.UnitCircleMeasure.from_dict(_read_json(args.measure))
-        seq = opuc.measure_to_alpha(mu)
-        if args.kind != "verblunsky":
-            seq = opuc.convert_coefficients(seq, args.kind)
+        seq = opuc.convert_coefficients(opuc.measure_to_alpha(mu), args.kind or "verblunsky")
         _write_json(args.out, seq.to_dict())
-        print(f"wrote {args.out} ({len(seq)} {args.kind} coefficients)")
+        print(f"wrote {args.out} ({len(seq)} {seq.kind} coefficients)")
     return 0
 
 
@@ -114,19 +114,20 @@ def _cmd_aleksandrov(args) -> int:
 def _cmd_sine_beta(args) -> int:
     if args.beta is None:
         raise ValueError("beta is required (pass --beta or a --config file)")
+    if args.side is not None and args.window is None:
+        raise ValueError("--side applies only with --window")
     seed = _resolve_seed(args)
-    q = args.q if args.q_mode == "fixed" else None
     spec = SinePathSpec(beta=args.beta, t_min=args.t_min, cells=args.cells,
-                        q_mode=args.q_mode, q=q)
+                        q_mode=args.q_mode, q=args.q)
     op = ensembles.sample_sine_operator(spec, SeedSpec(seed, args.stream))
     op_path = f"{args.out}.operator.json"
     _write_json(op_path, op.to_dict())
     print(f"wrote {op_path} ({op.cells} cells)")
     if args.window is not None:
-        sm = dirac.spectral_measure(op, tuple(args.window), args.side)
+        sm = dirac.spectral_measure(op, tuple(args.window), args.side or "right")
         sp_path = f"{args.out}.spectrum.json"
         _write_json(sp_path, sm.to_dict())
-        print(f"wrote {sp_path} ({len(sm)} atoms, {args.side} side)")
+        print(f"wrote {sp_path} ({len(sm)} atoms, {sm.side} side)")
     return 0
 
 
@@ -249,8 +250,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("measure", help="convert coefficients <-> measure")
     p.add_argument("--coeffs", help="coefficients JSON to turn into a measure")
     p.add_argument("--measure", help="measure JSON to turn into coefficients")
-    p.add_argument("--kind", choices=["verblunsky", "modified"],
-                   default="verblunsky")
+    p.add_argument("--kind", choices=["verblunsky", "modified"], default=None,
+                   help="coefficient kind written by --measure (default: verblunsky)")
     add_out(p)
     p.set_defaults(func=_cmd_measure)
 
@@ -282,10 +283,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cells", type=int, default=None)
     p.add_argument("--q-mode", dest="q_mode",
                    choices=["cauchy", "fixed", "infinity"], default="cauchy")
-    p.add_argument("--q", type=float, default=None)
+    p.add_argument("--q", type=float, default=None, help="slope for --q-mode fixed")
     p.add_argument("--window", type=float, nargs=2, default=None,
                    metavar=("A", "B"))
-    p.add_argument("--side", choices=["left", "right"], default="right")
+    p.add_argument("--side", choices=["left", "right"], default=None,
+                   help="side of the --window spectrum (default: right)")
     p.add_argument("--config", help="experiment config JSON")
     add_seed(p, stream=True)
     add_out(p)

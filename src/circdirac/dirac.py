@@ -71,8 +71,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .hyperbolic import INF, is_inf
-from .opuc import (HyperbolicPath, UnitCircleMeasure, convert_coefficients,
-                   gamma_to_path, measure_to_alpha)
+from .opuc import (CoefficientSequence, UnitCircleMeasure, convert_coefficients,
+                   measure_to_alpha)
 
 __all__ = [
     "DiracOperator",
@@ -80,6 +80,7 @@ __all__ = [
     "SpectralMeasure",
     "EigenData",
     "build_operator",
+    "coefficient_operator",
     "measure_operator",
     "eval_H",
     "phase_at",
@@ -227,27 +228,13 @@ class EigenData:
 # construction
 
 
-def build_operator(path, u1_spec=None, origin=None) -> DiracOperator:
-    """Operator from a measure path or from sampled cells.
+def build_operator(path, u1_spec, origin="custom") -> DiracOperator:
+    """Operator on the cells ``path = (grid, cell_values)``, with u0 = [1, 0].
 
-    ``path`` is either a :class:`HyperbolicPath` (uniform grid with one cell
-    per coefficient; u1 derived from the final path point z_n unless
-    overridden) or a pair ``(grid, cell_values)``.  ``u1_spec`` is a finite
-    real q, giving u1 = [-q, -1], or INF, giving u1 = [1, 0].
+    ``u1_spec`` is the boundary slope: a finite real q, giving
+    u1 = [-q, -1], or INF, giving u1 = [1, 0].
     """
-    if isinstance(path, HyperbolicPath):
-        n = len(path)
-        grid = np.linspace(0.0, 1.0, n + 1)
-        cells = path.halfplane_points[:-1]
-        if u1_spec is None:
-            zn = path.final_halfplane
-            u1_spec = INF if is_inf(zn) else zn.real
-        origin = origin or "discrete-measure"
-    else:
-        grid, cells = path
-        if u1_spec is None:
-            raise ValueError("u1_spec is required for sampled paths")
-        origin = origin or "custom"
+    grid, cells = path
     if is_inf(u1_spec):
         u1 = np.array([1.0, 0.0])
     else:
@@ -256,10 +243,41 @@ def build_operator(path, u1_spec=None, origin=None) -> DiracOperator:
                          u1=u1, origin=origin)
 
 
+def coefficient_operator(gammas: CoefficientSequence) -> DiracOperator:
+    """Operator of the measure with modified coefficients ``gammas``.
+
+    The operator lies on the path of the measure in the half plane: n + 1
+    points z_0 = i, ..., z_n, the last on the boundary.  In the disk the
+    path is b_0 = 0, b_{k+1} = A^{-1}_{gamma_0} o ... o A^{-1}_{gamma_k}(0),
+    with A_gamma the affine isometry fixing the boundary point 1 and
+    sending gamma to 0, and z_k = i (1 + b_k) / (1 - b_k) is its Cayley
+    preimage.  In H each step is affine,
+
+        z_{k+1} = z_k + y_k (v_k + i w_k),   v_k + i w_k = 2 i q_k,
+        q_k = gamma_k / (1 - gamma_k),
+
+    so y_k = prod_{j<k} (1 + w_j) and x_k = sum_{j<k} v_j y_j, a cumprod
+    and a cumsum.  Cell k of the uniform grid on [0, 1] holds z_k, k < n.
+    |gamma_{n-1}| = 1 gives w_{n-1} = -1, so z_n is the real slope
+    x_{n-1} + v_{n-1} y_{n-1}; the Palm coefficient gamma_{n-1} = 1 (within
+    1e-13) gives b_n = 1 and the slope INF.
+    """
+    gammas.require_kind("modified")
+    g = gammas.values
+    q = g[:-1] / (1.0 - g[:-1])
+    y = np.cumprod(np.concatenate(([1.0], 1.0 + 2.0 * q.real)))
+    x = np.concatenate(([0.0], np.cumsum(-2.0 * q.imag * y[:-1])))
+    if abs(g[-1] - 1.0) < 1e-13:
+        slope = INF
+    else:
+        slope = x[-1] - 2.0 * (g[-1] / (1.0 - g[-1])).imag * y[-1]
+    return build_operator((np.linspace(0.0, 1.0, g.size + 1), x + 1j * y), slope,
+                          origin="discrete-measure")
+
+
 def measure_operator(mu: UnitCircleMeasure) -> DiracOperator:
-    """Operator of a normalized measure: measure -> alpha -> gamma -> path."""
-    gammas = convert_coefficients(measure_to_alpha(mu), "modified")
-    return build_operator(gamma_to_path(gammas))
+    """Operator of a normalized measure: measure -> alpha -> gamma -> operator."""
+    return coefficient_operator(convert_coefficients(measure_to_alpha(mu), "modified"))
 
 
 def _require_finite_input(name: str, *values) -> None:

@@ -344,8 +344,8 @@ class SinePathSpec:
             raise ValueError("need at least 2 cells")
         if self.q_mode not in ("cauchy", "fixed", "infinity"):
             raise ValueError("q_mode must be cauchy, fixed, or infinity")
-        if self.q_mode == "fixed" and self.q is None:
-            raise ValueError("fixed q_mode requires q")
+        if (self.q_mode == "fixed") != (self.q is not None):
+            raise ValueError("q is read only with q_mode 'fixed', and required there")
 
 
 #: Rows of the block that sample_sine_paths builds, and takes the steps of, at once.

@@ -1,15 +1,14 @@
-"""Hyperbolic-plane isometries as 2x2 matrices and point actions.
+"""The boundary point at infinity and the involution iota of the disk.
 
-Two models are used throughout: the upper half plane H = {x + iy : y > 0}
-and the unit disk U = {|w| < 1}, connected by the Cayley transform
-z -> (z - i)/(z + i).  The affine subgroup fixing infinity (in H) / the
-boundary point 1 (in U) is parametrized by the preimage of i / of 0; these
-matrices drive the coefficient-to-path construction elsewhere in the
-package.  All matrices are stored as complex 2x2 arrays even when real,
-so that Cayley conjugations share one code path.
+A measure's path runs in the upper half plane H and ends on its boundary,
+where the Palm coefficient gamma_{n-1} = 1 puts the last point, and with
+it the boundary slope of the operator, at infinity.  That point is a
+first-class value (``INF``), not an exception.
 
-The point at infinity is a first-class value (``INF``), not an exception:
-Moebius actions handle it by the projective rule P(a, 0)^t = inf.
+iota(gamma) = -gamma (1 - conj(gamma)) / (1 - gamma) keeps the modulus and
+sends the parameter of an affine disk isometry (fixing the boundary point
+1, sending gamma to 0) to the parameter of its inverse; the Palm transform
+applies it to the interior modified coefficients.
 """
 
 from __future__ import annotations
@@ -18,34 +17,10 @@ import math
 
 import numpy as np
 
-__all__ = [
-    "INF",
-    "J",
-    "S",
-    "BOUNDARY_TOL",
-    "is_inf",
-    "cayley_matrix",
-    "cayley",
-    "cayley_inv",
-    "mobius_apply",
-    "affine_matrix",
-    "rotation_about_i",
-    "iota",
-    "poisson",
-    "hyp_distance",
-]
+__all__ = ["INF", "is_inf", "iota_array"]
 
 #: Point at infinity on the boundary of the half plane.
 INF = complex(math.inf, 0.0)
-
-#: Symplectic form J = [[0, -1], [1, 0]].
-J = np.array([[0.0, -1.0], [1.0, 0.0]])
-
-#: Reflection S = diag(1, -1) used by time reversal.
-S = np.array([[1.0, 0.0], [0.0, -1.0]])
-
-#: Disk points with |w| > 1 - BOUNDARY_TOL are classified as boundary.
-BOUNDARY_TOL = 1e-12
 
 
 def is_inf(z) -> bool:
@@ -54,118 +29,7 @@ def is_inf(z) -> bool:
     return math.isinf(z.real) or math.isinf(z.imag)
 
 
-def cayley_matrix() -> np.ndarray:
-    """Matrix U = [[1, -i], [1, i]] of the Cayley transform z -> (z-i)/(z+i)."""
-    return np.array([[1.0, -1.0j], [1.0, 1.0j]])
-
-
-def cayley(z) -> complex:
-    """Map the closed half plane to the closed disk, z -> (z - i)/(z + i)."""
-    return mobius_apply(cayley_matrix(), z)
-
-
-def cayley_inv(w) -> complex:
-    """Inverse Cayley transform, w -> i(1 + w)/(1 - w); w = 1 maps to INF."""
-    return mobius_apply(np.linalg.inv(cayley_matrix()), w)
-
-
-def mobius_apply(M: np.ndarray, z) -> complex:
-    """Apply the fractional linear transformation of ``M`` to ``z``.
-
-    Projective conventions: M acts on INF as a/c, and a zero denominator
-    yields INF.  Raises for a (numerically) singular matrix.
-    """
-    M = np.asarray(M, dtype=complex)
-    a, b = M[0, 0], M[0, 1]
-    c, d = M[1, 0], M[1, 1]
-    det = a * d - b * c
-    scale = max(abs(a), abs(b), abs(c), abs(d))
-    if scale == 0.0 or abs(det) <= 1e-14 * scale * scale:
-        raise ValueError("degenerate transform")
-    if is_inf(z):
-        if c == 0:
-            return INF
-        return a / c
-    z = complex(z)
-    den = c * z + d
-    num = a * z + b
-    if den == 0:
-        return INF
-    return num / den
-
-
-def affine_matrix(p, model: str) -> np.ndarray:
-    """Matrix of the affine isometry with parameter ``p``.
-
-    ``model="half-plane"``: p = x + iy interior, returns [[1, -x], [0, y]]
-    (the map sending p to i).  ``model="disk"``: p = gamma interior, returns
-    the matrix fixing the boundary point 1 and sending gamma to 0.  The two
-    are conjugate via the Cayley matrix.
-    """
-    p = complex(p)
-    if model == "half-plane":
-        if is_inf(p) or p.imag <= 0.0:
-            raise ValueError("boundary affine parameter")
-        return np.array([[1.0, -p.real], [0.0, p.imag]], dtype=complex)
-    if model == "disk":
-        if abs(p) > 1.0 - BOUNDARY_TOL:
-            raise ValueError("boundary affine parameter")
-        g, gc = p, p.conjugate()
-        return np.array(
-            [[1.0 / (1.0 - g), g / (g - 1.0)], [gc / (gc - 1.0), 1.0 / (1.0 - gc)]]
-        )
-    raise ValueError(f"unknown model {model!r}")
-
-
-def rotation_about_i(r) -> np.ndarray:
-    """Hyperbolic rotation of H about i taking the real point r to INF.
-
-    T_r = (1 + r^2)^(-1/2) [[r, 1], [-1, r]].  By convention r = INF gives
-    the identity.
-    """
-    if is_inf(r):
-        return np.eye(2, dtype=complex)
-    r = float(r)
-    s = 1.0 / math.sqrt(1.0 + r * r)
-    return s * np.array([[r, 1.0], [-1.0, r]], dtype=complex)
-
-
-def iota(gamma) -> complex:
-    """Involution gamma -> -gamma (1 - conj(gamma)) / (1 - gamma).
-
-    Preserves the modulus and sends the parameter of an affine disk
-    isometry to the parameter of its inverse.  gamma = 1 is a pole.
-    """
-    gamma = complex(gamma)
-    if abs(gamma - 1.0) < 1e-14:
-        raise ValueError("pole of iota")
-    return -gamma * (1.0 - gamma.conjugate()) / (1.0 - gamma)
-
-
 def iota_array(gammas: np.ndarray) -> np.ndarray:
-    """Vectorized ``iota``; no pole check beyond the resulting nan/inf."""
+    """iota applied entrywise; gamma = 1, its pole, gives nan/inf."""
     g = np.asarray(gammas, dtype=complex)
     return -g * (1.0 - np.conj(g)) / (1.0 - g)
-
-
-def poisson(gamma, u) -> float:
-    """Poisson kernel Poi(gamma, u) = (1 - |gamma|^2)/|u - gamma|^2.
-
-    gamma interior, |u| = 1.  Normalized so the mean over uniform u is 1;
-    Poi(gamma, 1) equals det affine_matrix(gamma, "disk").
-    """
-    gamma, u = complex(gamma), complex(u)
-    if abs(abs(u) - 1.0) > 1e-10:
-        raise ValueError("poisson kernel requires |u| = 1")
-    if abs(gamma) >= 1.0:
-        raise ValueError("poisson kernel requires an interior point")
-    return (1.0 - abs(gamma) ** 2) / abs(u - gamma) ** 2
-
-
-def hyp_distance(z1, z2) -> float:
-    """Hyperbolic distance arccosh(1 + |z1 - z2|^2 / (2 Im z1 Im z2)) in H."""
-    z1, z2 = complex(z1), complex(z2)
-    if is_inf(z1) or is_inf(z2) or z1.imag <= 0.0 or z2.imag <= 0.0:
-        raise ValueError("hyperbolic distance requires interior points")
-    arg = 1.0 + abs(z1 - z2) ** 2 / (2.0 * z1.imag * z2.imag)
-    return math.acosh(arg)

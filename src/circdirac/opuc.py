@@ -2,26 +2,23 @@
 
 A probability measure supported on n distinct points of the unit circle is
 encoded by n recursion coefficients (the last of unit modulus), or
-equivalently by the phase-adjusted "modified" coefficients, or by a path of
-n+1 points in hyperbolic space ending on the boundary.  This module holds
-the conversions between all four descriptions:
+equivalently by the phase-adjusted "modified" coefficients.  This module
+holds the conversions between the three descriptions,
 
-    measure  <->  verblunsky alpha_k  <->  modified gamma_k  ->  path b_k/z_k
+    measure  <->  verblunsky alpha_k  <->  modified gamma_k,
 
 together with the Aleksandrov family (all alpha multiplied by a fixed
-unimodular eta) and path reversal.
+unimodular eta).  The operator of a measure, laid on its path in the
+hyperbolic plane, is built from the modified coefficients by
+:func:`circdirac.dirac.coefficient_operator`.
 
 Conventions.  The recursion is
 
     Phi_{k+1} = z Phi_k - conj(alpha_k) Phi*_k,
     Phi*_{k+1} = Phi*_k - alpha_k z Phi_k,          Phi_0 = Phi*_0 = 1,
 
-the modified coefficients are gamma_0 = conj(alpha_0) and
-gamma_k = conj(alpha_k) prod_{j<k} (1-conj(gamma_j))/(1-gamma_j), and the
-disk path is b_0 = 0, b_{k+1} = A^{-1}_{gamma_0} o ... o A^{-1}_{gamma_k}(0)
-with the affine disk matrices of :mod:`circdirac.hyperbolic`.  The final
-path point is on the boundary; gamma_{n-1} = 1 gives b_n = 1, z_n = INF
-(stored symbolically).
+and the modified coefficients are gamma_0 = conj(alpha_0) and
+gamma_k = conj(alpha_k) prod_{j<k} (1-conj(gamma_j))/(1-gamma_j).
 
 Measure -> coefficients runs the Szego recursion on the atoms; coefficients
 -> measure takes the atoms from the CMV matrix (Cantero, Moral & Velazquez
@@ -39,18 +36,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .hyperbolic import INF, affine_matrix, is_inf, mobius_apply
-
 __all__ = [
     "CoefficientSequence",
     "UnitCircleMeasure",
-    "HyperbolicPath",
-    "szego_eval",
     "convert_coefficients",
     "measure_to_alpha",
     "alpha_to_measure",
-    "gamma_to_path",
-    "reverse_path",
     "aleksandrov_transform",
 ]
 
@@ -167,57 +158,6 @@ class UnitCircleMeasure:
     def from_dict(cls, d: dict) -> "UnitCircleMeasure":
         return cls(angles=np.asarray(d["angles"], dtype=float),
                    weights=np.asarray(d["weights"], dtype=float))
-
-
-@dataclass(frozen=True, eq=False)
-class HyperbolicPath:
-    """Path parameter of a measure: b_0..b_n in the disk, z_0..z_n in H.
-
-    b_0 = 0 and z_0 = i; interior points for k <= n-1; the final point is
-    on the boundary (z_n real, or INF when b_n = 1).
-    """
-
-    disk_points: np.ndarray
-    halfplane_points: np.ndarray
-
-    def __len__(self) -> int:
-        return self.disk_points.size - 1
-
-    @property
-    def final_disk(self) -> complex:
-        return complex(self.disk_points[-1])
-
-    @property
-    def final_halfplane(self) -> complex:
-        return complex(self.halfplane_points[-1])
-
-
-# ---------------------------------------------------------------------------
-# Szego recursion
-
-
-def szego_eval(alphas: CoefficientSequence, z, return_all: bool = False):
-    """Evaluate (Phi_n, Phi*_n) at ``z`` via the two-term recursion.
-
-    ``z`` may be a scalar or an array.  With ``return_all`` the full stacks
-    (Phi_k)_{k=0..n}, (Phi*_k)_{k=0..n} are returned.
-    """
-    alphas.require_kind("verblunsky")
-    a = alphas.values
-    zz = np.asarray(z, dtype=complex)
-    phi = np.ones_like(zz)
-    phis = np.ones_like(zz)
-    if return_all:
-        all_phi, all_phis = [phi], [phis]
-    for ak in a:
-        zphi = zz * phi
-        phi, phis = zphi - np.conj(ak) * phis, phis - ak * zphi
-        if return_all:
-            all_phi.append(phi)
-            all_phis.append(phis)
-    if return_all:
-        return np.stack(all_phi), np.stack(all_phis)
-    return phi, phis
 
 
 # ---------------------------------------------------------------------------
@@ -379,66 +319,6 @@ def alpha_to_measure(alphas: CoefficientSequence) -> UnitCircleMeasure:
     g = _gammas_from_alphas(alphas.values)
     ang, w = _measures_from_gammas_batch(g[None, :])
     return UnitCircleMeasure(angles=ang[0], weights=w[0] / w[0].sum())
-
-
-# ---------------------------------------------------------------------------
-# paths
-
-
-def _steps_from_gamma(g: complex):
-    """Half-plane step (v, w) with v + iw = U^{-1}(gamma) - i."""
-    if abs(g - 1.0) < 1e-13:
-        return math.inf, -1.0
-    q = g / (1.0 - g)
-    return -2.0 * q.imag, 2.0 * q.real
-
-
-def gamma_to_path(gammas: CoefficientSequence) -> HyperbolicPath:
-    """Path parameter of the measure with modified coefficients ``gammas``.
-
-    Runs the disk recursion for b_k and the half-plane recursion for z_k
-    side by side; the two agree through z_k = U^{-1}(b_k).  The final point
-    is on the boundary; gamma_{n-1} = 1 yields b_n = 1 and z_n = INF.
-    """
-    gammas.require_kind("modified")
-    g = gammas.values
-    n = g.size
-    b = np.zeros(n + 1, dtype=complex)
-    z = np.empty(n + 1, dtype=complex)
-    z[0] = 1j
-    for k in range(n):
-        gk = complex(g[k])
-        v, w = _steps_from_gamma(gk)
-        bk = b[k]
-        t = gk * (1.0 - bk) / (1.0 - bk.conjugate())
-        b[k + 1] = (bk + t) / (1.0 + bk.conjugate() * t)
-        if math.isinf(v):
-            b[k + 1] = 1.0
-            z[k + 1] = INF
-        else:
-            z[k + 1] = z[k] + (v + 1j * w) * z[k].imag
-    if not is_inf(z[n]):
-        z[n] = complex(z[n].real, 0.0)   # w_{n-1} = -1 kills Im exactly
-        b[n] = b[n] / abs(b[n])
-    return HyperbolicPath(disk_points=b, halfplane_points=z)
-
-
-def reverse_path(gammas: CoefficientSequence) -> np.ndarray:
-    """First n points of the reversed path, b'_k = A_{b_{n-1}}(b_{n-k-1}).
-
-    These coincide with the path generated by the coefficient sequence
-    iota(gamma_{n-2}), ..., iota(gamma_0).  Returns the disk points
-    b'_0..b'_{n-1} as an array.
-    """
-    gammas.require_kind("modified")
-    path = gamma_to_path(gammas)
-    b = path.disk_points
-    n = len(gammas)
-    A = affine_matrix(complex(b[n - 1]), "disk")
-    out = np.empty(n, dtype=complex)
-    for k in range(n):
-        out[k] = mobius_apply(A, complex(b[n - k - 1]))
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -292,6 +292,37 @@ class TestErrorHandling:
         record = json.loads(capsys.readouterr().err.strip())
         assert "exactly one" in record["message"]
 
+    def test_measure_refuses_kind_with_coeffs(self, tmp_path, capsys):
+        kn, mu = tmp_path / "kn.json", tmp_path / "mu.json"
+        assert main(["kn-sample", "--n", "3", "--beta", "2", "--seed", "1",
+                     "--out", str(kn)]) == 0
+        rc = main(["measure", "--coeffs", str(kn), "--kind", "modified",
+                   "--out", str(mu)])
+        assert rc == 1
+        record = json.loads(capsys.readouterr().err.strip())
+        assert record == {"error": "ValueError",
+                          "message": "--kind applies only with --measure"}
+        assert not mu.exists()
+
+    def test_sine_beta_refuses_q_without_fixed_mode(self, tmp_path, capsys):
+        out = tmp_path / "sine"
+        rc = main(["sine-beta", "--beta", "2", "--cells", "16", "--seed", "1",
+                   "--q", "1.5", "--out", str(out)])
+        assert rc == 1
+        record = json.loads(capsys.readouterr().err.strip())
+        assert record["error"] == "ValueError" and "q_mode 'fixed'" in record["message"]
+        assert not Path(f"{out}.operator.json").exists()
+
+    def test_sine_beta_refuses_side_without_window(self, tmp_path, capsys):
+        out = tmp_path / "sine"
+        rc = main(["sine-beta", "--beta", "2", "--cells", "16", "--seed", "1",
+                   "--side", "left", "--out", str(out)])
+        assert rc == 1
+        record = json.loads(capsys.readouterr().err.strip())
+        assert record == {"error": "ValueError",
+                          "message": "--side applies only with --window"}
+        assert not Path(f"{out}.operator.json").exists()
+
     def test_entropy_seed_echoed(self, tmp_path, capsys):
         rc = main(["kn-sample", "--n", "3", "--beta", "2",
                    "--out", str(tmp_path / "kn.json")])

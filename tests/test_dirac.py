@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from circdirac import dirac, opuc
-from circdirac.hyperbolic import INF, rotation_about_i
+from circdirac.hyperbolic import INF
 
 TWO_PI = 2.0 * math.pi
 
@@ -15,7 +15,7 @@ def lattice_operator(n, theta):
     a = np.concatenate([np.zeros(n - 1), [np.exp(-1j * theta)]])
     seq = opuc.CoefficientSequence("verblunsky", a)
     gammas = opuc.convert_coefficients(seq, "modified")
-    return dirac.build_operator(opuc.gamma_to_path(gammas))
+    return dirac.coefficient_operator(gammas)
 
 
 def random_measure(rng, n):
@@ -28,6 +28,12 @@ def random_operator(rng, cells=5):
     grid = np.linspace(0.0, 1.0, cells + 1)
     z = rng.uniform(-1.2, 1.2, cells) + 1j * rng.uniform(0.4, 2.2, cells)
     return dirac.build_operator((grid, z), u1_spec=rng.uniform(-2.0, 2.0))
+
+
+def rotation_about_i(r):
+    """The rotation of H about i that takes the real point r to infinity."""
+    c, s = r / math.sqrt(1 + r * r), 1.0 / math.sqrt(1 + r * r)
+    return np.array([[c, s], [-s, c]])
 
 
 def cell_values(op):
@@ -104,7 +110,7 @@ class TestBuild:
 
     def test_infinity_slope(self):
         g = opuc.CoefficientSequence("modified", np.array([0.0, 0.0, 1.0 + 0j]))
-        op = dirac.build_operator(opuc.gamma_to_path(g))
+        op = dirac.coefficient_operator(g)
         np.testing.assert_array_equal(op.u1, [1.0, 0.0])
         eigs = dirac.eigenvalues_in(op, (-1.0, 1.0))
         assert np.min(np.abs(eigs)) < 1e-12
@@ -836,7 +842,7 @@ class TestTransforms:
     def test_rotation_preserves_spectral_measures(self):
         rng = np.random.default_rng(15)
         op = dirac.measure_operator(random_measure(rng, 5))
-        Q = rotation_about_i(0.8).real
+        Q = rotation_about_i(0.8)
         out = dirac.transform_operator(op, "conjugate", Q=Q)
         for side in ("left", "right"):
             a = dirac.spectral_measure(op, (-9.0, 9.0), side)
@@ -968,7 +974,7 @@ class TestOperatorBatch:
         rng = np.random.default_rng(70 + n)
         ops = [dirac.measure_operator(random_measure(rng, n)) for _ in range(4)]
         ops.append(dirac.transform_operator(ops[0], "conjugate",
-                                            Q=rotation_about_i(0.8).real))
+                                            Q=rotation_about_i(0.8)))
         batch = dirac.OperatorBatch.stack(ops)
         assert batch.rows == 5 and batch.v.shape == (5, n)
         lams = np.array([-3.1, 0.0, 2.5, 17.0])

@@ -204,6 +204,23 @@ class TestPalmTransform:
             row = ens.palm_transform(opuc.CoefficientSequence("modified", g[i]))
             np.testing.assert_array_equal(palm[i], row.values)
 
+    @pytest.mark.parametrize("n", [2, 5, 20, 50])
+    def test_operator_pins_zero_and_lifts_the_palm_measure(self, n):
+        # gamma_{n-1} = 1 sends the boundary slope to infinity, and the
+        # operator's spectrum is the Palm measure, stretched by n
+        for i in range(5):
+            palm = ens.palm_transform(ens.sample_kn(n, 2.0, ens.SeedSpec(21, i)))
+            op = dirac.coefficient_operator(palm)
+            np.testing.assert_array_equal(op.u1, [1.0, 0.0])
+            sm = dirac.spectral_measure(op, (-0.5, TWO_PI * n - 0.5), "left")
+            assert np.min(np.abs(sm.lambdas)) < 1e-10
+            mu = opuc.alpha_to_measure(opuc.convert_coefficients(palm, "verblunsky"))
+            ang = np.where(mu.angles >= TWO_PI - 0.5 / n, mu.angles - TWO_PI, mu.angles)
+            order = np.argsort(ang)
+            np.testing.assert_allclose(sm.lambdas, n * ang[order], rtol=0.0, atol=1e-9)
+            np.testing.assert_allclose(sm.weights, 2 * n * mu.weights[order],
+                                       rtol=1e-9, atol=0.0)
+
     def test_single_column_maps_to_one(self):
         g = np.exp(1j * np.array([[0.3], [2.0], [-1.1]]))
         np.testing.assert_array_equal(ens.palm_gammas(g), np.ones((3, 1)))
@@ -323,6 +340,8 @@ class TestSineOperator:
             ens.SinePathSpec(beta=2.0, t_min=1.5)
         with pytest.raises(ValueError):
             ens.SinePathSpec(beta=2.0, q_mode="fixed")
+        with pytest.raises(ValueError, match="q_mode 'fixed'"):
+            ens.SinePathSpec(beta=2.0, q_mode="cauchy", q=1.5)
 
 
 class TestRemoveAtom:

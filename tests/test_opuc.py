@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from circdirac import dirac, opuc
 from circdirac import hyperbolic as hyp
-from circdirac import opuc
 
 TWO_PI = 2.0 * math.pi
 
@@ -26,6 +26,63 @@ def random_measure(rng, n):
 
 def inner(mu, f_vals, g_vals):
     return np.sum(mu.weights * f_vals * np.conj(g_vals))
+
+
+def szego_eval(alphas, z, return_all=False):
+    """Oracle: (Phi_n, Phi*_n) at ``z`` by the two-term recursion.
+
+    With ``return_all`` the stacks (Phi_k), (Phi*_k), k = 0..n.
+    """
+    alphas.require_kind("verblunsky")
+    zz = np.asarray(z, dtype=complex)
+    phi = phis = np.ones_like(zz)
+    stack = [(phi, phis)]
+    for ak in alphas.values:
+        zphi = zz * phi
+        phi, phis = zphi - np.conj(ak) * phis, phis - ak * zphi
+        stack.append((phi, phis))
+    if return_all:
+        return tuple(np.stack(side) for side in zip(*stack))
+    return phi, phis
+
+
+def path_loop(gammas):
+    """Oracle: the measure's path point by point, (b_k, z_k) for k = 0..n.
+
+    The disk recursion b_{k+1} = A^{-1}_{gamma_0} o ... o A^{-1}_{gamma_k}(0)
+    and the half-plane steps z_{k+1} = z_k + y_k (v_k + i w_k) run side by
+    side; gamma_{n-1} = 1 gives b_n = 1 and z_n = INF.
+    """
+    g = gammas.values
+    n = g.size
+    b = np.zeros(n + 1, dtype=complex)
+    z = np.empty(n + 1, dtype=complex)
+    z[0] = 1j
+    for k in range(n):
+        gk, bk = complex(g[k]), b[k]
+        t = gk * (1.0 - bk) / (1.0 - bk.conjugate())
+        b[k + 1] = (bk + t) / (1.0 + bk.conjugate() * t)
+        if abs(gk - 1.0) < 1e-13:
+            b[k + 1], z[k + 1] = 1.0, hyp.INF
+        else:
+            q = gk / (1.0 - gk)
+            v, w = -2.0 * q.imag, 2.0 * q.real
+            z[k + 1] = z[k] + (v + 1j * w) * z[k].imag
+    if not hyp.is_inf(z[n]):
+        z[n] = complex(z[n].real, 0.0)   # w_{n-1} = -1 kills Im exactly
+        b[n] = b[n] / abs(b[n])
+    return b, z
+
+
+def reverse_path(gammas):
+    """Oracle: the reversed path b'_k = A_{b_{n-1}}(b_{n-k-1}), k < n.
+
+    A_c(w) = (1 - conj c) / (1 - c) * (w - c) / (1 - conj(c) w) is the affine
+    disk isometry fixing 1 and sending c to 0.
+    """
+    b, _ = path_loop(gammas)
+    c, w = b[-2], b[-2::-1]
+    return (1.0 - np.conj(c)) / (1.0 - c) * (w - c) / (1.0 - np.conj(c) * w)
 
 
 class TestTypes:
@@ -89,7 +146,7 @@ class TestSzego:
         seq = opuc.CoefficientSequence(
             "verblunsky", np.concatenate([np.zeros(n - 1), [np.exp(0.7j)]]))
         z = 0.3 - 1.2j
-        phi, phis = opuc.szego_eval(seq, z, return_all=True)
+        phi, phis = szego_eval(seq, z, return_all=True)
         for k in range(n):
             assert phi[k] == pytest.approx(z ** k)
             assert phis[k] == pytest.approx(1.0)
@@ -100,27 +157,27 @@ class TestSzego:
         a[-1] = np.exp(-1j * theta)
         seq = opuc.CoefficientSequence("verblunsky", a)
         z = np.exp(0.31j)
-        phi, _ = opuc.szego_eval(seq, z)
+        phi, _ = szego_eval(seq, z)
         assert phi == pytest.approx(z ** n - np.exp(1j * theta))
 
     def test_single_atom_root(self):
         lam = 1.1
         seq = opuc.CoefficientSequence("verblunsky",
                                        np.array([np.exp(-1j * lam)]))
-        phi, _ = opuc.szego_eval(seq, np.exp(1j * lam))
+        phi, _ = szego_eval(seq, np.exp(1j * lam))
         assert abs(phi) < 1e-15
 
     def test_equal_moduli_on_circle(self):
         rng = np.random.default_rng(1)
         seq = random_alphas(rng, 6)
         z = np.exp(1j * rng.uniform(0, TWO_PI, 50))
-        phi, phis = opuc.szego_eval(seq, z)
+        phi, phis = szego_eval(seq, z)
         np.testing.assert_allclose(np.abs(phi), np.abs(phis), rtol=1e-12)
 
     def test_requires_verblunsky(self):
         seq = opuc.CoefficientSequence("modified", np.array([1.0 + 0j]))
         with pytest.raises(ValueError, match="verblunsky"):
-            opuc.szego_eval(seq, 1.0)
+            szego_eval(seq, 1.0)
 
 
 class TestConvert:
@@ -221,7 +278,7 @@ class TestMeasureToAlpha:
             mu = random_measure(rng, n)
             seq = opuc.measure_to_alpha(mu)
             g = opuc.convert_coefficients(seq, "modified").values
-            phi, phis = opuc.szego_eval(seq, mu.atoms(), return_all=True)
+            phi, phis = szego_eval(seq, mu.atoms(), return_all=True)
             for j in range(n):
                 for k in range(j):
                     assert abs(inner(mu, phi[j], phi[k])) < 1e-10
@@ -233,7 +290,7 @@ class TestMeasureToAlpha:
         rng = np.random.default_rng(6)
         seq = random_alphas(rng, 7)
         g = opuc.convert_coefficients(seq, "modified").values
-        phi, phis = opuc.szego_eval(seq, 1.0, return_all=True)
+        phi, phis = szego_eval(seq, 1.0, return_all=True)
         for k in range(8):
             assert phi[k] == pytest.approx(np.prod(1.0 - g[:k]), abs=1e-12)
             assert phis[k] == pytest.approx(np.prod(1.0 - np.conj(g[:k])),
@@ -305,7 +362,7 @@ class TestAlphaToMeasure:
         mu = random_measure(rng, 6)
         seq = opuc.measure_to_alpha(mu)
         g = opuc.convert_coefficients(seq, "modified").values
-        phi, _ = opuc.szego_eval(seq, mu.atoms(), return_all=True)
+        phi, _ = szego_eval(seq, mu.atoms(), return_all=True)
         psi_norm = lambda k: np.prod((1 - np.abs(g[:k]) ** 2)
                                      / np.abs(1 - g[:k]) ** 2)
         phi_one = lambda k: np.prod(1 - g[:k])
@@ -360,7 +417,7 @@ class TestCMV:
         for n in (2, 3, 4, 7):
             seq = random_alphas(rng, n)
             eig = np.linalg.eigvals(cmv(seq.values)[0])
-            phi, _ = opuc.szego_eval(seq, eig)
+            phi, _ = szego_eval(seq, eig)
             assert np.max(np.abs(phi)) < 1e-12
 
     def test_single_coefficient_gives_its_conjugate(self):
@@ -420,57 +477,73 @@ class TestCMV:
 class TestPath:
     def test_lattice_path(self):
         n, theta = 5, 1.3
-        g = np.concatenate([np.zeros(n - 1), [np.exp(1j * theta)]])
-        path = opuc.gamma_to_path(opuc.CoefficientSequence("modified", g))
-        np.testing.assert_allclose(path.halfplane_points[:n], 1j, atol=1e-15)
-        # final point: the Cayley preimage of e^{i theta}
-        assert path.final_halfplane == pytest.approx(-1.0 / math.tan(theta / 2))
-        assert path.final_disk == pytest.approx(np.exp(1j * theta))
+        g = opuc.CoefficientSequence(
+            "modified", np.concatenate([np.zeros(n - 1), [np.exp(1j * theta)]]))
+        op = dirac.coefficient_operator(g)
+        np.testing.assert_allclose(op.path, 1j, atol=1e-15)
+        # slope: the Cayley preimage of e^{i theta}, u1 = [-q, -1]
+        assert -op.u1[0] == pytest.approx(-1.0 / math.tan(theta / 2))
+        assert op.u1[1] == -1.0
+        assert path_loop(g)[0][-1] == pytest.approx(np.exp(1j * theta))
 
     def test_boundary_one_goes_to_infinity(self):
-        g = np.array([0.0, 0.0, 1.0 + 0j])
-        path = opuc.gamma_to_path(opuc.CoefficientSequence("modified", g))
-        assert hyp.is_inf(path.final_halfplane)
-        assert path.final_disk == 1.0
+        g = opuc.CoefficientSequence("modified", np.array([0.0, 0.0, 1.0 + 0j]))
+        np.testing.assert_array_equal(dirac.coefficient_operator(g).u1, [1.0, 0.0])
+        b, z = path_loop(g)
+        assert hyp.is_inf(z[-1])
+        assert b[-1] == 1.0
 
     def test_models_agree(self):
         rng = np.random.default_rng(10)
         for _ in range(30):
             seq = random_alphas(rng, 6)
             g = opuc.convert_coefficients(seq, "modified")
-            path = opuc.gamma_to_path(g)
-            for b, z in zip(path.disk_points[:-1], path.halfplane_points[:-1]):
-                assert abs(hyp.cayley_inv(b) - z) < 1e-10
+            b, _ = path_loop(g)
+            cells = dirac.coefficient_operator(g).path
+            np.testing.assert_allclose(1j * (1.0 + b[:-1]) / (1.0 - b[:-1]), cells,
+                                       rtol=0.0, atol=1e-10)
             # boundary point: compare in the disk (z may be huge or INF)
-            assert abs(abs(path.final_disk) - 1.0) < 1e-10
+            assert abs(abs(b[-1]) - 1.0) < 1e-10
 
     def test_heights_are_norm_products(self):
         rng = np.random.default_rng(11)
         seq = random_alphas(rng, 7)
-        g = opuc.convert_coefficients(seq, "modified").values
-        path = opuc.gamma_to_path(opuc.convert_coefficients(seq, "modified"))
+        g = opuc.convert_coefficients(seq, "modified")
+        heights = dirac.coefficient_operator(g).path.imag
         for k in range(7):
-            expect = np.prod((1 - np.abs(g[:k]) ** 2) / np.abs(1 - g[:k]) ** 2)
-            assert path.halfplane_points[k].imag == pytest.approx(expect,
-                                                                  rel=1e-10)
+            expect = np.prod((1 - np.abs(g.values[:k]) ** 2) / np.abs(1 - g.values[:k]) ** 2)
+            assert heights[k] == pytest.approx(expect, rel=1e-10)
 
     def test_alpha_product_definition(self):
         # disk path from the raw coefficient products, as a cross-check
         rng = np.random.default_rng(12)
         seq = random_alphas(rng, 5)
         a = seq.values
-        path = opuc.gamma_to_path(opuc.convert_coefficients(seq, "modified"))
+        b_path, _ = path_loop(opuc.convert_coefficients(seq, "modified"))
         M = np.eye(2, dtype=complex)
         for k in range(5):
             M = M @ np.array([[1.0, np.conj(a[k])], [a[k], 1.0]])
             b = (M @ np.array([0.0, 1.0]))
-            assert abs(b[0] / b[1] - path.disk_points[k + 1]) < 1e-12
+            assert abs(b[0] / b[1] - b_path[k + 1]) < 1e-12
+
+    @pytest.mark.parametrize("n", [1, 2, 50, 400])
+    def test_builder_matches_loop(self, n):
+        from circdirac.ensembles import SeedSpec, sample_kn
+
+        for seed in range(201, 221):
+            for stream in (0, 1):
+                g = sample_kn(n, 2.0, SeedSpec(seed, stream))
+                _, z = path_loop(g)
+                op = dirac.coefficient_operator(g)
+                cells = np.abs(op.path - z[:-1]) / np.abs(z[:-1])
+                assert np.max(cells) <= 1e-12
+                assert abs(-op.u1[0] - z[-1].real) <= 1e-12 * abs(z[-1].real)
 
 
 class TestReversePath:
     def test_zero_path(self):
         g = np.concatenate([np.zeros(4), [np.exp(0.4j)]])
-        rev = opuc.reverse_path(opuc.CoefficientSequence("modified", g))
+        rev = reverse_path(opuc.CoefficientSequence("modified", g))
         np.testing.assert_allclose(rev, 0.0, atol=1e-14)
 
     def test_matches_iota_reversed_sequence(self):
@@ -478,20 +551,19 @@ class TestReversePath:
         for _ in range(20):
             seq = random_alphas(rng, 5)
             g = opuc.convert_coefficients(seq, "modified")
-            rev = opuc.reverse_path(g)
+            rev = reverse_path(g)
             flipped = np.append(hyp.iota_array(g.values[:-1][::-1]), 1.0)
-            oracle = opuc.gamma_to_path(
-                opuc.CoefficientSequence("modified", flipped))
-            np.testing.assert_allclose(rev, oracle.disk_points[:5], atol=1e-10)
+            oracle, _ = path_loop(opuc.CoefficientSequence("modified", flipped))
+            np.testing.assert_allclose(rev, oracle[:5], atol=1e-10)
 
     def test_two_coefficients_hand_case(self):
         rng = np.random.default_rng(14)
         g0 = 0.3 - 0.45j
         g = opuc.CoefficientSequence(
             "modified", np.array([g0, np.exp(1j * rng.uniform(0, TWO_PI))]))
-        rev = opuc.reverse_path(g)
+        rev = reverse_path(g)
         assert abs(rev[0]) < 1e-14
-        assert rev[1] == pytest.approx(hyp.iota(g0), abs=1e-12)
+        assert rev[1] == pytest.approx(hyp.iota_array(g0), abs=1e-12)
 
 
 class TestAleksandrov:
@@ -513,15 +585,15 @@ class TestAleksandrov:
         g0 = opuc.convert_coefficients(seq, "modified")
         g1 = opuc.convert_coefficients(
             opuc.aleksandrov_transform(seq, eta), "modified")
-        p0 = opuc.gamma_to_path(g0).disk_points
-        p1 = opuc.gamma_to_path(g1).disk_points
+        p0, _ = path_loop(g0)
+        p1, _ = path_loop(g1)
         np.testing.assert_allclose(p1, p0 / eta, atol=1e-10)
 
     def test_charges_one_iff_eta_is_final_point(self):
         rng = np.random.default_rng(18)
         seq = random_alphas(rng, 5)
         g = opuc.convert_coefficients(seq, "modified")
-        bn = opuc.gamma_to_path(g).final_disk
+        bn = path_loop(g)[0][-1]
         adj = opuc.aleksandrov_transform(seq, bn)
         mu = opuc.alpha_to_measure(adj)
         d = np.abs(np.mod(mu.angles + math.pi, TWO_PI) - math.pi)
