@@ -20,8 +20,8 @@ import numpy as np
 from circdirac.ensembles import (
     KNMeasureSampler,
     SeedSpec,
-    _biased_gammas,
     bias_by_window,
+    biased_gammas,
 )
 from circdirac.stats import ks_by_coordinate
 
@@ -40,8 +40,8 @@ def main() -> int:
     base = SeedSpec(args.seed, 0)
     gammas, angles, atom_weights = KNMeasureSampler(args.n, args.beta).sample_batch(
         base, args.replicas)
-    direct = _biased_gammas(SeedSpec(args.seed, 1_000_000).rng(),
-                            args.n, args.beta, args.direct_draws)
+    direct = biased_gammas(SeedSpec(args.seed, 1_000_000).rng(),
+                           args.n, args.beta, args.direct_draws)
 
     weights = np.stack([bias_by_window(angles, atom_weights, eps) for eps in args.eps])
     max_ks = ks_by_coordinate(gammas, direct, weights).max(axis=(1, 2), initial=0.0)

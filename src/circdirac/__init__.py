@@ -8,7 +8,7 @@ Subpackage map:
   coefficient sequences and conversions, Aleksandrov transforms.
 - :mod:`circdirac.dirac` -- piecewise-constant canonical-system operators,
   built from modified coefficients along the measure's hyperbolic path;
-  eigenvalues, spectral measures, secular function.
+  phase, eigenvalues, spectral measures.
 - :mod:`circdirac.ensembles` -- Killip-Nenciu sampling, Palm transform,
   Sine_beta operator paths, window biasing.
 - :mod:`circdirac.stats` -- goodness-of-fit tests.

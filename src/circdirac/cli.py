@@ -141,8 +141,8 @@ def _cmd_bias(args) -> int:
     gammas, angles, atom_weights = KNMeasureSampler(args.n, args.beta).sample_batch(
         SeedSpec(seed, 0), args.replicas)
     weights = ensembles.bias_by_window(angles, atom_weights, args.epsilon)
-    direct = ensembles._biased_gammas(SeedSpec(seed, 1_000_000).rng(),
-                                      args.n, args.beta, 10_000)
+    direct = ensembles.biased_gammas(SeedSpec(seed, 1_000_000).rng(),
+                                     args.n, args.beta, 10_000)
     ks = {f"gamma_{k}": {"re": re, "im": im} for k, (re, im)
           in enumerate(ks_by_coordinate(gammas, direct, weights).tolist())}
     csv_path = f"{args.out}.csv"

@@ -78,16 +78,13 @@ __all__ = [
     "DiracOperator",
     "OperatorBatch",
     "SpectralMeasure",
-    "EigenData",
     "build_operator",
     "coefficient_operator",
     "measure_operator",
-    "eval_H",
     "phase_at",
     "eigenvalues_in",
     "eigenvalue_count",
     "spectral_measure",
-    "secular_at",
     "trace_and_hsnorm",
     "transform_operator",
 ]
@@ -141,13 +138,13 @@ class DiracOperator:
     def cells(self) -> int:
         return self.path.size
 
-    def boundary_pairing(self) -> float:
-        """u0^t J u1; zero exactly when the boundary directions are parallel."""
-        return float(self.u0[1] * self.u1[0] - self.u0[0] * self.u1[1])
-
     def normalized_u1(self) -> np.ndarray:
-        """u1 rescaled so u0^t J u1 = 1 (the standing normalization)."""
-        s = self.boundary_pairing()
+        """u1 rescaled so u0^t J u1 = 1 (the standing normalization).
+
+        u0^t J u1 is zero exactly when the boundary directions are parallel,
+        as they are for u0 = [1, 0] and the infinity slope.
+        """
+        s = self.u0[1] * self.u1[0] - self.u0[0] * self.u1[1]
         if abs(s) < 1e-14 * np.linalg.norm(self.u0) * np.linalg.norm(self.u1):
             raise ValueError("no trace for equal boundary directions")
         return self.u1 / s
@@ -213,15 +210,6 @@ class SpectralMeasure:
         atoms = np.asarray(d["atoms"], dtype=float).reshape(-1, 2)
         return cls(lambdas=atoms[:, 0], weights=atoms[:, 1],
                    window=tuple(d["window"]), side=d["side"])
-
-
-@dataclass(frozen=True)
-class EigenData:
-    """H(T, lambda), its lambda-derivative, and the R-weighted squared norm."""
-
-    H1: np.ndarray
-    dH1: np.ndarray
-    normsq: float
 
 
 # ---------------------------------------------------------------------------
@@ -489,20 +477,19 @@ def _chunk_count(lanes: int, m: int) -> int:
     return 1 if lanes >= _CHUNK_LANES or P < 4 else P
 
 
-def _sweep(v, r, dt, lam, start, row, upto=None,
-           want_deriv=False, want_phase=False):
-    """Advance G = X_k H (and optionally dG and the phase winding) across cells.
+def _sweep(v, r, dt, lam, start, row, want_deriv=False, want_phase=False):
+    """Advance G = X_k H (and optionally dG and the phase winding) across all cells.
 
     ``v``, ``r``, ``dt`` and ``start`` are the frame steps, cell lengths
-    and X_0 u0 of an :class:`OperatorBatch`; ``lam`` is scalar or (B,),
-    and ``row`` the batch row of every lane, or an index array of lam's
-    shape.  G starts at X_0 u0, and cell k applies the frame step
+    and X_0 u0 of an :class:`OperatorBatch`; ``lam`` is real, scalar or
+    (B,), and ``row`` the batch row of every lane, or an index array of
+    lam's shape.  G starts at X_0 u0, and cell k applies the frame step
     [[1, -v_k], [0, r_k]] (the identity for k = 0) and then
     Rot(lam dt_k / 2).  Returns (G0, G1, dG0, dG1, winding) in the frame
-    of the last cell swept (``upto`` - 1, or m - 1); the winding is
-    arg(G0 - i G1), continuous from its principal value at X_0 u0, valid
-    for real lam only.  It is returned as the principal arg of the last G
-    plus whole turns, so its rounding does not grow with m.
+    of the last cell, m - 1; the winding is arg(G0 - i G1), continuous
+    from its principal value at X_0 u0.  It is returned as the principal
+    arg of the last G plus whole turns, so its rounding does not grow
+    with m.
 
     Few lanes would pay the interpreter once per cell for little
     arithmetic, so they sweep the cells in P = :func:`_chunk_count`
@@ -518,11 +505,10 @@ def _sweep(v, r, dt, lam, start, row, upto=None,
     lam = np.asarray(lam)
     # the lanes of a one-row batch read its steps as scalars, not gathers
     row = 0 if len(v) == 1 else row
-    dtype = complex if np.iscomplexobj(lam) else float
-    m = np.shape(v)[-1] if upto is None else upto
+    m = np.shape(v)[-1]
     P = _chunk_count(lam.size, m)
-    G0, G1 = (np.broadcast_to(g, lam.shape).astype(dtype) for g in start[:, row])
-    dG0, dG1 = np.zeros((2,) + lam.shape, dtype=dtype) if want_deriv else (None, None)
+    G0, G1 = (np.broadcast_to(g, lam.shape).astype(float) for g in start[:, row])
+    dG0, dG1 = np.zeros((2,) + lam.shape) if want_deriv else (None, None)
     if P == 1:
         wind = np.arctan2(-G1, G0) if want_phase else None
         steps = ((v[row, k], r[row, k], dt[k]) for k in range(m))
@@ -541,9 +527,9 @@ def _sweep(v, r, dt, lam, start, row, upto=None,
                  for kc, d in zip(k.T[:, :, None], dts.T[:, :, None]))
         # T's columns start at [1, 0] and [0, 1], of principal args 0, -pi / 2
         shape = (2, P, lam.size)
-        T0, T1 = np.zeros((2,) + shape, dtype=dtype)
+        T0, T1 = np.zeros((2,) + shape)
         T0[0] = T1[1] = 1.0
-        dT0, dT1 = np.zeros((2,) + shape, dtype=dtype) if want_deriv else (None, None)
+        dT0, dT1 = np.zeros((2,) + shape) if want_deriv else (None, None)
         W = np.zeros(shape) + [[[0.0]], [[-0.5 * math.pi]]] if want_phase else None
         T0, T1, dT0, dT1, W = _advance(T0, T1, dT0, dT1, W, lam.reshape(-1), steps)
         G = [(G0.reshape(-1), G1.reshape(-1))]
@@ -691,23 +677,6 @@ def _solve_targets(batch: OperatorBatch, targets, row, lo, hi, alo, ahi):
 # one operator: views of its one-row batch
 
 
-def eval_H(op: DiracOperator, lam: float, upto: int | None = None) -> EigenData:
-    """Solve for H and its lambda-derivative up to grid index ``upto``.
-
-    The squared R-norm of H over the traversed cells equals
-    H^t J dH there, which is returned as ``normsq``.
-    """
-    last = (op.cells if upto is None else upto) - 1
-    if not 0 <= last < op.cells:
-        raise ValueError("upto must lie in 1..cells")
-    G0, G1, dG0, dG1, _ = op.batch._lanes(float(lam), 0, upto=upto, want_deriv=True)
-    x, y = op.path[last].real, op.path[last].imag
-    H = _unframe(x, y, G0, G1)
-    dH = _unframe(x, y, dG0, dG1)
-    return EigenData(H1=np.array(H, dtype=float), dH1=np.array(dH, dtype=float),
-                     normsq=float((G1 * dG0 - G0 * dG1) / y))
-
-
 def phase_at(op: DiracOperator, lam) -> float | np.ndarray:
     """Phase alpha(T, lambda) = 2 Im log(A - iB), continuous from lambda = 0.
 
@@ -732,20 +701,6 @@ def spectral_measure(op: DiracOperator, window, side: str) -> SpectralMeasure:
     """Left or right spectral measure restricted to the window."""
     lams, w, _ = op.batch.weights(window, side)
     return SpectralMeasure(lambdas=lams, weights=w, window=window, side=side)
-
-
-def secular_at(op: DiracOperator, z) -> complex:
-    """Secular function zeta(z) = H(T, z)^t J u1; entire, real on the reals.
-
-    When u0 and u1 are not parallel, u1 carries the normalization
-    u0^t J u1 = 1, so zeta(0) = 1.  For u1 parallel to [1, 0] (infinity
-    slope) no normalization exists and zeta(0) = 0: zero is an eigenvalue.
-    """
-    s = op.boundary_pairing()
-    u1 = op.u1 if abs(s) < 1e-14 else op.u1 / s
-    G0, G1, _, _, _ = op.batch._lanes(complex(z), 0)
-    H0, H1 = _unframe(*op.batch.last[:, 0], G0, G1)
-    return complex(H1 * u1[0] - H0 * u1[1])
 
 
 def trace_and_hsnorm(op: DiracOperator):

@@ -10,7 +10,7 @@ sampler draws replica i from stream id i still, but as one block for all
 replicas: NumPy's ``SeedSequence`` and O'Neill's PCG64 (XSL-RR 128/64)
 are carried out in integer array arithmetic over the stream ids, bit for
 bit the uniforms of one generator per stream, without building one.  Bulk
-draws of coefficients (``_kn_gammas``/``_biased_gammas`` with m rows, as
+draws of coefficients (``kn_gammas``/``biased_gammas`` with m rows, as
 in the kn-marginals, palm-coefficient-law and circular-jacobi criteria)
 take the whole block from one stream, so a replica there depends on the
 block size.
@@ -47,6 +47,8 @@ from .dirac import DiracOperator, OperatorBatch
 __all__ = [
     "SeedSpec",
     "SinePathSpec",
+    "kn_gammas",
+    "biased_gammas",
     "sample_kn",
     "KNMeasureSampler",
     "palm_gammas",
@@ -74,10 +76,6 @@ class SeedSpec:
 
     def stream(self, i: int) -> "SeedSpec":
         return SeedSpec(master_seed=self.master_seed, stream_id=i)
-
-
-def _as_rng(seed) -> np.random.Generator:
-    return seed.rng() if isinstance(seed, SeedSpec) else np.random.default_rng(seed)
 
 
 # ---------------------------------------------------------------------------
@@ -206,8 +204,13 @@ def _stream_uniforms(master_seed: int, ids, k: int) -> np.ndarray:
 # Killip-Nenciu coefficients and measures
 
 
-def _kn_gammas(rng: np.random.Generator, n: int, beta: float, m: int) -> np.ndarray:
-    """(m, n) modified coefficients; draw order: radii, angles, last angle."""
+def kn_gammas(rng: np.random.Generator, n: int, beta: float, m: int) -> np.ndarray:
+    """(m, n) modified coefficients of the (n, beta) ensemble, all drawn from ``rng``.
+
+    Draw order: radii, angles, last angle.
+    """
+    if n < 1 or beta <= 0.0:
+        raise ValueError("need n >= 1 and beta > 0")
     return _kn_from_uniforms(np.concatenate(
         [rng.random((m, n - 1)), rng.random((m, n - 1)), rng.random((m, 1))], axis=1),
         beta)
@@ -229,15 +232,13 @@ def _kn_from_uniforms(u: np.ndarray, beta: float) -> np.ndarray:
     return out
 
 
-def sample_kn(n: int, beta: float, seed) -> CoefficientSequence:
+def sample_kn(n: int, beta: float, seed: SeedSpec) -> CoefficientSequence:
     """One draw of the modified coefficients of the (n, beta) ensemble.
 
     |gamma_k|^2 ~ Beta(1, (beta/2)(n-k-1)) with uniform independent phase
     for k <= n-2; gamma_{n-1} uniform on the boundary.
     """
-    if n < 1 or beta <= 0.0:
-        raise ValueError("need n >= 1 and beta > 0")
-    g = _kn_gammas(_as_rng(seed), n, beta, 1)[0]
+    g = kn_gammas(seed.rng(), n, beta, 1)[0]
     return CoefficientSequence(kind="modified", values=g)
 
 
@@ -300,8 +301,8 @@ def palm_transform(gammas: CoefficientSequence) -> CoefficientSequence:
     return CoefficientSequence(kind="modified", values=palm_gammas(gammas.values))
 
 
-def _biased_gammas(rng: np.random.Generator, n: int, beta: float, m: int) -> np.ndarray:
-    """(m, n) draws of the biased coefficient law; draw order: radii, angles.
+def biased_gammas(rng: np.random.Generator, n: int, beta: float, m: int) -> np.ndarray:
+    """(m, n) draws of the biased coefficient law from ``rng``; draw order: radii, angles.
 
     The law has density ~ (1-|z|^2)^s |1-z|^{-2} in coordinate k <= n-2,
     with s = (beta/2)(n-k-1); the last coefficient is pinned to 1.
@@ -310,6 +311,8 @@ def _biased_gammas(rng: np.random.Generator, n: int, beta: float, m: int) -> np.
     the angle given r follows the harmonic measure from the point r, drawn
     as arg((e^{i Theta} + r)/(1 + r e^{i Theta})).
     """
+    if n < 1 or beta <= 0.0:
+        raise ValueError("need n >= 1 and beta > 0")
     out = np.empty((m, n), dtype=complex)
     s = 0.5 * beta * (n - 1 - np.arange(n - 1))
     u_r = rng.random((m, n - 1))
@@ -408,16 +411,16 @@ def sample_sine_paths(spec: SinePathSpec, seeds) -> OperatorBatch:
         u1 = np.empty((len(x), 2))
         for i in range(0, len(seeds), _PATH_BLOCK):
             for j, seed in enumerate(seeds[i:i + _PATH_BLOCK]):
-                x[j], y[j], u1[j] = _sine_row(spec, u, sqrt_h, _as_rng(seed))
+                x[j], y[j], u1[j] = _sine_row(spec, u, sqrt_h, seed.rng())
             yield x[:j + 1], y[:j + 1], (1.0, 0.0), u1[:j + 1]
 
     return OperatorBatch.from_blocks(t, len(seeds), blocks())
 
 
-def sample_sine_operator(spec: SinePathSpec, seed) -> DiracOperator:
+def sample_sine_operator(spec: SinePathSpec, seed: SeedSpec) -> DiracOperator:
     """One Sine_beta operator, bit for bit its row in :func:`sample_sine_paths`."""
     t, u, sqrt_h = _sine_grid(spec)
-    x, y, u1 = _sine_row(spec, u, sqrt_h, _as_rng(seed))
+    x, y, u1 = _sine_row(spec, u, sqrt_h, seed.rng())
     return DiracOperator(grid=t, path=x + 1j * y, u0=(1.0, 0.0), u1=u1, origin="sine-beta")
 
 

@@ -143,14 +143,6 @@ class UnitCircleMeasure:
     def __len__(self) -> int:
         return self.angles.size
 
-    def atoms(self) -> np.ndarray:
-        """Atom positions e^{i angle} on the unit circle."""
-        return np.exp(1j * self.angles)
-
-    def moment(self, p: int) -> complex:
-        """p-th moment sum_j w_j e^{i p angle_j}."""
-        return complex(np.sum(self.weights * np.exp(1j * p * self.angles)))
-
     def to_dict(self) -> dict:
         return {"angles": list(self.angles), "weights": list(self.weights)}
 

@@ -1,14 +1,15 @@
 """Statistical verification toolkit.
 
 Small, self-contained goodness-of-fit machinery used by the acceptance
-suites: one- and two-sample Kolmogorov-Smirnov tests (with optional sample
-weights for self-normalized importance weighting), per-coordinate KS
-distances between two samples of complex sequences, and a Pearson
-chi-square test of complex samples on the unit disk against a numerically
-normalized density.
+suites: a one-sample Kolmogorov-Smirnov test against an analytic CDF,
+per-coordinate two-sample KS distances between two samples of complex
+sequences (the first optionally weighted, for self-normalized importance
+weighting), and a Pearson chi-square test of complex samples on the unit
+disk against a numerically normalized density.
 
-All automated suites run at significance level 0.001: many tests run per
-invocation and the family-wise false-failure rate has to stay small.
+Every test runs at the one significance level LEVEL = 0.001: many tests
+run per invocation and the family-wise false-failure rate has to stay
+small.
 
 Quantiles and CDFs come straight from :mod:`scipy.special`: ``kolmogi``
 for the Kolmogorov quantile, ``2 * gammaincinv(dof / 2, p)`` for the
@@ -24,7 +25,7 @@ cold start.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -41,9 +42,13 @@ __all__ = [
 
 TWO_PI = 2.0 * math.pi
 
-#: Default significance level for all automated suites.
-DEFAULT_LEVEL = 1e-3
+#: Significance level of every automated test.
+LEVEL = 1e-3
 
+#: Polar cells per axis of the chi-square grid.
+BINS = 10
+#: Gauss-Legendre nodes per axis of the whole chi-square grid (before refinement).
+QUAD_POINTS = 512
 #: Extra dyadic refinements of the disk cells that touch the corner z = 1.
 CORNER_LEVELS = 8
 #: Chi-square cells expecting fewer counts than this are pooled.
@@ -52,13 +57,20 @@ MIN_EXPECTED = 5.0
 
 @dataclass(frozen=True)
 class TestReport:
-    """Outcome of one statistical check; passes iff statistic < threshold."""
+    """Outcome of one statistical check.
+
+    ``passed`` is derived: True when statistic < threshold, so a nan
+    statistic fails.
+    """
 
     statistic: float
     threshold: float
     sample_size: int
-    passed: bool
     notes: str = ""
+    passed: bool = field(init=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "passed", bool(self.statistic < self.threshold))
 
     def to_dict(self) -> dict:
         # numpy scalars sneak in from vectorized statistics; json needs builtins
@@ -66,14 +78,9 @@ class TestReport:
             "statistic": float(self.statistic),
             "threshold": float(self.threshold),
             "sample_size": int(self.sample_size),
-            "pass": bool(self.passed),
+            "pass": self.passed,
             "notes": self.notes,
         }
-
-
-def _report(stat: float, threshold: float, n: int, notes: str) -> TestReport:
-    return TestReport(statistic=float(stat), threshold=float(threshold),
-                      sample_size=int(n), passed=bool(stat < threshold), notes=notes)
 
 
 # ---------------------------------------------------------------------------
@@ -88,19 +95,6 @@ def _ecdf_heights(order, weights):
     return np.cumsum(w) / w.sum()
 
 
-def _weighted_ecdf(samples, weights):
-    order = np.argsort(samples, kind="stable")
-    return samples[order], _ecdf_heights(order, weights)
-
-
-def ks_statistic_cdf(samples, cdf, weights=None) -> float:
-    """sup |F_hat - F| against an analytic CDF."""
-    s, cum = _weighted_ecdf(np.asarray(samples, dtype=float), weights)
-    f = np.asarray(cdf(s), dtype=float)
-    lower = np.concatenate([[0.0], cum[:-1]])
-    return float(np.max(np.maximum(np.abs(cum - f), np.abs(lower - f))))
-
-
 def _ks_two_sample_each(a, b, weightings) -> list:
     """sup |F_a - F_b| for each weighting of ``a`` (None: unweighted).
 
@@ -110,20 +104,15 @@ def _ks_two_sample_each(a, b, weightings) -> list:
     a = np.asarray(a, dtype=float)
     order = np.argsort(a, kind="stable")
     sa = a[order]
-    sb, cb = _weighted_ecdf(np.asarray(b, dtype=float), None)
+    sb = np.sort(np.asarray(b, dtype=float))
     grid = np.concatenate([sa, sb])
     at_a = np.searchsorted(sa, grid, side="right")
-    fb = np.concatenate([[0.0], cb])[np.searchsorted(sb, grid, side="right")]
+    fb = np.searchsorted(sb, grid, side="right") / sb.size
     out = []
     for w in weightings:
         fa = np.concatenate([[0.0], _ecdf_heights(order, w)])[at_a]
         out.append(float(np.max(np.abs(fa - fb))))
     return out
-
-
-def ks_statistic_two_sample(a, b, weights_a=None) -> float:
-    """sup |F_a - F_b| between two empirical CDFs, the first possibly weighted."""
-    return _ks_two_sample_each(a, b, [weights_a])[0]
 
 
 def ks_by_coordinate(a, b, weights_a=None) -> np.ndarray:
@@ -144,34 +133,25 @@ def ks_by_coordinate(a, b, weights_a=None) -> np.ndarray:
     return out if stacked else out[0]
 
 
-def ks_threshold(n_eff: float, level: float = DEFAULT_LEVEL) -> float:
-    """Asymptotic Kolmogorov critical value at ``level`` for effective size n_eff."""
-    return float(special.kolmogi(level)) / math.sqrt(n_eff)
+def ks_threshold(n_eff: float) -> float:
+    """Asymptotic Kolmogorov critical value at LEVEL for effective size n_eff."""
+    return float(special.kolmogi(LEVEL)) / math.sqrt(n_eff)
 
 
-def ks_test(samples, reference, level: float = DEFAULT_LEVEL,
-            weights=None) -> TestReport:
-    """KS test against an analytic CDF (callable) or a second sample.
+def ks_test(samples, cdf) -> TestReport:
+    """One-sample KS test of ``samples`` against the analytic CDF ``cdf``.
 
-    The threshold is the asymptotic Kolmogorov quantile at ``level``
-    scaled by the (effective) sample size.  Optional ``weights`` turn the
-    first sample's empirical CDF into a self-normalized weighted one.
+    The statistic is sup |F_hat - F| over both sides of every jump of the
+    empirical CDF; the threshold is :func:`ks_threshold` of the sample size.
     """
-    samples = np.asarray(samples, dtype=float)
-    if samples.size == 0:
+    s = np.sort(np.asarray(samples, dtype=float))
+    if s.size == 0:
         raise ValueError("ks_test requires a nonempty sample")
-    if callable(reference):
-        stat = ks_statistic_cdf(samples, reference, weights=weights)
-        n_eff = samples.size
-        notes = "one-sample"
-    else:
-        other = np.asarray(reference, dtype=float)
-        if other.size == 0:
-            raise ValueError("ks_test requires a nonempty reference sample")
-        stat = ks_statistic_two_sample(samples, other, weights_a=weights)
-        n_eff = samples.size * other.size / (samples.size + other.size)
-        notes = "two-sample"
-    return _report(stat, ks_threshold(n_eff, level), samples.size, notes)
+    cum = np.arange(1, s.size + 1) / s.size
+    f = np.asarray(cdf(s), dtype=float)
+    lower = np.concatenate([[0.0], cum[:-1]])
+    stat = float(np.max(np.maximum(np.abs(cum - f), np.abs(lower - f))))
+    return TestReport(stat, ks_threshold(s.size), s.size, "one-sample")
 
 
 # ---------------------------------------------------------------------------
@@ -215,24 +195,23 @@ def _cell_mass(density, r0, r1, p0, p1, nodes, corner_levels):
     return total + _cell_mass(density, *corner, nodes, corner_levels - 1)
 
 
-def disk_cell_probabilities(density, bins_r: int, bins_phi: int,
-                            quad_points: int = 512):
-    """Masses of a polar grid of cells under an unnormalized disk density.
+def disk_cell_probabilities(density):
+    """Masses of the BINS x BINS polar cells under an unnormalized disk density.
 
     The density is integrated cell by cell on a tensor polar rule with
-    about ``quad_points`` nodes per axis overall; the result is normalized
+    about QUAD_POINTS nodes per axis overall; the result is normalized
     by the total.  A doubled-resolution pass must agree with the total to
     1e-6 relative, otherwise the quadrature is deemed non-convergent.
     """
-    r_edges = np.linspace(0.0, 1.0, bins_r + 1)
-    p_edges = np.linspace(0.0, TWO_PI, bins_phi + 1)
-    per_cell = max(6, quad_points // max(bins_r, bins_phi))
+    r_edges = np.linspace(0.0, 1.0, BINS + 1)
+    p_edges = np.linspace(0.0, TWO_PI, BINS + 1)
+    per_cell = QUAD_POINTS // BINS
 
     def masses(npts):
         nodes = leggauss(npts)
-        out = np.empty((bins_r, bins_phi))
-        for i in range(bins_r):
-            for j in range(bins_phi):
+        out = np.empty((BINS, BINS))
+        for i in range(BINS):
+            for j in range(BINS):
                 out[i, j] = _cell_mass(density, r_edges[i], r_edges[i + 1],
                                        p_edges[j], p_edges[j + 1],
                                        nodes, CORNER_LEVELS)
@@ -249,23 +228,21 @@ def disk_cell_probabilities(density, bins_r: int, bins_phi: int,
     return r_edges, p_edges, cell / total
 
 
-def chi2_hist2d(samples, density, bins: int = 12, level: float = DEFAULT_LEVEL,
-                quad_points: int = 512) -> TestReport:
+def chi2_hist2d(samples, density) -> TestReport:
     """Pearson chi-square of complex disk samples against a density.
 
-    Cells are a polar ``bins x bins`` grid; their probabilities come from
+    Cells are the polar BINS x BINS grid; their probabilities come from
     2-d quadrature of the (unnormalized) density.  Cells with expected
     count below ``MIN_EXPECTED`` are pooled into one.  Passes when the
-    statistic is below the chi-square quantile at 1 - level.
+    statistic is below the chi-square quantile at 1 - LEVEL.
     """
     z = np.asarray(samples, dtype=complex)
     n = z.size
-    r_edges, p_edges, prob = disk_cell_probabilities(
-        density, bins, bins, quad_points=quad_points)
-    ri = np.clip(np.searchsorted(r_edges, np.abs(z), side="right") - 1, 0, bins - 1)
+    r_edges, p_edges, prob = disk_cell_probabilities(density)
+    ri = np.clip(np.searchsorted(r_edges, np.abs(z), side="right") - 1, 0, BINS - 1)
     pi_ = np.clip(np.searchsorted(p_edges, np.mod(np.angle(z), TWO_PI),
-                                  side="right") - 1, 0, bins - 1)
-    counts = np.zeros((bins, bins))
+                                  side="right") - 1, 0, BINS - 1)
+    counts = np.zeros((BINS, BINS))
     np.add.at(counts, (ri, pi_), 1.0)
 
     probs = prob.ravel()
@@ -286,9 +263,9 @@ def chi2_hist2d(samples, density, bins: int = 12, level: float = DEFAULT_LEVEL,
         o, e = o[:-1], e[:-1]
     stat = float(np.sum((o - e) ** 2 / e))
     dof = o.size - 1
-    return _report(stat, chi2_threshold(dof, level), n, f"chi2 dof={dof}")
+    return TestReport(stat, chi2_threshold(dof), n, f"chi2 dof={dof}")
 
 
-def chi2_threshold(dof: int, level: float = DEFAULT_LEVEL) -> float:
-    """Chi-square quantile at 1 - ``level`` with ``dof`` degrees of freedom."""
-    return float(2 * special.gammaincinv(dof / 2, 1.0 - level))
+def chi2_threshold(dof: int) -> float:
+    """Chi-square quantile at 1 - LEVEL with ``dof`` degrees of freedom."""
+    return float(2 * special.gammaincinv(dof / 2, 1.0 - LEVEL))

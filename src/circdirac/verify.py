@@ -36,9 +36,9 @@ from .ensembles import (
     KNMeasureSampler,
     SeedSpec,
     SinePathSpec,
-    _biased_gammas,
-    _kn_gammas,
     bias_by_window,
+    biased_gammas,
+    kn_gammas,
     palm_gammas,
     remove_atom,
     sample_sine_paths,
@@ -55,13 +55,6 @@ from .opuc import (
 from .stats import TestReport, chi2_hist2d, ks_by_coordinate, ks_test, ks_threshold
 
 TWO_PI = 2.0 * math.pi
-
-KS_LEVEL = 1e-3
-
-
-def _exact(err: float, tol: float, n: int, notes: str) -> TestReport:
-    return TestReport(statistic=float(err), threshold=float(tol),
-                      sample_size=int(n), passed=bool(err < tol), notes=notes)
 
 
 def _gap(pairs) -> float:
@@ -126,10 +119,10 @@ def criterion_lattice_closed_form(seed: int):
         expected = theta + TWO_PI * np.array([-1.0, 0.0, 1.0])
         eig_err = _gap([(eigs, expected)]) if eigs.size == 3 else math.inf
         out.append((f"eigenvalues n={n} theta={theta:.4f}",
-                    _exact(eig_err, 1e-10, 3, "eigenvalues 2 pi k + theta")))
+                    TestReport(eig_err, 1e-10, 3, "eigenvalues 2 pi k + theta")))
         w_err = _gap([(w_left, 2.0), (w_right, 2.0)])
         out.append((f"weights n={n} theta={theta:.4f}",
-                    _exact(w_err, 1e-9, 6, "all spectral weights equal 2")))
+                    TestReport(w_err, 1e-9, 6, "all spectral weights equal 2")))
     return out
 
 
@@ -149,7 +142,7 @@ def criterion_spectral_lift(seed: int):
             break
         w_err = np.max(np.abs(w - 2 * n * mu.weights) / (2 * n * mu.weights))
         worst = max(worst, _gap([(lams / n, mu.angles)]), float(w_err))
-    return [("left weights are 2n nu", _exact(worst, 1e-8, 100, "relative error"))]
+    return [("left weights are 2n nu", TestReport(worst, 1e-8, 100, "relative error"))]
 
 
 # ---------------------------------------------------------------------------
@@ -176,8 +169,8 @@ def criterion_roundtrip(seed: int):
                                     "verblunsky")
         worst_c = max(worst_c, float(np.max(np.abs(back.values - a))))
     return [
-        ("measure -> coefficients -> measure", _exact(worst_m, 1e-9, 100, "n <= 12")),
-        ("alpha <-> gamma", _exact(worst_c, 1e-12, 1000, "n = 8")),
+        ("measure -> coefficients -> measure", TestReport(worst_m, 1e-9, 100, "n <= 12")),
+        ("alpha <-> gamma", TestReport(worst_c, 1e-12, 1000, "n = 8")),
     ]
 
 
@@ -185,11 +178,11 @@ def criterion_roundtrip(seed: int):
 # 4. weight-formula duality
 
 
-def _random_operator(rng: np.random.Generator, cells: int = 5):
-    # moderate path roughness: the finite-difference oracle's truncation
-    # error grows with the third phase derivative
-    grid = np.linspace(0.0, 1.0, cells + 1)
-    z = rng.uniform(-1.0, 1.0, cells) + 1j * rng.uniform(0.5, 2.0, cells)
+def _random_operator(rng: np.random.Generator):
+    # five cells of moderate path roughness: the finite-difference oracle's
+    # truncation error grows with the third phase derivative
+    grid = np.linspace(0.0, 1.0, 6)
+    z = rng.uniform(-1.0, 1.0, 5) + 1j * rng.uniform(0.5, 2.0, 5)
     q = rng.uniform(-2.0, 2.0)
     return build_operator((grid, z), u1_spec=q)
 
@@ -202,7 +195,7 @@ def criterion_weight_duality(seed: int):
     da = (batch.phase(lams + h, row) - batch.phase(lams - h, row)) / (2.0 * h)
     worst = float(np.max(np.abs(w - 2.0 / da), initial=0.0))
     return [("(A^2+B^2)/(A'B-AB') vs 2/alpha'",
-             _exact(worst, 1e-8, lams.size, "finite-difference phase oracle"))]
+             TestReport(worst, 1e-8, lams.size, "finite-difference phase oracle"))]
 
 
 # ---------------------------------------------------------------------------
@@ -216,7 +209,7 @@ def criterion_trace_closed_form(seed: int):
         tr, hs = trace_and_hsnorm(op)
         worst = max(worst, abs(tr + q / 2.0), abs(hs - (1.0 + q * q) / 4.0))
     return [("constant-path trace -q/2 and HS^2 (1+q^2)/4",
-             _exact(worst, 1e-12, 4, "single-cell integrals"))]
+             TestReport(worst, 1e-12, 4, "single-cell integrals"))]
 
 
 # ---------------------------------------------------------------------------
@@ -227,19 +220,17 @@ def criterion_kn_marginals(seed: int):
     out = []
     draws = 10_000
     for i, (n, beta) in enumerate(((6, 2.0), (6, 4.0), (10, 1.0))):
-        g = _kn_gammas(SeedSpec(seed, 120 + i).rng(), n, beta, draws)
+        g = kn_gammas(SeedSpec(seed, 120 + i).rng(), n, beta, draws)
         worst = 0.0
         threshold = None
         for k in range(n - 1):
             s = 0.5 * beta * (n - k - 1)
-            rep = ks_test(np.abs(g[:, k]) ** 2,
-                          lambda x, s=s: special.betainc(1.0, s, x), level=KS_LEVEL)
+            rep = ks_test(np.abs(g[:, k]) ** 2, lambda x, s=s: special.betainc(1.0, s, x))
             worst = max(worst, rep.statistic)
             threshold = rep.threshold
         out.append((f"|gamma_k|^2 vs Beta(1, s) n={n} beta={beta:g}",
-                    TestReport(statistic=worst, threshold=threshold,
-                               sample_size=draws, passed=worst < threshold,
-                               notes=f"max over k of one-sample KS ({n - 1} coords)")))
+                    TestReport(worst, threshold, draws,
+                               f"max over k of one-sample KS ({n - 1} coords)")))
     return out
 
 
@@ -250,19 +241,17 @@ def criterion_kn_marginals(seed: int):
 def criterion_palm_law(seed: int):
     n, beta = 6, 2.0
     draws = 10_000
-    palm = palm_gammas(_kn_gammas(SeedSpec(seed, 130).rng(), n, beta, draws))
-    direct = _biased_gammas(SeedSpec(seed, 131).rng(), n, beta, draws)
+    palm = palm_gammas(kn_gammas(SeedSpec(seed, 130).rng(), n, beta, draws))
+    direct = biased_gammas(SeedSpec(seed, 131).rng(), n, beta, draws)
     worst = float(ks_by_coordinate(palm, direct).max())
     # two samples of equal size: effective size draws / 2
-    threshold = ks_threshold(draws / 2, KS_LEVEL)
     reports = [("palm route vs direct density route",
-                TestReport(statistic=worst, threshold=threshold,
-                           sample_size=draws, passed=worst < threshold,
-                           notes="max two-sample KS over coordinates, Re and Im"))]
+                TestReport(worst, ks_threshold(draws / 2), draws,
+                           "max two-sample KS over coordinates, Re and Im"))]
 
     s = 0.5 * beta * (n - 1)
     dens = lambda z: (1.0 - np.abs(z) ** 2) ** s / np.abs(1.0 - z) ** 2
-    rep = chi2_hist2d(palm[:, 0], dens, bins=10, level=KS_LEVEL)
+    rep = chi2_hist2d(palm[:, 0], dens)
     reports.append(("chi2 of gamma'_0 against the biased density", rep))
     return reports
 
@@ -284,12 +273,10 @@ def criterion_gamma_weight_limit(seed: int):
     # CDF of Gamma(beta/2, mean 2); it does not depend on n
     limit = special.gammainc(shape, x / (2.0 / shape))
     ks = {n: _weight_ks(x, limit, n, beta) for n in (100, 1000, 10000)}
-    rep1 = _exact(ks[10000], 0.01, 10000,
+    rep1 = TestReport(ks[10000], 0.01, 10000,
                   f"analytic-CDF KS at n=1e4; values {ks}")
     inc = max(ks[1000] - ks[100], ks[10000] - ks[1000])
-    rep2 = TestReport(statistic=inc, threshold=0.0, sample_size=3,
-                      passed=inc < 0.0,
-                      notes="largest successive increase; pass iff decreasing")
+    rep2 = TestReport(inc, 0.0, 3, "largest successive increase; pass iff decreasing")
     return [("2n Beta vs Gamma(beta/2, mean 2)", rep1),
             ("KS decreases over n = 1e2, 1e3, 1e4", rep2)]
 
@@ -313,7 +300,7 @@ def criterion_spectral_averaging(seed: int):
             avg = np.mean(np.sum(weights * np.exp(1j * p * angles), axis=1))
             worst = max(worst, abs(avg))
     return [("eta-average of moments vanishes",
-             _exact(worst, 1e-3, 20, "256-point eta grid, moments 1..3"))]
+             TestReport(worst, 1e-3, 20, "256-point eta grid, moments 1..3"))]
 
 
 # ---------------------------------------------------------------------------
@@ -323,13 +310,13 @@ def criterion_spectral_averaging(seed: int):
 def criterion_circular_jacobi(seed: int):
     n, beta = 5, 2.0
     draws = 10_000
-    g = palm_gammas(_kn_gammas(SeedSpec(seed, 150).rng(), n, beta, draws))
+    g = palm_gammas(kn_gammas(SeedSpec(seed, 150).rng(), n, beta, draws))
     angles, weights = _measures_from_gammas_batch(g)
     alphas = _measures_to_alphas_batch(*remove_atom(angles, weights, 0.0))
     gamma0 = np.conj(alphas[:, 0])
     expo = 0.5 * beta * (n - 2) - 1.0
     dens = lambda z: (1.0 - np.abs(z) ** 2) ** expo * np.abs(1.0 - z) ** beta
-    rep = chi2_hist2d(gamma0, dens, bins=10, level=KS_LEVEL)
+    rep = chi2_hist2d(gamma0, dens)
     return [("gamma_0 after removing the atom at 1", rep)]
 
 
@@ -345,9 +332,8 @@ def criterion_sine_intensity(seed: int):
     counts = batch.count((0.0, 20.0 * math.pi))
     mean = counts.mean()
     se = counts.std(ddof=1) / math.sqrt(replicas)
-    rep = TestReport(statistic=abs(mean - 10.0), threshold=3.0 * se,
-                     sample_size=replicas, passed=abs(mean - 10.0) < 3.0 * se,
-                     notes=f"mean count {mean:.4f} in [0, 20 pi], MC se {se:.4f}")
+    rep = TestReport(abs(mean - 10.0), 3.0 * se, replicas,
+                     f"mean count {mean:.4f} in [0, 20 pi], MC se {se:.4f}")
     return [("eigenvalue intensity 1/(2 pi)", rep)]
 
 
@@ -363,7 +349,7 @@ def criterion_palm_pins_zero(seed: int):
     np.minimum.at(nearest, row, np.abs(lams))
     worst = float(nearest.max())
     return [("0 is an eigenvalue under the infinity boundary slope",
-             _exact(worst, 1e-10, replicas, "root of the phase at target 0"))]
+             TestReport(worst, 1e-10, replicas, "root of the phase at target 0"))]
 
 
 # ---------------------------------------------------------------------------
@@ -379,15 +365,14 @@ def criterion_biasing_trend(seed: int):
     base = SeedSpec(seed, 170)
     gammas, angles, atom_weights = KNMeasureSampler(n, beta).sample_batch(
         base, replicas)
-    direct = _biased_gammas(SeedSpec(seed, 171).rng(), n, beta, 10_000)
+    direct = biased_gammas(SeedSpec(seed, 171).rng(), n, beta, 10_000)
     w = np.stack([bias_by_window(angles, atom_weights, eps)
                   for eps in (0.3, 0.1, 0.03)])
     stats = ks_by_coordinate(gammas, direct, w).max(axis=(1, 2)).tolist()
     inc = max(stats[1] - stats[0], stats[2] - stats[1])
-    rep = TestReport(statistic=inc, threshold=0.0, sample_size=replicas,
-                     passed=inc < 0.0,
-                     notes=("weighted-vs-direct KS at eps 0.3/0.1/0.03: "
-                            + ", ".join(f"{s:.4f}" for s in stats)))
+    rep = TestReport(inc, 0.0, replicas,
+                     "weighted-vs-direct KS at eps 0.3/0.1/0.03: "
+                     + ", ".join(f"{s:.4f}" for s in stats))
     return [("KS to the biased law decreases with epsilon", rep)]
 
 
@@ -417,11 +402,11 @@ def criterion_transform_invariance(seed: int):
     worst_conj, worst_swap, worst_double = _gap(conj), _gap(swap), _gap(double)
     return [
         ("rotation conjugation leaves both spectral measures fixed",
-         _exact(worst_conj, 1e-8, 15, "atomwise, three rotations")),
+         TestReport(worst_conj, 1e-8, 15, "atomwise, three rotations")),
         ("reversal swaps left and right spectral measures",
-         _exact(worst_swap, 1e-8, 5, "atomwise")),
+         TestReport(worst_swap, 1e-8, 5, "atomwise")),
         ("double reversal is the identity",
-         _exact(worst_double, 1e-14, 5, "grid, path, boundary vectors")),
+         TestReport(worst_double, 1e-14, 5, "grid, path, boundary vectors")),
     ]
 
 

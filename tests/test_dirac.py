@@ -41,29 +41,53 @@ def cell_values(op):
     return op.path.real, op.path.imag, np.diff(op.grid)
 
 
+def cut(op, cells):
+    """The operator on its first ``cells`` cells."""
+    return dirac.DiracOperator(grid=op.grid[:cells + 1], path=op.path[:cells],
+                               u0=op.u0, u1=op.u1)
+
+
 def sweep(batch, lam, row=0, **kw):
     """dirac._sweep on the stored steps of an OperatorBatch."""
     return batch._lanes(lam, row, **kw)
 
 
-def fixed_frame_sweep(x, y, dt, lam, u0, upto=None, want_deriv=False,
-                      want_phase=False):
+def eval_H(op, lam):
+    """(H, dH, normsq) at the end of the operator, from the moving-frame sweep.
+
+    H = X_{m-1}^{-1} G and dH its lambda-derivative, each shaped (2,) + lam's
+    shape; normsq is the squared R-norm of H over the cells, H^t J dH.
+    """
+    G0, G1, dG0, dG1, _ = sweep(op.batch, lam, want_deriv=True)
+    x, y = op.path[-1].real, op.path[-1].imag
+    H = np.array(dirac._unframe(x, y, G0, G1))
+    dH = np.array(dirac._unframe(x, y, dG0, dG1))
+    return H, dH, (G1 * dG0 - G0 * dG1) / y
+
+
+def secular(op, lam, u1=None):
+    """zeta(lam) = H(T, lam)^t J u1 at real lam; u1 defaults to op.normalized_u1()."""
+    H = eval_H(op, lam)[0]
+    u1 = op.normalized_u1() if u1 is None else u1
+    return H[1] * u1[0] - H[0] * u1[1]
+
+
+def fixed_frame_sweep(x, y, dt, lam, u0, want_deriv=False, want_phase=False):
     """Oracle: the cell sweep in the fixed frame, for one operator.
 
     H advances through X^{-1} Rot(lam dt / 2) X, whose entries reach
     (1 + x^2 + y^2) / y, and each cell's winding of H0 - i H1 comes from
     the closed form p + Arg((a + b e^{-2ip}) conj(a + b)) of
     W = a e^{ip} + b e^{-ip}.  Returns (H0, H1, dH0, dH1, winding) with the
-    winding counted from u0; lam may be complex when no winding is wanted.
+    winding counted from u0.
     """
-    lam = np.asarray(lam)
-    lam = lam.astype(complex if np.iscomplexobj(lam) else float)
-    H0 = np.full(lam.shape, u0[0], dtype=lam.dtype)
-    H1 = np.full(lam.shape, u0[1], dtype=lam.dtype)
-    dH0 = np.zeros(lam.shape, dtype=lam.dtype)
-    dH1 = np.zeros(lam.shape, dtype=lam.dtype)
+    lam = np.asarray(lam, dtype=float)
+    H0 = np.full(lam.shape, u0[0])
+    H1 = np.full(lam.shape, u0[1])
+    dH0 = np.zeros(lam.shape)
+    dH1 = np.zeros(lam.shape)
     wind = np.zeros(lam.shape)
-    for k in range(np.size(x) if upto is None else upto):
+    for k in range(np.size(x)):
         xk, yk = x[k], y[k]
         phi = 0.5 * lam * dt[k]
         c, s = np.cos(phi), np.sin(phi)
@@ -155,16 +179,16 @@ class TestEvalH:
     def test_zero_frequency(self):
         rng = np.random.default_rng(1)
         op = random_operator(rng)
-        ed = dirac.eval_H(op, 0.0)
-        np.testing.assert_allclose(ed.H1, [1.0, 0.0], atol=1e-15)
+        H, _, _ = eval_H(op, 0.0)
+        np.testing.assert_allclose(H, [1.0, 0.0], atol=1e-15)
 
     def test_lattice_closed_form(self):
         op = lattice_operator(4, 1.0)
         for lam in (0.7, 2.5, -4.0):
-            ed = dirac.eval_H(op, lam)
+            H, _, normsq = eval_H(op, lam)
             np.testing.assert_allclose(
-                ed.H1, [math.cos(lam / 2), -math.sin(lam / 2)], atol=1e-13)
-            assert ed.normsq == pytest.approx(0.5, abs=1e-13)
+                H, [math.cos(lam / 2), -math.sin(lam / 2)], atol=1e-13)
+            assert normsq == pytest.approx(0.5, abs=1e-13)
 
     def test_normsq_matches_quadrature(self):
         # composite Simpson with 128 intervals per cell as the oracle
@@ -172,7 +196,7 @@ class TestEvalH:
         for _ in range(5):
             op = random_operator(rng)
             lam = rng.uniform(-5.0, 5.0)
-            ed = dirac.eval_H(op, lam)
+            normsq = eval_H(op, lam)[2]
             total = 0.0
             H = np.array([1.0, 0.0])
             for k in range(op.cells):
@@ -198,15 +222,15 @@ class TestEvalH:
                 rot = np.array([[math.cos(phi), math.sin(phi)],
                                 [-math.sin(phi), math.cos(phi)]])
                 H = Xi @ rot @ X @ H
-            assert ed.normsq == pytest.approx(total, abs=1e-8)
+            assert normsq == pytest.approx(total, abs=1e-8)
 
     def test_partial_sweep(self):
+        # the operator cut to its first two cells carries H as far as they go
         rng = np.random.default_rng(3)
         op = random_operator(rng)
-        ed2 = dirac.eval_H(op, 1.3, upto=2)
-        trunc = dirac.build_operator((op.grid[:3], op.path[:2]), u1_spec=0.0)
-        ed_full = dirac.eval_H(trunc, 1.3)
-        np.testing.assert_allclose(ed2.H1, ed_full.H1, atol=1e-14)
+        x, y, dt = cell_values(op)
+        H0, H1, *_ = fixed_frame_sweep(x[:2], y[:2], dt[:2], 1.3, op.u0)
+        np.testing.assert_allclose(eval_H(cut(op, 2), 1.3)[0], [H0, H1], atol=1e-14)
 
 
 class TestPhase:
@@ -305,11 +329,7 @@ class TestEigenvalues:
             op = random_operator(rng)
             eigs = dirac.eigenvalues_in(op, (-20.0, 20.0))
             grid = np.linspace(-20.0, 20.0, 40_001)
-            u1 = op.normalized_u1()
-            x, y, _ = cell_values(op)
-            G0, G1, _, _, _ = sweep(op.batch, grid)
-            H0, H1 = dirac._unframe(x[-1], y[-1], G0, G1)
-            vals = H1 * u1[0] - H0 * u1[1]
+            vals = secular(op, grid)
             flips = np.nonzero(np.diff(np.sign(vals)) != 0)[0]
             assert flips.size == eigs.size
             np.testing.assert_allclose(grid[flips], eigs, atol=2e-3)
@@ -412,12 +432,12 @@ class TestMovingFrame:
         for lam in lams:
             H0, H1, dH0, dH1, _ = fixed_frame_sweep(x, y, dt, lam, op.u0,
                                                     want_deriv=True)
-            ed = dirac.eval_H(op, lam)
-            np.testing.assert_allclose(ed.H1, [H0, H1], rtol=0,
+            H, dH, normsq = eval_H(op, lam)
+            np.testing.assert_allclose(H, [H0, H1], rtol=0,
                                        atol=rel * np.hypot(H0, H1))
-            np.testing.assert_allclose(ed.dH1, [dH0, dH1], rtol=0,
+            np.testing.assert_allclose(dH, [dH0, dH1], rtol=0,
                                        atol=rel * np.hypot(dH0, dH1))
-            assert ed.normsq == pytest.approx(H1 * dH0 - H0 * dH1, rel=rel)
+            assert normsq == pytest.approx(H1 * dH0 - H0 * dH1, rel=rel)
         phases = fixed_frame_phase(op, lams)
         np.testing.assert_allclose(dirac.phase_at(op, lams), phases, rtol=0,
                                    atol=rel * max(1.0, np.max(np.abs(phases))))
@@ -445,18 +465,16 @@ class TestMovingFrame:
                         sm.weights, top / (H1 * dH0 - H0 * dH1), rtol=1e-11)
 
     def test_partial_sweeps_match_oracle(self):
+        # the operator cut to its first 1, 3 and 6 cells
         rng = np.random.default_rng(46)
         op = random_operator(rng, cells=6)
         x, y, dt = cell_values(op)
-        for upto in (1, 3, op.cells):
-            H0, H1, dH0, dH1, _ = fixed_frame_sweep(x, y, dt, 2.7, op.u0, upto=upto,
-                                                    want_deriv=True)
-            ed = dirac.eval_H(op, 2.7, upto=upto)
-            np.testing.assert_allclose(ed.H1, [H0, H1], rtol=1e-12)
-            np.testing.assert_allclose(ed.dH1, [dH0, dH1], rtol=1e-12)
-        for upto in (0, op.cells + 1):
-            with pytest.raises(ValueError, match="upto"):
-                dirac.eval_H(op, 2.7, upto=upto)
+        for cells in (1, 3, op.cells):
+            H0, H1, dH0, dH1, _ = fixed_frame_sweep(x[:cells], y[:cells], dt[:cells],
+                                                    2.7, op.u0, want_deriv=True)
+            H, dH, _ = eval_H(cut(op, cells), 2.7)
+            np.testing.assert_allclose(H, [H0, H1], rtol=1e-12)
+            np.testing.assert_allclose(dH, [dH0, dH1], rtol=1e-12)
 
     def test_infinity_slope_target_is_zero(self):
         rng = np.random.default_rng(47)
@@ -575,7 +593,7 @@ class TestChunkedSweep:
                 kw = dict(want_deriv=flags[0], want_phase=flags[1])
                 self.assert_same_sweep(sweep(o.batch, lams, **kw),
                                        self.plain_sweep(monkeypatch, o.batch, lams, **kw))
-            # eval_H and phase_at sweep one lane or six: chunked
+            # eval_H and phase_at sweep one lane or eight: chunked
             TestMovingFrame.assert_matches_oracle(o, lams)
             np.testing.assert_allclose(dirac.phase_at(o, many),
                                        fixed_frame_phase(o, many), rtol=0, atol=1e-10)
@@ -583,23 +601,25 @@ class TestChunkedSweep:
             assert dirac.eigenvalue_count(o, window) == fixed_frame_count(o, window)
 
     def test_partial_sweeps_match_oracle(self, monkeypatch):
-        # the full sweep of 100 cells runs 10 chunks of 10; upto = 55 ends
-        # inside one of them and 60 on a boundary (a partial sweep chunks
-        # its own upto cells: 7 chunks of 8 and of 9, the last padded)
+        # the operator cut to its first 55, 60 and 61 cells: 100 cells run
+        # 10 chunks of 10, and 55 to 61 cells run 7 chunks of 8 or 9, the
+        # last one padded by 1, 3 and 2 identity cells
         rng = np.random.default_rng(48)
         op = random_operator(rng, cells=100)
         x, y, dt = cell_values(op)
         assert dirac._chunk_count(1, 100) == 10
-        for upto in (55, 60, 61, 100):
-            H0, H1, dH0, dH1, _ = fixed_frame_sweep(x, y, dt, 2.7, op.u0, upto=upto,
-                                                    want_deriv=True)
-            ed = dirac.eval_H(op, 2.7, upto=upto)
-            np.testing.assert_allclose(ed.H1, [H0, H1], rtol=1e-12)
-            np.testing.assert_allclose(ed.dH1, [dH0, dH1], rtol=1e-12)
+        for cells in (55, 60, 61, 100):
+            assert dirac._chunk_count(1, cells) == (10 if cells == 100 else 7)
+            H0, H1, dH0, dH1, _ = fixed_frame_sweep(x[:cells], y[:cells], dt[:cells],
+                                                    2.7, op.u0, want_deriv=True)
+            part = cut(op, cells)
+            H, dH, _ = eval_H(part, 2.7)
+            np.testing.assert_allclose(H, [H0, H1], rtol=1e-12)
+            np.testing.assert_allclose(dH, [dH0, dH1], rtol=1e-12)
             lams = np.array([-3.0, 2.7, 11.0])
-            kw = dict(upto=upto, want_deriv=True, want_phase=True)
-            self.assert_same_sweep(sweep(op.batch, lams, **kw),
-                                   self.plain_sweep(monkeypatch, op.batch, lams, **kw))
+            kw = dict(want_deriv=True, want_phase=True)
+            self.assert_same_sweep(sweep(part.batch, lams, **kw),
+                                   self.plain_sweep(monkeypatch, part.batch, lams, **kw))
 
     def test_batch_rows_repeat(self, monkeypatch):
         rng = np.random.default_rng(49)
@@ -617,19 +637,6 @@ class TestChunkedSweep:
                                    tol=1e-13)
             oracle = fixed_frame_phase(ops[i], np.array([lam]))
             assert dirac.phase_at(ops[i], lam) == pytest.approx(oracle[0], abs=1e-11)
-
-    def test_complex_lambda_secular(self, monkeypatch):
-        rng = np.random.default_rng(51)
-        op = random_operator(rng, cells=103)
-        x, y, dt = cell_values(op)
-        u1 = op.normalized_u1()
-        for z in (1.2 + 0.7j, -3.0 + 2.0j, 10.0 + 0.1j, 4.0 - 1.5j):
-            H0, H1, *_ = fixed_frame_sweep(x, y, dt, z, op.u0)
-            zeta = dirac.secular_at(op, z)
-            assert abs(zeta - (H1 * u1[0] - H0 * u1[1])) <= (
-                1e-12 * np.hypot(abs(H0), abs(H1)) * np.hypot(*u1))
-            self.assert_same_sweep(sweep(op.batch, z),
-                                   self.plain_sweep(monkeypatch, op.batch, z))
 
     def test_turns_tolerate_column_winding_errors(self):
         # a chunk's column windings only pick whole turns, with a margin of
@@ -731,33 +738,32 @@ class TestSpectralMeasure:
 
 
 class TestSecular:
+    """Identities of the secular function at real lambda, on the sweep."""
+
     def test_normalized_at_zero(self):
         rng = np.random.default_rng(9)
         op = random_operator(rng)
-        assert dirac.secular_at(op, 0.0) == pytest.approx(1.0)
+        assert secular(op, 0.0) == pytest.approx(1.0)
 
     def test_lattice_zero_at_theta(self):
         theta = 0.9
         op = lattice_operator(5, theta)
-        assert abs(dirac.secular_at(op, theta)) < 1e-12
-
-    def test_conjugate_symmetry(self):
-        rng = np.random.default_rng(10)
-        op = random_operator(rng)
-        z = 1.2 + 0.7j
-        assert dirac.secular_at(op, np.conj(z)) == pytest.approx(
-            np.conj(dirac.secular_at(op, z)))
+        assert abs(secular(op, theta)) < 1e-12
 
     def test_vanishes_on_eigenvalues(self):
         rng = np.random.default_rng(11)
         op = random_operator(rng)
-        for lam in dirac.eigenvalues_in(op, (-6.0, 6.0)):
-            assert abs(dirac.secular_at(op, lam)) < 1e-9
+        eigs = dirac.eigenvalues_in(op, (-6.0, 6.0))
+        assert eigs.size > 0
+        assert np.all(np.abs(secular(op, eigs)) < 1e-9)
 
     def test_infinity_slope_vanishes_at_zero(self):
+        # u1 = [1, 0] is parallel to u0 and admits no normalization
         op = dirac.build_operator((np.array([0.0, 1.0]), np.array([1j])),
                                   u1_spec=INF)
-        assert dirac.secular_at(op, 0.0) == 0.0
+        with pytest.raises(ValueError, match="no trace"):
+            op.normalized_u1()
+        assert secular(op, 0.0, op.u1) == 0.0
 
 
 class TestTraceHS:
@@ -822,7 +828,7 @@ class TestTraceHS:
                                      u1=3.0 * op.u1)
         np.testing.assert_allclose(dirac.trace_and_hsnorm(scaled),
                                    dirac.trace_and_hsnorm(op), atol=1e-15)
-        assert dirac.secular_at(scaled, 0.0) == pytest.approx(1.0)
+        assert secular(scaled, 0.0) == pytest.approx(1.0)
 
 
 class TestTransforms:

@@ -16,9 +16,7 @@ class TestKS:
 
     def test_sample_against_itself(self):
         x = np.random.default_rng(0).normal(size=200)
-        rep = cstats.ks_test(x, x)
-        assert rep.statistic == 0.0
-        assert rep.passed
+        assert cstats._ks_two_sample_each(x, x, [None, np.ones(200)]) == [0.0, 0.0]
 
     def test_calibration(self):
         x = np.random.default_rng(1).random(10_000)
@@ -44,7 +42,8 @@ class TestKS:
         a = np.array([0.0, 1.0, 2.0])
         b = np.array([0.5, 1.5])
         # ecdf difference: max |F_a - F_b| = 1/3 at 0, 1/6 at .5 ... sup = 1/3
-        assert cstats.ks_statistic_two_sample(a, b) == pytest.approx(1.0 / 3.0)
+        [stat] = cstats._ks_two_sample_each(a, b, [None])
+        assert stat == pytest.approx(1.0 / 3.0)
 
     def test_weighted_matches_replication(self):
         rng = np.random.default_rng(4)
@@ -52,9 +51,8 @@ class TestKS:
         w = np.ones(300)
         w[:100] = 2.0
         b = rng.normal(size=400)
-        weighted = cstats.ks_statistic_two_sample(a, b, weights_a=w)
-        replicated = cstats.ks_statistic_two_sample(
-            np.concatenate([a[:100], a]), b)
+        [weighted] = cstats._ks_two_sample_each(a, b, [w])
+        [replicated] = cstats._ks_two_sample_each(np.concatenate([a[:100], a]), b, [None])
         assert weighted == pytest.approx(replicated, abs=1e-12)
 
     def test_by_coordinate(self):
@@ -66,10 +64,8 @@ class TestKS:
         ks = cstats.ks_by_coordinate(a, b, w)
         assert ks.shape == (3, 2)
         for k in range(3):
-            assert ks[k, 0] == cstats.ks_statistic_two_sample(
-                a[:, k].real, b[:, k].real, weights_a=w)
-            assert ks[k, 1] == cstats.ks_statistic_two_sample(
-                a[:, k].imag, b[:, k].imag, weights_a=w)
+            assert [ks[k, 0]] == cstats._ks_two_sample_each(a[:, k].real, b[:, k].real, [w])
+            assert [ks[k, 1]] == cstats._ks_two_sample_each(a[:, k].imag, b[:, k].imag, [w])
         assert cstats.ks_by_coordinate(a[:, :1], b[:, :1]).shape == (0, 2)
 
     def test_by_coordinate_stacked_weights(self):
@@ -97,19 +93,19 @@ class TestScipyStatsOracle:
 
     @pytest.mark.parametrize("n", [1, 2, 3, 7.5, 5000, 10_000, 123_456])
     def test_ks_threshold(self, n):
-        assert cstats.ks_threshold(n, 1e-3) == (
+        assert cstats.LEVEL == 1e-3
+        assert cstats.ks_threshold(n) == (
             float(sps.kstwobign.isf(1e-3)) / math.sqrt(n))
 
     def test_chi2_threshold(self):
         for dof in range(1, 121):
-            assert cstats.chi2_threshold(dof, 1e-3) == float(
+            assert cstats.chi2_threshold(dof) == float(
                 sps.chi2.ppf(1.0 - 1e-3, dof))
 
     def test_chi2_hist2d_threshold(self):
         rng = np.random.default_rng(5)
         z = np.sqrt(rng.random(8000)) * np.exp(2j * math.pi * rng.random(8000))
-        rep = cstats.chi2_hist2d(z, lambda w: np.ones_like(w, dtype=float),
-                                 bins=8)
+        rep = cstats.chi2_hist2d(z, lambda w: np.ones_like(w, dtype=float))
         dof = int(rep.notes.split("=")[1])
         assert rep.threshold == float(sps.chi2.ppf(1.0 - 1e-3, dof))
 
@@ -156,41 +152,47 @@ class TestChi2:
     def test_uniform_disk_calibration(self):
         rng = np.random.default_rng(5)
         z = np.sqrt(rng.random(8000)) * np.exp(2j * math.pi * rng.random(8000))
-        rep = cstats.chi2_hist2d(z, lambda w: np.ones_like(w, dtype=float),
-                                 bins=8)
+        rep = cstats.chi2_hist2d(z, lambda w: np.ones_like(w, dtype=float))
         assert rep.passed
 
     def test_power_against_wrong_density(self):
         rng = np.random.default_rng(6)
         z = np.sqrt(rng.random(8000)) * np.exp(2j * math.pi * rng.random(8000))
         dens = lambda w: (1.0 - np.abs(w) ** 2) ** 3 / np.abs(1.0 - w) ** 2
-        rep = cstats.chi2_hist2d(z, dens, bins=8)
+        rep = cstats.chi2_hist2d(z, dens)
         assert not rep.passed
 
     def test_cell_probabilities_sum_to_one(self):
         dens = lambda w: (1.0 - np.abs(w) ** 2) ** 2
-        _, _, prob = cstats.disk_cell_probabilities(dens, 8, 8,
-                                                    quad_points=256)
+        _, _, prob = cstats.disk_cell_probabilities(dens)
+        assert prob.shape == (cstats.BINS, cstats.BINS)
         assert prob.sum() == pytest.approx(1.0, abs=1e-9)
 
     def test_non_convergent_quadrature_raises(self):
-        dens = lambda w: 1.0 + np.cos(4000.0 * np.abs(w))
+        # about 1e4 oscillations along each radius: far too many for the
+        # QUAD_POINTS // BINS nodes per cell and for twice as many
+        dens = lambda w: 1.0 + np.cos(6e4 * np.abs(w))
         with pytest.raises(ValueError, match="quadrature"):
-            cstats.disk_cell_probabilities(dens, 4, 4, quad_points=64)
+            cstats.disk_cell_probabilities(dens)
 
     def test_boundary_singularity_integrates(self):
         # the atom-at-1 tilted law: integrable pole at z = 1
         dens = lambda w: (1.0 - np.abs(w) ** 2) ** 1.0 / np.abs(1.0 - w) ** 2
-        _, _, prob = cstats.disk_cell_probabilities(dens, 8, 8)
+        _, _, prob = cstats.disk_cell_probabilities(dens)
         assert prob.sum() == pytest.approx(1.0, abs=1e-12)
         assert np.all(prob >= 0.0)
 
 
 class TestReport:
     def test_pass_iff_below_threshold(self):
-        rep = cstats.TestReport(statistic=0.5, threshold=1.0, sample_size=10,
-                                passed=True)
+        rep = cstats.TestReport(statistic=0.5, threshold=1.0, sample_size=10)
         d = rep.to_dict()
         assert d["pass"] is True
         assert set(d) == {"statistic", "threshold", "sample_size", "pass",
                           "notes"}
+        for stat in (1.0, 2.0, math.inf, math.nan):
+            assert not cstats.TestReport(stat, 1.0, 10).passed
+
+    def test_passed_is_not_an_argument(self):
+        with pytest.raises(TypeError, match="passed"):
+            cstats.TestReport(statistic=2.0, threshold=1.0, sample_size=10, passed=True)
