@@ -1,12 +1,14 @@
 """Command-line front end.
 
 Subcommands: kn-sample, measure, spectrum, palm, aleksandrov, sine-beta,
-bias, verify.  Every command accepts --out; file formats are the JSON
-schemas of the library modules.  The commands that draw accept --seed:
-verify demands it (reports must be reproducible), and kn-sample,
-sine-beta and bias draw an entropy seed when none is given and echo it on
-stdout.  kn-sample and sine-beta also accept --stream, and verify, which
-can run its criteria in a worker pool, accepts --jobs.
+sine-intensity, bias, bias-trend, verify.  Every command accepts --out;
+file formats are the JSON schemas of the library modules, plus the CSV
+tables of the three experiments (sine-intensity, bias, bias-trend).  The
+commands that draw accept --seed: verify demands it (reports must be
+reproducible), and kn-sample, sine-beta, sine-intensity, bias and
+bias-trend draw an entropy seed when none is given and echo it on stdout.
+kn-sample and sine-beta also accept --stream, and verify, which can run
+its criteria in a worker pool, accepts --jobs.
 
 Exit codes: 0 on success (for verify: all criteria passed), 1 on a runtime
 error (a machine-readable record goes to stderr), 2 on a usage error.
@@ -32,6 +34,13 @@ def _write_json(path: str, payload: dict) -> None:
     with open(path, "w") as fh:
         json.dump(payload, fh, indent=2)
         fh.write("\n")
+
+
+def _write_csv(path: str, header: list, rows) -> None:
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def _read_json(path: str) -> dict:
@@ -112,8 +121,6 @@ def _cmd_aleksandrov(args) -> int:
 
 
 def _cmd_sine_beta(args) -> int:
-    if args.beta is None:
-        raise ValueError("beta is required (pass --beta or a --config file)")
     if args.side is not None and args.window is None:
         raise ValueError("--side applies only with --window")
     seed = _resolve_seed(args)
@@ -131,28 +138,61 @@ def _cmd_sine_beta(args) -> int:
     return 0
 
 
-def _cmd_bias(args) -> int:
+def _cmd_sine_intensity(args) -> int:
+    seed = _resolve_seed(args)
+    spec = SinePathSpec(beta=args.beta, t_min=args.t_min, cells=args.cells)
+    base = SeedSpec(seed, 0)
+    batch = ensembles.sample_sine_paths(spec, [base.stream(i) for i in range(args.replicas)])
+    counts = batch.count((0.0, args.length))
+    _write_csv(f"{args.out}.csv", ["replica", "count"],
+               ([i, int(c)] for i, c in enumerate(counts)))
+    mean = float(counts.mean())
+    se = float(counts.std(ddof=1) / math.sqrt(args.replicas))
+    summary = {
+        "experiment": "sine-intensity",
+        "beta": args.beta,
+        "t_min": args.t_min,
+        "cells": args.cells,
+        "replicas": args.replicas,
+        "seed": seed,
+        "window": [0.0, args.length],
+        "mean_count": mean,
+        "mc_standard_error": se,
+        "expected": args.length / (2.0 * math.pi),
+    }
+    _write_json(f"{args.out}.json", summary)
+    print(f"mean count {mean:.4f} +- {se:.4f}, expected {summary['expected']:.4f}")
+    return 0
+
+
+def _biased_draws(args, epsilons):
+    """The window-biasing experiment's draws, shared by bias and bias-trend.
+
+    Replicas come from stream 0 of the seed, 10 000 direct draws of the
+    atom-at-1 law from stream 1 000 000.  Returns (seed, gammas, weights,
+    ks): the replicas' coefficients, their importance weights per epsilon
+    (E, replicas), and the per-coordinate KS distances of each weighting
+    to the direct draws (E, n-1, 2).
+    """
     from .stats import ks_by_coordinate  # loads scipy.special, like verify
-    if args.beta is None:
-        args.beta = 2.0
-    if args.epsilon <= 0.0:
+    if min(epsilons) <= 0.0:
         raise ValueError("epsilon must be positive")
     seed = _resolve_seed(args)
     gammas, angles, atom_weights = KNMeasureSampler(args.n, args.beta).sample_batch(
         SeedSpec(seed, 0), args.replicas)
-    weights = ensembles.bias_by_window(angles, atom_weights, args.epsilon)
+    weights = np.stack([ensembles.bias_by_window(angles, atom_weights, eps)
+                        for eps in epsilons])
     direct = ensembles.biased_gammas(SeedSpec(seed, 1_000_000).rng(),
                                      args.n, args.beta, 10_000)
-    ks = {f"gamma_{k}": {"re": re, "im": im} for k, (re, im)
-          in enumerate(ks_by_coordinate(gammas, direct, weights).tolist())}
-    csv_path = f"{args.out}.csv"
-    with open(csv_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["replica", "importance_weight", "gamma0_re", "gamma0_im"])
-        for i in range(args.replicas):
-            writer.writerow([i, repr(float(weights[i])),
-                             repr(float(gammas[i, 0].real)),
-                             repr(float(gammas[i, 0].imag))])
+    return seed, gammas, weights, ks_by_coordinate(gammas, direct, weights)
+
+
+def _cmd_bias(args) -> int:
+    seed, gammas, [weights], [ks] = _biased_draws(args, [args.epsilon])
+    csv_path, json_path = f"{args.out}.csv", f"{args.out}.json"
+    _write_csv(csv_path, ["replica", "importance_weight", "gamma0_re", "gamma0_im"],
+               ([i, repr(float(w)), repr(float(g.real)), repr(float(g.imag))]
+                for i, (w, g) in enumerate(zip(weights, gammas[:, 0]))))
     summary = {
         "experiment": "bias",
         "n": args.n,
@@ -161,11 +201,33 @@ def _cmd_bias(args) -> int:
         "seed": seed,
         "epsilon": args.epsilon,
         "nonzero_weight_fraction": float(np.mean(weights > 0.0)),
-        "ks_to_direct_law": ks,
+        "ks_to_direct_law": {f"gamma_{k}": {"re": re, "im": im}
+                             for k, (re, im) in enumerate(ks.tolist())},
     }
-    json_path = f"{args.out}.json"
     _write_json(json_path, summary)
     print(f"wrote {csv_path} and {json_path}")
+    return 0
+
+
+def _cmd_bias_trend(args) -> int:
+    seed, _, weights, ks = _biased_draws(args, args.eps)
+    max_ks = ks.max(axis=(1, 2), initial=0.0).tolist()
+    fractions = [float(np.mean(w > 0.0)) for w in weights]
+    for eps, m in zip(args.eps, max_ks):
+        print(f"eps {eps:6.3f}: max per-coordinate KS {m:.4f}")
+    _write_csv(f"{args.out}.csv", ["epsilon", "max_ks", "nonzero_weight_fraction"],
+               ([repr(e), repr(m), repr(f)] for e, m, f in zip(args.eps, max_ks, fractions)))
+    summary = {
+        "experiment": "bias-trend",
+        "n": args.n,
+        "beta": args.beta,
+        "replicas": args.replicas,
+        "seed": seed,
+        "epsilon": args.eps,
+        "max_ks": max_ks,
+        "monotone_decreasing": all(a > b for a, b in zip(max_ks, max_ks[1:])),
+    }
+    _write_json(f"{args.out}.json", summary)
     return 0
 
 
@@ -204,23 +266,6 @@ def _suite_name(name: str) -> str:
     if name not in verify.SUITES:
         raise argparse.ArgumentTypeError(f"choose from {sorted(verify.SUITES)}")
     return name
-
-
-_CONFIG_KEYS = ("n", "beta", "replicas", "seed", "epsilon", "t_min", "cells")
-
-_HARD_DEFAULTS = {"n": 6, "replicas": 10_000, "epsilon": 0.1,
-                  "t_min": 1e-4, "cells": 4096}
-
-
-def _apply_config(args) -> None:
-    """Fill unset (None) options from --config, then from hard defaults."""
-    cfg = _read_json(args.config) if getattr(args, "config", None) else {}
-    for key in _CONFIG_KEYS:
-        if hasattr(args, key) and getattr(args, key) is None:
-            if key in cfg:
-                setattr(args, key, cfg[key])
-            elif key in _HARD_DEFAULTS:
-                setattr(args, key, _HARD_DEFAULTS[key])
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -276,11 +321,13 @@ def build_parser() -> argparse.ArgumentParser:
     add_out(p)
     p.set_defaults(func=_cmd_aleksandrov)
 
+    def add_path(p):
+        p.add_argument("--t-min", dest="t_min", type=float, default=SinePathSpec.t_min)
+        p.add_argument("--cells", type=int, default=SinePathSpec.cells)
+
     p = sub.add_parser("sine-beta", help="sample a continuum operator")
-    p.add_argument("--beta", type=float, default=None,
-                   help="required unless supplied through --config")
-    p.add_argument("--t-min", dest="t_min", type=float, default=None)
-    p.add_argument("--cells", type=int, default=None)
+    p.add_argument("--beta", type=float, required=True)
+    add_path(p)
     p.add_argument("--q-mode", dest="q_mode",
                    choices=["cauchy", "fixed", "infinity"], default="cauchy")
     p.add_argument("--q", type=float, default=None, help="slope for --q-mode fixed")
@@ -288,20 +335,37 @@ def build_parser() -> argparse.ArgumentParser:
                    metavar=("A", "B"))
     p.add_argument("--side", choices=["left", "right"], default=None,
                    help="side of the --window spectrum (default: right)")
-    p.add_argument("--config", help="experiment config JSON")
     add_seed(p, stream=True)
     add_out(p)
     p.set_defaults(func=_cmd_sine_beta)
 
+    p = sub.add_parser("sine-intensity", help="eigenvalue counts of sampled operators")
+    p.add_argument("--beta", type=float, default=2.0)
+    add_path(p)
+    p.add_argument("--length", type=float, default=20.0 * math.pi,
+                   help="window is [0, length)")
+    p.add_argument("--replicas", type=int, default=200)
+    add_seed(p, stream=False)
+    add_out(p, out_default="sine_intensity")
+    p.set_defaults(func=_cmd_sine_intensity)
+
     p = sub.add_parser("bias", help="window-biased ensemble experiment")
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("--beta", type=float, default=None)
-    p.add_argument("--epsilon", type=float, default=None)
-    p.add_argument("--replicas", type=int, default=None)
-    p.add_argument("--config", help="experiment config JSON")
+    p.add_argument("--n", type=int, default=6)
+    p.add_argument("--beta", type=float, default=2.0)
+    p.add_argument("--epsilon", type=float, default=0.1)
+    p.add_argument("--replicas", type=int, default=10_000)
     add_seed(p, stream=False)
     add_out(p)
     p.set_defaults(func=_cmd_bias)
+
+    p = sub.add_parser("bias-trend", help="KS to the atom-at-1 law over an epsilon ladder")
+    p.add_argument("--n", type=int, default=6)
+    p.add_argument("--beta", type=float, default=2.0)
+    p.add_argument("--replicas", type=int, default=30_000)
+    p.add_argument("--eps", type=float, nargs="+", default=[0.3, 0.1, 0.03])
+    add_seed(p, stream=False)
+    add_out(p, out_default="bias_trend")
+    p.set_defaults(func=_cmd_bias_trend)
 
     p = sub.add_parser("verify", help="run a named acceptance suite")
     p.add_argument("--suite", type=_suite_name, default="all")
@@ -317,8 +381,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command in ("bias", "sine-beta"):
-        _apply_config(args)
     try:
         return args.func(args)
     except Exception as exc:  # runtime errors: machine-readable record

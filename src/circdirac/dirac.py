@@ -424,15 +424,14 @@ class OperatorBatch:
         order = np.lexsort((lams, row))
         return lams[order], row[order]
 
-    def weights(self, window, side: str):
-        """(lambdas, weights, row): left or right spectral weights in [a, b).
+    def weights(self, window):
+        """(lambdas, left, right, row): both sides' spectral weights in [a, b).
 
         The weight at an eigenvalue is |H(endpoint)|^2 / ||H||_R^2 with the
         norm taken from H^t J dH; on the right this equals
-        (A^2 + B^2)/(A'B - AB') = 2 / d(alpha)/d(lambda).
+        (A^2 + B^2)/(A'B - AB') = 2 / d(alpha)/d(lambda).  One root search
+        serves both sides.
         """
-        if side not in ("left", "right"):
-            raise ValueError("side must be 'left' or 'right'")
         lams, row = self.eigenvalues(window)
         G0, G1, dG0, dG1, _ = self._lanes(lams, row, want_deriv=True)
         x, y = self.last[:, row]
@@ -442,10 +441,8 @@ class OperatorBatch:
                 "conditioning: eigenfunction norm lost positivity; the path's "
                 "Im z is too small for double precision"
             )
-        if side == "left":
-            return lams, self.u0sq[row] / normsq, row
         H0, H1 = _unframe(x, y, G0, G1)
-        return lams, (H0 * H0 + H1 * H1) / normsq, row
+        return lams, self.u0sq[row] / normsq, (H0 * H0 + H1 * H1) / normsq, row
 
     def phase(self, lam, row=0) -> np.ndarray:
         """Phase alpha(T, lambda) at each ``lam`` (see :func:`phase_at`).
@@ -699,8 +696,9 @@ def eigenvalue_count(op: DiracOperator, window) -> int:
 
 def spectral_measure(op: DiracOperator, window, side: str) -> SpectralMeasure:
     """Left or right spectral measure restricted to the window."""
-    lams, w, _ = op.batch.weights(window, side)
-    return SpectralMeasure(lambdas=lams, weights=w, window=window, side=side)
+    lams, left, right, _ = op.batch.weights(window)
+    return SpectralMeasure(lambdas=lams, weights=left if side == "left" else right,
+                           window=window, side=side)
 
 
 def trace_and_hsnorm(op: DiracOperator):

@@ -43,6 +43,8 @@ __all__ = [
     "measure_to_alpha",
     "alpha_to_measure",
     "aleksandrov_transform",
+    "alphas_from_gammas",
+    "gammas_from_alphas",
 ]
 
 TWO_PI = 2.0 * math.pi
@@ -168,11 +170,13 @@ def _prefix_phase_products(gammas: np.ndarray) -> np.ndarray:
     return np.exp(-2j * turn)
 
 
-def _alphas_from_gammas(g: np.ndarray) -> np.ndarray:
+def alphas_from_gammas(g: np.ndarray) -> np.ndarray:
+    """Verblunsky coefficients of modified ones, along the last axis."""
     return np.conj(g) * _prefix_phase_products(g)
 
 
-def _gammas_from_alphas(a: np.ndarray) -> np.ndarray:
+def gammas_from_alphas(a: np.ndarray) -> np.ndarray:
+    """Modified coefficients of Verblunsky ones, along the last axis."""
     a = np.asarray(a, dtype=complex)
     g = np.empty_like(a)
     turn = np.zeros(a.shape[:-1])
@@ -197,9 +201,9 @@ def convert_coefficients(seq: CoefficientSequence, target: str) -> CoefficientSe
     if np.any(np.abs(1.0 - vals[:-1]) < 1e-14):
         raise ValueError("degenerate product: interior coefficient equals 1")
     if target == "modified":
-        out = _gammas_from_alphas(vals)
+        out = gammas_from_alphas(vals)
     else:
-        out = _alphas_from_gammas(vals)
+        out = alphas_from_gammas(vals)
     return CoefficientSequence(kind=target, values=out)
 
 
@@ -281,7 +285,7 @@ def _measures_from_gammas_batch(gammas: np.ndarray):
     """
     g = np.atleast_2d(np.asarray(gammas, dtype=complex))
     m, n = g.shape
-    alphas = _alphas_from_gammas(g)
+    alphas = alphas_from_gammas(g)
     # rho_k^2 = 1 - |alpha_k|^2, read from |gamma_k| = |alpha_k|
     rho2 = 1.0 - np.abs(g[:, : n - 1]) ** 2
     eig = np.linalg.eigvals(_cmv_matrices(alphas, np.sqrt(rho2)))
@@ -308,7 +312,7 @@ def alpha_to_measure(alphas: CoefficientSequence) -> UnitCircleMeasure:
     the weights are divided by their sum to return a normalized measure.
     """
     alphas.require_kind("verblunsky")
-    g = _gammas_from_alphas(alphas.values)
+    g = gammas_from_alphas(alphas.values)
     ang, w = _measures_from_gammas_batch(g[None, :])
     return UnitCircleMeasure(angles=ang[0], weights=w[0] / w[0].sum())
 
@@ -330,6 +334,6 @@ def aleksandrov_transform(seq: CoefficientSequence, eta: complex) -> Coefficient
         raise ValueError("aleksandrov parameter must have unit modulus")
     if seq.kind == "verblunsky":
         return CoefficientSequence(kind="verblunsky", values=eta * seq.values)
-    a = _alphas_from_gammas(seq.values)
-    g = _gammas_from_alphas(eta * a)
+    a = alphas_from_gammas(seq.values)
+    g = gammas_from_alphas(eta * a)
     return CoefficientSequence(kind="modified", values=g)

@@ -115,22 +115,19 @@ def _ks_two_sample_each(a, b, weightings) -> list:
     return out
 
 
-def ks_by_coordinate(a, b, weights_a=None) -> np.ndarray:
-    """(n-1, 2) two-sample KS statistics of Re and Im of each column but the last.
+def ks_by_coordinate(a, b, weightings=(None,)) -> np.ndarray:
+    """(E, n-1, 2) two-sample KS statistics of Re and Im of each column but the last.
 
-    ``a`` and ``b`` hold complex sequences of length n, one per row;
-    ``weights_a`` optionally weights the rows of ``a``.  A stack of E weight
-    vectors, shape (E, rows), gives (E, n-1, 2), one slice per weighting,
-    each equal to the call with that vector alone.
+    ``a`` and ``b`` hold complex sequences of length n, one per row.  Slice
+    e weights the rows of ``a`` by ``weightings[e]``, one weight per row,
+    or not at all where that entry is None.
     """
-    stacked = np.ndim(weights_a) == 2
-    weightings = weights_a if stacked else [weights_a]
     out = np.empty((len(weightings), a.shape[1] - 1, 2))
     for k in range(a.shape[1] - 1):
         for j, part in enumerate((np.real, np.imag)):
             out[:, k, j] = _ks_two_sample_each(part(a[:, k]), part(b[:, k]),
                                                weightings)
-    return out if stacked else out[0]
+    return out
 
 
 def ks_threshold(n_eff: float) -> float:

@@ -85,8 +85,8 @@ def _random_measure(rng: np.random.Generator, n: int) -> UnitCircleMeasure:
     return UnitCircleMeasure(angles=ang, weights=w)
 
 
-def _spectra(ops, window, side: str) -> list:
-    """(lambdas, weights) of each operator's spectral measure on one side.
+def _spectra(ops, window) -> list:
+    """(lambdas, left weights, right weights) of each operator's spectrum.
 
     Operators that share a grid are solved as one :class:`OperatorBatch`;
     ``window`` is (a, b), each a scalar or one value per operator.
@@ -98,9 +98,9 @@ def _spectra(ops, window, side: str) -> list:
     out = [None] * len(ops)
     for idx in groups.values():
         batch = OperatorBatch.stack([ops[i] for i in idx])
-        lams, w, row = batch.weights((lo[idx], hi[idx]), side)
+        *spectrum, row = batch.weights((lo[idx], hi[idx]))
         for j, i in enumerate(idx):
-            out[i] = (lams[row == j], w[row == j])
+            out[i] = tuple(a[row == j] for a in spectrum)
     return out
 
 
@@ -113,9 +113,8 @@ def criterion_lattice_closed_form(seed: int):
     ops = [measure_operator(_lattice_measure(n, theta)) for n, theta in cases]
     thetas = np.array([theta for _, theta in cases])
     window = (thetas - TWO_PI - 0.5, thetas + TWO_PI + 0.5)
-    left, right = (_spectra(ops, window, side) for side in ("left", "right"))
     out = []
-    for (n, theta), (eigs, w_left), (_, w_right) in zip(cases, left, right):
+    for (n, theta), (eigs, w_left, w_right) in zip(cases, _spectra(ops, window)):
         expected = theta + TWO_PI * np.array([-1.0, 0.0, 1.0])
         eig_err = _gap([(eigs, expected)]) if eigs.size == 3 else math.inf
         out.append((f"eigenvalues n={n} theta={theta:.4f}",
@@ -134,9 +133,9 @@ def criterion_spectral_lift(seed: int):
     rng = SeedSpec(seed, 102).rng()
     ns = 2 + np.arange(100) % 7
     mus = [_random_measure(rng, n) for n in ns]
-    spectra = _spectra([measure_operator(mu) for mu in mus], (0.0, TWO_PI * ns), "left")
+    spectra = _spectra([measure_operator(mu) for mu in mus], (0.0, TWO_PI * ns))
     worst = 0.0
-    for n, mu, (lams, w) in zip(ns, mus, spectra):
+    for n, mu, (lams, w, _) in zip(ns, mus, spectra):
         if lams.size != n:
             worst = math.inf
             break
@@ -191,7 +190,7 @@ def criterion_weight_duality(seed: int):
     rng = SeedSpec(seed, 104).rng()
     h = 1e-5
     batch = OperatorBatch.stack([_random_operator(rng) for _ in range(30)])
-    lams, w, row = batch.weights((-8.0, 8.0), "right")
+    lams, _, w, row = batch.weights((-8.0, 8.0))
     da = (batch.phase(lams + h, row) - batch.phase(lams - h, row)) / (2.0 * h)
     worst = float(np.max(np.abs(w - 2.0 / da), initial=0.0))
     return [("(A^2+B^2)/(A'B-AB') vs 2/alpha'",
@@ -294,7 +293,7 @@ def criterion_spectral_averaging(seed: int):
         mu = _random_measure(rng, n)
         alphas = measure_to_alpha(mu).values
         scaled = etas[:, None] * alphas[None, :]
-        g = opuc._gammas_from_alphas(scaled)
+        g = opuc.gammas_from_alphas(scaled)
         angles, weights = _measures_from_gammas_batch(g)
         for p in (1, 2, 3):
             avg = np.mean(np.sum(weights * np.exp(1j * p * angles), axis=1))
@@ -392,13 +391,14 @@ def criterion_transform_invariance(seed: int):
         op = measure_operator(_random_measure(rng, 3 + trial % 4))
         ops += [op, *(transform_operator(op, "conjugate", Q=Q) for Q in rotations),
                 transform_operator(op, "reverse")]
-    left, right = (_spectra(ops, (-9.0, 9.0), side) for side in ("left", "right"))
+    spectra = _spectra(ops, (-9.0, 9.0))
     conj, swap, double = [], [], []
     for i in range(0, len(ops), 5):
-        op, rev, back = ops[i], ops[i + 4], transform_operator(ops[i + 4], "reverse")
-        conj += [ab for sp in (left, right) for j in (1, 2, 3) for ab in zip(sp[i], sp[i + j])]
-        swap += [*zip(left[i], right[i + 4]), *zip(right[i], left[i + 4])]
-        double += [(getattr(back, f), getattr(op, f)) for f in ("grid", "path", "u0", "u1")]
+        (lams, left, right), (rev_lams, rev_left, rev_right) = spectra[i], spectra[i + 4]
+        conj += [ab for j in (1, 2, 3) for ab in zip(spectra[i], spectra[i + j])]
+        swap += [(lams, rev_lams), (left, rev_right), (right, rev_left)]
+        back = transform_operator(ops[i + 4], "reverse")
+        double += [(getattr(back, f), getattr(ops[i], f)) for f in ("grid", "path", "u0", "u1")]
     worst_conj, worst_swap, worst_double = _gap(conj), _gap(swap), _gap(double)
     return [
         ("rotation conjugation leaves both spectral measures fixed",

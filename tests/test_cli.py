@@ -109,17 +109,13 @@ class TestPipelines:
         assert summary["seed"] == 5
         assert "gamma_0" in summary["ks_to_direct_law"]
 
-    def test_bias_config_file(self, tmp_path):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"experiment": "bias", "n": 3, "beta": 2.0,
-                                   "replicas": 100, "seed": 9,
-                                   "epsilon": 0.5}))
-        rc = main(["bias", "--config", str(cfg), "--out", str(tmp_path / "b")])
+    def test_bias_defaults(self, tmp_path):
+        rc = main(["bias", "--seed", "5", "--out", str(tmp_path / "b")])
         assert rc == 0
         summary = json.loads((tmp_path / "b.json").read_text())
-        assert summary["n"] == 3
-        assert summary["replicas"] == 100
-        assert summary["seed"] == 9
+        assert (summary["n"], summary["beta"], summary["replicas"],
+                summary["epsilon"]) == (6, 2.0, 10_000, 0.1)
+        assert len((tmp_path / "b.csv").read_text().splitlines()) == 10_001
 
     @pytest.mark.parametrize("flag, value", [("--n", "0"), ("--beta", "-1"),
                                              ("--replicas", "0")])
@@ -159,6 +155,43 @@ class TestPipelines:
         assert rc == 0
         summary = json.loads((tmp_path / "b.json").read_text())
         assert summary["ks_to_direct_law"] == {}
+
+
+class TestExperiments:
+    @pytest.mark.parametrize("argv, keys", [
+        (["bias-trend", "--replicas", "300", "--seed", "7"],
+         {"experiment", "n", "beta", "replicas", "seed", "epsilon", "max_ks",
+          "monotone_decreasing"}),
+        (["sine-intensity", "--cells", "64", "--replicas", "4", "--seed", "7"],
+         {"experiment", "beta", "t_min", "cells", "replicas", "seed", "window",
+          "mean_count", "mc_standard_error", "expected"}),
+    ], ids=["bias_trend", "sine_intensity"])
+    def test_experiment_runs(self, tmp_path, argv, keys):
+        out = tmp_path / "run"
+        assert main([*argv, "--out", str(out)]) == 0
+        assert set(json.loads(Path(f"{out}.json").read_text())) == keys
+        assert Path(f"{out}.csv").exists()
+
+    def test_bias_trend_is_bias_over_epsilons(self, tmp_path):
+        # one draw recipe: at each epsilon the trend's max_ks is the largest
+        # of bias's per-coordinate KS distances, bit for bit
+        common = ["--n", "4", "--replicas", "400", "--seed", "9"]
+        eps = [0.4, 0.2]
+        assert main(["bias-trend", *common, "--eps", *map(str, eps),
+                     "--out", str(tmp_path / "t")]) == 0
+        trend = json.loads((tmp_path / "t.json").read_text())
+        for e, max_ks in zip(eps, trend["max_ks"]):
+            assert main(["bias", *common, "--epsilon", str(e),
+                         "--out", str(tmp_path / "b")]) == 0
+            ks = json.loads((tmp_path / "b.json").read_text())["ks_to_direct_law"]
+            assert max_ks == max(d[part] for d in ks.values() for part in ("re", "im"))
+
+    def test_drawn_seed_is_recorded(self, tmp_path, capsys):
+        out = tmp_path / "si"
+        assert main(["sine-intensity", "--cells", "16", "--replicas", "2",
+                     "--out", str(out)]) == 0
+        seed = int(capsys.readouterr().out.split()[1])
+        assert json.loads(Path(f"{out}.json").read_text())["seed"] == seed
 
 
 class TestVerifyCommand:
@@ -228,6 +261,22 @@ class TestErrorHandling:
         with pytest.raises(SystemExit) as exc:
             main([command, *argv, flag, "1"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("command", ["bias", "sine-beta"])
+    def test_config_is_unknown_flag(self, tmp_path, command):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"beta": 2, "cells": 32}))
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--config", str(cfg), "--seed", "1",
+                  "--out", str(tmp_path / "o")])
+        assert exc.value.code == 2
+
+    def test_sine_beta_requires_beta(self, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            main(["sine-beta", "--cells", "16", "--seed", "1",
+                  "--out", str(tmp_path / "sine")])
+        assert exc.value.code == 2
+        assert not (tmp_path / "sine.operator.json").exists()
 
     def test_unknown_suite_is_usage_error(self):
         with pytest.raises(SystemExit) as exc:

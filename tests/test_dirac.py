@@ -962,14 +962,14 @@ class TestOperatorBatch:
         # _CHUNK_LANES lanes the chunking depends on the cell count alone
         counts = batch.count(window)
         eigs, row = batch.eigenvalues(window)
-        weights = {side: batch.weights(window, side) for side in ("left", "right")}
+        lam, left, right, wrow = batch.weights(window)
         rows = np.repeat(np.arange(len(ops)), lams.size)
         phases = batch.phase(np.tile(lams, len(ops)), rows).reshape(len(ops), -1)
         for i, op in enumerate(ops):
             w_i = (window[0][i], window[1][i]) if np.ndim(window[0]) else window
             assert counts[i] == dirac.eigenvalue_count(op, w_i)
             assert np.array_equal(eigs[row == i], dirac.eigenvalues_in(op, w_i))
-            for side, (lam, w, wrow) in weights.items():
+            for side, w in (("left", left), ("right", right)):
                 sm = dirac.spectral_measure(op, w_i, side)
                 assert np.array_equal(lam[wrow == i], sm.lambdas)
                 assert np.array_equal(w[wrow == i], sm.weights)
@@ -1013,23 +1013,19 @@ class TestOperatorBatch:
         with pytest.raises(ValueError, match="share one grid"):
             dirac.OperatorBatch.stack([a, random_operator(rng, cells=6)])
 
-    def test_side_is_checked_before_solving(self, monkeypatch):
-        solves = []
-        original = dirac._solve_targets
-
-        def counting(*args):
-            solves.append(args[1].size)
-            return original(*args)
-
-        monkeypatch.setattr(dirac, "_solve_targets", counting)
+    def test_spectral_measure_picks_the_side(self):
+        # one weights call gives both sides; spectral_measure alone picks
+        # one, and SpectralMeasure refuses a side that is neither
         op = lattice_operator(3, 1.0)
-        for call in (lambda: dirac.spectral_measure(op, (-5.0, 5.0), "middle"),
-                     lambda: op.batch.weights((-5.0, 5.0), "middle")):
-            with pytest.raises(ValueError, match="side must be"):
-                call()
-        assert solves == []
-        dirac.spectral_measure(op, (-5.0, 5.0), "left")
-        assert solves == [1]
+        lams, left, right, row = op.batch.weights((-5.0, 5.0))
+        assert np.array_equal(row, np.zeros(lams.size, dtype=int))
+        for side, w in (("left", left), ("right", right)):
+            sm = dirac.spectral_measure(op, (-5.0, 5.0), side)
+            assert sm.side == side
+            assert np.array_equal(sm.lambdas, lams)
+            assert np.array_equal(sm.weights, w)
+        with pytest.raises(ValueError, match="side must be 'left' or 'right'"):
+            dirac.spectral_measure(op, (-5.0, 5.0), "middle")
 
 
 class TestInputValidation:

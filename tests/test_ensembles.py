@@ -104,8 +104,8 @@ class TestSampleKN:
         # multiplying the alphas by a fixed unimodular eta preserves the law
         draws = 10_000
         g = ens.kn_gammas(ens.SeedSpec(4, 0).rng(), 6, 2.0, draws)
-        alph = opuc._alphas_from_gammas(g)
-        rot = opuc._gammas_from_alphas(np.exp(0.83j) * alph)
+        alph = opuc.alphas_from_gammas(g)
+        rot = opuc.gammas_from_alphas(np.exp(0.83j) * alph)
         ref = ens.kn_gammas(ens.SeedSpec(5, 0).rng(), 6, 2.0, draws)
         for k in range(5):
             assert ks_two_sample(np.abs(rot[:, k]), np.abs(ref[:, k]))[0] < 0.025

@@ -226,9 +226,9 @@ class TestConvert:
         for seed in range(301, 313):
             for stream in (0, 1):
                 g = sample_kn(400, 2.0, SeedSpec(seed, stream)).values
-                a = opuc._alphas_from_gammas(g)
+                a = opuc.alphas_from_gammas(g)
                 drift = max(drift, np.max(np.abs(np.abs(a) - np.abs(g))))
-                back = opuc._gammas_from_alphas(a)
+                back = opuc.gammas_from_alphas(a)
                 roundtrip = max(roundtrip, np.max(np.abs(back - g)))
         assert drift < 1e-15
         assert roundtrip < 1e-13
@@ -397,7 +397,7 @@ class TestCMV:
     def test_unitary(self, n):
         rng = np.random.default_rng(n)
         for a in (random_alphas(rng, n).values,
-                  opuc._alphas_from_gammas(kn_draw(n, 5, 0))):
+                  opuc.alphas_from_gammas(kn_draw(n, 5, 0))):
             c = cmv(a)[0]
             assert np.max(np.abs(c @ c.conj().T - np.eye(n))) < 1e-13
 
@@ -455,7 +455,7 @@ class TestCMV:
         mpmath = pytest.importorskip("mpmath")
         g = kn_draw(400, 203, 1)
         ang, _ = opuc._measures_from_gammas_batch(g)
-        alphas = opuc._alphas_from_gammas(g)
+        alphas = opuc.alphas_from_gammas(g)
         picks = sorted({45, 46, *np.linspace(0, 399, 8).astype(int)})
         with mpmath.workdps(40):
             a = [mpmath.mpc(complex(x)) for x in alphas]

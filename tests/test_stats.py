@@ -61,12 +61,15 @@ class TestKS:
         a = rng.normal(size=(300, 4)) + 1j * rng.normal(size=(300, 4))
         b = rng.normal(size=(200, 4)) + 1j * rng.normal(size=(200, 4))
         w = rng.random(300)
-        ks = cstats.ks_by_coordinate(a, b, w)
-        assert ks.shape == (3, 2)
+        ks = cstats.ks_by_coordinate(a, b, [w])
+        assert ks.shape == (1, 3, 2)
         for k in range(3):
-            assert [ks[k, 0]] == cstats._ks_two_sample_each(a[:, k].real, b[:, k].real, [w])
-            assert [ks[k, 1]] == cstats._ks_two_sample_each(a[:, k].imag, b[:, k].imag, [w])
-        assert cstats.ks_by_coordinate(a[:, :1], b[:, :1]).shape == (0, 2)
+            assert [ks[0, k, 0]] == cstats._ks_two_sample_each(a[:, k].real, b[:, k].real, [w])
+            assert [ks[0, k, 1]] == cstats._ks_two_sample_each(a[:, k].imag, b[:, k].imag, [w])
+        plain = cstats.ks_by_coordinate(a, b)
+        assert plain.shape == (1, 3, 2)
+        assert [plain[0, 0, 0]] == cstats._ks_two_sample_each(a[:, 0].real, b[:, 0].real, [None])
+        assert cstats.ks_by_coordinate(a[:, :1], b[:, :1]).shape == (1, 0, 2)
 
     def test_by_coordinate_stacked_weights(self):
         # one call for a stack of weightings equals one call per weighting,
@@ -80,7 +83,7 @@ class TestKS:
         ks = cstats.ks_by_coordinate(a, b, w)
         assert ks.shape == (3, 3, 2)
         for e in range(3):
-            assert np.array_equal(ks[e], cstats.ks_by_coordinate(a, b, w[e]))
+            assert np.array_equal(ks[e], cstats.ks_by_coordinate(a, b, [w[e]])[0])
         assert cstats.ks_by_coordinate(a[:, :1], b[:, :1], w).shape == (3, 0, 2)
 
     def test_empty_rejected(self):
