@@ -73,8 +73,6 @@ def _cmd_kn_sample(args) -> int:
 
 
 def _cmd_measure(args) -> int:
-    if (args.coeffs is None) == (args.measure is None):
-        raise ValueError("pass exactly one of --coeffs or --measure")
     if args.coeffs:
         if args.kind is not None:
             raise ValueError("--kind applies only with --measure")
@@ -91,8 +89,6 @@ def _cmd_measure(args) -> int:
 
 
 def _cmd_spectrum(args) -> int:
-    if (args.measure is None) == (args.operator is None):
-        raise ValueError("pass exactly one of --measure or --operator")
     if args.measure:
         mu = opuc.UnitCircleMeasure.from_dict(_read_json(args.measure))
         op = dirac.measure_operator(mu)
@@ -141,8 +137,7 @@ def _cmd_sine_beta(args) -> int:
 def _cmd_sine_intensity(args) -> int:
     seed = _resolve_seed(args)
     spec = SinePathSpec(beta=args.beta, t_min=args.t_min, cells=args.cells)
-    base = SeedSpec(seed, 0)
-    batch = ensembles.sample_sine_paths(spec, [base.stream(i) for i in range(args.replicas)])
+    batch = ensembles.sample_sine_paths(spec, [SeedSpec(seed, i) for i in range(args.replicas)])
     counts = batch.count((0.0, args.length))
     _write_csv(f"{args.out}.csv", ["replica", "count"],
                ([i, int(c)] for i, c in enumerate(counts)))
@@ -168,11 +163,12 @@ def _cmd_sine_intensity(args) -> int:
 def _biased_draws(args, epsilons):
     """The window-biasing experiment's draws, shared by bias and bias-trend.
 
-    Replicas come from stream 0 of the seed, 10 000 direct draws of the
-    atom-at-1 law from stream 1 000 000.  Returns (seed, gammas, weights,
-    ks): the replicas' coefficients, their importance weights per epsilon
-    (E, replicas), and the per-coordinate KS distances of each weighting
-    to the direct draws (E, n-1, 2).
+    The replicas are the rows of one draw from stream 0 of the seed, and
+    the 10 000 direct draws of the atom-at-1 law come from stream
+    1 000 000.  Returns (seed, gammas, weights, ks): the replicas'
+    coefficients, their importance weights per epsilon (E, replicas), and
+    the per-coordinate KS distances of each weighting to the direct draws
+    (E, n-1, 2).
     """
     from .stats import ks_by_coordinate  # loads scipy.special, like verify
     if min(epsilons) <= 0.0:
@@ -233,8 +229,6 @@ def _cmd_bias_trend(args) -> int:
 
 def _cmd_verify(args) -> int:
     from . import verify
-    if args.seed is None:
-        raise ValueError("verify requires --seed for reproducible reports")
     report = verify.run_suite(args.suite, args.seed, jobs=args.jobs)
     for crit in report["criteria"]:
         tag = "PASS" if crit["pass"] else "FAIL"
@@ -293,16 +287,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_kn_sample)
 
     p = sub.add_parser("measure", help="convert coefficients <-> measure")
-    p.add_argument("--coeffs", help="coefficients JSON to turn into a measure")
-    p.add_argument("--measure", help="measure JSON to turn into coefficients")
+    src = p.add_mutually_exclusive_group(required=True)
+    src.add_argument("--coeffs", help="coefficients JSON to turn into a measure")
+    src.add_argument("--measure", help="measure JSON to turn into coefficients")
     p.add_argument("--kind", choices=["verblunsky", "modified"], default=None,
                    help="coefficient kind written by --measure (default: verblunsky)")
     add_out(p)
     p.set_defaults(func=_cmd_measure)
 
     p = sub.add_parser("spectrum", help="spectral measure in a window")
-    p.add_argument("--measure", help="measure JSON")
-    p.add_argument("--operator", help="operator JSON")
+    src = p.add_mutually_exclusive_group(required=True)
+    src.add_argument("--measure", help="measure JSON")
+    src.add_argument("--operator", help="operator JSON")
     p.add_argument("--window", type=float, nargs=2, required=True,
                    metavar=("A", "B"))
     p.add_argument("--side", choices=["left", "right"], default="right")
@@ -369,7 +365,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run a named acceptance suite")
     p.add_argument("--suite", type=_suite_name, default="all")
-    add_seed(p, stream=False)
+    p.add_argument("--seed", type=int, required=True, help="master seed")
     add_out(p, out_default="")
     p.add_argument("--jobs", type=_jobs, default=os.cpu_count() or 1,
                    help="worker pool size (default: machine parallelism)")

@@ -3,17 +3,13 @@
 Sampling conventions.  All randomness flows through :class:`SeedSpec`;
 identical (master_seed, stream_id) reproduce identical draws bit for bit
 on one platform, and distinct stream ids give independent streams.  Two
-stream contracts are in use.  :class:`KNMeasureSampler` and the Sine_beta
-operator batches give replica i stream id i under a fixed master seed, so
-the batch size and the order of the draws cannot change a replica.  The
-sampler draws replica i from stream id i still, but as one block for all
-replicas: NumPy's ``SeedSequence`` and O'Neill's PCG64 (XSL-RR 128/64)
-are carried out in integer array arithmetic over the stream ids, bit for
-bit the uniforms of one generator per stream, without building one.  Bulk
-draws of coefficients (``kn_gammas``/``biased_gammas`` with m rows, as
-in the kn-marginals, palm-coefficient-law and circular-jacobi criteria)
-take the whole block from one stream, so a replica there depends on the
-block size.
+stream contracts are in use.  The Sine_beta operator batches give
+replica i its own stream (the caller passes one :class:`SeedSpec` per
+row), so the batch size and the order of the draws cannot change a
+replica.  Bulk draws of coefficients (``kn_gammas``/``biased_gammas``
+with m rows, and :class:`KNMeasureSampler`, which is ``kn_gammas`` on
+the stream of its ``base``) take the whole block from one stream, so a
+replica there depends on the block size.
 
 The coefficient ensemble with parameters (n, beta) draws the modified
 coefficients independently: gamma_k = r_k e^{i Theta_k} with
@@ -35,7 +31,6 @@ the boundary condition at 1 is [-q, -1] with q standard Cauchy
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -74,131 +69,6 @@ class SeedSpec:
                                     spawn_key=(self.stream_id,))
         return np.random.default_rng(ss)
 
-    def stream(self, i: int) -> "SeedSpec":
-        return SeedSpec(master_seed=self.master_seed, stream_id=i)
-
-
-# ---------------------------------------------------------------------------
-# many streams at once: NumPy's SeedSequence and PCG64 as array arithmetic
-
-_U32, _U64 = np.uint32, np.uint64
-_MASK32 = 0xFFFFFFFF
-# SeedSequence hash constants (numpy/random/bit_generator.pyx)
-_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
-_MIX_MULT_L, _MIX_MULT_R = _U32(0xCA01F9DD), _U32(0x4973F715)
-_POOL = 4
-# PCG64's 128-bit LCG multiplier, as high and low 64-bit halves
-_PCG_MULT = (_U64(2549297995355413924), _U64(4865540595714422341))
-
-
-def _hashmix(value, h: int, mult: int = _MULT_A):
-    """SeedSequence's hashmix on a uint32 array; returns (value, next h).
-
-    With ``mult`` = _MULT_B it is the per-word hash of ``generate_state``.
-    """
-    h2 = (h * mult) & _MASK32
-    value = (value ^ _U32(h)) * _U32(h2)
-    return value ^ (value >> _U32(16)), h2
-
-
-def _mix(x, y):
-    r = _MIX_MULT_L * x - _MIX_MULT_R * y
-    return r ^ (r >> _U32(16))
-
-
-def _mulhi64(a, b):
-    """High 64 bits of the 128-bit product a * b, from 32-bit limbs."""
-    lo32, s32 = _U64(_MASK32), _U64(32)
-    a0, a1, b0, b1 = a & lo32, a >> s32, b & lo32, b >> s32
-    p01, p10 = a0 * b1, a1 * b0
-    mid = ((a0 * b0) >> s32) + (p01 & lo32) + (p10 & lo32)
-    return a1 * b1 + (p01 >> s32) + (p10 >> s32) + (mid >> s32)
-
-
-def _lcg_step(hi, lo, inc_hi, inc_lo):
-    """One PCG64 state step s -> s * mult + inc mod 2^128, on hi/lo halves."""
-    m_hi, m_lo = _PCG_MULT
-    p_lo = lo * m_lo
-    n_lo = p_lo + inc_lo
-    carry = (n_lo < p_lo).astype(_U64)
-    return _mulhi64(lo, m_lo) + hi * m_lo + lo * m_hi + inc_hi + carry, n_lo
-
-
-def _check_streams(master_seed: int, lo: int, hi: int) -> None:
-    """Refuse seeds and stream ids in [lo, hi] that ``_stream_uniforms`` cannot take.
-
-    ``SeedSequence`` refuses negative integers; an id of 2^32 or more
-    would take a second spawn-key word, a layout the block draw does not
-    follow.
-    """
-    if master_seed < 0 or lo < 0:
-        raise ValueError("expected non-negative integer")
-    if hi > _MASK32:
-        raise ValueError("stream ids must be below 2**32")
-
-
-def _stream_uniforms(master_seed: int, ids, k: int) -> np.ndarray:
-    """(len(ids), k) uniforms; row i is ``SeedSpec(master_seed, ids[i]).rng().random(k)``.
-
-    Bit for bit the draws of one generator per stream, computed for all
-    streams at once: NumPy's ``SeedSequence`` entropy pool and
-    ``generate_state(4, uint64)``, then O'Neill's PCG64 (XSL-RR 128/64)
-    seeding, state steps and ``random()`` = (output >> 11) 2^-53, in
-    uint32/uint64 array arithmetic.  The hash-constant schedule does not
-    depend on the data, so all streams share it; the master seed's words
-    mix into the pool identically for every stream, and only the final
-    spawn-key word differs.  Refuses, before allocating, what
-    ``SeedSequence`` refuses (negative seeds and ids) and ids of 2^32 or
-    more, whose spawn key would take a second word.
-    """
-    master_seed = operator.index(master_seed)
-    ids = np.asarray(ids)
-    if ids.size:
-        _check_streams(master_seed, ids.min(), ids.max())
-    # entropy words: the master seed's 32-bit words, padded with zeros to
-    # the pool size because a spawn key follows, then the stream id
-    words = [(master_seed >> (32 * j)) & _MASK32
-             for j in range(max(1, -(-master_seed.bit_length() // 32)))]
-    words += [0] * (_POOL - len(words))
-    entropy = [np.full(1, w, dtype=_U32) for w in words] + [ids.astype(_U32)]
-    h = _INIT_A
-    pool = []
-    for e in entropy[:_POOL]:
-        v, h = _hashmix(e, h)
-        pool.append(v)
-    for src in range(_POOL):
-        for dst in range(_POOL):
-            if src != dst:
-                v, h = _hashmix(pool[src], h)
-                pool[dst] = _mix(pool[dst], v)
-    for e in entropy[_POOL:]:
-        for dst in range(_POOL):
-            v, h = _hashmix(e, h)
-            pool[dst] = _mix(pool[dst], v)
-    # generate_state(4, uint64): eight words cycling the pool, paired
-    # little-endian into (seed hi, seed lo, inc hi, inc lo)
-    h = _INIT_B
-    state = []
-    for j in range(2 * _POOL):
-        v, h = _hashmix(pool[j % _POOL], h, _MULT_B)
-        state.append(v.astype(_U64))
-    s_hi, s_lo, i_hi, i_lo = (state[2 * j] | (state[2 * j + 1] << _U64(32))
-                              for j in range(4))
-    # pcg64_srandom: inc = 2 initseq + 1; s = 0 -> step, add seed, step
-    inc_hi = (i_hi << _U64(1)) | (i_lo >> _U64(63))
-    inc_lo = (i_lo << _U64(1)) | _U64(1)
-    n_lo = inc_lo + s_lo
-    hi, lo = _lcg_step(inc_hi + s_hi + (n_lo < inc_lo).astype(_U64), n_lo,
-                       inc_hi, inc_lo)
-    out = np.empty((ids.size, k))
-    for j in range(k):
-        hi, lo = _lcg_step(hi, lo, inc_hi, inc_lo)
-        x = hi ^ lo
-        rot = hi >> _U64(58)
-        x = (x >> rot) | (x << ((_U64(64) - rot) & _U64(63)))
-        out[:, j] = (x >> _U64(11)) * (1.0 / 9007199254740992.0)
-    return out
-
 
 # ---------------------------------------------------------------------------
 # Killip-Nenciu coefficients and measures
@@ -211,24 +81,11 @@ def kn_gammas(rng: np.random.Generator, n: int, beta: float, m: int) -> np.ndarr
     """
     if n < 1 or beta <= 0.0:
         raise ValueError("need n >= 1 and beta > 0")
-    return _kn_from_uniforms(np.concatenate(
-        [rng.random((m, n - 1)), rng.random((m, n - 1)), rng.random((m, 1))], axis=1),
-        beta)
-
-
-def _kn_from_uniforms(u: np.ndarray, beta: float) -> np.ndarray:
-    """Modified coefficients from rows of 2n - 1 uniforms on [0, 1).
-
-    Each row holds n - 1 radius uniforms, n - 1 angle uniforms and the
-    last angle's uniform; an angle is 2 pi U, bit for bit the value of
-    ``rng.uniform(0, 2 pi)`` on the same draw.
-    """
-    n = (u.shape[1] + 1) // 2
     s = 0.5 * beta * (n - 1 - np.arange(n - 1))
-    out = np.empty((len(u), n), dtype=complex)
-    r = np.sqrt(1.0 - u[:, :n - 1] ** (1.0 / s))
-    out[:, :-1] = r * np.exp(1j * (TWO_PI * u[:, n - 1:-1]))
-    out[:, -1] = np.exp(1j * (TWO_PI * u[:, -1]))
+    out = np.empty((m, n), dtype=complex)
+    r = np.sqrt(1.0 - rng.random((m, n - 1)) ** (1.0 / s))
+    out[:, :-1] = r * np.exp(1j * (TWO_PI * rng.random((m, n - 1))))
+    out[:, -1] = np.exp(1j * (TWO_PI * rng.random(m)))
     return out
 
 
@@ -245,10 +102,9 @@ def sample_kn(n: int, beta: float, seed: SeedSpec) -> CoefficientSequence:
 class KNMeasureSampler:
     """Batched replicas of the (n, beta) ensemble: coefficients and measures.
 
-    Replica i is drawn from stream id i under the master seed of ``base``,
-    bit for bit the draw of ``sample_kn(n, beta, base.stream(i))``;
-    ``sample_batch`` converts all replicas to measures with batched linear
-    algebra.
+    The replicas are the rows of one :func:`kn_gammas` draw from the
+    stream that ``base`` names; ``sample_batch`` converts all replicas to
+    measures with batched linear algebra.
     """
 
     def __init__(self, n: int, beta: float):
@@ -258,18 +114,10 @@ class KNMeasureSampler:
         self.beta = float(beta)
 
     def gammas_for(self, base: SeedSpec, replicas: int) -> np.ndarray:
-        """(replicas, n) modified coefficients, row i from stream id i.
-
-        Row i is bit for bit the draw of ``base.stream(i).rng()``; the
-        2n - 1 uniforms of all rows are drawn as one block by
-        :func:`_stream_uniforms` (NumPy's ``SeedSequence`` and O'Neill's
-        PCG64 XSL-RR as array arithmetic), with no generator per replica.
-        """
+        """(replicas, n) modified coefficients: ``kn_gammas(base.rng(), n, beta, replicas)``."""
         if replicas < 1:
             raise ValueError("need at least one replica")
-        _check_streams(base.master_seed, 0, replicas - 1)
-        u = _stream_uniforms(base.master_seed, np.arange(replicas), 2 * self.n - 1)
-        return _kn_from_uniforms(u, self.beta)
+        return kn_gammas(base.rng(), self.n, self.beta, replicas)
 
     def sample_batch(self, base: SeedSpec, replicas: int):
         """(gammas, angles, weights): one draw and one measure conversion."""

@@ -209,12 +209,12 @@ class TestVerifyCommand:
         assert report["suite"] == "core"
 
     def test_seed_required(self, tmp_path, capsys):
-        rc = main(["verify", "--suite", "core", "--jobs", "1",
-                   "--out", str(tmp_path / "r.json")])
-        assert rc == 1
-        record = json.loads(capsys.readouterr().err.strip())
-        assert record["error"] == "ValueError"
-        assert "seed" in record["message"]
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--suite", "core", "--jobs", "1",
+                  "--out", str(tmp_path / "r.json")])
+        assert exc.value.code == 2
+        assert "--seed" in capsys.readouterr().err
+        assert not (tmp_path / "r.json").exists()
 
 
 class TestErrorHandling:
@@ -250,13 +250,14 @@ class TestErrorHandling:
     def test_ignored_seed_flags_are_usage_errors(self, command, flag, tmp_path,
                                                  monkeypatch):
         monkeypatch.chdir(tmp_path)  # a command that does run writes here
-        argv = {"measure": ["--out", "o.json"],
-                "spectrum": ["--window", "-1", "1", "--out", "o.json"],
+        argv = {"measure": ["--coeffs", "c.json", "--out", "o.json"],
+                "spectrum": ["--measure", "m.json", "--window", "-1", "1",
+                             "--out", "o.json"],
                 "palm": ["--coeffs", "c.json", "--out", "o.json"],
                 "aleksandrov": ["--coeffs", "c.json", "--eta", "0",
                                 "--out", "o.json"],
                 "bias": ["--out", "b"],
-                "verify": []}[command]
+                "verify": ["--seed", "7"]}[command]
         build_parser().parse_args([command, *argv])
         with pytest.raises(SystemExit) as exc:
             main([command, *argv, flag, "1"])
@@ -335,11 +336,25 @@ class TestErrorHandling:
         assert record == {"error": "ValueError",
                           "message": "window endpoints must be finite"}
 
+    @staticmethod
+    def assert_needs_one_of(tmp_path, capsys, argv, inputs):
+        """``argv`` with neither and with both of the two ``inputs`` flags exits 2."""
+        out = tmp_path / "o.json"
+        both = [x for flag in inputs for x in (flag, str(tmp_path / "in.json"))]
+        for given in ([], both):
+            with pytest.raises(SystemExit) as exc:
+                main([*argv, *given, "--out", str(out)])
+            assert exc.value.code == 2
+            err = capsys.readouterr().err
+            assert all(flag in err for flag in inputs)
+        assert not out.exists()
+
     def test_measure_requires_exactly_one_input(self, tmp_path, capsys):
-        rc = main(["measure", "--out", str(tmp_path / "o.json")])
-        assert rc == 1
-        record = json.loads(capsys.readouterr().err.strip())
-        assert "exactly one" in record["message"]
+        self.assert_needs_one_of(tmp_path, capsys, ["measure"], ("--coeffs", "--measure"))
+
+    def test_spectrum_requires_exactly_one_input(self, tmp_path, capsys):
+        self.assert_needs_one_of(tmp_path, capsys, ["spectrum", "--window", "-1", "1"],
+                                 ("--measure", "--operator"))
 
     def test_measure_refuses_kind_with_coeffs(self, tmp_path, capsys):
         kn, mu = tmp_path / "kn.json", tmp_path / "mu.json"

@@ -36,47 +36,6 @@ class TestSeedSpec:
         assert not np.array_equal(a, b)
 
 
-class TestStreamUniforms:
-    # master seeds of one word, two words and five words: the entropy is
-    # padded to the pool size below four words and mixed on beyond it
-    SEEDS = [0, 7, 2**40 + 3, 2**130 + 99]
-    IDS = np.array([0, 1, 2**31, 2**32 - 1])
-
-    @staticmethod
-    def oracle(master_seed, ids, k):
-        return np.array([np.random.default_rng(np.random.SeedSequence(
-            master_seed, spawn_key=(int(i),))).random(k) for i in ids])
-
-    @pytest.mark.parametrize("master_seed", SEEDS)
-    @pytest.mark.parametrize("k", [1, 2 * 400 - 1])
-    def test_matches_one_generator_per_stream(self, master_seed, k):
-        got = ens._stream_uniforms(master_seed, self.IDS, k)
-        assert got.shape == (self.IDS.size, k) and got.flags.c_contiguous
-        np.testing.assert_array_equal(got, self.oracle(master_seed, self.IDS, k))
-
-    def test_rows_are_seedspec_streams(self):
-        got = ens._stream_uniforms(201, np.arange(3), 11)
-        for i in range(3):
-            np.testing.assert_array_equal(got[i], ens.SeedSpec(201, i).rng().random(11))
-
-    def test_refuses_negative_seed_like_seedsequence(self):
-        with pytest.raises(ValueError, match="expected non-negative integer"):
-            np.random.SeedSequence(-1, spawn_key=(0,))
-        with pytest.raises(ValueError, match="expected non-negative integer"):
-            ens._stream_uniforms(-1, self.IDS, 3)
-        with pytest.raises(ValueError, match="expected non-negative integer"):
-            ens._stream_uniforms(7, np.array([0, -1]), 3)
-        with pytest.raises(ValueError, match="expected non-negative integer"):
-            ens.KNMeasureSampler(6, 2.0).gammas_for(ens.SeedSpec(-1, 0), 3)
-
-    def test_refuses_ids_of_two_spawn_key_words(self):
-        with pytest.raises(ValueError, match="below 2\\*\\*32"):
-            ens._stream_uniforms(7, np.array([0, 2**32]), 3)
-        # refused from the replica count alone, before any id array exists
-        with pytest.raises(ValueError, match="below 2\\*\\*32"):
-            ens.KNMeasureSampler(6, 2.0).gammas_for(ens.SeedSpec(7, 0), 2**32 + 1)
-
-
 class TestSampleKN:
     def test_single_coefficient_is_boundary(self):
         seq = ens.sample_kn(1, 2.0, ens.SeedSpec(0, 0))
@@ -133,20 +92,27 @@ class TestKNMeasure:
 
     def test_batch_matches_serial(self):
         sampler = ens.KNMeasureSampler(4, 2.0)
-        _, angles, weights = sampler.sample_batch(ens.SeedSpec(8, 0), 3)
+        g, angles, weights = sampler.sample_batch(ens.SeedSpec(8, 0), 3)
         for i in range(3):
-            seq = ens.sample_kn(4, 2.0, ens.SeedSpec(8, i))
+            seq = opuc.CoefficientSequence("modified", g[i])
             mu = opuc.alpha_to_measure(opuc.convert_coefficients(seq, "verblunsky"))
             np.testing.assert_allclose(angles[i], mu.angles, atol=1e-14)
             np.testing.assert_allclose(weights[i], mu.weights, atol=1e-14)
 
-    def test_gammas_follow_per_replica_streams(self):
+    def test_gammas_are_rows_of_the_base_stream(self):
         n, beta = 5, 1.5
+        sampler = ens.KNMeasureSampler(n, beta)
         base = ens.SeedSpec(11, 3)
-        g = ens.KNMeasureSampler(n, beta).gammas_for(base, 4)
-        for i in range(4):
-            np.testing.assert_array_equal(
-                g[i], ens.sample_kn(n, beta, base.stream(i)).values)
+        g = sampler.gammas_for(base, 4)
+        np.testing.assert_array_equal(g, ens.kn_gammas(base.rng(), n, beta, 4))
+        # the stream id of base is read, not only its master seed
+        assert not np.array_equal(g, sampler.gammas_for(ens.SeedSpec(11, 0), 4))
+
+    def test_refuses_negative_seed_like_seedsequence(self):
+        with pytest.raises(ValueError, match="expected non-negative integer"):
+            np.random.SeedSequence(-1, spawn_key=(0,))
+        with pytest.raises(ValueError, match="expected non-negative integer"):
+            ens.KNMeasureSampler(6, 2.0).gammas_for(ens.SeedSpec(-1, 0), 3)
 
     def test_weights_independent_of_support(self):
         # distance correlation between the weight vector and the sorted

@@ -119,7 +119,7 @@ def test_batched_count_matches_per_operator():
     # the intensity criterion counts eigenvalues from endpoint phases over a
     # stacked path array; it must agree with dirac.eigenvalue_count per op
     spec = SinePathSpec(beta=2.0, cells=128)
-    seeds = [SeedSpec(99, 0).stream(i) for i in range(6)]
+    seeds = [SeedSpec(99, i) for i in range(6)]
     lo, hi = 0.0, 20.0 * math.pi
     counts = sample_sine_paths(spec, seeds).count((lo, hi))
     expected = [dirac.eigenvalue_count(sample_sine_operator(spec, s), (lo, hi))
