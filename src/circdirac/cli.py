@@ -8,7 +8,9 @@ commands that draw accept --seed: verify demands it (reports must be
 reproducible), and kn-sample, sine-beta, sine-intensity, bias and
 bias-trend draw an entropy seed when none is given and echo it on stdout.
 kn-sample and sine-beta also accept --stream, and verify, which can run
-its criteria in a worker pool, accepts --jobs.
+its criteria in a worker pool, accepts --jobs.  sine-beta takes the right
+boundary slope as --q: a real value fixes it, --q inf gives the infinity
+slope, and without --q the slope is drawn from the standard Cauchy law.
 
 Exit codes: 0 on success (for verify: all criteria passed), 1 on a runtime
 error (a machine-readable record goes to stderr), 2 on a usage error.
@@ -120,8 +122,7 @@ def _cmd_sine_beta(args) -> int:
     if args.side is not None and args.window is None:
         raise ValueError("--side applies only with --window")
     seed = _resolve_seed(args)
-    spec = SinePathSpec(beta=args.beta, t_min=args.t_min, cells=args.cells,
-                        q_mode=args.q_mode, q=args.q)
+    spec = SinePathSpec(beta=args.beta, t_min=args.t_min, cells=args.cells, q=args.q)
     op = ensembles.sample_sine_operator(spec, SeedSpec(seed, args.stream))
     op_path = f"{args.out}.operator.json"
     _write_json(op_path, op.to_dict())
@@ -248,11 +249,14 @@ def _cmd_verify(args) -> int:
 # parser
 
 
-def _jobs(text: str) -> int:
-    jobs = int(text)
-    if jobs < 1:
-        raise argparse.ArgumentTypeError("must be at least 1")
-    return jobs
+def _at_least(low: int):
+    """Parser type of a count that must be at least ``low``."""
+    def count(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}")
+        return value
+    return count
 
 
 def _suite_name(name: str) -> str:
@@ -324,9 +328,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sine-beta", help="sample a continuum operator")
     p.add_argument("--beta", type=float, required=True)
     add_path(p)
-    p.add_argument("--q-mode", dest="q_mode",
-                   choices=["cauchy", "fixed", "infinity"], default="cauchy")
-    p.add_argument("--q", type=float, default=None, help="slope for --q-mode fixed")
+    p.add_argument("--q", type=float, default=None,
+                   help="right boundary slope; inf for the infinity slope "
+                        "(default: a standard Cauchy draw)")
     p.add_argument("--window", type=float, nargs=2, default=None,
                    metavar=("A", "B"))
     p.add_argument("--side", choices=["left", "right"], default=None,
@@ -340,7 +344,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_path(p)
     p.add_argument("--length", type=float, default=20.0 * math.pi,
                    help="window is [0, length)")
-    p.add_argument("--replicas", type=int, default=200)
+    p.add_argument("--replicas", type=_at_least(2), default=200)
     add_seed(p, stream=False)
     add_out(p, out_default="sine_intensity")
     p.set_defaults(func=_cmd_sine_intensity)
@@ -349,7 +353,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=6)
     p.add_argument("--beta", type=float, default=2.0)
     p.add_argument("--epsilon", type=float, default=0.1)
-    p.add_argument("--replicas", type=int, default=10_000)
+    p.add_argument("--replicas", type=_at_least(1), default=10_000)
     add_seed(p, stream=False)
     add_out(p)
     p.set_defaults(func=_cmd_bias)
@@ -357,7 +361,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bias-trend", help="KS to the atom-at-1 law over an epsilon ladder")
     p.add_argument("--n", type=int, default=6)
     p.add_argument("--beta", type=float, default=2.0)
-    p.add_argument("--replicas", type=int, default=30_000)
+    p.add_argument("--replicas", type=_at_least(1), default=30_000)
     p.add_argument("--eps", type=float, nargs="+", default=[0.3, 0.1, 0.03])
     add_seed(p, stream=False)
     add_out(p, out_default="bias_trend")
@@ -367,7 +371,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--suite", type=_suite_name, default="all")
     p.add_argument("--seed", type=int, required=True, help="master seed")
     add_out(p, out_default="")
-    p.add_argument("--jobs", type=_jobs, default=os.cpu_count() or 1,
+    p.add_argument("--jobs", type=_at_least(1), default=os.cpu_count() or 1,
                    help="worker pool size (default: machine parallelism)")
     p.set_defaults(func=_cmd_verify)
 

@@ -78,15 +78,17 @@ __all__ = [
     "DiracOperator",
     "OperatorBatch",
     "SpectralMeasure",
+    "boundary_direction",
     "build_operator",
     "coefficient_operator",
+    "conjugate_operator",
     "measure_operator",
     "phase_at",
     "eigenvalues_in",
     "eigenvalue_count",
     "spectral_measure",
+    "reverse_operator",
     "trace_and_hsnorm",
-    "transform_operator",
 ]
 
 TWO_PI = 2.0 * math.pi
@@ -216,19 +218,23 @@ class SpectralMeasure:
 # construction
 
 
-def build_operator(path, u1_spec, origin="custom") -> DiracOperator:
+def boundary_direction(q) -> np.ndarray:
+    """The right boundary direction u1 of the boundary slope q.
+
+    A finite real q gives u1 = [-q, -1]; an infinite one (``math.inf`` or
+    INF) gives the infinity slope u1 = [1, 0].
+    """
+    return np.array([1.0, 0.0]) if is_inf(q) else np.array([-float(q), -1.0])
+
+
+def build_operator(path, q, origin="custom") -> DiracOperator:
     """Operator on the cells ``path = (grid, cell_values)``, with u0 = [1, 0].
 
-    ``u1_spec`` is the boundary slope: a finite real q, giving
-    u1 = [-q, -1], or INF, giving u1 = [1, 0].
+    ``q`` is the boundary slope, u1 = :func:`boundary_direction` (q).
     """
     grid, cells = path
-    if is_inf(u1_spec):
-        u1 = np.array([1.0, 0.0])
-    else:
-        u1 = np.array([-float(u1_spec), -1.0])
     return DiracOperator(grid=grid, path=cells, u0=np.array([1.0, 0.0]),
-                         u1=u1, origin=origin)
+                         u1=boundary_direction(q), origin=origin)
 
 
 def coefficient_operator(gammas: CoefficientSequence) -> DiracOperator:
@@ -731,32 +737,30 @@ def trace_and_hsnorm(op: DiracOperator):
 # transforms
 
 
-def transform_operator(op: DiracOperator, kind: str, Q: np.ndarray | None = None
-                       ) -> DiracOperator:
-    """Conjugation by a real det-1 matrix, or time reversal.
+def conjugate_operator(op: DiracOperator, Q) -> DiracOperator:
+    """Conjugation by a real det-1 matrix Q.
 
-    ``conjugate``: the path moves by the fractional linear action of Q and
-    both boundary vectors by Q itself; for Q = T_r (a hyperbolic rotation
-    about i) both spectral measures are unchanged.  ``reverse``: the grid
-    reflects through t -> 1 - t, each cell value z maps to -conj(z), and
-    the boundary vectors swap with a sign; the left and right spectral
-    measures trade places.
+    The path moves by the fractional linear action of Q and both boundary
+    vectors by Q itself; for Q = T_r (a hyperbolic rotation about i) both
+    spectral measures are unchanged.
     """
-    if kind == "conjugate":
-        Q = np.asarray(Q, dtype=float)
-        if Q.shape != (2, 2) or abs(np.linalg.det(Q) - 1.0) > 1e-12:
-            raise ValueError("conjugation requires a real 2x2 matrix with det 1")
-        a, b, c, d = Q[0, 0], Q[0, 1], Q[1, 0], Q[1, 1]
-        z = op.path
-        new_path = (a * z + b) / (c * z + d)
-        return DiracOperator(grid=op.grid.copy(), path=new_path,
-                             u0=Q @ op.u0, u1=Q @ op.u1, origin=op.origin)
-    if kind == "reverse":
-        # tau~ = rho^-1 S tau S rho: R~(t) = S R(1-t) S, eigenfunctions
-        # f~(t) = S f(1-t), so the boundary directions swap through S.
-        new_grid = (1.0 - op.grid)[::-1]
-        new_path = -np.conj(op.path[::-1])
-        S = np.array([1.0, -1.0])
-        return DiracOperator(grid=new_grid, path=new_path,
-                             u0=S * op.u1, u1=S * op.u0, origin=op.origin)
-    raise ValueError(f"unknown transform kind {kind!r}")
+    Q = np.asarray(Q, dtype=float)
+    if Q.shape != (2, 2) or abs(np.linalg.det(Q) - 1.0) > 1e-12:
+        raise ValueError("conjugation requires a real 2x2 matrix with det 1")
+    a, b, c, d = Q[0, 0], Q[0, 1], Q[1, 0], Q[1, 1]
+    z = op.path
+    return DiracOperator(grid=op.grid.copy(), path=(a * z + b) / (c * z + d),
+                         u0=Q @ op.u0, u1=Q @ op.u1, origin=op.origin)
+
+
+def reverse_operator(op: DiracOperator) -> DiracOperator:
+    """Time reversal; the left and right spectral measures trade places.
+
+    The grid reflects through t -> 1 - t, each cell value z maps to
+    -conj(z), and the boundary vectors swap with a sign: tau~ = rho^-1 S
+    tau S rho, so R~(t) = S R(1-t) S and the eigenfunctions are
+    f~(t) = S f(1-t).
+    """
+    S = np.array([1.0, -1.0])
+    return DiracOperator(grid=(1.0 - op.grid)[::-1], path=-np.conj(op.path[::-1]),
+                         u0=S * op.u1, u1=S * op.u0, origin=op.origin)

@@ -24,8 +24,11 @@ The Sine_beta driving path lives in logarithmic time u = (4/beta) log t:
 y = exp(b2(u) - u/2) and x is the Ito integral -int_u^0 e^{b2-s/2} db1,
 accumulated from u = 0 with left-endpoint (Euler-Maruyama) sums.  The
 path is truncated at t_min and laid on the time grid t = e^{beta u / 4};
-the boundary condition at 1 is [-q, -1] with q standard Cauchy
-(tan(pi(U - 1/2))), a fixed q, or [1, 0] for the infinity slope.
+the boundary condition at 1 is that of the slope q,
+:func:`circdirac.dirac.boundary_direction`: [-q, -1] for a real q and
+[1, 0] for the infinity slope (q = inf, the Palm measure of Sine_beta).
+``SinePathSpec.q`` fixes the slope, or, left None, has each row draw its
+own standard Cauchy q (tan(pi(U - 1/2))), which gives Sine_beta itself.
 """
 
 from __future__ import annotations
@@ -37,7 +40,7 @@ import numpy as np
 
 from .hyperbolic import iota_array
 from .opuc import CoefficientSequence, _measures_from_gammas_batch
-from .dirac import DiracOperator, OperatorBatch
+from .dirac import DiracOperator, OperatorBatch, boundary_direction
 
 __all__ = [
     "SeedSpec",
@@ -79,8 +82,8 @@ def kn_gammas(rng: np.random.Generator, n: int, beta: float, m: int) -> np.ndarr
 
     Draw order: radii, angles, last angle.
     """
-    if n < 1 or beta <= 0.0:
-        raise ValueError("need n >= 1 and beta > 0")
+    if n < 1 or not 0.0 < beta < math.inf:
+        raise ValueError("need n >= 1 and finite beta > 0")
     s = 0.5 * beta * (n - 1 - np.arange(n - 1))
     out = np.empty((m, n), dtype=complex)
     r = np.sqrt(1.0 - rng.random((m, n - 1)) ** (1.0 / s))
@@ -108,8 +111,8 @@ class KNMeasureSampler:
     """
 
     def __init__(self, n: int, beta: float):
-        if n < 1 or beta <= 0.0:
-            raise ValueError("need n >= 1 and beta > 0")
+        if n < 1 or not 0.0 < beta < math.inf:
+            raise ValueError("need n >= 1 and finite beta > 0")
         self.n = int(n)
         self.beta = float(beta)
 
@@ -159,8 +162,8 @@ def biased_gammas(rng: np.random.Generator, n: int, beta: float, m: int) -> np.n
     the angle given r follows the harmonic measure from the point r, drawn
     as arg((e^{i Theta} + r)/(1 + r e^{i Theta})).
     """
-    if n < 1 or beta <= 0.0:
-        raise ValueError("need n >= 1 and beta > 0")
+    if n < 1 or not 0.0 < beta < math.inf:
+        raise ValueError("need n >= 1 and finite beta > 0")
     out = np.empty((m, n), dtype=complex)
     s = 0.5 * beta * (n - 1 - np.arange(n - 1))
     u_r = rng.random((m, n - 1))
@@ -178,25 +181,27 @@ def biased_gammas(rng: np.random.Generator, n: int, beta: float, m: int) -> np.n
 
 @dataclass(frozen=True)
 class SinePathSpec:
-    """Resolution and boundary choices for a sampled Sine_beta operator."""
+    """Resolution and boundary slope of a sampled Sine_beta operator.
+
+    ``q`` is the right boundary slope: None draws a standard Cauchy slope
+    per row (Sine_beta), ``math.inf`` gives the infinity slope (its Palm
+    measure), and a real value fixes it.
+    """
 
     beta: float
     t_min: float = 1e-4
     cells: int = 4096
-    q_mode: str = "cauchy"
     q: float | None = None
 
     def __post_init__(self):
-        if self.beta <= 0.0:
-            raise ValueError("beta must be positive")
+        if not 0.0 < self.beta < math.inf:
+            raise ValueError("beta must be positive and finite")
         if not 0.0 < self.t_min < 1.0:
             raise ValueError("t_min must lie in (0, 1)")
         if self.cells < 2:
             raise ValueError("need at least 2 cells")
-        if self.q_mode not in ("cauchy", "fixed", "infinity"):
-            raise ValueError("q_mode must be cauchy, fixed, or infinity")
-        if (self.q_mode == "fixed") != (self.q is not None):
-            raise ValueError("q is read only with q_mode 'fixed', and required there")
+        if self.q is not None and math.isnan(self.q):
+            raise ValueError("q must not be nan")
 
 
 #: Rows of the block that sample_sine_paths builds, and takes the steps of, at once.
@@ -220,7 +225,7 @@ def _sine_row(spec: SinePathSpec, u, sqrt_h: float, rng: np.random.Generator):
     """One path: its cells (x, y) and its u1.
 
     Draw order: b2 increments, b1 increments, then the Cauchy variable
-    (when q_mode = "cauchy").  The path is anchored so b2(0) = 0, giving
+    (when ``spec.q`` is None).  The path is anchored so b2(0) = 0, giving
     z = i at t = 1, and its value on a cell is taken at the left edge.
     """
     K = u.size
@@ -231,13 +236,8 @@ def _sine_row(spec: SinePathSpec, u, sqrt_h: float, rng: np.random.Generator):
     x = -np.cumsum((y * d1)[::-1])[::-1]
     if not (np.all(np.isfinite(y)) and np.all(np.isfinite(x))):
         raise ValueError("path overflow: resample or increase t_min")
-    if spec.q_mode == "infinity":
-        q = math.inf
-    elif spec.q_mode == "fixed":
-        q = float(spec.q)
-    else:
-        q = math.tan(math.pi * (rng.random() - 0.5))
-    return x, y, ((1.0, 0.0) if math.isinf(q) else (-q, -1.0))
+    q = math.tan(math.pi * (rng.random() - 0.5)) if spec.q is None else spec.q
+    return x, y, boundary_direction(q)
 
 
 def sample_sine_paths(spec: SinePathSpec, seeds) -> OperatorBatch:
@@ -280,8 +280,8 @@ def _circ_dist(a, b):
     return np.abs(np.mod(np.asarray(a) - b + math.pi, TWO_PI) - math.pi)
 
 
-def remove_atom(angles, weights, angle: float):
-    """Drop each row's atom at ``angle`` (within 1e-9) and renormalize.
+def remove_atom(angles, weights):
+    """Drop each row's atom at 1 (angle 0, within 1e-9) and renormalize.
 
     ``angles``/``weights`` hold one measure per row; returns the
     (angles, weights) of the reduced measures, one column fewer.
@@ -290,10 +290,10 @@ def remove_atom(angles, weights, angle: float):
     m, n = angles.shape
     if n < 2:
         raise ValueError("cannot remove the only atom of a measure")
-    d = _circ_dist(angles, angle)
+    d = _circ_dist(angles, 0.0)
     j = np.argmin(d, axis=1)
     if np.max(d[np.arange(m), j]) > 1e-9:
-        raise ValueError(f"no atom at angle {angle}")
+        raise ValueError("no atom at angle 0")
     keep = np.ones_like(angles, dtype=bool)
     keep[np.arange(m), j] = False
     red_w = np.asarray(weights)[keep].reshape(m, n - 1)

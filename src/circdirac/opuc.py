@@ -69,8 +69,8 @@ MIN_ATOM_SEPARATION = 1e-10
 class CoefficientSequence:
     """A finite coefficient sequence, either ``verblunsky`` or ``modified``.
 
-    Interior entries lie strictly inside the unit disk; the last entry has
-    unit modulus (within ``LAST_COEFF_TOL``).
+    Entries are finite; interior entries lie strictly inside the unit disk,
+    and the last entry has unit modulus (within ``LAST_COEFF_TOL``).
     """
 
     kind: str
@@ -82,6 +82,8 @@ class CoefficientSequence:
         vals = np.asarray(self.values, dtype=complex)
         if vals.ndim != 1 or vals.size == 0:
             raise ValueError("coefficient sequence must be a nonempty 1-d array")
+        if not np.all(np.isfinite(vals)):
+            raise ValueError("coefficients must be finite")
         mods = np.abs(vals)
         if np.any(mods[:-1] >= 1.0):
             raise ValueError("interior coefficients must lie strictly inside the disk")
@@ -330,7 +332,7 @@ def aleksandrov_transform(seq: CoefficientSequence, eta: complex) -> Coefficient
     returns the same kind.
     """
     eta = complex(eta)
-    if abs(abs(eta) - 1.0) > 1e-10:
+    if not abs(abs(eta) - 1.0) <= 1e-10:  # refuses nan too
         raise ValueError("aleksandrov parameter must have unit modulus")
     if seq.kind == "verblunsky":
         return CoefficientSequence(kind="verblunsky", values=eta * seq.values)

@@ -32,9 +32,10 @@ from . import opuc
 from .dirac import (
     OperatorBatch,
     build_operator,
+    conjugate_operator,
     measure_operator,
+    reverse_operator,
     trace_and_hsnorm,
-    transform_operator,
 )
 from .ensembles import (
     KNMeasureSampler,
@@ -187,7 +188,7 @@ def _random_operator(rng: np.random.Generator):
     grid = np.linspace(0.0, 1.0, 6)
     z = rng.uniform(-1.0, 1.0, 5) + 1j * rng.uniform(0.5, 2.0, 5)
     q = rng.uniform(-2.0, 2.0)
-    return build_operator((grid, z), u1_spec=q)
+    return build_operator((grid, z), q)
 
 
 def criterion_weight_duality(seed: int):
@@ -208,7 +209,7 @@ def criterion_weight_duality(seed: int):
 def criterion_trace_closed_form(seed: int):
     worst = 0.0
     for q in (0.0, 0.7, -2.3, 5.0):
-        op = build_operator((np.array([0.0, 1.0]), np.array([1j])), u1_spec=q)
+        op = build_operator((np.array([0.0, 1.0]), np.array([1j])), q)
         tr, hs = trace_and_hsnorm(op)
         worst = max(worst, abs(tr + q / 2.0), abs(hs - (1.0 + q * q) / 4.0))
     return [("constant-path trace -q/2 and HS^2 (1+q^2)/4",
@@ -315,7 +316,7 @@ def criterion_circular_jacobi(seed: int):
     draws = 10_000
     g = palm_gammas(kn_gammas(SeedSpec(seed, 150).rng(), n, beta, draws))
     angles, weights = _measures_from_gammas_batch(g)
-    alphas = _measures_to_alphas_batch(*remove_atom(angles, weights, 0.0))
+    alphas = _measures_to_alphas_batch(*remove_atom(angles, weights))
     gamma0 = np.conj(alphas[:, 0])
     expo = 0.5 * beta * (n - 2) - 1.0
     dens = lambda z: (1.0 - np.abs(z) ** 2) ** expo * np.abs(1.0 - z) ** beta
@@ -341,7 +342,7 @@ def criterion_sine_intensity(seed: int):
 
 def criterion_palm_pins_zero(seed: int):
     replicas = 500
-    batch = sample_sine_paths(SinePathSpec(beta=2.0, q_mode="infinity"),
+    batch = sample_sine_paths(SinePathSpec(beta=2.0, q=math.inf),
                               [SeedSpec(seed, i) for i in range(replicas)])
     # the phase is 0 at lambda = 0, so each row's root nearest 0 is the one
     # there; some rows hold a second eigenvalue in the window
@@ -390,15 +391,14 @@ def criterion_transform_invariance(seed: int):
     ops = []
     for trial in range(5):
         op = measure_operator(_random_measure(rng, 3 + trial % 4))
-        ops += [op, *(transform_operator(op, "conjugate", Q=Q) for Q in rotations),
-                transform_operator(op, "reverse")]
+        ops += [op, *(conjugate_operator(op, Q) for Q in rotations), reverse_operator(op)]
     spectra = _spectra(ops, (-9.0, 9.0))
     conj, swap, double = [], [], []
     for i in range(0, len(ops), 5):
         (lams, left, right), (rev_lams, rev_left, rev_right) = spectra[i], spectra[i + 4]
         conj += [ab for j in (1, 2, 3) for ab in zip(spectra[i], spectra[i + j])]
         swap += [(lams, rev_lams), (left, rev_right), (right, rev_left)]
-        back = transform_operator(ops[i + 4], "reverse")
+        back = reverse_operator(ops[i + 4])
         double += [(getattr(back, f), getattr(ops[i], f)) for f in ("grid", "path", "u0", "u1")]
     worst_conj, worst_swap, worst_double = _gap(conj), _gap(swap), _gap(double)
     return [

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from circdirac.cli import build_parser, main
-from circdirac.ensembles import KNMeasureSampler
+from circdirac.ensembles import KNMeasureSampler, SeedSpec, SinePathSpec, sample_sine_operator
 
 TWO_PI = 2.0 * math.pi
 
@@ -96,6 +96,16 @@ class TestPipelines:
         sp = json.loads((tmp_path / "sine.spectrum.json").read_text())
         assert sp["window"] == [0.0, 10.0]
 
+    def test_sine_beta_infinity_slope(self, tmp_path):
+        out = tmp_path / "sine"
+        assert main(["sine-beta", "--beta", "4", "--cells", "64", "--seed", "3",
+                     "--stream", "2", "--q", "inf", "--out", str(out)]) == 0
+        op = json.loads(Path(f"{out}.operator.json").read_text())
+        assert op["u1"] == "infinity"
+        want = sample_sine_operator(SinePathSpec(beta=4.0, cells=64, q=math.inf),
+                                    SeedSpec(3, 2))
+        assert op == json.loads(json.dumps(want.to_dict()))
+
     def test_bias_outputs(self, tmp_path):
         rc = main(["bias", "--n", "4", "--beta", "2", "--epsilon", "0.4",
                    "--replicas", "200", "--seed", "5",
@@ -117,8 +127,7 @@ class TestPipelines:
                 summary["epsilon"]) == (6, 2.0, 10_000, 0.1)
         assert len((tmp_path / "b.csv").read_text().splitlines()) == 10_001
 
-    @pytest.mark.parametrize("flag, value", [("--n", "0"), ("--beta", "-1"),
-                                             ("--replicas", "0")])
+    @pytest.mark.parametrize("flag, value", [("--n", "0"), ("--beta", "-1")])
     def test_bias_rejects_bad_input(self, tmp_path, capsys, flag, value):
         argv = ["bias", "--n", "4", "--beta", "2", "--epsilon", "0.4",
                 "--replicas", "50", "--seed", "5", "--out", str(tmp_path / "b")]
@@ -230,6 +239,20 @@ class TestErrorHandling:
             main(["verify", "--suite", "core", "--seed", "7", "--jobs", jobs,
                   "--out", str(tmp_path / "r.json")])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["sine-intensity", "--cells", "16", "--replicas", "1"],
+        ["sine-intensity", "--cells", "16", "--replicas", "0"],
+        ["bias", "--replicas", "0"],
+        ["bias-trend", "--replicas", "0"],
+    ], ids=["sine-intensity-1", "sine-intensity-0", "bias-0", "bias-trend-0"])
+    def test_too_few_replicas_is_usage_error(self, tmp_path, argv):
+        # sine-intensity needs two replicas for its standard error
+        out = tmp_path / "o"
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--seed", "1", "--out", str(out)])
+        assert exc.value.code == 2
+        assert not Path(f"{out}.json").exists()
 
     def test_jobs_only_on_pool_commands(self, tmp_path):
         mfile = tmp_path / "lattice.json"
@@ -368,14 +391,27 @@ class TestErrorHandling:
                           "message": "--kind applies only with --measure"}
         assert not mu.exists()
 
-    def test_sine_beta_refuses_q_without_fixed_mode(self, tmp_path, capsys):
-        out = tmp_path / "sine"
-        rc = main(["sine-beta", "--beta", "2", "--cells", "16", "--seed", "1",
-                   "--q", "1.5", "--out", str(out)])
-        assert rc == 1
+    @pytest.mark.parametrize("argv, written", [
+        (["sine-beta", "--beta", "2", "--cells", "16", "--seed", "1", "--q", "nan"],
+         ".operator.json"),
+        (["kn-sample", "--n", "5", "--beta", "nan", "--seed", "1"], ""),
+    ], ids=["sine-beta-q", "kn-sample-beta"])
+    def test_nan_input_is_refused(self, tmp_path, capsys, argv, written):
+        out = tmp_path / "o"
+        assert main([*argv, "--out", str(out)]) == 1
+        assert json.loads(capsys.readouterr().err.strip())["error"] == "ValueError"
+        assert not Path(f"{out}{written}").exists()
+
+    def test_aleksandrov_refuses_nan_eta(self, tmp_path, capsys):
+        kn, out = tmp_path / "kn.json", tmp_path / "o.json"
+        assert main(["kn-sample", "--n", "4", "--beta", "2", "--seed", "1",
+                     "--out", str(kn)]) == 0
+        assert main(["aleksandrov", "--coeffs", str(kn), "--eta", "nan",
+                     "--out", str(out)]) == 1
         record = json.loads(capsys.readouterr().err.strip())
-        assert record["error"] == "ValueError" and "q_mode 'fixed'" in record["message"]
-        assert not Path(f"{out}.operator.json").exists()
+        assert record == {"error": "ValueError",
+                          "message": "aleksandrov parameter must have unit modulus"}
+        assert not out.exists()
 
     def test_sine_beta_refuses_side_without_window(self, tmp_path, capsys):
         out = tmp_path / "sine"

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from circdirac import dirac, opuc
-from circdirac.hyperbolic import INF
 
 TWO_PI = 2.0 * math.pi
 
@@ -27,7 +26,7 @@ def random_measure(rng, n):
 def random_operator(rng, cells=5):
     grid = np.linspace(0.0, 1.0, cells + 1)
     z = rng.uniform(-1.2, 1.2, cells) + 1j * rng.uniform(0.4, 2.2, cells)
-    return dirac.build_operator((grid, z), u1_spec=rng.uniform(-2.0, 2.0))
+    return dirac.build_operator((grid, z), q=rng.uniform(-2.0, 2.0))
 
 
 def rotation_about_i(r):
@@ -141,19 +140,19 @@ class TestBuild:
 
     def test_custom_constant_path(self):
         op = dirac.build_operator((np.array([0.0, 1.0]), np.array([1j])),
-                                  u1_spec=0.0)
+                                  q=0.0)
         np.testing.assert_array_equal(op.u1, [0.0, -1.0])
 
     def test_nonpositive_height_rejected(self):
         with pytest.raises(ValueError, match="positive"):
             dirac.build_operator((np.array([0.0, 1.0]), np.array([1.0 + 0j])),
-                                 u1_spec=0.0)
+                                 q=0.0)
 
     def test_fields_are_read_only_copies(self):
         # the one-row batch holds steps taken from the fields; an edit of
         # the fields, or of the arrays they came from, would not reach it
         grid, z = np.linspace(0.0, 1.0, 6), np.array([1j, 1 + 1j, 2j, -1 + 1j, 1j])
-        op = dirac.build_operator((grid, z), u1_spec=0.3)
+        op = dirac.build_operator((grid, z), q=0.3)
         before = dirac.phase_at(op, 3.0)
         z[2] = 5.0 + 0.1j
         assert dirac.phase_at(op, 3.0) == before
@@ -168,7 +167,7 @@ class TestBuild:
         np.testing.assert_array_equal(back.grid, op.grid)
         np.testing.assert_array_equal(back.path, op.path)
         np.testing.assert_array_equal(back.u1, op.u1)
-        inf_op = dirac.build_operator((op.grid, op.path), u1_spec=INF)
+        inf_op = dirac.build_operator((op.grid, op.path), q=math.inf)
         d = inf_op.to_dict()
         assert d["u1"] == "infinity"
         back = dirac.DiracOperator.from_dict(d)
@@ -367,7 +366,7 @@ class TestSolver:
              -0.5868908963556989 + 1.5904256042096492j,
              0.8164806427077096 + 1.4497456628428527j]
         op = dirac.build_operator((np.linspace(0.0, 1.0, 6), np.array(z)),
-                                  u1_spec=-1.3028547243692161)
+                                  q=-1.3028547243692161)
         eigs = dirac.eigenvalues_in(op, (-8.0, 8.0))
         assert eigs.size == 3
         # roots solved in the last cell's frame hit the fixed-frame targets
@@ -411,7 +410,7 @@ class TestSolver:
     def test_sine_batch_retires_converged_lanes(self, monkeypatch):
         from circdirac.ensembles import SeedSpec, SinePathSpec, sample_sine_operator
 
-        spec = SinePathSpec(beta=2.0, cells=256, q_mode="infinity")
+        spec = SinePathSpec(beta=2.0, cells=256, q=math.inf)
         b = dirac.OperatorBatch.stack(
             [sample_sine_operator(spec, SeedSpec(5, i)) for i in range(40)])
         _, _, alo, ahi, _, _ = b._window((-0.5, 0.5))
@@ -452,7 +451,7 @@ class TestMovingFrame:
             op = random_operator(rng, cells=cells)
             Q = rng.normal(size=(2, 2))
             Q[:, 0] /= np.linalg.det(Q)
-            for o in (op, dirac.transform_operator(op, "conjugate", Q=Q)):
+            for o in (op, dirac.conjugate_operator(op, Q)):
                 self.assert_matches_oracle(o, lams)
                 x, y, dt = cell_values(o)
                 for side in ("left", "right"):
@@ -479,7 +478,7 @@ class TestMovingFrame:
     def test_infinity_slope_target_is_zero(self):
         rng = np.random.default_rng(47)
         z = random_operator(rng).path
-        op = dirac.build_operator((np.linspace(0.0, 1.0, 6), z), u1_spec=INF)
+        op = dirac.build_operator((np.linspace(0.0, 1.0, 6), z), q=math.inf)
         *_, kmin, count = op.batch._window((-0.5, 0.5))
         assert op.batch.u[0] == 0.0
         assert (kmin[0], count[0]) == (0.0, 1)
@@ -522,15 +521,16 @@ class TestMovingFrame:
         assert b.v.shape == b.r.shape == (3, 64)
         assert b.v.flags.f_contiguous and b.r.flags.f_contiguous
 
-    @pytest.mark.parametrize("lanes, q_mode, window, deriv", [
+    @pytest.mark.parametrize("lanes, slope, window, deriv", [
         (1000, "cauchy", (0.0, 20.0 * math.pi), False),
         (500, "infinity", (-0.5, 0.5), True),
     ])
-    def test_sweeps_do_not_depend_on_layout(self, lanes, q_mode, window, deriv):
+    def test_sweeps_do_not_depend_on_layout(self, lanes, slope, window, deriv):
         # cell-major and row-major copies of one batch's steps give the same bits
         from circdirac.ensembles import SeedSpec, SinePathSpec, sample_sine_paths
 
-        spec = SinePathSpec(beta=2.0, cells=1024, q_mode=q_mode)
+        q = {"cauchy": None, "infinity": math.inf}[slope]
+        spec = SinePathSpec(beta=2.0, cells=1024, q=q)
         batch = sample_sine_paths(spec, [SeedSpec(6, i) for i in range(lanes)])
         rowmajor = dataclasses.replace(batch, v=np.ascontiguousarray(batch.v),
                                        r=np.ascontiguousarray(batch.r))
@@ -588,7 +588,7 @@ class TestChunkedSweep:
         op = random_operator(rng, cells=cells)
         Q = rng.normal(size=(2, 2))
         Q[:, 0] /= np.linalg.det(Q)
-        for o in (op, dirac.transform_operator(op, "conjugate", Q=Q)):
+        for o in (op, dirac.conjugate_operator(op, Q)):
             for flags in ((True, True), (True, False), (False, True), (False, False)):
                 kw = dict(want_deriv=flags[0], want_phase=flags[1])
                 self.assert_same_sweep(sweep(o.batch, lams, **kw),
@@ -760,7 +760,7 @@ class TestSecular:
     def test_infinity_slope_vanishes_at_zero(self):
         # u1 = [1, 0] is parallel to u0 and admits no normalization
         op = dirac.build_operator((np.array([0.0, 1.0]), np.array([1j])),
-                                  u1_spec=INF)
+                                  q=math.inf)
         with pytest.raises(ValueError, match="no trace"):
             op.normalized_u1()
         assert secular(op, 0.0, op.u1) == 0.0
@@ -770,7 +770,7 @@ class TestTraceHS:
     @pytest.mark.parametrize("q", [0.0, 0.7, -2.3, 5.0])
     def test_constant_path_closed_form(self, q):
         op = dirac.build_operator((np.array([0.0, 1.0]), np.array([1j])),
-                                  u1_spec=q)
+                                  q=q)
         tr, hs = dirac.trace_and_hsnorm(op)
         assert tr == pytest.approx(-q / 2.0, abs=1e-12)
         assert hs == pytest.approx((1.0 + q * q) / 4.0, abs=1e-12)
@@ -790,7 +790,7 @@ class TestTraceHS:
 
     def test_parallel_boundaries_rejected(self):
         op = dirac.build_operator((np.array([0.0, 1.0]), np.array([1j])),
-                                  u1_spec=INF)
+                                  q=math.inf)
         with pytest.raises(ValueError, match="no trace"):
             dirac.trace_and_hsnorm(op)
 
@@ -823,7 +823,7 @@ class TestTraceHS:
         # the normalization u0^t J u1 = 1 is applied internally, so scaling
         # the supplied u1 direction must not change trace or HS norm
         op = dirac.build_operator((np.array([0.0, 1.0]), np.array([1j])),
-                                  u1_spec=0.7)
+                                  q=0.7)
         scaled = dirac.DiracOperator(grid=op.grid, path=op.path, u0=op.u0,
                                      u1=3.0 * op.u1)
         np.testing.assert_allclose(dirac.trace_and_hsnorm(scaled),
@@ -835,7 +835,7 @@ class TestTransforms:
     def test_identity_conjugation(self):
         rng = np.random.default_rng(13)
         op = random_operator(rng)
-        out = dirac.transform_operator(op, "conjugate", Q=np.eye(2))
+        out = dirac.conjugate_operator(op, np.eye(2))
         np.testing.assert_allclose(out.path, op.path)
         np.testing.assert_allclose(out.u1, op.u1)
 
@@ -843,13 +843,13 @@ class TestTransforms:
         rng = np.random.default_rng(14)
         op = random_operator(rng)
         with pytest.raises(ValueError, match="det"):
-            dirac.transform_operator(op, "conjugate", Q=2.0 * np.eye(2))
+            dirac.conjugate_operator(op, 2.0 * np.eye(2))
 
     def test_rotation_preserves_spectral_measures(self):
         rng = np.random.default_rng(15)
         op = dirac.measure_operator(random_measure(rng, 5))
         Q = rotation_about_i(0.8)
-        out = dirac.transform_operator(op, "conjugate", Q=Q)
+        out = dirac.conjugate_operator(op, Q)
         for side in ("left", "right"):
             a = dirac.spectral_measure(op, (-9.0, 9.0), side)
             b = dirac.spectral_measure(out, (-9.0, 9.0), side)
@@ -859,7 +859,7 @@ class TestTransforms:
     def test_reversal_swaps_sides(self):
         rng = np.random.default_rng(16)
         op = dirac.measure_operator(random_measure(rng, 4))
-        rev = dirac.transform_operator(op, "reverse")
+        rev = dirac.reverse_operator(op)
         a = dirac.spectral_measure(op, (-9.0, 9.0), "left")
         b = dirac.spectral_measure(rev, (-9.0, 9.0), "right")
         np.testing.assert_allclose(a.lambdas, b.lambdas, atol=1e-8)
@@ -868,17 +868,11 @@ class TestTransforms:
     def test_double_reversal_is_identity(self):
         rng = np.random.default_rng(17)
         op = random_operator(rng)
-        back = dirac.transform_operator(
-            dirac.transform_operator(op, "reverse"), "reverse")
+        back = dirac.reverse_operator(dirac.reverse_operator(op))
         np.testing.assert_allclose(back.grid, op.grid, atol=1e-15)
         np.testing.assert_array_equal(back.path, op.path)
         np.testing.assert_array_equal(back.u0, op.u0)
         np.testing.assert_array_equal(back.u1, op.u1)
-
-    def test_unknown_kind(self):
-        rng = np.random.default_rng(18)
-        with pytest.raises(ValueError, match="transform kind"):
-            dirac.transform_operator(random_operator(rng), "flip")
 
     def test_general_conjugation_preserves_spectrum(self):
         # similarity invariance for arbitrary real det-1 Q; this also
@@ -894,7 +888,7 @@ class TestTransforms:
                 det = -det
             Q /= math.sqrt(det)
             e1 = dirac.eigenvalues_in(
-                dirac.transform_operator(op, "conjugate", Q=Q), (-9.0, 9.0))
+                dirac.conjugate_operator(op, Q), (-9.0, 9.0))
             np.testing.assert_allclose(e1, e0, atol=1e-10)
 
 
@@ -913,7 +907,7 @@ class TestBoundaryBiasing:
         op = dirac.measure_operator(mu)
         x, y, _ = cell_values(op)
 
-        op_inf = dirac.build_operator((op.grid, op.path), u1_spec=INF)
+        op_inf = dirac.build_operator((op.grid, op.path), q=math.inf)
         sm_inf = dirac.spectral_measure(op_inf, (-0.3, 0.3), "right")
         j = np.argmin(np.abs(sm_inf.lambdas))
         assert abs(sm_inf.lambdas[j]) < 1e-11
@@ -979,8 +973,7 @@ class TestOperatorBatch:
     def test_measure_stack_rows_are_one_row_operators(self, n):
         rng = np.random.default_rng(70 + n)
         ops = [dirac.measure_operator(random_measure(rng, n)) for _ in range(4)]
-        ops.append(dirac.transform_operator(ops[0], "conjugate",
-                                            Q=rotation_about_i(0.8)))
+        ops.append(dirac.conjugate_operator(ops[0], rotation_about_i(0.8)))
         batch = dirac.OperatorBatch.stack(ops)
         assert batch.rows == 5 and batch.v.shape == (5, n)
         lams = np.array([-3.1, 0.0, 2.5, 17.0])

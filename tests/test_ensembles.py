@@ -259,7 +259,7 @@ class TestSineOperator:
         np.testing.assert_array_equal(a.u1, b.u1)
 
     def test_infinity_mode_pins_zero(self):
-        spec = ens.SinePathSpec(beta=2.0, cells=256, q_mode="infinity")
+        spec = ens.SinePathSpec(beta=2.0, cells=256, q=math.inf)
         for i in range(5):
             op = ens.sample_sine_operator(spec, ens.SeedSpec(21, i))
             eigs = dirac.eigenvalues_in(op, (-0.5, 0.5))
@@ -280,7 +280,7 @@ class TestSineOperator:
     def test_rows_across_copy_blocks(self):
         # rows are copied out a block at a time; a batch of two full blocks
         # and a partial one holds every row as drawn alone
-        spec = ens.SinePathSpec(beta=2.0, cells=16, q_mode="cauchy")
+        spec = ens.SinePathSpec(beta=2.0, cells=16)
         rows = 2 * ens._PATH_BLOCK + 3
         seeds = [ens.SeedSpec(25, i) for i in range(rows)]
         batch = ens.sample_sine_paths(spec, seeds)
@@ -289,7 +289,7 @@ class TestSineOperator:
             assert_same_row(ens.sample_sine_operator(spec, seeds[i]).batch, 0, batch, i)
 
     def test_fixed_q(self):
-        spec = ens.SinePathSpec(beta=2.0, cells=64, q_mode="fixed", q=1.5)
+        spec = ens.SinePathSpec(beta=2.0, cells=64, q=1.5)
         op = ens.sample_sine_operator(spec, ens.SeedSpec(22, 0))
         np.testing.assert_array_equal(op.u1, [-1.5, -1.0])
 
@@ -308,23 +308,33 @@ class TestSineOperator:
             ens.SinePathSpec(beta=-1.0)
         with pytest.raises(ValueError):
             ens.SinePathSpec(beta=2.0, t_min=1.5)
-        with pytest.raises(ValueError):
-            ens.SinePathSpec(beta=2.0, q_mode="fixed")
-        with pytest.raises(ValueError, match="q_mode 'fixed'"):
-            ens.SinePathSpec(beta=2.0, q_mode="cauchy", q=1.5)
+        with pytest.raises(ValueError, match="nan"):
+            ens.SinePathSpec(beta=2.0, q=math.nan)
+
+
+@pytest.mark.parametrize("beta", [math.nan, math.inf])
+@pytest.mark.parametrize("draw", [
+    lambda beta: ens.kn_gammas(ens.SeedSpec(1).rng(), 4, beta, 2),
+    lambda beta: ens.biased_gammas(ens.SeedSpec(1).rng(), 4, beta, 2),
+    lambda beta: ens.KNMeasureSampler(4, beta),
+    lambda beta: ens.SinePathSpec(beta=beta),
+], ids=["kn_gammas", "biased_gammas", "KNMeasureSampler", "SinePathSpec"])
+def test_non_finite_beta_is_refused(draw, beta):
+    with pytest.raises(ValueError, match="finite"):
+        draw(beta)
 
 
 class TestRemoveAtom:
     def test_two_equal_atoms(self):
         angles, weights = ens.remove_atom([[0.0, 1.0], [2.0, TWO_PI - 1e-12]],
-                                          [[0.5, 0.5], [0.25, 0.75]], 0.0)
+                                          [[0.5, 0.5], [0.25, 0.75]])
         np.testing.assert_array_equal(angles, [[1.0], [2.0]])
         np.testing.assert_allclose(weights, 1.0, rtol=1e-15)
 
     def test_palm_measure_removal(self):
         g = ens.KNMeasureSampler(5, 2.0).gammas_for(ens.SeedSpec(24, 0), 4)
         angles, weights = _measures_from_gammas_batch(ens.palm_gammas(g))
-        red_ang, red_w = ens.remove_atom(angles, weights, 0.0)
+        red_ang, red_w = ens.remove_atom(angles, weights)
         assert red_ang.shape == red_w.shape == (4, 4)
         assert np.all(np.abs(np.mod(red_ang + math.pi, TWO_PI) - math.pi) > 1e-9)
         np.testing.assert_allclose(red_w.sum(axis=1), 1.0, rtol=1e-14)
@@ -332,12 +342,11 @@ class TestRemoveAtom:
     def test_missing_atom(self):
         # the tolerance is 1e-9: an atom 5e-9 away does not count
         with pytest.raises(ValueError, match="no atom"):
-            ens.remove_atom([[0.5, 1.0], [0.5 + 5e-9, 2.0]],
-                            [[0.5, 0.5], [0.5, 0.5]], 0.5)
+            ens.remove_atom([[0.0, 1.0], [5e-9, 2.0]], [[0.5, 0.5], [0.5, 0.5]])
 
     def test_single_atom_rows(self):
         with pytest.raises(ValueError, match="only atom"):
-            ens.remove_atom([[0.0], [0.0]], [[1.0], [1.0]], 0.0)
+            ens.remove_atom([[0.0], [0.0]], [[1.0], [1.0]])
 
 
 class TestBiasByWindow:
@@ -397,7 +406,7 @@ class TestCircularJacobiSupport:
         n, beta, draws = 5, 2.0, 1500
         g = ens.palm_gammas(ens.kn_gammas(ens.SeedSpec(30, 0).rng(), n, beta, draws))
         angles, weights = _measures_from_gammas_batch(g)
-        support = np.sort(ens.remove_atom(angles, weights, 0.0)[0], axis=1)
+        support = np.sort(ens.remove_atom(angles, weights)[0], axis=1)
 
         ref = _metropolis_cj(n - 1, beta, draws, seed=31)
 

@@ -103,6 +103,16 @@ class TestTypes:
         with pytest.raises(ValueError, match="kind"):
             opuc.CoefficientSequence("other", np.array([1.0 + 0j]))
 
+    @pytest.mark.parametrize("values", [
+        [math.nan] * 3,
+        [0.1, complex(0.2, math.nan), 1.0],
+        [0.1, 0.2, complex(math.inf, 0.0)],
+    ])
+    def test_nonfinite_coefficients_rejected(self, values):
+        # nan fails every comparison, so the modulus checks alone let it through
+        with pytest.raises(ValueError, match="finite"):
+            opuc.CoefficientSequence("verblunsky", np.array(values, dtype=complex))
+
     def test_duplicate_atoms_rejected(self):
         with pytest.raises(ValueError, match="duplicate atoms"):
             opuc.UnitCircleMeasure(angles=np.array([1.0, 1.0 + 1e-12]),
@@ -582,6 +592,8 @@ class TestAleksandrov:
         rng = np.random.default_rng(16)
         with pytest.raises(ValueError, match="unit modulus"):
             opuc.aleksandrov_transform(random_alphas(rng, 4), 0.9)
+        with pytest.raises(ValueError, match="unit modulus"):
+            opuc.aleksandrov_transform(random_alphas(rng, 4), complex(math.nan, math.nan))
 
     def test_path_rotates(self):
         rng = np.random.default_rng(17)

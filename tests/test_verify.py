@@ -18,7 +18,7 @@ from circdirac.ensembles import (SeedSpec, SinePathSpec, sample_sine_operator,
 PRIVATE_ALLOWED = {"opuc": {"_measures_from_gammas_batch", "_measures_to_alphas_batch"}}
 
 
-@pytest.mark.parametrize("module", ["dirac", "ensembles", "opuc", "stats"])
+@pytest.mark.parametrize("module", ["dirac", "ensembles", "hyperbolic", "opuc", "stats"])
 def test_no_private_name_is_used_outside_its_module(module):
     # each layer is reached through its public names; its private helpers
     # may change with it
