@@ -172,8 +172,6 @@ def _biased_draws(args, epsilons):
     (E, n-1, 2).
     """
     from .stats import ks_by_coordinate  # loads scipy.special, like verify
-    if min(epsilons) <= 0.0:
-        raise ValueError("epsilon must be positive")
     seed = _resolve_seed(args)
     gammas, angles, atom_weights = KNMeasureSampler(args.n, args.beta).sample_batch(
         SeedSpec(seed, 0), args.replicas)
@@ -257,6 +255,14 @@ def _at_least(low: int):
             raise argparse.ArgumentTypeError(f"must be at least {low}")
         return value
     return count
+
+
+def _half_width(text: str) -> float:
+    """Parser type of a biasing window's half-width: a finite positive real."""
+    value = float(text)
+    if not (math.isfinite(value) and value > 0.0):
+        raise argparse.ArgumentTypeError("must be finite and positive")
+    return value
 
 
 def _suite_name(name: str) -> str:
@@ -352,7 +358,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bias", help="window-biased ensemble experiment")
     p.add_argument("--n", type=int, default=6)
     p.add_argument("--beta", type=float, default=2.0)
-    p.add_argument("--epsilon", type=float, default=0.1)
+    p.add_argument("--epsilon", type=_half_width, default=0.1)
     p.add_argument("--replicas", type=_at_least(1), default=10_000)
     add_seed(p, stream=False)
     add_out(p)
@@ -362,7 +368,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=6)
     p.add_argument("--beta", type=float, default=2.0)
     p.add_argument("--replicas", type=_at_least(1), default=30_000)
-    p.add_argument("--eps", type=float, nargs="+", default=[0.3, 0.1, 0.03])
+    p.add_argument("--eps", type=_half_width, nargs="+", default=[0.3, 0.1, 0.03])
     add_seed(p, stream=False)
     add_out(p, out_default="bias_trend")
     p.set_defaults(func=_cmd_bias_trend)

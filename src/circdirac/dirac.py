@@ -21,14 +21,20 @@ X_k X_{k-1}^{-1} = [[1, -v_k], [0, r_k]], v_k = (x_k - x_{k-1}) / y_{k-1},
 r_k = y_k / y_{k-1}.  No ODE stepper is involved, no matrix entry grows
 like (x^2 + y^2) / y, and the lambda-derivative of G propagates alongside
 by the product rule.  The phase 2 arg(G0 - i G1) is strictly increasing in
-lambda; a rotation adds exactly lam dt / 2 to arg(G0 - i G1), and a frame
-step, which keeps the sign of G1 because r_k > 0, adds the principal angle
-of the change, so the winding is exact.  The sum of those angles only
-counts whole turns: the winding returned is the principal arg of the last
-G plus 2 pi times the turns, so its rounding does not grow with the number
-of cells.  Counts and roots are taken in the last cell's frame, against
-the phase of X_{m-1} u1; H = X_{m-1}^{-1} G is formed only where a
-fixed-frame value is returned.
+lambda.  A frame step keeps the sign of G1, because r_k > 0, and a
+rotation adds exactly lam dt / 2 to arg(G0 - i G1).  So the arg passes a
+multiple of pi, where G1 changes sign, only in a rotation: at most once
+per rotation while |lam dt / 2| <= pi, and then in the direction of lam.
+That is Sturm's oscillation count, the Prufer idea behind the operator
+(Valko & Virag, Invent. Math. 2017; Pryce, Numerical Solution of
+Sturm-Liouville Problems, 1993).  Each lane counts the sign changes of
+G1; the count fixes the half-plane that holds the last G's arg, and so
+its whole turns.  The winding returned is the principal arg of the last G
+plus 2 pi times the turns, so its rounding does not grow with the number
+of cells, and the sweep forms no product of G's components, which would
+overflow long before G does.  Counts and roots are taken in the last
+cell's frame, against the phase of X_{m-1} u1; H = X_{m-1}^{-1} G is
+formed only where a fixed-frame value is returned.
 
 The one batched core is :class:`OperatorBatch`: operators on one shared
 grid, validated once and stored as what the sweep reads, the frame steps
@@ -44,7 +50,8 @@ as about sqrt(m) contiguous chunks side by side, a blocked scan with a
 sequential carry (Blelloch, CMU-CS-90-190): one pass builds every chunk's
 2x2 transfer matrix and its lambda-derivative from the identity, a carry
 over the chunks applies them to G and dG in order, and the lifted args of
-the transfer matrices' columns fix each chunk's whole turns.  That is
+the transfer matrices' columns, each from its own count of sign changes,
+fix each chunk's whole turns.  That is
 about twice the arithmetic in about 2 sqrt(m) interpreter steps instead
 of m.  Below _CHUNK_LANES lanes the number of chunks depends on m alone, so
 there a lane's result does not depend on the size of its batch.
@@ -491,8 +498,9 @@ def _sweep(v, r, dt, lam, start, row, want_deriv=False, want_phase=False):
     Rot(lam dt_k / 2).  Returns (G0, G1, dG0, dG1, winding) in the frame
     of the last cell, m - 1; the winding is arg(G0 - i G1), continuous
     from its principal value at X_0 u0.  It is returned as the principal
-    arg of the last G plus whole turns, so its rounding does not grow
-    with m.
+    arg of the last G plus whole turns, and the turns come from the
+    half-plane of G that :func:`_advance` carries, so its rounding does
+    not grow with m.
 
     Few lanes would pay the interpreter once per cell for little
     arithmetic, so they sweep the cells in P = :func:`_chunk_count`
@@ -512,12 +520,17 @@ def _sweep(v, r, dt, lam, start, row, want_deriv=False, want_phase=False):
     P = _chunk_count(lam.size, m)
     G0, G1 = (np.broadcast_to(g, lam.shape).astype(float) for g in start[:, row])
     dG0, dG1 = np.zeros((2,) + lam.shape) if want_deriv else (None, None)
+    # rounding is monotone: this is the largest cell angle 0.5 lam dt of
+    # any lane, as _advance computes it
+    wide = want_phase and 0.5 * np.max(np.abs(lam), initial=0.0) * np.max(dt) > math.pi
+    wind = None
     if P == 1:
-        wind = np.arctan2(-G1, G0) if want_phase else None
-        steps = ((v[row, k], r[row, k], dt[k]) for k in range(m))
-        G0, G1, dG0, dG1, wind = _advance(G0, G1, dG0, dG1, wind, lam, steps)
+        half = _half_plane(np.arctan2(-G1, G0), G1) if want_phase else None
+        # a gather from one contiguous column is cheaper than v[row, k]
+        steps = ((vk[row], rk[row], d) for vk, rk, d in zip(v.T, r.T, dt))
+        G0, G1, dG0, dG1, half = _advance(G0, G1, dG0, dG1, half, lam, steps, wide)
         if want_phase:
-            turns = np.round((wind - np.arctan2(-G1, G0)) / TWO_PI)
+            wind = _lift(G0, G1, half)
     else:
         # chunk c holds cells c L .. c L + L - 1; the cells past m - 1
         # that pad the last chunk take the identity step 0 and dt = 0
@@ -528,13 +541,15 @@ def _sweep(v, r, dt, lam, start, row, want_deriv=False, want_phase=False):
         dts = np.where(cell < m, dt[k], 0.0)
         steps = ((v[row, kc], r[row, kc], d)
                  for kc, d in zip(k.T[:, :, None], dts.T[:, :, None]))
-        # T's columns start at [1, 0] and [0, 1], of principal args 0, -pi / 2
+        # T's columns start at [1, 0] and [0, 1], both in the half-plane
+        # [-pi, 0] of args
         shape = (2, P, lam.size)
         T0, T1 = np.zeros((2,) + shape)
         T0[0] = T1[1] = 1.0
         dT0, dT1 = np.zeros((2,) + shape) if want_deriv else (None, None)
-        W = np.zeros(shape) + [[[0.0]], [[-0.5 * math.pi]]] if want_phase else None
-        T0, T1, dT0, dT1, W = _advance(T0, T1, dT0, dT1, W, lam.reshape(-1), steps)
+        half = np.full(shape, -1.0) if want_phase else None
+        T0, T1, dT0, dT1, half = _advance(T0, T1, dT0, dT1, half, lam.reshape(-1),
+                                          steps, wide)
         G = [(G0.reshape(-1), G1.reshape(-1))]
         dG = (dG0.reshape(-1), dG1.reshape(-1)) if want_deriv else None
         for c in range(P):
@@ -548,34 +563,71 @@ def _sweep(v, r, dt, lam, start, row, want_deriv=False, want_phase=False):
         if want_deriv:
             dG0, dG1 = (g.reshape(lam.shape) for g in dG)
         if want_phase:
-            turns = _chunk_turns(np.array(G), W).reshape(lam.shape)
-    wind = np.arctan2(-G1, G0) + TWO_PI * turns if want_phase else None
+            turns = _chunk_turns(np.array(G), _lift(T0, T1, half)).reshape(lam.shape)
+            wind = np.arctan2(-G1, G0) + TWO_PI * turns
     return G0, G1, dG0, dG1, wind
 
 
-def _advance(G0, G1, dG0, dG1, wind, lam, steps):
-    """Carry G, and dG and the winding unless None, through ``steps``.
+def _advance(G0, G1, dG0, dG1, half, lam, steps, wide):
+    """Carry G, and dG and G's half-plane index unless None, through ``steps``.
 
     Each step is the frame step [[1, -v], [0, r]] and then Rot(lam dt / 2).
+    ``half`` is the index of the half-plane that holds arg(G0 - i G1)
+    (see :func:`_half_plane`); it changes only where G1 changes sign.  A
+    frame step keeps that sign, since r > 0.  A rotation by phi with
+    |phi| <= pi changes it at most once, in the direction of lam, so each
+    lane counts its sign changes.  A ``wide`` sweep, where some |phi|
+    exceeds pi, splits each phi into 2 pi k plus an angle of sin(phi)'s
+    sign and size below pi, adds the k whole turns and takes a sign
+    change's direction from sin(phi).
     """
+    if half is not None:
+        below = G1 < 0.0
+        crossed = np.zeros(below.shape)
+        ahead = np.sign(lam)
+    half_lam = 0.5 * lam
     for v, r, dt in steps:
-        A, B = G0 - v * G1, r * G1
-        if wind is not None:
-            # r > 0 keeps the sign of G1, so the principal angle is exact
-            wind += np.arctan2(G1 * ((1.0 - r) * G0 - v * G1), A * G0 + B * G1)
-        G0, G1 = A, B
+        G0, G1 = G0 - v * G1, r * G1
         if dG0 is not None:
             dG0, dG1 = dG0 - v * dG1, r * dG1
-        phi = 0.5 * lam * dt
+        phi = half_lam * dt
         c, s = np.cos(phi), np.sin(phi)
-        if wind is not None:
-            wind += phi
         if dG0 is not None:
-            half = 0.5 * dt
-            t0, t1 = dG0 + half * G1, dG1 - half * G0
+            half_dt = 0.5 * dt
+            t0, t1 = dG0 + half_dt * G1, dG1 - half_dt * G0
             dG0, dG1 = c * t0 + s * t1, c * t1 - s * t0
         G0, G1 = c * G0 + s * G1, c * G1 - s * G0
-    return G0, G1, dG0, dG1, wind
+        if half is not None:
+            was, below = below, G1 < 0.0
+            flip = below != was
+            if wide:
+                # phi = 2 pi k + psi, |psi| < pi of the sign of s, and k is
+                # the nearest integer to phi / 2 pi - sign(s) / 4; counted
+                # along lam, that is 2 k half-planes and psi's crossing
+                turn = np.sign(s)
+                flip = ahead * (2.0 * np.round(phi / TWO_PI - 0.25 * turn) + turn * flip)
+            crossed += flip
+    if half is not None:
+        half = half + ahead * crossed
+    return G0, G1, dG0, dG1, half
+
+
+def _half_plane(theta, G1):
+    """Index of the half-plane of args that holds theta = arg(G0 - i G1).
+
+    The lifted args split into half-planes of length pi: the open
+    (2 j pi, (2 j + 1) pi), where G1 < 0, has index 2 j, and the closed
+    [(2 j - 1) pi, 2 j pi], where G1 >= 0, has index 2 j - 1.  A principal
+    arg theta in [-pi, pi] has index 0 on (0, pi), 1 at pi (only from
+    G1 = -0) and -1 on [-pi, 0].
+    """
+    return np.where(G1 < 0.0, 0.0, np.where(theta > 0.0, 1.0, -1.0))
+
+
+def _lift(G0, G1, half):
+    """arg(G0 - i G1) in the half-plane of index ``half``: principal + whole turns."""
+    theta = np.arctan2(-G1, G0)
+    return theta + math.pi * (half - _half_plane(theta, G1))
 
 
 def _chunk_turns(G, W):

@@ -310,8 +310,8 @@ def bias_by_window(angles, atom_weights, epsilon: float) -> np.ndarray:
     Acceptance-rejection on the arc event would waste nearly all replicas
     at small epsilon, hence the self-normalized importance weighting.
     """
-    if epsilon <= 0.0:
-        raise ValueError("epsilon must be positive")
+    if not (math.isfinite(epsilon) and epsilon > 0.0):
+        raise ValueError("epsilon must be finite and positive")
     inside = _circ_dist(angles, 0.0) < epsilon
     w = np.sum(atom_weights * inside, axis=1)
     if not np.any(w > 0.0):

@@ -142,12 +142,11 @@ class TestPipelines:
         draw = KNMeasureSampler.gammas_for
         monkeypatch.setattr(KNMeasureSampler, "gammas_for",
                             lambda self, *a: calls.append(a) or draw(self, *a))
-        rc = main(["bias", "--n", "6", "--epsilon", "0", "--replicas", "50",
-                   "--seed", "5", "--out", str(tmp_path / "b")])
-        assert rc == 1
-        record = json.loads(capsys.readouterr().err.strip())
-        assert record == {"error": "ValueError",
-                          "message": "epsilon must be positive"}
+        with pytest.raises(SystemExit) as exc:
+            main(["bias", "--n", "6", "--epsilon", "0", "--replicas", "50",
+                  "--seed", "5", "--out", str(tmp_path / "b")])
+        assert exc.value.code == 2
+        assert "--epsilon: must be finite and positive" in capsys.readouterr().err
         assert calls == []
 
     def test_bias_refuses_negative_seed_like_seedsequence(self, tmp_path, capsys):
@@ -252,6 +251,20 @@ class TestErrorHandling:
         with pytest.raises(SystemExit) as exc:
             main([*argv, "--seed", "1", "--out", str(out)])
         assert exc.value.code == 2
+        assert not Path(f"{out}.json").exists()
+
+    @pytest.mark.parametrize("value", ["inf", "nan", "0", "-1"])
+    @pytest.mark.parametrize("argv", [["bias", "--epsilon"], ["bias-trend", "--eps", "0.3"]],
+                             ids=["bias", "bias-trend"])
+    def test_epsilon_must_be_finite_and_positive(self, tmp_path, capsys, argv, value):
+        # inf used to write "epsilon": Infinity, which is not JSON, and nan
+        # failed as an empty biasing event
+        out = tmp_path / "o"
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, value, "--n", "3", "--replicas", "50", "--seed", "1",
+                  "--out", str(out)])
+        assert exc.value.code == 2
+        assert "must be finite and positive" in capsys.readouterr().err
         assert not Path(f"{out}.json").exists()
 
     def test_jobs_only_on_pool_commands(self, tmp_path):

@@ -109,6 +109,25 @@ def fixed_frame_sweep(x, y, dt, lam, u0, want_deriv=False, want_phase=False):
     return H0, H1, dH0, dH1, wind
 
 
+def arctan2_winding(G0, G1, lam, steps):
+    """Oracle: the winding of arg(G0 - i G1) summed over the cell steps.
+
+    Each frame step adds the principal angle from G to its image, which is
+    exact because r > 0 keeps the sign of G1, and each rotation adds its
+    angle lam dt / 2.  ``steps`` holds (v, r, dt) per cell, as
+    ``dirac._advance`` reads them.
+    """
+    wind = np.arctan2(-G1, G0)
+    for v, r, dt in steps:
+        A, B = G0 - v * G1, r * G1
+        wind = wind + np.arctan2(G1 * ((1.0 - r) * G0 - v * G1), A * G0 + B * G1)
+        phi = 0.5 * lam * dt
+        c, s = np.cos(phi), np.sin(phi)
+        wind = wind + phi
+        G0, G1 = c * A + s * B, c * B - s * A
+    return wind
+
+
 def fixed_frame_phase(op, lam):
     wind = fixed_frame_sweep(*cell_values(op), lam, op.u0, want_phase=True)[4]
     return 2.0 * (math.atan2(-op.u0[1], op.u0[0]) + wind)
@@ -272,6 +291,19 @@ class TestPhase:
             window = (6990.0, 7000.0)
             assert len(dirac.eigenvalues_in(op, window)) == \
                 dirac.eigenvalue_count(op, window) == 2
+
+    def test_count_does_not_depend_on_lane_count(self):
+        # at 5e3 |G| passes 1e154 on this operator; the sweep forms no
+        # product of G's components, so a 600-lane (plain) count and 300
+        # two-lane (chunked) counts agree
+        op = random_operator(np.random.default_rng(4146), 4096)
+        lo = np.linspace(5e3, 5e3 + 10.0, 300)
+        hi = lo + 0.05
+        one = [dirac.eigenvalue_count(op, (a, b)) for a, b in zip(lo, hi)]
+        batch = dirac.OperatorBatch.stack([op] * lo.size)
+        assert dirac._chunk_count(2 * lo.size, op.cells) == 1
+        np.testing.assert_array_equal(batch.count((lo, hi)), one)
+        assert sum(one) == 3
 
     def test_large_argument_winding(self):
         # each cell adds exactly lambda dt / 2, so the phase stays exact at
@@ -641,25 +673,31 @@ class TestChunkedSweep:
     def test_turns_tolerate_column_winding_errors(self):
         # a chunk's column windings only pick whole turns, with a margin of
         # pi / 2; one chunk of 8 random, strongly hyperbolic cells (r up to
-        # e^16 per step) per lane
+        # e^16 per step) per lane, with cell angles up to 2.5 and, in a
+        # wide sweep, up to 10
         rng = np.random.default_rng(52)
         lanes = 2000
         steps = list(zip(rng.normal(0.0, 3.0, (8, lanes)),
                          np.exp(rng.normal(0.0, 4.0, (8, lanes))),
                          rng.uniform(0.0, 0.5, (8, 1))))
-        lam = rng.uniform(-10.0, 10.0, lanes)
-        g0, g1 = rng.normal(size=(2, lanes))
-        *_, wind = dirac._advance(g0, g1, None, None, np.arctan2(-g1, g0), lam, steps)
-        T0, T1 = np.zeros((2, 2, lanes))
-        T0[0] = T1[1] = 1.0
-        W = np.zeros((2, lanes)) + [[0.0], [-0.5 * math.pi]]
-        T0, T1, _, _, W = dirac._advance(T0, T1, None, None, W, lam, steps)
-        G = np.array([[g0, g1], [T0[0] * g0 + T0[1] * g1, T1[0] * g0 + T1[1] * g1]])
-        last = np.arctan2(-G[1, 1], G[1, 0])
-        for noise in (0.0, 1.2):
-            W_off = W + rng.uniform(-noise, noise, W.shape)
-            turns = dirac._chunk_turns(G, W_off[:, None])
-            np.testing.assert_allclose(last + TWO_PI * turns, wind, rtol=0, atol=1e-9)
+        for scale, wide in ((10.0, False), (40.0, True)):
+            lam = rng.uniform(-scale, scale, lanes)
+            g0, g1 = rng.normal(size=(2, lanes))
+            wind = arctan2_winding(g0, g1, lam, steps)
+            # T's columns start at [1, 0] and [0, 1], in the half-plane [-pi, 0]
+            T0, T1 = np.zeros((2, 2, lanes))
+            T0[0] = T1[1] = 1.0
+            W = arctan2_winding(T0, T1, lam, steps)
+            T0, T1, _, _, half = dirac._advance(T0, T1, None, None,
+                                                np.full((2, lanes), -1.0), lam, steps, wide)
+            W_count = dirac._lift(T0, T1, half)
+            np.testing.assert_allclose(W_count, W, rtol=0, atol=1e-9)
+            G = np.array([[g0, g1], [T0[0] * g0 + T0[1] * g1, T1[0] * g0 + T1[1] * g1]])
+            last = np.arctan2(-G[1, 1], G[1, 0])
+            for noise in (0.0, 1.2):
+                W_off = W_count + rng.uniform(-noise, noise, W.shape)
+                turns = dirac._chunk_turns(G, W_off[:, None])
+                np.testing.assert_allclose(last + TWO_PI * turns, wind, rtol=0, atol=1e-9)
 
     def test_small_beta_paths(self, monkeypatch):
         # Im z reaches 1e28 to 2e35 on these paths, so the chunks' transfer
@@ -683,6 +721,61 @@ class TestChunkedSweep:
             counts1 = b.count(window)
         np.testing.assert_array_equal(counts, [10, 9, 10])
         np.testing.assert_array_equal(counts1, counts)
+
+
+class TestHalfPlaneCount:
+    """The sweeps take whole turns from the sign changes of G1.
+
+    Checked against the fixed-frame oracle and the per-cell arctan2
+    winding, on 16 cells of length 1/16, so lam = 32 phi turns every cell
+    by phi; the plain loop and the chunked path must agree.
+    """
+
+    CELLS = 16
+    EDGES = (0.0, -0.0, 5e-324, -5e-324, -3.7, 2.2, -40.0)
+    # cell angles up to pi keep a sweep on the sign rule alone; past pi
+    # it is wide and adds each angle's whole turns
+    NARROW = (math.pi - 1e-9, math.pi)
+    WIDE = (math.pi + 1e-9, 2.5 * math.pi, 7.0 * math.pi)
+
+    @pytest.mark.parametrize("wide", [False, True])
+    @pytest.mark.parametrize("u0", [[1.0, 0.0], [-1.0, -0.0], [-1.0, 0.0], [0.3, -1.1]])
+    def test_counts_match_oracles(self, u0, wide):
+        rng = np.random.default_rng(61)
+        z = rng.uniform(-1.2, 1.2, self.CELLS) + 1j * rng.uniform(0.4, 2.2, self.CELLS)
+        op = dirac.DiracOperator(grid=np.linspace(0.0, 1.0, self.CELLS + 1), path=z,
+                                 u0=u0, u1=[1.0, 0.0])
+        phis = self.NARROW + (self.WIDE if wide else ())
+        lams = np.array(self.EDGES + tuple(2.0 * self.CELLS * sgn * p
+                                           for p in phis for sgn in (1.0, -1.0)))
+        assert 0.5 * (2.0 * self.CELLS * math.pi) * op.batch.dt[0] == math.pi
+        assert (0.5 * np.max(np.abs(lams)) * op.batch.dt[0] > math.pi) == wide
+        assert dirac._chunk_count(lams.size, self.CELLS) > 1
+        many = np.tile(lams, -(-dirac._CHUNK_LANES // lams.size))
+        assert dirac._chunk_count(many.size, self.CELLS) == 1
+        chunked = sweep(op.batch, lams, want_phase=True)[4]
+        plain = sweep(op.batch, many, want_phase=True, want_deriv=True)[4][:lams.size]
+        steps = list(zip(op.batch.v[0], op.batch.r[0], op.batch.dt))
+        winding = arctan2_winding(*op.batch.start[:, 0], lams, steps)
+        np.testing.assert_allclose(plain, winding, rtol=0, atol=1e-12)
+        # the chunked path rounds G differently, but picks the same turns
+        np.testing.assert_allclose(chunked, plain, rtol=0, atol=1e-12)
+        oracle = fixed_frame_phase(op, lams)
+        np.testing.assert_allclose(op.batch.phase(lams), oracle, rtol=0, atol=1e-10)
+        np.testing.assert_allclose(op.batch.phase(many)[:lams.size], oracle,
+                                   rtol=0, atol=1e-10)
+
+    def test_half_plane_of_principal_args(self):
+        # G1 < 0 is the open (0, pi); G1 >= 0 the closed [-pi, 0], but for
+        # G1 = -0 with G0 < 0, whose principal arg is pi
+        G0 = np.array([1.0, -1.0, 1.0, -1.0, -1.0, 0.5, 0.5, -1.0])
+        G1 = np.array([0.0, 0.0, -0.0, -0.0, -1e-300, -2.0, 2.0, 1e-300])
+        theta = np.arctan2(-G1, G0)
+        np.testing.assert_array_equal(dirac._half_plane(theta, G1),
+                                      [-1, -1, -1, 1, 0, 0, -1, -1])
+        # lifted four half-planes on, the arg moves by two whole turns
+        np.testing.assert_array_equal(
+            dirac._lift(G0, G1, dirac._half_plane(theta, G1) + 4.0), theta + 2.0 * TWO_PI)
 
 
 class TestLift:

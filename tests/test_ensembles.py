@@ -362,6 +362,13 @@ class TestBiasByWindow:
         with pytest.raises(ValueError, match="empty biasing event"):
             ens.bias_by_window(angles, atom_weights, 0.1)
 
+    @pytest.mark.parametrize("eps", [math.inf, math.nan, 0.0, -0.1])
+    def test_epsilon_must_be_finite_and_positive(self, eps):
+        angles = np.tile([0.05, 3.0], (20, 1))
+        atom_weights = np.full((20, 2), 0.5)
+        with pytest.raises(ValueError, match="epsilon must be finite and positive"):
+            ens.bias_by_window(angles, atom_weights, eps)
+
     def test_weights_concentrate_as_window_shrinks(self):
         sampler = ens.KNMeasureSampler(6, 2.0)
         _, angles, atom_weights = sampler.sample_batch(ens.SeedSpec(27, 0), 400)
