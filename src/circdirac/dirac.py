@@ -29,12 +29,14 @@ That is Sturm's oscillation count, the Prufer idea behind the operator
 (Valko & Virag, Invent. Math. 2017; Pryce, Numerical Solution of
 Sturm-Liouville Problems, 1993).  Each lane counts the sign changes of
 G1; the count fixes the half-plane that holds the last G's arg, and so
-its whole turns.  The winding returned is the principal arg of the last G
-plus 2 pi times the turns, so its rounding does not grow with the number
-of cells, and the sweep forms no product of G's components, which would
-overflow long before G does.  Counts and roots are taken in the last
-cell's frame, against the phase of X_{m-1} u1; H = X_{m-1}^{-1} G is
-formed only where a fixed-frame value is returned.
+its whole turns.  The sweep returns that half-plane's index, and every
+phase is lifted from it by one rule: the principal arg, moved into that
+half-plane.  So its rounding does not grow with the number of cells, and
+no phase forms a product of G's components, which would overflow long
+before G does.  Counts and roots are taken in the last cell's frame,
+against the phase of X_{m-1} u1; H = X_{m-1}^{-1} G is formed only where
+a fixed-frame value is returned, and since it keeps G1's sign, its arg
+lies in G's half-plane and lifts by the same rule.
 
 The one batched core is :class:`OperatorBatch`: operators on one shared
 grid, validated once and stored as what the sweep reads, the frame steps
@@ -63,8 +65,10 @@ derivative when it stays strictly inside the root's bracket, bisection
 otherwise, down to 1e-12 in lambda.  Each root leaves the batch as soon
 as it converges, so later sweeps carry only the roots still unresolved,
 and a root left unresolved at the iteration cap raises a conditioning
-error instead of returning an unconverged value.  So does a phase that
-overflowed to inf/nan, where G outgrows double range at large lambda.
+error instead of returning an unconverged value.  So does a sweep whose
+G overflowed to inf/nan, where G outgrows double range at large lambda,
+a fixed-frame H that overflowed, and a spectral weight that overflowed,
+since the weights are products of G's components.
 
 Grids normally span [0, 1]; truncated continuum paths may start at
 t0 > 0, and time reversal of such an operator ends before 1.
@@ -196,6 +200,7 @@ class SpectralMeasure:
             raise ValueError("side must be 'left' or 'right'")
         if lam.shape != w.shape:
             raise ValueError("mismatched atom arrays")
+        _require_finite_input("spectral atoms", lam, w)
         if np.any(np.diff(lam) <= 0.0):
             raise ValueError("atoms must be sorted by lambda")
         if np.any(w <= 0.0):
@@ -283,7 +288,7 @@ def measure_operator(mu: UnitCircleMeasure) -> DiracOperator:
 
 def _require_finite_input(name: str, *values) -> None:
     """Refuse nan/inf in an input (an operator field, a window) before any sweep."""
-    if not all(np.all(np.isfinite(v)) for v in values):
+    if not np.all(np.isfinite(values)):
         raise ValueError(f"{name} must be finite")
 
 
@@ -390,8 +395,15 @@ class OperatorBatch:
         return self.v.shape[0]
 
     def _lanes(self, lam, row, **kw):
-        """:func:`_sweep` of each lambda on its row ``row`` of this batch."""
-        return _sweep(self.v, self.r, self.dt, lam, self.start, row, **kw)
+        """:func:`_sweep` of each lambda on its row ``row`` of this batch.
+
+        G grows with lambda on a rough path and overflows to inf/nan; this
+        is the one place a sweep's G is checked.  A finite G has a finite
+        lifted arg, so every count and root built on it is finite too.
+        """
+        out = _sweep(self.v, self.r, self.dt, lam, self.start, row, **kw)
+        _require_finite("the sweep's solution G", out[:2])
+        return out
 
     def _window(self, window):
         """Endpoint phases and targets of the window [a, b), per row.
@@ -408,9 +420,8 @@ class OperatorBatch:
         if not np.all(lo < hi):
             raise ValueError("window must satisfy a < b")
         row = np.tile(np.arange(self.rows), 2)
-        wind = self._lanes(np.concatenate([lo, hi]), row, want_phase=True)[4]
-        _require_finite("the endpoint phase", wind)
-        alo, ahi = 2.0 * wind.reshape(2, self.rows)
+        G0, G1, _, _, half = self._lanes(np.concatenate([lo, hi]), row, want_phase=True)
+        alo, ahi = 2.0 * _lift(G0, G1, half).reshape(2, self.rows)
         kmin = np.ceil((alo - self.u) / TWO_PI - 1e-13)
         kend = np.ceil((ahi - self.u) / TWO_PI - 1e-13)
         return lo, hi, alo, ahi, kmin, np.maximum(kend - kmin, 0.0).astype(int)
@@ -455,22 +466,28 @@ class OperatorBatch:
                 "Im z is too small for double precision"
             )
         H0, H1 = _unframe(x, y, G0, G1)
-        return lams, self.u0sq[row] / normsq, (H0 * H0 + H1 * H1) / normsq, row
+        left, right = self.u0sq[row] / normsq, (H0 * H0 + H1 * H1) / normsq
+        # normsq and |H|^2 are products of G's components, which overflow
+        # long before G does
+        _require_finite("the spectral weights", (left, right))
+        return lams, left, right, row
 
     def phase(self, lam, row=0) -> np.ndarray:
         """Phase alpha(T, lambda) at each ``lam`` (see :func:`phase_at`).
 
         ``row`` is the operator row of every lambda, or an index array of
-        lam's shape.
+        lam's shape.  The phase is 2 arg(H0 - i H1), H = X_{m-1}^{-1} G,
+        lifted into the half-plane of G's arg, which holds H's too, as
+        H1 = G1 / y keeps G1's sign; it forms no product of G's
+        components.  A non-finite lambda is refused before any sweep, and
+        an H that overflowed raises a conditioning error.
         """
-        G0, G1, _, _, wind = self._lanes(np.asarray(lam, dtype=float), row,
-                                         want_phase=True)
+        _require_finite_input("lambda", lam)
+        G0, G1, _, _, half = self._lanes(np.asarray(lam, dtype=float), row, want_phase=True)
         H0, H1 = _unframe(*self.last[:, row], G0, G1)
-        # X^{-1} keeps the sign of the second component: the principal angle
-        # from G0 - i G1 to A - iB is the exact change of winding
-        out = 2.0 * (wind + np.arctan2(H0 * G1 - H1 * G0, H0 * G0 + H1 * G1))
-        _require_finite("the phase", out)
-        return out
+        # H1 = G1 / y overflows where G does not if the last y is small
+        _require_finite("H = X^{-1} G", (H0, H1))
+        return 2.0 * _lift(H0, H1, half)
 
 
 # ---------------------------------------------------------------------------
@@ -488,19 +505,19 @@ def _chunk_count(lanes: int, m: int) -> int:
 
 
 def _sweep(v, r, dt, lam, start, row, want_deriv=False, want_phase=False):
-    """Advance G = X_k H (and optionally dG and the phase winding) across all cells.
+    """Advance G = X_k H (and optionally dG and G's half-plane) across all cells.
 
     ``v``, ``r``, ``dt`` and ``start`` are the frame steps, cell lengths
     and X_0 u0 of an :class:`OperatorBatch`; ``lam`` is real, scalar or
     (B,), and ``row`` the batch row of every lane, or an index array of
     lam's shape.  G starts at X_0 u0, and cell k applies the frame step
     [[1, -v_k], [0, r_k]] (the identity for k = 0) and then
-    Rot(lam dt_k / 2).  Returns (G0, G1, dG0, dG1, winding) in the frame
-    of the last cell, m - 1; the winding is arg(G0 - i G1), continuous
-    from its principal value at X_0 u0.  It is returned as the principal
-    arg of the last G plus whole turns, and the turns come from the
-    half-plane of G that :func:`_advance` carries, so its rounding does
-    not grow with m.
+    Rot(lam dt_k / 2).  Returns (G0, G1, dG0, dG1, half) in the frame of
+    the last cell, m - 1.  ``half`` (None without ``want_phase``) is the
+    index (:func:`_half_plane`) of the half-plane that holds
+    arg(G0 - i G1), continued from its principal value at X_0 u0, from
+    the sign changes of G1 that :func:`_advance` counts;
+    :func:`_lift` (G0, G1, half) is the winding.
 
     Few lanes would pay the interpreter once per cell for little
     arithmetic, so they sweep the cells in P = :func:`_chunk_count`
@@ -508,7 +525,8 @@ def _sweep(v, r, dt, lam, start, row, want_deriv=False, want_phase=False):
     builds every chunk's 2x2 transfer matrix T (and dT) from the identity,
     a P-step carry applies them to G (and dG) in order, and the lifted
     args of T's columns give each chunk's whole turns
-    (:func:`_chunk_turns`).  From _CHUNK_LANES lanes on, the plain loop
+    (:func:`_chunk_turns`), which move the last G's principal half-plane
+    by two per turn.  From _CHUNK_LANES lanes on, the plain loop
     (P = 1) runs: there the chunks' doubled arithmetic costs nearly what
     the saved interpreter steps gain, and their (2, P, lanes) arrays grow
     with the batch.
@@ -523,14 +541,11 @@ def _sweep(v, r, dt, lam, start, row, want_deriv=False, want_phase=False):
     # rounding is monotone: this is the largest cell angle 0.5 lam dt of
     # any lane, as _advance computes it
     wide = want_phase and 0.5 * np.max(np.abs(lam), initial=0.0) * np.max(dt) > math.pi
-    wind = None
     if P == 1:
         half = _half_plane(np.arctan2(-G1, G0), G1) if want_phase else None
         # a gather from one contiguous column is cheaper than v[row, k]
         steps = ((vk[row], rk[row], d) for vk, rk, d in zip(v.T, r.T, dt))
         G0, G1, dG0, dG1, half = _advance(G0, G1, dG0, dG1, half, lam, steps, wide)
-        if want_phase:
-            wind = _lift(G0, G1, half)
     else:
         # chunk c holds cells c L .. c L + L - 1; the cells past m - 1
         # that pad the last chunk take the identity step 0 and dt = 0
@@ -564,8 +579,8 @@ def _sweep(v, r, dt, lam, start, row, want_deriv=False, want_phase=False):
             dG0, dG1 = (g.reshape(lam.shape) for g in dG)
         if want_phase:
             turns = _chunk_turns(np.array(G), _lift(T0, T1, half)).reshape(lam.shape)
-            wind = np.arctan2(-G1, G0) + TWO_PI * turns
-    return G0, G1, dG0, dG1, wind
+            half = _half_plane(np.arctan2(-G1, G0), G1) + 2.0 * turns
+    return G0, G1, dG0, dG1, half
 
 
 def _advance(G0, G1, dG0, dG1, half, lam, steps, wide):
@@ -655,14 +670,13 @@ def _chunk_turns(G, W):
 def _require_finite(what: str, values) -> None:
     """Raise a conditioning error unless every entry of ``values`` is finite.
 
-    Checked once on a sweep's results: G grows with lambda on a rough path
-    and overflows to inf/nan, which would otherwise reach the caller as a
-    nan phase or a garbled count.
+    Overflow to inf/nan would otherwise reach the caller as a nan phase, a
+    garbled count or a nan weight.
     """
     if not np.all(np.isfinite(values)):
         raise ValueError(
-            f"conditioning: {what} overflowed to inf/nan; the sweep's solution "
-            "grows past double range at this lambda"
+            f"conditioning: {what} overflowed to inf/nan; the solution grows "
+            "past double range at this lambda"
         )
 
 
@@ -698,12 +712,11 @@ def _solve_targets(batch: OperatorBatch, targets, row, lo, hi, alo, ahi):
     live = np.arange(t.size)
     dx = dxold = b - a  # last step and the step before it
     for _ in range(MAX_SOLVER_ITERATIONS):
-        G0, G1, dG0, dG1, wind = batch._lanes(lam, row[live], want_deriv=True,
+        G0, G1, dG0, dG1, half = batch._lanes(lam, row[live], want_deriv=True,
                                               want_phase=True)
         # a derivative lost to overflow in G0^2 + G1^2 only forces bisection
-        _require_finite("the phase", wind)
         deriv = 2.0 * (G1 * dG0 - G0 * dG1) / (G0 * G0 + G1 * G1)
-        f = 2.0 * wind - t[live]
+        f = 2.0 * _lift(G0, G1, half) - t[live]
         neg = f < 0.0
         a = np.where(neg, lam, a)
         b = np.where(neg, b, lam)

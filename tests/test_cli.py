@@ -372,6 +372,26 @@ class TestErrorHandling:
         assert record == {"error": "ValueError",
                           "message": "window endpoints must be finite"}
 
+    def test_spectrum_refuses_overflowed_weights(self, tmp_path, capsys):
+        # i.i.d. cells over 4096 cells: at lambda 5e3 the eigenfunction's
+        # norm overflows to nan, and no NaN weight may reach the output
+        rng = np.random.default_rng(4146)
+        z = rng.uniform(-1.2, 1.2, 4096) + 1j * rng.uniform(0.4, 2.2, 4096)
+        op = {"grid": np.linspace(0.0, 1.0, 4097).tolist(),
+              "path": [[v.real, v.imag] for v in z], "u0": [1.0, 0.0],
+              "u1": [-rng.uniform(-2.0, 2.0), -1.0]}
+        opfile = tmp_path / "op.json"
+        opfile.write_text(json.dumps(op))
+        out = tmp_path / "s.json"
+        with np.errstate(over="ignore", invalid="ignore"):
+            rc = main(["spectrum", "--operator", str(opfile), "--window", "5000", "5010",
+                       "--side", "right", "--out", str(out)])
+        assert rc == 1
+        record = json.loads(capsys.readouterr().err.strip())
+        assert record["error"] == "ValueError"
+        assert record["message"].startswith("conditioning: the spectral weights overflowed")
+        assert not out.exists()
+
     @staticmethod
     def assert_needs_one_of(tmp_path, capsys, argv, inputs):
         """``argv`` with neither and with both of the two ``inputs`` flags exits 2."""

@@ -47,8 +47,11 @@ def cut(op, cells):
 
 
 def sweep(batch, lam, row=0, **kw):
-    """dirac._sweep on the stored steps of an OperatorBatch."""
-    return batch._lanes(lam, row, **kw)
+    """dirac._sweep on the stored steps of an OperatorBatch, its half-plane
+    index lifted to the winding of arg(G0 - i G1)."""
+    G0, G1, dG0, dG1, half = batch._lanes(lam, row, **kw)
+    wind = None if half is None else dirac._lift(G0, G1, half)
+    return G0, G1, dG0, dG1, wind
 
 
 def eval_H(op, lam):
@@ -292,6 +295,21 @@ class TestPhase:
             assert len(dirac.eigenvalues_in(op, window)) == \
                 dirac.eigenvalue_count(op, window) == 2
 
+    @pytest.mark.parametrize("x", [0.0, 0.5])
+    def test_fixed_frame_overflow_is_a_conditioning_error(self, x):
+        # with the last y at 1e-12, G is finite at 7591 (|G| 4e296) but
+        # H1 = G1 / y overflows: to a nan phase at x = 0, and at x = 0.5 to
+        # H = (-inf, -inf), whose arg is finite and wrong
+        op = random_operator(np.random.default_rng(4146), 4096)
+        path = op.path.copy()
+        path[-1] = complex(x, 1e-12)
+        op = dirac.DiracOperator(grid=op.grid, path=path, u0=op.u0, u1=op.u1)
+        with np.errstate(over="ignore", invalid="ignore"):
+            G0, G1, *_ = sweep(op.batch, 7591.0)
+            assert np.hypot(G0, G1) < 1e297
+            with pytest.raises(ValueError, match="conditioning: .*overflowed"):
+                dirac.phase_at(op, 7591.0)
+
     def test_count_does_not_depend_on_lane_count(self):
         # at 5e3 |G| passes 1e154 on this operator; the sweep forms no
         # product of G's components, so a 600-lane (plain) count and 300
@@ -304,6 +322,18 @@ class TestPhase:
         assert dirac._chunk_count(2 * lo.size, op.cells) == 1
         np.testing.assert_array_equal(batch.count((lo, hi)), one)
         assert sum(one) == 3
+
+    def test_phase_does_not_depend_on_lane_count(self):
+        # at 5e3 |G| passes 1e154 on this operator; the phase lifts H = X^{-1} G
+        # by the sweep's half-plane count and forms no product of G's
+        # components, so a 300-lane (plain) batch and 300 one-lane (chunked)
+        # sweeps give the same bits
+        op = random_operator(np.random.default_rng(4146), 4096)
+        lams = np.linspace(5e3, 5e3 + 10.0, 300)
+        batch = dirac.OperatorBatch.stack([op] * lams.size)
+        assert dirac._chunk_count(lams.size, op.cells) == 1
+        one = [dirac.phase_at(op, lam) for lam in lams]
+        np.testing.assert_array_equal(batch.phase(lams, np.arange(lams.size)), one)
 
     def test_large_argument_winding(self):
         # each cell adds exactly lambda dt / 2, so the phase stays exact at
@@ -821,6 +851,16 @@ class TestSpectralMeasure:
                       - dirac.phase_at(op, lam - h)) / (2.0 * h)
                 assert w == pytest.approx(2.0 / da, abs=1e-8)
 
+    def test_overflowed_weights_are_a_conditioning_error(self):
+        # at 5e3 G is finite but normsq, a product of its components,
+        # overflows to nan on this operator
+        op = random_operator(np.random.default_rng(4146), 4096)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for side in ("left", "right"):
+                with pytest.raises(ValueError,
+                                   match="conditioning: the spectral weights overflowed"):
+                    dirac.spectral_measure(op, (5000.0, 5010.0), side)
+
     def test_json_roundtrip(self):
         op = lattice_operator(3, 0.5)
         sm = dirac.spectral_measure(op, (-5.0, 5.0), "right")
@@ -1134,3 +1174,19 @@ class TestInputValidation:
                      lambda op, w: dirac.spectral_measure(op, w, "left")):
             with pytest.raises(ValueError, match="window endpoints must be finite"):
                 call(op, window)
+
+    @pytest.mark.parametrize("lam", [math.inf, -math.inf, math.nan])
+    def test_non_finite_lambda_is_refused(self, lam):
+        # refused before any sweep, so numpy warns of nothing
+        op = random_operator(np.random.default_rng(4))
+        for value in (lam, np.array([0.0, lam])):
+            with pytest.raises(ValueError, match="^lambda must be finite$"):
+                dirac.phase_at(op, value)
+
+    @pytest.mark.parametrize("lambdas, weights", [
+        ([1.0], [math.nan]), ([1.0], [math.inf]), ([math.nan], [1.0]),
+        ([1.0, math.inf], [1.0, 1.0])])
+    def test_non_finite_atoms_are_refused(self, lambdas, weights):
+        with pytest.raises(ValueError, match="^spectral atoms must be finite$"):
+            dirac.SpectralMeasure(lambdas=lambdas, weights=weights,
+                                  window=(0.0, 10.0), side="right")
