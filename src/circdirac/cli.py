@@ -8,9 +8,14 @@ commands that draw accept --seed: verify demands it (reports must be
 reproducible), and kn-sample, sine-beta, sine-intensity, bias and
 bias-trend draw an entropy seed when none is given and echo it on stdout.
 kn-sample and sine-beta also accept --stream, and verify, which can run
-its criteria in a worker pool, accepts --jobs.  sine-beta takes the right
-boundary slope as --q: a real value fixes it, --q inf gives the infinity
-slope, and without --q the slope is drawn from the standard Cauchy law.
+its criteria in a worker pool, accepts --jobs.  The experiments draw
+through the owners that the acceptance criteria call too:
+sine-intensity through ``ensembles.sine_replicas``, so its replica i is
+``sine-beta --stream i``, and bias and bias-trend through
+``ensembles.window_biasing``, on streams 0 and 1 000 000 of the seed.
+sine-beta takes the right boundary slope as --q: a real value fixes it,
+--q inf gives the infinity slope, and without --q the slope is drawn
+from the standard Cauchy law.
 
 Exit codes: 0 on success (for verify: all criteria passed), 1 on a runtime
 error (a machine-readable record goes to stderr), 2 on a usage error.
@@ -29,7 +34,7 @@ import sys
 import numpy as np
 
 from . import dirac, ensembles, opuc
-from .ensembles import KNMeasureSampler, SeedSpec, SinePathSpec
+from .ensembles import SeedSpec, SinePathSpec
 
 
 def _write_json(path: str, payload: dict) -> None:
@@ -138,7 +143,7 @@ def _cmd_sine_beta(args) -> int:
 def _cmd_sine_intensity(args) -> int:
     seed = _resolve_seed(args)
     spec = SinePathSpec(beta=args.beta, t_min=args.t_min, cells=args.cells)
-    batch = ensembles.sample_sine_paths(spec, [SeedSpec(seed, i) for i in range(args.replicas)])
+    batch = ensembles.sine_replicas(spec, seed, args.replicas)
     counts = batch.count((0.0, args.length))
     _write_csv(f"{args.out}.csv", ["replica", "count"],
                ([i, int(c)] for i, c in enumerate(counts)))
@@ -162,23 +167,20 @@ def _cmd_sine_intensity(args) -> int:
 
 
 def _biased_draws(args, epsilons):
-    """The window-biasing experiment's draws, shared by bias and bias-trend.
+    """The window-biasing experiment, shared by bias and bias-trend.
 
-    The replicas are the rows of one draw from stream 0 of the seed, and
-    the 10 000 direct draws of the atom-at-1 law come from stream
-    1 000 000.  Returns (seed, gammas, weights, ks): the replicas'
+    The draws are :func:`ensembles.window_biasing`'s: the replicas from
+    stream 0 of the seed and the direct draws of the atom-at-1 law from
+    stream 1 000 000.  Returns (seed, gammas, weights, ks): the replicas'
     coefficients, their importance weights per epsilon (E, replicas), and
     the per-coordinate KS distances of each weighting to the direct draws
     (E, n-1, 2).
     """
     from .stats import ks_by_coordinate  # loads scipy.special, like verify
     seed = _resolve_seed(args)
-    gammas, angles, atom_weights = KNMeasureSampler(args.n, args.beta).sample_batch(
-        SeedSpec(seed, 0), args.replicas)
-    weights = np.stack([ensembles.bias_by_window(angles, atom_weights, eps)
-                        for eps in epsilons])
-    direct = ensembles.biased_gammas(SeedSpec(seed, 1_000_000).rng(),
-                                     args.n, args.beta, 10_000)
+    gammas, weights, direct = ensembles.window_biasing(
+        args.n, args.beta, args.replicas, epsilons,
+        SeedSpec(seed, 0), SeedSpec(seed, 1_000_000))
     return seed, gammas, weights, ks_by_coordinate(gammas, direct, weights)
 
 

@@ -62,13 +62,18 @@ Eigenvalues are recovered by inverting the monotone phase at the targets
 2 pi k + u, u determined by the direction of X_{m-1} u1.  The search is safeguarded
 Newton on all targets at once: a Newton step from the analytic phase
 derivative when it stays strictly inside the root's bracket, bisection
-otherwise, down to 1e-12 in lambda.  Each root leaves the batch as soon
-as it converges, so later sweeps carry only the roots still unresolved,
-and a root left unresolved at the iteration cap raises a conditioning
-error instead of returning an unconverged value.  So does a sweep whose
+otherwise, down to 1e-12 in lambda.  The derivative
+2 (G1 dG0 - G0 dG1) / (G0^2 + G1^2) is formed from G and dG scaled by one
+power of two, exactly, so it does not overflow where G does not.  Each
+root leaves the batch as soon as it converges, so later sweeps carry
+only the roots still unresolved, and a root left unresolved at the
+iteration cap raises a conditioning error instead of returning an
+unconverged value.  So does a sweep whose
 G overflowed to inf/nan, where G outgrows double range at large lambda,
 a fixed-frame H that overflowed, and a spectral weight that overflowed,
-since the weights are products of G's components.
+since the weights are products of G's components.  These are computed
+with numpy's overflow warnings off (``_QUIET``), so the conditioning
+error is all a caller sees, also where warnings are errors.
 
 Grids normally span [0, 1]; truncated continuum paths may start at
 t0 > 0, and time reversal of such an operator ends before 1.
@@ -115,6 +120,12 @@ MAX_SOLVER_ITERATIONS = 120
 
 #: Lanes from which a sweep runs as one chunk (see :func:`_sweep`).
 _CHUNK_LANES = 256
+
+#: numpy error state of the sweep and of the products formed from its G.
+#: Both may overflow; each result that matters is checked by
+#: :func:`_require_finite`, so an overflow reaches the caller as that
+#: conditioning error alone, also where warnings are errors.
+_QUIET = {"over": "ignore", "invalid": "ignore"}
 
 
 # ---------------------------------------------------------------------------
@@ -218,12 +229,6 @@ class SpectralMeasure:
             "window": [self.window[0], self.window[1]],
             "atoms": [[float(l), float(w)] for l, w in zip(self.lambdas, self.weights)],
         }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "SpectralMeasure":
-        atoms = np.asarray(d["atoms"], dtype=float).reshape(-1, 2)
-        return cls(lambdas=atoms[:, 0], weights=atoms[:, 1],
-                   window=tuple(d["window"]), side=d["side"])
 
 
 # ---------------------------------------------------------------------------
@@ -394,6 +399,7 @@ class OperatorBatch:
     def rows(self) -> int:
         return self.v.shape[0]
 
+    @np.errstate(**_QUIET)
     def _lanes(self, lam, row, **kw):
         """:func:`_sweep` of each lambda on its row ``row`` of this batch.
 
@@ -448,6 +454,7 @@ class OperatorBatch:
         order = np.lexsort((lams, row))
         return lams[order], row[order]
 
+    @np.errstate(**_QUIET)
     def weights(self, window):
         """(lambdas, left, right, row): both sides' spectral weights in [a, b).
 
@@ -472,6 +479,7 @@ class OperatorBatch:
         _require_finite("the spectral weights", (left, right))
         return lams, left, right, row
 
+    @np.errstate(**_QUIET)
     def phase(self, lam, row=0) -> np.ndarray:
         """Phase alpha(T, lambda) at each ``lam`` (see :func:`phase_at`).
 
@@ -686,6 +694,7 @@ def _unframe(x, y, G0, G1):
     return G0 + x * H1, H1
 
 
+@np.errstate(**_QUIET)
 def _solve_targets(batch: OperatorBatch, targets, row, lo, hi, alo, ahi):
     """Invert the monotone phase of ``batch`` at each target; returns lambdas.
 
@@ -699,10 +708,11 @@ def _solve_targets(batch: OperatorBatch, targets, row, lo, hi, alo, ahi):
     Newton cycles between the flat stretches either side of a steep phase
     rise, which land inside the bracket yet shrink it by a little each
     time.  A lane retires once |alpha - target| <= alpha' * LAMBDA_TOL
-    (its Newton correction is below LAMBDA_TOL) or its bracket is narrower
-    than LAMBDA_TOL, returning the midpoint in the latter case; later
-    sweeps advance only the lanes still active.  A lane still active after
-    MAX_SOLVER_ITERATIONS sweeps raises a conditioning error.
+    with a finite alpha' (its Newton correction is below LAMBDA_TOL) or
+    its bracket is narrower than LAMBDA_TOL, returning the midpoint in the
+    latter case; later sweeps advance only the lanes still active.  A lane
+    still active after MAX_SOLVER_ITERATIONS sweeps raises a conditioning
+    error.
     """
     t = np.asarray(targets, dtype=float)
     a, b = (np.broadcast_to(np.asarray(w, dtype=float), t.shape).copy() for w in (lo, hi))
@@ -714,13 +724,17 @@ def _solve_targets(batch: OperatorBatch, targets, row, lo, hi, alo, ahi):
     for _ in range(MAX_SOLVER_ITERATIONS):
         G0, G1, dG0, dG1, half = batch._lanes(lam, row[live], want_deriv=True,
                                               want_phase=True)
-        # a derivative lost to overflow in G0^2 + G1^2 only forces bisection
-        deriv = 2.0 * (G1 * dG0 - G0 * dG1) / (G0 * G0 + G1 * G1)
         f = 2.0 * _lift(G0, G1, half) - t[live]
+        # G and dG scaled by one power of two, which is exact, so that
+        # G0^2 + G1^2 cannot overflow; a dG lost to overflow leaves an inf
+        # or nan derivative, which takes no Newton step and passes no root
+        scale = np.ldexp(1.0, -np.frexp(np.maximum(np.abs(G0), np.abs(G1)))[1])
+        g0, g1, d0, d1 = (scale * g for g in (G0, G1, dG0, dG1))
+        deriv = 2.0 * (g1 * d0 - g0 * d1) / (g0 * g0 + g1 * g1)
         neg = f < 0.0
         a = np.where(neg, lam, a)
         b = np.where(neg, b, lam)
-        at_root = np.abs(f) <= deriv * LAMBDA_TOL
+        at_root = np.isfinite(deriv) & (np.abs(f) <= deriv * LAMBDA_TOL)
         done = at_root | ((b - a) < LAMBDA_TOL)
         out[live[done]] = np.where(at_root, lam, 0.5 * (a + b))[done]
         if done.all():

@@ -3,13 +3,16 @@
 Sampling conventions.  All randomness flows through :class:`SeedSpec`;
 identical (master_seed, stream_id) reproduce identical draws bit for bit
 on one platform, and distinct stream ids give independent streams.  Two
-stream contracts are in use.  The Sine_beta operator batches give
-replica i its own stream (the caller passes one :class:`SeedSpec` per
-row), so the batch size and the order of the draws cannot change a
-replica.  Bulk draws of coefficients (``kn_gammas``/``biased_gammas``
-with m rows, and :class:`KNMeasureSampler`, which is ``kn_gammas`` on
-the stream of its ``base``) take the whole block from one stream, so a
-replica there depends on the block size.
+stream contracts are in use, each with one owner here that the criteria
+and the command line both call.  :func:`sine_replicas` gives Sine_beta
+replica i stream i of the seed (:func:`sample_sine_paths` takes one
+:class:`SeedSpec` per row), so the batch size and the order of the draws
+cannot change a replica.  Bulk draws of coefficients (``kn_gammas`` and
+``biased_gammas`` with m rows, and :class:`KNMeasureSampler`, which is
+``kn_gammas`` on the stream of its ``base``) take the whole block from
+one stream, so a replica there depends on the block size;
+:func:`window_biasing` holds the window-biasing experiment's draws, on
+the two streams its caller names.
 
 The coefficient ensemble with parameters (n, beta) draws the modified
 coefficients independently: gamma_k = r_k e^{i Theta_k} with
@@ -49,9 +52,11 @@ __all__ = [
     "biased_gammas",
     "sample_kn",
     "KNMeasureSampler",
+    "window_biasing",
     "palm_gammas",
     "palm_transform",
     "sample_sine_paths",
+    "sine_replicas",
     "sample_sine_operator",
     "remove_atom",
     "bias_by_window",
@@ -77,19 +82,29 @@ class SeedSpec:
 # Killip-Nenciu coefficients and measures
 
 
+def _require_ensemble(n: int, beta: float) -> None:
+    if n < 1 or not 0.0 < beta < math.inf:
+        raise ValueError("need n >= 1 and finite beta > 0")
+
+
+def _radii(rng: np.random.Generator, n: int, beta: float, m: int) -> np.ndarray:
+    """(m, n - 1) radii of the (n, beta) ensemble, one uniform block from ``rng``.
+
+    r_k^2 ~ Beta(1, s_k), s_k = (beta/2)(n-k-1), by inversion r = sqrt(1 - U^{1/s}).
+    """
+    _require_ensemble(n, beta)
+    s = 0.5 * beta * (n - 1 - np.arange(n - 1))
+    return np.sqrt(1.0 - rng.random((m, n - 1)) ** (1.0 / s))
+
+
 def kn_gammas(rng: np.random.Generator, n: int, beta: float, m: int) -> np.ndarray:
     """(m, n) modified coefficients of the (n, beta) ensemble, all drawn from ``rng``.
 
     Draw order: radii, angles, last angle.
     """
-    if n < 1 or not 0.0 < beta < math.inf:
-        raise ValueError("need n >= 1 and finite beta > 0")
-    s = 0.5 * beta * (n - 1 - np.arange(n - 1))
-    out = np.empty((m, n), dtype=complex)
-    r = np.sqrt(1.0 - rng.random((m, n - 1)) ** (1.0 / s))
-    out[:, :-1] = r * np.exp(1j * (TWO_PI * rng.random((m, n - 1))))
-    out[:, -1] = np.exp(1j * (TWO_PI * rng.random(m)))
-    return out
+    r = _radii(rng, n, beta, m)
+    interior = r * np.exp(1j * (TWO_PI * rng.random((m, n - 1))))
+    return np.column_stack((interior, np.exp(1j * (TWO_PI * rng.random(m)))))
 
 
 def sample_kn(n: int, beta: float, seed: SeedSpec) -> CoefficientSequence:
@@ -111,8 +126,7 @@ class KNMeasureSampler:
     """
 
     def __init__(self, n: int, beta: float):
-        if n < 1 or not 0.0 < beta < math.inf:
-            raise ValueError("need n >= 1 and finite beta > 0")
+        _require_ensemble(n, beta)
         self.n = int(n)
         self.beta = float(beta)
 
@@ -162,17 +176,10 @@ def biased_gammas(rng: np.random.Generator, n: int, beta: float, m: int) -> np.n
     the angle given r follows the harmonic measure from the point r, drawn
     as arg((e^{i Theta} + r)/(1 + r e^{i Theta})).
     """
-    if n < 1 or not 0.0 < beta < math.inf:
-        raise ValueError("need n >= 1 and finite beta > 0")
-    out = np.empty((m, n), dtype=complex)
-    s = 0.5 * beta * (n - 1 - np.arange(n - 1))
-    u_r = rng.random((m, n - 1))
-    r = np.sqrt(1.0 - u_r ** (1.0 / s))
+    r = _radii(rng, n, beta, m)
     w = np.exp(1j * rng.uniform(0.0, TWO_PI, (m, n - 1)))
     phi = np.angle((w + r) / (1.0 + r * w))
-    out[:, :-1] = r * np.exp(1j * phi)
-    out[:, -1] = 1.0
-    return out
+    return np.column_stack((r * np.exp(1j * phi), np.ones(m)))
 
 
 # ---------------------------------------------------------------------------
@@ -265,6 +272,11 @@ def sample_sine_paths(spec: SinePathSpec, seeds) -> OperatorBatch:
     return OperatorBatch.from_blocks(t, len(seeds), blocks())
 
 
+def sine_replicas(spec: SinePathSpec, seed: int, replicas: int) -> OperatorBatch:
+    """:func:`sample_sine_paths` of ``replicas`` rows, row i from stream i of ``seed``."""
+    return sample_sine_paths(spec, [SeedSpec(seed, i) for i in range(replicas)])
+
+
 def sample_sine_operator(spec: SinePathSpec, seed: SeedSpec) -> DiracOperator:
     """One Sine_beta operator, bit for bit its row in :func:`sample_sine_paths`."""
     t, u, sqrt_h = _sine_grid(spec)
@@ -305,8 +317,9 @@ def bias_by_window(angles, atom_weights, epsilon: float) -> np.ndarray:
 
     ``angles``/``atom_weights`` hold one replica measure per row, as
     returned by :meth:`KNMeasureSampler.sample_batch`; draw once and call
-    this for each epsilon.  Weight i is mu_i(arc)/mean(mu(arc)); an
-    all-zero weight vector (no replica charges the arc) is an error.
+    this for each epsilon, as :func:`window_biasing` does.  Weight i is
+    mu_i(arc)/mean(mu(arc)); an all-zero weight vector (no replica charges
+    the arc) is an error.
     Acceptance-rejection on the arc event would waste nearly all replicas
     at small epsilon, hence the self-normalized importance weighting.
     """
@@ -317,3 +330,18 @@ def bias_by_window(angles, atom_weights, epsilon: float) -> np.ndarray:
     if not np.any(w > 0.0):
         raise ValueError("empty biasing event: no replica charges the arc")
     return w / w.mean()
+
+
+def window_biasing(n: int, beta: float, replicas: int, epsilons, base: SeedSpec,
+                   direct: SeedSpec):
+    """The draws of the window-biasing experiment: (gammas, weights, direct).
+
+    ``gammas`` (replicas, n) are the rows of one (n, beta) draw from the
+    stream ``base`` names, converted to measures once; ``weights``
+    (len(epsilons), replicas) holds their :func:`bias_by_window` weights
+    at each epsilon; ``direct`` holds 10 000 :func:`biased_gammas` draws
+    of the atom-at-1 law from the stream ``direct`` names.
+    """
+    gammas, angles, atom_weights = KNMeasureSampler(n, beta).sample_batch(base, replicas)
+    weights = np.stack([bias_by_window(angles, atom_weights, eps) for eps in epsilons])
+    return gammas, weights, biased_gammas(direct.rng(), n, beta, 10_000)

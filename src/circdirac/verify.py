@@ -4,9 +4,12 @@ Every criterion is a function taking a master seed and returning a list of
 (label, TestReport); randomness is drawn from numbered streams of the
 seed, so a fixed seed reproduces every report bit for bit.  Most criteria
 own one or two stream ids from 102 up.  Sine-intensity and palm-pins-zero
-both sweep the Brownian paths of streams 0-499 (with a Cauchy and with
-the infinity boundary slope), a range that holds the other criteria's
-ids too, so those draws are not independent of the rest.  ``run_suite``
+both sweep :func:`~circdirac.ensembles.sine_replicas`, the Brownian paths
+of streams 0-499 (with a Cauchy and with the infinity boundary slope), a
+range that holds the other criteria's ids too, so those draws are not
+independent of the rest.  Biasing-trend takes its draws from
+:func:`~circdirac.ensembles.window_biasing` on streams 170 and 171, the
+owner that the ``bias`` and ``bias-trend`` commands call too.  ``run_suite``
 bundles the criteria into the suites exposed by the command line:
 
     core            exact identities (fast, deterministic)
@@ -38,15 +41,14 @@ from .dirac import (
     trace_and_hsnorm,
 )
 from .ensembles import (
-    KNMeasureSampler,
     SeedSpec,
     SinePathSpec,
-    bias_by_window,
     biased_gammas,
     kn_gammas,
     palm_gammas,
     remove_atom,
-    sample_sine_paths,
+    sine_replicas,
+    window_biasing,
 )
 from .opuc import (
     CoefficientSequence,
@@ -330,8 +332,7 @@ def criterion_circular_jacobi(seed: int):
 
 def criterion_sine_intensity(seed: int):
     replicas = 500
-    batch = sample_sine_paths(SinePathSpec(beta=2.0),
-                              [SeedSpec(seed, i) for i in range(replicas)])
+    batch = sine_replicas(SinePathSpec(beta=2.0), seed, replicas)
     counts = batch.count((0.0, 20.0 * math.pi))
     mean = counts.mean()
     se = counts.std(ddof=1) / math.sqrt(replicas)
@@ -342,8 +343,7 @@ def criterion_sine_intensity(seed: int):
 
 def criterion_palm_pins_zero(seed: int):
     replicas = 500
-    batch = sample_sine_paths(SinePathSpec(beta=2.0, q=math.inf),
-                              [SeedSpec(seed, i) for i in range(replicas)])
+    batch = sine_replicas(SinePathSpec(beta=2.0, q=math.inf), seed, replicas)
     # the phase is 0 at lambda = 0, so each row's root nearest 0 is the one
     # there; some rows hold a second eigenvalue in the window
     lams, row = batch.eigenvalues((-0.5, 0.5))
@@ -364,11 +364,8 @@ def criterion_biasing_trend(seed: int):
     # the epsilon residual far above the Monte Carlo noise floor
     n, beta = 6, 2.0
     replicas = 30_000
-    gammas, angles, atom_weights = KNMeasureSampler(n, beta).sample_batch(
-        SeedSpec(seed, 170), replicas)
-    direct = biased_gammas(SeedSpec(seed, 171).rng(), n, beta, 10_000)
-    w = np.stack([bias_by_window(angles, atom_weights, eps)
-                  for eps in (0.3, 0.1, 0.03)])
+    gammas, w, direct = window_biasing(n, beta, replicas, (0.3, 0.1, 0.03),
+                                       SeedSpec(seed, 170), SeedSpec(seed, 171))
     stats = ks_by_coordinate(gammas, direct, w).max(axis=(1, 2)).tolist()
     inc = max(stats[1] - stats[0], stats[2] - stats[1])
     rep = TestReport(inc, 0.0, replicas,

@@ -383,9 +383,8 @@ class TestErrorHandling:
         opfile = tmp_path / "op.json"
         opfile.write_text(json.dumps(op))
         out = tmp_path / "s.json"
-        with np.errstate(over="ignore", invalid="ignore"):
-            rc = main(["spectrum", "--operator", str(opfile), "--window", "5000", "5010",
-                       "--side", "right", "--out", str(out)])
+        rc = main(["spectrum", "--operator", str(opfile), "--window", "5000", "5010",
+                   "--side", "right", "--out", str(out)])
         assert rc == 1
         record = json.loads(capsys.readouterr().err.strip())
         assert record["error"] == "ValueError"

@@ -285,15 +285,15 @@ class TestPhase:
             lambda: dirac._solve_targets(op.batch, np.array([1.0]), np.array([0]),
                                          9e3, 1e4, 0.0, 2.0),
         ]
-        with np.errstate(over="ignore", invalid="ignore"):
-            for call in calls:
-                with pytest.raises(ValueError, match="conditioning: .*overflowed"):
-                    call()
-            # at 7e3 |G| is 3e266: G0^2 + G1^2 overflows and the phase
-            # derivative is lost, but the phase is not, so the search bisects
-            window = (6990.0, 7000.0)
-            assert len(dirac.eigenvalues_in(op, window)) == \
-                dirac.eigenvalue_count(op, window) == 2
+        for call in calls:
+            with pytest.raises(ValueError, match="conditioning: .*overflowed"):
+                call()
+        # at 7e3 |G| is 3e266, so G0^2 + G1^2 would overflow; the solver
+        # forms the phase derivative from G and dG scaled by a power of two
+        window = (6990.0, 7000.0)
+        roots = dirac.eigenvalues_in(op, window)
+        assert len(roots) == dirac.eigenvalue_count(op, window) == 2
+        np.testing.assert_allclose(roots, [6997.24873633, 6997.54125121], atol=1e-8)
 
     @pytest.mark.parametrize("x", [0.0, 0.5])
     def test_fixed_frame_overflow_is_a_conditioning_error(self, x):
@@ -304,11 +304,10 @@ class TestPhase:
         path = op.path.copy()
         path[-1] = complex(x, 1e-12)
         op = dirac.DiracOperator(grid=op.grid, path=path, u0=op.u0, u1=op.u1)
-        with np.errstate(over="ignore", invalid="ignore"):
-            G0, G1, *_ = sweep(op.batch, 7591.0)
-            assert np.hypot(G0, G1) < 1e297
-            with pytest.raises(ValueError, match="conditioning: .*overflowed"):
-                dirac.phase_at(op, 7591.0)
+        G0, G1, *_ = sweep(op.batch, 7591.0)
+        assert np.hypot(G0, G1) < 1e297
+        with pytest.raises(ValueError, match="conditioning: .*overflowed"):
+            dirac.phase_at(op, 7591.0)
 
     def test_count_does_not_depend_on_lane_count(self):
         # at 5e3 |G| passes 1e154 on this operator; the sweep forms no
@@ -416,6 +415,44 @@ class TestSolver:
         monkeypatch.setattr(dirac, "MAX_SOLVER_ITERATIONS", 1)
         with pytest.raises(ValueError, match="conditioning"):
             dirac.eigenvalues_in(op, (-9.0, 9.0))
+
+    def test_derivative_is_formed_without_overflow(self, monkeypatch):
+        # G and dG scaled up by 2^600 keep every phase, but G0^2 + G1^2
+        # overflows unless the solver scales them back down first; without
+        # its derivative the search would bisect, some 40 sweeps per root
+        op = random_operator(np.random.default_rng(31))
+        lanes = self.count_phase_sweeps(monkeypatch)
+        expected = dirac.eigenvalues_in(op, (-9.0, 9.0))
+        newton = len(lanes)
+        counted = dirac._sweep
+
+        def huge(*args, **kw):
+            *G, half = counted(*args, **kw)
+            return (*(None if g is None else np.ldexp(g, 600) for g in G), half)
+
+        monkeypatch.setattr(dirac, "_sweep", huge)
+        del lanes[:]
+        np.testing.assert_allclose(dirac.eigenvalues_in(op, (-9.0, 9.0)), expected,
+                                   rtol=0.0, atol=1e-12)
+        assert len(lanes) == newton < 10 * expected.size
+
+    def test_overflowed_derivative_forces_bisection(self, monkeypatch):
+        # where dG overflows while G does not (on the 4096-cell operator of
+        # TestPhase at lambda 7873), the solver has no Newton step; it
+        # bisects to the same roots, and no warning escapes
+        op = random_operator(np.random.default_rng(31))
+        expected = dirac.eigenvalues_in(op, (-9.0, 9.0))
+        sweep = dirac._sweep
+
+        def lost(*args, **kw):
+            G0, G1, dG0, dG1, half = sweep(*args, **kw)
+            if dG0 is not None:
+                dG0, dG1 = np.full_like(dG0, np.inf), np.full_like(dG1, np.inf)
+            return G0, G1, dG0, dG1, half
+
+        monkeypatch.setattr(dirac, "_sweep", lost)
+        np.testing.assert_allclose(dirac.eigenvalues_in(op, (-9.0, 9.0)), expected,
+                                   rtol=0.0, atol=2e-12)
 
     def test_newton_cycle_is_broken_by_bisection(self):
         # a steep phase rise between two flat stretches: from either side
@@ -855,19 +892,18 @@ class TestSpectralMeasure:
         # at 5e3 G is finite but normsq, a product of its components,
         # overflows to nan on this operator
         op = random_operator(np.random.default_rng(4146), 4096)
-        with np.errstate(over="ignore", invalid="ignore"):
-            for side in ("left", "right"):
-                with pytest.raises(ValueError,
-                                   match="conditioning: the spectral weights overflowed"):
-                    dirac.spectral_measure(op, (5000.0, 5010.0), side)
+        for side in ("left", "right"):
+            with pytest.raises(ValueError,
+                               match="conditioning: the spectral weights overflowed"):
+                dirac.spectral_measure(op, (5000.0, 5010.0), side)
 
-    def test_json_roundtrip(self):
+    def test_to_dict_shape(self):
         op = lattice_operator(3, 0.5)
-        sm = dirac.spectral_measure(op, (-5.0, 5.0), "right")
-        back = dirac.SpectralMeasure.from_dict(json.loads(json.dumps(sm.to_dict())))
-        np.testing.assert_array_equal(back.lambdas, sm.lambdas)
-        np.testing.assert_array_equal(back.weights, sm.weights)
-        assert back.side == "right"
+        sm = dirac.spectral_measure(op, (-10.0, 10.0), "right")
+        d = json.loads(json.dumps(sm.to_dict()))
+        assert d == {"side": "right", "window": [-10.0, 10.0],
+                     "atoms": [[float(l), float(w)] for l, w in zip(sm.lambdas, sm.weights)]}
+        assert len(d["atoms"]) == len(sm) == 3
 
 
 class TestSecular:

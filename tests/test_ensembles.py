@@ -317,8 +317,9 @@ class TestSineOperator:
     lambda beta: ens.kn_gammas(ens.SeedSpec(1).rng(), 4, beta, 2),
     lambda beta: ens.biased_gammas(ens.SeedSpec(1).rng(), 4, beta, 2),
     lambda beta: ens.KNMeasureSampler(4, beta),
+    lambda beta: ens.window_biasing(4, beta, 2, [0.1], ens.SeedSpec(1), ens.SeedSpec(2)),
     lambda beta: ens.SinePathSpec(beta=beta),
-], ids=["kn_gammas", "biased_gammas", "KNMeasureSampler", "SinePathSpec"])
+], ids=["kn_gammas", "biased_gammas", "KNMeasureSampler", "window_biasing", "SinePathSpec"])
 def test_non_finite_beta_is_refused(draw, beta):
     with pytest.raises(ValueError, match="finite"):
         draw(beta)
@@ -377,6 +378,28 @@ class TestBiasByWindow:
             w = ens.bias_by_window(angles, atom_weights, eps)
             fracs.append(np.mean(w > 0.0))
         assert fracs[0] > fracs[1] > fracs[2]
+
+
+class TestWindowBiasing:
+    def test_draws_come_from_the_named_streams(self):
+        n, beta, eps = 5, 1.5, (0.4, 0.1)
+        base, direct = ens.SeedSpec(13, 4), ens.SeedSpec(13, 9)
+        gammas, weights, draws = ens.window_biasing(n, beta, 200, eps, base, direct)
+        np.testing.assert_array_equal(gammas, ens.kn_gammas(base.rng(), n, beta, 200))
+        np.testing.assert_array_equal(draws, ens.biased_gammas(direct.rng(), n, beta, 10_000))
+        angles, atom_weights = _measures_from_gammas_batch(gammas)
+        assert weights.shape == (2, 200)
+        for w, e in zip(weights, eps):
+            np.testing.assert_array_equal(w, ens.bias_by_window(angles, atom_weights, e))
+
+    def test_radii_are_shared_by_both_laws(self):
+        # the biased law keeps the KN radial law: the same stream gives the
+        # same radii, then the two laws draw their angles
+        n, beta = 6, 2.0
+        kn = ens.kn_gammas(ens.SeedSpec(14, 0).rng(), n, beta, 50)
+        biased = ens.biased_gammas(ens.SeedSpec(14, 0).rng(), n, beta, 50)
+        np.testing.assert_allclose(np.abs(kn[:, :-1]), np.abs(biased[:, :-1]), rtol=1e-14)
+        np.testing.assert_array_equal(biased[:, -1], 1.0)
 
 
 def _metropolis_cj(n_points, beta, draws, seed, burn=600, thin=15):

@@ -8,9 +8,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from circdirac import dirac, ensembles, verify
+from circdirac import cli, dirac, ensembles, verify
 from circdirac.ensembles import (SeedSpec, SinePathSpec, sample_sine_operator,
-                                 sample_sine_paths)
+                                 sample_sine_paths, sine_replicas)
 
 
 #: The private names another module may use: the benchmark's tracer keys its
@@ -116,14 +116,14 @@ def test_worker_pool_is_capped_at_the_suite_size(monkeypatch):
 
 
 def test_batched_count_matches_per_operator():
-    # the intensity criterion counts eigenvalues from endpoint phases over a
-    # stacked path array; it must agree with dirac.eigenvalue_count per op
+    # the intensity criterion counts eigenvalues from endpoint phases over
+    # sine_replicas, row i on stream i of the seed; it must agree with
+    # dirac.eigenvalue_count per operator
     spec = SinePathSpec(beta=2.0, cells=128)
-    seeds = [SeedSpec(99, i) for i in range(6)]
     lo, hi = 0.0, 20.0 * math.pi
-    counts = sample_sine_paths(spec, seeds).count((lo, hi))
-    expected = [dirac.eigenvalue_count(sample_sine_operator(spec, s), (lo, hi))
-                for s in seeds]
+    counts = sine_replicas(spec, 99, 6).count((lo, hi))
+    expected = [dirac.eigenvalue_count(sample_sine_operator(spec, SeedSpec(99, i)),
+                                       (lo, hi)) for i in range(6)]
     np.testing.assert_array_equal(counts, expected)
 
 
@@ -145,10 +145,17 @@ def test_palm_pins_zero_solves_for_the_root_at_zero():
     assert report.passed
 
 
-def test_biasing_trend_draws_and_converts_once(monkeypatch):
-    calls = {"gammas_for": 0, "convert": 0}
+def test_biasing_trend_draws_and_converts_once(monkeypatch, tmp_path):
+    # the criterion and the bias-trend command each draw and convert once,
+    # through the one owner of the experiment's draws
+    calls = {"window_biasing": 0, "gammas_for": 0, "convert": 0}
+    window_biasing = ensembles.window_biasing
     gammas_for = ensembles.KNMeasureSampler.gammas_for
     convert = ensembles._measures_from_gammas_batch
+
+    def spy_window_biasing(*args):
+        calls["window_biasing"] += 1
+        return window_biasing(*args)
 
     def spy_gammas_for(self, base, replicas):
         calls["gammas_for"] += 1
@@ -158,12 +165,16 @@ def test_biasing_trend_draws_and_converts_once(monkeypatch):
         calls["convert"] += 1
         return convert(g)
 
-    monkeypatch.setattr(ensembles.KNMeasureSampler, "gammas_for", spy_gammas_for)
     for module in (ensembles, verify):
+        monkeypatch.setattr(module, "window_biasing", spy_window_biasing)
         monkeypatch.setattr(module, "_measures_from_gammas_batch", spy_convert)
+    monkeypatch.setattr(ensembles.KNMeasureSampler, "gammas_for", spy_gammas_for)
     [(_, report)] = verify.criterion_biasing_trend(7)
-    assert calls == {"gammas_for": 1, "convert": 1}
+    assert calls == {"window_biasing": 1, "gammas_for": 1, "convert": 1}
     assert report.passed
+    assert cli.main(["bias-trend", "--replicas", "300", "--seed", "7",
+                     "--out", str(tmp_path / "trend")]) == 0
+    assert calls == {"window_biasing": 2, "gammas_for": 2, "convert": 2}
 
 
 def test_random_measure_generator_is_well_conditioned():
