@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -127,6 +128,14 @@ class TestTypes:
         with pytest.raises(ValueError, match="finite"):
             opuc.UnitCircleMeasure(angles=np.array(angles),
                                    weights=np.array(weights))
+
+    @pytest.mark.parametrize("angle", [-1e-17, -0.0, TWO_PI])
+    def test_angles_wrap_below_two_pi(self, angle):
+        # np.mod(-1e-17, 2 pi) rounds to 2 pi itself
+        mu = opuc.UnitCircleMeasure(angles=np.array([angle, 1.0]),
+                                    weights=np.array([0.5, 0.5]))
+        np.testing.assert_array_equal(mu.angles, [0.0, 1.0])
+        assert not np.signbit(mu.angles[0])
 
     def test_positive_weights(self):
         with pytest.raises(ValueError, match="positive"):
@@ -402,6 +411,50 @@ def angle_error(a, b):
     return np.abs(np.mod(np.asarray(a) - b + math.pi, TWO_PI) - math.pi)
 
 
+def random_gammas(rng, m, n):
+    g = rng.uniform(-0.6, 0.6, (m, n)) + 1j * rng.uniform(-0.6, 0.6, (m, n))
+    g[:, -1] = np.exp(1j * rng.uniform(0, TWO_PI, m))
+    return g
+
+
+def eigvals_angles(g):
+    """Oracle: sorted angles of the CMV eigenvalues from np.linalg.eigvals."""
+    eig = np.linalg.eigvals(cmv(opuc.alphas_from_gammas(np.atleast_2d(g))))
+    return np.sort(np.mod(np.angle(eig), TWO_PI), axis=1)
+
+
+def polished(alphas, angles, picks):
+    """Oracle at 40 digits: each pick's root of Phi_n and its weight.
+
+    The root is one Newton step from e^{i angles[j]}, which squares a
+    1e-15 start error; the weight inverts the Christoffel sum there.
+    Returns (|root angle - angles[j]|, weight) as float arrays.
+    """
+    mpmath = pytest.importorskip("mpmath")
+    errors, weights = [], []
+    with mpmath.workdps(40):
+        a = [mpmath.mpc(complex(x)) for x in alphas]
+        for j in picks:
+            z = mpmath.expj(angles[j])
+            phi = phis = mpmath.mpc(1)
+            dphi = dphis = mpmath.mpc(0)
+            for ak in a:
+                zphi, dzphi = z * phi, phi + z * dphi
+                phi, phis = zphi - mpmath.conj(ak) * phis, phis - ak * zphi
+                dphi, dphis = dzphi - mpmath.conj(ak) * dphis, dphis - ak * dzphi
+            z -= phi / dphi
+            errors.append(abs(float(mpmath.arg(z * mpmath.expj(-angles[j])))))
+            phi = phis = mpmath.mpc(1)
+            inv_w = norm = mpmath.mpf(1)
+            for ak in a[:-1]:
+                zphi = z * phi
+                phi, phis = zphi - mpmath.conj(ak) * phis, phis - ak * zphi
+                norm *= 1 - abs(ak) ** 2
+                inv_w += abs(phi) ** 2 / norm
+            weights.append(float(1 / inv_w))
+    return np.array(errors), np.array(weights)
+
+
 class TestCMV:
     @pytest.mark.parametrize("n", [1, 2, 3, 6, 400])
     def test_unitary(self, n):
@@ -442,14 +495,15 @@ class TestCMV:
         assert w[0, 0] == 1.0
 
     def test_batch_rows_match_single_rows(self):
-        rng = np.random.default_rng(11)
-        g = rng.uniform(-0.6, 0.6, (40, 6)) + 1j * rng.uniform(-0.6, 0.6, (40, 6))
-        g[:, -1] = np.exp(1j * rng.uniform(0, TWO_PI, 40))
-        ang, w = opuc._measures_from_gammas_batch(g)
-        for i in range(40):
-            a1, w1 = opuc._measures_from_gammas_batch(g[i])
-            np.testing.assert_array_equal(a1[0], ang[i])
-            np.testing.assert_array_equal(w1[0], w[i])
+        # at n = 50 the 40 rows span several row blocks
+        assert opuc._BLOCK_ENTRIES // 50 ** 2 < 40
+        for n in (6, 50):
+            g = random_gammas(np.random.default_rng(11), 40, n)
+            ang, w = opuc._measures_from_gammas_batch(g)
+            for i in range(40):
+                a1, w1 = opuc._measures_from_gammas_batch(g[i])
+                np.testing.assert_array_equal(a1[0], ang[i])
+                np.testing.assert_array_equal(w1[0], w[i])
 
     def test_palm_atom_sits_at_zero(self):
         from circdirac.ensembles import SeedSpec, kn_gammas, palm_gammas
@@ -487,6 +541,73 @@ class TestCMV:
                     z = newton_step(z)
                 worst = max(worst, abs(float(mpmath.arg(z * mpmath.expj(-ang[0, j])))))
         assert worst < 1e-14
+
+
+    @pytest.mark.parametrize("n", [2, 3, 6, 7, 50])
+    def test_atoms_match_cmv_eigvals(self, n):
+        # odd and even n end the tridiagonal factor with different blocks
+        g = random_gammas(np.random.default_rng(30 + n), 30, n)
+        ang, _ = opuc._measures_from_gammas_batch(g)
+        assert np.max(angle_error(ang, eigvals_angles(g))) < 1e-14
+
+    @staticmethod
+    def close_pair(n):
+        """Gammas of n equal atoms: a pair 1e-4 apart, the rest on [1, 6]."""
+        angles = np.concatenate([[0.5, 0.5 + 1e-4], np.linspace(1.0, 6.0, n - 2)])
+        mu = opuc.UnitCircleMeasure(angles=angles, weights=np.full(n, 1.0 / n))
+        return opuc.gammas_from_alphas(opuc.measure_to_alpha(mu).values)
+
+    def test_close_pair_matches_cmv_eigvals(self):
+        # min 1 - |alpha_k|^2 is 1.6e-4 here
+        g = self.close_pair(20)
+        ang, _ = opuc._measures_from_gammas_batch(g)
+        assert np.max(angle_error(ang, eigvals_angles(g))) < 1e-14
+
+    def test_close_pair_among_few_atoms(self):
+        # Among 5 atoms the pair drives 1 - |alpha_3|^2 to 5.7e-9, and the
+        # double alphas fix the atoms to about 1e-13 only: eigvals and this
+        # conversion then differ by 1.6e-13, so the check is against the
+        # 40-digit roots of Phi_n.
+        g = self.close_pair(5)
+        ang, _ = opuc._measures_from_gammas_batch(g)
+        errors, _ = polished(opuc.alphas_from_gammas(g), ang[0], range(5))
+        assert errors.max() < 1e-12
+
+    @pytest.mark.parametrize("seed, stream", [(203, 1), (301, 0)])
+    def test_atoms_and_weights_against_40_digits(self, seed, stream):
+        # np.linalg.eigvals atoms erred by 3.2e-15 / 5.1e-15 at the atom
+        # picks, and their weights by 3.8e-13 / 1.2e-12 at the weight picks.
+        # Over all 400 atoms the weights err by up to 6.4e-13 / 9.1e-13:
+        # |d log w / d theta| reaches 1.6e3, times the rounding of the
+        # stored angle itself.
+        g = kn_draw(400, seed, stream)
+        ang, w = opuc._measures_from_gammas_batch(g)
+        alphas = opuc.alphas_from_gammas(g)
+        picks = sorted({45, 46, *np.linspace(0, 399, 8).astype(int)})
+        errors, _ = polished(alphas, ang[0], picks)
+        assert errors.max() < 2e-15
+        picks = np.linspace(0, 399, 12).astype(int)
+        _, exact = polished(alphas, ang[0], picks)
+        assert np.max(np.abs(w[0, picks] / exact - 1.0)) < 3e-13
+
+    def test_coefficient_outside_the_disk_raises(self):
+        g = random_gammas(np.random.default_rng(12), 3, 6)
+        g[1, 2] = 1.0 + 1e-15
+        with np.errstate(invalid="ignore"), pytest.raises(np.linalg.LinAlgError):
+            opuc._measures_from_gammas_batch(g)
+
+    def test_memory_stays_below_one_matrix_stack(self):
+        from circdirac.ensembles import SeedSpec, kn_gammas
+
+        m, n = 30_000, 6
+        g = kn_gammas(SeedSpec(7, 170).rng(), n, 2.0, m)
+        tracemalloc.start()
+        try:
+            opuc._measures_from_gammas_batch(g)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < m * n * n * 16   # one complex (m, n, n) stack, 17 MB
 
 
 class TestPath:

@@ -1,14 +1,19 @@
 import importlib.util
+import json
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def load_code_lines():
-    spec = importlib.util.spec_from_file_location("code_lines", ROOT / "tools" / "code_lines.py")
+def load_tool(name):
+    spec = importlib.util.spec_from_file_location(name, ROOT / "tools" / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def load_code_lines():
+    return load_tool("code_lines")
 
 
 def test_code_lines_skip_comments_docstrings_and_blanks():
@@ -32,3 +37,11 @@ not a docstring"""
     # import, class, def, the two lines of text, the two lines of return
     assert load_code_lines().code_lines(snippet) == 7
 
+
+
+def test_conversion_timing_prints_one_record(capsys):
+    assert load_tool("conversion_timing").main(["3", "4"]) == 0
+    record = json.loads(capsys.readouterr().out)
+    assert (record["rows"], record["n"]) == (3, 4)
+    assert 0.0 < record["best_s"]
+    assert 0.0 < record["maxrss_mb_before"] <= record["maxrss_mb_after"]
