@@ -58,11 +58,21 @@ about twice the arithmetic in about 2 sqrt(m) interpreter steps instead
 of m.  Below _CHUNK_LANES lanes the number of chunks depends on m alone, so
 there a lane's result does not depend on the size of its batch.
 
+Cell k turns G by Rot(lam dt_k / 2), and a sweep takes cos and sin once
+per distinct pair (dt_k, lam) wherever those pairs number at most a
+quarter of the cell x lane pairs: a uniform grid, as of a Killip-Nenciu
+operator, has a few distinct cell lengths, and a window's endpoint sweep
+gives its lanes two lambdas.  Each cell then reads its rotation from that
+table.  The angle is the same product either way, so the table changes no
+bit of any result.
+
 Eigenvalues are recovered by inverting the monotone phase at the targets
 2 pi k + u, u determined by the direction of X_{m-1} u1.  The search is safeguarded
 Newton on all targets at once: a Newton step from the analytic phase
 derivative when it stays strictly inside the root's bracket, bisection
-otherwise, down to 1e-12 in lambda.  The derivative
+otherwise, down to 1e-12 in lambda.  After each sweep every point of a
+row tightens the bracket of every target of that row, since the phase is
+monotone: found by one sort on the exact keys (row, phase).  The derivative
 2 (G1 dG0 - G0 dG1) / (G0^2 + G1^2) is formed from G and dG scaled by one
 power of two, exactly, so it does not overflow where G does not.  Each
 root leaves the batch as soon as it converges, so later sweeps carry
@@ -520,7 +530,11 @@ def _sweep(v, r, dt, lam, start, row, want_deriv=False, want_phase=False):
     (B,), and ``row`` the batch row of every lane, or an index array of
     lam's shape.  G starts at X_0 u0, and cell k applies the frame step
     [[1, -v_k], [0, r_k]] (the identity for k = 0) and then
-    Rot(lam dt_k / 2).  Returns (G0, G1, dG0, dG1, half) in the frame of
+    Rot(lam dt_k / 2), whose cos and sin come from :func:`_rotations`:
+    from one table of the distinct (cell length, lambda) pairs where they
+    are few, as on a uniform grid or in a window's endpoint sweep, and cell
+    by cell otherwise, with the same bits either way.  Returns
+    (G0, G1, dG0, dG1, half) in the frame of
     the last cell, m - 1.  ``half`` (None without ``want_phase``) is the
     index (:func:`_half_plane`) of the half-plane that holds
     arg(G0 - i G1), continued from its principal value at X_0 u0, from
@@ -547,12 +561,13 @@ def _sweep(v, r, dt, lam, start, row, want_deriv=False, want_phase=False):
     G0, G1 = (np.broadcast_to(g, lam.shape).astype(float) for g in start[:, row])
     dG0, dG1 = np.zeros((2,) + lam.shape) if want_deriv else (None, None)
     # rounding is monotone: this is the largest cell angle 0.5 lam dt of
-    # any lane, as _advance computes it
+    # any lane, as _advance and _rotations compute it
     wide = want_phase and 0.5 * np.max(np.abs(lam), initial=0.0) * np.max(dt) > math.pi
     if P == 1:
         half = _half_plane(np.arctan2(-G1, G0), G1) if want_phase else None
         # a gather from one contiguous column is cheaper than v[row, k]
-        steps = ((vk[row], rk[row], d) for vk, rk, d in zip(v.T, r.T, dt))
+        steps = ((vk[row], rk[row], d, rot)
+                 for vk, rk, d, rot in zip(v.T, r.T, dt, _rotations(lam, dt)))
         G0, G1, dG0, dG1, half = _advance(G0, G1, dG0, dG1, half, lam, steps, wide)
     else:
         # chunk c holds cells c L .. c L + L - 1; the cells past m - 1
@@ -562,8 +577,9 @@ def _sweep(v, r, dt, lam, start, row, want_deriv=False, want_phase=False):
         cell = np.arange(P * L).reshape(P, L)
         k = np.where(cell < m, cell, 0)
         dts = np.where(cell < m, dt[k], 0.0)
-        steps = ((v[row, kc], r[row, kc], d)
-                 for kc, d in zip(k.T[:, :, None], dts.T[:, :, None]))
+        steps = ((v[row, kc], r[row, kc], d[:, None], rot)
+                 for kc, d, rot in zip(k.T[:, :, None], dts.T,
+                                       _rotations(lam.reshape(-1), dts.T)))
         # T's columns start at [1, 0] and [0, 1], both in the half-plane
         # [-pi, 0] of args
         shape = (2, P, lam.size)
@@ -594,27 +610,30 @@ def _sweep(v, r, dt, lam, start, row, want_deriv=False, want_phase=False):
 def _advance(G0, G1, dG0, dG1, half, lam, steps, wide):
     """Carry G, and dG and G's half-plane index unless None, through ``steps``.
 
-    Each step is the frame step [[1, -v], [0, r]] and then Rot(lam dt / 2).
-    ``half`` is the index of the half-plane that holds arg(G0 - i G1)
-    (see :func:`_half_plane`); it changes only where G1 changes sign.  A
-    frame step keeps that sign, since r > 0.  A rotation by phi with
-    |phi| <= pi changes it at most once, in the direction of lam, so each
-    lane counts its sign changes.  A ``wide`` sweep, where some |phi|
-    exceeds pi, splits each phi into 2 pi k plus an angle of sin(phi)'s
-    sign and size below pi, adds the k whole turns and takes a sign
-    change's direction from sin(phi).
+    Each step is (v, r, dt, rot): the frame step [[1, -v], [0, r]] and
+    then Rot(phi), phi = lam dt / 2, whose (cos phi, sin phi) is ``rot``
+    where :func:`_rotations` read it from a table, and is taken here
+    where ``rot`` is None.  ``half`` is the index of the half-plane that
+    holds arg(G0 - i G1) (see :func:`_half_plane`); it changes only where
+    G1 changes sign.  A frame step keeps that sign, since r > 0.  A
+    rotation by phi with |phi| <= pi changes it at most once, in the
+    direction of lam, so each lane counts its sign changes.  A ``wide``
+    sweep, where some |phi| exceeds pi, splits each phi into 2 pi k plus
+    an angle of sin(phi)'s sign and size below pi, adds the k whole turns
+    and takes a sign change's direction from sin(phi).
     """
     if half is not None:
         below = G1 < 0.0
         crossed = np.zeros(below.shape)
         ahead = np.sign(lam)
     half_lam = 0.5 * lam
-    for v, r, dt in steps:
+    for v, r, dt, rot in steps:
         G0, G1 = G0 - v * G1, r * G1
         if dG0 is not None:
             dG0, dG1 = dG0 - v * dG1, r * dG1
-        phi = half_lam * dt
-        c, s = np.cos(phi), np.sin(phi)
+        if rot is None or wide:
+            phi = half_lam * dt
+        c, s = (np.cos(phi), np.sin(phi)) if rot is None else rot
         if dG0 is not None:
             half_dt = 0.5 * dt
             t0, t1 = dG0 + half_dt * G1, dG1 - half_dt * G0
@@ -633,6 +652,56 @@ def _advance(G0, G1, dG0, dG1, half, lam, steps, wide):
     if half is not None:
         half = half + ahead * crossed
     return G0, G1, dG0, dG1, half
+
+
+def _rotations(lam, dt):
+    """Each cell's rotation from a table, or None per cell where none pays.
+
+    ``dt`` holds the cell lengths along its first axis; the entry of
+    ``dt[k]`` is (cos phi, sin phi), phi = 0.5 lam dt[k], of shape
+    dt[k].shape + lam.shape.  Where the distinct (cell length, lambda)
+    pairs number at most a quarter of the cell x lane pairs, cos and sin
+    are taken once per distinct pair: on a uniform grid, whose cell
+    lengths take a few values, and in a sweep whose lanes share a few
+    lambdas.  The table's columns are the lanes themselves when their
+    lambdas are all distinct, and are gathered by lane otherwise.  Else
+    every entry is None, and :func:`_advance` takes each cell's trig
+    itself.  The angle is the same product either way, so the sweep keeps
+    its bits.
+    """
+    half_lam = 0.5 * lam
+    lengths, cell = _distinct(dt)
+    lams, lane = _distinct(half_lam)
+    if 4 * lengths.size * lams.size > dt.size * lam.size:
+        return [None] * len(dt)
+    if lams.size == lam.size:
+        # every lambda distinct: the columns are the lanes, in order
+        phi = np.multiply.outer(lengths, half_lam)
+        cos, sin = np.cos(phi), np.sin(phi)
+        return ((cos[j], sin[j]) for j in cell)
+    phi = np.multiply.outer(lengths, lams)
+    cos, sin = np.cos(phi), np.sin(phi)
+    return ((cos[j].take(lane, axis=-1), sin[j].take(lane, axis=-1)) for j in cell)
+
+
+def _distinct(a):
+    """Distinct values of ``a``, told apart by their bits, and each entry's index.
+
+    Bits, not values, so -0.0 and 0.0 keep the signs of their sines; a
+    value whose equal entries mix the two zeros may take more than one
+    index, which costs a column and changes no result.  A stable
+    ``argsort`` of floats, which the measures already use, keeps this off
+    ``np.unique``, whose first call raises a fresh process's peak RSS by
+    about 0.6 MB.
+    """
+    flat = np.asarray(a, dtype=float).reshape(-1)
+    order = np.argsort(flat, kind="stable")
+    sorted_ = flat[order]
+    new = np.ones(flat.size, dtype=bool)
+    new[1:] = sorted_[1:].view(np.int64) != sorted_[:-1].view(np.int64)
+    at = np.empty(flat.size, dtype=int)
+    at[order] = np.cumsum(new) - 1
+    return sorted_[new], at.reshape(np.shape(a))
 
 
 def _half_plane(theta, G1):
@@ -713,6 +782,13 @@ def _solve_targets(batch: OperatorBatch, targets, row, lo, hi, alo, ahi):
     latter case; later sweeps advance only the lanes still active.  A lane
     still active after MAX_SOLVER_ITERATIONS sweeps raises a conditioning
     error.
+
+    The lanes of one row share their points (:func:`_share_brackets`):
+    after each sweep every evaluated point of a row tightens the bracket of
+    every target of that row, on top of the lane's own point.  A KN phase
+    is a staircase, flat between steep rises at the roots, so a Newton step
+    from a flat stretch leaves its bracket; the neighbours' points make
+    that bracket, and its bisection, short from the first sweeps on.
     """
     t = np.asarray(targets, dtype=float)
     a, b = (np.broadcast_to(np.asarray(w, dtype=float), t.shape).copy() for w in (lo, hi))
@@ -724,7 +800,8 @@ def _solve_targets(batch: OperatorBatch, targets, row, lo, hi, alo, ahi):
     for _ in range(MAX_SOLVER_ITERATIONS):
         G0, G1, dG0, dG1, half = batch._lanes(lam, row[live], want_deriv=True,
                                               want_phase=True)
-        f = 2.0 * _lift(G0, G1, half) - t[live]
+        alpha = 2.0 * _lift(G0, G1, half)
+        f = alpha - t[live]
         # G and dG scaled by one power of two, which is exact, so that
         # G0^2 + G1^2 cannot overflow; a dG lost to overflow leaves an inf
         # or nan derivative, which takes no Newton step and passes no root
@@ -734,6 +811,7 @@ def _solve_targets(batch: OperatorBatch, targets, row, lo, hi, alo, ahi):
         neg = f < 0.0
         a = np.where(neg, lam, a)
         b = np.where(neg, b, lam)
+        a, b = _share_brackets(row[live], alpha, lam, t[live], a, b)
         at_root = np.isfinite(deriv) & (np.abs(f) <= deriv * LAMBDA_TOL)
         done = at_root | ((b - a) < LAMBDA_TOL)
         out[live[done]] = np.where(at_root, lam, 0.5 * (a + b))[done]
@@ -753,6 +831,35 @@ def _solve_targets(batch: OperatorBatch, targets, row, lo, hi, alo, ahi):
         f"{float(np.max(b - a)):.3g}); the phase is too flat or too steep "
         "for double precision"
     )
+
+
+def _share_brackets(row, alpha, lam, t, a, b):
+    """Tighten the bracket [a, b] of each lane's target by every point of its row.
+
+    Lane j has swept batch row ``row[j]`` at ``lam[j]``, where the phase
+    is ``alpha[j]``, and seeks the root of target ``t[j]`` of that row.
+    The phase increases strictly, so a point of the row whose phase is
+    below t lies left of t's root, and a point at or above t lies right of
+    it, as the lane's own point does.  One ``lexsort`` puts targets and
+    points in order by the exact keys (row, phase), a target before a
+    point of equal phase, and points of equal phase by lambda; the last
+    point before a target and the first one after it are its nearest
+    points on either side.
+    """
+    n = row.size
+    order = np.lexsort((np.concatenate([t, lam]), np.repeat([0, 1], n),
+                        np.concatenate([t, alpha]), np.concatenate([row, row])))
+    merged = np.arange(2 * n)
+    place = np.empty(2 * n, dtype=int)
+    place[order] = merged
+    point, target = order >= n, place[:n]
+    before = np.maximum.accumulate(np.where(point, merged, -1))[target]
+    after = np.minimum.accumulate(np.where(point, merged, 2 * n)[::-1])[::-1][target]
+    # a point's lane is its entry minus n; with no point on a side, that end stays
+    below, above = order[np.maximum(before, 0)] - n, order[np.minimum(after, 2 * n - 1)] - n
+    a = np.where((before >= 0) & (row[below] == row), np.maximum(a, lam[below]), a)
+    b = np.where((after < 2 * n) & (row[above] == row), np.minimum(b, lam[above]), b)
+    return a, b
 
 
 # ---------------------------------------------------------------------------

@@ -520,6 +520,38 @@ class TestSolver:
         assert lanes[0] == 40
         assert all(b <= a for a, b in zip(lanes, lanes[1:]))
 
+    def test_staircase_roots_share_row_brackets(self, monkeypatch):
+        # a KN phase is a staircase: flat treads between steep rises at the
+        # roots, so a Newton step from a tread leaves a bracket as wide as
+        # the window.  Sharing each sweep's points across the row's targets
+        # narrows every bracket; with its own points alone the search took
+        # 32 sweeps and 6 724 lane-sweeps (endpoint sweep included), with
+        # shared points 26 and 4 921
+        from circdirac.ensembles import SeedSpec, sample_kn
+
+        op = dirac.coefficient_operator(sample_kn(400, 2.0, SeedSpec(13, 0)))
+        b = op.batch
+        window = (0.0, 800.0 * math.pi)
+        lanes = []
+        counted = dirac.OperatorBatch._lanes
+
+        def counting(self, lam, row, **kw):
+            lanes.append(np.size(lam))
+            return counted(self, lam, row, **kw)
+
+        with monkeypatch.context() as mp:
+            mp.setattr(dirac.OperatorBatch, "_lanes", counting)
+            lams, _ = b.eigenvalues(window)
+        assert lams.size == 400
+        assert sum(lanes) < 6724
+        # one row per target: each target sees its own points alone, as in
+        # 400 one-target solves side by side
+        lo, hi, alo, ahi, kmin, count = b._window(window)
+        targets = b.u[0] + TWO_PI * (kmin[0] + np.arange(count[0]))
+        alone = dirac._solve_targets(dirac.OperatorBatch.stack([op] * 400), targets,
+                                     np.arange(400), lo[0], hi[0], alo[0], ahi[0])
+        np.testing.assert_allclose(lams, alone, rtol=0, atol=1e-11)
+
 
 class TestMovingFrame:
     """The moving-frame sweep against the fixed-frame oracle."""
@@ -755,8 +787,10 @@ class TestChunkedSweep:
             T0, T1 = np.zeros((2, 2, lanes))
             T0[0] = T1[1] = 1.0
             W = arctan2_winding(T0, T1, lam, steps)
-            T0, T1, _, _, half = dirac._advance(T0, T1, None, None,
-                                                np.full((2, lanes), -1.0), lam, steps, wide)
+            # no table: _advance takes each cell's trig itself
+            untabled = [(v, r, dt, None) for v, r, dt in steps]
+            T0, T1, _, _, half = dirac._advance(T0, T1, None, None, np.full((2, lanes), -1.0),
+                                                lam, untabled, wide)
             W_count = dirac._lift(T0, T1, half)
             np.testing.assert_allclose(W_count, W, rtol=0, atol=1e-9)
             G = np.array([[g0, g1], [T0[0] * g0 + T0[1] * g1, T1[0] * g0 + T1[1] * g1]])
@@ -788,6 +822,80 @@ class TestChunkedSweep:
             counts1 = b.count(window)
         np.testing.assert_array_equal(counts, [10, 9, 10])
         np.testing.assert_array_equal(counts1, counts)
+
+
+class TestRotationTable:
+    """Sweeps that read cos and sin from a table of distinct (dt, lambda) pairs.
+
+    Each must return the bits of the per-cell trig it replaces, forced here
+    by a ``_rotations`` that gives no table: G, dG and the half-plane
+    index alike.
+    """
+
+    def assert_table_keeps_bits(self, monkeypatch, batch, lam, row, **kw):
+        tabled = []
+        rotations = dirac._rotations
+
+        def spy(lam, dt):
+            # a table comes as a generator, none as a list of None
+            rot = rotations(lam, dt)
+            tabled.append(not isinstance(rot, list))
+            return rot
+
+        with monkeypatch.context() as mp:
+            mp.setattr(dirac, "_rotations", spy)
+            table = batch._lanes(lam, row, **kw)
+        assert tabled == [True]
+        with monkeypatch.context() as mp:
+            mp.setattr(dirac, "_rotations", lambda lam, dt: [None] * len(dt))
+            plain = batch._lanes(lam, row, **kw)
+        for got, want in zip(table, plain):
+            if want is None:
+                assert got is None
+                continue
+            # bits, so that -0.0 and 0.0 differ too
+            np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+
+    @staticmethod
+    def kn_batch(n):
+        from circdirac.ensembles import SeedSpec, sample_kn
+
+        return dirac.coefficient_operator(sample_kn(n, 2.0, SeedSpec(13, 0))).batch
+
+    def test_kn_plain_loop(self, monkeypatch):
+        b = self.kn_batch(400)
+        lam = np.linspace(0.0, 800.0 * math.pi, 400)
+        assert dirac._chunk_count(lam.size, 400) == 1
+        self.assert_table_keeps_bits(monkeypatch, b, lam, np.zeros(400, int),
+                                     want_deriv=True, want_phase=True)
+
+    def test_kn_chunks_with_padding(self, monkeypatch):
+        # 200 cells run 14 chunks of 15, the last padded by 10 cells of dt 0
+        b = self.kn_batch(200)
+        lam = np.linspace(0.0, 400.0 * math.pi, 200)
+        assert dirac._chunk_count(lam.size, 200) == 14
+        self.assert_table_keeps_bits(monkeypatch, b, lam, np.zeros(200, int),
+                                     want_deriv=True, want_phase=True)
+
+    def test_sine_window_of_two_lambdas(self, monkeypatch):
+        # the endpoint sweep of a 500-row window: 1000 lanes, two lambdas,
+        # on a grid whose cell lengths are all distinct
+        from circdirac.ensembles import SinePathSpec, sine_replicas
+
+        b = sine_replicas(SinePathSpec(beta=2.0, cells=512, q=math.inf), 13, 500)
+        assert np.unique(b.dt).size == b.dt.size
+        lam = np.repeat([-0.5, 0.5], 500)
+        self.assert_table_keeps_bits(monkeypatch, b, lam, np.tile(np.arange(500), 2),
+                                     want_phase=True)
+
+    def test_wide_sweep(self, monkeypatch):
+        # cell angles up to 0.5 * 3e3 / 50 = 30 > pi, in chunks; lambdas
+        # repeat, so lanes gather their rotations, and zeros carry signs
+        b = self.kn_batch(50)
+        lam = np.concatenate([[0.0, -0.0], np.tile(np.linspace(-3e3, 3e3, 20), 2)])
+        assert 0.5 * np.max(np.abs(lam)) * np.max(b.dt) > math.pi
+        self.assert_table_keeps_bits(monkeypatch, b, lam, np.zeros(lam.size, int),
+                                     want_deriv=True, want_phase=True)
 
 
 class TestHalfPlaneCount:

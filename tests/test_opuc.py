@@ -346,13 +346,35 @@ class TestAlphaToMeasure:
         assert np.max(np.abs(w.sum(axis=1) - 1.0)) < 1e-12
 
     def test_large_kn_draw_is_normalized(self):
-        # the raw weights of this n = 400 draw sum to 1 + 1.0e-12, outside
-        # the 1e-12 band that measure_to_alpha accepts
+        # the raw weights of this n = 400 draw sum to within 3e-15 of 1 (they
+        # were 1e-12 off with the companion-matrix atoms); the renormalization
+        # itself is checked on scaled weights below
         from circdirac.ensembles import SeedSpec, sample_kn
 
         seq = sample_kn(400, 2.0, SeedSpec(207, 0))
         mu = opuc.alpha_to_measure(opuc.convert_coefficients(seq, "verblunsky"))
         assert mu.normalized
+
+    def test_weights_off_by_rounding_are_renormalized(self, monkeypatch):
+        # raw weights summing to 1 + 1e-11, outside the 1e-12 band of
+        # UnitCircleMeasure.normalized, come back divided by their sum
+        from circdirac.ensembles import SeedSpec, sample_kn
+
+        seq = opuc.convert_coefficients(sample_kn(50, 2.0, SeedSpec(207, 0)), "verblunsky")
+        raw = opuc._measures_from_gammas_batch
+        _, w = raw(opuc.gammas_from_alphas(seq.values)[None, :])
+        scaled = w[0] * (1.0 + 1e-11)
+        assert abs(scaled.sum() - 1.0) > 5e-12
+
+        def off(g):
+            angles, weights = raw(g)
+            return angles, weights * (1.0 + 1e-11)
+
+        monkeypatch.setattr(opuc, "_measures_from_gammas_batch", off)
+        mu = opuc.alpha_to_measure(seq)
+        assert mu.normalized
+        assert abs(mu.weights.sum() - 1.0) <= 1e-14
+        np.testing.assert_allclose(mu.weights, scaled / scaled.sum(), rtol=1e-15, atol=0)
 
     @pytest.mark.parametrize("n", [200, 400])
     def test_large_kn_coefficient_roundtrip(self, n):

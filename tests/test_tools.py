@@ -45,3 +45,19 @@ def test_conversion_timing_prints_one_record(capsys):
     assert (record["rows"], record["n"]) == (3, 4)
     assert 0.0 < record["best_s"]
     assert 0.0 < record["maxrss_mb_before"] <= record["maxrss_mb_after"]
+
+
+def test_solve_counts_prints_one_record(capsys, monkeypatch):
+    tool = load_tool("solve_counts")
+    # a small run: one KN size, four Sine rows, one timed solve each
+    monkeypatch.setattr(tool, "KN_SIZES", (50,))
+    monkeypatch.setattr(tool, "REPLICAS", 4)
+    monkeypatch.setattr(tool, "REPEAT", 1)
+    assert tool.main(["13"]) == 0
+    record = json.loads(capsys.readouterr().out)
+    assert record["seed"] == 13
+    kn, palm = record["kn50"], record["palm-pins-zero"]
+    # the endpoint sweep and at least one solver sweep of every root
+    assert kn["roots"] == 50 and kn["sweeps"] >= 2 and kn["lane_sweeps"] >= 2 + 50
+    assert palm["roots"] >= 4 and palm["lane_sweeps"] >= 2 * 4 + palm["roots"]
+    assert 0.0 < kn["best_s"] and 0.0 < palm["best_s"]

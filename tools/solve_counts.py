@@ -1,0 +1,79 @@
+"""Count the sweeps of the eigenvalue search, and time it.
+
+Solves ``OperatorBatch.eigenvalues`` on two kinds of batch at the seed SEED:
+
+- ``kn<N>``: the operator ``coefficient_operator(sample_kn(N, 2, SeedSpec(SEED, 0)))``
+  on [0, 2 pi N), which holds its N eigenvalues, for each N of KN_SIZES;
+- ``palm-pins-zero``: the Sine_2 batch of the acceptance criterion of that
+  name (``sine_replicas`` at SEED, infinity boundary slope, REPLICAS rows)
+  on [-0.5, 0.5).
+
+The counts come from wrapping ``OperatorBatch._lanes``, through which every
+sweep of a batch runs (the window's endpoint sweep included), in this
+process only: ``sweeps`` is the number of calls and ``lane_sweeps`` the
+lanes they carried, summed.  ``best_s`` is the best wall time of REPEAT
+solves.  Prints one JSON line, a record per batch.
+
+Usage: python tools/solve_counts.py SEED
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import math
+import sys
+import time
+
+import numpy as np
+
+KN_SIZES = (50, 100, 200, 400)
+REPLICAS = 500
+REPEAT = 3
+
+
+def solve_record(batch, window) -> dict:
+    """Sweeps, lane-sweeps, roots and best time of ``batch.eigenvalues(window)``."""
+    from circdirac.dirac import OperatorBatch
+
+    lanes = []
+    original = OperatorBatch._lanes
+
+    def counting(self, lam, row, **kw):
+        lanes.append(int(np.size(lam)))
+        return original(self, lam, row, **kw)
+
+    OperatorBatch._lanes = counting
+    try:
+        roots = batch.eigenvalues(window)[0].size
+    finally:
+        OperatorBatch._lanes = original
+    times = []
+    for _ in range(REPEAT):
+        start = time.perf_counter()
+        batch.eigenvalues(window)
+        times.append(time.perf_counter() - start)
+    return {"roots": roots, "sweeps": len(lanes), "lane_sweeps": sum(lanes),
+            "best_s": round(min(times), 4)}
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("seed", type=int)
+    args = parser.parse_args(argv)
+
+    from circdirac.dirac import coefficient_operator
+    from circdirac.ensembles import SeedSpec, SinePathSpec, sample_kn, sine_replicas
+
+    record = {"seed": args.seed}
+    for n in KN_SIZES:
+        op = coefficient_operator(sample_kn(n, 2.0, SeedSpec(args.seed, 0)))
+        record[f"kn{n}"] = solve_record(op.batch, (0.0, 2.0 * math.pi * n))
+    batch = sine_replicas(SinePathSpec(beta=2.0, q=math.inf), args.seed, REPLICAS)
+    record["palm-pins-zero"] = solve_record(batch, (-0.5, 0.5))
+    print(json.dumps(record))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
