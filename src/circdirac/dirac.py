@@ -68,22 +68,30 @@ bit of any result.
 
 Eigenvalues are recovered by inverting the monotone phase at the targets
 2 pi k + u, u determined by the direction of X_{m-1} u1.  The search is safeguarded
-Newton on all targets at once: a Newton step from the analytic phase
-derivative when it stays strictly inside the root's bracket, bisection
-otherwise, down to 1e-12 in lambda.  After each sweep every point of a
-row tightens the bracket of every target of that row, since the phase is
-monotone: found by one sort on the exact keys (row, phase).  The derivative
-2 (G1 dG0 - G0 dG1) / (G0^2 + G1^2) is formed from G and dG scaled by one
-power of two, exactly, so it does not overflow where G does not.  Each
-root leaves the batch as soon as it converges, so later sweeps carry
-only the roots still unresolved, and a root left unresolved at the
-iteration cap raises a conditioning error instead of returning an
-unconverged value.  So does a sweep whose
-G overflowed to inf/nan, where G outgrows double range at large lambda,
-a fixed-frame H that overflowed, and a spectral weight that overflowed,
-since the weights are products of G's components.  These are computed
-with numpy's overflow warnings off (``_QUIET``), so the conditioning
-error is all a caller sees, also where warnings are errors.
+Newton on all targets at once: a Newton step when it stays strictly inside
+the root's bracket, bisection otherwise, down to 1e-12 in lambda.  Within
+2 pi of its target the step is taken on the secular function, in the last
+cell's frame and up to a constant factor per row
+zeta = Im((G0 - i G1) e^{-i u / 2}), which there vanishes only at the
+target's root; zeta is entire, so it stays nearly linear across the flat
+stretches of a staircase phase, where a step on the phase overshoots.
+Farther out the step is taken on the phase, from its analytic derivative
+2 (G1 dG0 - G0 dG1) / (G0^2 + G1^2).  Both are formed from G and dG scaled
+by one power of two, exactly, so they do not overflow where G does not,
+and zeta / zeta' does not depend on the turn k, so the rounding of
+2 pi k never enters it.  A root within pi / 2 of its target whose zeta
+step is below 1e-12 returns lambda - zeta / zeta'.  After each sweep
+every point of a row tightens the bracket of every target of that row,
+since the phase is monotone: found by one sort on the exact keys (row,
+phase).  Each root leaves the batch as soon as it converges, so later
+sweeps carry only the roots still unresolved, and a root left unresolved
+at the iteration cap raises a conditioning error instead of returning an
+unconverged value.  So does a sweep whose G overflowed to inf/nan, where
+G outgrows double range at large lambda, a fixed-frame H that overflowed,
+and a spectral weight that overflowed, since the weights are products of
+G's components.  These are computed with numpy's overflow warnings off
+(``_QUIET``), so the conditioning error is all a caller sees, also where
+warnings are errors.
 
 Grids normally span [0, 1]; truncated continuum paths may start at
 t0 > 0, and time reversal of such an operator ends before 1.
@@ -771,29 +779,44 @@ def _solve_targets(batch: OperatorBatch, targets, row, lo, hi, alo, ahi):
     endpoint phases alo, ahi.  Safeguarded Newton (``rtsafe``, Numerical
     Recipes 9.4): every lane keeps a bracket [a, b] around its root, shrunk
     at each evaluation by the sign of alpha - target.  The next point is
-    the Newton step from the analytic phase derivative when that lands
-    strictly inside the bracket and is at most half the step before last;
-    otherwise it is the bracket midpoint.  The second condition breaks
-    Newton cycles between the flat stretches either side of a steep phase
-    rise, which land inside the bracket yet shrink it by a little each
-    time.  A lane retires once |alpha - target| <= alpha' * LAMBDA_TOL
-    with a finite alpha' (its Newton correction is below LAMBDA_TOL) or
-    its bracket is narrower than LAMBDA_TOL, returning the midpoint in the
-    latter case; later sweeps advance only the lanes still active.  A lane
-    still active after MAX_SOLVER_ITERATIONS sweeps raises a conditioning
-    error.
+    the Newton step when that lands strictly inside the bracket and is at
+    most half the step before last; otherwise it is the bracket midpoint.
+    The second condition breaks Newton cycles between the flat stretches
+    either side of a steep phase rise, which land inside the bracket yet
+    shrink it by a little each time.
+
+    Where |alpha - target| < 2 pi the Newton step is -zeta / zeta' on the
+    secular function zeta = Im((G0 - i G1) e^{-i u / 2}), u the row's
+    target offset: its zeros are where alpha crosses u + 2 pi j for some j,
+    so in that band it vanishes only at this target's root, with the sign
+    of alpha - target up to the factor (-1)^k, which zeta / zeta' drops.
+    Elsewhere the step is the phase's, -(alpha - target) / alpha'.  A KN
+    phase is a staircase, flat between steep rises at the roots; a phase
+    step from a flat stretch overshoots its bracket and bisects, where the
+    entire zeta is close to linear and its step lands near the root.
+
+    A lane retires once |zeta / zeta'| <= LAMBDA_TOL with
+    |alpha - target| < pi / 2, returning the polished lambda - zeta / zeta';
+    or once |alpha - target| <= alpha' * LAMBDA_TOL with a finite alpha'
+    (its phase correction is below LAMBDA_TOL), returning lambda; or once
+    its bracket is narrower than LAMBDA_TOL, returning the midpoint.  A
+    zeta' or alpha' lost to overflow is not finite, and takes no Newton
+    step and passes neither root test.  Later sweeps advance only the lanes
+    still active.  A lane still active after MAX_SOLVER_ITERATIONS sweeps
+    raises a conditioning error.
 
     The lanes of one row share their points (:func:`_share_brackets`):
     after each sweep every evaluated point of a row tightens the bracket of
-    every target of that row, on top of the lane's own point.  A KN phase
-    is a staircase, flat between steep rises at the roots, so a Newton step
-    from a flat stretch leaves its bracket; the neighbours' points make
-    that bracket, and its bisection, short from the first sweeps on.
+    every target of that row, on top of the lane's own point.  Where a
+    Newton step still leaves its bracket, the neighbours' points make that
+    bracket, and its bisection, short from the first sweeps on.
     """
     t = np.asarray(targets, dtype=float)
     a, b = (np.broadcast_to(np.asarray(w, dtype=float), t.shape).copy() for w in (lo, hi))
     span = np.maximum(ahi - alo, 1e-300)
     lam = np.clip(a + (b - a) * (t - alo) / span, a, b)
+    # zeta = Im((G0 - i G1) e^{-i u / 2}) = -(G0 sin(u / 2) + G1 cos(u / 2))
+    sin_u, cos_u = np.sin(0.5 * batch.u[row]), np.cos(0.5 * batch.u[row])
     out = np.empty(t.shape)
     live = np.arange(t.size)
     dx = dxold = b - a  # last step and the step before it
@@ -808,19 +831,27 @@ def _solve_targets(batch: OperatorBatch, targets, row, lo, hi, alo, ahi):
         scale = np.ldexp(1.0, -np.frexp(np.maximum(np.abs(G0), np.abs(G1)))[1])
         g0, g1, d0, d1 = (scale * g for g in (G0, G1, dG0, dG1))
         deriv = 2.0 * (g1 * d0 - g0 * d1) / (g0 * g0 + g1 * g1)
+        zeta_d = d0 * sin_u[live] + d1 * cos_u[live]
+        ok = np.isfinite(zeta_d) & (zeta_d != 0.0)
+        zeta_step = np.where(ok, (g0 * sin_u[live] + g1 * cos_u[live])
+                             / np.where(ok, zeta_d, 1.0), np.inf)
         neg = f < 0.0
         a = np.where(neg, lam, a)
         b = np.where(neg, b, lam)
         a, b = _share_brackets(row[live], alpha, lam, t[live], a, b)
+        polished = (np.abs(zeta_step) <= LAMBDA_TOL) & (np.abs(f) < 0.5 * math.pi)
         at_root = np.isfinite(deriv) & (np.abs(f) <= deriv * LAMBDA_TOL)
-        done = at_root | ((b - a) < LAMBDA_TOL)
-        out[live[done]] = np.where(at_root, lam, 0.5 * (a + b))[done]
+        done = polished | at_root | ((b - a) < LAMBDA_TOL)
+        out[live[done]] = np.where(polished, lam - zeta_step,
+                                   np.where(at_root, lam, 0.5 * (a + b)))[done]
         if done.all():
             return out
         keep = ~done
-        live, lam, a, b, f, deriv, dx, dxold = (
-            v[keep] for v in (live, lam, a, b, f, deriv, dx, dxold))
+        live, lam, a, b, f, deriv, zeta_step, dx, dxold = (
+            v[keep] for v in (live, lam, a, b, f, deriv, zeta_step, dx, dxold))
+        # within 2 pi of its target, zeta vanishes only at the target's root
         step = np.where(deriv > 0.0, f / np.where(deriv > 0.0, deriv, 1.0), np.inf)
+        step = np.where(np.abs(f) < TWO_PI, zeta_step, step)
         nxt = lam - step
         newton = (nxt > a) & (nxt < b) & (np.abs(step) <= 0.5 * dxold)
         dx, dxold = np.where(newton, np.abs(step), 0.5 * (b - a)), dx

@@ -371,7 +371,7 @@ def _cmv_angles(alphas: np.ndarray, rho: np.ndarray) -> np.ndarray:
             r -= du2[:, i, None] * x[:, i + 2]
         r /= d[:, i, None]
     if not np.all(np.isfinite(x)):   # eigvalsh need not refuse nan
-        raise np.linalg.LinAlgError("non-finite Cayley matrix: is an interior |gamma_k| >= 1?")
+        raise np.linalg.LinAlgError("non-finite Cayley matrix: is a gamma_k not finite?")
     x *= 2j
     x[:, diag, diag] -= 1j
     theta = psi[:, None] + 2.0 * np.arctan2(1.0, -np.linalg.eigvalsh(x))
@@ -412,9 +412,18 @@ def _measures_from_gammas_batch(gammas: np.ndarray):
     do not depend on the batch around it.  Returns (angles, weights), rows
     sorted by angle in [0, 2 pi], where an atom just below 0 may round to
     2 pi and then sorts last.
+
+    A row with an interior |gamma_k| of 1 or above in double, as small-beta
+    Killip-Nenciu draws hold, has no n-atom measure: it is refused up
+    front with a conditioning error, before any sqrt of a negative
+    1 - |gamma_k|^2 could warn.
     """
     g = np.atleast_2d(np.asarray(gammas, dtype=complex))
     m, n = g.shape
+    bad = np.count_nonzero(~np.all(1.0 - np.abs(g[:, : n - 1]) ** 2 > 0.0, axis=1))
+    if bad:
+        raise ValueError(f"conditioning: {bad} of {m} rows hold an interior |gamma_k| "
+                         "not below 1 in double, so 1 - |gamma_k|^2 is not positive")
     angles, weights = np.empty((m, n)), np.empty((m, n))
     step = max(1, _BLOCK_ENTRIES // (n * n))
     for lo in range(0, m, step):

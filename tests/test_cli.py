@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -163,6 +164,20 @@ class TestPipelines:
         assert rc == 0
         summary = json.loads((tmp_path / "b.json").read_text())
         assert summary["ks_to_direct_law"] == {}
+
+    def test_bias_refuses_coefficients_on_the_circle(self, tmp_path, capsys):
+        # at beta = 0.1 the draw holds interior |gamma_k| that round to 1;
+        # the record names the conditioning limit, with no warning first
+        out = tmp_path / "b"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = main(["bias", "--n", "6", "--beta", "0.1", "--replicas", "4000",
+                       "--seed", "3", "--out", str(out)])
+        assert rc == 1
+        record = json.loads(capsys.readouterr().err.strip())
+        assert record["error"] == "ValueError"
+        assert record["message"].startswith("conditioning: 542 of 4000 rows hold an interior")
+        assert not Path(f"{out}.json").exists()
 
 
 class TestExperiments:

@@ -520,17 +520,12 @@ class TestSolver:
         assert lanes[0] == 40
         assert all(b <= a for a, b in zip(lanes, lanes[1:]))
 
-    def test_staircase_roots_share_row_brackets(self, monkeypatch):
-        # a KN phase is a staircase: flat treads between steep rises at the
-        # roots, so a Newton step from a tread leaves a bracket as wide as
-        # the window.  Sharing each sweep's points across the row's targets
-        # narrows every bracket; with its own points alone the search took
-        # 32 sweeps and 6 724 lane-sweeps (endpoint sweep included), with
-        # shared points 26 and 4 921
+    @staticmethod
+    def staircase_solve(monkeypatch):
+        """KN n = 400, seed 13, on [0, 800 pi): (operator, window, roots, lanes per sweep)."""
         from circdirac.ensembles import SeedSpec, sample_kn
 
         op = dirac.coefficient_operator(sample_kn(400, 2.0, SeedSpec(13, 0)))
-        b = op.batch
         window = (0.0, 800.0 * math.pi)
         lanes = []
         counted = dirac.OperatorBatch._lanes
@@ -541,7 +536,19 @@ class TestSolver:
 
         with monkeypatch.context() as mp:
             mp.setattr(dirac.OperatorBatch, "_lanes", counting)
-            lams, _ = b.eigenvalues(window)
+            lams, _ = op.batch.eigenvalues(window)
+        return op, window, lams, lanes
+
+    def test_staircase_roots_share_row_brackets(self, monkeypatch):
+        # a KN phase is a staircase: flat treads between steep rises at the
+        # roots, so a Newton step on the phase from a tread leaves a bracket
+        # as wide as the window.  Sharing each sweep's points across the
+        # row's targets narrows every bracket; with its own points alone the
+        # search took 32 sweeps and 6 724 lane-sweeps (endpoint sweep
+        # included), with shared points 26 and 4 921, and with the zeta
+        # steps as well 11 and 2 537
+        op, window, lams, lanes = self.staircase_solve(monkeypatch)
+        b = op.batch
         assert lams.size == 400
         assert sum(lanes) < 6724
         # one row per target: each target sees its own points alone, as in
@@ -551,6 +558,33 @@ class TestSolver:
         alone = dirac._solve_targets(dirac.OperatorBatch.stack([op] * 400), targets,
                                      np.arange(400), lo[0], hi[0], alo[0], ahi[0])
         np.testing.assert_allclose(lams, alone, rtol=0, atol=1e-11)
+
+    def test_staircase_roots_take_zeta_steps(self, monkeypatch):
+        # zeta is entire, so a Newton step on it crosses a tread that the
+        # phase's step overshoots; with phase steps alone the search took
+        # 4 921 lane-sweeps.  A zeta step that landed on a neighbour's
+        # root would return that root twice: every root must sit at its
+        # own target's turn.  The roots agree with the no-sharing solve
+        # to 1e-11 (test_staircase_roots_share_row_brackets).
+        op, window, lams, lanes = self.staircase_solve(monkeypatch)
+        b = op.batch
+        assert sum(lanes) < 3500
+        _, _, _, _, kmin, count = b._window(window)
+        G0, G1, _, _, half = b._lanes(lams, np.zeros(lams.size, dtype=int),
+                                      want_phase=True)
+        turns = (2.0 * dirac._lift(G0, G1, half) - b.u[0]) / TWO_PI
+        np.testing.assert_array_equal(np.round(turns), kmin[0] + np.arange(count[0]))
+
+    def test_infinity_slope_root_at_zero_is_polished(self):
+        # zeta vanishes at 0 exactly for the infinity slope; the root test
+        # returns lambda - zeta / zeta', far below the 1e-12 bracket
+        from circdirac.ensembles import SinePathSpec, sine_replicas
+
+        b = sine_replicas(SinePathSpec(beta=2.0, q=math.inf), 7, 5)
+        lams, row = b.eigenvalues((-0.5, 0.5))
+        assert np.array_equal(np.unique(row), np.arange(5))
+        zero = [lams[row == i][np.argmin(np.abs(lams[row == i]))] for i in range(5)]
+        assert np.max(np.abs(zero)) < 1e-20
 
 
 class TestMovingFrame:

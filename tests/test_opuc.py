@@ -1,6 +1,7 @@
 import json
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -615,8 +616,22 @@ class TestCMV:
     def test_coefficient_outside_the_disk_raises(self):
         g = random_gammas(np.random.default_rng(12), 3, 6)
         g[1, 2] = 1.0 + 1e-15
-        with np.errstate(invalid="ignore"), pytest.raises(np.linalg.LinAlgError):
-            opuc._measures_from_gammas_batch(g)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="^conditioning: 1 of 3 rows"):
+                opuc._measures_from_gammas_batch(g)
+
+    def test_small_beta_rows_on_the_circle_are_refused_up_front(self):
+        # at beta = 0.1, 542 of these rows hold an interior |gamma_k| that
+        # rounds to 1 or above; the refusal comes before any sqrt can warn
+        from circdirac.ensembles import SeedSpec, kn_gammas
+
+        g = kn_gammas(SeedSpec(3, 0).rng(), 6, 0.1, 4000)
+        assert not np.all(np.abs(g[:, :-1]) < 1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="^conditioning: 542 of 4000 rows"):
+                opuc._measures_from_gammas_batch(g)
 
     def test_memory_stays_below_one_matrix_stack(self):
         from circdirac.ensembles import SeedSpec, kn_gammas

@@ -49,15 +49,21 @@ def test_conversion_timing_prints_one_record(capsys):
 
 def test_solve_counts_prints_one_record(capsys, monkeypatch):
     tool = load_tool("solve_counts")
-    # a small run: one KN size, four Sine rows, one timed solve each
+    # a small run: one KN size, one beta, four rows per Sine batch, one
+    # timed solve each
     monkeypatch.setattr(tool, "KN_SIZES", (50,))
     monkeypatch.setattr(tool, "REPLICAS", 4)
+    monkeypatch.setattr(tool, "SINE_BETAS", (0.5,))
+    monkeypatch.setattr(tool, "SINE_ROWS", 4)
     monkeypatch.setattr(tool, "REPEAT", 1)
     assert tool.main(["13"]) == 0
     record = json.loads(capsys.readouterr().out)
+    assert sorted(record) == ["kn50", "palm-pins-zero", "seed", "sine0.5"]
     assert record["seed"] == 13
-    kn, palm = record["kn50"], record["palm-pins-zero"]
+    kn, palm, sine = record["kn50"], record["palm-pins-zero"], record["sine0.5"]
     # the endpoint sweep and at least one solver sweep of every root
     assert kn["roots"] == 50 and kn["sweeps"] >= 2 and kn["lane_sweeps"] >= 2 + 50
     assert palm["roots"] >= 4 and palm["lane_sweeps"] >= 2 * 4 + palm["roots"]
-    assert 0.0 < kn["best_s"] and 0.0 < palm["best_s"]
+    # [0, 20 pi) holds about ten eigenvalues of each row
+    assert sine["roots"] >= 4 and sine["lane_sweeps"] >= 2 * 4 + sine["roots"]
+    assert 0.0 < kn["best_s"] and 0.0 < palm["best_s"] and 0.0 < sine["best_s"]

@@ -1,12 +1,14 @@
 """Count the sweeps of the eigenvalue search, and time it.
 
-Solves ``OperatorBatch.eigenvalues`` on two kinds of batch at the seed SEED:
+Solves ``OperatorBatch.eigenvalues`` on three kinds of batch at the seed SEED:
 
 - ``kn<N>``: the operator ``coefficient_operator(sample_kn(N, 2, SeedSpec(SEED, 0)))``
   on [0, 2 pi N), which holds its N eigenvalues, for each N of KN_SIZES;
 - ``palm-pins-zero``: the Sine_2 batch of the acceptance criterion of that
   name (``sine_replicas`` at SEED, infinity boundary slope, REPLICAS rows)
-  on [-0.5, 0.5).
+  on [-0.5, 0.5);
+- ``sine<beta>``: SINE_ROWS Sine_beta rows with the Cauchy slope
+  (``sine_replicas`` at SEED) on [0, 20 pi), for each beta of SINE_BETAS.
 
 The counts come from wrapping ``OperatorBatch._lanes``, through which every
 sweep of a batch runs (the window's endpoint sweep included), in this
@@ -29,6 +31,8 @@ import numpy as np
 
 KN_SIZES = (50, 100, 200, 400)
 REPLICAS = 500
+SINE_BETAS = (2.0, 0.5, 0.1)
+SINE_ROWS = 50
 REPEAT = 3
 
 
@@ -71,6 +75,9 @@ def main(argv=None) -> int:
         record[f"kn{n}"] = solve_record(op.batch, (0.0, 2.0 * math.pi * n))
     batch = sine_replicas(SinePathSpec(beta=2.0, q=math.inf), args.seed, REPLICAS)
     record["palm-pins-zero"] = solve_record(batch, (-0.5, 0.5))
+    for beta in SINE_BETAS:
+        batch = sine_replicas(SinePathSpec(beta=beta), args.seed, SINE_ROWS)
+        record[f"sine{beta:g}"] = solve_record(batch, (0.0, 20.0 * math.pi))
     print(json.dumps(record))
     return 0
 
