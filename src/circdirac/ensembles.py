@@ -228,12 +228,16 @@ def _sine_grid(spec: SinePathSpec):
     return t, u[:-1], math.sqrt(-u_min / K)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _sine_row(spec: SinePathSpec, u, sqrt_h: float, rng: np.random.Generator):
     """One path: its cells (x, y) and its u1.
 
     Draw order: b2 increments, b1 increments, then the Cauchy variable
     (when ``spec.q`` is None).  The path is anchored so b2(0) = 0, giving
     z = i at t = 1, and its value on a cell is taken at the left edge.
+    At small beta the path overflows; it is built with numpy's overflow
+    warnings off and checked once, so the "path overflow" error is all a
+    caller sees, also where warnings are errors.
     """
     K = u.size
     d2 = sqrt_h * rng.standard_normal(K)

@@ -15,6 +15,14 @@ from circdirac.ensembles import KNMeasureSampler, SeedSpec, SinePathSpec, sample
 TWO_PI = 2.0 * math.pi
 
 
+def source_env():
+    """The environment with this checkout's package first on PYTHONPATH."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(src), env.get("PYTHONPATH")) if p)
+    return env
+
+
 def write_lattice_measure(path, n=4, theta=math.pi / 3):
     angles = [(theta + TWO_PI * k) / n for k in range(n)]
     path.write_text(json.dumps({"angles": angles, "weights": [1.0 / n] * n}))
@@ -336,17 +344,27 @@ class TestErrorHandling:
         assert exc.value.code == 2
 
     def test_import_does_not_load_scipy_stats(self):
-        src = Path(__file__).resolve().parents[1] / "src"
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            p for p in (str(src), env.get("PYTHONPATH")) if p)
         code = ("import sys, circdirac.cli; "
                 "print(sorted(m for m in ('scipy.stats', 'circdirac.verify', "
                 "'circdirac.stats') if m in sys.modules))")
-        proc = subprocess.run([sys.executable, "-c", code], env=env,
+        proc = subprocess.run([sys.executable, "-c", code], env=source_env(),
                               capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
+
+    def test_sine_beta_path_overflow_is_the_only_record(self, tmp_path):
+        # at beta 0.02 the path overflows; with warnings as errors the
+        # overflow error still reaches the record, and nothing else is said
+        out = tmp_path / "sine"
+        proc = subprocess.run(
+            [sys.executable, "-W", "error", "-m", "circdirac.cli", "sine-beta",
+             "--beta", "0.02", "--seed", "3", "--out", str(out)],
+            env=source_env(), capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 1
+        assert proc.stderr.splitlines() == [json.dumps(
+            {"error": "ValueError",
+             "message": "path overflow: resample or increase t_min"})]
+        assert not Path(f"{out}.operator.json").exists()
 
     def test_unknown_command_is_usage_error(self):
         with pytest.raises(SystemExit) as exc:

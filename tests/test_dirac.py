@@ -1039,6 +1039,48 @@ class TestSpectralMeasure:
                                match="conditioning: the spectral weights overflowed"):
                 dirac.spectral_measure(op, (5000.0, 5010.0), side)
 
+    def test_tiny_weight_against_40_digits(self):
+        # sine-beta --beta 0.25 --q inf --seed 11 --stream 3 --cells 2048:
+        # the right weight of the root near 12.848471 is about 7.44e-12,
+        # and 2 / alpha' changes by tens of percent over 1e-12 in lambda
+        # there.  The oracle runs the operator's stored steps in 40 digits
+        # and takes Newton steps on zeta from the double root.
+        mpmath = pytest.importorskip("mpmath")
+        from circdirac.ensembles import SeedSpec, SinePathSpec, sample_sine_operator
+
+        spec = SinePathSpec(beta=0.25, cells=2048, q=math.inf)
+        op = sample_sine_operator(spec, SeedSpec(11, 3))
+        sm = dirac.spectral_measure(op, (0.0, 30.0), "right")
+        j = np.argmin(np.abs(sm.lambdas - 12.848471))
+        b = op.batch
+        with mpmath.workdps(40):
+            mpf = mpmath.mpf
+            steps = [(mpf(v), mpf(r), mpf(dt) / 2) for v, r, dt in zip(b.v[0], b.r[0], b.dt)]
+            su, cu = mpmath.sin(mpf(b.u[0]) / 2), mpmath.cos(mpf(b.u[0]) / 2)
+
+            def sweep(lam):
+                (G0, G1), dG0, dG1 = (mpf(g) for g in b.start[:, 0]), mpf(0), mpf(0)
+                for v, r, hdt in steps:
+                    G0, G1, dG0, dG1 = G0 - v * G1, r * G1, dG0 - v * dG1, r * dG1
+                    c, s = mpmath.cos(lam * hdt), mpmath.sin(lam * hdt)
+                    t0, t1 = dG0 + hdt * G1, dG1 - hdt * G0
+                    dG0, dG1 = c * t0 + s * t1, c * t1 - s * t0
+                    G0, G1 = c * G0 + s * G1, c * G1 - s * G0
+                return G0, G1, dG0, dG1
+
+            lam = mpf(sm.lambdas[j])
+            for _ in range(3):
+                # zeta = Im((G0 - i G1) e^{-i u / 2})
+                G0, G1, dG0, dG1 = sweep(lam)
+                lam -= (G0 * su + G1 * cu) / (dG0 * su + dG1 * cu)
+            G0, G1, dG0, dG1 = sweep(lam)
+            x, y = (mpf(c) for c in b.last[:, 0])
+            H0, H1 = G0 + x * G1 / y, G1 / y
+            weight = float((H0 ** 2 + H1 ** 2) * y / (G1 * dG0 - G0 * dG1))
+        assert abs(sm.lambdas[j] - float(lam)) < 1e-12
+        assert 7.4e-12 < weight < 7.5e-12
+        assert sm.weights[j] == pytest.approx(weight, rel=5e-3)
+
     def test_to_dict_shape(self):
         op = lattice_operator(3, 0.5)
         sm = dirac.spectral_measure(op, (-10.0, 10.0), "right")

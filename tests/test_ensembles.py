@@ -303,6 +303,15 @@ class TestSineOperator:
         se = np.std(counts, ddof=1) / math.sqrt(len(counts))
         assert abs(mean - 10.0) < 4.0 * se + 0.05
 
+    def test_small_beta_path_overflow_raises_alone(self):
+        # the path overflows at beta 0.02; warnings are errors here, so an
+        # overflow warning would pre-empt the error
+        spec = ens.SinePathSpec(beta=0.02)
+        with pytest.raises(ValueError, match="^path overflow"):
+            ens.sample_sine_operator(spec, ens.SeedSpec(3, 0))
+        with pytest.raises(ValueError, match="^path overflow"):
+            ens.sine_replicas(spec, 3, 2)
+
     def test_spec_validation(self):
         with pytest.raises(ValueError):
             ens.SinePathSpec(beta=-1.0)

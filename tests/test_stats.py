@@ -178,12 +178,50 @@ class TestChi2:
         with pytest.raises(ValueError, match="quadrature"):
             cstats.disk_cell_probabilities(dens)
 
-    def test_boundary_singularity_integrates(self):
-        # the atom-at-1 tilted law: integrable pole at z = 1
+    def test_boundary_pole_is_refused(self):
+        # the integrable pole |1 - z|^{-2} of the atom-at-1 tilted law at
+        # s = 1: the per-ring rule does not resolve it, and the doubled pass
+        # disagrees (3.14144 against 3.14100), so the density is refused
+        # instead of integrated badly
         dens = lambda w: (1.0 - np.abs(w) ** 2) ** 1.0 / np.abs(1.0 - w) ** 2
-        _, _, prob = cstats.disk_cell_probabilities(dens)
-        assert prob.sum() == pytest.approx(1.0, abs=1e-12)
-        assert np.all(prob >= 0.0)
+        with pytest.raises(ValueError, match="quadrature"):
+            cstats.disk_cell_probabilities(dens)
+
+    def test_criteria_densities_match_cellwise_rule(self):
+        # the two densities of the suite, each cell integrated on its own
+        # by the tensor Gauss rule of QUAD_POINTS // BINS nodes per axis
+        x, w = np.polynomial.legendre.leggauss(cstats.QUAD_POINTS // cstats.BINS)
+        edges = np.linspace(0.0, 1.0, cstats.BINS + 1)
+        for dens in (lambda z: (1.0 - np.abs(z) ** 2) ** 5 / np.abs(1.0 - z) ** 2,
+                     lambda z: (1.0 - np.abs(z) ** 2) ** 2 * np.abs(1.0 - z) ** 2):
+            ref = np.empty((cstats.BINS, cstats.BINS))
+            for i in range(cstats.BINS):
+                r = 0.5 * (edges[i + 1] - edges[i]) * (x + 1.0) + edges[i]
+                for j in range(cstats.BINS):
+                    p = 2.0 * math.pi * (edges[j] + 0.5 * (edges[j + 1] - edges[j]) * (x + 1.0))
+                    z = r[:, None] * np.exp(1j * p[None, :])
+                    ref[i, j] = w @ (dens(z) * r[:, None]) @ w
+            _, _, prob = cstats.disk_cell_probabilities(dens)
+            assert np.allclose(prob, ref / ref.sum(), rtol=1e-12, atol=0.0)
+
+    def test_samples_where_the_density_vanishes_fail(self):
+        # 40 of 8000 samples on the ring |z| = 0.95, where the density is
+        # zero: they refute it, and the pool that holds them is not dropped
+        rng = np.random.default_rng(8)
+        z = 0.9 * np.sqrt(rng.random(8000)) * np.exp(2j * math.pi * rng.random(8000))
+        dens = lambda w: (np.abs(w) < 0.9).astype(float)
+        assert cstats.chi2_hist2d(z, dens).passed
+        z[:40] = 0.95 * np.exp(2j * math.pi * rng.random(40))
+        rep = cstats.chi2_hist2d(z, dens)
+        assert rep.statistic == math.inf and not rep.passed
+        assert rep.notes.endswith("; 40 samples where the density is zero")
+
+    def test_non_finite_samples_raise(self):
+        rng = np.random.default_rng(9)
+        z = np.sqrt(rng.random(8000)) * np.exp(2j * math.pi * rng.random(8000))
+        z[[5, 500, 5000]] = complex(math.nan, 0.0), complex(0.0, math.nan), math.inf
+        with pytest.raises(ValueError, match="finite"):
+            cstats.chi2_hist2d(z, lambda w: np.ones_like(w, dtype=float))
 
 
 class TestReport:

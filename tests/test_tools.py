@@ -67,3 +67,48 @@ def test_solve_counts_prints_one_record(capsys, monkeypatch):
     # [0, 20 pi) holds about ten eigenvalues of each row
     assert sine["roots"] >= 4 and sine["lane_sweeps"] >= 2 * 4 + sine["roots"]
     assert 0.0 < kn["best_s"] and 0.0 < palm["best_s"] and 0.0 < sine["best_s"]
+
+
+def write_report(path, checks):
+    """A verify report of one criterion per (criterion, check, statistic, notes)."""
+    criteria = [{"name": crit, "pass": stat < 1.0,
+                 "reports": [{"check": check, "statistic": stat, "threshold": 1.0,
+                              "sample_size": 10, "pass": stat < 1.0, "notes": notes}]}
+                for crit, check, stat, notes in checks]
+    path.write_text(json.dumps({"suite": "all", "seed": 7, "criteria": criteria,
+                                "all_pass": all(c["pass"] for c in criteria)}, indent=2))
+    return path
+
+
+def test_report_diff_lists_each_moved_field(tmp_path, capsys):
+    tool = load_tool("report_diff")
+    old = write_report(tmp_path / "old.json", [
+        ("chi", "cells", 0.5, "chi2 dof=9"), ("ks", "coords", 0.25, "KS"),
+        ("nan", "stat", float("nan"), ""), ("gone", "check", 0.1, "")])
+    new = write_report(tmp_path / "new.json", [
+        ("chi", "cells", 0.5000000001, "chi2 dof=9"), ("ks", "coords", 2.0, "KS!"),
+        ("nan", "stat", float("nan"), ""), ("added", "check", 0.1, "")])
+    assert tool.main([str(old), str(new)]) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert out[0].startswith("old ") and out[0].endswith(f"  {old}")
+    assert out[1].startswith("new ") and out[1].endswith(f"  {new}")
+    assert len(out[0].split()[1]) == 64 and out[0].split()[1] != out[1].split()[1]
+    assert out[2:] == [
+        "chi | cells: statistic 0.5 -> 0.5000000001 (rel +2.0e-10)",
+        "ks | coords: statistic 0.25 -> 2.0 (rel +7.0e+00)",
+        "ks | coords: pass True -> False",
+        "ks | coords: notes 'KS' -> 'KS!'",
+        "gone | check: only in old",
+        "added | check: only in new",
+    ]
+
+
+def test_report_diff_identical(tmp_path, capsys):
+    tool = load_tool("report_diff")
+    checks = [("chi", "cells", 0.5, "chi2 dof=9"), ("nan", "stat", float("nan"), "")]
+    old = write_report(tmp_path / "old.json", checks)
+    new = write_report(tmp_path / "new.json", checks)
+    assert tool.main([str(old), str(new)]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[0].split()[1] == out[1].split()[1]
+    assert out[2:] == ["identical"]
