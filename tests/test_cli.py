@@ -352,6 +352,26 @@ class TestErrorHandling:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
 
+    @staticmethod
+    def scipy_modules_after(code):
+        """The scipy modules a fresh interpreter holds after running ``code``."""
+        proc = subprocess.run(
+            [sys.executable, "-c", code + "; import sys; print(sorted(m for m in sys.modules "
+             "if m == 'scipy' or m.startswith('scipy.')))"],
+            env=source_env(), capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        return proc.stdout.splitlines()[-1]
+
+    def test_verify_and_stats_load_no_scipy(self):
+        assert self.scipy_modules_after("import circdirac.verify, circdirac.stats") == "[]"
+
+    def test_bias_run_loads_no_scipy(self, tmp_path):
+        argv = ["bias", "--n", "3", "--replicas", "200", "--epsilon", "0.3",
+                "--seed", "1", "--out", str(tmp_path / "bias")]
+        code = f"from circdirac.cli import main; assert main({argv!r}) == 0"
+        assert self.scipy_modules_after(code) == "[]"
+        assert (tmp_path / "bias.json").exists()
+
     def test_sine_beta_path_overflow_is_the_only_record(self, tmp_path):
         # at beta 0.02 the path overflows; with warnings as errors the
         # overflow error still reaches the record, and nothing else is said

@@ -1,3 +1,4 @@
+import ast
 import math
 
 import numpy as np
@@ -92,7 +93,10 @@ class TestKS:
 
 
 class TestScipyStatsOracle:
-    """The scipy.special calls give the scipy.stats numbers bit for bit."""
+    """The closed-form quantiles and CDFs against scipy.stats and 40 digits.
+
+    Each bound is tighter against the 40-digit truth than scipy.stats is.
+    """
 
     @pytest.mark.parametrize("n", [1, 2, 3, 7.5, 5000, 10_000, 123_456])
     def test_ks_threshold(self, n):
@@ -101,54 +105,91 @@ class TestScipyStatsOracle:
             float(sps.kstwobign.isf(1e-3)) / math.sqrt(n))
 
     def test_chi2_threshold(self):
-        for dof in range(1, 121):
-            assert cstats.chi2_threshold(dof) == float(
-                sps.chi2.ppf(1.0 - 1e-3, dof))
+        # scipy inverts the lower tail at 1 - LEVEL and is off by up to 2.2e-15
+        for dof in [*range(1, 121), 500, 1000]:
+            assert cstats.chi2_threshold(dof) == pytest.approx(
+                float(sps.chi2.ppf(1.0 - 1e-3, dof)), rel=2.5e-15, abs=0.0)
+
+    def test_chi2_threshold_against_40_digits(self):
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(40):
+            level = mpmath.mpf(cstats.LEVEL)
+            for dof in range(1, 121):
+                x = cstats.chi2_threshold(dof)
+                # the regularized upper incomplete gamma is the chi-square tail
+                true = mpmath.findroot(
+                    lambda t: mpmath.gammainc(dof / 2, t / 2, regularized=True) - level, x)
+                assert abs(x - true) <= 2.3e-16 * true, dof
+
+    def test_chi2_threshold_refuses_bad_dof(self):
+        for dof in (0, -3, 1001):
+            with pytest.raises(ValueError, match="dof"):
+                cstats.chi2_threshold(dof)
 
     def test_chi2_hist2d_threshold(self):
         rng = np.random.default_rng(5)
         z = np.sqrt(rng.random(8000)) * np.exp(2j * math.pi * rng.random(8000))
         rep = cstats.chi2_hist2d(z, lambda w: np.ones_like(w, dtype=float))
         dof = int(rep.notes.split("=")[1])
-        assert rep.threshold == float(sps.chi2.ppf(1.0 - 1e-3, dof))
+        assert rep.threshold == cstats.chi2_threshold(dof)
+        assert rep.threshold == pytest.approx(
+            float(sps.chi2.ppf(1.0 - 1e-3, dof)), rel=2.5e-15, abs=0.0)
+
+    @staticmethod
+    def check_against_40_digits(x, out, cdf, points=200):
+        """``out`` within 4.5e-16 relative of ``cdf(mpmath, x)`` in 40 digits at sampled x."""
+        mpmath = pytest.importorskip("mpmath")
+        idx = np.unique(np.linspace(0, x.size - 1, points).astype(int))
+        with mpmath.workdps(40):
+            for xi, oi in zip(x[idx].tolist(), out[idx].tolist()):
+                true = cdf(mpmath, mpmath.mpf(xi))
+                assert abs(oi - true) <= 4.5e-16 * true, (xi, oi)
 
     def test_criteria_cdfs(self, monkeypatch):
-        # every Beta and Gamma CDF that kn-marginals and gamma-weight-limit
-        # evaluate, on their own grids, against the scipy.stats call
-        special = verify.special
+        # every Beta CDF that kn-marginals and gamma-weight-limit evaluate,
+        # on their own grids
+        beta1_cdf = verify._beta1_cdf
         calls = []
 
-        class Recorder:
-            @staticmethod
-            def betainc(a, b, x):
-                out = special.betainc(a, b, x)
-                calls.append((sps.beta.cdf(x, a, b), out))
-                return out
+        def recorder(x, b):
+            out = beta1_cdf(x, b)
+            calls.append((np.array(x), b, out))
+            return out
 
-            @staticmethod
-            def gammainc(a, x):
-                out = special.gammainc(a, x)
-                calls.append((sps.gamma.cdf(x, a), out))
-                return out
-
-        monkeypatch.setattr(verify, "special", Recorder)
+        monkeypatch.setattr(verify, "_beta1_cdf", recorder)
         verify.criterion_kn_marginals(7)
         verify.criterion_gamma_weight_limit(7)
-        assert len(calls) == (5 + 5 + 9) + 3 + 1
-        for expected, out in calls:
-            assert np.array_equal(out, expected)
+        assert len(calls) == (5 + 5 + 9) + 3
+        for x, b, out in calls:
+            assert np.allclose(out, sps.beta.cdf(x, 1.0, b), rtol=0.0, atol=1e-15)
+        for x, b, out in calls:
+            self.check_against_40_digits(x, out, lambda mp, t: 1 - (1 - t) ** b)
 
-    def test_weight_limit_report(self):
-        # the gamma-weight-limit statistics as scipy.stats computed them
-        x = np.linspace(0.0, 80.0, 400_001)
-        limit = sps.gamma.cdf(x, 1.0, scale=2.0)
-        ks = {n: float(np.max(np.abs(sps.beta.cdf(x / (2.0 * n), 1.0, n - 1.0)
-                                      - limit)))
-              for n in (100, 1000, 10000)}
+    def test_weight_limit_report(self, monkeypatch):
+        # the limit CDF on the criterion's grid, and its statistics, against
+        # scipy.stats to 1e-15 absolute
+        weight_ks = verify._weight_ks
+        limits = []
+
+        def recorder(x, limit, n):
+            limits.append((x, limit))
+            return weight_ks(x, limit, n)
+
+        monkeypatch.setattr(verify, "_weight_ks", recorder)
         (_, rep1), (_, rep2) = verify.criterion_gamma_weight_limit(7)
-        assert rep1.statistic == ks[10000]
+        assert len(limits) == 3
+        x, limit = limits[0]
+        assert np.array_equal(x, np.linspace(0.0, 80.0, 400_001))
+        sps_limit = sps.gamma.cdf(x, 1.0, scale=2.0)
+        assert np.allclose(limit, sps_limit, rtol=0.0, atol=1e-15)
+        ks = ast.literal_eval(rep1.notes.partition("values ")[2])
         assert rep1.notes == f"analytic-CDF KS at n=1e4; values {ks}"
+        for n in (100, 1000, 10000):
+            sps_ks = np.max(np.abs(sps.beta.cdf(x / (2.0 * n), 1.0, n - 1.0) - sps_limit))
+            assert abs(ks[n] - sps_ks) <= 1e-15
+        assert rep1.statistic == ks[10000]
         assert rep2.statistic == max(ks[1000] - ks[100], ks[10000] - ks[1000])
+        self.check_against_40_digits(x, limit, lambda mp, t: -mp.expm1(-t / 2))
 
 
 class TestChi2:
@@ -215,6 +256,25 @@ class TestChi2:
         rep = cstats.chi2_hist2d(z, dens)
         assert rep.statistic == math.inf and not rep.passed
         assert rep.notes.endswith("; 40 samples where the density is zero")
+
+    def test_samples_outside_the_disk_raise(self):
+        # 40 of 8000 uniform-disk samples moved to |z| = 50; clipped into
+        # the outermost ring they would pass, 96.1 against 148.2
+        rng = np.random.default_rng(5)
+        z = np.sqrt(rng.random(8000)) * np.exp(2j * math.pi * rng.random(8000))
+        z[:40] = 50.0 * np.exp(2j * math.pi * rng.random(40))
+        with pytest.raises(ValueError, match="40 samples outside the unit disk"):
+            cstats.chi2_hist2d(z, lambda w: np.ones_like(w, dtype=float))
+
+    def test_samples_on_the_circle_count_in_the_outer_ring(self):
+        rng = np.random.default_rng(5)
+        z = np.sqrt(rng.random(8000)) * np.exp(2j * math.pi * rng.random(8000))
+        edge = np.array([1.0, -1.0, 1j, -1j])
+        uniform = lambda w: np.ones_like(w, dtype=float)
+        z[:4] = edge
+        on = cstats.chi2_hist2d(z, uniform)
+        z[:4] = 0.99999 * edge
+        assert on.statistic == cstats.chi2_hist2d(z, uniform).statistic
 
     def test_non_finite_samples_raise(self):
         rng = np.random.default_rng(9)

@@ -62,6 +62,12 @@ def test_thresholds_and_cdfs_do_not_load_scipy_stats():
     assert proc.stdout.strip() == "False"
 
 
+def test_beta1_cdf_is_one_at_one():
+    # |gamma_k|^2 = 1 would be log1p(-1) = -inf: no warning, and CDF 1
+    out = verify._beta1_cdf(np.array([0.0, 0.25, 1.0]), 2.5)
+    assert out.tolist() == [0.0, -math.expm1(2.5 * math.log1p(-0.25)), 1.0]
+
+
 def test_unknown_suite_rejected():
     with pytest.raises(ValueError, match="unknown suite"):
         verify.run_suite("bogus", 1)
