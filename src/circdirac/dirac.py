@@ -67,25 +67,24 @@ table.  The angle is the same product either way, so the table changes no
 bit of any result.
 
 Eigenvalues are recovered by inverting the monotone phase at the targets
-2 pi k + u, u determined by the direction of X_{m-1} u1.  The search is safeguarded
-Newton on all targets at once: a Newton step when it stays strictly inside
-the root's bracket, bisection otherwise, down to 1e-12 in lambda.  Within
-2 pi of its target the step is taken on the secular function, in the last
+2 pi k + u, u determined by the direction of X_{m-1} u1.  The search is
+safeguarded Newton on all targets at once, with one Newton rule: within
+2 pi of its target a root steps on the secular function, in the last
 cell's frame and up to a constant factor per row
 zeta = Im((G0 - i G1) e^{-i u / 2}), which there vanishes only at the
-target's root; zeta is entire, so it stays nearly linear across the flat
-stretches of a staircase phase, where a step on the phase overshoots.
-Farther out the step is taken on the phase, from its analytic derivative
-2 (G1 dG0 - G0 dG1) / (G0^2 + G1^2).  Both are formed from G and dG scaled
-by one power of two, exactly, so they do not overflow where G does not,
-and zeta / zeta' does not depend on the turn k, so the rounding of
-2 pi k never enters it.  A root within pi / 2 of its target whose zeta
-step is below 1e-12 returns lambda - zeta / zeta'.  After each sweep
-every point of a row tightens the bracket of every target of that row,
-since the phase is monotone: found by one sort on the exact keys (row,
-phase).  Each root leaves the batch as soon as it converges, so later
-sweeps carry only the roots still unresolved, and a root left unresolved
-at the iteration cap raises a conditioning error instead of returning an
+target's root, when the step stays strictly inside the root's bracket;
+everywhere else it bisects.  zeta is entire, so it stays nearly linear
+across the flat stretches of a staircase phase.  zeta / zeta' is a ratio,
+so it keeps its bits however large G grows, and it does not depend on the
+turn k, so the rounding of 2 pi k never enters it.  A root has two exits:
+within pi / 2 of its target with a zeta step below 1e-12 it returns
+lambda - zeta / zeta', and on a bracket narrower than 1e-12 it returns the
+midpoint.  After each sweep every point of a row, the root's own point
+among them, tightens the bracket of every target of that row, since the
+phase is monotone: found by one sort on the exact keys (row, phase).
+Each root leaves the batch as soon as it converges, so later sweeps
+carry only the roots still unresolved, and a root left unresolved at the
+iteration cap raises a conditioning error instead of returning an
 unconverged value.  So does a sweep whose G overflowed to inf/nan, where
 G outgrows double range at large lambda, a fixed-frame H that overflowed,
 and a spectral weight that overflowed, since the weights are products of
@@ -777,39 +776,34 @@ def _solve_targets(batch: OperatorBatch, targets, row, lo, hi, alo, ahi):
 
     Target j belongs to batch row ``row[j]``, whose window [lo, hi) has
     endpoint phases alo, ahi.  Safeguarded Newton (``rtsafe``, Numerical
-    Recipes 9.4): every lane keeps a bracket [a, b] around its root, shrunk
-    at each evaluation by the sign of alpha - target.  The next point is
-    the Newton step when that lands strictly inside the bracket and is at
-    most half the step before last; otherwise it is the bracket midpoint.
-    The second condition breaks Newton cycles between the flat stretches
-    either side of a steep phase rise, which land inside the bracket yet
-    shrink it by a little each time.
+    Recipes 9.4) with one Newton rule: every lane keeps a bracket [a, b]
+    around its root, and where |alpha - target| < 2 pi its next point is
+    lambda - zeta / zeta' on the secular function
+    zeta = Im((G0 - i G1) e^{-i u / 2}), u the row's target offset, when
+    that lands strictly inside the bracket and is at most half the step
+    before last.  Everywhere else the next point is the bracket midpoint.
+    zeta's zeros are where alpha crosses u + 2 pi j for some j, so in that
+    band it vanishes only at this target's root.  A KN phase is a
+    staircase, flat between steep rises at the roots, where the entire zeta
+    is close to linear and its step lands near the root.  The half-step
+    condition breaks Newton cycles between the flat stretches either side
+    of a steep phase rise, which land inside the bracket yet shrink it by a
+    little each time.  A zeta' lost to overflow is not finite, and takes no
+    step.
 
-    Where |alpha - target| < 2 pi the Newton step is -zeta / zeta' on the
-    secular function zeta = Im((G0 - i G1) e^{-i u / 2}), u the row's
-    target offset: its zeros are where alpha crosses u + 2 pi j for some j,
-    so in that band it vanishes only at this target's root, with the sign
-    of alpha - target up to the factor (-1)^k, which zeta / zeta' drops.
-    Elsewhere the step is the phase's, -(alpha - target) / alpha'.  A KN
-    phase is a staircase, flat between steep rises at the roots; a phase
-    step from a flat stretch overshoots its bracket and bisects, where the
-    entire zeta is close to linear and its step lands near the root.
+    A lane has two exits: polished, once |zeta / zeta'| <= LAMBDA_TOL with
+    |alpha - target| < pi / 2, returning lambda - zeta / zeta'; or on its
+    bracket, once that is narrower than LAMBDA_TOL, returning the
+    midpoint.  Later sweeps advance only the lanes still active.  A lane
+    still active after MAX_SOLVER_ITERATIONS sweeps raises a conditioning
+    error.
 
-    A lane retires once |zeta / zeta'| <= LAMBDA_TOL with
-    |alpha - target| < pi / 2, returning the polished lambda - zeta / zeta';
-    or once |alpha - target| <= alpha' * LAMBDA_TOL with a finite alpha'
-    (its phase correction is below LAMBDA_TOL), returning lambda; or once
-    its bracket is narrower than LAMBDA_TOL, returning the midpoint.  A
-    zeta' or alpha' lost to overflow is not finite, and takes no Newton
-    step and passes neither root test.  Later sweeps advance only the lanes
-    still active.  A lane still active after MAX_SOLVER_ITERATIONS sweeps
-    raises a conditioning error.
-
-    The lanes of one row share their points (:func:`_share_brackets`):
-    after each sweep every evaluated point of a row tightens the bracket of
-    every target of that row, on top of the lane's own point.  Where a
-    Newton step still leaves its bracket, the neighbours' points make that
-    bracket, and its bisection, short from the first sweeps on.
+    The brackets are the shared ones of :func:`_share_brackets`: after each
+    sweep every evaluated point of a row, the lane's own point among them,
+    tightens the bracket of every target of that row.  Where a zeta step
+    leaves its bracket, or the lane is 2 pi or more from its target, the
+    neighbours' points make that bracket, and its bisection, short from
+    the first sweeps on.
     """
     t = np.asarray(targets, dtype=float)
     a, b = (np.broadcast_to(np.asarray(w, dtype=float), t.shape).copy() for w in (lo, hi))
@@ -825,33 +819,23 @@ def _solve_targets(batch: OperatorBatch, targets, row, lo, hi, alo, ahi):
                                               want_phase=True)
         alpha = 2.0 * _lift(G0, G1, half)
         f = alpha - t[live]
-        # G and dG scaled by one power of two, which is exact, so that
-        # G0^2 + G1^2 cannot overflow; a dG lost to overflow leaves an inf
-        # or nan derivative, which takes no Newton step and passes no root
-        scale = np.ldexp(1.0, -np.frexp(np.maximum(np.abs(G0), np.abs(G1)))[1])
-        g0, g1, d0, d1 = (scale * g for g in (G0, G1, dG0, dG1))
-        deriv = 2.0 * (g1 * d0 - g0 * d1) / (g0 * g0 + g1 * g1)
-        zeta_d = d0 * sin_u[live] + d1 * cos_u[live]
+        # a ratio, so it keeps its bits however large G grows; a dG lost to
+        # overflow leaves zeta' not finite, which takes no step
+        zeta_d = dG0 * sin_u[live] + dG1 * cos_u[live]
         ok = np.isfinite(zeta_d) & (zeta_d != 0.0)
-        zeta_step = np.where(ok, (g0 * sin_u[live] + g1 * cos_u[live])
+        zeta_step = np.where(ok, (G0 * sin_u[live] + G1 * cos_u[live])
                              / np.where(ok, zeta_d, 1.0), np.inf)
-        neg = f < 0.0
-        a = np.where(neg, lam, a)
-        b = np.where(neg, b, lam)
         a, b = _share_brackets(row[live], alpha, lam, t[live], a, b)
         polished = (np.abs(zeta_step) <= LAMBDA_TOL) & (np.abs(f) < 0.5 * math.pi)
-        at_root = np.isfinite(deriv) & (np.abs(f) <= deriv * LAMBDA_TOL)
-        done = polished | at_root | ((b - a) < LAMBDA_TOL)
-        out[live[done]] = np.where(polished, lam - zeta_step,
-                                   np.where(at_root, lam, 0.5 * (a + b)))[done]
+        done = polished | ((b - a) < LAMBDA_TOL)
+        out[live[done]] = np.where(polished, lam - zeta_step, 0.5 * (a + b))[done]
         if done.all():
             return out
         keep = ~done
-        live, lam, a, b, f, deriv, zeta_step, dx, dxold = (
-            v[keep] for v in (live, lam, a, b, f, deriv, zeta_step, dx, dxold))
+        live, lam, a, b, f, zeta_step, dx, dxold = (
+            v[keep] for v in (live, lam, a, b, f, zeta_step, dx, dxold))
         # within 2 pi of its target, zeta vanishes only at the target's root
-        step = np.where(deriv > 0.0, f / np.where(deriv > 0.0, deriv, 1.0), np.inf)
-        step = np.where(np.abs(f) < TWO_PI, zeta_step, step)
+        step = np.where(np.abs(f) < TWO_PI, zeta_step, np.inf)
         nxt = lam - step
         newton = (nxt > a) & (nxt < b) & (np.abs(step) <= 0.5 * dxold)
         dx, dxold = np.where(newton, np.abs(step), 0.5 * (b - a)), dx
@@ -871,7 +855,8 @@ def _share_brackets(row, alpha, lam, t, a, b):
     is ``alpha[j]``, and seeks the root of target ``t[j]`` of that row.
     The phase increases strictly, so a point of the row whose phase is
     below t lies left of t's root, and a point at or above t lies right of
-    it, as the lane's own point does.  One ``lexsort`` puts targets and
+    it; the lane's own point is one of them, so this is also the lane's
+    own bracket update.  One ``lexsort`` puts targets and
     points in order by the exact keys (row, phase), a target before a
     point of equal phase, and points of equal phase by lambda; the last
     point before a target and the first one after it are its nearest

@@ -288,8 +288,8 @@ class TestPhase:
         for call in calls:
             with pytest.raises(ValueError, match="conditioning: .*overflowed"):
                 call()
-        # at 7e3 |G| is 3e266, so G0^2 + G1^2 would overflow; the solver
-        # forms the phase derivative from G and dG scaled by a power of two
+        # at 7e3 |G| is 3e266, so any product of G's components would
+        # overflow; the solver's zeta step is a ratio and forms none
         window = (6990.0, 7000.0)
         roots = dirac.eigenvalues_in(op, window)
         assert len(roots) == dirac.eigenvalue_count(op, window) == 2
@@ -416,10 +416,11 @@ class TestSolver:
         with pytest.raises(ValueError, match="conditioning"):
             dirac.eigenvalues_in(op, (-9.0, 9.0))
 
-    def test_derivative_is_formed_without_overflow(self, monkeypatch):
-        # G and dG scaled up by 2^600 keep every phase, but G0^2 + G1^2
-        # overflows unless the solver scales them back down first; without
-        # its derivative the search would bisect, some 40 sweeps per root
+    def test_search_does_not_depend_on_the_scale_of_G(self, monkeypatch):
+        # G and dG scaled up by 2^600 keep every phase, and the zeta step
+        # zeta / zeta' is a ratio of their components, so the search takes
+        # the same steps to the same roots; had the scaled step been lost,
+        # it would bisect, some 40 sweeps per root
         op = random_operator(np.random.default_rng(31))
         lanes = self.count_phase_sweeps(monkeypatch)
         expected = dirac.eigenvalues_in(op, (-9.0, 9.0))
@@ -541,12 +542,12 @@ class TestSolver:
 
     def test_staircase_roots_share_row_brackets(self, monkeypatch):
         # a KN phase is a staircase: flat treads between steep rises at the
-        # roots, so a Newton step on the phase from a tread leaves a bracket
-        # as wide as the window.  Sharing each sweep's points across the
-        # row's targets narrows every bracket; with its own points alone the
-        # search took 32 sweeps and 6 724 lane-sweeps (endpoint sweep
-        # included), with shared points 26 and 4 921, and with the zeta
-        # steps as well 11 and 2 537
+        # roots, so a lane far from its target bisects a bracket as wide as
+        # the window unless other points narrow it.  Sharing each sweep's
+        # points across the row's targets narrows every bracket; with its
+        # own points alone and Newton steps on the phase the search took 32
+        # sweeps and 6 724 lane-sweeps (endpoint sweep included), with
+        # shared points 26 and 4 921, and with the zeta steps 11 and 2 537
         op, window, lams, lanes = self.staircase_solve(monkeypatch)
         b = op.batch
         assert lams.size == 400
@@ -560,12 +561,12 @@ class TestSolver:
         np.testing.assert_allclose(lams, alone, rtol=0, atol=1e-11)
 
     def test_staircase_roots_take_zeta_steps(self, monkeypatch):
-        # zeta is entire, so a Newton step on it crosses a tread that the
-        # phase's step overshoots; with phase steps alone the search took
-        # 4 921 lane-sweeps.  A zeta step that landed on a neighbour's
-        # root would return that root twice: every root must sit at its
-        # own target's turn.  The roots agree with the no-sharing solve
-        # to 1e-11 (test_staircase_roots_share_row_brackets).
+        # zeta is entire, so a Newton step on it crosses a tread where a
+        # step on the phase overshoots; with Newton steps on the phase the
+        # search took 4 921 lane-sweeps.  A zeta step that landed on a
+        # neighbour's root would return that root twice: every root must
+        # sit at its own target's turn.  The roots agree with the
+        # no-sharing solve to 1e-11 (test_staircase_roots_share_row_brackets).
         op, window, lams, lanes = self.staircase_solve(monkeypatch)
         b = op.batch
         assert sum(lanes) < 3500
@@ -575,9 +576,35 @@ class TestSolver:
         turns = (2.0 * dirac._lift(G0, G1, half) - b.u[0]) / TWO_PI
         np.testing.assert_array_equal(np.round(turns), kmin[0] + np.arange(count[0]))
 
+    def test_lanes_far_from_their_targets_bisect(self, monkeypatch):
+        # a lane 2 pi or more from its target takes no Newton step: its next
+        # point is the midpoint of the bracket its row's points leave it.
+        # On this operator no lane retires after the first solver sweep, and
+        # 101 of its 400 lanes start 2 pi or more from their targets
+        op, window, _, _ = self.staircase_solve(monkeypatch)
+        shared, lams = [], []
+        share, counted = dirac._share_brackets, dirac.OperatorBatch._lanes
+
+        def sharing(row, alpha, lam, t, a, b):
+            shared.append((alpha - t, share(row, alpha, lam, t, a, b)))
+            return shared[-1][1]
+
+        def counting(self, lam, row, **kw):
+            if kw.get("want_deriv"):
+                lams.append(np.array(lam))
+            return counted(self, lam, row, **kw)
+
+        monkeypatch.setattr(dirac, "_share_brackets", sharing)
+        monkeypatch.setattr(dirac.OperatorBatch, "_lanes", counting)
+        op.batch.eigenvalues(window)
+        f, (a, b) = shared[0]
+        far = np.abs(f) >= TWO_PI
+        assert lams[0].size == lams[1].size == 400 and far.sum() > 50
+        np.testing.assert_array_equal(lams[1][far], (0.5 * (a + b))[far])
+
     def test_infinity_slope_root_at_zero_is_polished(self):
-        # zeta vanishes at 0 exactly for the infinity slope; the root test
-        # returns lambda - zeta / zeta', far below the 1e-12 bracket
+        # zeta vanishes at 0 exactly for the infinity slope; the polished
+        # exit returns lambda - zeta / zeta', far below the 1e-12 bracket
         from circdirac.ensembles import SinePathSpec, sine_replicas
 
         b = sine_replicas(SinePathSpec(beta=2.0, q=math.inf), 7, 5)

@@ -1,5 +1,6 @@
 import importlib.util
 import json
+import math
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -67,6 +68,18 @@ def test_solve_counts_prints_one_record(capsys, monkeypatch):
     # [0, 20 pi) holds about ten eigenvalues of each row
     assert sine["roots"] >= 4 and sine["lane_sweeps"] >= 2 * 4 + sine["roots"]
     assert 0.0 < kn["best_s"] and 0.0 < palm["best_s"] and 0.0 < sine["best_s"]
+    # every root of these batches sits at its own target's turn
+    for rec in (kn, palm, sine):
+        assert rec["off_target"] == 0 and 0.0 <= rec["worst_off_turns"] < 0.25
+    # each root taken for the target before its own misses by one turn
+    from circdirac.dirac import coefficient_operator
+    from circdirac.ensembles import SeedSpec, sample_kn
+
+    batch = coefficient_operator(sample_kn(50, 2.0, SeedSpec(13, 0))).batch
+    window = (0.0, 100.0 * math.pi)
+    lams, row = batch.eigenvalues(window)
+    miss = tool.target_misses(batch, window, lams[1:], row[1:])
+    assert all(abs(m - 1.0) < 1e-3 for m in miss)
 
 
 def write_report(path, checks):

@@ -14,7 +14,13 @@ The counts come from wrapping ``OperatorBatch._lanes``, through which every
 sweep of a batch runs (the window's endpoint sweep included), in this
 process only: ``sweeps`` is the number of calls and ``lane_sweeps`` the
 lanes they carried, summed.  ``best_s`` is the best wall time of REPEAT
-solves.  Prints one JSON line, a record per batch.
+solves.  After the timed solves, the window's endpoint sweep and one
+phase sweep at the returned roots check them against their targets
+2 pi k + u: ``off_target`` counts the roots whose phase misses its own
+turn by more than a quarter turn (a root that retired on its 1e-12
+bracket at a phase rise steeper than that resolves), and
+``worst_off_turns`` is the largest miss of any root, in turns.  Prints
+one JSON line, a record per batch.
 
 Usage: python tools/solve_counts.py SEED
 """
@@ -37,7 +43,7 @@ REPEAT = 3
 
 
 def solve_record(batch, window) -> dict:
-    """Sweeps, lane-sweeps, roots and best time of ``batch.eigenvalues(window)``."""
+    """Sweeps, lane-sweeps, roots, best time and target misses of one solve."""
     from circdirac.dirac import OperatorBatch
 
     lanes = []
@@ -49,7 +55,7 @@ def solve_record(batch, window) -> dict:
 
     OperatorBatch._lanes = counting
     try:
-        roots = batch.eigenvalues(window)[0].size
+        lams, row = batch.eigenvalues(window)
     finally:
         OperatorBatch._lanes = original
     times = []
@@ -57,8 +63,26 @@ def solve_record(batch, window) -> dict:
         start = time.perf_counter()
         batch.eigenvalues(window)
         times.append(time.perf_counter() - start)
-    return {"roots": roots, "sweeps": len(lanes), "lane_sweeps": sum(lanes),
-            "best_s": round(min(times), 4)}
+    miss = target_misses(batch, window, lams, row)
+    return {"roots": lams.size, "sweeps": len(lanes), "lane_sweeps": sum(lanes),
+            "best_s": round(min(times), 4), "off_target": int(np.sum(miss > 0.25)),
+            "worst_off_turns": round(float(np.max(miss, initial=0.0)), 4)}
+
+
+def target_misses(batch, window, lams, row):
+    """|alpha - (2 pi k + u)| / 2 pi of each root, k its own target's turn.
+
+    The roots come sorted by row and then lambda, so a row's j-th root
+    belongs to its target kmin + j; alpha is the solver's phase, in the
+    last cell's frame.
+    """
+    from circdirac.dirac import _lift
+
+    *_, kmin, counts = batch._window(window)
+    k = kmin[row] + (np.arange(row.size) - (np.cumsum(counts) - counts)[row])
+    G0, G1, _, _, half = batch._lanes(lams, row, want_phase=True)
+    alpha = 2.0 * _lift(G0, G1, half)
+    return np.abs(alpha - (batch.u[row] + 2.0 * math.pi * k)) / (2.0 * math.pi)
 
 
 def main(argv=None) -> int:
