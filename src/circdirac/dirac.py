@@ -39,12 +39,19 @@ a fixed-frame value is returned, and since it keeps G1's sign, its arg
 lies in G's half-plane and lifts by the same rule.
 
 The one batched core is :class:`OperatorBatch`: operators on one shared
-grid, validated once and stored as what the sweep reads, the frame steps
-(v_k, r_k) and the cell lengths, cell-major, with per-row start X_0 u0,
-last cell and target offset.  Its methods count, solve for, weigh and
-phase every row at once; :class:`DiracOperator` is a one-row view, and
-the module functions on it (``eigenvalues_in``, ``eigenvalue_count``,
-``spectral_measure``, ``phase_at``) call the batch.
+grid, stored as what the sweep reads, the frame steps (v_k, r_k) and the
+cell lengths, cell-major, with per-row start X_0 u0, last cell and target
+offset.  :meth:`OperatorBatch.from_steps` builds and validates it from the
+steps themselves and the right boundary direction in the last cell's
+frame, X_{m-1} u1, as each source defines them: a Killip-Nenciu
+operator's affine steps (:func:`coefficient_operator`) and a Sine_beta
+path's Brownian increments (:func:`circdirac.ensembles.sample_sine_paths`)
+never pass through a path, whose differences and rounded slope would
+cost digits.  An operator built from a path takes its steps by
+differences (:func:`_path_batch`).  The batch's methods count, solve for,
+weigh and phase every row at once; :class:`DiracOperator` is a one-row
+view, and the module functions on it (``eigenvalues_in``,
+``eigenvalue_count``, ``spectral_measure``, ``phase_at``) call the batch.
 
 A sweep of few lanes would pay the interpreter once per cell for a few
 lanes of arithmetic.  Below _CHUNK_LANES lanes the m cells therefore run
@@ -156,9 +163,15 @@ class DiracOperator:
     ``grid`` has m+1 strictly increasing points in [0, 1]; ``path`` holds
     the m per-cell values z_k = x_k + i y_k with y_k > 0.  ``u0``/``u1``
     are direction classes; u1 parallel to [1, 0] encodes the infinity
-    boundary slope (q = inf).  Validated, and swept, through ``batch``:
-    the operator as a one-row :class:`OperatorBatch`.  The fields are
-    read-only copies, so they cannot drift from the steps ``batch`` holds.
+    boundary slope (q = inf).  Swept through ``batch``: the operator as a
+    one-row :class:`OperatorBatch`.  Left None, that is the path's, its
+    frame steps taken by differences (:func:`_path_batch`).  A source that
+    defines its steps directly (:func:`coefficient_operator`,
+    :func:`~circdirac.ensembles.sample_sine_operator`) passes its own
+    exact row; the fields then serve the JSON and the transforms, so an
+    operator reloaded from JSON, or transformed, is its path's, with the
+    slope rounded.  The fields are read-only copies, so they cannot drift
+    from the steps ``batch`` holds.
     """
 
     grid: np.ndarray
@@ -166,14 +179,17 @@ class DiracOperator:
     u0: np.ndarray
     u1: np.ndarray
     origin: str = "custom"
-    batch: "OperatorBatch" = field(init=False, repr=False)
+    batch: "OperatorBatch | None" = field(default=None, repr=False)
 
     def __post_init__(self):
         for name, dtype in (("grid", float), ("path", complex), ("u0", float), ("u1", float)):
             value = np.array(getattr(self, name), dtype=dtype)
             value.flags.writeable = False
             object.__setattr__(self, name, value)
-        object.__setattr__(self, "batch", OperatorBatch.stack([self]))
+        if self.batch is None:
+            object.__setattr__(self, "batch", _path_batch(self.grid, self.path, self.u0, self.u1))
+        elif self.batch.rows != 1 or not np.array_equal(self.batch.dt, np.diff(self.grid)):
+            raise ValueError("an operator's batch must be one row on its grid")
 
     @property
     def cells(self) -> int:
@@ -191,16 +207,11 @@ class DiracOperator:
         return self.u1 / s
 
     def to_dict(self) -> dict:
-        u1 = self.u1
-        if u1[1] == 0.0:
-            u1_json = "infinity"
-        else:
-            u1_json = [float(u1[0]), float(u1[1])]
         return {
             "grid": [float(t) for t in self.grid],
             "path": [[float(z.real), float(z.imag)] for z in self.path],
-            "u0": [float(self.u0[0]), float(self.u0[1])],
-            "u1": u1_json,
+            "u0": [float(c) for c in self.u0],
+            "u1": "infinity" if self.u1[1] == 0.0 else [float(c) for c in self.u1],
             "origin": self.origin,
         }
 
@@ -284,23 +295,31 @@ def coefficient_operator(gammas: CoefficientSequence) -> DiracOperator:
         z_{k+1} = z_k + y_k (v_k + i w_k),   v_k + i w_k = 2 i q_k,
         q_k = gamma_k / (1 - gamma_k),
 
-    so y_k = prod_{j<k} (1 + w_j) and x_k = sum_{j<k} v_j y_j, a cumprod
-    and a cumsum.  Cell k of the uniform grid on [0, 1] holds z_k, k < n.
-    |gamma_{n-1}| = 1 gives w_{n-1} = -1, so z_n is the real slope
-    x_{n-1} + v_{n-1} y_{n-1}; the Palm coefficient gamma_{n-1} = 1 (within
-    1e-13) gives b_n = 1 and the slope INF.
+    so the frame step into cell k + 1 is exactly (v_k, r_k = 1 + w_k), and
+    the operator is swept on these steps.  Cell k of the uniform grid on
+    [0, 1] holds z_k, k < n.  |gamma_{n-1}| = 1 gives w_{n-1} = -1, so z_n
+    is the real slope x_{n-1} + v_{n-1} y_{n-1}, and the right boundary
+    direction in the last cell's frame is [-v_{n-1}, -1]; the Palm
+    coefficient gamma_{n-1} = 1 (within 1e-13) gives b_n = 1, the slope
+    INF and the direction [1, 0].  The path itself, y_k = prod_{j<k} r_j
+    and x_k = sum_{j<k} v_j y_j, and u1 of the rounded slope are kept for
+    the JSON and the transforms.
     """
     gammas.require_kind("modified")
     g = gammas.values
     q = g[:-1] / (1.0 - g[:-1])
-    y = np.cumprod(np.concatenate(([1.0], 1.0 + 2.0 * q.real)))
-    x = np.concatenate(([0.0], np.cumsum(-2.0 * q.imag * y[:-1])))
+    v, r = np.concatenate(([0.0], -2.0 * q.imag)), np.concatenate(([1.0], 1.0 + 2.0 * q.real))
+    y = np.cumprod(r)
+    x = np.concatenate(([0.0], np.cumsum(v[1:] * y[:-1])))
     if abs(g[-1] - 1.0) < 1e-13:
-        slope = INF
+        slope, target = INF, (1.0, 0.0)
     else:
-        slope = x[-1] - 2.0 * (g[-1] / (1.0 - g[-1])).imag * y[-1]
-    return build_operator((np.linspace(0.0, 1.0, g.size + 1), x + 1j * y), slope,
-                          origin="discrete-measure")
+        v_last = -2.0 * (g[-1] / (1.0 - g[-1])).imag
+        slope, target = x[-1] + v_last * y[-1], (-v_last, -1.0)
+    grid = np.linspace(0.0, 1.0, g.size + 1)
+    batch = OperatorBatch.from_steps(grid, v[None], r[None], [(x[-1], y[-1])], target)
+    return DiracOperator(grid=grid, path=x + 1j * y, u0=(1.0, 0.0), u1=boundary_direction(slope),
+                         origin="discrete-measure", batch=batch)
 
 
 def measure_operator(mu: UnitCircleMeasure) -> DiracOperator:
@@ -309,18 +328,40 @@ def measure_operator(mu: UnitCircleMeasure) -> DiracOperator:
 
 
 def _require_finite_input(name: str, *values) -> None:
-    """Refuse nan/inf in an input (an operator field, a window) before any sweep."""
-    if not np.all(np.isfinite(values)):
+    """Refuse nan/inf in an input (an operator field, a window) before any sweep.
+
+    One array at a time: ``np.isfinite`` of the tuple would first copy
+    them all into one stacked array.
+    """
+    if not all(np.all(np.isfinite(value)) for value in values):
         raise ValueError(f"{name} must be finite")
 
 
 def _boundary_rows(name: str, vec, rows: int) -> np.ndarray:
-    """Boundary directions ``name`` as (rows, 2): one per row, or one shared."""
+    """Directions ``name`` as (rows, 2): one per row, or one shared."""
     vec = np.asarray(vec, dtype=float)
     _require_finite_input(name, vec)
     if vec.shape not in ((2,), (rows, 2)) or not np.all(np.any(vec != 0.0, axis=-1)):
-        raise ValueError("boundary vectors must be nonzero real 2-vectors")
+        raise ValueError(f"{name} must hold nonzero real 2-vectors")
     return np.broadcast_to(vec, (rows, 2))
+
+
+def _path_batch(grid, path, u0, u1) -> "OperatorBatch":
+    """The one-row batch of the cells ``path``: its frame steps by differences.
+
+    v_k = (x_k - x_{k-1}) / y_{k-1} and r_k = y_k / y_{k-1}; X_0 u0 and
+    X_{m-1} u1 entry by entry, which keeps the sign of a zero in u0.
+    """
+    _require_finite_input("path", path)
+    x, y = path.real, path.imag
+    if path.ndim != 1 or path.size == 0 or np.any(y <= 0.0):
+        raise ValueError("path must hold one value per cell, with y_k positive")
+    (u0,), (u1,) = _boundary_rows("u0", u0, 1), _boundary_rows("u1", u1, 1)
+    v = np.concatenate(([0.0], (x[1:] - x[:-1]) / y[:-1]))
+    r = np.concatenate(([1.0], y[1:] / y[:-1]))
+    return OperatorBatch.from_steps(grid, v[None], r[None], [(x[-1], y[-1])],
+                                    (u1[0] - x[-1] * u1[1], y[-1] * u1[1]),
+                                    (u0[0] - x[0] * u0[1], y[0] * u0[1]), u0 @ u0)
 
 
 # ---------------------------------------------------------------------------
@@ -331,16 +372,16 @@ def _boundary_rows(name: str, vec, rows: int) -> np.ndarray:
 class OperatorBatch:
     """Operators on one shared grid, stored as the cell sweep reads them.
 
-    Built from rows (x, y, u0, u1) by :meth:`from_blocks` or
-    :meth:`stack`, which validate them once.  The cells themselves are
-    not kept: ``v``/``r`` (rows, m) hold the frame steps into each cell,
-    v_k = (x_k - x_{k-1}) / y_{k-1} and r_k = y_k / y_{k-1} with step 0
-    the identity (v = 0, r = 1), allocated cell-major (Fortran order) so
-    that the sweep reads one cell of every row from contiguous memory.
-    ``dt`` (m,) holds the cell lengths, and per row ``start`` (2, rows)
-    is X_0 u0, ``last`` (2, rows) the last cell (x_{m-1}, y_{m-1}), ``u``
-    (rows,) the target offset in [0, 2 pi), the phase of X_{m-1} u1, and
-    ``u0sq`` (rows,) |u0|^2, the numerator of the left weights.
+    Built from each row's frame steps by :meth:`from_steps`, which
+    validates them once, or by :meth:`stack` from operators' own rows.
+    No path is kept: ``v``/``r`` (rows, m) hold the frame steps into each
+    cell, [[1, -v_k], [0, r_k]] = X_k X_{k-1}^{-1} with step 0 the identity
+    (v = 0, r = 1), cell-major (Fortran order) so that the sweep reads one
+    cell of every row from contiguous memory.  ``dt`` (m,) holds the cell
+    lengths, and per row ``start`` (2, rows) is X_0 u0, ``last`` (2, rows)
+    the last cell (x_{m-1}, y_{m-1}), ``u`` (rows,) the target offset in
+    [0, 2 pi), the phase of X_{m-1} u1, and ``u0sq`` (rows,) |u0|^2, the
+    numerator of the left weights.
 
     A window (a, b) is half-open; a and b are scalars or one value per
     row.  Ragged results come back flat, sorted by row and then lambda,
@@ -356,61 +397,53 @@ class OperatorBatch:
     u0sq: np.ndarray
 
     @classmethod
-    def from_blocks(cls, grid, rows: int, blocks) -> "OperatorBatch":
-        """``rows`` operators on ``grid`` from consecutive row blocks.
+    def from_steps(cls, grid, v, r, last, target, start=(1.0, 0.0),
+                   u0sq=1.0) -> "OperatorBatch":
+        """Operators on ``grid`` from their frame steps: the one validating constructor.
 
-        Each block is (x, y, u0, u1): the cells as two (b, m) arrays and
-        the boundary directions as (b, 2) arrays or one shared 2-vector.
-        The steps are taken a block at a time, so a caller that builds
-        rows in blocks never holds the cells and the steps of the whole
-        batch at once.
+        ``v``/``r`` (rows, m) are the steps, step 0 the identity; v and r
+        in Fortran order are kept as they are, not copied.  ``last``
+        (rows, 2) is the last cell (x_{m-1}, y_{m-1}), and ``target`` the
+        right boundary direction in the last cell's frame, X_{m-1} u1.
+        ``start`` is X_0 u0 and ``u0sq`` |u0|^2.  ``target``, ``start``
+        and ``u0sq`` are one per row or one shared by all rows.
         """
         grid = np.asarray(grid, dtype=float)
         if grid.ndim != 1 or grid.size < 2:
             raise ValueError("grid must hold at least two time points")
         _require_finite_input("grid", grid)
         dt = np.diff(grid)
-        if np.any(dt <= 0.0):
-            raise ValueError("grid must be strictly increasing")
-        if grid[0] < 0.0 or grid[-1] > 1.0 + 1e-12:
-            raise ValueError("grid must lie inside [0, 1]")
-        v = np.empty((rows, dt.size), order="F")
-        r = np.empty((rows, dt.size), order="F")
-        start, last = np.empty((2, 2, rows))
-        u, u0sq = np.empty((2, rows))
-        i = 0
-        for x, y, u0, u1 in blocks:
-            x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
-            if x.ndim != 2 or x.shape[1:] != dt.shape or y.shape != x.shape:
-                raise ValueError("path must hold one value per grid cell")
-            _require_finite_input("path", x, y)
-            if np.any(y <= 0.0):
-                raise ValueError("path imaginary parts y_k must be positive")
-            rs = slice(i, i + len(x))
-            u0, u1 = _boundary_rows("u0", u0, len(x)), _boundary_rows("u1", u1, len(x))
-            v[rs, 0], r[rs, 0] = 0.0, 1.0
-            v[rs, 1:] = (x[:, 1:] - x[:, :-1]) / y[:, :-1]
-            r[rs, 1:] = y[:, 1:] / y[:, :-1]
-            start[:, rs] = u0[:, 0] - x[:, 0] * u0[:, 1], y[:, 0] * u0[:, 1]
-            last[:, rs] = x[:, -1], y[:, -1]
-            w0 = u1[:, 0] - x[:, -1] * u1[:, 1]
-            u[rs] = np.mod(-2.0 * np.arctan2(y[:, -1] * u1[:, 1], w0), TWO_PI)
-            # row-wise np.dot(u0, u0); matmul rounds as dot does, sums and
-            # einsum can differ in the last bit
-            u0sq[rs] = np.matmul(u0[:, None], u0[:, :, None])[:, 0, 0]
-            i = rs.stop
-        if i != rows:
-            raise ValueError(f"blocks hold {i} rows, not {rows}")
-        return cls(dt=dt, v=v, r=r, start=start, last=last, u=u, u0sq=u0sq)
+        if np.any(dt <= 0.0) or grid[0] < 0.0 or grid[-1] > 1.0 + 1e-12:
+            raise ValueError("grid must increase strictly inside [0, 1]")
+        v, r = np.asarray(v, dtype=float, order="F"), np.asarray(r, dtype=float, order="F")
+        if v.ndim != 2 or v.shape[1:] != dt.shape or r.shape != v.shape:
+            raise ValueError("steps must hold one value per grid cell")
+        _require_finite_input("steps", v, r)
+        if np.any(r <= 0.0) or np.any(v[:, 0] != 0.0) or np.any(r[:, 0] != 1.0):
+            raise ValueError("steps must have r_k > 0, and step 0 must be the identity")
+        last, target, start = (_boundary_rows(name, vec, len(v)) for name, vec in
+                               (("last", last), ("target", target), ("start", start)))
+        if np.any(last[:, 1] <= 0.0):
+            raise ValueError("last cells must have y > 0")
+        u0sq = np.broadcast_to(np.asarray(u0sq, dtype=float), (len(v),))
+        if not np.all((u0sq > 0.0) & (u0sq < math.inf)):
+            raise ValueError("u0sq must be positive and finite")
+        return cls(dt=dt, v=v, r=r, start=start.T.copy(), last=last.T.copy(),
+                   u=np.mod(-2.0 * np.arctan2(target[:, 1], target[:, 0]), TWO_PI),
+                   u0sq=u0sq.copy())
 
     @classmethod
     def stack(cls, ops) -> "OperatorBatch":
-        """The operators ``ops``, which must share one grid, as one batch."""
+        """The operators ``ops``, which must share one grid, as one batch of their rows."""
         grid = ops[0].grid
         if not all(np.array_equal(op.grid, grid) for op in ops[1:]):
             raise ValueError("stacked operators must share one grid")
-        z, u0, u1 = (np.array([getattr(op, f) for op in ops]) for f in ("path", "u0", "u1"))
-        return cls.from_blocks(grid, len(ops), [(z.real, z.imag, u0, u1)])
+        # rows lie along the last axis of every field but v and r, whose
+        # transposes join into the cell-major layout
+        rows = [op.batch for op in ops]
+        v, r = (np.concatenate([getattr(b, f).T for b in rows], axis=1).T for f in ("v", "r"))
+        return cls(rows[0].dt, v, r, *(np.concatenate([getattr(b, f) for b in rows], axis=-1)
+                                       for f in ("start", "last", "u", "u0sq")))
 
     @property
     def rows(self) -> int:
@@ -916,8 +949,7 @@ def trace_and_hsnorm(op: DiracOperator):
     with u1 normalized to u0^t J u1 = 1.  Piecewise-constant R reduces both
     to exact prefix sums over cells.
     """
-    u1 = op.normalized_u1()
-    u0 = op.u0
+    u0, u1 = op.u0, op.normalized_u1()
     x, y, dt = op.path.real, op.path.imag, op.batch.dt
 
     def quad(a, b):
@@ -925,9 +957,7 @@ def trace_and_hsnorm(op: DiracOperator):
         return (a[0] * b[0] - x * (a[0] * b[1] + a[1] * b[0])
                 + (x * x + y * y) * a[1] * b[1]) / (2.0 * y)
 
-    f = quad(u0, u0)
-    g = quad(u1, u1)
-    h = quad(u0, u1)
+    f, g, h = quad(u0, u0), quad(u1, u1), quad(u0, u1)
     trace = float(np.sum(h * dt))
     fdt = f * dt
     prefix = np.concatenate([[0.0], np.cumsum(fdt)[:-1]])

@@ -25,8 +25,12 @@ image of a uniform point under the disk automorphism w -> (w+r)/(1+rw).
 
 The Sine_beta driving path lives in logarithmic time u = (4/beta) log t:
 y = exp(b2(u) - u/2) and x is the Ito integral -int_u^0 e^{b2-s/2} db1,
-accumulated from u = 0 with left-endpoint (Euler-Maruyama) sums.  The
-path is truncated at t_min and laid on the time grid t = e^{beta u / 4};
+accumulated from u = 0 with left-endpoint (Euler-Maruyama) sums.  It is a
+hyperbolic Brownian motion, so its frame steps are its increments:
+:func:`sample_sine_paths` sweeps v_k = d1_{k-1} and
+r_k = exp(d2_{k-1} - h / 2) as drawn and forms no path, which only
+:func:`sample_sine_operator` builds, for its JSON.  The path is truncated
+at t_min and laid on the time grid t = e^{beta u / 4};
 the boundary condition at 1 is that of the slope q,
 :func:`circdirac.dirac.boundary_direction`: [-q, -1] for a real q and
 [1, 0] for the infinity slope (q = inf, the Palm measure of Sine_beta).
@@ -211,69 +215,55 @@ class SinePathSpec:
             raise ValueError("q must not be nan")
 
 
-#: Rows of the block that sample_sine_paths builds, and takes the steps of, at once.
-_PATH_BLOCK = 64
-
-
 def _sine_grid(spec: SinePathSpec):
-    """(t, u, sqrt_h): the time grid, the left u of each cell, and sqrt(du).
+    """(t, u, h): the time grid, the left u of each cell, and the u-step h.
 
     The u-grid is uniform on [(4/beta) log t_min, 0]; t = e^{beta u / 4}.
     """
-    K = spec.cells
     u_min = (4.0 / spec.beta) * math.log(spec.t_min)
-    u = np.linspace(u_min, 0.0, K + 1)
+    u = np.linspace(u_min, 0.0, spec.cells + 1)
     t = np.exp(0.25 * spec.beta * u)
     t[0], t[-1] = spec.t_min, 1.0
-    return t, u[:-1], math.sqrt(-u_min / K)
+    return t, u[:-1], -u_min / spec.cells
 
 
-@np.errstate(over="ignore", invalid="ignore")
-def _sine_row(spec: SinePathSpec, u, sqrt_h: float, rng: np.random.Generator):
-    """One path: its cells (x, y) and its u1.
+def _sine_row(spec: SinePathSpec, h: float, rng: np.random.Generator):
+    """One row's increments (d1, d2) of b1 and b2 over the u-cells, and its u1.
 
     Draw order: b2 increments, b1 increments, then the Cauchy variable
-    (when ``spec.q`` is None).  The path is anchored so b2(0) = 0, giving
-    z = i at t = 1, and its value on a cell is taken at the left edge.
-    At small beta the path overflows; it is built with numpy's overflow
-    warnings off and checked once, so the "path overflow" error is all a
-    caller sees, also where warnings are errors.
+    (when ``spec.q`` is None).
     """
-    K = u.size
-    d2 = sqrt_h * rng.standard_normal(K)
-    d1 = sqrt_h * rng.standard_normal(K)
-    # b(u_j) for j < K with b(0) = 0: minus the suffix sums of increments
-    y = np.exp(-np.cumsum(d2[::-1])[::-1] - 0.5 * u)
-    x = -np.cumsum((y * d1)[::-1])[::-1]
-    if not (np.all(np.isfinite(y)) and np.all(np.isfinite(x))):
-        raise ValueError("path overflow: resample or increase t_min")
+    d2, d1 = math.sqrt(h) * rng.standard_normal((2, spec.cells))
     q = math.tan(math.pi * (rng.random() - 0.5)) if spec.q is None else spec.q
-    return x, y, boundary_direction(q)
+    return d1, d2, boundary_direction(q)
 
 
 def sample_sine_paths(spec: SinePathSpec, seeds) -> OperatorBatch:
     """Brownian-driven operators truncated at t_min, row i from ``seeds[i]``.
 
     Returns the rows as one :class:`OperatorBatch` on the shared time grid,
-    with u0 = [1, 0]; row i is the operator of
-    ``sample_sine_operator(spec, seeds[i])``.  Rows are drawn
-    ``_PATH_BLOCK`` at a time and the batch takes the frame steps of each
-    block as it comes, so the cells of all rows are never held at once:
-    the steps of 500 rows of 4096 cells take 33 MB, and the cells would
-    take as much again.
+    with u0 = [1, 0]; row i is the batch of
+    ``sample_sine_operator(spec, seeds[i])``.  The frame steps are the
+    increments themselves, since the path is a hyperbolic Brownian motion:
+    v_k = d1_{k-1} and r_k = exp(d2_{k-1} - h / 2).  Each row is drawn,
+    written straight into the cell-major step arrays and dropped, so no
+    path is formed: none overflows at small beta, and the steps keep every
+    bit of the draws.  The last cell comes from the last increments alone,
+    y = exp(-d2_{m-1} - u_{m-1} / 2) and x = -y d1_{m-1}.
     """
-    t, u, sqrt_h = _sine_grid(spec)
-
-    def blocks():
-        # one block buffer, refilled: the rows go straight into it
-        x, y = np.empty((2, min(len(seeds), _PATH_BLOCK), spec.cells))
-        u1 = np.empty((len(x), 2))
-        for i in range(0, len(seeds), _PATH_BLOCK):
-            for j, seed in enumerate(seeds[i:i + _PATH_BLOCK]):
-                x[j], y[j], u1[j] = _sine_row(spec, u, sqrt_h, seed.rng())
-            yield x[:j + 1], y[:j + 1], (1.0, 0.0), u1[:j + 1]
-
-    return OperatorBatch.from_blocks(t, len(seeds), blocks())
+    t, u, h = _sine_grid(spec)
+    v, r = (np.empty((len(seeds), spec.cells), order="F") for _ in "vr")
+    v[:, 0], r[:, 0] = 0.0, 1.0
+    # per row: its last increments (d1, d2) and its u1
+    ends, u1 = np.empty((2, len(seeds), 2))
+    for i, seed in enumerate(seeds):
+        d1, d2, u1[i] = _sine_row(spec, h, seed.rng())
+        v[i, 1:], r[i, 1:], ends[i] = d1[:-1], np.exp(d2[:-1] - 0.5 * h), (d1[-1], d2[-1])
+    y = np.exp(-ends[:, 1] - 0.5 * u[-1])
+    x = -(y * ends[:, 0])
+    # the target is X_{m-1} u1 = [u1_0 - x u1_1, y u1_1]
+    return OperatorBatch.from_steps(t, v, r, np.stack([x, y], axis=1),
+                                    np.stack([u1[:, 0] - x * u1[:, 1], y * u1[:, 1]], axis=1))
 
 
 def sine_replicas(spec: SinePathSpec, seed: int, replicas: int) -> OperatorBatch:
@@ -281,11 +271,27 @@ def sine_replicas(spec: SinePathSpec, seed: int, replicas: int) -> OperatorBatch
     return sample_sine_paths(spec, [SeedSpec(seed, i) for i in range(replicas)])
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def sample_sine_operator(spec: SinePathSpec, seed: SeedSpec) -> DiracOperator:
-    """One Sine_beta operator, bit for bit its row in :func:`sample_sine_paths`."""
-    t, u, sqrt_h = _sine_grid(spec)
-    x, y, u1 = _sine_row(spec, u, sqrt_h, seed.rng())
-    return DiracOperator(grid=t, path=x + 1j * y, u0=(1.0, 0.0), u1=u1, origin="sine-beta")
+    """One Sine_beta operator, swept on its row of ``sample_sine_paths(spec, [seed])``.
+
+    The path, which only the JSON and the transforms read, is the one of
+    those increments: anchored so b2(0) = 0, giving z = i at t = 1, and
+    taken on each cell at its left edge.  At small beta it overflows; it
+    is built with numpy's overflow warnings off and checked once, so the
+    "path overflow" error is all a caller sees, also where warnings are
+    errors.
+    """
+    t, u, h = _sine_grid(spec)
+    d1, d2, u1 = _sine_row(spec, h, seed.rng())
+    # b at each cell's left edge u_j, with b(0) = 0: minus the suffix sums
+    # of increments
+    y = np.exp(-np.cumsum(d2[::-1])[::-1] - 0.5 * u)
+    x = -np.cumsum((y * d1)[::-1])[::-1]
+    if not (np.all(np.isfinite(y)) and np.all(np.isfinite(x))):
+        raise ValueError("path overflow: resample or increase t_min")
+    return DiracOperator(grid=t, path=x + 1j * y, u0=(1.0, 0.0), u1=u1, origin="sine-beta",
+                         batch=sample_sine_paths(spec, [seed]))
 
 
 # ---------------------------------------------------------------------------

@@ -79,10 +79,12 @@ def _random_measure(rng: np.random.Generator, n: int) -> UnitCircleMeasure:
     Measures close to a degenerate family (merging atoms, vanishing
     weights, mass avoiding a boundary point) drive 1 - |alpha_k|^2 and
     Im z_k toward 0.  The coefficient conversion then loses digits (and
-    refuses the measure once 1 - |alpha_k|^2 < 1e-10), and so do the stored
-    path and its boundary direction, by cancellation; the 1e-8 tolerances
-    of the exact-identity checks do not survive that.  Jittering a regular lattice keeps the coefficients moderate,
-    so the identities are exercised in the regime the arithmetic supports.
+    refuses the measure once 1 - |alpha_k|^2 < 1e-10), and the operator's
+    steps inherit that loss from the coefficients (its conjugates and
+    reversal, built from the stored path, lose more by cancellation); the
+    1e-8 tolerances of the exact-identity checks do not survive that.
+    Jittering a regular lattice keeps the coefficients moderate, so the
+    identities are exercised in the regime the arithmetic supports.
     """
     jitter = rng.uniform(-0.35, 0.35, n)
     ang = TWO_PI * (np.arange(n) + 0.5 + jitter) / n + rng.uniform(0.0, TWO_PI)

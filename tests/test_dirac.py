@@ -189,6 +189,10 @@ class TestBuild:
         np.testing.assert_array_equal(back.grid, op.grid)
         np.testing.assert_array_equal(back.path, op.path)
         np.testing.assert_array_equal(back.u1, op.u1)
+        # a path-built operator is its path's, so it reloads to the same steps
+        for f in dataclasses.fields(op.batch):
+            np.testing.assert_array_equal(getattr(back.batch, f.name),
+                                          getattr(op.batch, f.name))
         inf_op = dirac.build_operator((op.grid, op.path), q=math.inf)
         d = inf_op.to_dict()
         assert d["u1"] == "infinity"
@@ -478,14 +482,11 @@ class TestSolver:
         # rows repeat and targets sit at different depths of each operator's
         # phase range, so lanes retire at different sweeps
         rng = np.random.default_rng(32)
-        ops = [random_operator(rng, cells=7) for _ in range(4)]
-        x = np.stack([op.path.real for op in ops])
-        y = np.stack([op.path.imag for op in ops])
-        grid, u0 = ops[0].grid, (1.0, 0.0)
+        ops = [dirac.build_operator((op.grid, op.path), q=math.inf)
+               for op in [random_operator(rng, cells=7) for _ in range(4)]]
 
         def batch(rows):
-            return dirac.OperatorBatch.from_blocks(grid, len(rows),
-                                                   [(x[rows], y[rows], u0, u0)])
+            return dirac.OperatorBatch.stack([ops[i] for i in rows])
 
         lo, hi = -9.0, 9.0
         b = batch(np.arange(4))
@@ -1030,6 +1031,24 @@ class TestLift:
         w = 2 * n * mu.weights[order]
         assert np.max(np.abs(sm.weights - w) / w) < 1e-8
 
+    @pytest.mark.parametrize("seed, stream, n", [(203, 1, 400), (243, 0, 100), (257, 0, 200)])
+    def test_kn_lift_draws_meet_the_gate(self, seed, stream, n):
+        # kn-sample -> measure -> spectrum --side left, through the library
+        # calls behind those commands.  With the last-frame target taken
+        # from the rounded slope, X_{n-1} u1 cancelled, and the weights of
+        # these draws missed the 1e-8 gate by 2.1e-8, 2.0e-8 and 3.2e-6
+        from circdirac.ensembles import SeedSpec, sample_kn
+
+        seq = sample_kn(n, 2.0, SeedSpec(seed, stream))
+        mu = opuc.alpha_to_measure(opuc.convert_coefficients(seq, "verblunsky"))
+        mu = opuc.UnitCircleMeasure.from_dict(json.loads(json.dumps(mu.to_dict())))
+        sm = dirac.spectral_measure(dirac.measure_operator(mu), (0.0, TWO_PI * n), "left")
+        order = np.argsort(mu.angles)
+        assert len(sm) == n
+        assert np.max(np.abs(sm.lambdas / n - mu.angles[order])) <= 1e-8
+        w = 2 * n * mu.weights[order]
+        assert np.max(np.abs(sm.weights - w) / w) <= 1e-8
+
 
 class TestSpectralMeasure:
     def test_lattice_weights_are_two(self):
@@ -1295,10 +1314,11 @@ class TestBoundaryBiasing:
 
         m = 40_000
         q = np.tan(math.pi * (rng.random(m) - 0.5))
-        u1 = np.stack([-q, -np.ones(m)], axis=1)
-        # one operator under m boundary slopes
-        batch = dirac.OperatorBatch.from_blocks(
-            op.grid, m, [(np.tile(x, (m, 1)), np.tile(y, (m, 1)), op.u0, u1)])
+        # one operator under m boundary slopes, X_{m-1} [-q, -1] in its last frame
+        target = np.stack([x[-1] - q, np.full(m, -y[-1])], axis=1)
+        batch = dirac.OperatorBatch.from_steps(
+            op.grid, np.tile(op.batch.v, (m, 1)), np.tile(op.batch.r, (m, 1)),
+            np.tile(op.batch.last.T, (m, 1)), target, start=op.batch.start[:, 0])
         _, _, alo, ahi, _, _ = batch._window((-9.0, 9.0))
         u, rows = batch.u, np.arange(m)
         r_neg = dirac._solve_targets(batch, u - TWO_PI, rows, -9.0, 9.0, alo, ahi)

@@ -270,6 +270,7 @@ class TestSineOperator:
         seeds = [ens.SeedSpec(24, i) for i in range(5)]
         batch = ens.sample_sine_paths(spec, seeds)
         assert batch.v.shape == batch.r.shape == (5, 64) and batch.u.shape == (5,)
+        assert batch.v.flags.f_contiguous and batch.r.flags.f_contiguous
         tail = ens.sample_sine_paths(spec, seeds[3:])
         for i in (3, 4):
             assert_same_row(tail, i - 3, batch, i)
@@ -277,16 +278,24 @@ class TestSineOperator:
         np.testing.assert_array_equal(op.batch.dt, batch.dt)
         assert_same_row(op.batch, 0, batch, 2)
 
-    def test_rows_across_copy_blocks(self):
-        # rows are copied out a block at a time; a batch of two full blocks
-        # and a partial one holds every row as drawn alone
-        spec = ens.SinePathSpec(beta=2.0, cells=16)
-        rows = 2 * ens._PATH_BLOCK + 3
-        seeds = [ens.SeedSpec(25, i) for i in range(rows)]
-        batch = ens.sample_sine_paths(spec, seeds)
-        assert batch.v.flags.f_contiguous and batch.r.flags.f_contiguous
-        for i in (0, ens._PATH_BLOCK - 1, ens._PATH_BLOCK, rows - 1):
-            assert_same_row(ens.sample_sine_operator(spec, seeds[i]).batch, 0, batch, i)
+    def test_steps_are_the_drawn_increments(self):
+        # the frame steps of a row are its Brownian increments, bit for bit:
+        # v_k = d1_{k-1}, r_k = exp(d2_{k-1} - h / 2), and the last cell
+        # comes from the last increments alone.  Steps taken by differences
+        # of the path put v up to 2.3e-11 relative off d1 on this row
+        spec = ens.SinePathSpec(beta=2.0)
+        batch = ens.sample_sine_paths(spec, [ens.SeedSpec(7, 3)])
+        u_min = (4.0 / spec.beta) * math.log(spec.t_min)
+        h = -u_min / spec.cells
+        rng = ens.SeedSpec(7, 3).rng()
+        d2 = math.sqrt(h) * rng.standard_normal(spec.cells)
+        d1 = math.sqrt(h) * rng.standard_normal(spec.cells)
+        np.testing.assert_array_equal(batch.v[0], np.concatenate(([0.0], d1[:-1])))
+        np.testing.assert_array_equal(batch.r[0],
+                                      np.concatenate(([1.0], np.exp(d2[:-1] - 0.5 * h))))
+        u_last = np.linspace(u_min, 0.0, spec.cells + 1)[-2]
+        y = np.exp(-d2[-1] - 0.5 * u_last)
+        np.testing.assert_array_equal(batch.last[:, 0], [-(y * d1[-1]), y])
 
     def test_fixed_q(self):
         spec = ens.SinePathSpec(beta=2.0, cells=64, q=1.5)
@@ -305,12 +314,14 @@ class TestSineOperator:
 
     def test_small_beta_path_overflow_raises_alone(self):
         # the path overflows at beta 0.02; warnings are errors here, so an
-        # overflow warning would pre-empt the error
+        # overflow warning would pre-empt the error.  Only the operator
+        # forms the path, for its JSON; the batch's steps are the increments
         spec = ens.SinePathSpec(beta=0.02)
         with pytest.raises(ValueError, match="^path overflow"):
             ens.sample_sine_operator(spec, ens.SeedSpec(3, 0))
-        with pytest.raises(ValueError, match="^path overflow"):
-            ens.sine_replicas(spec, 3, 2)
+        batch = ens.sine_replicas(spec, 3, 2)
+        assert batch.rows == 2
+        assert np.all(np.isfinite(batch.v)) and np.all(np.isfinite(batch.r))
 
     def test_spec_validation(self):
         with pytest.raises(ValueError):

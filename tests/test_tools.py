@@ -82,6 +82,25 @@ def test_solve_counts_prints_one_record(capsys, monkeypatch):
     assert all(abs(m - 1.0) < 1e-3 for m in miss)
 
 
+def test_lift_errors_prints_one_record(capsys, monkeypatch):
+    tool = load_tool("lift_errors")
+    # one seed, both streams, two small sizes
+    monkeypatch.setattr(tool, "KN_SIZES", (50, 100))
+    assert tool.main(["203", "203"]) == 0
+    record = json.loads(capsys.readouterr().out)
+    assert record["seeds"] == [203, 203] and record["draws"] == 4
+    assert record["misses"] == []
+    assert 0.0 <= record["worst_lambda_err"] <= tool.LIFT_TOL
+    assert 0.0 < record["worst_weight_err"] <= tool.LIFT_TOL
+    assert record["worst_weight_at"]["seed"] == 203
+    # under a gate no draw can meet, every draw is a miss with its errors
+    monkeypatch.setattr(tool, "LIFT_TOL", -1.0)
+    assert tool.main(["203", "203"]) == 0
+    misses = json.loads(capsys.readouterr().out)["misses"]
+    assert [(m["stream"], m["n"]) for m in misses] == [(0, 50), (0, 100), (1, 50), (1, 100)]
+    assert max(m["weight_err"] for m in misses) == record["worst_weight_err"]
+
+
 def write_report(path, checks):
     """A verify report of one criterion per (criterion, check, statistic, notes)."""
     criteria = [{"name": crit, "pass": stat < 1.0,

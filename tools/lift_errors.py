@@ -1,0 +1,88 @@
+"""Run the spectral-lift gate on Killip-Nenciu draws and report its misses.
+
+For each seed of SEED_LO..SEED_HI (both included), each stream of STREAMS
+and each N of KN_SIZES, the draw ``sample_kn(N, 2, SeedSpec(seed, stream))``
+goes through the library calls behind ``kn-sample``, ``measure --coeffs``
+and ``spectrum --measure --side left --window 0 2piN``: the measure of the
+coefficients, read back from its JSON, and the left spectral measure of
+its operator on [0, 2 pi N).  The gate compares lambda / N with the sorted
+atom angles and the left weights with 2 N times the atom weights, and a
+draw misses where it does not find N atoms, where either error exceeds
+LIFT_TOL, or where a call refuses the draw (a ValueError).
+
+Prints one JSON record: the seed range, the number of draws, each miss
+(seed, stream, N and both errors, or the refusal's message) and the worst
+lambda / N and weight errors, each with its draw.
+
+Usage: python tools/lift_errors.py SEED_LO SEED_HI
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import math
+import sys
+
+import numpy as np
+
+KN_SIZES = (50, 100, 200, 400)
+STREAMS = (0, 1)
+
+#: The spectral-lift gate: lambda / N against the atom angles, and the left
+#: weights against 2 N times the atom weights.
+LIFT_TOL = 1e-8
+
+
+def lift_errors(seed: int, stream: int, n: int):
+    """(lambda / N error, weight error) of one draw; inf where atoms != N."""
+    from circdirac import dirac, opuc
+    from circdirac.ensembles import SeedSpec, sample_kn
+
+    seq = sample_kn(n, 2.0, SeedSpec(seed, stream))
+    mu = opuc.alpha_to_measure(opuc.convert_coefficients(seq, "verblunsky"))
+    mu = opuc.UnitCircleMeasure.from_dict(json.loads(json.dumps(mu.to_dict())))
+    sm = dirac.spectral_measure(dirac.measure_operator(mu), (0.0, 2.0 * math.pi * n), "left")
+    if len(sm) != n:
+        return math.inf, math.inf
+    order = np.argsort(mu.angles)
+    ang, w = mu.angles[order], mu.weights[order]
+    lam_err = float(np.max(np.abs(sm.lambdas / n - ang)))
+    w_err = float(np.max(np.abs(sm.weights - 2 * n * w) / (2 * n * w)))
+    return lam_err, w_err
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("seed_lo", type=int)
+    parser.add_argument("seed_hi", type=int)
+    args = parser.parse_args(argv)
+
+    misses, worst = [], {"lambda": (-1.0, None), "weight": (-1.0, None)}
+    draws = 0
+    for seed in range(args.seed_lo, args.seed_hi + 1):
+        for stream in STREAMS:
+            for n in KN_SIZES:
+                draws += 1
+                where = {"seed": seed, "stream": stream, "n": n}
+                try:
+                    lam_err, w_err = lift_errors(seed, stream, n)
+                except ValueError as exc:
+                    misses.append({**where, "refused": str(exc)})
+                    continue
+                for key, err in (("lambda", lam_err), ("weight", w_err)):
+                    if err > worst[key][0]:
+                        worst[key] = (err, where)
+                if not (lam_err <= LIFT_TOL and w_err <= LIFT_TOL):
+                    misses.append({**where, "lambda_err": lam_err, "weight_err": w_err})
+    record = {"seeds": [args.seed_lo, args.seed_hi], "draws": draws,
+              "misses": misses}
+    for key, (err, where) in worst.items():
+        record[f"worst_{key}_err"] = err if where else None
+        record[f"worst_{key}_at"] = where
+    print(json.dumps(record))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
