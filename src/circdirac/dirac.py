@@ -10,36 +10,41 @@ Eigenvalues are the zeros of the entire function zeta(z) = H(T, z)^t J u1,
 where H solves J H' = z R H with H(t0) = u0.
 
 Everything reduces to exact 2x2 cell algebra, carried in the moving frame
-G = X_k H of the current cell.  On a cell of length dt, H advances by the
-conjugated rotation X^{-1} Rot(lam dt / 2) X, so G advances by the plain
-rotation
+G = X_k H of the current cell as the complex number g = G0 - i G1.  On a
+cell of length dt, H advances by the conjugated rotation
+X^{-1} Rot(lam dt / 2) X, so G advances by the plain rotation
+Rot(p) = [[cos p, sin p], [-sin p, cos p]], which is one complex product,
 
-    G -> Rot(lam dt / 2) G,     Rot(p) = [[cos p, sin p], [-sin p, cos p]],
+    g -> e^{i phi} g,     phi = lam dt / 2,
 
 and between cells k-1 and k the frame changes by the triangular step
-X_k X_{k-1}^{-1} = [[1, -v_k], [0, r_k]], v_k = (x_k - x_{k-1}) / y_{k-1},
-r_k = y_k / y_{k-1}.  No ODE stepper is involved, no matrix entry grows
-like (x^2 + y^2) / y, and the lambda-derivative of G propagates alongside
-by the product rule.  The phase 2 arg(G0 - i G1) is strictly increasing in
-lambda.  A frame step keeps the sign of G1, because r_k > 0, and a
-rotation adds exactly lam dt / 2 to arg(G0 - i G1).  So the arg passes a
-multiple of pi, where G1 changes sign, only in a rotation: at most once
-per rotation while |lam dt / 2| <= pi, and then in the direction of lam.
-That is Sturm's oscillation count, the Prufer idea behind the operator
-(Valko & Virag, Invent. Math. 2017; Pryce, Numerical Solution of
-Sturm-Liouville Problems, 1993).  Each lane counts the sign changes of
-G1; the count fixes the half-plane that holds the last G's arg, and so
-its whole turns.  The sweep returns that half-plane's index, and every
-phase is lifted from it by one rule: the principal arg, moved into that
-half-plane.  So its rounding does not grow with the number of cells, and
-no phase forms a product of G's components, which would overflow long
-before G does.  Counts and roots are taken in the last cell's frame,
-against the phase of X_{m-1} u1; H = X_{m-1}^{-1} G is formed only where
-a fixed-frame value is returned, and since it keeps G1's sign, its arg
-lies in G's half-plane and lifts by the same rule.
+X_k X_{k-1}^{-1} = [[1, -v_k], [0, r_k]], which is
+
+    g -> Re g + w_k Im g,     w_k = v_k + i r_k = (z_k - x_{k-1}) / y_{k-1},
+
+the cell value z_k seen from the frame of cell k - 1, a point of the
+upper half plane.  No ODE stepper is involved, no matrix entry grows like
+(x^2 + y^2) / y, and the lambda-derivative dg propagates alongside by the
+product rule, dg -> e^{i phi} (dg + i (dt / 2) g) in a rotation.  The
+phase 2 arg g is strictly increasing in lambda.  A frame step keeps the
+sign of Im g, because r_k > 0, and a rotation adds exactly phi to arg g.
+So the arg passes a multiple of pi, where Im g = -G1 changes sign, only
+in a rotation: at most once per rotation while |phi| <= pi, and then in
+the direction of lam.  That is Sturm's oscillation count, the Prufer idea
+behind the operator (Valko & Virag, Invent. Math. 2017; Pryce, Numerical
+Solution of Sturm-Liouville Problems, 1993).  Each lane counts the sign
+changes of Im g; the count fixes the half-plane that holds the last g's
+arg, and so its whole turns.  The sweep returns that half-plane's index,
+and every phase is lifted from it by one rule: the principal arg, moved
+into that half-plane.  So its rounding does not grow with the number of
+cells, and no phase forms a product of G's components, which would
+overflow long before G does.  Counts and roots are taken in the last
+cell's frame, against the phase of X_{m-1} u1; H = X_{m-1}^{-1} G is
+formed only where a fixed-frame value is returned, and since it keeps
+G1's sign, its arg lies in G's half-plane and lifts by the same rule.
 
 The one batched core is :class:`OperatorBatch`: operators on one shared
-grid, stored as what the sweep reads, the frame steps (v_k, r_k) and the
+grid, stored as what the sweep reads, the complex frame steps w_k and the
 cell lengths, cell-major, with per-row start X_0 u0, last cell and target
 offset.  :meth:`OperatorBatch.from_steps` builds and validates it from the
 steps themselves and the right boundary direction in the last cell's
@@ -57,30 +62,33 @@ A sweep of few lanes would pay the interpreter once per cell for a few
 lanes of arithmetic.  Below _CHUNK_LANES lanes the m cells therefore run
 as about sqrt(m) contiguous chunks side by side, a blocked scan with a
 sequential carry (Blelloch, CMU-CS-90-190): one pass builds every chunk's
-2x2 transfer matrix and its lambda-derivative from the identity, a carry
-over the chunks applies them to G and dG in order, and the lifted args of
-the transfer matrices' columns, each from its own count of sign changes,
-fix each chunk's whole turns.  That is
-about twice the arithmetic in about 2 sqrt(m) interpreter steps instead
-of m.  Below _CHUNK_LANES lanes the number of chunks depends on m alone, so
+transfer map and its lambda-derivative from the identity, as the images
+of 1 and -i (the columns of its 2x2 matrix), a carry over the chunks
+applies them to g and dg in order, g -> Re g T(1) - Im g T(-i), and the
+lifted args of the images, each from its own count of sign changes, fix
+each chunk's whole turns.  That is about twice the arithmetic in about
+2 sqrt(m) interpreter steps instead of m.  Below _CHUNK_LANES lanes the
+number of chunks depends on m alone, and every product is an array
+operation, whose rounding does not depend on the array's length, so
 there a lane's result does not depend on the size of its batch.
 
-Cell k turns G by Rot(lam dt_k / 2), and a sweep takes cos and sin once
-per distinct pair (dt_k, lam) wherever those pairs number at most a
-quarter of the cell x lane pairs: a uniform grid, as of a Killip-Nenciu
-operator, has a few distinct cell lengths, and a window's endpoint sweep
-gives its lanes two lambdas.  Each cell then reads its rotation from that
-table.  The angle is the same product either way, so the table changes no
-bit of any result.
+Cell k turns g by e^{i lam dt_k / 2}, and a sweep takes cos and sin once
+per distinct pair (dt_k, lam), into one complex table, wherever those
+pairs number at most a quarter of the cell x lane pairs: a uniform grid,
+as of a Killip-Nenciu operator, has a few distinct cell lengths, and a
+window's endpoint sweep gives its lanes two lambdas.  Each cell then
+reads its rotation from that table; elsewhere each cell writes cos and
+sin into a complex buffer of its own.  The angle is the same product
+either way, so the table changes no bit of any result.
 
 Eigenvalues are recovered by inverting the monotone phase at the targets
 2 pi k + u, u determined by the direction of X_{m-1} u1.  The search is
 safeguarded Newton on all targets at once, with one Newton rule: within
 2 pi of its target a root steps on the secular function, in the last
 cell's frame and up to a constant factor per row
-zeta = Im((G0 - i G1) e^{-i u / 2}), which there vanishes only at the
-target's root, when the step stays strictly inside the root's bracket;
-everywhere else it bisects.  zeta is entire, so it stays nearly linear
+zeta = Im(g e^{-i u / 2}), which there vanishes only at the target's
+root, when the step stays strictly inside the root's bracket; everywhere
+else it bisects.  zeta is entire, so it stays nearly linear
 across the flat stretches of a staircase phase.  zeta / zeta' is a ratio,
 so it keeps its bits however large G grows, and it does not depend on the
 turn k, so the rounding of 2 pi k never enters it.  A root has two exits:
@@ -292,32 +300,36 @@ def coefficient_operator(gammas: CoefficientSequence) -> DiracOperator:
     sending gamma to 0, and z_k = i (1 + b_k) / (1 - b_k) is its Cayley
     preimage.  In H each step is affine,
 
-        z_{k+1} = z_k + y_k (v_k + i w_k),   v_k + i w_k = 2 i q_k,
+        z_{k+1} = z_k + y_k (v_k + i (r_k - 1)),   v_k + i (r_k - 1) = 2 i q_k,
         q_k = gamma_k / (1 - gamma_k),
 
-    so the frame step into cell k + 1 is exactly (v_k, r_k = 1 + w_k), and
-    the operator is swept on these steps.  Cell k of the uniform grid on
-    [0, 1] holds z_k, k < n.  |gamma_{n-1}| = 1 gives w_{n-1} = -1, so z_n
-    is the real slope x_{n-1} + v_{n-1} y_{n-1}, and the right boundary
-    direction in the last cell's frame is [-v_{n-1}, -1]; the Palm
-    coefficient gamma_{n-1} = 1 (within 1e-13) gives b_n = 1, the slope
-    INF and the direction [1, 0].  The path itself, y_k = prod_{j<k} r_j
-    and x_k = sum_{j<k} v_j y_j, and u1 of the rounded slope are kept for
-    the JSON and the transforms.
+    so the frame step into cell k + 1 is exactly w_{k+1} = v_k + i r_k, the
+    Cayley image i (1 + gamma_k) / (1 - gamma_k) of the coefficient, and
+    the operator is swept on these steps, written part by part from q_k.
+    Cell k of the uniform grid on [0, 1] holds z_k, k < n.
+    |gamma_{n-1}| = 1 gives r_{n-1} = 0, so z_n is the real slope
+    x_{n-1} + v_{n-1} y_{n-1}, and the right boundary direction in the
+    last cell's frame is [-v_{n-1}, -1]; the Palm coefficient
+    gamma_{n-1} = 1 (within 1e-13) gives b_n = 1, the slope INF and the
+    direction [1, 0].  The path itself, y_k = prod_{j<k} r_j and
+    x_k = sum_{j<k} v_j y_j, and u1 of the rounded slope are kept for the
+    JSON and the transforms.
     """
     gammas.require_kind("modified")
     g = gammas.values
     q = g[:-1] / (1.0 - g[:-1])
-    v, r = np.concatenate(([0.0], -2.0 * q.imag)), np.concatenate(([1.0], 1.0 + 2.0 * q.real))
-    y = np.cumprod(r)
-    x = np.concatenate(([0.0], np.cumsum(v[1:] * y[:-1])))
+    w = np.empty((1, g.size), dtype=complex)
+    w[0, 0] = 1j
+    w.real[0, 1:], w.imag[0, 1:] = -2.0 * q.imag, 1.0 + 2.0 * q.real
+    y = np.cumprod(w.imag[0])
+    x = np.concatenate(([0.0], np.cumsum(w.real[0, 1:] * y[:-1])))
     if abs(g[-1] - 1.0) < 1e-13:
         slope, target = INF, (1.0, 0.0)
     else:
         v_last = -2.0 * (g[-1] / (1.0 - g[-1])).imag
         slope, target = x[-1] + v_last * y[-1], (-v_last, -1.0)
     grid = np.linspace(0.0, 1.0, g.size + 1)
-    batch = OperatorBatch.from_steps(grid, v[None], r[None], [(x[-1], y[-1])], target)
+    batch = OperatorBatch.from_steps(grid, w, [(x[-1], y[-1])], target)
     return DiracOperator(grid=grid, path=x + 1j * y, u0=(1.0, 0.0), u1=boundary_direction(slope),
                          origin="discrete-measure", batch=batch)
 
@@ -349,7 +361,8 @@ def _boundary_rows(name: str, vec, rows: int) -> np.ndarray:
 def _path_batch(grid, path, u0, u1) -> "OperatorBatch":
     """The one-row batch of the cells ``path``: its frame steps by differences.
 
-    v_k = (x_k - x_{k-1}) / y_{k-1} and r_k = y_k / y_{k-1}; X_0 u0 and
+    w_k = (z_k - x_{k-1}) / y_{k-1}, written part by part: v_k =
+    (x_k - x_{k-1}) / y_{k-1} and r_k = y_k / y_{k-1}; X_0 u0 and
     X_{m-1} u1 entry by entry, which keeps the sign of a zero in u0.
     """
     _require_finite_input("path", path)
@@ -357,9 +370,10 @@ def _path_batch(grid, path, u0, u1) -> "OperatorBatch":
     if path.ndim != 1 or path.size == 0 or np.any(y <= 0.0):
         raise ValueError("path must hold one value per cell, with y_k positive")
     (u0,), (u1,) = _boundary_rows("u0", u0, 1), _boundary_rows("u1", u1, 1)
-    v = np.concatenate(([0.0], (x[1:] - x[:-1]) / y[:-1]))
-    r = np.concatenate(([1.0], y[1:] / y[:-1]))
-    return OperatorBatch.from_steps(grid, v[None], r[None], [(x[-1], y[-1])],
+    w = np.empty((1, path.size), dtype=complex)
+    w[0, 0] = 1j
+    w.real[0, 1:], w.imag[0, 1:] = (x[1:] - x[:-1]) / y[:-1], y[1:] / y[:-1]
+    return OperatorBatch.from_steps(grid, w, [(x[-1], y[-1])],
                                     (u1[0] - x[-1] * u1[1], y[-1] * u1[1]),
                                     (u0[0] - x[0] * u0[1], y[0] * u0[1]), u0 @ u0)
 
@@ -374,10 +388,13 @@ class OperatorBatch:
 
     Built from each row's frame steps by :meth:`from_steps`, which
     validates them once, or by :meth:`stack` from operators' own rows.
-    No path is kept: ``v``/``r`` (rows, m) hold the frame steps into each
-    cell, [[1, -v_k], [0, r_k]] = X_k X_{k-1}^{-1} with step 0 the identity
-    (v = 0, r = 1), cell-major (Fortran order) so that the sweep reads one
-    cell of every row from contiguous memory.  ``dt`` (m,) holds the cell
+    No path is kept: ``w`` (rows, m), complex, holds the frame steps into
+    each cell, w_k = v_k + i r_k for [[1, -v_k], [0, r_k]] =
+    X_k X_{k-1}^{-1}.  The step is a point of the upper half plane: the
+    cell value z_k seen from the frame of cell k - 1,
+    (z_k - x_{k-1}) / y_{k-1}, and step 0, the identity, is i.  It is
+    stored cell-major (Fortran order), so that the sweep reads one cell of
+    every row from contiguous memory.  ``dt`` (m,) holds the cell
     lengths, and per row ``start`` (2, rows) is X_0 u0, ``last`` (2, rows)
     the last cell (x_{m-1}, y_{m-1}), ``u`` (rows,) the target offset in
     [0, 2 pi), the phase of X_{m-1} u1, and ``u0sq`` (rows,) |u0|^2, the
@@ -389,20 +406,20 @@ class OperatorBatch:
     """
 
     dt: np.ndarray
-    v: np.ndarray
-    r: np.ndarray
+    w: np.ndarray
     start: np.ndarray
     last: np.ndarray
     u: np.ndarray
     u0sq: np.ndarray
 
     @classmethod
-    def from_steps(cls, grid, v, r, last, target, start=(1.0, 0.0),
+    def from_steps(cls, grid, w, last, target, start=(1.0, 0.0),
                    u0sq=1.0) -> "OperatorBatch":
         """Operators on ``grid`` from their frame steps: the one validating constructor.
 
-        ``v``/``r`` (rows, m) are the steps, step 0 the identity; v and r
-        in Fortran order are kept as they are, not copied.  ``last``
+        ``w`` (rows, m) holds the steps v_k + i r_k, each in the upper half
+        plane, step 0 the identity i; a complex w in Fortran order is kept
+        as it is, not copied.  ``last``
         (rows, 2) is the last cell (x_{m-1}, y_{m-1}), and ``target`` the
         right boundary direction in the last cell's frame, X_{m-1} u1.
         ``start`` is X_0 u0 and ``u0sq`` |u0|^2.  ``target``, ``start``
@@ -415,20 +432,20 @@ class OperatorBatch:
         dt = np.diff(grid)
         if np.any(dt <= 0.0) or grid[0] < 0.0 or grid[-1] > 1.0 + 1e-12:
             raise ValueError("grid must increase strictly inside [0, 1]")
-        v, r = np.asarray(v, dtype=float, order="F"), np.asarray(r, dtype=float, order="F")
-        if v.ndim != 2 or v.shape[1:] != dt.shape or r.shape != v.shape:
+        w = np.asarray(w, dtype=complex, order="F")
+        if w.ndim != 2 or w.shape[1:] != dt.shape:
             raise ValueError("steps must hold one value per grid cell")
-        _require_finite_input("steps", v, r)
-        if np.any(r <= 0.0) or np.any(v[:, 0] != 0.0) or np.any(r[:, 0] != 1.0):
-            raise ValueError("steps must have r_k > 0, and step 0 must be the identity")
-        last, target, start = (_boundary_rows(name, vec, len(v)) for name, vec in
+        _require_finite_input("steps", w)
+        if np.any(w.imag <= 0.0) or np.any(w[:, 0] != 1j):
+            raise ValueError("steps must lie in the upper half plane, and step 0 must be i")
+        last, target, start = (_boundary_rows(name, vec, len(w)) for name, vec in
                                (("last", last), ("target", target), ("start", start)))
         if np.any(last[:, 1] <= 0.0):
             raise ValueError("last cells must have y > 0")
-        u0sq = np.broadcast_to(np.asarray(u0sq, dtype=float), (len(v),))
+        u0sq = np.broadcast_to(np.asarray(u0sq, dtype=float), (len(w),))
         if not np.all((u0sq > 0.0) & (u0sq < math.inf)):
             raise ValueError("u0sq must be positive and finite")
-        return cls(dt=dt, v=v, r=r, start=start.T.copy(), last=last.T.copy(),
+        return cls(dt=dt, w=w, start=start.T.copy(), last=last.T.copy(),
                    u=np.mod(-2.0 * np.arctan2(target[:, 1], target[:, 0]), TWO_PI),
                    u0sq=u0sq.copy())
 
@@ -438,16 +455,16 @@ class OperatorBatch:
         grid = ops[0].grid
         if not all(np.array_equal(op.grid, grid) for op in ops[1:]):
             raise ValueError("stacked operators must share one grid")
-        # rows lie along the last axis of every field but v and r, whose
+        # rows lie along the last axis of every field but w, whose
         # transposes join into the cell-major layout
         rows = [op.batch for op in ops]
-        v, r = (np.concatenate([getattr(b, f).T for b in rows], axis=1).T for f in ("v", "r"))
-        return cls(rows[0].dt, v, r, *(np.concatenate([getattr(b, f) for b in rows], axis=-1)
-                                       for f in ("start", "last", "u", "u0sq")))
+        w = np.concatenate([b.w.T for b in rows], axis=1).T
+        return cls(rows[0].dt, w, *(np.concatenate([getattr(b, f) for b in rows], axis=-1)
+                                    for f in ("start", "last", "u", "u0sq")))
 
     @property
     def rows(self) -> int:
-        return self.v.shape[0]
+        return self.w.shape[0]
 
     @np.errstate(**_QUIET)
     def _lanes(self, lam, row, **kw):
@@ -457,8 +474,8 @@ class OperatorBatch:
         is the one place a sweep's G is checked.  A finite G has a finite
         lifted arg, so every count and root built on it is finite too.
         """
-        out = _sweep(self.v, self.r, self.dt, lam, self.start, row, **kw)
-        _require_finite("the sweep's solution G", out[:2])
+        out = _sweep(self.w, self.dt, self.start, lam, row, **kw)
+        _require_finite("the sweep's solution G", out[0])
         return out
 
     def _window(self, window):
@@ -476,8 +493,8 @@ class OperatorBatch:
         if not np.all(lo < hi):
             raise ValueError("window must satisfy a < b")
         row = np.tile(np.arange(self.rows), 2)
-        G0, G1, _, _, half = self._lanes(np.concatenate([lo, hi]), row, want_phase=True)
-        alo, ahi = 2.0 * _lift(G0, G1, half).reshape(2, self.rows)
+        g, _, half = self._lanes(np.concatenate([lo, hi]), row, want_phase=True)
+        alo, ahi = 2.0 * _lift(g, half).reshape(2, self.rows)
         kmin = np.ceil((alo - self.u) / TWO_PI - 1e-13)
         kend = np.ceil((ahi - self.u) / TWO_PI - 1e-13)
         return lo, hi, alo, ahi, kmin, np.maximum(kend - kmin, 0.0).astype(int)
@@ -509,21 +526,23 @@ class OperatorBatch:
         """(lambdas, left, right, row): both sides' spectral weights in [a, b).
 
         The weight at an eigenvalue is |H(endpoint)|^2 / ||H||_R^2 with the
-        norm taken from H^t J dH; on the right this equals
+        norm taken from H^t J dH = Im(conj(g) dg) / y, g = G0 - i G1 in the
+        last cell's frame; on the right this equals
         (A^2 + B^2)/(A'B - AB') = 2 / d(alpha)/d(lambda).  One root search
         serves both sides.
         """
         lams, row = self.eigenvalues(window)
-        G0, G1, dG0, dG1, _ = self._lanes(lams, row, want_deriv=True)
+        g, dg, _ = self._lanes(lams, row, want_deriv=True)
         x, y = self.last[:, row]
-        normsq = (G1 * dG0 - G0 * dG1) / y
+        # Im(conj(g) dg), part by part: an overflow leaves it nan, not of a sign
+        normsq = (g.real * dg.imag - g.imag * dg.real) / y
         if np.any(normsq <= 0.0):
             raise ValueError(
                 "conditioning: eigenfunction norm lost positivity; the path's "
                 "Im z is too small for double precision"
             )
-        H0, H1 = _unframe(x, y, G0, G1)
-        left, right = self.u0sq[row] / normsq, (H0 * H0 + H1 * H1) / normsq
+        h = _unframe(x, y, g)
+        left, right = self.u0sq[row] / normsq, (h.real * h.real + h.imag * h.imag) / normsq
         # normsq and |H|^2 are products of G's components, which overflow
         # long before G does
         _require_finite("the spectral weights", (left, right))
@@ -541,11 +560,11 @@ class OperatorBatch:
         an H that overflowed raises a conditioning error.
         """
         _require_finite_input("lambda", lam)
-        G0, G1, _, _, half = self._lanes(np.asarray(lam, dtype=float), row, want_phase=True)
-        H0, H1 = _unframe(*self.last[:, row], G0, G1)
+        g, _, half = self._lanes(np.asarray(lam, dtype=float), row, want_phase=True)
+        h = _unframe(*self.last[:, row], g)
         # H1 = G1 / y overflows where G does not if the last y is small
-        _require_finite("H = X^{-1} G", (H0, H1))
-        return 2.0 * _lift(H0, H1, half)
+        _require_finite("H = X^{-1} G", h)
+        return 2.0 * _lift(h, half)
 
 
 # ---------------------------------------------------------------------------
@@ -562,54 +581,62 @@ def _chunk_count(lanes: int, m: int) -> int:
     return 1 if lanes >= _CHUNK_LANES or P < 4 else P
 
 
-def _sweep(v, r, dt, lam, start, row, want_deriv=False, want_phase=False):
-    """Advance G = X_k H (and optionally dG and G's half-plane) across all cells.
+def _sweep(w, dt, start, lam, row, want_deriv=False, want_phase=False):
+    """Advance g = G0 - i G1 (and optionally dg and g's half-plane) across all cells.
 
-    ``v``, ``r``, ``dt`` and ``start`` are the frame steps, cell lengths
-    and X_0 u0 of an :class:`OperatorBatch`; ``lam`` is real, scalar or
-    (B,), and ``row`` the batch row of every lane, or an index array of
-    lam's shape.  G starts at X_0 u0, and cell k applies the frame step
-    [[1, -v_k], [0, r_k]] (the identity for k = 0) and then
-    Rot(lam dt_k / 2), whose cos and sin come from :func:`_rotations`:
-    from one table of the distinct (cell length, lambda) pairs where they
-    are few, as on a uniform grid or in a window's endpoint sweep, and cell
-    by cell otherwise, with the same bits either way.  Returns
-    (G0, G1, dG0, dG1, half) in the frame of
-    the last cell, m - 1.  ``half`` (None without ``want_phase``) is the
-    index (:func:`_half_plane`) of the half-plane that holds
-    arg(G0 - i G1), continued from its principal value at X_0 u0, from
-    the sign changes of G1 that :func:`_advance` counts;
-    :func:`_lift` (G0, G1, half) is the winding.
+    ``w``, ``dt`` and ``start`` are the frame steps, cell lengths and
+    X_0 u0 of an :class:`OperatorBatch`; ``lam`` is real, scalar or (B,),
+    and ``row`` the batch row of every lane, or an index array of lam's
+    shape.  g is G = X_k H as a complex number.  It starts at X_0 u0, and
+    cell k applies the frame step g -> Re g + w_k Im g (the identity for
+    k = 0) and then the rotation Rot(lam dt_k / 2), g -> e^{i phi} g with
+    phi = lam dt_k / 2.  The lambda-derivative dg rides in one complex
+    array with g, takes the same frame step, and turns as
+    dg -> e^{i phi} (dg + i (dt_k / 2) g).
+    e^{i phi} comes from :func:`_rotations`: from one table of the distinct
+    (cell length, lambda) pairs where they are few, as on a uniform grid
+    or in a window's endpoint sweep, and cell by cell otherwise, with the
+    same bits either way.  Returns (g, dg, half) in the frame of the last
+    cell, m - 1, each of lam's shape; dg is None without ``want_deriv``,
+    and half without ``want_phase``.  ``half`` is the index
+    (:func:`_half_plane`) of the half-plane that holds arg g, continued
+    from its principal value at X_0 u0, from the sign changes of Im g that
+    :func:`_advance` counts; :func:`_lift` (g, half) is the winding.  A
+    sweep of no lanes visits no cell.
 
     Few lanes would pay the interpreter once per cell for little
     arithmetic, so they sweep the cells in P = :func:`_chunk_count`
     contiguous chunks side by side: one pass over the cells of a chunk
-    builds every chunk's 2x2 transfer matrix T (and dT) from the identity,
-    a P-step carry applies them to G (and dG) in order, and the lifted
-    args of T's columns give each chunk's whole turns
-    (:func:`_chunk_turns`), which move the last G's principal half-plane
-    by two per turn.  From _CHUNK_LANES lanes on, the plain loop
-    (P = 1) runs: there the chunks' doubled arithmetic costs nearly what
-    the saved interpreter steps gain, and their (2, P, lanes) arrays grow
-    with the batch.
+    carries every chunk's transfer map from the identity, as its images of
+    1 and -i (the columns of the 2x2 transfer matrix, and their
+    derivatives), a P-step carry applies them to g (and dg) in order,
+    g -> Re g T(1) - Im g T(-i), and the lifted args of the images give
+    each chunk's whole turns (:func:`_chunk_turns`), which move the last
+    g's principal half-plane by two per turn.  From _CHUNK_LANES lanes on,
+    the plain loop (P = 1) runs: there the chunks' doubled arithmetic
+    costs nearly what the saved interpreter steps gain, and their
+    (2, P, lanes) arrays grow with the batch.
     """
     lam = np.asarray(lam)
-    # the lanes of a one-row batch read its steps as scalars, not gathers
-    row = 0 if len(v) == 1 else row
-    m = np.shape(v)[-1]
+    shape, lam = lam.shape, lam.reshape(-1)
+    # the lanes of a one-row batch read its steps as scalars, not gathers;
+    # every product stays an array operation, so a lane's bits do not
+    # depend on the number of lanes beside it
+    row = 0 if len(w) == 1 else np.reshape(row, -1)
+    m = w.shape[-1]
     P = _chunk_count(lam.size, m)
-    G0, G1 = (np.broadcast_to(g, lam.shape).astype(float) for g in start[:, row])
-    dG0, dG1 = np.zeros((2,) + lam.shape) if want_deriv else (None, None)
+    S = np.zeros((2 if want_deriv else 1, lam.size), dtype=complex)
+    S.real[0], S.imag[0] = start[0, row], -start[1, row]
+    half = _half_plane(np.angle(S[0]), S[0]) if want_phase else None
     # rounding is monotone: this is the largest cell angle 0.5 lam dt of
     # any lane, as _advance and _rotations compute it
     wide = want_phase and 0.5 * np.max(np.abs(lam), initial=0.0) * np.max(dt) > math.pi
-    if P == 1:
-        half = _half_plane(np.arctan2(-G1, G0), G1) if want_phase else None
-        # a gather from one contiguous column is cheaper than v[row, k]
-        steps = ((vk[row], rk[row], d, rot)
-                 for vk, rk, d, rot in zip(v.T, r.T, dt, _rotations(lam, dt)))
-        G0, G1, dG0, dG1, half = _advance(G0, G1, dG0, dG1, half, lam, steps, wide)
-    else:
+    # a sweep of no lanes visits no cell
+    if P == 1 and lam.size:
+        # a gather from one contiguous column is cheaper than w[row, k]
+        steps = ((wk[row], d, rot) for wk, d, rot in zip(w.T, dt, _rotations(lam, dt)))
+        S, half = _advance(S, half, lam, steps, wide)
+    elif lam.size:
         # chunk c holds cells c L .. c L + L - 1; the cells past m - 1
         # that pad the last chunk take the identity step 0 and dt = 0
         L = -(-m // P)
@@ -617,111 +644,113 @@ def _sweep(v, r, dt, lam, start, row, want_deriv=False, want_phase=False):
         cell = np.arange(P * L).reshape(P, L)
         k = np.where(cell < m, cell, 0)
         dts = np.where(cell < m, dt[k], 0.0)
-        steps = ((v[row, kc], r[row, kc], d[:, None], rot)
-                 for kc, d, rot in zip(k.T[:, :, None], dts.T,
-                                       _rotations(lam.reshape(-1), dts.T)))
-        # T's columns start at [1, 0] and [0, 1], both in the half-plane
-        # [-pi, 0] of args
-        shape = (2, P, lam.size)
-        T0, T1 = np.zeros((2,) + shape)
-        T0[0] = T1[1] = 1.0
-        dT0, dT1 = np.zeros((2,) + shape) if want_deriv else (None, None)
-        half = np.full(shape, -1.0) if want_phase else None
-        T0, T1, dT0, dT1, half = _advance(T0, T1, dT0, dT1, half, lam.reshape(-1),
-                                          steps, wide)
-        G = [(G0.reshape(-1), G1.reshape(-1))]
-        dG = (dG0.reshape(-1), dG1.reshape(-1)) if want_deriv else None
+        steps = ((w[row, kc], d[:, None], rot)
+                 for kc, d, rot in zip(k.T[:, :, None], dts.T, _rotations(lam, dts.T)))
+        # the images of 1 and -i, G = [1, 0] and [0, 1], start in the
+        # half-plane [-pi, 0] of args
+        T = np.zeros((len(S), 2, P, lam.size), dtype=complex)
+        T[0, 0], T[0, 1] = 1.0, -1j
+        images = np.full(T.shape[1:], -1.0) if want_phase else None
+        T, images = _advance(T, images, lam, steps, wide)
+        # a chunk maps G = G0 [1, 0] + G1 [0, 1], so g = G0 - i G1 goes to
+        # Re g T(1) - Im g T(-i), and dg by the product rule
+        starts = [S[0]]
         for c in range(P):
-            (a, b), (e, f) = T0[:, c], T1[:, c]
-            g0, g1 = G[-1]
+            one, minus_i = T[:, 0, c], T[:, 1, c]
+            carried = S.real * one[0] - S.imag * minus_i[0]
             if want_deriv:
-                dG = (a * dG[0] + b * dG[1] + dT0[0, c] * g0 + dT0[1, c] * g1,
-                      e * dG[0] + f * dG[1] + dT1[0, c] * g0 + dT1[1, c] * g1)
-            G.append((a * g0 + b * g1, e * g0 + f * g1))
-        G0, G1 = (g.reshape(lam.shape) for g in G[-1])
-        if want_deriv:
-            dG0, dG1 = (g.reshape(lam.shape) for g in dG)
+                carried[1] += S[0].real * one[1] - S[0].imag * minus_i[1]
+            S = carried
+            starts.append(S[0])
         if want_phase:
-            turns = _chunk_turns(np.array(G), _lift(T0, T1, half)).reshape(lam.shape)
-            half = _half_plane(np.arctan2(-G1, G0), G1) + 2.0 * turns
-    return G0, G1, dG0, dG1, half
+            turns = _chunk_turns(np.array(starts), _lift(T[0], images))
+            half = _half_plane(np.angle(S[0]), S[0]) + 2.0 * turns
+    return (S[0].reshape(shape), S[1].reshape(shape) if want_deriv else None,
+            None if half is None else half.reshape(shape))
 
 
-def _advance(G0, G1, dG0, dG1, half, lam, steps, wide):
-    """Carry G, and dG and G's half-plane index unless None, through ``steps``.
+def _advance(S, half, lam, steps, wide):
+    """Carry S in place, and g's half-plane index unless None, through ``steps``.
 
-    Each step is (v, r, dt, rot): the frame step [[1, -v], [0, r]] and
-    then Rot(phi), phi = lam dt / 2, whose (cos phi, sin phi) is ``rot``
-    where :func:`_rotations` read it from a table, and is taken here
-    where ``rot`` is None.  ``half`` is the index of the half-plane that
-    holds arg(G0 - i G1) (see :func:`_half_plane`); it changes only where
-    G1 changes sign.  A frame step keeps that sign, since r > 0.  A
-    rotation by phi with |phi| <= pi changes it at most once, in the
-    direction of lam, so each lane counts its sign changes.  A ``wide``
-    sweep, where some |phi| exceeds pi, splits each phi into 2 pi k plus
-    an angle of sin(phi)'s sign and size below pi, adds the k whole turns
-    and takes a sign change's direction from sin(phi).
+    S stacks g and, as a second row if there is one, dg.  Each step is
+    (w, dt, rot): the frame step g -> Re g + w Im g, taken part by part
+    (v Im g added to Re g, Im g scaled by r), and then the rotation by
+    phi = lam dt / 2, g -> e^{i phi} g and dg -> e^{i phi} (dg + i (dt / 2) g).
+    ``rot`` is e^{i phi} where :func:`_rotations` read it from a table;
+    where it is None, cos phi and sin phi are written here into one
+    complex buffer, which gives the same bits.  ``half`` is the index of
+    the half-plane that holds arg g (see :func:`_half_plane`); it changes
+    only where Im g = -G1 changes sign.  A frame step keeps that sign,
+    since Im w = r > 0.  A rotation by phi with |phi| <= pi changes it at
+    most once, in the direction of lam, so each lane counts its sign
+    changes.
+    A ``wide`` sweep, where some |phi| exceeds pi, splits each phi into
+    2 pi k plus an angle of sin(phi)'s sign and size below pi, adds the k
+    whole turns and takes a sign change's direction from sin(phi).
     """
+    # views of S, which every step updates in place
+    re, im, g, dg = S.real, S.imag, S[0], S[1] if len(S) == 2 else None
     if half is not None:
-        below = G1 < 0.0
-        crossed = np.zeros(below.shape)
+        upper = g.imag > 0.0
+        crossed = np.zeros(upper.shape)
         ahead = np.sign(lam)
     half_lam = 0.5 * lam
-    for v, r, dt, rot in steps:
-        G0, G1 = G0 - v * G1, r * G1
-        if dG0 is not None:
-            dG0, dG1 = dG0 - v * dG1, r * dG1
+    for w, dt, rot in steps:
+        # part by part: w times the real view Im g would cast it to complex
+        # through numpy's buffers, which is slow on broadcast operands
+        re += w.real * im
+        im *= w.imag
         if rot is None or wide:
             phi = half_lam * dt
-        c, s = (np.cos(phi), np.sin(phi)) if rot is None else rot
-        if dG0 is not None:
-            half_dt = 0.5 * dt
-            t0, t1 = dG0 + half_dt * G1, dG1 - half_dt * G0
-            dG0, dG1 = c * t0 + s * t1, c * t1 - s * t0
-        G0, G1 = c * G0 + s * G1, c * G1 - s * G0
+        if rot is None:
+            rot = np.empty(phi.shape, dtype=complex)
+            np.cos(phi, out=rot.real)
+            np.sin(phi, out=rot.imag)
+        if dg is not None:
+            dg += (0.5j * dt) * g
+        S *= rot
         if half is not None:
-            was, below = below, G1 < 0.0
-            flip = below != was
+            was, upper = upper, g.imag > 0.0
+            flip = upper != was
             if wide:
-                # phi = 2 pi k + psi, |psi| < pi of the sign of s, and k is
-                # the nearest integer to phi / 2 pi - sign(s) / 4; counted
-                # along lam, that is 2 k half-planes and psi's crossing
-                turn = np.sign(s)
+                # phi = 2 pi k + psi, |psi| < pi of the sign of sin phi, and
+                # k is the nearest integer to phi / 2 pi - sign(sin phi) / 4;
+                # counted along lam, that is 2 k half-planes and psi's crossing
+                turn = np.sign(rot.imag)
                 flip = ahead * (2.0 * np.round(phi / TWO_PI - 0.25 * turn) + turn * flip)
             crossed += flip
     if half is not None:
         half = half + ahead * crossed
-    return G0, G1, dG0, dG1, half
+    return S, half
 
 
 def _rotations(lam, dt):
-    """Each cell's rotation from a table, or None per cell where none pays.
+    """Each cell's rotation e^{i phi} from a table, or None per cell where none pays.
 
     ``dt`` holds the cell lengths along its first axis; the entry of
-    ``dt[k]`` is (cos phi, sin phi), phi = 0.5 lam dt[k], of shape
-    dt[k].shape + lam.shape.  Where the distinct (cell length, lambda)
-    pairs number at most a quarter of the cell x lane pairs, cos and sin
-    are taken once per distinct pair: on a uniform grid, whose cell
-    lengths take a few values, and in a sweep whose lanes share a few
-    lambdas.  The table's columns are the lanes themselves when their
-    lambdas are all distinct, and are gathered by lane otherwise.  Else
-    every entry is None, and :func:`_advance` takes each cell's trig
-    itself.  The angle is the same product either way, so the sweep keeps
-    its bits.
+    ``dt[k]`` is e^{i phi}, phi = 0.5 lam dt[k], of shape
+    dt[k].shape + lam.shape, its cos and sin written into one complex
+    table.  Where the distinct (cell length, lambda) pairs number at most
+    a quarter of the cell x lane pairs, they are taken once per distinct
+    pair: on a uniform grid, whose cell lengths take a few values, and in
+    a sweep whose lanes share a few lambdas.  The table's columns are the
+    lanes themselves when their lambdas are all distinct, and are gathered
+    by lane otherwise.  Else every entry is None, and :func:`_advance`
+    takes each cell's trig itself.  The angle is the same product either
+    way, so the sweep keeps its bits.
     """
     half_lam = 0.5 * lam
     lengths, cell = _distinct(dt)
     lams, lane = _distinct(half_lam)
     if 4 * lengths.size * lams.size > dt.size * lam.size:
         return [None] * len(dt)
-    if lams.size == lam.size:
-        # every lambda distinct: the columns are the lanes, in order
-        phi = np.multiply.outer(lengths, half_lam)
-        cos, sin = np.cos(phi), np.sin(phi)
-        return ((cos[j], sin[j]) for j in cell)
-    phi = np.multiply.outer(lengths, lams)
-    cos, sin = np.cos(phi), np.sin(phi)
-    return ((cos[j].take(lane, axis=-1), sin[j].take(lane, axis=-1)) for j in cell)
+    # every lambda distinct: the columns are the lanes, in order
+    every = lams.size == lam.size
+    phi = np.multiply.outer(lengths, half_lam if every else lams)
+    table = np.empty(phi.shape, dtype=complex)
+    np.cos(phi, out=table.real)
+    np.sin(phi, out=table.imag)
+    return (table[j] if every else table[j].take(lane, axis=-1) for j in cell)
 
 
 def _distinct(a):
@@ -744,39 +773,39 @@ def _distinct(a):
     return sorted_[new], at.reshape(np.shape(a))
 
 
-def _half_plane(theta, G1):
-    """Index of the half-plane of args that holds theta = arg(G0 - i G1).
+def _half_plane(theta, g):
+    """Index of the half-plane of args that holds theta = arg g, g = G0 - i G1.
 
     The lifted args split into half-planes of length pi: the open
-    (2 j pi, (2 j + 1) pi), where G1 < 0, has index 2 j, and the closed
-    [(2 j - 1) pi, 2 j pi], where G1 >= 0, has index 2 j - 1.  A principal
-    arg theta in [-pi, pi] has index 0 on (0, pi), 1 at pi (only from
-    G1 = -0) and -1 on [-pi, 0].
+    (2 j pi, (2 j + 1) pi), where Im g > 0, has index 2 j, and the closed
+    [(2 j - 1) pi, 2 j pi], where Im g <= 0, has index 2 j - 1.  A
+    principal arg theta in [-pi, pi] has index 0 on (0, pi), 1 at pi (only
+    from Im g = +0) and -1 on [-pi, 0].
     """
-    return np.where(G1 < 0.0, 0.0, np.where(theta > 0.0, 1.0, -1.0))
+    return np.where(g.imag > 0.0, 0.0, np.where(theta > 0.0, 1.0, -1.0))
 
 
-def _lift(G0, G1, half):
-    """arg(G0 - i G1) in the half-plane of index ``half``: principal + whole turns."""
-    theta = np.arctan2(-G1, G0)
-    return theta + math.pi * (half - _half_plane(theta, G1))
+def _lift(g, half):
+    """arg g in the half-plane of index ``half``: principal + whole turns."""
+    theta = np.angle(g)
+    return theta + math.pi * (half - _half_plane(theta, g))
 
 
 def _chunk_turns(G, W):
-    """Whole turns of G's arg across the chunks, from the columns' lifted args.
+    """Whole turns of g's arg across the chunks, from the images' lifted args.
 
-    ``G`` (P + 1, 2, lanes) holds G at each chunk start and at the end;
-    ``W`` (2, P, lanes) the lifted arg of T [1, 0] and T [0, 1] per chunk,
-    started at 0 and -pi / 2.  A chunk's map on args is increasing and
-    moves arg + pi to its image + pi, so its lift Phi is known at every
-    quarter turn j pi / 2.  From the quarter j just below a start's
+    ``G`` (P + 1, lanes) holds g at each chunk start and at the end;
+    ``W`` (2, P, lanes) the lifted arg of the images of 1 and -i per
+    chunk, started at 0 and -pi / 2.  A chunk's map on args is increasing
+    and moves arg + pi to its image + pi, so its lift Phi is known at
+    every quarter turn j pi / 2.  From the quarter j just below a start's
     principal arg theta (theta - j pi / 2 in [pi / 4, 3 pi / 4]), the
     lifted image Phi(theta) lies in (Phi(j pi / 2), Phi(j pi / 2) + pi):
     that fixes the whole turns between it and the next start's principal
     arg with a margin of pi / 2 for rounding in W.  Summed over the
     chunks, they are the turns from the first start to the end.
     """
-    theta = np.arctan2(-G[:, 1], G[:, 0])
+    theta = np.angle(G)
     j = np.round(theta[:-1] / (0.5 * math.pi)) - 1.0
     odd = np.mod(j, 2.0)
     below = np.where(odd == 1.0, W[1], W[0]) + 0.5 * math.pi * (j + odd)
@@ -797,10 +826,12 @@ def _require_finite(what: str, values) -> None:
         )
 
 
-def _unframe(x, y, G0, G1):
-    """H = X^{-1} G for the cell value x + i y: the fixed-frame solution."""
-    H1 = G1 / y
-    return G0 + x * H1, H1
+def _unframe(x, y, g):
+    """h = H0 - i H1 of H = X^{-1} G, the fixed-frame solution, in the cell x + i y.
+
+    H1 = G1 / y and H0 = G0 + x H1, so h = Re g + (i - x) Im g / y.
+    """
+    return g.real + (1j - x) * (g.imag / y)
 
 
 @np.errstate(**_QUIET)
@@ -812,7 +843,7 @@ def _solve_targets(batch: OperatorBatch, targets, row, lo, hi, alo, ahi):
     Recipes 9.4) with one Newton rule: every lane keeps a bracket [a, b]
     around its root, and where |alpha - target| < 2 pi its next point is
     lambda - zeta / zeta' on the secular function
-    zeta = Im((G0 - i G1) e^{-i u / 2}), u the row's target offset, when
+    zeta = Im(g e^{-i u / 2}), g = G0 - i G1 and u the row's target offset, when
     that lands strictly inside the bracket and is at most half the step
     before last.  Everywhere else the next point is the bracket midpoint.
     zeta's zeros are where alpha crosses u + 2 pi j for some j, so in that
@@ -842,22 +873,20 @@ def _solve_targets(batch: OperatorBatch, targets, row, lo, hi, alo, ahi):
     a, b = (np.broadcast_to(np.asarray(w, dtype=float), t.shape).copy() for w in (lo, hi))
     span = np.maximum(ahi - alo, 1e-300)
     lam = np.clip(a + (b - a) * (t - alo) / span, a, b)
-    # zeta = Im((G0 - i G1) e^{-i u / 2}) = -(G0 sin(u / 2) + G1 cos(u / 2))
-    sin_u, cos_u = np.sin(0.5 * batch.u[row]), np.cos(0.5 * batch.u[row])
+    # zeta = Im(g e^{-i u / 2}) and zeta' = Im(dg e^{-i u / 2})
+    turn = np.exp(-0.5j * batch.u[row])
     out = np.empty(t.shape)
     live = np.arange(t.size)
     dx = dxold = b - a  # last step and the step before it
     for _ in range(MAX_SOLVER_ITERATIONS):
-        G0, G1, dG0, dG1, half = batch._lanes(lam, row[live], want_deriv=True,
-                                              want_phase=True)
-        alpha = 2.0 * _lift(G0, G1, half)
+        g, dg, half = batch._lanes(lam, row[live], want_deriv=True, want_phase=True)
+        alpha = 2.0 * _lift(g, half)
         f = alpha - t[live]
         # a ratio, so it keeps its bits however large G grows; a dG lost to
         # overflow leaves zeta' not finite, which takes no step
-        zeta_d = dG0 * sin_u[live] + dG1 * cos_u[live]
+        zeta_d = (dg * turn[live]).imag
         ok = np.isfinite(zeta_d) & (zeta_d != 0.0)
-        zeta_step = np.where(ok, (G0 * sin_u[live] + G1 * cos_u[live])
-                             / np.where(ok, zeta_d, 1.0), np.inf)
+        zeta_step = np.where(ok, (g * turn[live]).imag / np.where(ok, zeta_d, 1.0), np.inf)
         a, b = _share_brackets(row[live], alpha, lam, t[live], a, b)
         polished = (np.abs(zeta_step) <= LAMBDA_TOL) & (np.abs(f) < 0.5 * math.pi)
         done = polished | ((b - a) < LAMBDA_TOL)

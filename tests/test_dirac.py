@@ -47,11 +47,13 @@ def cut(op, cells):
 
 
 def sweep(batch, lam, row=0, **kw):
-    """dirac._sweep on the stored steps of an OperatorBatch, its half-plane
-    index lifted to the winding of arg(G0 - i G1)."""
-    G0, G1, dG0, dG1, half = batch._lanes(lam, row, **kw)
-    wind = None if half is None else dirac._lift(G0, G1, half)
-    return G0, G1, dG0, dG1, wind
+    """dirac._sweep on the stored steps of an OperatorBatch, as the
+    components (G0, G1, dG0, dG1) of its g = G0 - i G1 and dg, with its
+    half-plane index lifted to the winding of arg g."""
+    g, dg, half = batch._lanes(lam, row, **kw)
+    wind = None if half is None else dirac._lift(g, half)
+    dG0, dG1 = (None, None) if dg is None else (dg.real, -dg.imag)
+    return g.real, -g.imag, dG0, dG1, wind
 
 
 def eval_H(op, lam):
@@ -60,10 +62,12 @@ def eval_H(op, lam):
     H = X_{m-1}^{-1} G and dH its lambda-derivative, each shaped (2,) + lam's
     shape; normsq is the squared R-norm of H over the cells, H^t J dH.
     """
-    G0, G1, dG0, dG1, _ = sweep(op.batch, lam, want_deriv=True)
+    g, dg, _ = op.batch._lanes(lam, 0, want_deriv=True)
     x, y = op.path[-1].real, op.path[-1].imag
-    H = np.array(dirac._unframe(x, y, G0, G1))
-    dH = np.array(dirac._unframe(x, y, dG0, dG1))
+    # h = H0 - i H1
+    H, dH = (np.array([h.real, -h.imag]) for h in (dirac._unframe(x, y, g),
+                                                   dirac._unframe(x, y, dg)))
+    G0, G1, dG0, dG1 = g.real, -g.imag, dg.real, -dg.imag
     return H, dH, (G1 * dG0 - G0 * dG1) / y
 
 
@@ -117,8 +121,8 @@ def arctan2_winding(G0, G1, lam, steps):
 
     Each frame step adds the principal angle from G to its image, which is
     exact because r > 0 keeps the sign of G1, and each rotation adds its
-    angle lam dt / 2.  ``steps`` holds (v, r, dt) per cell, as
-    ``dirac._advance`` reads them.
+    angle lam dt / 2.  ``steps`` holds (v, r, dt) per cell, the parts
+    of the step w = v + i r that ``dirac._advance`` reads.
     """
     wind = np.arctan2(-G1, G0)
     for v, r, dt in steps:
@@ -198,6 +202,28 @@ class TestBuild:
         assert d["u1"] == "infinity"
         back = dirac.DiracOperator.from_dict(d)
         np.testing.assert_array_equal(back.u1, [1.0, 0.0])
+
+
+class TestSteps:
+    """The frame steps w_k = v_k + i r_k, points of the upper half plane."""
+
+    def test_kn_steps_are_cayley_images_of_the_coefficients(self):
+        # w_{k+1} = i (1 + gamma_k) / (1 - gamma_k); step 0 is the identity, i
+        from circdirac.ensembles import SeedSpec, sample_kn
+
+        gammas = sample_kn(50, 2.0, SeedSpec(13, 0))
+        g, w = gammas.values, dirac.coefficient_operator(gammas).batch.w[0]
+        assert w[0] == 1j and np.all(w.imag > 0.0)
+        np.testing.assert_allclose(w[1:], 1j * (1.0 + g[:-1]) / (1.0 - g[:-1]),
+                                   rtol=1e-14, atol=0)
+
+    def test_path_steps_are_cells_seen_from_the_frame_before(self):
+        # w_k = (z_k - x_{k-1}) / y_{k-1}
+        op = random_operator(np.random.default_rng(53), cells=7)
+        z, w = op.path, op.batch.w[0]
+        assert w[0] == 1j
+        np.testing.assert_allclose(w[1:], (z[1:] - z[:-1].real) / z[:-1].imag,
+                                   rtol=1e-15, atol=0)
 
 
 class TestEvalH:
@@ -433,7 +459,8 @@ class TestSolver:
 
         def huge(*args, **kw):
             *G, half = counted(*args, **kw)
-            return (*(None if g is None else np.ldexp(g, 600) for g in G), half)
+            # exact: each part of g and dg times 2^600
+            return (*(None if g is None else g * 2.0 ** 600 for g in G), half)
 
         monkeypatch.setattr(dirac, "_sweep", huge)
         del lanes[:]
@@ -450,10 +477,10 @@ class TestSolver:
         sweep = dirac._sweep
 
         def lost(*args, **kw):
-            G0, G1, dG0, dG1, half = sweep(*args, **kw)
-            if dG0 is not None:
-                dG0, dG1 = np.full_like(dG0, np.inf), np.full_like(dG1, np.inf)
-            return G0, G1, dG0, dG1, half
+            g, dg, half = sweep(*args, **kw)
+            if dg is not None:
+                dg = np.full_like(dg, complex(np.inf, np.inf))
+            return g, dg, half
 
         monkeypatch.setattr(dirac, "_sweep", lost)
         np.testing.assert_allclose(dirac.eigenvalues_in(op, (-9.0, 9.0)), expected,
@@ -572,9 +599,8 @@ class TestSolver:
         b = op.batch
         assert sum(lanes) < 3500
         _, _, _, _, kmin, count = b._window(window)
-        G0, G1, _, _, half = b._lanes(lams, np.zeros(lams.size, dtype=int),
-                                      want_phase=True)
-        turns = (2.0 * dirac._lift(G0, G1, half) - b.u[0]) / TWO_PI
+        g, _, half = b._lanes(lams, np.zeros(lams.size, dtype=int), want_phase=True)
+        turns = (2.0 * dirac._lift(g, half) - b.u[0]) / TWO_PI
         np.testing.assert_array_equal(np.round(turns), kmin[0] + np.arange(count[0]))
 
     def test_lanes_far_from_their_targets_bisect(self, monkeypatch):
@@ -711,8 +737,8 @@ class TestMovingFrame:
 
         b = sample_sine_paths(SinePathSpec(beta=2.0, cells=64),
                               [SeedSpec(5, i) for i in range(3)])
-        assert b.v.shape == b.r.shape == (3, 64)
-        assert b.v.flags.f_contiguous and b.r.flags.f_contiguous
+        assert b.w.shape == (3, 64)
+        assert b.w.flags.f_contiguous
 
     @pytest.mark.parametrize("lanes, slope, window, deriv", [
         (1000, "cauchy", (0.0, 20.0 * math.pi), False),
@@ -725,9 +751,8 @@ class TestMovingFrame:
         q = {"cauchy": None, "infinity": math.inf}[slope]
         spec = SinePathSpec(beta=2.0, cells=1024, q=q)
         batch = sample_sine_paths(spec, [SeedSpec(6, i) for i in range(lanes)])
-        rowmajor = dataclasses.replace(batch, v=np.ascontiguousarray(batch.v),
-                                       r=np.ascontiguousarray(batch.r))
-        assert rowmajor.v.flags.c_contiguous and not rowmajor.v.flags.f_contiguous
+        rowmajor = dataclasses.replace(batch, w=np.ascontiguousarray(batch.w))
+        assert rowmajor.w.flags.c_contiguous and not rowmajor.w.flags.f_contiguous
         lam, row = np.linspace(*window, lanes), np.arange(lanes)
         got = sweep(batch, lam, row, want_deriv=deriv, want_phase=True)
         want = sweep(rowmajor, lam, row, want_deriv=deriv, want_phase=True)
@@ -849,14 +874,16 @@ class TestChunkedSweep:
             T0, T1 = np.zeros((2, 2, lanes))
             T0[0] = T1[1] = 1.0
             W = arctan2_winding(T0, T1, lam, steps)
+            # the same columns as g = G0 - i G1, the images of 1 and -i;
             # no table: _advance takes each cell's trig itself
-            untabled = [(v, r, dt, None) for v, r, dt in steps]
-            T0, T1, _, _, half = dirac._advance(T0, T1, None, None, np.full((2, lanes), -1.0),
-                                                lam, untabled, wide)
-            W_count = dirac._lift(T0, T1, half)
+            T = np.zeros((1, 2, lanes), dtype=complex)
+            T[0, 0], T[0, 1] = 1.0, -1j
+            untabled = [(v + 1j * r, dt, None) for v, r, dt in steps]
+            T, half = dirac._advance(T, np.full((2, lanes), -1.0), lam, untabled, wide)
+            W_count = dirac._lift(T[0], half)
             np.testing.assert_allclose(W_count, W, rtol=0, atol=1e-9)
-            G = np.array([[g0, g1], [T0[0] * g0 + T0[1] * g1, T1[0] * g0 + T1[1] * g1]])
-            last = np.arctan2(-G[1, 1], G[1, 0])
+            G = np.array([g0 - 1j * g1, g0 * T[0, 0] + g1 * T[0, 1]])
+            last = np.angle(G[1])
             for noise in (0.0, 1.2):
                 W_off = W_count + rng.uniform(-noise, noise, W.shape)
                 turns = dirac._chunk_turns(G, W_off[:, None])
@@ -992,7 +1019,7 @@ class TestHalfPlaneCount:
         assert dirac._chunk_count(many.size, self.CELLS) == 1
         chunked = sweep(op.batch, lams, want_phase=True)[4]
         plain = sweep(op.batch, many, want_phase=True, want_deriv=True)[4][:lams.size]
-        steps = list(zip(op.batch.v[0], op.batch.r[0], op.batch.dt))
+        steps = list(zip(op.batch.w[0].real, op.batch.w[0].imag, op.batch.dt))
         winding = arctan2_winding(*op.batch.start[:, 0], lams, steps)
         np.testing.assert_allclose(plain, winding, rtol=0, atol=1e-12)
         # the chunked path rounds G differently, but picks the same turns
@@ -1007,12 +1034,15 @@ class TestHalfPlaneCount:
         # G1 = -0 with G0 < 0, whose principal arg is pi
         G0 = np.array([1.0, -1.0, 1.0, -1.0, -1.0, 0.5, 0.5, -1.0])
         G1 = np.array([0.0, 0.0, -0.0, -0.0, -1e-300, -2.0, 2.0, 1e-300])
+        # g = G0 - i G1, each zero's sign flipped with G1
+        g = np.empty(G0.size, dtype=complex)
+        g.real, g.imag = G0, -G1
         theta = np.arctan2(-G1, G0)
-        np.testing.assert_array_equal(dirac._half_plane(theta, G1),
+        np.testing.assert_array_equal(dirac._half_plane(theta, g),
                                       [-1, -1, -1, 1, 0, 0, -1, -1])
         # lifted four half-planes on, the arg moves by two whole turns
         np.testing.assert_array_equal(
-            dirac._lift(G0, G1, dirac._half_plane(theta, G1) + 4.0), theta + 2.0 * TWO_PI)
+            dirac._lift(g, dirac._half_plane(theta, g) + 4.0), theta + 2.0 * TWO_PI)
 
 
 class TestLift:
@@ -1076,6 +1106,25 @@ class TestSpectralMeasure:
                       - dirac.phase_at(op, lam - h)) / (2.0 * h)
                 assert w == pytest.approx(2.0 / da, abs=1e-8)
 
+    def test_empty_window_sweeps_only_its_endpoints(self, monkeypatch):
+        # no eigenvalue in the window: the endpoint sweep visits the cells,
+        # and the solver's and the weights' sweeps of no lanes visit none
+        from circdirac.ensembles import SeedSpec, SinePathSpec, sample_sine_operator
+
+        op = sample_sine_operator(SinePathSpec(beta=2.0), SeedSpec(7, 0))
+        visits, advance = [], dirac._advance
+
+        def counting(*args):
+            visits.append(args[0].shape)
+            return advance(*args)
+
+        monkeypatch.setattr(dirac, "_advance", counting)
+        for side in ("left", "right"):
+            del visits[:]
+            sm = dirac.spectral_measure(op, (1.0, 1.001), side)
+            assert len(sm) == 0 and sm.lambdas.shape == sm.weights.shape == (0,)
+            assert len(visits) == 1
+
     def test_overflowed_weights_are_a_conditioning_error(self):
         # at 5e3 G is finite but normsq, a product of its components,
         # overflows to nan on this operator
@@ -1101,7 +1150,8 @@ class TestSpectralMeasure:
         b = op.batch
         with mpmath.workdps(40):
             mpf = mpmath.mpf
-            steps = [(mpf(v), mpf(r), mpf(dt) / 2) for v, r, dt in zip(b.v[0], b.r[0], b.dt)]
+            steps = [(mpf(v), mpf(r), mpf(dt) / 2)
+                     for v, r, dt in zip(b.w[0].real, b.w[0].imag, b.dt)]
             su, cu = mpmath.sin(mpf(b.u[0]) / 2), mpmath.cos(mpf(b.u[0]) / 2)
 
             def sweep(lam):
@@ -1317,7 +1367,7 @@ class TestBoundaryBiasing:
         # one operator under m boundary slopes, X_{m-1} [-q, -1] in its last frame
         target = np.stack([x[-1] - q, np.full(m, -y[-1])], axis=1)
         batch = dirac.OperatorBatch.from_steps(
-            op.grid, np.tile(op.batch.v, (m, 1)), np.tile(op.batch.r, (m, 1)),
+            op.grid, np.tile(op.batch.w, (m, 1)),
             np.tile(op.batch.last.T, (m, 1)), target, start=op.batch.start[:, 0])
         _, _, alo, ahi, _, _ = batch._window((-9.0, 9.0))
         u, rows = batch.u, np.arange(m)
@@ -1326,8 +1376,8 @@ class TestBoundaryBiasing:
 
         def right_weights(lams):
             G0, G1, dG0, dG1, _ = sweep(op.batch, lams, want_deriv=True)
-            H0, H1 = dirac._unframe(x[-1], y[-1], G0, G1)
-            return (H0 * H0 + H1 * H1) * y[-1] / (G1 * dG0 - G0 * dG1)
+            h = dirac._unframe(x[-1], y[-1], G0 - 1j * G1)
+            return (h.real * h.real + h.imag * h.imag) * y[-1] / (G1 * dG0 - G0 * dG1)
 
         w_neg, w_pos = right_weights(r_neg), right_weights(r_pos)
         lam_star = np.where(np.abs(r_neg) < np.abs(r_pos), r_neg, r_pos)
@@ -1375,7 +1425,7 @@ class TestOperatorBatch:
         ops = [dirac.measure_operator(random_measure(rng, n)) for _ in range(4)]
         ops.append(dirac.conjugate_operator(ops[0], rotation_about_i(0.8)))
         batch = dirac.OperatorBatch.stack(ops)
-        assert batch.rows == 5 and batch.v.shape == (5, n)
+        assert batch.rows == 5 and batch.w.shape == (5, n)
         lams = np.array([-3.1, 0.0, 2.5, 17.0])
         self.assert_rows_match(ops, batch, (0.0, TWO_PI * n), lams)
         # one window per row

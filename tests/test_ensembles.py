@@ -19,7 +19,7 @@ def ks_two_sample(a, b):
 
 def assert_same_row(a, i, b, j):
     """Row i of the OperatorBatch a holds the bits of row j of b."""
-    for got, want in zip(*((c.v[k], c.r[k], c.start[:, k], c.last[:, k], c.u[k],
+    for got, want in zip(*((c.w[k], c.start[:, k], c.last[:, k], c.u[k],
                             c.u0sq[k]) for c, k in ((a, i), (b, j)))):
         np.testing.assert_array_equal(got, want)
 
@@ -269,8 +269,8 @@ class TestSineOperator:
         spec = ens.SinePathSpec(beta=2.0, cells=64)
         seeds = [ens.SeedSpec(24, i) for i in range(5)]
         batch = ens.sample_sine_paths(spec, seeds)
-        assert batch.v.shape == batch.r.shape == (5, 64) and batch.u.shape == (5,)
-        assert batch.v.flags.f_contiguous and batch.r.flags.f_contiguous
+        assert batch.w.shape == (5, 64) and batch.u.shape == (5,)
+        assert batch.w.flags.f_contiguous
         tail = ens.sample_sine_paths(spec, seeds[3:])
         for i in (3, 4):
             assert_same_row(tail, i - 3, batch, i)
@@ -280,9 +280,9 @@ class TestSineOperator:
 
     def test_steps_are_the_drawn_increments(self):
         # the frame steps of a row are its Brownian increments, bit for bit:
-        # v_k = d1_{k-1}, r_k = exp(d2_{k-1} - h / 2), and the last cell
-        # comes from the last increments alone.  Steps taken by differences
-        # of the path put v up to 2.3e-11 relative off d1 on this row
+        # w_k = d1_{k-1} + i exp(d2_{k-1} - h / 2), and the last cell comes
+        # from the last increments alone.  Steps taken by differences of the
+        # path put Re w up to 2.3e-11 relative off d1 on this row
         spec = ens.SinePathSpec(beta=2.0)
         batch = ens.sample_sine_paths(spec, [ens.SeedSpec(7, 3)])
         u_min = (4.0 / spec.beta) * math.log(spec.t_min)
@@ -290,9 +290,10 @@ class TestSineOperator:
         rng = ens.SeedSpec(7, 3).rng()
         d2 = math.sqrt(h) * rng.standard_normal(spec.cells)
         d1 = math.sqrt(h) * rng.standard_normal(spec.cells)
-        np.testing.assert_array_equal(batch.v[0], np.concatenate(([0.0], d1[:-1])))
-        np.testing.assert_array_equal(batch.r[0],
-                                      np.concatenate(([1.0], np.exp(d2[:-1] - 0.5 * h))))
+        drawn = np.empty(spec.cells, dtype=complex)
+        drawn.real = np.concatenate(([0.0], d1[:-1]))
+        drawn.imag = np.concatenate(([1.0], np.exp(d2[:-1] - 0.5 * h)))
+        np.testing.assert_array_equal(batch.w[0].view(np.int64), drawn.view(np.int64))
         u_last = np.linspace(u_min, 0.0, spec.cells + 1)[-2]
         y = np.exp(-d2[-1] - 0.5 * u_last)
         np.testing.assert_array_equal(batch.last[:, 0], [-(y * d1[-1]), y])
@@ -321,7 +322,7 @@ class TestSineOperator:
             ens.sample_sine_operator(spec, ens.SeedSpec(3, 0))
         batch = ens.sine_replicas(spec, 3, 2)
         assert batch.rows == 2
-        assert np.all(np.isfinite(batch.v)) and np.all(np.isfinite(batch.r))
+        assert np.all(np.isfinite(batch.w))
 
     def test_spec_validation(self):
         with pytest.raises(ValueError):

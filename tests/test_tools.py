@@ -3,6 +3,8 @@ import json
 import math
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parents[1]
 
 
@@ -46,6 +48,33 @@ def test_conversion_timing_prints_one_record(capsys):
     assert (record["rows"], record["n"]) == (3, 4)
     assert 0.0 < record["best_s"]
     assert 0.0 < record["maxrss_mb_before"] <= record["maxrss_mb_after"]
+
+
+def test_sweep_timing_prints_a_record_per_case(capsys, monkeypatch):
+    tool = load_tool("sweep_timing")
+    # a small run: 64 Sine cells in 3 rows, a KN operator of 20 cells
+    monkeypatch.setattr(tool, "SINE_ROWS", 3)
+    monkeypatch.setattr(tool, "SINE_CELLS", 64)
+    monkeypatch.setattr(tool, "KN_N", 20)
+    monkeypatch.setattr(tool, "REPEAT", 1)
+    assert tool.main(["1", "300"]) == 0
+    records = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    assert [(r["case"], r["cells"], r["lanes"], r["variant"]) for r in records] == [
+        (case, cells, lanes, variant) for case, cells in (("sine", 64), ("kn", 20))
+        for lanes in (1, 300) for variant in ("phase", "derivative", "both")]
+    # 64 cells run 8 chunks and 20 cells 4 below 256 lanes; 300 lanes the plain loop
+    assert [r["chunks"] for r in records] == [8] * 3 + [1] * 3 + [4] * 3 + [1] * 3
+    for r in records:
+        assert 0.0 < r["best_ms"]
+        assert r["ns_per_cell_lane"] == pytest.approx(
+            1e6 * r["best_ms"] / (r["cells"] * r["lanes"]), rel=1e-2, abs=0.01)
+    # forced chunks, whatever the lane count; the chunk rule is put back
+    from circdirac import dirac
+
+    assert tool.main(["--chunks", "chunked", "300"]) == 0
+    records = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    assert [r["chunks"] for r in records] == [8] * 3 + [4] * 3
+    assert dirac._chunk_count(300, 64) == 1 and dirac._chunk_count(1, 64) == 8
 
 
 def test_solve_counts_prints_one_record(capsys, monkeypatch):

@@ -137,9 +137,9 @@ def test_endpoint_phases_match_separate_sweeps():
     spec = SinePathSpec(beta=2.0, cells=128)
     b = sample_sine_paths(spec, [SeedSpec(98, i) for i in range(5)])
     _, _, alo, ahi, _, _ = b._window((-0.5, 7.0))
-    sweeps = (dirac._sweep(b.v, b.r, b.dt, np.full(5, lam), b.start, np.arange(5),
+    sweeps = (dirac._sweep(b.w, b.dt, b.start, np.full(5, lam), np.arange(5),
                            want_phase=True) for lam in (-0.5, 7.0))
-    wlo, whi = (dirac._lift(G0, G1, half) for G0, G1, _, _, half in sweeps)
+    wlo, whi = (dirac._lift(g, half) for g, _, half in sweeps)
     np.testing.assert_array_equal(alo, 2.0 * wlo)
     np.testing.assert_array_equal(ahi, 2.0 * whi)
 

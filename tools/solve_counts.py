@@ -80,8 +80,8 @@ def target_misses(batch, window, lams, row):
 
     *_, kmin, counts = batch._window(window)
     k = kmin[row] + (np.arange(row.size) - (np.cumsum(counts) - counts)[row])
-    G0, G1, _, _, half = batch._lanes(lams, row, want_phase=True)
-    alpha = 2.0 * _lift(G0, G1, half)
+    g, _, half = batch._lanes(lams, row, want_phase=True)
+    alpha = 2.0 * _lift(g, half)
     return np.abs(alpha - (batch.u[row] + 2.0 * math.pi * k)) / (2.0 * math.pi)
 
 
