@@ -11,8 +11,10 @@ kn-sample and sine-beta also accept --stream, and verify, which can run
 its criteria in a worker pool, accepts --jobs.  The experiments draw
 through the owners that the acceptance criteria call too:
 sine-intensity through ``ensembles.sine_replicas``, so its replica i is
-``sine-beta --stream i``, and bias and bias-trend through
-``ensembles.window_biasing``, on streams 0 and 1 000 000 of the seed.
+``sine-beta --stream i``, and it counts the replicas block by block, in
+memory that does not grow with --replicas; bias and bias-trend draw
+through ``ensembles.window_biasing``, on streams 0 and 1 000 000 of the
+seed.
 sine-beta takes the right boundary slope as --q: a real value fixes it,
 --q inf gives the infinity slope, and without --q the slope is drawn
 from the standard Cauchy law.
@@ -143,8 +145,8 @@ def _cmd_sine_beta(args) -> int:
 def _cmd_sine_intensity(args) -> int:
     seed = _resolve_seed(args)
     spec = SinePathSpec(beta=args.beta, t_min=args.t_min, cells=args.cells)
-    batch = ensembles.sine_replicas(spec, seed, args.replicas)
-    counts = batch.count((0.0, args.length))
+    counts = ensembles.sine_replicas(spec, seed, args.replicas,
+                                     lambda batch: batch.count((0.0, args.length)))
     _write_csv(f"{args.out}.csv", ["replica", "count"],
                ([i, int(c)] for i, c in enumerate(counts)))
     mean = float(counts.mean())

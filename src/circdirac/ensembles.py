@@ -7,10 +7,12 @@ stream contracts are in use, each with one owner here that the criteria
 and the command line both call.  :func:`sine_replicas` gives Sine_beta
 replica i stream i of the seed (:func:`sample_sine_paths` takes one
 :class:`SeedSpec` per row), so the batch size and the order of the draws
-cannot change a replica.  Bulk draws of coefficients (``kn_gammas`` and
-``biased_gammas`` with m rows, and :class:`KNMeasureSampler`, which is
-``kn_gammas`` on the stream of its ``base``) take the whole block from
-one stream, so a replica there depends on the block size;
+cannot change a replica; it draws and sweeps the replicas in blocks of
+rows, one block alive at a time, and hands back one value per row.
+Bulk draws of coefficients (``kn_gammas`` and ``biased_gammas`` with m
+rows, and :class:`KNMeasureSampler`, which is ``kn_gammas`` on the
+stream of its ``base``) take the whole block from one stream, so a
+replica there depends on the block size;
 :func:`window_biasing` holds the window-biasing experiment's draws, on
 the two streams its caller names.
 
@@ -42,7 +44,6 @@ own standard Cauchy q (tan(pi(U - 1/2))), which gives Sine_beta itself.
 from __future__ import annotations
 
 import math
-import mmap
 from dataclasses import dataclass
 
 import numpy as np
@@ -69,6 +70,13 @@ __all__ = [
 ]
 
 TWO_PI = 2.0 * math.pi
+
+#: :func:`sine_replicas` draws and sweeps its rows in blocks of at most this
+#: many, about 8 MB of frame steps at 4096 cells.  A window's endpoint sweep
+#: of a block, two lanes per row, stays below ``dirac._CHUNK_LANES``, so
+#: every sweep of a block runs chunked and a row's counts and roots do not
+#: depend on the block it falls in.
+_BLOCK_ROWS = 127
 
 
 @dataclass(frozen=True)
@@ -253,18 +261,9 @@ def sample_sine_paths(spec: SinePathSpec, seeds) -> OperatorBatch:
     and the steps keep every bit of the draws.  The last cell comes from
     the last increments alone, y = exp(-d2_{m-1} - u_{m-1} / 2) and
     x = -y d1_{m-1}.
-
-    The steps are mapped from the system (an anonymous ``mmap``), not
-    taken from malloc's heap.  500 rows of 4096 cells take 31.25 MiB, and
-    glibc raises its mmap threshold to the size of each block of up to
-    32 MiB that it unmaps; the next batch of that size then lands in the
-    heap, where small allocations split it once freed, and a second pass
-    of the acceptance suite peaked 29 MB higher than the first.
     """
     t, u, h = _sine_grid(spec)
-    n = len(seeds) * spec.cells
-    steps = mmap.mmap(-1, max(16 * n, 1))
-    w = np.frombuffer(steps, dtype=complex, count=n).reshape(spec.cells, len(seeds)).T
+    w = np.empty((len(seeds), spec.cells), dtype=complex, order="F")
     w[:, 0] = 1j
     v, r = w.real, w.imag
     # per row: its last increments (d1, d2) and its u1
@@ -279,9 +278,19 @@ def sample_sine_paths(spec: SinePathSpec, seeds) -> OperatorBatch:
                                     np.stack([u1[:, 0] - x * u1[:, 1], y * u1[:, 1]], axis=1))
 
 
-def sine_replicas(spec: SinePathSpec, seed: int, replicas: int) -> OperatorBatch:
-    """:func:`sample_sine_paths` of ``replicas`` rows, row i from stream i of ``seed``."""
-    return sample_sine_paths(spec, [SeedSpec(seed, i) for i in range(replicas)])
+def sine_replicas(spec: SinePathSpec, seed: int, replicas: int, per_row) -> np.ndarray:
+    """``per_row`` of ``replicas`` Sine_beta rows, row i from stream i of ``seed``.
+
+    The rows are drawn by :func:`sample_sine_paths` in blocks of at most
+    ``_BLOCK_ROWS``; ``per_row`` maps each block's :class:`OperatorBatch`
+    to one value per row, and the values come back concatenated in row
+    order.  A block is dropped before the next one is drawn, so the steps
+    held at once do not grow with ``replicas``.
+    """
+    return np.concatenate([
+        per_row(sample_sine_paths(spec, [SeedSpec(seed, i) for i in
+                                         range(lo, min(lo + _BLOCK_ROWS, replicas))]))
+        for lo in range(0, replicas, _BLOCK_ROWS)])
 
 
 @np.errstate(over="ignore", invalid="ignore")

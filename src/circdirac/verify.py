@@ -5,9 +5,10 @@ Every criterion is a function taking a master seed and returning a list of
 seed, so a fixed seed reproduces every report bit for bit.  Most criteria
 own one or two stream ids from 102 up.  Sine-intensity and palm-pins-zero
 both sweep :func:`~circdirac.ensembles.sine_replicas`, the Brownian paths
-of streams 0-499 (with a Cauchy and with the infinity boundary slope), a
-range that holds the other criteria's ids too, so those draws are not
-independent of the rest.  Biasing-trend takes its draws from
+of streams 0-499 (with a Cauchy and with the infinity boundary slope),
+block by block, and keep one value per row: its count, or its root
+nearest 0.  That range holds the other criteria's ids too, so those draws
+are not independent of the rest.  Biasing-trend takes its draws from
 :func:`~circdirac.ensembles.window_biasing` on streams 170 and 171, the
 owner that the ``bias`` and ``bias-trend`` commands call too.  ``run_suite``
 bundles the criteria into the suites exposed by the command line:
@@ -338,8 +339,8 @@ def criterion_circular_jacobi(seed: int):
 
 def criterion_sine_intensity(seed: int):
     replicas = 500
-    batch = sine_replicas(SinePathSpec(beta=2.0), seed, replicas)
-    counts = batch.count((0.0, 20.0 * math.pi))
+    counts = sine_replicas(SinePathSpec(beta=2.0), seed, replicas,
+                           lambda batch: batch.count((0.0, 20.0 * math.pi)))
     mean = counts.mean()
     se = counts.std(ddof=1) / math.sqrt(replicas)
     rep = TestReport(abs(mean - 10.0), 3.0 * se, replicas,
@@ -347,14 +348,22 @@ def criterion_sine_intensity(seed: int):
     return [("eigenvalue intensity 1/(2 pi)", rep)]
 
 
+def _nearest_roots(batch: OperatorBatch) -> np.ndarray:
+    """|lambda| of each row's eigenvalue nearest 0 in [-0.5, 0.5), inf for none.
+
+    Under the infinity slope the phase is 0 at lambda = 0, so that root is
+    the one there; some rows hold a second eigenvalue in the window.
+    """
+    lams, row = batch.eigenvalues((-0.5, 0.5))
+    nearest = np.full(batch.rows, np.inf)
+    np.minimum.at(nearest, row, np.abs(lams))
+    return nearest
+
+
 def criterion_palm_pins_zero(seed: int):
     replicas = 500
-    batch = sine_replicas(SinePathSpec(beta=2.0, q=math.inf), seed, replicas)
-    # the phase is 0 at lambda = 0, so each row's root nearest 0 is the one
-    # there; some rows hold a second eigenvalue in the window
-    lams, row = batch.eigenvalues((-0.5, 0.5))
-    nearest = np.full(replicas, np.inf)
-    np.minimum.at(nearest, row, np.abs(lams))
+    nearest = sine_replicas(SinePathSpec(beta=2.0, q=math.inf), seed, replicas,
+                            _nearest_roots)
     worst = float(nearest.max())
     return [("0 is an eigenvalue under the infinity boundary slope",
              TestReport(worst, 1e-10, replicas, "root of the phase at target 0"))]

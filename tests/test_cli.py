@@ -217,6 +217,23 @@ class TestExperiments:
             ks = json.loads((tmp_path / "b.json").read_text())["ks_to_direct_law"]
             assert max_ks == max(d[part] for d in ks.values() for part in ("re", "im"))
 
+    def test_sine_intensity_counts_each_replica(self, tmp_path):
+        # the replicas cross a block boundary; each count is the one of
+        # the operator that sine-beta --stream i draws
+        from circdirac import dirac, ensembles
+
+        replicas = ensembles._BLOCK_ROWS + 3
+        out = tmp_path / "si"
+        assert main(["sine-intensity", "--cells", "64", "--replicas", str(replicas),
+                     "--seed", "11", "--out", str(out)]) == 0
+        spec = SinePathSpec(beta=2.0, cells=64)
+        counts = [dirac.eigenvalue_count(sample_sine_operator(spec, SeedSpec(11, i)),
+                                         (0.0, 20.0 * math.pi)) for i in range(replicas)]
+        assert Path(f"{out}.csv").read_text().splitlines() == [
+            "replica,count", *(f"{i},{c}" for i, c in enumerate(counts))]
+        summary = json.loads(Path(f"{out}.json").read_text())
+        assert summary["mean_count"] == np.mean(counts)
+
     def test_drawn_seed_is_recorded(self, tmp_path, capsys):
         out = tmp_path / "si"
         assert main(["sine-intensity", "--cells", "16", "--replicas", "2",

@@ -632,9 +632,10 @@ class TestSolver:
     def test_infinity_slope_root_at_zero_is_polished(self):
         # zeta vanishes at 0 exactly for the infinity slope; the polished
         # exit returns lambda - zeta / zeta', far below the 1e-12 bracket
-        from circdirac.ensembles import SinePathSpec, sine_replicas
+        from circdirac.ensembles import SeedSpec, SinePathSpec, sample_sine_paths
 
-        b = sine_replicas(SinePathSpec(beta=2.0, q=math.inf), 7, 5)
+        b = sample_sine_paths(SinePathSpec(beta=2.0, q=math.inf),
+                              [SeedSpec(7, i) for i in range(5)])
         lams, row = b.eigenvalues((-0.5, 0.5))
         assert np.array_equal(np.unique(row), np.arange(5))
         zero = [lams[row == i][np.argmin(np.abs(lams[row == i]))] for i in range(5)]
@@ -969,9 +970,10 @@ class TestRotationTable:
     def test_sine_window_of_two_lambdas(self, monkeypatch):
         # the endpoint sweep of a 500-row window: 1000 lanes, two lambdas,
         # on a grid whose cell lengths are all distinct
-        from circdirac.ensembles import SinePathSpec, sine_replicas
+        from circdirac.ensembles import SeedSpec, SinePathSpec, sample_sine_paths
 
-        b = sine_replicas(SinePathSpec(beta=2.0, cells=512, q=math.inf), 13, 500)
+        b = sample_sine_paths(SinePathSpec(beta=2.0, cells=512, q=math.inf),
+                              [SeedSpec(13, i) for i in range(500)])
         assert np.unique(b.dt).size == b.dt.size
         lam = np.repeat([-0.5, 0.5], 500)
         self.assert_table_keeps_bits(monkeypatch, b, lam, np.tile(np.arange(500), 2),

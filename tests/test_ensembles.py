@@ -1,4 +1,5 @@
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -278,6 +279,31 @@ class TestSineOperator:
         np.testing.assert_array_equal(op.batch.dt, batch.dt)
         assert_same_row(op.batch, 0, batch, 2)
 
+    def test_replicas_hold_one_block_at_a_time(self, monkeypatch):
+        # each block of rows is dropped before the next one is drawn, and
+        # row i is still stream i of the seed
+        blocks = []
+        draw = ens.sample_sine_paths
+
+        def spy(spec, seeds):
+            assert all(block() is None for block in blocks)
+            batch = draw(spec, seeds)
+            blocks.append(weakref.ref(batch))
+            return batch
+
+        monkeypatch.setattr(ens, "sample_sine_paths", spy)
+        monkeypatch.setattr(ens, "_BLOCK_ROWS", 3)
+        spec = ens.SinePathSpec(beta=2.0, cells=32)
+        u = ens.sine_replicas(spec, 4, 8, lambda batch: batch.u)
+        assert len(blocks) == 3
+        whole = draw(spec, [ens.SeedSpec(4, i) for i in range(8)])
+        np.testing.assert_array_equal(u.view(np.int64), whole.u.view(np.int64))
+
+    def test_a_block_sweeps_its_window_in_chunks(self):
+        # a window's endpoint sweep takes two lanes per row; below
+        # _CHUNK_LANES lanes every sweep of a block runs chunked
+        assert 2 * ens._BLOCK_ROWS < dirac._CHUNK_LANES
+
     def test_steps_are_the_drawn_increments(self):
         # the frame steps of a row are its Brownian increments, bit for bit:
         # w_k = d1_{k-1} + i exp(d2_{k-1} - h / 2), and the last cell comes
@@ -320,7 +346,7 @@ class TestSineOperator:
         spec = ens.SinePathSpec(beta=0.02)
         with pytest.raises(ValueError, match="^path overflow"):
             ens.sample_sine_operator(spec, ens.SeedSpec(3, 0))
-        batch = ens.sine_replicas(spec, 3, 2)
+        batch = ens.sample_sine_paths(spec, [ens.SeedSpec(3, i) for i in range(2)])
         assert batch.rows == 2
         assert np.all(np.isfinite(batch.w))
 

@@ -50,6 +50,20 @@ def test_conversion_timing_prints_one_record(capsys):
     assert 0.0 < record["maxrss_mb_before"] <= record["maxrss_mb_after"]
 
 
+def test_criterion_peaks_prints_a_record_per_criterion(capsys):
+    tool = load_tool("criterion_peaks")
+    assert tool.main(["7", "trace-hs-closed-form"]) == 0
+    [line] = capsys.readouterr().out.splitlines()
+    record = json.loads(line)
+    assert (record["criterion"], record["seed"]) == ("trace-hs-closed-form", 7)
+    assert 0.0 < record["wall_s"]
+    # the baseline holds numpy and the package
+    assert 10.0 < record["baseline_mb"] <= record["peak_mb"]
+    with pytest.raises(SystemExit) as exc:
+        tool.main(["7", "no-such-criterion"])
+    assert exc.value.code == 2
+
+
 def test_sweep_timing_prints_a_record_per_case(capsys, monkeypatch):
     tool = load_tool("sweep_timing")
     # a small run: 64 Sine cells in 3 rows, a KN operator of 20 cells
@@ -79,8 +93,11 @@ def test_sweep_timing_prints_a_record_per_case(capsys, monkeypatch):
 
 def test_solve_counts_prints_one_record(capsys, monkeypatch):
     tool = load_tool("solve_counts")
-    # a small run: one KN size, one beta, four rows per Sine batch, one
-    # timed solve each
+    # a small run: one KN size, one beta, four rows per Sine batch, the
+    # palm-pins-zero rows in blocks of 3, one timed solve each
+    from circdirac import ensembles
+
+    monkeypatch.setattr(ensembles, "_BLOCK_ROWS", 3)
     monkeypatch.setattr(tool, "KN_SIZES", (50,))
     monkeypatch.setattr(tool, "REPLICAS", 4)
     monkeypatch.setattr(tool, "SINE_BETAS", (0.5,))
@@ -93,6 +110,7 @@ def test_solve_counts_prints_one_record(capsys, monkeypatch):
     kn, palm, sine = record["kn50"], record["palm-pins-zero"], record["sine0.5"]
     # the endpoint sweep and at least one solver sweep of every root
     assert kn["roots"] == 50 and kn["sweeps"] >= 2 and kn["lane_sweeps"] >= 2 + 50
+    assert palm["blocks"] == 2
     assert palm["roots"] >= 4 and palm["lane_sweeps"] >= 2 * 4 + palm["roots"]
     # [0, 20 pi) holds about ten eigenvalues of each row
     assert sine["roots"] >= 4 and sine["lane_sweeps"] >= 2 * 4 + sine["roots"]

@@ -123,14 +123,32 @@ def test_worker_pool_is_capped_at_the_suite_size(monkeypatch):
 
 def test_batched_count_matches_per_operator():
     # the intensity criterion counts eigenvalues from endpoint phases over
-    # sine_replicas, row i on stream i of the seed; it must agree with
+    # batches of rows, row i on stream i of the seed; it must agree with
     # dirac.eigenvalue_count per operator
     spec = SinePathSpec(beta=2.0, cells=128)
     lo, hi = 0.0, 20.0 * math.pi
-    counts = sine_replicas(spec, 99, 6).count((lo, hi))
+    counts = sample_sine_paths(spec, [SeedSpec(99, i) for i in range(6)]).count((lo, hi))
     expected = [dirac.eigenvalue_count(sample_sine_operator(spec, SeedSpec(99, i)),
                                        (lo, hi)) for i in range(6)]
     np.testing.assert_array_equal(counts, expected)
+
+
+@pytest.mark.parametrize("block", [1, 7])
+def test_replica_values_do_not_depend_on_the_block(monkeypatch, block):
+    # every sweep of a block runs chunked, so each row's count and its root
+    # nearest 0 keep their bits whatever block the row falls in
+    def values():
+        counts = sine_replicas(SinePathSpec(beta=2.0, cells=128), 5, 20,
+                               lambda batch: batch.count((0.0, 20.0 * math.pi)))
+        nearest = sine_replicas(SinePathSpec(beta=2.0, cells=128, q=math.inf), 5, 20,
+                                verify._nearest_roots)
+        return counts, nearest
+
+    counts, nearest = values()
+    assert counts.sum() > 0 and np.all(nearest < 1e-10)
+    monkeypatch.setattr(ensembles, "_BLOCK_ROWS", block)
+    for got, want in zip(values(), (counts, nearest)):
+        np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
 
 
 def test_endpoint_phases_match_separate_sweeps():

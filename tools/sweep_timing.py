@@ -3,9 +3,10 @@
 Sweeps two batches through ``OperatorBatch._lanes``, the one path every
 sweep of a batch takes:
 
-- ``sine``: SINE_ROWS Sine_2 rows of SINE_CELLS cells (``sine_replicas`` at
-  seed 1, Cauchy slopes), lane j on row j mod SINE_ROWS, its lambdas
-  spread evenly over [0, 20 pi);
+- ``sine``: SINE_ROWS Sine_2 rows of SINE_CELLS cells (one
+  ``sample_sine_paths`` batch of streams 0 to SINE_ROWS - 1 of seed 1,
+  Cauchy slopes), lane j on row j mod SINE_ROWS, its lambdas spread
+  evenly over [0, 20 pi);
 - ``kn``: the one-row operator ``coefficient_operator(sample_kn(KN_N, 2,
   SeedSpec(1, 0)))``, its lambdas spread evenly over [0, 2 pi KN_N), where
   no cell angle exceeds pi.
@@ -41,9 +42,10 @@ VARIANTS = {"phase": (False, True), "derivative": (True, False), "both": (True, 
 def batches():
     """(name, batch, lambda range) of the two timed cases."""
     from circdirac.dirac import coefficient_operator
-    from circdirac.ensembles import SeedSpec, SinePathSpec, sample_kn, sine_replicas
+    from circdirac.ensembles import SeedSpec, SinePathSpec, sample_kn, sample_sine_paths
 
-    sine = sine_replicas(SinePathSpec(beta=2.0, cells=SINE_CELLS), 1, SINE_ROWS)
+    sine = sample_sine_paths(SinePathSpec(beta=2.0, cells=SINE_CELLS),
+                             [SeedSpec(1, i) for i in range(SINE_ROWS)])
     kn = coefficient_operator(sample_kn(KN_N, 2.0, SeedSpec(1, 0))).batch
     return [("sine", sine, 20.0 * math.pi), ("kn", kn, 2.0 * math.pi * KN_N)]
 
