@@ -2,14 +2,15 @@
 
 Subpackage map:
 
-- :mod:`circdirac.hyperbolic` -- the boundary point at infinity and the
-  involution iota of the Palm transform.
+- :mod:`circdirac.hyperbolic` -- ``is_inf``, the test for the infinite
+  boundary slope.
 - :mod:`circdirac.opuc` -- orthogonal polynomials on the unit circle,
   coefficient sequences and conversions, Aleksandrov transforms.
 - :mod:`circdirac.dirac` -- piecewise-constant canonical-system operators,
   built from modified coefficients along the measure's hyperbolic path;
   phase, eigenvalues, spectral measures.
-- :mod:`circdirac.ensembles` -- Killip-Nenciu sampling, Palm transform,
+- :mod:`circdirac.ensembles` -- Killip-Nenciu sampling, Palm transform
+  (the involution iota on the interior coefficients),
   Sine_beta operator paths, window biasing.
 - :mod:`circdirac.stats` -- goodness-of-fit tests.
 - :mod:`circdirac.verify` -- the named acceptance suites behind

@@ -118,7 +118,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .hyperbolic import INF, is_inf
+from .hyperbolic import is_inf
 from .opuc import (CoefficientSequence, UnitCircleMeasure, convert_coefficients,
                    measure_to_alpha)
 
@@ -274,20 +274,21 @@ class SpectralMeasure:
 def boundary_direction(q) -> np.ndarray:
     """The right boundary direction u1 of the boundary slope q.
 
-    A finite real q gives u1 = [-q, -1]; an infinite one (``math.inf`` or
-    INF) gives the infinity slope u1 = [1, 0].
+    A finite real q gives u1 = [-q, -1]; an infinite one (``math.inf``, or
+    a complex number with an infinite part) gives the infinity slope
+    u1 = [1, 0].
     """
     return np.array([1.0, 0.0]) if is_inf(q) else np.array([-float(q), -1.0])
 
 
-def build_operator(path, q, origin="custom") -> DiracOperator:
+def build_operator(path, q) -> DiracOperator:
     """Operator on the cells ``path = (grid, cell_values)``, with u0 = [1, 0].
 
     ``q`` is the boundary slope, u1 = :func:`boundary_direction` (q).
     """
     grid, cells = path
     return DiracOperator(grid=grid, path=cells, u0=np.array([1.0, 0.0]),
-                         u1=boundary_direction(q), origin=origin)
+                         u1=boundary_direction(q))
 
 
 def coefficient_operator(gammas: CoefficientSequence) -> DiracOperator:
@@ -310,8 +311,8 @@ def coefficient_operator(gammas: CoefficientSequence) -> DiracOperator:
     |gamma_{n-1}| = 1 gives r_{n-1} = 0, so z_n is the real slope
     x_{n-1} + v_{n-1} y_{n-1}, and the right boundary direction in the
     last cell's frame is [-v_{n-1}, -1]; the Palm coefficient
-    gamma_{n-1} = 1 (within 1e-13) gives b_n = 1, the slope INF and the
-    direction [1, 0].  The path itself, y_k = prod_{j<k} r_j and
+    gamma_{n-1} = 1 (within 1e-13) gives b_n = 1, the slope ``math.inf``
+    and the direction [1, 0].  The path itself, y_k = prod_{j<k} r_j and
     x_k = sum_{j<k} v_j y_j, and u1 of the rounded slope are kept for the
     JSON and the transforms.
     """
@@ -324,7 +325,7 @@ def coefficient_operator(gammas: CoefficientSequence) -> DiracOperator:
     y = np.cumprod(w.imag[0])
     x = np.concatenate(([0.0], np.cumsum(w.real[0, 1:] * y[:-1])))
     if abs(g[-1] - 1.0) < 1e-13:
-        slope, target = INF, (1.0, 0.0)
+        slope, target = math.inf, (1.0, 0.0)
     else:
         v_last = -2.0 * (g[-1] / (1.0 - g[-1])).imag
         slope, target = x[-1] + v_last * y[-1], (-v_last, -1.0)

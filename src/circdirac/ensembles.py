@@ -24,6 +24,9 @@ The atom-at-1-biased version keeps the same radial law and tilts each
 angle by the Poisson kernel at the real point r_k; that conditional angle
 law is the harmonic measure seen from r_k, sampled exactly as the boundary
 image of a uniform point under the disk automorphism w -> (w+r)/(1+rw).
+The Palm map :func:`palm_gammas` sends the interior coefficients through
+the involution iota of the disk, which keeps their moduli, and pins the
+last to 1, so each measure gains an atom at angle 0.
 
 The Sine_beta driving path lives in logarithmic time u = (4/beta) log t:
 y = exp(b2(u) - u/2) and x is the Ito integral -int_u^0 e^{b2-s/2} db1,
@@ -48,7 +51,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hyperbolic import iota_array
 from .opuc import CoefficientSequence, _measures_from_gammas_batch
 from .dirac import DiracOperator, OperatorBatch, boundary_direction
 
@@ -132,11 +134,14 @@ def sample_kn(n: int, beta: float, seed: SeedSpec) -> CoefficientSequence:
 
 
 class KNMeasureSampler:
-    """Batched replicas of the (n, beta) ensemble: coefficients and measures.
+    """Batched replicas of the (n, beta) ensemble's coefficients.
 
     The replicas are the rows of one :func:`kn_gammas` draw from the
-    stream that ``base`` names; ``sample_batch`` converts all replicas to
-    measures with batched linear algebra.
+    stream that ``base`` names; :func:`window_biasing` converts them to
+    measures with one batched conversion.  The benchmark's tracer times
+    the draws per replica through ``gammas_for``, so the class stays until
+    the benchmark change of ROADMAP item 1 keys that metric on
+    :func:`kn_gammas`.
     """
 
     def __init__(self, n: int, beta: float):
@@ -150,12 +155,6 @@ class KNMeasureSampler:
             raise ValueError("need at least one replica")
         return kn_gammas(base.rng(), self.n, self.beta, replicas)
 
-    def sample_batch(self, base: SeedSpec, replicas: int):
-        """(gammas, angles, weights): one draw and one measure conversion."""
-        g = self.gammas_for(base, replicas)
-        angles, weights = _measures_from_gammas_batch(g)
-        return g, angles, weights
-
 
 # ---------------------------------------------------------------------------
 # Palm transform and the directly sampled biased law
@@ -166,10 +165,14 @@ def palm_gammas(g) -> np.ndarray:
 
     gamma'_k = iota(gamma_k) for k <= n-2 and gamma'_{n-1} = 1 along the
     last axis; the moduli are untouched and each output measure has an
-    atom at angle 0.
+    atom at angle 0.  iota(gamma) = -gamma (1 - conj(gamma)) / (1 - gamma)
+    keeps the modulus and sends the parameter of an affine disk isometry
+    (fixing the boundary point 1, sending gamma to 0) to the parameter of
+    its inverse; gamma = 1, its pole, gives nan/inf.
     """
     out = np.array(g, dtype=complex)
-    out[..., :-1] = iota_array(out[..., :-1])
+    g = out[..., :-1]
+    out[..., :-1] = -g * (1.0 - np.conj(g)) / (1.0 - g)
     out[..., -1] = 1.0
     return out
 
@@ -347,9 +350,10 @@ def remove_atom(angles, weights):
 def bias_by_window(angles, atom_weights, epsilon: float) -> np.ndarray:
     """Importance weights of drawn replica measures for the window (-eps, eps).
 
-    ``angles``/``atom_weights`` hold one replica measure per row, as
-    returned by :meth:`KNMeasureSampler.sample_batch`; draw once and call
-    this for each epsilon, as :func:`window_biasing` does.  Weight i is
+    ``angles``/``atom_weights`` hold one replica measure per row, as the
+    batched conversion of :meth:`KNMeasureSampler.gammas_for` returns
+    them; draw once and call this for each epsilon, as
+    :func:`window_biasing` does.  Weight i is
     mu_i(arc)/mean(mu(arc)); an all-zero weight vector (no replica charges
     the arc) is an error.
     Acceptance-rejection on the arc event would waste nearly all replicas
@@ -374,6 +378,7 @@ def window_biasing(n: int, beta: float, replicas: int, epsilons, base: SeedSpec,
     at each epsilon; ``direct`` holds 10 000 :func:`biased_gammas` draws
     of the atom-at-1 law from the stream ``direct`` names.
     """
-    gammas, angles, atom_weights = KNMeasureSampler(n, beta).sample_batch(base, replicas)
+    gammas = KNMeasureSampler(n, beta).gammas_for(base, replicas)
+    angles, atom_weights = _measures_from_gammas_batch(gammas)
     weights = np.stack([bias_by_window(angles, atom_weights, eps) for eps in epsilons])
     return gammas, weights, biased_gammas(direct.rng(), n, beta, 10_000)

@@ -481,8 +481,7 @@ def run_suite(suite: str, seed: int, jobs: int = 1) -> dict:
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = dict(pool.map(_run_one, work))
-        results = [(name, results[name]) for name in names]
+            results = list(pool.map(_run_one, work))
     else:
         results = [_run_one(w) for w in work]
     criteria = []

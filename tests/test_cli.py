@@ -1,6 +1,8 @@
 import json
 import math
 import os
+import re
+import shlex
 import subprocess
 import sys
 import warnings
@@ -9,6 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from circdirac import cli
 from circdirac.cli import build_parser, main
 from circdirac.ensembles import KNMeasureSampler, SeedSpec, SinePathSpec, sample_sine_operator
 
@@ -369,6 +372,31 @@ class TestErrorHandling:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
 
+    def test_import_builds_no_parser(self):
+        code = "import circdirac.cli as c; print(c._parser.cache_info().currsize)"
+        proc = subprocess.run([sys.executable, "-c", code], env=source_env(),
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "0"
+
+    def test_main_builds_the_parser_once(self, tmp_path, monkeypatch):
+        built = []
+
+        def counting_build_parser():
+            built.append(None)
+            return build_parser()
+
+        monkeypatch.setattr(cli, "build_parser", counting_build_parser)
+        cli._parser.cache_clear()
+        kn = tmp_path / "kn.json"
+        for stream in range(3):
+            assert main(["kn-sample", "--n", "3", "--beta", "2", "--seed", "1",
+                         "--stream", str(stream), "--out", str(kn)]) == 0
+        with pytest.raises(SystemExit) as exc:
+            main(["kn-sample", "--n", "3"])
+        assert exc.value.code == 2
+        assert len(built) == 1
+
     @staticmethod
     def scipy_modules_after(code):
         """The scipy modules a fresh interpreter holds after running ``code``."""
@@ -549,3 +577,36 @@ class TestSingleAtomPipeline:
         np.testing.assert_allclose([a[0] for a in atoms], expected,
                                    atol=1e-10)
         np.testing.assert_allclose([a[1] for a in atoms], 2.0, atol=1e-10)
+
+
+class TestReadme:
+    """The README's command lines and stated defaults, against the parser."""
+
+    README = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+
+    def section(self):
+        return self.README.split("## Command line", 1)[1].split("\n## ", 1)[0]
+
+    def test_every_command_line_parses(self):
+        block = self.section().split("```", 2)[1]
+        lines = [shlex.split(line, comments=True) for line in block.splitlines()
+                 if line.startswith("circdirac ")]
+        assert len(lines) == 11
+        for argv in lines:
+            build_parser().parse_args(argv[1:])
+
+    def test_stated_defaults_are_the_parser_defaults(self):
+        text = " ".join(self.section().split())
+        stated = dict(re.findall(r"`([a-z-]+)` \(defaults `([^`]*)`\)", text))
+        assert sorted(stated) == ["bias", "bias-trend", "sine-intensity"]
+        parser = build_parser()
+        for command, defaults in stated.items():
+            required = ["--out", "o"] if command == "bias" else []
+            given = defaults.replace("20pi", repr(20.0 * math.pi)).split()
+            assert (parser.parse_args([command, *required, *given])
+                    == parser.parse_args([command, *required])), command
+        assert ("`--t-min` and `--cells` default to 1e-4 and 4096, as do those of "
+                "`sine-intensity`") in text
+        for argv in (["sine-beta", "--beta", "2", "--out", "o"], ["sine-intensity"]):
+            args = parser.parse_args(argv)
+            assert (args.t_min, args.cells) == (1e-4, 4096)

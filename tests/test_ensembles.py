@@ -76,15 +76,15 @@ class TestSampleKN:
 
 class TestKNMeasure:
     def test_single_atom(self):
-        _, angles, weights = ens.KNMeasureSampler(1, 2.0).sample_batch(
-            ens.SeedSpec(6, 0), 3)
+        angles, weights = _measures_from_gammas_batch(
+            ens.KNMeasureSampler(1, 2.0).gammas_for(ens.SeedSpec(6, 0), 3))
         assert angles.shape == weights.shape == (3, 1)
         np.testing.assert_allclose(weights, 1.0, rtol=1e-15)
 
     def test_weight_marginal_is_beta(self):
         n, beta, draws = 5, 2.0, 10_000
         sampler = ens.KNMeasureSampler(n, beta)
-        _, _, weights = sampler.sample_batch(ens.SeedSpec(7, 0), draws)
+        _, weights = _measures_from_gammas_batch(sampler.gammas_for(ens.SeedSpec(7, 0), draws))
         # a Dirichlet(b/2,...) coordinate is Beta(b/2, b(n-1)/2)
         rep = cstats.ks_test(weights[:, 0],
                              lambda x: sps.beta.cdf(x, beta / 2,
@@ -93,7 +93,8 @@ class TestKNMeasure:
 
     def test_batch_matches_serial(self):
         sampler = ens.KNMeasureSampler(4, 2.0)
-        g, angles, weights = sampler.sample_batch(ens.SeedSpec(8, 0), 3)
+        g = sampler.gammas_for(ens.SeedSpec(8, 0), 3)
+        angles, weights = _measures_from_gammas_batch(g)
         for i in range(3):
             seq = opuc.CoefficientSequence("modified", g[i])
             mu = opuc.alpha_to_measure(opuc.convert_coefficients(seq, "verblunsky"))
@@ -120,7 +121,7 @@ class TestKNMeasure:
         # support, against a permutation null
         n, draws = 5, 300
         sampler = ens.KNMeasureSampler(n, 2.0)
-        _, angles, weights = sampler.sample_batch(ens.SeedSpec(9, 0), draws)
+        angles, weights = _measures_from_gammas_batch(sampler.gammas_for(ens.SeedSpec(9, 0), draws))
 
         def dcor(xm, ym):
             def centered(dm):
@@ -419,7 +420,8 @@ class TestBiasByWindow:
 
     def test_weights_concentrate_as_window_shrinks(self):
         sampler = ens.KNMeasureSampler(6, 2.0)
-        _, angles, atom_weights = sampler.sample_batch(ens.SeedSpec(27, 0), 400)
+        angles, atom_weights = _measures_from_gammas_batch(
+            sampler.gammas_for(ens.SeedSpec(27, 0), 400))
         fracs = []
         for eps in (0.5, 0.1, 0.02):
             w = ens.bias_by_window(angles, atom_weights, eps)

@@ -58,7 +58,7 @@ def path_loop(gammas):
 
     The disk recursion b_{k+1} = A^{-1}_{gamma_0} o ... o A^{-1}_{gamma_k}(0)
     and the half-plane steps z_{k+1} = z_k + y_k (v_k + i w_k) run side by
-    side; gamma_{n-1} = 1 gives b_n = 1 and z_n = INF.
+    side; gamma_{n-1} = 1 gives b_n = 1 and an infinite z_n.
     """
     g = gammas.values
     n = g.size
@@ -70,7 +70,7 @@ def path_loop(gammas):
         t = gk * (1.0 - bk) / (1.0 - bk.conjugate())
         b[k + 1] = (bk + t) / (1.0 + bk.conjugate() * t)
         if abs(gk - 1.0) < 1e-13:
-            b[k + 1], z[k + 1] = 1.0, hyp.INF
+            b[k + 1], z[k + 1] = 1.0, complex(math.inf, 0.0)
         else:
             q = gk / (1.0 - gk)
             v, w = -2.0 * q.imag, 2.0 * q.real
@@ -236,6 +236,16 @@ class TestConvert:
         g = opuc.convert_coefficients(seq, "modified")
         np.testing.assert_allclose(np.abs(g.values), np.abs(seq.values),
                                    atol=1e-14)
+
+    def test_interior_entry_next_to_one_is_refused(self):
+        # inside the disk, so a valid sequence, but 1 - gamma within 1e-14
+        # of 0 would divide the phase twist by almost nothing
+        g = np.array([0.2j, 1.0 - 5e-15, np.exp(0.3j)])
+        assert abs(g[1]) < 1.0
+        for kind, target in (("modified", "verblunsky"), ("verblunsky", "modified")):
+            seq = opuc.CoefficientSequence(kind, g)
+            with pytest.raises(ValueError, match="degenerate product"):
+                opuc.convert_coefficients(seq, target)
 
     def test_phase_twist_is_unimodular_at_large_n(self):
         # a running product of the twist factors let |alpha_k| drift from
@@ -675,7 +685,7 @@ class TestPath:
             cells = dirac.coefficient_operator(g).path
             np.testing.assert_allclose(1j * (1.0 + b[:-1]) / (1.0 - b[:-1]), cells,
                                        rtol=0.0, atol=1e-10)
-            # boundary point: compare in the disk (z may be huge or INF)
+            # boundary point: compare in the disk (z may be huge or infinite)
             assert abs(abs(b[-1]) - 1.0) < 1e-10
 
     def test_heights_are_norm_products(self):
@@ -720,23 +730,27 @@ class TestReversePath:
         np.testing.assert_allclose(rev, 0.0, atol=1e-14)
 
     def test_matches_iota_reversed_sequence(self):
+        from circdirac.ensembles import palm_gammas
+
         rng = np.random.default_rng(13)
         for _ in range(20):
             seq = random_alphas(rng, 5)
             g = opuc.convert_coefficients(seq, "modified")
             rev = reverse_path(g)
-            flipped = np.append(hyp.iota_array(g.values[:-1][::-1]), 1.0)
+            flipped = palm_gammas(np.append(g.values[:-1][::-1], 1.0))
             oracle, _ = path_loop(opuc.CoefficientSequence("modified", flipped))
             np.testing.assert_allclose(rev, oracle[:5], atol=1e-10)
 
     def test_two_coefficients_hand_case(self):
+        from circdirac.ensembles import palm_gammas
+
         rng = np.random.default_rng(14)
         g0 = 0.3 - 0.45j
         g = opuc.CoefficientSequence(
             "modified", np.array([g0, np.exp(1j * rng.uniform(0, TWO_PI))]))
         rev = reverse_path(g)
         assert abs(rev[0]) < 1e-14
-        assert rev[1] == pytest.approx(hyp.iota_array(g0), abs=1e-12)
+        assert rev[1] == pytest.approx(palm_gammas([g0, 1.0])[0], abs=1e-12)
 
 
 class TestAleksandrov:

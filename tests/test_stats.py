@@ -257,6 +257,51 @@ class TestChi2:
         assert rep.statistic == math.inf and not rep.passed
         assert rep.notes.endswith("; 40 samples where the density is zero")
 
+    @staticmethod
+    def annulus_samples(seed, n=8000):
+        """n uniform samples of the annulus 0.1 <= |z| < 1: none in the inner ring of cells."""
+        rng = np.random.default_rng(seed)
+        return np.sqrt(0.01 + 0.99 * rng.random(n)) * np.exp(2j * math.pi * rng.random(n))
+
+    def test_underfilled_pool_folds_into_the_smallest_cell(self):
+        # the inner ring's 10 cells expect 0.08 samples in all: that pool is
+        # folded into the smallest of the 90 retained cells, so dof = 89
+        dens = lambda w: np.where(np.abs(w) >= 0.1, 1.0, 1e-3)
+        z = self.annulus_samples(10)
+        rep = cstats.chi2_hist2d(z, dens)
+        assert rep.notes == "chi2 dof=89"
+        assert rep.threshold == cstats.chi2_threshold(89)
+        # the same statistic by hand
+        _, _, prob = cstats.disk_cell_probabilities(dens)
+        ring = np.minimum((np.abs(z) * cstats.BINS).astype(int), cstats.BINS - 1)
+        sector = (np.mod(np.angle(z), 2.0 * math.pi) / (2.0 * math.pi)
+                  * cstats.BINS).astype(int) % cstats.BINS
+        obs = np.zeros((cstats.BINS, cstats.BINS))
+        np.add.at(obs, (ring, sector), 1.0)
+        o, e = obs[1:].ravel(), z.size * prob[1:].ravel()
+        pool = z.size * prob[0].sum()
+        assert 0.0 < pool < cstats.MIN_EXPECTED and obs[0].sum() == 0.0
+        j = np.argmin(e)
+        e[j] += pool
+        assert rep.statistic == pytest.approx(np.sum((o - e) ** 2 / e), rel=1e-12)
+
+    def test_empty_pool_expecting_nothing_is_dropped(self):
+        # the density vanishes on the inner ring and no sample falls there:
+        # the pool is dropped, not folded, and the statistic is finite
+        dens = lambda w: (np.abs(w) >= 0.1).astype(float)
+        _, _, prob = cstats.disk_cell_probabilities(dens)
+        assert np.all(prob[0] == 0.0)
+        rep = cstats.chi2_hist2d(self.annulus_samples(11), dens)
+        assert rep.notes == "chi2 dof=89"
+        assert math.isfinite(rep.statistic) and rep.passed
+
+    def test_fewer_than_two_adequate_cells_raise(self):
+        # 10 uniform samples expect at most 0.19 in any of the 100 cells
+        rng = np.random.default_rng(12)
+        z = np.sqrt(rng.random(10)) * np.exp(2j * math.pi * rng.random(10))
+        with pytest.raises(ValueError, match="too few cells with adequate expected count"):
+            cstats.chi2_hist2d(z, lambda w: np.ones_like(w, dtype=float))
+
     def test_samples_outside_the_disk_raise(self):
         # 40 of 8000 uniform-disk samples moved to |z| = 50; clipped into
         # the outermost ring they would pass, 96.1 against 148.2
