@@ -288,10 +288,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_out(p, out_default=None):
-        if out_default is None:
-            p.add_argument("--out", required=True, help="output path")
-        else:
-            p.add_argument("--out", default=out_default, help="output path")
+        p.add_argument("--out", required=out_default is None, default=out_default,
+                       help="output path")
 
     def add_seed(p, stream: bool):
         p.add_argument("--seed", type=int, default=None, help="master seed")

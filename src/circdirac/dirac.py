@@ -52,11 +52,12 @@ frame, X_{m-1} u1, as each source defines them: a Killip-Nenciu
 operator's affine steps (:func:`coefficient_operator`) and a Sine_beta
 path's Brownian increments (:func:`circdirac.ensembles.sample_sine_paths`)
 never pass through a path, whose differences and rounded slope would
-cost digits.  An operator built from a path takes its steps by
-differences (:func:`_path_batch`).  The batch's methods count, solve for,
-weigh and phase every row at once; :class:`DiracOperator` is a one-row
-view, and the module functions on it (``eigenvalues_in``,
-``eigenvalue_count``, ``spectral_measure``, ``phase_at``) call the batch.
+cost digits.  The batch's methods count, solve for, weigh and phase every
+row at once; :class:`DiracOperator` is a one-row view, built from its
+steps or from a path (whose steps are taken by differences,
+:func:`_path_batch`), and the module functions on it
+(``eigenvalues_in``, ``eigenvalue_count``, ``spectral_measure``,
+``phase_at``) call the batch.
 
 A sweep of few lanes would pay the interpreter once per cell for a few
 lanes of arithmetic.  Below _CHUNK_LANES lanes the m cells therefore run
@@ -114,7 +115,8 @@ t0 > 0, and time reversal of such an operator ends before 1.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -164,44 +166,61 @@ _QUIET = {"over": "ignore", "invalid": "ignore"}
 # value types
 
 
-@dataclass(frozen=True, eq=False)
 class DiracOperator:
-    """Immutable piecewise-constant operator.
+    """Immutable piecewise-constant operator, a one-row view of its ``batch``.
 
-    ``grid`` has m+1 strictly increasing points in [0, 1]; ``path`` holds
-    the m per-cell values z_k = x_k + i y_k with y_k > 0.  ``u0``/``u1``
+    ``grid`` has m+1 strictly increasing points in [0, 1]; ``u0``/``u1``
     are direction classes; u1 parallel to [1, 0] encodes the infinity
-    boundary slope (q = inf).  Swept through ``batch``: the operator as a
-    one-row :class:`OperatorBatch`.  Left None, that is the path's, its
-    frame steps taken by differences (:func:`_path_batch`).  A source that
-    defines its steps directly (:func:`coefficient_operator`,
-    :func:`~circdirac.ensembles.sample_sine_operator`) passes its own
-    exact row; the fields then serve the JSON and the transforms, so an
-    operator reloaded from JSON, or transformed, is its path's, with the
-    slope rounded.  The fields are read-only copies, so they cannot drift
-    from the steps ``batch`` holds.
+    boundary slope (q = inf).  ``batch`` is the operator as a one-row
+    :class:`OperatorBatch`, which every sweep reads.  An operator is what
+    it is built from, ``path`` or ``batch`` (not both).  Given ``path``,
+    the m per-cell values z_k = x_k + i y_k with y_k > 0, it is that path,
+    and its batch takes the steps by differences (:func:`_path_batch`).
+    Given ``batch``, as by :func:`coefficient_operator` and
+    :func:`~circdirac.ensembles.sample_sine_operator`, it is those exact
+    steps, and ``path`` is formed from them where one is asked for (the
+    transforms, :func:`trace_and_hsnorm`).  The JSON writes what the
+    operator was built from, so a reloaded operator keeps every bit of its
+    batch.  The fields are read-only.
     """
 
-    grid: np.ndarray
-    path: np.ndarray
-    u0: np.ndarray
-    u1: np.ndarray
-    origin: str = "custom"
-    batch: "OperatorBatch | None" = field(default=None, repr=False)
+    def __init__(self, grid, path=None, *, u0, u1, origin="custom", batch=None):
+        grid, u0, u1 = (_read_only(v, float) for v in (grid, u0, u1))
+        for name, vec in (("u0", u0), ("u1", u1)):
+            _boundary_rows(name, vec, 1)
+        if path is not None:
+            path = _read_only(path, complex)
+            batch = _path_batch(grid, path, u0, u1) if batch is None else None
+        if batch is None or batch.rows != 1 or not np.array_equal(batch.dt, np.diff(grid)):
+            raise ValueError("an operator takes its path or its one-row batch on its grid")
+        self.__dict__.update(grid=grid, u0=u0, u1=u1, origin=origin, batch=batch, _path=path)
 
-    def __post_init__(self):
-        for name, dtype in (("grid", float), ("path", complex), ("u0", float), ("u1", float)):
-            value = np.array(getattr(self, name), dtype=dtype)
-            value.flags.writeable = False
-            object.__setattr__(self, name, value)
-        if self.batch is None:
-            object.__setattr__(self, "batch", _path_batch(self.grid, self.path, self.u0, self.u1))
-        elif self.batch.rows != 1 or not np.array_equal(self.batch.dt, np.diff(self.grid)):
-            raise ValueError("an operator's batch must be one row on its grid")
+    def __setattr__(self, name, value):
+        raise AttributeError("an operator's fields are read-only")
 
     @property
     def cells(self) -> int:
-        return self.path.size
+        return self.batch.dt.size
+
+    @cached_property
+    def path(self) -> np.ndarray:
+        """The m cell values z_k: the path built from, or one formed from the steps.
+
+        Formed backward from the last cell: log y_k is log y_{m-1} minus
+        the suffix sums of log r, and x_k = x_{m-1} - sum_{j>k} v_j y_{j-1},
+        with numpy's overflow warnings off.  A path past double range
+        raises "path overflow" here, and only here.
+        """
+        if self._path is not None:
+            return self._path
+        w, (x, y) = self.batch.w[0, 1:], self.batch.last[:, 0]
+        with np.errstate(**_QUIET):
+            # a 0 ahead of the reversed terms makes each sum end at the last cell
+            y = np.exp(np.log(y) - np.cumsum(np.r_[0.0, np.log(w.imag)[::-1]])[::-1])
+            x = x - np.cumsum(np.r_[0.0, (w.real * y[:-1])[::-1]])[::-1]
+        if not (np.all(np.isfinite(x)) and np.all((y > 0.0) & (y < math.inf))):
+            raise ValueError("path overflow: the cell values leave double range")
+        return _read_only(x + 1j * y, complex)
 
     def normalized_u1(self) -> np.ndarray:
         """u1 rescaled so u0^t J u1 = 1 (the standing normalization).
@@ -215,20 +234,36 @@ class DiracOperator:
         return self.u1 / s
 
     def to_dict(self) -> dict:
-        return {
-            "grid": [float(t) for t in self.grid],
-            "path": [[float(z.real), float(z.imag)] for z in self.path],
-            "u0": [float(c) for c in self.u0],
-            "u1": "infinity" if self.u1[1] == 0.0 else [float(c) for c in self.u1],
-            "origin": self.origin,
-        }
+        """The path form of a path-built operator, else the steps form of its batch."""
+        b, from_path = self.batch, self._path is not None
+        pairs = [[z.real, z.imag] for z in (self._path if from_path else b.w[0]).tolist()]
+        form = {"path": pairs} if from_path else {"steps": pairs, "last": b.last[:, 0].tolist(),
+                "start": b.start[:, 0].tolist(), "target_offset": float(b.u[0])}
+        return {"grid": self.grid.tolist(), **form, "u0": self.u0.tolist(),
+                "u1": "infinity" if self.u1[1] == 0.0 else self.u1.tolist(), "origin": self.origin}
 
     @classmethod
     def from_dict(cls, d: dict) -> "DiracOperator":
-        u1 = [1.0, 0.0] if d["u1"] == "infinity" else d["u1"]
-        path = [complex(x, y) for x, y in d["path"]]
-        return cls(grid=d["grid"], path=path, u0=d["u0"], u1=u1,
-                   origin=d.get("origin", "custom"))
+        """Either form of :meth:`to_dict`; the steps form reloads the batch bit for bit."""
+        kw = {"u0": d["u0"], "u1": [1.0, 0.0] if d["u1"] == "infinity" else d["u1"],
+              "origin": d.get("origin", "custom")}
+        if "path" in d:
+            return cls(d["grid"], [complex(*z) for z in d["path"]], **kw)
+        if not 0.0 <= d["target_offset"] < TWO_PI:
+            raise ValueError("target_offset must lie in [0, 2 pi)")
+        # the stored offset replaces the placeholder target's: an offset
+        # taken back through a direction and its arctan would not keep its bits
+        batch = OperatorBatch.from_steps(d["grid"], [[complex(*z) for z in d["steps"]]],
+                                         [d["last"]], (1.0, 0.0), d["start"],
+                                         np.dot(d["u0"], d["u0"]))
+        return cls(d["grid"], batch=replace(batch, u=np.array([d["target_offset"]])), **kw)
+
+
+def _read_only(value, dtype) -> np.ndarray:
+    """A read-only copy of ``value`` as an array of ``dtype``."""
+    value = np.array(value, dtype=dtype)
+    value.flags.writeable = False
+    return value
 
 
 @dataclass(frozen=True, eq=False)
@@ -241,8 +276,7 @@ class SpectralMeasure:
     side: str
 
     def __post_init__(self):
-        lam = np.asarray(self.lambdas, dtype=float)
-        w = np.asarray(self.weights, dtype=float)
+        lam, w = (np.asarray(a, dtype=float) for a in (self.lambdas, self.weights))
         if self.side not in ("left", "right"):
             raise ValueError("side must be 'left' or 'right'")
         if lam.shape != w.shape:
@@ -252,9 +286,9 @@ class SpectralMeasure:
             raise ValueError("atoms must be sorted by lambda")
         if np.any(w <= 0.0):
             raise ValueError("spectral weights must be positive")
-        object.__setattr__(self, "lambdas", lam)
-        object.__setattr__(self, "weights", w)
-        object.__setattr__(self, "window", (float(self.window[0]), float(self.window[1])))
+        # frozen: the fields are set once, here
+        self.__dict__.update(lambdas=lam, weights=w,
+                             window=(float(self.window[0]), float(self.window[1])))
 
     def __len__(self) -> int:
         return self.lambdas.size
@@ -286,9 +320,7 @@ def build_operator(path, q) -> DiracOperator:
 
     ``q`` is the boundary slope, u1 = :func:`boundary_direction` (q).
     """
-    grid, cells = path
-    return DiracOperator(grid=grid, path=cells, u0=np.array([1.0, 0.0]),
-                         u1=boundary_direction(q))
+    return DiracOperator(*path, u0=(1.0, 0.0), u1=boundary_direction(q))
 
 
 def coefficient_operator(gammas: CoefficientSequence) -> DiracOperator:
@@ -312,9 +344,9 @@ def coefficient_operator(gammas: CoefficientSequence) -> DiracOperator:
     x_{n-1} + v_{n-1} y_{n-1}, and the right boundary direction in the
     last cell's frame is [-v_{n-1}, -1]; the Palm coefficient
     gamma_{n-1} = 1 (within 1e-13) gives b_n = 1, the slope ``math.inf``
-    and the direction [1, 0].  The path itself, y_k = prod_{j<k} r_j and
-    x_k = sum_{j<k} v_j y_j, and u1 of the rounded slope are kept for the
-    JSON and the transforms.
+    and the direction [1, 0].  The last cell, y_{n-1} = prod_{j<n} r_j and
+    x_{n-1} = sum_{j<n-1} v_j y_j, fixes the slope that u1 records; the
+    operator is its steps, and forms its path only where one is asked for.
     """
     gammas.require_kind("modified")
     g = gammas.values
@@ -330,9 +362,9 @@ def coefficient_operator(gammas: CoefficientSequence) -> DiracOperator:
         v_last = -2.0 * (g[-1] / (1.0 - g[-1])).imag
         slope, target = x[-1] + v_last * y[-1], (-v_last, -1.0)
     grid = np.linspace(0.0, 1.0, g.size + 1)
-    batch = OperatorBatch.from_steps(grid, w, [(x[-1], y[-1])], target)
-    return DiracOperator(grid=grid, path=x + 1j * y, u0=(1.0, 0.0), u1=boundary_direction(slope),
-                         origin="discrete-measure", batch=batch)
+    return DiracOperator(grid, u0=(1.0, 0.0), u1=boundary_direction(slope),
+                         origin="discrete-measure",
+                         batch=OperatorBatch.from_steps(grid, w, [(x[-1], y[-1])], target))
 
 
 def measure_operator(mu: UnitCircleMeasure) -> DiracOperator:
@@ -365,12 +397,12 @@ def _path_batch(grid, path, u0, u1) -> "OperatorBatch":
     w_k = (z_k - x_{k-1}) / y_{k-1}, written part by part: v_k =
     (x_k - x_{k-1}) / y_{k-1} and r_k = y_k / y_{k-1}; X_0 u0 and
     X_{m-1} u1 entry by entry, which keeps the sign of a zero in u0.
+    ``u0`` and ``u1`` are 2-vectors that the operator has validated.
     """
     _require_finite_input("path", path)
     x, y = path.real, path.imag
     if path.ndim != 1 or path.size == 0 or np.any(y <= 0.0):
         raise ValueError("path must hold one value per cell, with y_k positive")
-    (u0,), (u1,) = _boundary_rows("u0", u0, 1), _boundary_rows("u1", u1, 1)
     w = np.empty((1, path.size), dtype=complex)
     w[0, 0] = 1j
     w.real[0, 1:], w.imag[0, 1:] = (x[1:] - x[:-1]) / y[:-1], y[1:] / y[:-1]
@@ -1009,9 +1041,8 @@ def conjugate_operator(op: DiracOperator, Q) -> DiracOperator:
     Q = np.asarray(Q, dtype=float)
     if Q.shape != (2, 2) or abs(np.linalg.det(Q) - 1.0) > 1e-12:
         raise ValueError("conjugation requires a real 2x2 matrix with det 1")
-    a, b, c, d = Q[0, 0], Q[0, 1], Q[1, 0], Q[1, 1]
-    z = op.path
-    return DiracOperator(grid=op.grid.copy(), path=(a * z + b) / (c * z + d),
+    (a, b), (c, d) = Q
+    return DiracOperator(grid=op.grid.copy(), path=(a * op.path + b) / (c * op.path + d),
                          u0=Q @ op.u0, u1=Q @ op.u1, origin=op.origin)
 
 

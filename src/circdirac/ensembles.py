@@ -34,8 +34,8 @@ accumulated from u = 0 with left-endpoint (Euler-Maruyama) sums.  It is a
 hyperbolic Brownian motion, so its frame steps are its increments:
 :func:`sample_sine_paths` sweeps the points
 w_k = d1_{k-1} + i exp(d2_{k-1} - h / 2) of the upper half plane as drawn
-and forms no path, which only
-:func:`sample_sine_operator` builds, for its JSON.  The path is truncated
+and forms no path, and :func:`sample_sine_operator` is one row of it,
+which forms its path only where one is asked for.  The path is truncated
 at t_min and laid on the time grid t = e^{beta u / 4};
 the boundary condition at 1 is that of the slope q,
 :func:`circdirac.dirac.boundary_direction`: [-q, -1] for a real q and
@@ -240,17 +240,6 @@ def _sine_grid(spec: SinePathSpec):
     return t, u[:-1], -u_min / spec.cells
 
 
-def _sine_row(spec: SinePathSpec, h: float, rng: np.random.Generator):
-    """One row's increments (d1, d2) of b1 and b2 over the u-cells, and its u1.
-
-    Draw order: b2 increments, b1 increments, then the Cauchy variable
-    (when ``spec.q`` is None).
-    """
-    d2, d1 = math.sqrt(h) * rng.standard_normal((2, spec.cells))
-    q = math.tan(math.pi * (rng.random() - 0.5)) if spec.q is None else spec.q
-    return d1, d2, boundary_direction(q)
-
-
 def sample_sine_paths(spec: SinePathSpec, seeds) -> OperatorBatch:
     """Brownian-driven operators truncated at t_min, row i from ``seeds[i]``.
 
@@ -265,20 +254,31 @@ def sample_sine_paths(spec: SinePathSpec, seeds) -> OperatorBatch:
     the last increments alone, y = exp(-d2_{m-1} - u_{m-1} / 2) and
     x = -y d1_{m-1}.
     """
+    return _sine_rows(spec, seeds)[2]
+
+
+def _sine_rows(spec: SinePathSpec, seeds):
+    """(t, u1, batch): the time grid, each row's u1, and :func:`sample_sine_paths`.
+
+    Draw order per row: b2 increments, b1 increments, then the Cauchy
+    variable (when ``spec.q`` is None).
+    """
     t, u, h = _sine_grid(spec)
     w = np.empty((len(seeds), spec.cells), dtype=complex, order="F")
     w[:, 0] = 1j
-    v, r = w.real, w.imag
     # per row: its last increments (d1, d2) and its u1
     ends, u1 = np.empty((2, len(seeds), 2))
     for i, seed in enumerate(seeds):
-        d1, d2, u1[i] = _sine_row(spec, h, seed.rng())
-        v[i, 1:], r[i, 1:], ends[i] = d1[:-1], np.exp(d2[:-1] - 0.5 * h), (d1[-1], d2[-1])
+        rng = seed.rng()
+        d2, d1 = math.sqrt(h) * rng.standard_normal((2, spec.cells))
+        u1[i] = boundary_direction(math.tan(math.pi * (rng.random() - 0.5))
+                                   if spec.q is None else spec.q)
+        w.real[i, 1:], w.imag[i, 1:], ends[i] = d1[:-1], np.exp(d2[:-1] - 0.5 * h), (d1[-1], d2[-1])
     y = np.exp(-ends[:, 1] - 0.5 * u[-1])
     x = -(y * ends[:, 0])
     # the target is X_{m-1} u1 = [u1_0 - x u1_1, y u1_1]
-    return OperatorBatch.from_steps(t, w, np.stack([x, y], axis=1),
-                                    np.stack([u1[:, 0] - x * u1[:, 1], y * u1[:, 1]], axis=1))
+    target = np.stack([u1[:, 0] - x * u1[:, 1], y * u1[:, 1]], axis=1)
+    return t, u1, OperatorBatch.from_steps(t, w, np.stack([x, y], axis=1), target)
 
 
 def sine_replicas(spec: SinePathSpec, seed: int, replicas: int, per_row) -> np.ndarray:
@@ -296,27 +296,15 @@ def sine_replicas(spec: SinePathSpec, seed: int, replicas: int, per_row) -> np.n
         for lo in range(0, replicas, _BLOCK_ROWS)])
 
 
-@np.errstate(over="ignore", invalid="ignore")
 def sample_sine_operator(spec: SinePathSpec, seed: SeedSpec) -> DiracOperator:
-    """One Sine_beta operator, swept on its row of ``sample_sine_paths(spec, [seed])``.
+    """One Sine_beta operator: row 0 of ``sample_sine_paths(spec, [seed])``, drawn once.
 
-    The path, which only the JSON and the transforms read, is the one of
-    those increments: anchored so b2(0) = 0, giving z = i at t = 1, and
-    taken on each cell at its left edge.  At small beta it overflows; it
-    is built with numpy's overflow warnings off and checked once, so the
-    "path overflow" error is all a caller sees, also where warnings are
-    errors.
+    The operator is its steps; its path, anchored so b2(0) = 0, which puts
+    the cell at t = 1 one Brownian step from i, is formed only where one
+    is asked for, and raises "path overflow" there at small beta.
     """
-    t, u, h = _sine_grid(spec)
-    d1, d2, u1 = _sine_row(spec, h, seed.rng())
-    # b at each cell's left edge u_j, with b(0) = 0: minus the suffix sums
-    # of increments
-    y = np.exp(-np.cumsum(d2[::-1])[::-1] - 0.5 * u)
-    x = -np.cumsum((y * d1)[::-1])[::-1]
-    if not (np.all(np.isfinite(y)) and np.all(np.isfinite(x))):
-        raise ValueError("path overflow: resample or increase t_min")
-    return DiracOperator(grid=t, path=x + 1j * y, u0=(1.0, 0.0), u1=u1, origin="sine-beta",
-                         batch=sample_sine_paths(spec, [seed]))
+    t, (u1,), batch = _sine_rows(spec, [seed])
+    return DiracOperator(t, u0=(1.0, 0.0), u1=u1, origin="sine-beta", batch=batch)
 
 
 # ---------------------------------------------------------------------------

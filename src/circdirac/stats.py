@@ -251,14 +251,14 @@ def chi2_hist2d(samples, density) -> TestReport:
 
     Cells are the polar BINS x BINS grid; their probabilities come from
     :func:`disk_cell_probabilities` of the (unnormalized) density.  Cells
-    with expected count below ``MIN_EXPECTED`` are pooled into one; a
-    pool expecting nothing is dropped when it holds no sample, and one
-    expecting fewer than ``MIN_EXPECTED`` is folded into the smallest
-    retained cell.  A sample in a cell where the density integrates to
-    zero refutes the density however few such samples there are: the
-    statistic is then infinite.  Non-finite samples, and samples outside
-    the closed unit disk, raise ValueError; a sample on the circle
-    counts in the outermost ring.
+    with expected count below ``MIN_EXPECTED`` are pooled into one, and a
+    pool expecting fewer than ``MIN_EXPECTED`` is folded into the smallest
+    retained cell; an empty pool that expects nothing adds 0 to it.  A
+    sample in a cell where the density integrates to zero refutes the
+    density however few such samples there are: the statistic is then
+    infinite.  Non-finite samples, and samples outside the closed unit
+    disk, raise ValueError; a sample on the circle counts in the
+    outermost ring.
     Passes when the statistic is below the chi-square quantile at
     1 - LEVEL.
     """
@@ -287,10 +287,9 @@ def chi2_hist2d(samples, density) -> TestReport:
         raise ValueError("chi2_hist2d: too few cells with adequate expected count")
     o = np.concatenate([obs[big], [obs[~big].sum()]])
     e = np.concatenate([expected[big], [expected[~big].sum()]])
-    if e[-1] <= 0.0 and o[-1] == 0.0:
-        o, e = o[:-1], e[:-1]
-    elif e[-1] < MIN_EXPECTED:
-        # fold the under-filled pool into the smallest retained cell
+    if e[-1] < MIN_EXPECTED:
+        # fold the under-filled pool into the smallest retained cell; a
+        # pool expecting nothing and holding nothing adds 0 to it
         j = np.argmin(e[:-1])
         o[j] += o[-1]
         e[j] += e[-1]

@@ -82,7 +82,7 @@ def _random_measure(rng: np.random.Generator, n: int) -> UnitCircleMeasure:
     Im z_k toward 0.  The coefficient conversion then loses digits (and
     refuses the measure once 1 - |alpha_k|^2 < 1e-10), and the operator's
     steps inherit that loss from the coefficients (its conjugates and
-    reversal, built from the stored path, lose more by cancellation); the
+    reversal, built from its path, lose more by cancellation); the
     1e-8 tolerances of the exact-identity checks do not survive that.
     Jittering a regular lattice keeps the coefficients moderate, so the
     identities are exercised in the regime the arithmetic supports.

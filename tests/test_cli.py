@@ -13,7 +13,9 @@ import pytest
 
 from circdirac import cli
 from circdirac.cli import build_parser, main
-from circdirac.ensembles import KNMeasureSampler, SeedSpec, SinePathSpec, sample_sine_operator
+from circdirac.dirac import DiracOperator, eigenvalue_count
+from circdirac.ensembles import (KNMeasureSampler, SeedSpec, SinePathSpec, sample_sine_operator,
+                                 sine_replicas)
 
 TWO_PI = 2.0 * math.pi
 
@@ -103,7 +105,7 @@ class TestPipelines:
                    "--window", "0", "10", "--out", str(tmp_path / "sine")])
         assert rc == 0
         op = json.loads((tmp_path / "sine.operator.json").read_text())
-        assert len(op["path"]) == 64
+        assert len(op["steps"]) == 64
         assert op["origin"] == "sine-beta"
         sp = json.loads((tmp_path / "sine.spectrum.json").read_text())
         assert sp["window"] == [0.0, 10.0]
@@ -417,19 +419,21 @@ class TestErrorHandling:
         assert self.scipy_modules_after(code) == "[]"
         assert (tmp_path / "bias.json").exists()
 
-    def test_sine_beta_path_overflow_is_the_only_record(self, tmp_path):
-        # at beta 0.02 the path overflows; with warnings as errors the
-        # overflow error still reaches the record, and nothing else is said
+    def test_sine_beta_writes_the_steps_at_small_beta(self, tmp_path):
+        # at beta 0.02 the path overflows, but the operator is its steps:
+        # with warnings as errors it is written, says nothing on stderr, and
+        # reloads to the count of its row of the replica batch
         out = tmp_path / "sine"
         proc = subprocess.run(
             [sys.executable, "-W", "error", "-m", "circdirac.cli", "sine-beta",
              "--beta", "0.02", "--seed", "3", "--out", str(out)],
             env=source_env(), capture_output=True, text=True, timeout=120)
-        assert proc.returncode == 1
-        assert proc.stderr.splitlines() == [json.dumps(
-            {"error": "ValueError",
-             "message": "path overflow: resample or increase t_min"})]
-        assert not Path(f"{out}.operator.json").exists()
+        assert proc.returncode == 0
+        assert proc.stderr == ""
+        op = DiracOperator.from_dict(json.loads(Path(f"{out}.operator.json").read_text()))
+        window = (0.0, 20.0 * math.pi)
+        want = sine_replicas(SinePathSpec(beta=0.02), 3, 2, lambda b: b.count(window))
+        assert eigenvalue_count(op, window) == want[0]
 
     def test_unknown_command_is_usage_error(self):
         with pytest.raises(SystemExit) as exc:

@@ -202,6 +202,21 @@ class TestBuild:
         assert d["u1"] == "infinity"
         back = dirac.DiracOperator.from_dict(d)
         np.testing.assert_array_equal(back.u1, [1.0, 0.0])
+        # a step-built operator writes its steps, and reloads to the same
+        # batch bit for bit: a Killip-Nenciu draw and a Sine_2 row
+        from circdirac.ensembles import (SeedSpec, SinePathSpec, sample_kn,
+                                         sample_sine_operator)
+
+        for op in (dirac.coefficient_operator(sample_kn(400, 2.0, SeedSpec(203, 1))),
+                   sample_sine_operator(SinePathSpec(beta=2.0, cells=256), SeedSpec(7, 0))):
+            d = json.loads(json.dumps(op.to_dict()))
+            assert "path" not in d and len(d["steps"]) == op.cells
+            back = dirac.DiracOperator.from_dict(d)
+            for f in dataclasses.fields(op.batch):
+                np.testing.assert_array_equal(getattr(back.batch, f.name),
+                                              getattr(op.batch, f.name))
+            for name in ("grid", "u0", "u1", "origin"):
+                np.testing.assert_array_equal(getattr(back, name), getattr(op, name))
 
 
 class TestSteps:
@@ -1509,3 +1524,23 @@ class TestInputValidation:
         with pytest.raises(ValueError, match="^spectral atoms must be finite$"):
             dirac.SpectralMeasure(lambdas=lambdas, weights=weights,
                                   window=(0.0, 10.0), side="right")
+
+    def test_operator_takes_its_path_or_its_batch(self):
+        op = random_operator(np.random.default_rng(75))
+        for kw in ({"path": op.path, "batch": op.batch}, {}):
+            with pytest.raises(ValueError, match="its path or its one-row batch"):
+                dirac.DiracOperator(op.grid, u0=op.u0, u1=op.u1, **kw)
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("target_offset", math.nan, "^target_offset must lie in"),
+        ("target_offset", TWO_PI, "^target_offset must lie in"),
+        ("u1", [math.nan, -1.0], "^u1 must be finite$"),
+        ("start", [math.inf, 0.0], "^start must be finite$"),
+        ("last", [0.0, -1.0], "^last cells must have y > 0$")])
+    def test_steps_form_refuses_bad_fields(self, field, value, message):
+        from circdirac.ensembles import SeedSpec, sample_kn
+
+        d = dirac.coefficient_operator(sample_kn(20, 2.0, SeedSpec(5, 0))).to_dict()
+        d[field] = value
+        with pytest.raises(ValueError, match=message):
+            dirac.DiracOperator.from_dict(d)

@@ -342,14 +342,19 @@ class TestSineOperator:
 
     def test_small_beta_path_overflow_raises_alone(self):
         # the path overflows at beta 0.02; warnings are errors here, so an
-        # overflow warning would pre-empt the error.  Only the operator
-        # forms the path, for its JSON; the batch's steps are the increments
+        # overflow warning would pre-empt the error.  The operator is its
+        # row of the batch, whose steps are the increments; it raises only
+        # where a path is asked for
         spec = ens.SinePathSpec(beta=0.02)
-        with pytest.raises(ValueError, match="^path overflow"):
-            ens.sample_sine_operator(spec, ens.SeedSpec(3, 0))
+        op = ens.sample_sine_operator(spec, ens.SeedSpec(3, 0))
         batch = ens.sample_sine_paths(spec, [ens.SeedSpec(3, i) for i in range(2)])
         assert batch.rows == 2
         assert np.all(np.isfinite(batch.w))
+        np.testing.assert_array_equal(op.batch.w[0], batch.w[0])
+        with pytest.raises(ValueError, match="^path overflow"):
+            op.path
+        with pytest.raises(ValueError, match="^path overflow"):
+            dirac.conjugate_operator(op, np.eye(2))
 
     def test_spec_validation(self):
         with pytest.raises(ValueError):

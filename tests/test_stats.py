@@ -287,7 +287,8 @@ class TestChi2:
 
     def test_empty_pool_expecting_nothing_is_dropped(self):
         # the density vanishes on the inner ring and no sample falls there:
-        # the pool is dropped, not folded, and the statistic is finite
+        # the pool folds into a cell and adds 0 to it, and the statistic
+        # is finite
         dens = lambda w: (np.abs(w) >= 0.1).astype(float)
         _, _, prob = cstats.disk_cell_probabilities(dens)
         assert np.all(prob[0] == 0.0)

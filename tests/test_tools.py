@@ -140,12 +140,24 @@ def test_lift_errors_prints_one_record(capsys, monkeypatch):
     assert 0.0 <= record["worst_lambda_err"] <= tool.LIFT_TOL
     assert 0.0 < record["worst_weight_err"] <= tool.LIFT_TOL
     assert record["worst_weight_at"]["seed"] == 203
+    # the operators reloaded from their JSON give the same errors
+    assert record["worst_reloaded_weight_err"] == record["worst_weight_err"]
     # under a gate no draw can meet, every draw is a miss with its errors
     monkeypatch.setattr(tool, "LIFT_TOL", -1.0)
     assert tool.main(["203", "203"]) == 0
     misses = json.loads(capsys.readouterr().out)["misses"]
     assert [(m["stream"], m["n"]) for m in misses] == [(0, 50), (0, 100), (1, 50), (1, 100)]
     assert max(m["weight_err"] for m in misses) == record["worst_weight_err"]
+
+
+@pytest.mark.parametrize("seed, stream, n", [(203, 1, 400), (257, 0, 200)])
+def test_reloaded_kn_operators_meet_the_lift_gate(seed, stream, n):
+    # an operator read back from its JSON is its steps: the draws that
+    # missed the gate when the JSON held the path meet it
+    tool = load_tool("lift_errors")
+    direct, reloaded = tool.lift_errors(seed, stream, n)
+    assert reloaded == direct
+    assert max(reloaded) <= tool.LIFT_TOL
 
 
 def write_report(path, checks):
