@@ -158,7 +158,18 @@ class TestScipyStatsOracle:
 
         monkeypatch.setattr(verify, "_beta1_cdf", recorder)
         verify.criterion_kn_marginals(7)
+        assert len(calls) == 5 + 5 + 9
         verify.criterion_gamma_weight_limit(7)
+        # gamma-weight-limit evaluates its grid in blocks, one call per block
+        # and n; each n's blocks concatenate to the whole grid
+        blocks = calls[5 + 5 + 9:]
+        del calls[5 + 5 + 9:]
+        assert {b for _, b, _ in blocks} == {99.0, 999.0, 9999.0}
+        for n in (100, 1000, 10000):
+            x, out = (np.concatenate([c[i] for c in blocks if c[1] == n - 1.0])
+                      for i in (0, 2))
+            assert np.array_equal(x, np.linspace(0.0, 80.0, 400_001) / (2.0 * n))
+            calls.append((x, n - 1.0, out))
         assert len(calls) == (5 + 5 + 9) + 3
         for x, b, out in calls:
             assert np.allclose(out, sps.beta.cdf(x, 1.0, b), rtol=0.0, atol=1e-15)
@@ -169,17 +180,24 @@ class TestScipyStatsOracle:
         # the limit CDF on the criterion's grid, and its statistics, against
         # scipy.stats to 1e-15 absolute
         weight_ks = verify._weight_ks
-        limits = []
+        blocks = []
 
         def recorder(x, limit, n):
-            limits.append((x, limit))
+            blocks.append((n, x, limit))
             return weight_ks(x, limit, n)
 
         monkeypatch.setattr(verify, "_weight_ks", recorder)
         (_, rep1), (_, rep2) = verify.criterion_gamma_weight_limit(7)
-        assert len(limits) == 3
-        x, limit = limits[0]
+        # one call per block and n; each n's blocks concatenate to the grid
+        grids = {}
+        for n, x, limit in blocks:
+            grids.setdefault(n, []).append((x, limit))
+        assert list(grids) == [100, 1000, 10000]
+        x, limit = (np.concatenate(a) for a in zip(*grids[100]))
         assert np.array_equal(x, np.linspace(0.0, 80.0, 400_001))
+        for parts in grids.values():
+            other_x, other_limit = (np.concatenate(a) for a in zip(*parts))
+            assert np.array_equal(other_x, x) and np.array_equal(other_limit, limit)
         sps_limit = sps.gamma.cdf(x, 1.0, scale=2.0)
         assert np.allclose(limit, sps_limit, rtol=0.0, atol=1e-15)
         ks = ast.literal_eval(rep1.notes.partition("values ")[2])

@@ -64,6 +64,20 @@ def test_criterion_peaks_prints_a_record_per_criterion(capsys):
     assert exc.value.code == 2
 
 
+def test_criterion_peaks_chain_runs_the_criteria_in_one_process(capsys):
+    tool = load_tool("criterion_peaks")
+    names = ["lattice-closed-form", "trace-hs-closed-form"]
+    assert tool.main(["7", "--chain", *names]) == 0
+    records = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    assert [r["criterion"] for r in records] == names
+    # one interpreter: one baseline, and a peak that never falls
+    assert len({r["baseline_mb"] for r in records}) == 1
+    peaks = [records[0]["baseline_mb"]]
+    for r in records:
+        peaks += [r["before_mb"], r["peak_mb"]]
+    assert peaks == sorted(peaks)
+
+
 def test_sweep_timing_prints_a_record_per_case(capsys, monkeypatch):
     tool = load_tool("sweep_timing")
     # a small run: 64 Sine cells in 3 rows, a KN operator of 20 cells

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -66,6 +67,32 @@ def test_beta1_cdf_is_one_at_one():
     # |gamma_k|^2 = 1 would be log1p(-1) = -inf: no warning, and CDF 1
     out = verify._beta1_cdf(np.array([0.0, 0.25, 1.0]), 2.5)
     assert out.tolist() == [0.0, -math.expm1(2.5 * math.log1p(-0.25)), 1.0]
+
+
+def test_gamma_weight_limit_memory_stays_below_one_megabyte():
+    # the grid is walked in blocks: on the whole 400 001-point grid its
+    # arrays and temporaries peaked at 15.3 MB
+    tracemalloc.start()
+    try:
+        verify.criterion_gamma_weight_limit(7)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+
+
+def test_gamma_weight_limit_equals_the_whole_grid():
+    # the reference takes each sup over the whole grid at once
+    x = np.linspace(0.0, 80.0, 400_001)
+    limit = -np.expm1(-0.5 * x)
+    ks = {n: float(np.max(np.abs(-np.expm1((n - 1.0) * np.log1p(-x / (2.0 * n))) - limit)))
+          for n in (100, 1000, 10000)}
+    inc = max(ks[1000] - ks[100], ks[10000] - ks[1000])
+    assert verify.criterion_gamma_weight_limit(7) == [
+        ("2n Beta vs Gamma(beta/2, mean 2)",
+         verify.TestReport(ks[10000], 0.01, 10000, f"analytic-CDF KS at n=1e4; values {ks}")),
+        ("KS decreases over n = 1e2, 1e3, 1e4",
+         verify.TestReport(inc, 0.0, 3, "largest successive increase; pass iff decreasing"))]
 
 
 def test_unknown_suite_rejected():
