@@ -297,7 +297,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--stream", type=int, default=0, help="stream id")
 
     p = sub.add_parser("kn-sample", help="draw ensemble coefficients")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_at_least(1), required=True)
     p.add_argument("--beta", type=float, required=True)
     add_seed(p, stream=True)
     add_out(p)
@@ -336,7 +336,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_path(p):
         p.add_argument("--t-min", dest="t_min", type=float, default=SinePathSpec.t_min)
-        p.add_argument("--cells", type=int, default=SinePathSpec.cells)
+        p.add_argument("--cells", type=_at_least(2), default=SinePathSpec.cells)
 
     p = sub.add_parser("sine-beta", help="sample a continuum operator")
     p.add_argument("--beta", type=float, required=True)
@@ -363,7 +363,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_sine_intensity)
 
     p = sub.add_parser("bias", help="window-biased ensemble experiment")
-    p.add_argument("--n", type=int, default=6)
+    p.add_argument("--n", type=_at_least(1), default=6)
     p.add_argument("--beta", type=float, default=2.0)
     p.add_argument("--epsilon", type=_half_width, default=0.1)
     p.add_argument("--replicas", type=_at_least(1), default=10_000)
@@ -372,7 +372,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_bias)
 
     p = sub.add_parser("bias-trend", help="KS to the atom-at-1 law over an epsilon ladder")
-    p.add_argument("--n", type=int, default=6)
+    p.add_argument("--n", type=_at_least(1), default=6)
     p.add_argument("--beta", type=float, default=2.0)
     p.add_argument("--replicas", type=_at_least(1), default=30_000)
     p.add_argument("--eps", type=_half_width, nargs="+", default=[0.3, 0.1, 0.03])

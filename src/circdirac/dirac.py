@@ -48,16 +48,20 @@ grid, stored as what the sweep reads, the complex frame steps w_k and the
 cell lengths, cell-major, with per-row start X_0 u0, last cell and target
 offset.  :meth:`OperatorBatch.from_steps` builds and validates it from the
 steps themselves and the right boundary direction in the last cell's
-frame, X_{m-1} u1, as each source defines them: a Killip-Nenciu
-operator's affine steps (:func:`coefficient_operator`) and a Sine_beta
-path's Brownian increments (:func:`circdirac.ensembles.sample_sine_paths`)
+frame, X_{m-1} u1.  Each operator source has one batched constructor on
+it: Killip-Nenciu coefficients (:func:`coefficient_batch`, their affine
+steps), Sine_beta paths (:func:`circdirac.ensembles.sample_sine_paths`,
+their Brownian increments) and cell values
+(:meth:`OperatorBatch.from_paths`, steps by differences); the first two
 never pass through a path, whose differences and rounded slope would
-cost digits.  The batch's methods count, solve for, weigh and phase every
-row at once; :class:`DiracOperator` is a one-row view, built from its
-steps or from a path (whose steps are taken by differences,
-:func:`_path_batch`), and the module functions on it
-(``eigenvalues_in``, ``eigenvalue_count``, ``spectral_measure``,
-``phase_at``) call the batch.
+cost digits.  The one-operator forms (:func:`coefficient_operator`,
+:func:`~circdirac.ensembles.sample_sine_operator`, ``DiracOperator(grid,
+path, ...)``) are their one-row calls, and every operation in them is
+elementwise or runs along a row, so an operator built alone equals its
+row of any batch bit for bit.  The batch's methods count, solve for,
+weigh and phase every row at once; :class:`DiracOperator` is a one-row
+view, and the module functions on it (``eigenvalues_in``,
+``eigenvalue_count``, ``spectral_measure``, ``phase_at``) call the batch.
 
 A sweep of few lanes would pay the interpreter once per cell for a few
 lanes of arithmetic.  Below _CHUNK_LANES lanes the m cells therefore run
@@ -121,8 +125,8 @@ from functools import cached_property
 import numpy as np
 
 from .hyperbolic import is_inf
-from .opuc import (CoefficientSequence, UnitCircleMeasure, convert_coefficients,
-                   measure_to_alpha)
+from .opuc import (LAST_COEFF_TOL, CoefficientSequence, UnitCircleMeasure,
+                   convert_coefficients, measure_to_alpha)
 
 __all__ = [
     "DiracOperator",
@@ -130,6 +134,7 @@ __all__ = [
     "SpectralMeasure",
     "boundary_direction",
     "build_operator",
+    "coefficient_batch",
     "coefficient_operator",
     "conjugate_operator",
     "measure_operator",
@@ -153,7 +158,7 @@ LAMBDA_TOL = 1e-12
 MAX_SOLVER_ITERATIONS = 120
 
 #: Lanes from which a sweep runs as one chunk (see :func:`_sweep`).
-_CHUNK_LANES = 256
+_CHUNK_LANES = 512
 
 #: numpy error state of the sweep and of the products formed from its G.
 #: Both may overflow; each result that matters is checked by
@@ -175,7 +180,7 @@ class DiracOperator:
     :class:`OperatorBatch`, which every sweep reads.  An operator is what
     it is built from, ``path`` or ``batch`` (not both).  Given ``path``,
     the m per-cell values z_k = x_k + i y_k with y_k > 0, it is that path,
-    and its batch takes the steps by differences (:func:`_path_batch`).
+    and its batch is the one-row :meth:`OperatorBatch.from_paths`.
     Given ``batch``, as by :func:`coefficient_operator` and
     :func:`~circdirac.ensembles.sample_sine_operator`, it is those exact
     steps, and ``path`` is formed from them where one is asked for (the
@@ -190,7 +195,7 @@ class DiracOperator:
             _boundary_rows(name, vec, 1)
         if path is not None:
             path = _read_only(path, complex)
-            batch = _path_batch(grid, path, u0, u1) if batch is None else None
+            batch = OperatorBatch.from_paths(grid, path[None], u0, u1) if batch is None else None
         if batch is None or batch.rows != 1 or not np.array_equal(batch.dt, np.diff(grid)):
             raise ValueError("an operator takes its path or its one-row batch on its grid")
         self.__dict__.update(grid=grid, u0=u0, u1=u1, origin=origin, batch=batch, _path=path)
@@ -323,48 +328,70 @@ def build_operator(path, q) -> DiracOperator:
     return DiracOperator(*path, u0=(1.0, 0.0), u1=boundary_direction(q))
 
 
-def coefficient_operator(gammas: CoefficientSequence) -> DiracOperator:
-    """Operator of the measure with modified coefficients ``gammas``.
+def coefficient_batch(gammas) -> "OperatorBatch":
+    """Operators of the measures with modified coefficients ``gammas``, one per row.
 
-    The operator lies on the path of the measure in the half plane: n + 1
-    points z_0 = i, ..., z_n, the last on the boundary.  In the disk the
-    path is b_0 = 0, b_{k+1} = A^{-1}_{gamma_0} o ... o A^{-1}_{gamma_k}(0),
-    with A_gamma the affine isometry fixing the boundary point 1 and
-    sending gamma to 0, and z_k = i (1 + b_k) / (1 - b_k) is its Cayley
-    preimage.  In H each step is affine,
+    ``gammas`` (rows, n).  The operator of a row lies on the path of its
+    measure in the half plane: n + 1 points z_0 = i, ..., z_n, the last on
+    the boundary.  In the disk the path is b_0 = 0,
+    b_{k+1} = A^{-1}_{gamma_0} o ... o A^{-1}_{gamma_k}(0), with A_gamma
+    the affine isometry fixing the boundary point 1 and sending gamma to
+    0, and z_k = i (1 + b_k) / (1 - b_k) is its Cayley preimage.  In H each
+    step is affine,
 
         z_{k+1} = z_k + y_k (v_k + i (r_k - 1)),   v_k + i (r_k - 1) = 2 i q_k,
         q_k = gamma_k / (1 - gamma_k),
 
     so the frame step into cell k + 1 is exactly w_{k+1} = v_k + i r_k, the
     Cayley image i (1 + gamma_k) / (1 - gamma_k) of the coefficient, and
-    the operator is swept on these steps, written part by part from q_k.
-    Cell k of the uniform grid on [0, 1] holds z_k, k < n.
-    |gamma_{n-1}| = 1 gives r_{n-1} = 0, so z_n is the real slope
-    x_{n-1} + v_{n-1} y_{n-1}, and the right boundary direction in the
-    last cell's frame is [-v_{n-1}, -1]; the Palm coefficient
-    gamma_{n-1} = 1 (within 1e-13) gives b_n = 1, the slope ``math.inf``
-    and the direction [1, 0].  The last cell, y_{n-1} = prod_{j<n} r_j and
-    x_{n-1} = sum_{j<n-1} v_j y_j, fixes the slope that u1 records; the
-    operator is its steps, and forms its path only where one is asked for.
+    the batch is written part by part from q_k, with no path.  Cell k of
+    the uniform grid on [0, 1] holds z_k, k < n.  |gamma_{n-1}| = 1 gives
+    r_{n-1} = 0, so z_n is the real slope x_{n-1} + v_{n-1} y_{n-1}, and
+    the right boundary direction in the last cell's frame is
+    [-v_{n-1}, -1]; the Palm coefficient gamma_{n-1} = 1 (within 1e-13)
+    gives b_n = 1, the infinity slope and the direction [1, 0].  The last
+    cell is y_{n-1} = prod_{j<n} r_j and x_{n-1} = sum_{j<n-1} v_j y_j.
+    A last coefficient off the unit circle (beyond ``LAST_COEFF_TOL``) is
+    refused; an interior one on or outside it gives r_k <= 0, which
+    :meth:`OperatorBatch.from_steps` refuses.  Every operation is elementwise, or runs along a row, so a row's bits do
+    not depend on the batch around it: :func:`coefficient_operator` is the
+    one-row call.
+    """
+    g = np.asarray(gammas, dtype=complex)
+    if not np.all(np.abs(np.abs(g[:, -1]) - 1.0) <= LAST_COEFF_TOL):   # refuses nan too
+        raise ValueError("last coefficient must have unit modulus")
+    palm = np.abs(g[:, -1] - 1.0) < 1e-13
+    with np.errstate(divide="ignore", invalid="ignore"):   # at a Palm row's last q, not read
+        q = g / (1.0 - g)
+    w = np.empty(g.shape, dtype=complex, order="F")
+    w[:, 0] = 1j
+    w.real[:, 1:], w.imag[:, 1:] = -2.0 * q.imag[:, :-1], 1.0 + 2.0 * q.real[:, :-1]
+    y = np.cumprod(w.imag, axis=1)
+    x = np.cumsum(w.real[:, 1:] * y[:, :-1], axis=1)
+    last = np.stack([x[:, -1] if x.size else np.zeros(len(g)), y[:, -1]], axis=1)
+    # X_{n-1} u1 = [-v_{n-1}, -1], or [1, 0] on a Palm row
+    target = np.stack([2.0 * q.imag[:, -1], np.full(len(g), -1.0)], axis=1)
+    target[palm] = (1.0, 0.0)
+    return OperatorBatch.from_steps(np.linspace(0.0, 1.0, g.shape[1] + 1), w, last, target)
+
+
+def coefficient_operator(gammas: CoefficientSequence) -> DiracOperator:
+    """Operator of the measure with modified coefficients ``gammas``.
+
+    Its batch is the one-row :func:`coefficient_batch`, so it equals its
+    row of any batch bit for bit.  u1 records the slope that the last cell
+    and the last step fix, x_{n-1} + v_{n-1} y_{n-1}, or ``math.inf`` for
+    the Palm coefficient gamma_{n-1} = 1; the operator is its steps, and
+    forms its path only where one is asked for.
     """
     gammas.require_kind("modified")
     g = gammas.values
-    q = g[:-1] / (1.0 - g[:-1])
-    w = np.empty((1, g.size), dtype=complex)
-    w[0, 0] = 1j
-    w.real[0, 1:], w.imag[0, 1:] = -2.0 * q.imag, 1.0 + 2.0 * q.real
-    y = np.cumprod(w.imag[0])
-    x = np.concatenate(([0.0], np.cumsum(w.real[0, 1:] * y[:-1])))
-    if abs(g[-1] - 1.0) < 1e-13:
-        slope, target = math.inf, (1.0, 0.0)
-    else:
-        v_last = -2.0 * (g[-1] / (1.0 - g[-1])).imag
-        slope, target = x[-1] + v_last * y[-1], (-v_last, -1.0)
-    grid = np.linspace(0.0, 1.0, g.size + 1)
-    return DiracOperator(grid, u0=(1.0, 0.0), u1=boundary_direction(slope),
-                         origin="discrete-measure",
-                         batch=OperatorBatch.from_steps(grid, w, [(x[-1], y[-1])], target))
+    batch = coefficient_batch(g[None])
+    (x, y), last = batch.last[:, 0], g[-1]
+    # v_{n-1} = -2 Im q_{n-1}, as the batch takes it
+    slope = math.inf if abs(last - 1.0) < 1e-13 else x + -2.0 * (last / (1.0 - last)).imag * y
+    return DiracOperator(np.linspace(0.0, 1.0, g.size + 1), u0=(1.0, 0.0),
+                         u1=boundary_direction(slope), origin="discrete-measure", batch=batch)
 
 
 def measure_operator(mu: UnitCircleMeasure) -> DiracOperator:
@@ -389,26 +416,6 @@ def _boundary_rows(name: str, vec, rows: int) -> np.ndarray:
     if vec.shape not in ((2,), (rows, 2)) or not np.all(np.any(vec != 0.0, axis=-1)):
         raise ValueError(f"{name} must hold nonzero real 2-vectors")
     return np.broadcast_to(vec, (rows, 2))
-
-
-def _path_batch(grid, path, u0, u1) -> "OperatorBatch":
-    """The one-row batch of the cells ``path``: its frame steps by differences.
-
-    w_k = (z_k - x_{k-1}) / y_{k-1}, written part by part: v_k =
-    (x_k - x_{k-1}) / y_{k-1} and r_k = y_k / y_{k-1}; X_0 u0 and
-    X_{m-1} u1 entry by entry, which keeps the sign of a zero in u0.
-    ``u0`` and ``u1`` are 2-vectors that the operator has validated.
-    """
-    _require_finite_input("path", path)
-    x, y = path.real, path.imag
-    if path.ndim != 1 or path.size == 0 or np.any(y <= 0.0):
-        raise ValueError("path must hold one value per cell, with y_k positive")
-    w = np.empty((1, path.size), dtype=complex)
-    w[0, 0] = 1j
-    w.real[0, 1:], w.imag[0, 1:] = (x[1:] - x[:-1]) / y[:-1], y[1:] / y[:-1]
-    return OperatorBatch.from_steps(grid, w, [(x[-1], y[-1])],
-                                    (u1[0] - x[-1] * u1[1], y[-1] * u1[1]),
-                                    (u0[0] - x[0] * u0[1], y[0] * u0[1]), u0 @ u0)
 
 
 # ---------------------------------------------------------------------------
@@ -481,6 +488,35 @@ class OperatorBatch:
         return cls(dt=dt, w=w, start=start.T.copy(), last=last.T.copy(),
                    u=np.mod(-2.0 * np.arctan2(target[:, 1], target[:, 0]), TWO_PI),
                    u0sq=u0sq.copy())
+
+    @classmethod
+    def from_paths(cls, grid, paths, u0, u1) -> "OperatorBatch":
+        """Operators on ``grid`` from their cell values, row i from ``paths[i]``.
+
+        ``paths`` (rows, m) holds the cell values z_k = x_k + i y_k, y_k > 0,
+        and ``u0`` and ``u1`` the boundary directions, one per row or one
+        shared.  The steps are taken by differences,
+        w_k = (z_k - x_{k-1}) / y_{k-1}, written part by part:
+        v_k = (x_k - x_{k-1}) / y_{k-1} and r_k = y_k / y_{k-1}; X_0 u0 and
+        X_{m-1} u1 entry by entry, which keeps the sign of a zero in u0.
+        Every operation is elementwise, so row i equals the batch of
+        ``DiracOperator(grid, paths[i], ...)``, its one-row call, bit for bit.
+        """
+        paths = np.asarray(paths, dtype=complex)
+        _require_finite_input("path", paths)
+        x, y = paths.real, paths.imag
+        if paths.ndim != 2 or paths.shape[1] == 0 or np.any(y <= 0.0):
+            raise ValueError("path must hold one value per cell, with y_k positive")
+        u0, u1 = (_boundary_rows(name, vec, len(paths)) for name, vec in (("u0", u0), ("u1", u1)))
+        w = np.empty(paths.shape, dtype=complex, order="F")
+        w[:, 0] = 1j
+        w.real[:, 1:], w.imag[:, 1:] = (x[:, 1:] - x[:, :-1]) / y[:, :-1], y[:, 1:] / y[:, :-1]
+        # X_k u = [u_0 - x_k u_1, y_k u_1] in the first and the last cell
+        start, target = (np.stack([u[:, 0] - x[:, k] * u[:, 1], y[:, k] * u[:, 1]], axis=1)
+                         for u, k in ((u0, 0), (u1, -1)))
+        # np.vecdot rounds as u0 @ u0 does
+        return cls.from_steps(grid, w, np.stack([x[:, -1], y[:, -1]], axis=1), target, start,
+                              np.vecdot(u0, u0))
 
     @classmethod
     def stack(cls, ops) -> "OperatorBatch":

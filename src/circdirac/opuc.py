@@ -8,9 +8,11 @@ holds the conversions between the three descriptions,
     measure  <->  verblunsky alpha_k  <->  modified gamma_k,
 
 together with the Aleksandrov family (all alpha multiplied by a fixed
-unimodular eta).  The operator of a measure, laid on its path in the
-hyperbolic plane, is built from the modified coefficients by
-:func:`circdirac.dirac.coefficient_operator`.
+unimodular eta).  The operators of measures, laid on their paths in the
+hyperbolic plane, are built from the modified coefficients by
+:func:`circdirac.dirac.coefficient_batch`, one per row.  Each conversion
+runs one batched core along the last axis, and a single sequence runs
+as its one row, so it equals its row of any batch bit for bit.
 
 Conventions.  The recursion is
 
@@ -188,14 +190,21 @@ def alphas_from_gammas(g: np.ndarray) -> np.ndarray:
 
 
 def gammas_from_alphas(a: np.ndarray) -> np.ndarray:
-    """Modified coefficients of Verblunsky ones, along the last axis."""
+    """Modified coefficients of Verblunsky ones, along the last axis.
+
+    Rows run as one (rows, n) array, a single sequence as one row, so each
+    product is an array operation and a sequence's bits do not depend on
+    the batch around it (numpy rounds a product of complex scalars
+    differently from its array loop).
+    """
     a = np.asarray(a, dtype=complex)
-    g = np.empty_like(a)
-    turn = np.zeros(a.shape[:-1])
-    for k in range(a.shape[-1]):
-        g[..., k] = np.conj(a[..., k]) * np.exp(-2j * turn)
-        turn = turn + np.angle(1.0 - g[..., k])
-    return g
+    rows = a.reshape(-1, a.shape[-1])
+    g = np.empty_like(rows)
+    turn = np.zeros(len(rows))
+    for k in range(rows.shape[1]):
+        g[:, k] = np.conj(rows[:, k]) * np.exp(-2j * turn)
+        turn = turn + np.angle(1.0 - g[:, k])
+    return g.reshape(a.shape)
 
 
 def convert_coefficients(seq: CoefficientSequence, target: str) -> CoefficientSequence:

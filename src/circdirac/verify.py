@@ -35,6 +35,7 @@ from . import opuc
 from .dirac import (
     OperatorBatch,
     build_operator,
+    coefficient_batch,
     conjugate_operator,
     measure_operator,
     reverse_operator,
@@ -51,12 +52,10 @@ from .ensembles import (
     window_biasing,
 )
 from .opuc import (
-    CoefficientSequence,
     UnitCircleMeasure,
     _measures_from_gammas_batch,
     _measures_to_alphas_batch,
     alpha_to_measure,
-    convert_coefficients,
     measure_to_alpha,
 )
 from .stats import TestReport, chi2_hist2d, ks_by_coordinate, ks_test, ks_threshold
@@ -94,23 +93,17 @@ def _random_measure(rng: np.random.Generator, n: int) -> UnitCircleMeasure:
     return UnitCircleMeasure(angles=ang, weights=w)
 
 
-def _spectra(ops, window) -> list:
-    """(lambdas, left weights, right weights) of each operator's spectrum.
+def _rows(batch: OperatorBatch, window) -> list:
+    """(lambdas, left weights, right weights) of each row of ``batch`` in ``window``."""
+    *spectrum, row = batch.weights(window)
+    return [tuple(a[row == j] for a in spectrum) for j in range(batch.rows)]
 
-    Operators that share a grid are solved as one :class:`OperatorBatch`;
-    ``window`` is (a, b), each a scalar or one value per operator.
-    """
-    lo, hi = (np.broadcast_to(np.asarray(w, dtype=float), (len(ops),)) for w in window)
-    groups = {}
-    for i, op in enumerate(ops):
-        groups.setdefault(op.grid.tobytes(), []).append(i)
-    out = [None] * len(ops)
-    for idx in groups.values():
-        batch = OperatorBatch.stack([ops[i] for i in idx])
-        *spectrum, row = batch.weights((lo[idx], hi[idx]))
-        for j, i in enumerate(idx):
-            out[i] = tuple(a[row == j] for a in spectrum)
-    return out
+
+def _measure_batch(mus) -> OperatorBatch:
+    """The operators of measures of one size, one batch row each, in order."""
+    alphas = _measures_to_alphas_batch(np.array([mu.angles for mu in mus]),
+                                       np.array([mu.weights for mu in mus]))
+    return coefficient_batch(opuc.gammas_from_alphas(alphas))
 
 
 # ---------------------------------------------------------------------------
@@ -118,19 +111,19 @@ def _spectra(ops, window) -> list:
 
 
 def criterion_lattice_closed_form(seed: int):
-    cases = [(n, theta) for n in (2, 4, 8) for theta in (math.pi / 3, 1.0)]
-    ops = [measure_operator(_lattice_measure(n, theta)) for n, theta in cases]
-    thetas = np.array([theta for _, theta in cases])
+    thetas = np.array([math.pi / 3, 1.0])
     window = (thetas - TWO_PI - 0.5, thetas + TWO_PI + 0.5)
     out = []
-    for (n, theta), (eigs, w_left, w_right) in zip(cases, _spectra(ops, window)):
-        expected = theta + TWO_PI * np.array([-1.0, 0.0, 1.0])
-        eig_err = _gap([(eigs, expected)]) if eigs.size == 3 else math.inf
-        out.append((f"eigenvalues n={n} theta={theta:.4f}",
-                    TestReport(eig_err, 1e-10, 3, "eigenvalues 2 pi k + theta")))
-        w_err = _gap([(w_left, 2.0), (w_right, 2.0)])
-        out.append((f"weights n={n} theta={theta:.4f}",
-                    TestReport(w_err, 1e-9, 6, "all spectral weights equal 2")))
+    for n in (2, 4, 8):
+        batch = _measure_batch([_lattice_measure(n, theta) for theta in thetas])
+        for theta, (eigs, w_left, w_right) in zip(thetas, _rows(batch, window)):
+            expected = theta + TWO_PI * np.array([-1.0, 0.0, 1.0])
+            eig_err = _gap([(eigs, expected)]) if eigs.size == 3 else math.inf
+            out.append((f"eigenvalues n={n} theta={theta:.4f}",
+                        TestReport(eig_err, 1e-10, 3, "eigenvalues 2 pi k + theta")))
+            w_err = _gap([(w_left, 2.0), (w_right, 2.0)])
+            out.append((f"weights n={n} theta={theta:.4f}",
+                        TestReport(w_err, 1e-9, 6, "all spectral weights equal 2")))
     return out
 
 
@@ -140,16 +133,16 @@ def criterion_lattice_closed_form(seed: int):
 
 def criterion_spectral_lift(seed: int):
     rng = SeedSpec(seed, 102).rng()
-    ns = 2 + np.arange(100) % 7
-    mus = [_random_measure(rng, n) for n in ns]
-    spectra = _spectra([measure_operator(mu) for mu in mus], (0.0, TWO_PI * ns))
+    mus = [_random_measure(rng, n) for n in 2 + np.arange(100) % 7]
     worst = 0.0
-    for n, mu, (lams, w, _) in zip(ns, mus, spectra):
-        if lams.size != n:
-            worst = math.inf
-            break
-        w_err = np.max(np.abs(w - 2 * n * mu.weights) / (2 * n * mu.weights))
-        worst = max(worst, _gap([(lams / n, mu.angles)]), float(w_err))
+    for n in range(2, 9):
+        sized = [mu for mu in mus if len(mu) == n]
+        for mu, (lams, w, _) in zip(sized, _rows(_measure_batch(sized), (0.0, TWO_PI * n))):
+            if lams.size != n:
+                worst = math.inf
+                continue
+            w_err = np.max(np.abs(w - 2 * n * mu.weights) / (2 * n * mu.weights))
+            worst = max(worst, _gap([(lams / n, mu.angles)]), float(w_err))
     return [("left weights are 2n nu", TestReport(worst, 1e-8, 100, "relative error"))]
 
 
@@ -167,15 +160,13 @@ def criterion_roundtrip(seed: int):
         da = np.abs(np.mod(mu2.angles - mu.angles + math.pi, TWO_PI) - math.pi)
         worst_m = max(worst_m, float(da.max()),
                       float(np.max(np.abs(mu2.weights - mu.weights))))
-    n = 8
-    worst_c = 0.0
-    for _ in range(1000):
-        a = rng.uniform(-0.7, 0.7, n) + 1j * rng.uniform(-0.7, 0.7, n)
-        a[-1] = np.exp(1j * rng.uniform(0.0, TWO_PI))
-        seq = CoefficientSequence("verblunsky", a)
-        back = convert_coefficients(convert_coefficients(seq, "modified"),
-                                    "verblunsky")
-        worst_c = max(worst_c, float(np.max(np.abs(back.values - a))))
+    # the 1000 pairs' 17 uniforms each, in draw order: Generator.uniform is
+    # low + (high - low) U bit for bit
+    u = rng.random((1000, 17))
+    a = (-0.7 + 1.4 * u[:, :8]) + 1j * (-0.7 + 1.4 * u[:, 8:16])
+    a[:, -1] = np.exp(1j * (TWO_PI * u[:, 16]))
+    back = opuc.alphas_from_gammas(opuc.gammas_from_alphas(a))
+    worst_c = float(np.max(np.abs(back - a)))
     return [
         ("measure -> coefficients -> measure", TestReport(worst_m, 1e-9, 100, "n <= 12")),
         ("alpha <-> gamma", TestReport(worst_c, 1e-12, 1000, "n = 8")),
@@ -186,19 +177,18 @@ def criterion_roundtrip(seed: int):
 # 4. weight-formula duality
 
 
-def _random_operator(rng: np.random.Generator):
-    # five cells of moderate path roughness: the finite-difference oracle's
-    # truncation error grows with the third phase derivative
-    grid = np.linspace(0.0, 1.0, 6)
-    z = rng.uniform(-1.0, 1.0, 5) + 1j * rng.uniform(0.5, 2.0, 5)
-    q = rng.uniform(-2.0, 2.0)
-    return build_operator((grid, z), q)
-
-
 def criterion_weight_duality(seed: int):
     rng = SeedSpec(seed, 104).rng()
     h = 1e-5
-    batch = OperatorBatch.stack([_random_operator(rng) for _ in range(30)])
+    # 30 paths of five cells of moderate roughness, since the finite-
+    # difference oracle's truncation error grows with the third phase
+    # derivative; per row x, y, q as Generator.uniform draws them, which is
+    # low + (high - low) U bit for bit
+    u = rng.random((30, 11))
+    paths = (-1.0 + 2.0 * u[:, :5]) + 1j * (0.5 + 1.5 * u[:, 5:10])
+    q = -2.0 + 4.0 * u[:, 10]
+    batch = OperatorBatch.from_paths(np.linspace(0.0, 1.0, 6), paths, (1.0, 0.0),
+                                     np.stack([-q, np.full(30, -1.0)], axis=1))
     lams, _, w, row = batch.weights((-8.0, 8.0))
     da = (batch.phase(lams + h, row) - batch.phase(lams - h, row)) / (2.0 * h)
     worst = float(np.max(np.abs(w - 2.0 / da), initial=0.0))
@@ -413,19 +403,18 @@ def criterion_transform_invariance(seed: int):
     for r in (-1.3, 0.4, 2.0):
         c, s = r / math.sqrt(1 + r * r), 1.0 / math.sqrt(1 + r * r)
         rotations.append(np.array([[c, s], [-s, c]]))
-    # per measure: the operator, its three conjugates and its reversal
-    ops = []
-    for trial in range(5):
-        op = measure_operator(_random_measure(rng, 3 + trial % 4))
-        ops += [op, *(conjugate_operator(op, Q) for Q in rotations), reverse_operator(op)]
-    spectra = _spectra(ops, (-9.0, 9.0))
     conj, swap, double = [], [], []
-    for i in range(0, len(ops), 5):
-        (lams, left, right), (rev_lams, rev_left, rev_right) = spectra[i], spectra[i + 4]
-        conj += [ab for j in (1, 2, 3) for ab in zip(spectra[i], spectra[i + j])]
+    for trial in range(5):
+        # the operator and its three conjugates share a grid, and one batch
+        op = measure_operator(_random_measure(rng, 3 + trial % 4))
+        rev = reverse_operator(op)
+        batch = OperatorBatch.stack([op, *(conjugate_operator(op, Q) for Q in rotations)])
+        (lams, left, right), *conjugates = _rows(batch, (-9.0, 9.0))
+        [(rev_lams, rev_left, rev_right)] = _rows(rev.batch, (-9.0, 9.0))
+        conj += [ab for spectrum in conjugates for ab in zip((lams, left, right), spectrum)]
         swap += [(lams, rev_lams), (left, rev_right), (right, rev_left)]
-        back = reverse_operator(ops[i + 4])
-        double += [(getattr(back, f), getattr(ops[i], f)) for f in ("grid", "path", "u0", "u1")]
+        back = reverse_operator(rev)
+        double += [(getattr(back, f), getattr(op, f)) for f in ("grid", "path", "u0", "u1")]
     worst_conj, worst_swap, worst_double = _gap(conj), _gap(swap), _gap(double)
     return [
         ("rotation conjugation leaves both spectral measures fixed",

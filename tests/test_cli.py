@@ -141,7 +141,7 @@ class TestPipelines:
                 summary["epsilon"]) == (6, 2.0, 10_000, 0.1)
         assert len((tmp_path / "b.csv").read_text().splitlines()) == 10_001
 
-    @pytest.mark.parametrize("flag, value", [("--n", "0"), ("--beta", "-1")])
+    @pytest.mark.parametrize("flag, value", [("--beta", "-1")])
     def test_bias_rejects_bad_input(self, tmp_path, capsys, flag, value):
         argv = ["bias", "--n", "4", "--beta", "2", "--epsilon", "0.4",
                 "--replicas", "50", "--seed", "5", "--out", str(tmp_path / "b")]
@@ -297,6 +297,23 @@ class TestErrorHandling:
             main([*argv, "--seed", "1", "--out", str(out)])
         assert exc.value.code == 2
         assert not Path(f"{out}.json").exists()
+
+    @pytest.mark.parametrize("argv, message", [
+        (["kn-sample", "--n", "0", "--beta", "2"], "--n: must be at least 1"),
+        (["bias", "--n", "0"], "--n: must be at least 1"),
+        (["bias-trend", "--n", "0"], "--n: must be at least 1"),
+        (["sine-beta", "--beta", "2", "--cells", "1"], "--cells: must be at least 2"),
+        (["sine-intensity", "--cells", "1"], "--cells: must be at least 2"),
+    ], ids=["kn-sample-n-0", "bias-n-0", "bias-trend-n-0", "sine-beta-cells-1",
+            "sine-intensity-cells-1"])
+    def test_size_below_its_floor_is_usage_error(self, tmp_path, capsys, argv, message):
+        # these sizes used to reach the library and exit 1 with a runtime record
+        out = tmp_path / "o"
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--seed", "1", "--out", str(out)])
+        assert exc.value.code == 2
+        assert message in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("value", ["inf", "nan", "0", "-1"])
     @pytest.mark.parametrize("argv", [["bias", "--epsilon"], ["bias-trend", "--eps", "0.3"]],

@@ -370,10 +370,10 @@ class TestPhase:
     def test_phase_does_not_depend_on_lane_count(self):
         # at 5e3 |G| passes 1e154 on this operator; the phase lifts H = X^{-1} G
         # by the sweep's half-plane count and forms no product of G's
-        # components, so a 300-lane (plain) batch and 300 one-lane (chunked)
-        # sweeps give the same bits
+        # components, so a _CHUNK_LANES-lane (plain) batch and as many
+        # one-lane (chunked) sweeps give the same bits
         op = random_operator(np.random.default_rng(4146), 4096)
-        lams = np.linspace(5e3, 5e3 + 10.0, 300)
+        lams = np.linspace(5e3, 5e3 + 10.0, dirac._CHUNK_LANES)
         batch = dirac.OperatorBatch.stack([op] * lams.size)
         assert dirac._chunk_count(lams.size, op.cells) == 1
         one = [dirac.phase_at(op, lam) for lam in lams]
@@ -969,9 +969,9 @@ class TestRotationTable:
 
     def test_kn_plain_loop(self, monkeypatch):
         b = self.kn_batch(400)
-        lam = np.linspace(0.0, 800.0 * math.pi, 400)
+        lam = np.linspace(0.0, 800.0 * math.pi, 600)
         assert dirac._chunk_count(lam.size, 400) == 1
-        self.assert_table_keeps_bits(monkeypatch, b, lam, np.zeros(400, int),
+        self.assert_table_keeps_bits(monkeypatch, b, lam, np.zeros(600, int),
                                      want_deriv=True, want_phase=True)
 
     def test_kn_chunks_with_padding(self, monkeypatch):
@@ -1486,6 +1486,76 @@ class TestOperatorBatch:
             assert np.array_equal(sm.weights, w)
         with pytest.raises(ValueError, match="side must be 'left' or 'right'"):
             dirac.spectral_measure(op, (-5.0, 5.0), "middle")
+
+
+def assert_same_row(one, batch, i):
+    """The one-row batch ``one`` equals row i of ``batch`` in every field's bits."""
+    bits = lambda a: np.ascontiguousarray(a).view(np.uint8)
+    assert np.array_equal(one.dt, batch.dt)
+    assert one.w.dtype == batch.w.dtype and np.array_equal(bits(one.w[0]), bits(batch.w[i]))
+    for f in ("start", "last", "u", "u0sq"):
+        a, b = getattr(one, f), getattr(batch, f)
+        assert a.dtype == b.dtype and np.array_equal(bits(a[..., 0]), bits(b[..., i])), f
+
+
+class TestRowEquality:
+    """An operator built alone equals its row of a batch, bit for bit."""
+
+    @pytest.mark.parametrize("law", ["kn", "palm"])
+    @pytest.mark.parametrize("n", [1, 2, 50, 400])
+    def test_coefficient_operator_is_its_batch_row(self, n, law):
+        from circdirac.ensembles import SeedSpec, kn_gammas, palm_gammas
+
+        g = kn_gammas(SeedSpec(17, n).rng(), n, 2.0, 6)
+        g = palm_gammas(g) if law == "palm" else g
+        batch = dirac.coefficient_batch(g)
+        assert batch.rows == 6 and batch.w.shape == (6, n)
+        for i in range(len(g)):
+            op = dirac.coefficient_operator(opuc.CoefficientSequence("modified", g[i]))
+            assert_same_row(op.batch, batch, i)
+        if law == "palm":
+            assert np.all(batch.u == 0.0)
+
+    @pytest.mark.parametrize("last", [0.5, 1.0 + 1e-9, np.nan], ids=["inside", "outside", "nan"])
+    def test_coefficient_batch_refuses_a_last_coefficient_off_the_circle(self, last):
+        g = np.array([[0.2j, 1.0], [0.1, last]])
+        with pytest.raises(ValueError, match="last coefficient must have unit modulus"):
+            dirac.coefficient_batch(g)
+
+    def test_measure_operator_is_its_row_of_the_batched_conversion(self):
+        # measure -> alpha -> gamma -> operator, one measure or six at once
+        rng = np.random.default_rng(73)
+        mus = [random_measure(rng, 7) for _ in range(6)]
+        alphas = opuc._measures_to_alphas_batch(np.array([mu.angles for mu in mus]),
+                                                np.array([mu.weights for mu in mus]))
+        batch = dirac.coefficient_batch(opuc.gammas_from_alphas(alphas))
+        for i, mu in enumerate(mus):
+            assert_same_row(dirac.measure_operator(mu).batch, batch, i)
+
+    def test_path_operator_is_its_batch_row(self):
+        rng = np.random.default_rng(74)
+        grid = np.linspace(0.0, 1.0, 8)
+        paths = rng.uniform(-1.2, 1.2, (6, 7)) + 1j * rng.uniform(0.4, 2.2, (6, 7))
+        u0, u1 = rng.standard_normal((2, 6, 2))
+        u0[0] = (1.0, -0.0)   # X_0 u0 keeps the sign of the zero
+        batch = dirac.OperatorBatch.from_paths(grid, paths, u0, u1)
+        assert np.signbit(batch.start[1, 0])
+        for i in range(len(paths)):
+            assert_same_row(dirac.DiracOperator(grid, paths[i], u0=u0[i], u1=u1[i]).batch,
+                            batch, i)
+        # one pair of directions shared by every row
+        shared = dirac.OperatorBatch.from_paths(grid, paths, u0[1], u1[1])
+        for i in range(len(paths)):
+            assert_same_row(dirac.DiracOperator(grid, paths[i], u0=u0[1], u1=u1[1]).batch,
+                            shared, i)
+
+    @pytest.mark.parametrize("paths", [np.full(3, 1j), np.full((2, 0), 1j),
+                                       np.array([[1j, 1j, -1j]])],
+                             ids=["one-row-1d", "no-cells", "lower-half-plane"])
+    def test_from_paths_refuses_what_is_not_rows_of_cells(self, paths):
+        with pytest.raises(ValueError, match="one value per cell"):
+            dirac.OperatorBatch.from_paths(np.linspace(0.0, 1.0, 4), paths,
+                                           (1.0, 0.0), (0.0, -1.0))
 
 
 class TestInputValidation:

@@ -264,6 +264,47 @@ class TestConvert:
         assert roundtrip < 1e-13
 
 
+class TestBatchRows:
+    """A single sequence or measure equals its row of a batch, bit for bit.
+
+    numpy rounds a product of complex scalars differently from its array
+    loop, so the phase twist runs a single sequence as a one-row array.
+    """
+
+    @staticmethod
+    def bits(a):
+        return np.ascontiguousarray(a).view(np.uint8)
+
+    @pytest.fixture
+    def alphas(self):
+        from circdirac.ensembles import SeedSpec, kn_gammas
+
+        return opuc.alphas_from_gammas(kn_gammas(SeedSpec(13, 0).rng(), 50, 2.0, 20))
+
+    def test_one_sequence_twist_is_its_batch_row(self, alphas):
+        batch = opuc.gammas_from_alphas(alphas)
+        for i, a in enumerate(alphas):
+            assert np.array_equal(self.bits(opuc.gammas_from_alphas(a)), self.bits(batch[i]))
+        # any leading shape runs as rows
+        stacked = opuc.gammas_from_alphas(alphas.reshape(4, 5, 50))
+        assert np.array_equal(self.bits(stacked.reshape(20, 50)), self.bits(batch))
+
+    def test_sequence_calls_are_their_batch_rows(self, alphas):
+        gammas = opuc.gammas_from_alphas(alphas)
+        eta = np.exp(0.7j)
+        rotated = opuc.gammas_from_alphas(eta * opuc.alphas_from_gammas(gammas))
+        angles, weights = opuc._measures_from_gammas_batch(gammas)
+        for i, a in enumerate(alphas):
+            seq = opuc.CoefficientSequence("verblunsky", a)
+            modified = opuc.convert_coefficients(seq, "modified")
+            assert np.array_equal(self.bits(modified.values), self.bits(gammas[i]))
+            turned = opuc.aleksandrov_transform(modified, eta)
+            assert np.array_equal(self.bits(turned.values), self.bits(rotated[i]))
+            mu = opuc.alpha_to_measure(seq)
+            assert np.array_equal(mu.angles, angles[i])
+            assert np.array_equal(mu.weights, weights[i] / weights[i].sum())
+
+
 class TestMeasureToAlpha:
     def test_single_atom(self):
         lam = 2.2

@@ -85,12 +85,12 @@ def test_sweep_timing_prints_a_record_per_case(capsys, monkeypatch):
     monkeypatch.setattr(tool, "SINE_CELLS", 64)
     monkeypatch.setattr(tool, "KN_N", 20)
     monkeypatch.setattr(tool, "REPEAT", 1)
-    assert tool.main(["1", "300"]) == 0
+    assert tool.main(["1", "600"]) == 0
     records = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
     assert [(r["case"], r["cells"], r["lanes"], r["variant"]) for r in records] == [
         (case, cells, lanes, variant) for case, cells in (("sine", 64), ("kn", 20))
-        for lanes in (1, 300) for variant in ("phase", "derivative", "both")]
-    # 64 cells run 8 chunks and 20 cells 4 below 256 lanes; 300 lanes the plain loop
+        for lanes in (1, 600) for variant in ("phase", "derivative", "both")]
+    # 64 cells run 8 chunks and 20 cells 4 below 512 lanes; 600 lanes the plain loop
     assert [r["chunks"] for r in records] == [8] * 3 + [1] * 3 + [4] * 3 + [1] * 3
     for r in records:
         assert 0.0 < r["best_ms"]
@@ -99,10 +99,10 @@ def test_sweep_timing_prints_a_record_per_case(capsys, monkeypatch):
     # forced chunks, whatever the lane count; the chunk rule is put back
     from circdirac import dirac
 
-    assert tool.main(["--chunks", "chunked", "300"]) == 0
+    assert tool.main(["--chunks", "chunked", "600"]) == 0
     records = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
     assert [r["chunks"] for r in records] == [8] * 3 + [4] * 3
-    assert dirac._chunk_count(300, 64) == 1 and dirac._chunk_count(1, 64) == 8
+    assert dirac._chunk_count(600, 64) == 1 and dirac._chunk_count(1, 64) == 8
 
 
 def test_solve_counts_prints_one_record(capsys, monkeypatch):
@@ -156,12 +156,28 @@ def test_lift_errors_prints_one_record(capsys, monkeypatch):
     assert record["worst_weight_at"]["seed"] == 203
     # the operators reloaded from their JSON give the same errors
     assert record["worst_reloaded_weight_err"] == record["worst_weight_err"]
-    # under a gate no draw can meet, every draw is a miss with its errors
+    # under a gate no draw can meet, every draw is a miss with its errors,
+    # and the tool exits 1
     monkeypatch.setattr(tool, "LIFT_TOL", -1.0)
-    assert tool.main(["203", "203"]) == 0
+    assert tool.main(["203", "203"]) == 1
     misses = json.loads(capsys.readouterr().out)["misses"]
     assert [(m["stream"], m["n"]) for m in misses] == [(0, 50), (0, 100), (1, 50), (1, 100)]
     assert max(m["weight_err"] for m in misses) == record["worst_weight_err"]
+
+
+def test_lift_errors_exits_1_on_a_refused_draw(capsys, monkeypatch):
+    tool = load_tool("lift_errors")
+    monkeypatch.setattr(tool, "KN_SIZES", (50,))
+    monkeypatch.setattr(tool, "STREAMS", (0,))
+
+    def refuse(seed, stream, n):
+        raise ValueError("conditioning: refused")
+
+    monkeypatch.setattr(tool, "lift_errors", refuse)
+    assert tool.main(["203", "203"]) == 1
+    record = json.loads(capsys.readouterr().out)
+    assert record["misses"] == [{"seed": 203, "stream": 0, "n": 50,
+                                 "refused": "conditioning: refused"}]
 
 
 @pytest.mark.parametrize("seed, stream, n", [(203, 1, 400), (257, 0, 200)])

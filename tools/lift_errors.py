@@ -14,7 +14,9 @@ ValueError).
 
 Prints one JSON record: the seed range, the number of draws, each miss
 (seed, stream, N and the four errors, or the refusal's message) and the
-worst of each error, direct and reloaded, each with its draw.
+worst of each error, direct and reloaded, each with its draw.  Exits 1
+when it records a miss or a refusal and 0 otherwise, so it can gate a
+build.
 
 Usage: python tools/lift_errors.py SEED_LO SEED_HI
 """
@@ -92,7 +94,7 @@ def main(argv=None) -> int:
         record[f"worst_{key}_err"] = err if where else None
         record[f"worst_{key}_at"] = where
     print(json.dumps(record))
-    return 0
+    return 1 if misses else 0
 
 
 if __name__ == "__main__":
