@@ -24,16 +24,21 @@ gamma_k = conj(alpha_k) prod_{j<k} (1-conj(gamma_j))/(1-gamma_j).
 
 Measure -> coefficients runs the Szego recursion on the atoms; coefficients
 -> measure takes the atoms as the eigenvalues of the unitary CMV matrix
-(Cantero, Moral & Velazquez 2003), whose characteristic polynomial is
+L M (Cantero, Moral & Velazquez 2003), whose characteristic polynomial is
 Phi_n, and the weights from the Christoffel sum
-1/weight_j = sum_k |Phi_k(atom_j)|^2 / ||Phi_k||^2.  The eigenvalues come
-from a Hermitian problem, its Cayley transform, built with one tridiagonal
-solve (Ammar, Gragg & Reichel 1986 reduce the unitary eigenproblem to
-Hermitian ones in the same spirit), and one Newton step on Phi_n polishes
-them: on Killip-Nenciu draws at n = 400 the atoms agree with 40-digit roots
-to 1.1e-15.  The round trip is good to 4.6e-12 at n = 400.  Measures with an
-interior 1 - |alpha_k|^2 below MIN_INTERIOR_DEFECT (merging atoms,
-vanishing weights) are refused.
+1/weight_j = sum_k |Phi_k(atom_j)|^2 / ||Phi_k||^2.  The factors L and M
+are symmetric and unitary (Killip & Nenciu 2007), so with S = M^{1/2},
+built block by block in closed form, W = S L S is symmetric unitary and
+similar to L M.  A real orthogonal matrix diagonalizes such a W, so its
+Cayley transform is a real symmetric matrix; it is built with one
+tridiagonal solve (Ammar, Gragg & Reichel 1986 reduce the unitary
+eigenproblem to Hermitian ones in the same spirit), and one Newton step on
+Phi_n polishes its eigenvalues: on Killip-Nenciu draws at n = 400 the
+atoms agree with 40-digit roots to 1.1e-15.  The round trip is good to
+4.8e-12 at n = 400.  Measures with an interior 1 - |alpha_k|^2 below
+MIN_INTERIOR_DEFECT (merging atoms, vanishing weights) are refused.  The
+O(n) recursions update preallocated arrays in place, with no new array
+per step.
 """
 
 from __future__ import annotations
@@ -180,7 +185,8 @@ def _prefix_phase_products(gammas: np.ndarray) -> np.ndarray:
     g = np.asarray(gammas, dtype=complex)
     turn = np.zeros(g.shape)
     # the last entry may sit at 1; it never enters a product
-    turn[..., 1:] = np.cumsum(np.angle(1.0 - g[..., :-1]), axis=-1)
+    h = 1.0 - g[..., :-1]
+    turn[..., 1:] = np.cumsum(np.arctan2(h.imag, h.real), axis=-1)
     return np.exp(-2j * turn)
 
 
@@ -198,12 +204,12 @@ def gammas_from_alphas(a: np.ndarray) -> np.ndarray:
     differently from its array loop).
     """
     a = np.asarray(a, dtype=complex)
-    rows = a.reshape(-1, a.shape[-1])
-    g = np.empty_like(rows)
-    turn = np.zeros(len(rows))
-    for k in range(rows.shape[1]):
-        g[:, k] = np.conj(rows[:, k]) * np.exp(-2j * turn)
-        turn = turn + np.angle(1.0 - g[:, k])
+    conj = np.conj(a.reshape(-1, a.shape[-1]))
+    g = np.empty_like(conj)
+    turn = np.zeros(len(conj))
+    for k in range(conj.shape[1]):
+        h = 1.0 - np.multiply(conj[:, k], np.exp(-2j * turn), out=g[:, k])
+        turn += np.arctan2(h.imag, h.real)
     return g.reshape(a.shape)
 
 
@@ -232,6 +238,18 @@ def convert_coefficients(seq: CoefficientSequence, target: str) -> CoefficientSe
 # measure -> coefficients (Szego recursion on the atoms)
 
 
+def _szego_step(ak, ck, phi, phis, t0, t1) -> None:
+    """(phi, phis) <- (phi - ck phis, phis - ak phi) in place, t0 and t1 as work arrays.
+
+    With phi = z Phi_k(z), phis = Phi*_k(z) and ck = conj(alpha_k), this
+    steps the recursion to Phi_{k+1}, Phi*_{k+1}.
+    """
+    np.multiply(ck, phis, out=t0)
+    np.multiply(ak, phi, out=t1)
+    phi -= t0
+    phis -= t1
+
+
 def _measures_to_alphas_batch(angles: np.ndarray, weights: np.ndarray) -> np.ndarray:
     """Verblunsky coefficients for a batch of measures, shape (m, n) each.
 
@@ -246,17 +264,18 @@ def _measures_to_alphas_batch(angles: np.ndarray, weights: np.ndarray) -> np.nda
     m, n = ang.shape
     z = np.exp(1j * ang)
     alphas = np.empty((m, n), dtype=complex)
-    phi = phis = np.ones((m, n), dtype=complex)   # rebound below, never mutated
+    phi, phis, wphis, t0, t1 = (np.ones((m, n), dtype=complex) for _ in range(5))
     for k in range(n - 1):
-        zphi = z * phi
-        wphis = w * np.conj(phis)
-        ak = np.conj(np.sum(zphi * wphis, axis=1) / np.sum(wphis * phis, axis=1).real)
-        if np.any(1.0 - np.abs(ak) ** 2 < MIN_INTERIOR_DEFECT):
+        np.multiply(z, phi, out=phi)
+        np.multiply(w, np.conj(phis, out=wphis), out=wphis)
+        num = np.add.reduce(np.multiply(phi, wphis, out=t0), axis=1)
+        den = np.add.reduce(np.multiply(wphis, phis, out=t1), axis=1).real
+        ak = np.conj(num / den)
+        if (1.0 - np.abs(ak) ** 2 < MIN_INTERIOR_DEFECT).any():
             raise ValueError(f"conditioning: 1 - |alpha_{k}|^2 below "
                              f"{MIN_INTERIOR_DEFECT:g} (merging atoms or tiny weights)")
         alphas[:, k] = ak
-        ak = ak[:, None]
-        phi, phis = zphi - np.conj(ak) * phis, phis - ak * zphi
+        _szego_step(ak[:, None], np.conj(ak)[:, None], phi, phis, t0, t1)
     last = -((-1.0) ** n) * np.conj(np.prod(z, axis=1))
     alphas[:, n - 1] = last / np.abs(last)
     return alphas
@@ -274,116 +293,143 @@ def measure_to_alpha(mu: UnitCircleMeasure) -> CoefficientSequence:
 # coefficients -> measure (CMV eigenvalues + Christoffel weights)
 
 
-def _cmv_matrices(alphas: np.ndarray, rho: np.ndarray) -> np.ndarray:
-    """CMV matrices L M, shape (m, n, n); ``rho`` holds rho_0..rho_{n-2}.
-
-    L = Theta_0 + Theta_2 + ..., M = 1 + Theta_1 + Theta_3 + ... (direct
-    sums, Theta_k = [[conj a_k, rho_k], [rho_k, -a_k]], cut to conj a_{n-1}
-    at index n-1), so det(z - L M) = Phi_n.  Row pair (k, k+1), k even, is
-    Theta_k times rows k, k+1 of M: rho_{k-1}, -a_{k-1} in columns k-1, k
-    and conj a_{k+1}, rho_{k+1} in columns k+1, k+2.  With a_{-1} = -1 and
-    rho_{-1} = rho_{n-1} = 0, entries outside the matrix are all zero.
-    """
-    m, n = alphas.shape
-    a = np.pad(alphas, ((0, 0), (1, 1)), constant_values=((0, 0), (-1, 0)))
-    r = np.pad(rho, ((0, 0), (1, 2)))   # a[:, j+1] = a_j, r[:, j+1] = rho_j
-    k = np.arange(0, n, 2)
-    ak, rk = a[:, k + 1], r[:, k + 1]
-    out = np.zeros((m, n, n), dtype=complex)
-    for row, t0, t1 in ((k, np.conj(ak), rk), (k + 1, rk, -ak)):
-        for col, val in ((k - 1, t0 * r[:, k]), (k, -t0 * a[:, k]),
-                         (k + 1, t1 * np.conj(a[:, k + 2])), (k + 2, t1 * r[:, k + 2])):
-            inside = (row < n) & (col >= 0) & (col < n)
-            out[:, row[inside], col[inside]] = val[:, inside]
-    return out
-
-
 def _phi_n(alphas: np.ndarray, z: np.ndarray, derivative: bool = False):
     """Phi_n(z) for each row of ``alphas`` (m, n) at the matching row of ``z``.
 
     With ``derivative`` returns (Phi_n(z), z Phi_n'(z)), the second from the
     differentiated recursion.
     """
-    phi = phis = np.ones_like(z)
-    dphi = dphis = np.zeros_like(z)
-    for k in range(alphas.shape[1]):
-        ak = alphas[:, k, None]
-        zphi = z * phi
+    m, n = alphas.shape
+    conj = np.conj(alphas)
+    shape = (m, z.shape[-1])
+    phi, phis, t0, t1 = (np.ones(shape, dtype=complex) for _ in range(4))
+    if derivative:   # z Phi_k'(z), z Phi*_k'(z)
+        dphi, dphis = np.zeros(shape, dtype=complex), np.zeros(shape, dtype=complex)
+    for k in range(n):
+        ak, ck = alphas[:, k, None], conj[:, k, None]
+        np.multiply(z, phi, out=phi)
         if derivative:
-            w = zphi + z * dphi
-            dphi, dphis = w - np.conj(ak) * dphis, dphis - ak * w
-        phi, phis = zphi - np.conj(ak) * phis, phis - ak * zphi
+            np.multiply(z, dphi, out=dphi)
+            dphi += phi
+            _szego_step(ak, ck, dphi, dphis, t0, t1)
+        _szego_step(ak, ck, phi, phis, t0, t1)
     return (phi, dphi) if derivative else phi
+
+
+def _m_root_conj(alphas: np.ndarray, rho: np.ndarray):
+    """conj(S) for the symmetric unitary square root S of the CMV factor M.
+
+    M = 1 + Theta_1 + Theta_3 + ... (direct sums, Theta_k = [[conj a_k,
+    rho_k], [rho_k, -a_k]], cut to conj a_{n-1} at index n-1).  Each 2 x 2
+    block is Theta_k = P - i b I with b = Im a_k and P = [[Re a_k, rho_k],
+    [rho_k, -Re a_k]] real symmetric, P^2 = (1 - b^2) I, and its root is
+
+        S_k = (1+i)/2 s I + (1-i)/2 P / s,    s = sqrt(1 - b) > 0,
+
+    symmetric, and unitary: on the eigenvectors of P its eigenvalues are
+    square roots of those of Theta_k, +-sqrt(1 - b^2) - i b, unimodular.
+    The 1 x 1 blocks are 1 and, at even n, conj a_{n-1}, whose root is
+    conj(sqrt(a_{n-1})).  Returns (diag, side), each (m, n): the diagonal
+    of conj(S), and in row j its entry in the column of j's partner in a
+    block, j + 1 at odd j and j - 1 at even j; side is 0 in a 1 x 1 block.
+    """
+    m, n = alphas.shape
+    ak = alphas[:, 1 : n - 1 : 2]
+    s = np.sqrt(1.0 - ak.imag)
+    p = ak.real / s
+    diag = np.ones((m, n), dtype=complex)
+    diag[:, 1 : n - 1 : 2] = 0.5 * ((s + p) + 1j * (p - s))
+    diag[:, 2::2] = 0.5 * ((s - p) - 1j * (s + p))
+    if n % 2 == 0:
+        diag[:, n - 1] = np.sqrt(alphas[:, n - 1])
+    side = np.zeros((m, n), dtype=complex)
+    side[:, 1 : n - 1 : 2] = side[:, 2::2] = (0.5 + 0.5j) * (rho[:, 1::2] / s)
+    return diag, side
 
 
 def _cmv_angles(alphas: np.ndarray, rho: np.ndarray) -> np.ndarray:
     """Angles of the eigenvalues of the CMV matrices U = L M, n >= 2, unsorted.
 
-    L and M are the factors that :func:`_cmv_matrices` writes out.  Per
-    row, psi is the point of a 4n-point grid where |Phi_n| is largest, so
-    no atom is near e^{i psi}, and the Cayley transform
+    L = Theta_0 + Theta_2 + ... and M = 1 + Theta_1 + Theta_3 + ... are
+    symmetric unitary; with S = M^{1/2} from :func:`_m_root_conj`,
+    W = S L S is symmetric unitary and similar to U.  Its real and
+    imaginary parts are commuting real symmetric matrices, so a real
+    orthogonal matrix diagonalizes W, and the Cayley transform
 
-        A = i (I + e^{-i psi} U)(I - e^{-i psi} U)^{-1} = i (2 T^{-1} L^H - I)
+        A = i (I + e^{-i psi} W)(I - e^{-i psi} W)^{-1} = -2 Im(conj(S) X)
 
-    is Hermitian with eigenvalues -cot((theta_j - psi) / 2); here
-    I - e^{-i psi} L M = L T, and T = L^H - e^{-i psi} M is complex
-    symmetric tridiagonal.  T is factored with partial pivoting (the
-    LAPACK zgttrf scheme), T^{-1} L^H is solved in place, and one Newton
-    step on Phi_n(e^{i theta}) polishes the angles from ``eigvalsh``.
+    is real symmetric with eigenvalues -cot((theta_j - psi) / 2); the real
+    part of conj(S) X = (I - e^{-i psi} W)^{-1} is I / 2.  Per row, psi is
+    the point of a 4n-point grid where |Phi_n| is largest, so no atom is
+    near e^{i psi}.  Here I - e^{-i psi} W = S T S with T = M^H - e^{-i psi} L
+    complex symmetric tridiagonal, so X = T^{-1} conj(S).  T is factored
+    with partial pivoting (the LAPACK zgttrf scheme) and X solved in
+    place; A is formed from X an eighth of the rows at a time, and X is
+    dropped before ``eigvalsh``, a real symmetric problem on half the
+    bytes of a Hermitian one.  One Newton step on Phi_n(e^{i theta})
+    polishes the angles it gives.
     """
     m, n = alphas.shape
     grid = TWO_PI / (4 * n) * np.arange(4 * n)
     psi = grid[np.argmax(np.abs(_phi_n(alphas, np.exp(1j * grid)[None, :])), axis=1)]
     c = np.exp(-1j * psi)[:, None]
-    # diagonals of L^H and M, and the off-diagonal of T (that of L^H at
-    # even k, of -c M at odd k); a[:, j] = a_{j-1}, a_{-1} = -1
+    # diagonals of M^H and L, and the off-diagonal of T (that of -c L at
+    # even k, of M^H at odd k); a[:, j] = a_{j-1}, a_{-1} = -1
     a = np.pad(alphas, ((0, 0), (1, 0)), constant_values=-1.0)
     even = np.arange(n) % 2 == 0
-    lh = np.where(even, a[:, 1:], -np.conj(a[:, :-1]))
-    d = lh - c * np.where(even, -a[:, :-1], np.conj(a[:, 1:]))
-    off = np.where(even[:-1], rho, -c * rho)
+    d = np.where(even, -np.conj(a[:, :-1]) - c * np.conj(a[:, 1:]), a[:, 1:] + c * a[:, :-1])
+    off = np.where(even[:-1], -c * rho, rho)
 
-    # T = P L' U, U with diagonals d, du, du2: step i swaps rows i and i+1
-    # where swaps[:, i], then subtracts low[:, i] times row i from row i+1
-    du = np.zeros((m, n), dtype=complex)
-    du[:, : n - 1] = off
-    du2 = np.zeros((m, n), dtype=complex)
-    low = np.empty((m, n - 1), dtype=complex)
-    swaps = np.empty((m, n - 1), dtype=bool)
-    for i in range(n - 1):
-        s = swaps[:, i] = np.abs(d[:, i]) < np.abs(off[:, i])
-        # rows i and i+1 hold (d_i, du_i, 0) and (off_i, d_i+1, du_i+1)
-        pivot = np.where(s, off[:, i], d[:, i])
-        low[:, i] = f = np.where(s, d[:, i], off[:, i]) / pivot
-        top1, bot1 = np.where(s, d[:, i + 1], du[:, i]), np.where(s, du[:, i], d[:, i + 1])
-        top2 = np.where(s, du[:, i + 1], 0.0)
-        d[:, i + 1] = bot1 - f * top1
-        du[:, i + 1] = np.where(s, 0.0, du[:, i + 1]) - f * top2
-        d[:, i], du[:, i], du2[:, i] = pivot, top1, top2
-
-    # X = T^{-1} L^H, L^H = [[a_k, rho_k], [rho_k, -conj a_k]] at even k
+    # T = P L' U by partial pivoting (the LAPACK zgttrf scheme), with the
+    # same row operations on X, which starts as conj(S): step i swaps rows
+    # i and i+1 where |T_i,i| < |T_i+1,i|, then subtracts f times row i from
+    # row i+1.  band[:, j] holds row j of T at columns j-1..j+2, first
+    # (off_j-1, d_j, off_j, 0), so step i's two rows at columns i..i+2 lie
+    # side by side in ``flat``, and U's diagonals end in band[..., 1:];
+    # rows i and i+1 of X are zero beyond column i+2.
+    band = np.zeros((m, n, 4), dtype=complex)
+    band[:, 1:, 0] = band[:, :-1, 2] = off
+    band[:, :, 1] = d
+    flat = band.reshape(m, 4 * n)
+    diag, side = _m_root_conj(alphas, rho)
+    j = np.arange(n)
+    partner = np.clip(((j - 1) ^ 1) + 1, 0, n - 1)   # a 1 x 1 block's is j
     x = np.zeros((m, n, n), dtype=complex)
-    diag = np.arange(n)
-    x[:, diag, diag] = lh
-    k = diag[: n - 1 : 2]
-    x[:, k, k + 1] = x[:, k + 1, k] = rho[:, k]
+    x[:, j, partner] = side
+    x[:, j, j] = diag
     for i in range(n - 1):
-        s = swaps[:, i, None]
-        top = np.where(s, x[:, i + 1], x[:, i])
-        x[:, i + 1] = np.where(s, x[:, i], x[:, i + 1]) - low[:, i, None] * top
-        x[:, i] = top
+        pair = flat[:, 4 * i + 1 : 4 * i + 7].reshape(m, 2, 3)
+        rows = x[:, i : i + 2, : i + 3]
+        s = np.abs(pair[:, 0, 0]) < np.abs(pair[:, 1, 0])
+        if s.all():   # numpy buffers an overlapping source before it assigns
+            pair[...], rows[...] = pair[:, ::-1], rows[:, ::-1]
+        elif s.any():
+            pair[s], rows[s] = pair[s, ::-1], rows[s, ::-1]
+        f = (pair[:, 1, 0] / pair[:, 0, 0])[:, None]
+        pair[:, 1, 1:] -= f * pair[:, 0, 1:]
+        rows[:, 1] -= f * rows[:, 0]
+    d, du, du2 = (band[:, :, k, None] for k in (1, 2, 3))
     for i in range(n - 1, -1, -1):
         r = x[:, i]
         if i + 1 < n:
-            r -= du[:, i, None] * x[:, i + 1]
+            r -= du[:, i] * x[:, i + 1]
         if i + 2 < n:
-            r -= du2[:, i, None] * x[:, i + 2]
-        r /= d[:, i, None]
+            r -= du2[:, i] * x[:, i + 2]
+        r /= d[:, i]
     if not np.all(np.isfinite(x)):   # eigvalsh need not refuse nan
         raise np.linalg.LinAlgError("non-finite Cayley matrix: is a gamma_k not finite?")
-    x *= 2j
-    x[:, diag, diag] -= 1j
-    theta = psi[:, None] + 2.0 * np.arctan2(1.0, -np.linalg.eigvalsh(x))
+
+    # A = -2 Im(conj(S) X), an eighth of the rows at a time
+    cayley = np.empty((m, n, n))
+    step = 2 * max(1, n // 16)
+    for lo in range(0, n, step):
+        r = slice(lo, lo + step)
+        t = x[:, partner[r]]
+        t *= side[:, r, None]
+        t += diag[:, r, None] * x[:, r]
+        np.multiply(t.imag, -2.0, out=cayley[:, r])
+    del x, t
+    theta = psi[:, None] + 2.0 * np.arctan2(1.0, -np.linalg.eigvalsh(cayley))
 
     phi, dphi = _phi_n(alphas, np.exp(1j * theta), derivative=True)
     return theta - (phi / dphi).imag
@@ -401,11 +447,11 @@ def _measures_from_gammas_block(g: np.ndarray):
 
     norm2 = np.cumprod(rho2, axis=1)              # ||Phi_k||^2 = prod_{l<k} rho_l^2
     inv_w = np.ones((m, n))
-    phi = phis = np.ones((m, n), dtype=complex)   # rebound below, never mutated
+    conj = np.conj(alphas)
+    phi, phis, t0, t1 = (np.ones((m, n), dtype=complex) for _ in range(4))
     for k in range(n - 1):
-        ak = alphas[:, k, None]
-        zphi = atoms * phi
-        phi, phis = zphi - np.conj(ak) * phis, phis - ak * zphi
+        np.multiply(atoms, phi, out=phi)
+        _szego_step(alphas[:, k, None], conj[:, k, None], phi, phis, t0, t1)
         inv_w += np.abs(phi) ** 2 / norm2[:, k, None]
     return angles, 1.0 / inv_w
 
@@ -414,7 +460,7 @@ def _measures_from_gammas_batch(gammas: np.ndarray):
     """Atoms and weights for a batch of modified sequences, shape (m, n).
 
     Atoms are the eigenvalues of the (unitary) CMV matrices, found through
-    a Hermitian Cayley transform and one Newton step (:func:`_cmv_angles`);
+    a real symmetric Cayley transform and one Newton step (:func:`_cmv_angles`);
     n = 1 gives the atom conj(alpha_0) directly.  Weights invert the
     Christoffel sum.  Rows go through in blocks of about ``_BLOCK_ENTRIES``
     matrix entries, so memory stays bounded for any m, and each row's bits
@@ -445,7 +491,7 @@ def alpha_to_measure(alphas: CoefficientSequence) -> UnitCircleMeasure:
     """Measure with the given Verblunsky coefficients.
 
     Atoms are the roots of Phi_n, taken as the eigenvalues of the CMV
-    matrix through its Hermitian Cayley transform and polished by one
+    matrix through a real symmetric Cayley transform and polished by one
     Newton step on Phi_n; the weight at each atom inverts the Christoffel
     sum.  The weights' sum drifts from 1 by rounding that grows with n
     (up to 1.1e-14 on Killip-Nenciu draws at n = 400), so they are divided

@@ -55,7 +55,6 @@ from .opuc import (
     UnitCircleMeasure,
     _measures_from_gammas_batch,
     _measures_to_alphas_batch,
-    alpha_to_measure,
     measure_to_alpha,
 )
 from .stats import TestReport, chi2_hist2d, ks_by_coordinate, ks_test, ks_threshold
@@ -99,11 +98,16 @@ def _rows(batch: OperatorBatch, window) -> list:
     return [tuple(a[row == j] for a in spectrum) for j in range(batch.rows)]
 
 
-def _measure_batch(mus) -> OperatorBatch:
-    """The operators of measures of one size, one batch row each, in order."""
+def _gammas(mus) -> np.ndarray:
+    """The modified coefficients of measures of one size, one row each, in order."""
     alphas = _measures_to_alphas_batch(np.array([mu.angles for mu in mus]),
                                        np.array([mu.weights for mu in mus]))
-    return coefficient_batch(opuc.gammas_from_alphas(alphas))
+    return opuc.gammas_from_alphas(alphas)
+
+
+def _measure_batch(mus) -> OperatorBatch:
+    """The operators of measures of one size, one batch row each, in order."""
+    return coefficient_batch(_gammas(mus))
 
 
 # ---------------------------------------------------------------------------
@@ -152,14 +156,17 @@ def criterion_spectral_lift(seed: int):
 
 def criterion_roundtrip(seed: int):
     rng = SeedSpec(seed, 103).rng()
+    mus = [_random_measure(rng, 2 + trial % 11) for trial in range(100)]
     worst_m = 0.0
-    for trial in range(100):
-        n = 2 + trial % 11
-        mu = _random_measure(rng, n)
-        mu2 = alpha_to_measure(measure_to_alpha(mu))
-        da = np.abs(np.mod(mu2.angles - mu.angles + math.pi, TWO_PI) - math.pi)
-        worst_m = max(worst_m, float(da.max()),
-                      float(np.max(np.abs(mu2.weights - mu.weights))))
+    for n in range(2, 13):
+        # one batched conversion each way per size; a row normalized and
+        # sorted as alpha_to_measure(measure_to_alpha(mu)) returns it
+        sized = [mu for mu in mus if len(mu) == n]
+        for mu, ang, w in zip(sized, *_measures_from_gammas_batch(_gammas(sized))):
+            mu2 = UnitCircleMeasure(angles=ang, weights=w / w.sum())
+            da = np.abs(np.mod(mu2.angles - mu.angles + math.pi, TWO_PI) - math.pi)
+            worst_m = max(worst_m, float(da.max()),
+                          float(np.max(np.abs(mu2.weights - mu.weights))))
     # the 1000 pairs' 17 uniforms each, in draw order: Generator.uniform is
     # low + (high - low) U bit for bit
     u = rng.random((1000, 17))

@@ -305,6 +305,75 @@ class TestBatchRows:
             assert np.array_equal(mu.weights, weights[i] / weights[i].sum())
 
 
+class TestRecursionBits:
+    """The O(n) recursions keep the arithmetic of their plain loops, bit for bit.
+
+    They update preallocated arrays in place; the references below are the
+    two-term loops, operand order included (numpy's complex product is not
+    commutative in its last bit).
+    """
+
+    bits = staticmethod(TestBatchRows.bits)
+
+    @staticmethod
+    def gammas():
+        from circdirac.ensembles import SeedSpec, kn_gammas, palm_gammas
+
+        rng = SeedSpec(17, 0).rng()
+        return [kn_gammas(rng, n, 2.0, m) for n, m in ((1, 3), (2, 1), (7, 5), (50, 4))] + [
+            palm_gammas(kn_gammas(rng, 9, 2.0, 3))]
+
+    def test_twist_and_phi_n(self):
+        for g in self.gammas():
+            a = opuc.alphas_from_gammas(g)
+            twist, turn = np.empty_like(a), np.zeros(len(a))
+            for k in range(a.shape[1]):
+                twist[:, k] = np.conj(a[:, k]) * np.exp(-2j * turn)
+                turn = turn + np.angle(1.0 - twist[:, k])
+            assert np.array_equal(self.bits(opuc.gammas_from_alphas(a)), self.bits(twist))
+            z = np.exp(1j * np.linspace(0.0, 7.0, 3 * a.shape[1] + 2))[None, :] ** np.arange(
+                1, len(a) + 1)[:, None]
+            phi = phis = np.ones_like(z)
+            dphi = dphis = np.zeros_like(z)
+            for k in range(a.shape[1]):
+                ak = a[:, k, None]
+                zphi = z * phi
+                w = zphi + z * dphi
+                dphi, dphis = w - np.conj(ak) * dphis, dphis - ak * w
+                phi, phis = zphi - np.conj(ak) * phis, phis - ak * zphi
+            got, dgot = opuc._phi_n(a, z, derivative=True)
+            assert np.array_equal(self.bits(got), self.bits(phi))
+            assert np.array_equal(self.bits(dgot), self.bits(dphi))
+            assert np.array_equal(self.bits(opuc._phi_n(a, z)), self.bits(phi))
+
+    def test_szego_and_christoffel(self):
+        for g in self.gammas():
+            angles, weights = opuc._measures_from_gammas_batch(g)
+            a = opuc.alphas_from_gammas(g)
+            z = np.exp(1j * angles)
+            norm2 = np.cumprod(1.0 - np.abs(g[:, :-1]) ** 2, axis=1)
+            inv_w = np.ones(angles.shape)
+            phi = phis = np.ones_like(z)
+            for k in range(a.shape[1] - 1):
+                ak = a[:, k, None]
+                zphi = z * phi
+                phi, phis = zphi - np.conj(ak) * phis, phis - ak * zphi
+                inv_w += np.abs(phi) ** 2 / norm2[:, k, None]
+            assert np.array_equal(self.bits(weights), self.bits(1.0 / inv_w))
+
+            w = weights / weights.sum(axis=1, keepdims=True)
+            szego = np.empty_like(a)
+            phi = phis = np.ones_like(z)
+            for k in range(a.shape[1] - 1):
+                zphi = z * phi
+                wphis = w * np.conj(phis)
+                ak = np.conj(np.sum(zphi * wphis, axis=1) / np.sum(wphis * phis, axis=1).real)
+                szego[:, k] = ak
+                phi, phis = zphi - np.conj(ak[:, None]) * phis, phis - ak[:, None] * zphi
+            got = opuc._measures_to_alphas_batch(angles, w)
+            assert np.array_equal(self.bits(got[:, :-1]), self.bits(szego[:, :-1]))
+
+
 class TestMeasureToAlpha:
     def test_single_atom(self):
         lam = 2.2
@@ -477,8 +546,58 @@ def kn_draw(n, seed, stream):
 
 
 def cmv(alphas):
-    a = np.atleast_2d(alphas)
-    return opuc._cmv_matrices(a, np.sqrt(1.0 - np.abs(a[:, :-1]) ** 2))
+    """Oracle: the CMV matrices L M, shape (m, n, n), of rows of ``alphas``.
+
+    L = Theta_0 + Theta_2 + ..., M = 1 + Theta_1 + Theta_3 + ... (direct
+    sums, Theta_k = [[conj a_k, rho_k], [rho_k, -a_k]], cut to conj a_{n-1}
+    at index n-1), so det(z - L M) = Phi_n.  Row pair (k, k+1), k even, is
+    Theta_k times rows k, k+1 of M: rho_{k-1}, -a_{k-1} in columns k-1, k
+    and conj a_{k+1}, rho_{k+1} in columns k+1, k+2.  With a_{-1} = -1 and
+    rho_{-1} = rho_{n-1} = 0, entries outside the matrix are all zero.
+    """
+    alphas = np.atleast_2d(alphas)
+    rho = np.sqrt(1.0 - np.abs(alphas[:, :-1]) ** 2)
+    m, n = alphas.shape
+    a = np.pad(alphas, ((0, 0), (1, 1)), constant_values=((0, 0), (-1, 0)))
+    r = np.pad(rho, ((0, 0), (1, 2)))   # a[:, j+1] = a_j, r[:, j+1] = rho_j
+    k = np.arange(0, n, 2)
+    ak, rk = a[:, k + 1], r[:, k + 1]
+    out = np.zeros((m, n, n), dtype=complex)
+    for row, t0, t1 in ((k, np.conj(ak), rk), (k + 1, rk, -ak)):
+        for col, val in ((k - 1, t0 * r[:, k]), (k, -t0 * a[:, k]),
+                         (k + 1, t1 * np.conj(a[:, k + 2])), (k + 2, t1 * r[:, k + 2])):
+            inside = (row < n) & (col >= 0) & (col < n)
+            out[:, row[inside], col[inside]] = val[:, inside]
+    return out
+
+
+def cmv_factors(a):
+    """Oracle: the dense factors L, M of one row of Verblunsky coefficients."""
+    n = len(a)
+    rho = np.sqrt(1.0 - np.abs(a[:-1]) ** 2)
+    factors = [np.zeros((n, n), dtype=complex) for _ in range(2)]
+    factors[1][0, 0] = 1.0
+    for k in range(n):
+        f = factors[k % 2]
+        if k == n - 1:
+            f[k, k] = np.conj(a[k])
+        else:
+            f[k:k + 2, k:k + 2] = [[np.conj(a[k]), rho[k]], [rho[k], -a[k]]]
+    return factors
+
+
+def m_root(a):
+    """S = M^{1/2} of one row, dense, from the diagonal and sides opuc builds."""
+    n = len(a)
+    diag, side = opuc._m_root_conj(a[None, :], np.sqrt(1.0 - np.abs(a[None, :-1]) ** 2))
+    s_bar = np.diag(diag[0])
+    for j in range(n):
+        partner = j + 1 if j % 2 else j - 1
+        if 0 <= partner < n:
+            s_bar[j, partner] = side[0, j]
+        else:
+            assert side[0, j] == 0.0   # a 1 x 1 block
+    return np.conj(s_bar)
 
 
 def angle_error(a, b):
@@ -542,17 +661,56 @@ class TestCMV:
         rng = np.random.default_rng(3)
         for n in (1, 2, 3, 4, 5, 6, 7, 50):
             a = random_alphas(rng, n).values
-            rho = np.sqrt(1.0 - np.abs(a[:-1]) ** 2)
-            factors = [np.zeros((n, n), dtype=complex) for _ in range(2)]
-            factors[1][0, 0] = 1.0
-            for k in range(n):
-                f = factors[k % 2]
-                if k == n - 1:
-                    f[k, k] = np.conj(a[k])
-                else:
-                    f[k:k + 2, k:k + 2] = [[np.conj(a[k]), rho[k]], [rho[k], -a[k]]]
-            dense = factors[0] @ factors[1]
-            assert np.max(np.abs(cmv(a)[0] - dense)) < 1e-15
+            L, M = cmv_factors(a)
+            assert np.max(np.abs(cmv(a)[0] - L @ M)) < 1e-15
+
+    @staticmethod
+    def factor_rows(n):
+        """Random, Killip-Nenciu and Palm Verblunsky coefficients of length n."""
+        from circdirac.ensembles import palm_gammas
+
+        rng = np.random.default_rng(40 + n)
+        return [random_alphas(rng, n).values,
+                opuc.alphas_from_gammas(kn_draw(n, 5, 0)),
+                opuc.alphas_from_gammas(palm_gammas(kn_draw(n, 5, 1)))]
+
+    # odd and even n end L and M with 1 x 1 blocks in turn
+    @pytest.mark.parametrize("n", [1, 2, 3, 6, 7, 50])
+    def test_root_of_m_is_symmetric_unitary(self, n):
+        for a in self.factor_rows(n):
+            _, M = cmv_factors(a)
+            S = m_root(a)
+            assert np.array_equal(S, S.T)
+            assert np.max(np.abs(S @ S.conj().T - np.eye(n))) < 1e-14
+            assert np.max(np.abs(S @ S - M)) < 1e-14
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 6, 7, 50])
+    def test_symmetric_cmv_is_unitary_with_roots_of_phi_n(self, n):
+        # Phi_n at the eigenvalues, against its largest value on the circle
+        # (up to 8e2 at n = 50, where |Phi_n| at the eigenvalues is 5e-12)
+        circle = np.exp(1j * TWO_PI / (4 * n) * np.arange(4 * n))
+        for a in self.factor_rows(n):
+            L, _ = cmv_factors(a)
+            S = m_root(a)
+            W = S @ L @ S
+            assert np.max(np.abs(W - W.T)) < 1e-14
+            assert np.max(np.abs(W @ W.conj().T - np.eye(n))) < 1e-13
+            seq = opuc.CoefficientSequence("verblunsky", a)
+            phi, _ = szego_eval(seq, np.linalg.eigvals(W))
+            scale = np.max(np.abs(szego_eval(seq, circle)[0]))
+            assert np.max(np.abs(phi)) < 1e-12 * scale
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 6, 7, 50])
+    def test_cayley_resolvent_has_real_part_one_half(self, n):
+        # the psi of the conversion: where |Phi_n| is largest on 4n points
+        grid = TWO_PI / (4 * n) * np.arange(4 * n)
+        for a in self.factor_rows(n):
+            L, _ = cmv_factors(a)
+            S = m_root(a)
+            seq = opuc.CoefficientSequence("verblunsky", a)
+            psi = grid[np.argmax(np.abs(szego_eval(seq, np.exp(1j * grid))[0]))]
+            R = np.linalg.inv(np.eye(n) - np.exp(-1j * psi) * (S @ L @ S))
+            assert np.max(np.abs(R.real - np.eye(n) / 2)) < 1e-13
 
     def test_characteristic_polynomial_is_phi_n(self):
         rng = np.random.default_rng(4)
@@ -663,6 +821,20 @@ class TestCMV:
         picks = np.linspace(0, 399, 12).astype(int)
         _, exact = polished(alphas, ang[0], picks)
         assert np.max(np.abs(w[0, picks] / exact - 1.0)) < 3e-13
+
+    def test_large_kn_draw_converts_at_800(self):
+        # the real symmetric eigenproblem makes n = 800 cheap; the round
+        # trip and the atoms hold as at n = 400
+        g = kn_draw(800, 401, 0)
+        seq = opuc.CoefficientSequence("modified", g)
+        mu = opuc.alpha_to_measure(opuc.convert_coefficients(seq, "verblunsky"))
+        assert len(mu) == 800 and mu.normalized
+        back = opuc.convert_coefficients(opuc.measure_to_alpha(mu), "modified")
+        assert np.max(np.abs(back.values - g)) < 1e-10
+        ang, _ = opuc._measures_from_gammas_batch(g)
+        errors, _ = polished(opuc.alphas_from_gammas(g), ang[0],
+                             np.linspace(0, 799, 6).astype(int))
+        assert errors.max() < 2e-15
 
     def test_coefficient_outside_the_disk_raises(self):
         g = random_gammas(np.random.default_rng(12), 3, 6)
