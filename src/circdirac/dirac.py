@@ -614,7 +614,7 @@ class OperatorBatch:
         left, right = self.u0sq[row] / normsq, (h.real * h.real + h.imag * h.imag) / normsq
         # normsq and |H|^2 are products of G's components, which overflow
         # long before G does
-        _require_finite("the spectral weights", (left, right))
+        _require_finite("the spectral weights", left, right)
         return lams, left, right, row
 
     @np.errstate(**_QUIET)
@@ -882,13 +882,13 @@ def _chunk_turns(G, W):
     return turns.sum(axis=0)
 
 
-def _require_finite(what: str, values) -> None:
+def _require_finite(what: str, *values) -> None:
     """Raise a conditioning error unless every entry of ``values`` is finite.
 
     Overflow to inf/nan would otherwise reach the caller as a nan phase, a
     garbled count or a nan weight.
     """
-    if not np.all(np.isfinite(values)):
+    if not all(np.all(np.isfinite(value)) for value in values):
         raise ValueError(
             f"conditioning: {what} overflowed to inf/nan; the solution grows "
             "past double range at this lambda"

@@ -30,7 +30,8 @@ Phi_n, and the weights from the Christoffel sum
 are symmetric and unitary (Killip & Nenciu 2007), so with S = M^{1/2},
 built block by block in closed form, W = S L S is symmetric unitary and
 similar to L M.  A real orthogonal matrix diagonalizes such a W, so its
-Cayley transform is a real symmetric matrix; it is built with one
+Cayley transform is a real symmetric matrix; its lower triangle, all
+the eigensolver reads, is formed in the back substitution of one
 tridiagonal solve (Ammar, Gragg & Reichel 1986 reduce the unitary
 eigenproblem to Hermitian ones in the same spirit), and one Newton step on
 Phi_n polishes its eigenvalues: on Killip-Nenciu draws at n = 400 the
@@ -38,7 +39,8 @@ atoms agree with 40-digit roots to 1.1e-15.  The round trip is good to
 4.8e-12 at n = 400.  Measures with an interior 1 - |alpha_k|^2 below
 MIN_INTERIOR_DEFECT (merging atoms, vanishing weights) are refused.  The
 O(n) recursions update preallocated arrays in place, with no new array
-per step.
+per step, and coefficients -> measure has one memory rule: rows go
+through in blocks of about ``_BLOCK_ENTRIES`` matrix entries.
 """
 
 from __future__ import annotations
@@ -363,11 +365,14 @@ def _cmv_angles(alphas: np.ndarray, rho: np.ndarray) -> np.ndarray:
     the point of a 4n-point grid where |Phi_n| is largest, so no atom is
     near e^{i psi}.  Here I - e^{-i psi} W = S T S with T = M^H - e^{-i psi} L
     complex symmetric tridiagonal, so X = T^{-1} conj(S).  T is factored
-    with partial pivoting (the LAPACK zgttrf scheme) and X solved in
-    place; A is formed from X an eighth of the rows at a time, and X is
-    dropped before ``eigvalsh``, a real symmetric problem on half the
-    bytes of a Hermitian one.  One Newton step on Phi_n(e^{i theta})
-    polishes the angles it gives.
+    with partial pivoting (the LAPACK zgttrf scheme), and one descending
+    pass back-substitutes X and forms A.  ``eigvalsh``, a real symmetric
+    problem on half the bytes of a Hermitian one, reads only A's lower
+    triangle, whose row j needs rows j and partner[j] of X in columns
+    up to j only; so row i of X is solved in its first i + 2 columns,
+    the ones the rows above it read, and A's rows of an M block are
+    written once both are solved.  A's strictly upper part stays 0.
+    One Newton step on Phi_n(e^{i theta}) polishes the angles it gives.
     """
     m, n = alphas.shape
     grid = TWO_PI / (4 * n) * np.arange(4 * n)
@@ -408,27 +413,27 @@ def _cmv_angles(alphas: np.ndarray, rho: np.ndarray) -> np.ndarray:
         f = (pair[:, 1, 0] / pair[:, 0, 0])[:, None]
         pair[:, 1, 1:] -= f * pair[:, 0, 1:]
         rows[:, 1] -= f * rows[:, 0]
+    # back substitution, row i in columns :i+2 only; once rows i and
+    # partner[i] >= i are solved, they give rows i..partner[i] of the lower
+    # triangle of A = -2 Im(conj(S) X)
     d, du, du2 = (band[:, :, k, None] for k in (1, 2, 3))
+    cayley = np.zeros((m, n, n))
     for i in range(n - 1, -1, -1):
-        r = x[:, i]
+        r = x[:, i, : i + 2]
         if i + 1 < n:
-            r -= du[:, i] * x[:, i + 1]
+            r -= du[:, i] * x[:, i + 1, : i + 2]
         if i + 2 < n:
-            r -= du2[:, i] * x[:, i + 2]
+            r -= du2[:, i] * x[:, i + 2, : i + 2]
         r /= d[:, i]
-    if not np.all(np.isfinite(x)):   # eigvalsh need not refuse nan
-        raise np.linalg.LinAlgError("non-finite Cayley matrix: is a gamma_k not finite?")
-
-    # A = -2 Im(conj(S) X), an eighth of the rows at a time
-    cayley = np.empty((m, n, n))
-    step = 2 * max(1, n // 16)
-    for lo in range(0, n, step):
-        r = slice(lo, lo + step)
-        t = x[:, partner[r]]
-        t *= side[:, r, None]
-        t += diag[:, r, None] * x[:, r]
-        np.multiply(t.imag, -2.0, out=cayley[:, r])
-    del x, t
+        p = partner[i]
+        if p >= i:
+            t = x[:, i : p + 1, : p + 1]   # t[:, ::-1] holds the partners' rows
+            t = t[:, ::-1] * side[:, i : p + 1, None] + diag[:, i : p + 1, None] * t
+            np.multiply(t.imag, -2.0, out=cayley[:, i : p + 1, : p + 1])
+    cayley[:, j[1 : n - 1 : 2], j[2::2]] = 0.0   # the blocks' entries above the diagonal
+    del x
+    if not np.all(np.isfinite(cayley)):   # eigvalsh need not refuse nan
+        raise np.linalg.LinAlgError("non-finite Cayley matrix: the solve overflowed")
     theta = psi[:, None] + 2.0 * np.arctan2(1.0, -np.linalg.eigvalsh(cayley))
 
     phi, dphi = _phi_n(alphas, np.exp(1j * theta), derivative=True)
@@ -468,17 +473,19 @@ def _measures_from_gammas_batch(gammas: np.ndarray):
     sorted by angle in [0, 2 pi], where an atom just below 0 may round to
     2 pi and then sorts last.
 
-    A row with an interior |gamma_k| of 1 or above in double, as small-beta
-    Killip-Nenciu draws hold, has no n-atom measure: it is refused up
-    front with a conditioning error, before any sqrt of a negative
-    1 - |gamma_k|^2 could warn.
+    A row with a gamma_k that is not finite, or with an interior |gamma_k|
+    of 1 or above in double, as small-beta Killip-Nenciu draws hold, has
+    no n-atom measure: it is refused up front with a conditioning error,
+    before any arithmetic could warn.
     """
     g = np.atleast_2d(np.asarray(gammas, dtype=complex))
     m, n = g.shape
-    bad = np.count_nonzero(~np.all(1.0 - np.abs(g[:, : n - 1]) ** 2 > 0.0, axis=1))
+    # a nan or inf interior entry fails the first test too
+    inside = np.all(1.0 - np.abs(g[:, : n - 1]) ** 2 > 0.0, axis=1)
+    bad = np.count_nonzero(~(inside & np.isfinite(g[:, -1])))
     if bad:
         raise ValueError(f"conditioning: {bad} of {m} rows hold an interior |gamma_k| "
-                         "not below 1 in double, so 1 - |gamma_k|^2 is not positive")
+                         "not below 1 in double, or a gamma_k that is not finite")
     angles, weights = np.empty((m, n)), np.empty((m, n))
     step = max(1, _BLOCK_ENTRIES // (n * n))
     for lo in range(0, m, step):
