@@ -125,7 +125,7 @@ from functools import cached_property
 import numpy as np
 
 from .hyperbolic import is_inf
-from .opuc import (LAST_COEFF_TOL, CoefficientSequence, UnitCircleMeasure,
+from .opuc import (CoefficientSequence, UnitCircleMeasure, coefficient_rows,
                    convert_coefficients, measure_to_alpha)
 
 __all__ = [
@@ -351,15 +351,13 @@ def coefficient_batch(gammas) -> "OperatorBatch":
     [-v_{n-1}, -1]; the Palm coefficient gamma_{n-1} = 1 (within 1e-13)
     gives b_n = 1, the infinity slope and the direction [1, 0].  The last
     cell is y_{n-1} = prod_{j<n} r_j and x_{n-1} = sum_{j<n-1} v_j y_j.
-    A last coefficient off the unit circle (beyond ``LAST_COEFF_TOL``) is
-    refused; an interior one on or outside it gives r_k <= 0, which
-    :meth:`OperatorBatch.from_steps` refuses.  Every operation is elementwise, or runs along a row, so a row's bits do
-    not depend on the batch around it: :func:`coefficient_operator` is the
-    one-row call.
+    The rows pass :func:`opuc.coefficient_rows` first; an accepted
+    |gamma_k| a few ulps below 1 can still round r_k to 0 or below, which
+    :meth:`OperatorBatch.from_steps` refuses.  Every operation is
+    elementwise, or runs along a row, so a row's bits do not depend on the
+    batch around it: :func:`coefficient_operator` is the one-row call.
     """
-    g = np.asarray(gammas, dtype=complex)
-    if not np.all(np.abs(np.abs(g[:, -1]) - 1.0) <= LAST_COEFF_TOL):   # refuses nan too
-        raise ValueError("last coefficient must have unit modulus")
+    g = coefficient_rows(gammas)
     palm = np.abs(g[:, -1] - 1.0) < 1e-13
     with np.errstate(divide="ignore", invalid="ignore"):   # at a Palm row's last q, not read
         q = g / (1.0 - g)
@@ -388,8 +386,9 @@ def coefficient_operator(gammas: CoefficientSequence) -> DiracOperator:
     g = gammas.values
     batch = coefficient_batch(g[None])
     (x, y), last = batch.last[:, 0], g[-1]
-    # v_{n-1} = -2 Im q_{n-1}, as the batch takes it
-    slope = math.inf if abs(last - 1.0) < 1e-13 else x + -2.0 * (last / (1.0 - last)).imag * y
+    # the batch's target offset is 0 on a Palm row, whose target is [1, 0],
+    # and in (0, 2 pi) on any other; v_{n-1} = -2 Im q_{n-1}, as it takes it
+    slope = math.inf if batch.u[0] == 0.0 else x + -2.0 * (last / (1.0 - last)).imag * y
     return DiracOperator(np.linspace(0.0, 1.0, g.size + 1), u0=(1.0, 0.0),
                          u1=boundary_direction(slope), origin="discrete-measure", batch=batch)
 

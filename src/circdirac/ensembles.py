@@ -75,9 +75,10 @@ TWO_PI = 2.0 * math.pi
 
 #: :func:`sine_replicas` draws and sweeps its rows in blocks of at most this
 #: many, about 8 MB of frame steps at 4096 cells.  A window's endpoint sweep
-#: of a block, two lanes per row, stays below ``dirac._CHUNK_LANES``, so
-#: every sweep of a block runs chunked and a row's counts and roots do not
-#: depend on the block it falls in.
+#: of a block, two lanes per row, stays below ``dirac._CHUNK_LANES`` and runs
+#: chunked, as a one-row sweep does.  A solve sweeps one lane per root, so a
+#: window with about ten roots per row takes a block into the plain loop,
+#: whose roots differ from the one-row ones in the last bits.
 _BLOCK_ROWS = 127
 
 
@@ -288,7 +289,10 @@ def sine_replicas(spec: SinePathSpec, seed: int, replicas: int, per_row) -> np.n
     ``_BLOCK_ROWS``; ``per_row`` maps each block's :class:`OperatorBatch`
     to one value per row, and the values come back concatenated in row
     order.  A block is dropped before the next one is drawn, so the steps
-    held at once do not grow with ``replicas``.
+    held at once do not grow with ``replicas``.  A row's value is its
+    one-row value bit for bit while every sweep of ``per_row`` stays below
+    ``dirac._CHUNK_LANES`` lanes: so for window counts, and for roots of a
+    window holding a few per row, but not for one holding many.
     """
     return np.concatenate([
         per_row(sample_sine_paths(spec, [SeedSpec(seed, i) for i in

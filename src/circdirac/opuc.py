@@ -53,6 +53,7 @@ import numpy as np
 __all__ = [
     "CoefficientSequence",
     "UnitCircleMeasure",
+    "coefficient_rows",
     "convert_coefficients",
     "measure_to_alpha",
     "alpha_to_measure",
@@ -63,7 +64,7 @@ __all__ = [
 
 TWO_PI = 2.0 * math.pi
 
-#: |alpha_{n-1}| must be 1 within this tolerance; sequences failing are rejected.
+#: The last |coefficient| of a row must be 1 within this.
 LAST_COEFF_TOL = 1e-10
 
 #: Measure -> coefficients refuses an interior 1 - |alpha_k|^2 below this: its
@@ -87,8 +88,7 @@ _BLOCK_ENTRIES = 2 ** 15
 class CoefficientSequence:
     """A finite coefficient sequence, either ``verblunsky`` or ``modified``.
 
-    Entries are finite; interior entries lie strictly inside the unit disk,
-    and the last entry has unit modulus (within ``LAST_COEFF_TOL``).
+    Its values are one row that :func:`coefficient_rows` accepts.
     """
 
     kind: str
@@ -97,17 +97,9 @@ class CoefficientSequence:
     def __post_init__(self):
         if self.kind not in ("verblunsky", "modified"):
             raise ValueError(f"unknown coefficient kind {self.kind!r}")
-        vals = np.asarray(self.values, dtype=complex)
-        if vals.ndim != 1 or vals.size == 0:
-            raise ValueError("coefficient sequence must be a nonempty 1-d array")
-        if not np.all(np.isfinite(vals)):
-            raise ValueError("coefficients must be finite")
-        mods = np.abs(vals)
-        if np.any(mods[:-1] >= 1.0):
-            raise ValueError("interior coefficients must lie strictly inside the disk")
-        if abs(mods[-1] - 1.0) > LAST_COEFF_TOL:
-            raise ValueError("last coefficient must have unit modulus")
-        object.__setattr__(self, "values", vals)
+        if np.ndim(self.values) != 1:
+            raise ValueError("coefficient sequence must be a 1-d array")
+        object.__setattr__(self, "values", coefficient_rows(self.values)[0])
 
     def __len__(self) -> int:
         return self.values.size
@@ -177,6 +169,27 @@ class UnitCircleMeasure:
 
 # ---------------------------------------------------------------------------
 # coefficient conversions
+
+
+def coefficient_rows(values) -> np.ndarray:
+    """Coefficient rows (rows, n) of either kind, or one row (n,), as (rows, n) complex.
+
+    The one validity rule: finite entries, interior moduli below 1 as
+    ``np.abs`` gives them (no square to overflow first), and last moduli
+    1 within ``LAST_COEFF_TOL``.  Each rule's message counts its refusals.
+    """
+    g = np.atleast_2d(np.asarray(values, dtype=complex))
+    if g.ndim != 2 or g.shape[1] == 0:
+        raise ValueError("coefficient rows must be nonempty")
+    for ok, rule in ((np.isfinite(g), "{} of {} rows hold a non-finite coefficient"),
+                     (np.abs(g[:, :-1]) < 1.0, "conditioning: {} of {} rows hold an interior "
+                      "|coefficient| not below 1 in double"),
+                     (np.abs(np.abs(g[:, -1:]) - 1.0) <= LAST_COEFF_TOL,
+                      "{} of {} rows hold a last coefficient without unit modulus")):
+        bad = np.count_nonzero(~ok.all(axis=1))
+        if bad:
+            raise ValueError(rule.format(bad, len(g)))
+    return g
 
 
 def _prefix_phase_products(gammas: np.ndarray) -> np.ndarray:
@@ -471,21 +484,11 @@ def _measures_from_gammas_batch(gammas: np.ndarray):
     matrix entries, so memory stays bounded for any m, and each row's bits
     do not depend on the batch around it.  Returns (angles, weights), rows
     sorted by angle in [0, 2 pi], where an atom just below 0 may round to
-    2 pi and then sorts last.
-
-    A row with a gamma_k that is not finite, or with an interior |gamma_k|
-    of 1 or above in double, as small-beta Killip-Nenciu draws hold, has
-    no n-atom measure: it is refused up front with a conditioning error,
-    before any arithmetic could warn.
+    2 pi and then sorts last.  The rows pass :func:`coefficient_rows`
+    first, before any arithmetic could warn.
     """
-    g = np.atleast_2d(np.asarray(gammas, dtype=complex))
+    g = coefficient_rows(gammas)
     m, n = g.shape
-    # a nan or inf interior entry fails the first test too
-    inside = np.all(1.0 - np.abs(g[:, : n - 1]) ** 2 > 0.0, axis=1)
-    bad = np.count_nonzero(~(inside & np.isfinite(g[:, -1])))
-    if bad:
-        raise ValueError(f"conditioning: {bad} of {m} rows hold an interior |gamma_k| "
-                         "not below 1 in double, or a gamma_k that is not finite")
     angles, weights = np.empty((m, n)), np.empty((m, n))
     step = max(1, _BLOCK_ENTRIES // (n * n))
     for lo in range(0, m, step):

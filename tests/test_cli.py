@@ -178,19 +178,24 @@ class TestPipelines:
         summary = json.loads((tmp_path / "b.json").read_text())
         assert summary["ks_to_direct_law"] == {}
 
-    def test_bias_refuses_coefficients_on_the_circle(self, tmp_path, capsys):
-        # at beta = 0.1 the draw holds interior |gamma_k| that round to 1;
-        # the record names the conditioning limit, with no warning first
-        out = tmp_path / "b"
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            rc = main(["bias", "--n", "6", "--beta", "0.1", "--replicas", "4000",
-                       "--seed", "3", "--out", str(out)])
-        assert rc == 1
-        record = json.loads(capsys.readouterr().err.strip())
-        assert record["error"] == "ValueError"
-        assert record["message"].startswith("conditioning: 542 of 4000 rows hold an interior")
-        assert not Path(f"{out}.json").exists()
+    def test_kn_sample_and_bias_refuse_coefficients_on_the_circle_by_one_rule(
+            self, tmp_path, capsys):
+        # at beta = 0.1 a draw can hold interior |gamma_k| that round to 1;
+        # one sequence and a bias batch are refused by the same rule, its
+        # record counting the rows, with no warning first and no output
+        rule = "rows hold an interior |coefficient| not below 1 in double"
+        for argv, count in ((["kn-sample", "--stream", "6"], "1 of 1"),
+                            (["bias", "--replicas", "4000"], "542 of 4000")):
+            out = tmp_path / argv[0]
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                rc = main([*argv, "--n", "6", "--beta", "0.1", "--seed", "3",
+                           "--out", str(out)])
+            assert rc == 1
+            record = json.loads(capsys.readouterr().err.strip())
+            assert record == {"error": "ValueError",
+                              "message": f"conditioning: {count} {rule}"}
+            assert not list(tmp_path.iterdir())
 
 
 class TestExperiments:

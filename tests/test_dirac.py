@@ -1516,10 +1516,14 @@ class TestRowEquality:
         if law == "palm":
             assert np.all(batch.u == 0.0)
 
-    @pytest.mark.parametrize("last", [0.5, 1.0 + 1e-9, np.nan], ids=["inside", "outside", "nan"])
-    def test_coefficient_batch_refuses_a_last_coefficient_off_the_circle(self, last):
+    @pytest.mark.parametrize("last, rule", [
+        (0.5, "a last coefficient without unit modulus"),
+        (1.0 + 1e-9, "a last coefficient without unit modulus"),
+        (np.nan, "a non-finite coefficient"),
+    ], ids=["inside", "outside", "nan"])
+    def test_coefficient_batch_refuses_a_last_coefficient_off_the_circle(self, last, rule):
         g = np.array([[0.2j, 1.0], [0.1, last]])
-        with pytest.raises(ValueError, match="last coefficient must have unit modulus"):
+        with pytest.raises(ValueError, match=f"^1 of 2 rows hold {rule}$"):
             dirac.coefficient_batch(g)
 
     def test_measure_operator_is_its_row_of_the_batched_conversion(self):

@@ -301,8 +301,8 @@ class TestSineOperator:
         np.testing.assert_array_equal(u.view(np.int64), whole.u.view(np.int64))
 
     def test_a_block_sweeps_its_window_in_chunks(self):
-        # a window's endpoint sweep takes two lanes per row; below
-        # _CHUNK_LANES lanes every sweep of a block runs chunked
+        # a window's endpoint sweep takes two lanes per row, so a block's
+        # stays below _CHUNK_LANES lanes and runs chunked
         assert 2 * ens._BLOCK_ROWS < dirac._CHUNK_LANES
 
     def test_steps_are_the_drawn_increments(self):

@@ -93,7 +93,7 @@ def reverse_path(gammas):
 
 class TestTypes:
     def test_interior_modulus_enforced(self):
-        with pytest.raises(ValueError, match="strictly inside"):
+        with pytest.raises(ValueError, match="^conditioning: 1 of 1 rows hold an interior"):
             opuc.CoefficientSequence("verblunsky", np.array([1.2, 1.0 + 0j]))
 
     def test_last_modulus_enforced(self):
@@ -887,8 +887,36 @@ class TestCMV:
         # through, reaches a quotient that warns, or a nan atom at n = 1
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(ValueError, match="^conditioning: 1 of 1 rows"):
+            with pytest.raises(ValueError, match="^1 of 1 rows hold a non-finite coefficient$"):
                 opuc._measures_from_gammas_batch(np.array([g], dtype=complex))
+
+    @pytest.mark.parametrize("case", ["kn-beta-0.1", "last-inside", "huge"])
+    def test_one_rule_refuses_a_row_at_every_entry_point(self, case):
+        # the sequence type, the operator batch and the conversion refuse the
+        # same rows with one message, and no arithmetic warns before it
+        from circdirac.ensembles import SeedSpec, kn_gammas
+
+        interior = ("conditioning: {} of {} rows hold an interior |coefficient| "
+                    "not below 1 in double")
+        g, refused, rule = {
+            "kn-beta-0.1": (kn_gammas(SeedSpec(3, 0).rng(), 6, 0.1, 4000), 542, interior),
+            "last-inside": (np.array([[0.2 + 0.1j, -0.3j, 0.5]]), 1,
+                            "{} of {} rows hold a last coefficient without unit modulus"),
+            "huge": (np.array([[1e200, 0.3, 1.0]], dtype=complex), 1, interior),
+        }[case]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for entry in (opuc._measures_from_gammas_batch, dirac.coefficient_batch):
+                with pytest.raises(ValueError) as info:
+                    entry(g)
+                assert str(info.value) == rule.format(refused, len(g))
+            messages = []
+            for row in g:
+                try:
+                    opuc.CoefficientSequence("modified", row)
+                except ValueError as err:
+                    messages.append(str(err))
+        assert messages == [rule.format(1, 1)] * refused
 
     def test_memory_stays_below_one_matrix_stack(self):
         from circdirac.ensembles import SeedSpec, kn_gammas

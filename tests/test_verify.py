@@ -160,10 +160,25 @@ def test_batched_count_matches_per_operator():
     np.testing.assert_array_equal(counts, expected)
 
 
+def test_sine_criteria_values_are_their_one_row_values():
+    # the counts' endpoint sweeps and the one or two roots per row near 0
+    # stay below _CHUNK_LANES lanes in a full block, so each row of the two
+    # Sine criteria, across the first block boundary, keeps its one-row bits
+    win, palm = (0.0, 20.0 * math.pi), SinePathSpec(beta=2.0, q=math.inf)
+    counts = sine_replicas(SinePathSpec(beta=2.0), 7, 134, lambda batch: batch.count(win))
+    nearest = sine_replicas(palm, 7, 134, verify._nearest_roots)
+    rows = range(0, 134, 7)
+    one = [sample_sine_paths(SinePathSpec(beta=2.0), [SeedSpec(7, i)]).count(win)[0]
+           for i in rows]
+    np.testing.assert_array_equal(counts[rows], one)
+    one = [verify._nearest_roots(sample_sine_paths(palm, [SeedSpec(7, i)]))[0] for i in rows]
+    np.testing.assert_array_equal(nearest[rows].view(np.int64), np.array(one).view(np.int64))
+
+
 @pytest.mark.parametrize("block", [1, 7])
 def test_replica_values_do_not_depend_on_the_block(monkeypatch, block):
-    # every sweep of a block runs chunked, so each row's count and its root
-    # nearest 0 keep their bits whatever block the row falls in
+    # a block's sweeps here stay below _CHUNK_LANES lanes, so each row's
+    # count and its root nearest 0 keep their bits whatever block it is in
     def values():
         counts = sine_replicas(SinePathSpec(beta=2.0, cells=128), 5, 20,
                                lambda batch: batch.count((0.0, 20.0 * math.pi)))
